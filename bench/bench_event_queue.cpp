@@ -6,9 +6,8 @@
 //                    steady-state arrival/dispatch pattern)
 //   cancel_resched — cancel + re-push against a standing live set (the
 //                    simulator's VM-finish rescheduling pattern)
-//   whole_run_week — events/sec of the full SB week reproduction, measured
-//                    through whichever queue the build selected (see
-//                    EASCHED_SIM_REFERENCE_QUEUE in event_queue.hpp)
+//   whole_run_week — events/sec of the full SB week reproduction on the
+//                    simulator's (pooled) queue
 //   sweep          — wall-clock of a small threshold grid under
 //                    SweepRunner(1) vs SweepRunner(4)
 //
@@ -163,13 +162,8 @@ int main(int argc, char** argv) {
     rows.push_back({"whole_run_week_events_per_sec", events_per_sec,
                     "events/s"});
     if (!json) {
-      std::printf("whole-run week (SB 30-90, %s queue): %.0f ms, "
+      std::printf("whole-run week (SB 30-90, pooled queue): %.0f ms, "
                   "%llu events, %.0f events/sec\n",
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-                  "reference",
-#else
-                  "pooled",
-#endif
                   best_ms, static_cast<unsigned long long>(dispatched),
                   events_per_sec);
     }
@@ -222,13 +216,8 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("{\n  \"context\": {\"queue\": \"%s\", \"hw_threads\": %u, "
+    std::printf("{\n  \"context\": {\"queue\": \"pooled\", \"hw_threads\": %u, "
                 "\"reps\": %d},\n  \"benchmarks\": [\n",
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-                "reference",
-#else
-                "pooled",
-#endif
                 std::thread::hardware_concurrency(), reps);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       std::printf("    {\"name\": \"%s\", \"value\": %.2f, \"unit\": \"%s\"}%s\n",

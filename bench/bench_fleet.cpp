@@ -11,8 +11,8 @@
 // sweep. Both variants run the identical scenario in one process:
 //
 //   reference   — ScoreBasedConfig.incremental = false: every round
-//                 re-reads all M hosts and eagerly rebuilds the matrix
-//                 (the pre-fleet behaviour, kept as a run-time flag);
+//                 re-reads all M hosts and evaluates the matrix without
+//                 pruning or persistent columns (the executable spec);
 //   incremental — the cross-round FleetState path: dirty-journal re-reads,
 //                 lazy static terms, capacity-pruned argmin, persistent
 //                 queued-VM columns.

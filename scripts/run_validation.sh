@@ -72,10 +72,10 @@ build "$repo/build-validate-asan" -DEASCHED_SANITIZE=address
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-asan" \
   -L "validate|faults|resilience|telemetry" --output-on-failure -j"$(nproc)"
 
-echo "== thread-sanitized build: validate + solver + resilience =="
+echo "== thread-sanitized build: validate + solver + resilience + fleet =="
 build "$repo/build-validate-tsan" -DEASCHED_SANITIZE=thread
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-tsan" \
-  -L "validate|solver|resilience" --output-on-failure -j"$(nproc)"
+  -L "validate|solver|resilience|fleet" --output-on-failure -j"$(nproc)"
 
 echo "== EASCHED_VALIDATE=OFF build: hooks compiled out =="
 build "$repo/build-validate-off" -DEASCHED_VALIDATE=OFF

@@ -34,14 +34,20 @@ struct AnnealingStats {
   double best_cost = 0;
 };
 
-/// Anneals `model` (same concept as hill_climb; move() must support moving
-/// queued columns back to the virtual row). The model is left in the best
-/// plan encountered.
+/// Anneals `model` (same concept as hill_climb, plus bool placeable(r) for
+/// real rows; move() must support moving queued columns back to the
+/// virtual row). The model is left in the best plan encountered.
 template <typename Model>
 AnnealingStats anneal(Model& model, const AnnealingParams& params) {
   AnnealingStats stats;
-  const int rows = model.rows();
   const int cols = model.cols();
+  // The walk proposes only placeable rows and the virtual row: a move onto
+  // a non-placeable (all-kInf) row could never be accepted.
+  std::vector<int> targets;
+  for (int r = 0; r < model.virtual_row(); ++r) {
+    if (model.placeable(r)) targets.push_back(r);
+  }
+  targets.push_back(model.virtual_row());
 
   const auto total_cost = [&] {
     double sum = 0;
@@ -56,7 +62,7 @@ AnnealingStats anneal(Model& model, const AnnealingParams& params) {
   double cost = total_cost();
   stats.best_cost = cost;
   snapshot();
-  if (cols == 0 || rows <= 1) return stats;
+  if (cols == 0 || targets.size() <= 1) return stats;
 
   support::Rng rng{params.seed};
   std::vector<int> movable;
@@ -74,8 +80,7 @@ AnnealingStats anneal(Model& model, const AnnealingParams& params) {
       // that entered from it.
       int to;
       do {
-        to = static_cast<int>(rng.uniform_int(
-            0, static_cast<std::uint64_t>(rows - 1)));
+        to = targets[rng.uniform_int(0, targets.size() - 1)];
       } while (to == from ||
                (to == model.virtual_row() &&
                 model.original_row(c) != model.virtual_row()));

@@ -109,11 +109,7 @@ void FleetState::refresh(const Datacenter& dc,
 
   if (snap_.size() != n) {
     // First refresh (or a fleet-size change): full (re)initialization.
-    snap_.resize(n);
-    index_.reset(n);
-    dirty_flag_.assign(n, 0);
-    cols_.clear();
-    queued_scratch_.clear();
+    reset(n);
     journal_scratch_.clear();
     dc.drain_fleet_dirty(journal_scratch_);  // flush the stale backlog
     journal_scratch_.clear();
@@ -170,6 +166,24 @@ void FleetState::refresh(const Datacenter& dc,
       for (const HostId h : dirty_scratch_) col.ok[h] = 0;
     }
   }
+}
+
+void FleetState::read_all(const Datacenter& dc) {
+  const sim::SimTime now = dc.simulator().now();
+  const std::size_t n = dc.num_hosts();
+  reset(n);
+  for (HostId h = 0; h < n; ++h) {
+    read_host(dc, h, now, snap_);
+    index_.update(h, snap_);
+  }
+}
+
+void FleetState::reset(std::size_t n) {
+  snap_.resize(n);
+  index_.reset(n);
+  dirty_flag_.assign(n, 0);
+  cols_.clear();
+  queued_scratch_.clear();
 }
 
 void FleetState::read_host(const Datacenter& dc, HostId h, sim::SimTime now,

@@ -1,21 +1,20 @@
 // Cross-round incremental fleet state for the scheduling core.
 //
-// The legacy ScoreModel constructor re-reads every host from the
-// Datacenter at the start of every round — O(M) pointer-chasing queries
-// plus an O(M x N) eager static-term build. Between rounds almost nothing
+// A full read of the fleet re-queries every host from the Datacenter —
+// O(M) pointer-chasing queries per round. Between rounds almost nothing
 // changes: a round touches the few hosts that gained/lost a VM or an
 // operation, and the rest of the fleet is byte-for-byte identical to last
 // round's snapshot. FleetState exploits that: it owns a persistent SoA
 // snapshot of the per-host hot fields, consumes the Datacenter's dirty
 // journal (drain_fleet_dirty) each round, and re-reads *only* the dirtied
-// hosts — with the exact same expressions the legacy constructor uses, so
-// the snapshot is bitwise equal to a fresh full read at all times (the
+// hosts — through the one read_host() path a full read uses, so the
+// snapshot is bitwise equal to a fresh full read at all times (the
 // kFleetSnapshot invariant rule holds this).
 //
 // Three cooperating pieces live here:
 //
 //   FleetSnapshot   — SoA arrays over all HostIds (row index == HostId).
-//                     The fleet-mode ScoreModel points straight into these
+//                     The ScoreModel points straight into these
 //                     arrays for its immutable row attributes; only the
 //                     plan-tracked fields (reservations, counts, demand)
 //                     are copied per round.
@@ -69,9 +68,8 @@ namespace easched::core {
 inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 
 /// SoA snapshot of every host's score-relevant fields, row index == HostId.
-/// Field definitions (and evaluation expressions) mirror the legacy
-/// ScoreModel constructor exactly; kFleetSnapshot asserts bitwise equality
-/// against a fresh re-read.
+/// Every field is written by FleetState::read_host(); kFleetSnapshot
+/// asserts bitwise equality against a fresh re-read.
 struct FleetSnapshot {
   std::vector<unsigned char> placeable;  ///< dc.placeable(h) at refresh
   std::vector<double> cpu_cap, mem_cap;
@@ -171,7 +169,7 @@ struct CellStaticTerms {
   bool compat = false;
 };
 
-/// Round-to-round reusable backing buffers for the fleet-mode ScoreModel.
+/// Round-to-round reusable backing buffers for the ScoreModel.
 /// The per-round matrices are M x N — multiple MB at fleet scale — and a
 /// fresh allocate-and-zero every round costs a measurable slice of the
 /// incremental round budget. The model takes these buffers in its
@@ -207,6 +205,13 @@ class FleetState {
   void refresh(const datacenter::Datacenter& dc,
                const std::vector<datacenter::VmId>& queued);
 
+  /// Full re-read of every host (the reference ScoreModel's snapshot):
+  /// (re)initializes the snapshot and index from `dc` and drops every
+  /// persistent column. Leaves the Datacenter's dirty journal alone — its
+  /// single consumer is the policy's incremental FleetState, which must
+  /// still see every host dirtied since its last refresh.
+  void read_all(const datacenter::Datacenter& dc);
+
   [[nodiscard]] bool initialized() const { return snap_.size() > 0; }
   [[nodiscard]] const FleetSnapshot& snapshot() const { return snap_; }
   [[nodiscard]] const HostBucketIndex& index() const { return index_; }
@@ -228,10 +233,9 @@ class FleetState {
                                                 datacenter::HostId h);
 
   /// Reads host `h`'s score-relevant fields from the Datacenter into
-  /// `snap[h]` — byte-for-byte the legacy ScoreModel constructor's read
-  /// expressions, same accumulation order. The single read path shared by
-  /// refresh() and the kFleetSnapshot checker rule, so a clean snapshot
-  /// entry is bitwise equal to a fresh full re-read.
+  /// `snap[h]`. The single read path shared by refresh(), read_all() and
+  /// the kFleetSnapshot checker rule, so a clean snapshot entry is bitwise
+  /// equal to a fresh full re-read.
   static void read_host(const datacenter::Datacenter& dc,
                         datacenter::HostId h, sim::SimTime now,
                         FleetSnapshot& snap);
@@ -247,6 +251,10 @@ class FleetState {
   [[nodiscard]] ModelScratch& model_scratch() { return scratch_; }
 
  private:
+  /// Sizes the snapshot, index and dirty flags to `n` hosts, all unread,
+  /// and drops every persistent column.
+  void reset(std::size_t n);
+
   FleetSnapshot snap_;
   HostBucketIndex index_;
   std::unordered_map<datacenter::VmId, FleetColCache> cols_;

@@ -11,6 +11,38 @@
 
 namespace easched::core {
 
+namespace {
+
+/// Publishes one decision's attribution: the record goes to the decision
+/// log, and the kDecision trace event is derived from it. Either sink may
+/// be off. First-fit records carry no score terms, so their event has no
+/// args; the runner-up args appear only when the record has a runner-up,
+/// which only a decision-log-enabled run computes.
+void emit_decision(const metrics::Recorder& recorder, obs::DecisionRecord rec) {
+  if (obs::Tracer* tr = obs::tracer(recorder)) {
+    auto& e = tr->emit(rec.t, obs::EventKind::kDecision);
+    e.vm = rec.vm;
+    e.host = rec.host;
+    e.host2 = rec.from_host;
+    e.label = obs::to_string(rec.kind);
+    if (rec.kind != obs::DecisionRecord::Kind::kFirstFit) {
+      for (std::size_t i = 0; i < obs::kDecisionTermCount; ++i) {
+        e.arg(obs::decision_term_name(i), rec.terms[i]);
+      }
+      e.arg("total", rec.total);
+      if (rec.runner_up >= 0) {
+        e.arg("runner_up", static_cast<double>(rec.runner_up))
+            .arg("delta", rec.delta);
+      }
+    }
+  }
+  if (obs::DecisionLog* dlog = obs::decisions(recorder)) {
+    dlog->add(std::move(rec));
+  }
+}
+
+}  // namespace
+
 ScoreBasedConfig ScoreBasedConfig::sb0() {
   ScoreBasedConfig c;
   c.params.use_virt = false;
@@ -82,31 +114,15 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       now - last_consolidation_ >= config_.migration_period_s;
   if (consolidate) last_consolidation_ = now;
 
-  // Incremental (fleet) mode serves hill-climb rounds from the cross-round
-  // snapshot instead of re-reading every host. Annealing stays on the
-  // legacy full-rebuild layout: its random walk accepts uphill moves, which
-  // the pruned all-hosts layout is not decision-equivalent for.
-#ifdef EASCHED_FLEET_REFERENCE
-  constexpr bool use_fleet = false;
-#else
-  const bool use_fleet =
-      config_.incremental && config_.solver == MatrixSolver::kHillClimb;
-#endif
-
   obs::PhaseProfiler* prof = obs::profiler(ctx.dc.recorder());
   std::optional<ScoreModel> model_storage;
   {
     obs::PhaseProfiler::Scope scope(prof, obs::Phase::kRebuild);
-    if (use_fleet) {
-      fleet_.refresh(ctx.dc, ctx.queue);
+    emplace_model(ctx, consolidate, model_storage);
+    if (config_.incremental) {
       if (auto* ck = validate::checker(ctx.dc.recorder())) {
         ck->check_fleet(fleet_, ctx.dc, now);
       }
-      model_storage.emplace(fleet_, ctx.dc, ctx.queue, config_.params,
-                            consolidate, pool());
-    } else {
-      model_storage.emplace(ctx.dc, ctx.queue, config_.params, consolidate,
-                            pool());
     }
   }
   ScoreModel& model = *model_storage;
@@ -164,80 +180,48 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       ++migrations_emitted;
       emitted = true;
     }
-    if (emitted) {
-      obs::DecisionLog* dlog = obs::decisions(ctx.dc.recorder());
-      obs::Tracer* tr = obs::tracer(ctx.dc.recorder());
-      if (dlog != nullptr || tr != nullptr) {
-        // Winning-score attribution, evaluated under the final plan (the
-        // VM is planned on `planned`, everyone else where the solver left
-        // them) — the configuration the actuated decision commits to.
-        const ScoreBreakdown b = model.breakdown(planned, c);
-
-        // Counterfactual: the cheapest real alternative host under the
-        // same plan. Only computed when the decision log asked for it — a
-        // full column scan per decision is not free.
-        int runner_up = -1;
-        double runner_up_total = 0;
-        if (dlog != nullptr) {
-          for (int r = 0; r < model.virtual_row(); ++r) {
-            if (r == planned) continue;
-            const double s = model.cell(r, c);
-            if (s >= kInfScore) continue;
-            if (runner_up < 0 || s < runner_up_total) {
-              runner_up = r;
-              runner_up_total = s;
-            }
-          }
-        }
-
-        if (tr != nullptr) {
-          auto& e = tr->emit(now, obs::EventKind::kDecision);
-          e.vm = v;
-          e.host = h;
-          if (original != model.virtual_row()) {
-            e.host2 = model.host_at(original);
-          }
-          e.label = original == model.virtual_row() ? "place" : "migrate";
-          e.arg("req", b.req)
-              .arg("res", b.res)
-              .arg("virt", b.virt)
-              .arg("conc", b.conc)
-              .arg("pwr", b.pwr)
-              .arg("sla", b.sla)
-              .arg("fault", b.fault)
-              .arg("total", b.total);
-          if (runner_up >= 0) {
-            // Extra attribution args ride along only when the decision log
-            // is on, so default traces stay byte-identical.
-            e.arg("runner_up",
-                  static_cast<double>(model.host_at(runner_up)))
-                .arg("delta", runner_up_total - b.total);
-          }
-        }
-
-        if (dlog != nullptr) {
-          obs::DecisionRecord rec;
-          rec.t = now;
-          rec.kind = original == model.virtual_row()
-                         ? obs::DecisionRecord::Kind::kPlace
-                         : obs::DecisionRecord::Kind::kMigrate;
-          rec.vm = v;
-          rec.host = h;
-          if (original != model.virtual_row()) {
-            rec.from_host = model.host_at(original);
-          }
-          rec.terms = {b.req, b.res, b.virt, b.conc,
-                       b.pwr, b.sla, b.fault};
-          rec.total = b.total;
-          if (runner_up >= 0) {
-            rec.runner_up = model.host_at(runner_up);
-            rec.runner_up_total = runner_up_total;
-            rec.delta = runner_up_total - b.total;
-          }
-          dlog->add(std::move(rec));
+    if (!emitted) continue;
+    obs::DecisionLog* dlog = obs::decisions(ctx.dc.recorder());
+    if (dlog == nullptr && obs::tracer(ctx.dc.recorder()) == nullptr) continue;
+    // Winning-score attribution, evaluated under the final plan (the VM is
+    // planned on `planned`, everyone else where the solver left them) —
+    // the configuration the actuated decision commits to.
+    const ScoreBreakdown b = model.breakdown(planned, c);
+    obs::DecisionRecord rec;
+    rec.t = now;
+    rec.vm = v;
+    rec.host = h;
+    if (original == model.virtual_row()) {
+      rec.kind = obs::DecisionRecord::Kind::kPlace;
+    } else {
+      rec.kind = obs::DecisionRecord::Kind::kMigrate;
+      rec.from_host = model.host_at(original);
+    }
+    rec.terms = {b.req, b.res, b.virt, b.conc, b.pwr, b.sla, b.fault};
+    rec.total = b.total;
+    // Counterfactual: the cheapest real alternative host under the same
+    // plan. Only computed when the decision log asked for it — a full
+    // column scan per decision is not free — so default traces stay
+    // byte-identical.
+    if (dlog != nullptr) {
+      int runner_up = -1;
+      double runner_up_total = 0;
+      for (int r = 0; r < model.virtual_row(); ++r) {
+        if (r == planned) continue;
+        const double s = model.cell(r, c);
+        if (s >= kInfScore) continue;
+        if (runner_up < 0 || s < runner_up_total) {
+          runner_up = r;
+          runner_up_total = s;
         }
       }
+      if (runner_up >= 0) {
+        rec.runner_up = model.host_at(runner_up);
+        rec.runner_up_total = runner_up_total;
+        rec.delta = runner_up_total - b.total;
+      }
     }
+    emit_decision(ctx.dc.recorder(), std::move(rec));
   }
   return actions;
 }
@@ -261,22 +245,14 @@ std::vector<sched::Action> ScoreBasedPolicy::first_fit(
       actions.push_back(sched::Action::place(v, h));
       extra_cpu[h] += job.cpu_pct;
       extra_mem[h] += job.mem_mb;
-      if (auto* tr = obs::tracer(ctx.dc.recorder())) {
-        auto& e = tr->emit(now, obs::EventKind::kDecision);
-        e.vm = v;
-        e.host = h;
-        e.label = "first-fit";
-      }
-      if (auto* dlog = obs::decisions(ctx.dc.recorder())) {
-        // No score model on this rung — the record carries the placement
-        // itself with zero terms, so rung mix still shows up in rollups.
-        obs::DecisionRecord rec;
-        rec.t = now;
-        rec.kind = obs::DecisionRecord::Kind::kFirstFit;
-        rec.vm = v;
-        rec.host = h;
-        dlog->add(std::move(rec));
-      }
+      // No score model on this rung — the record carries the placement
+      // itself with zero terms, so rung mix still shows up in rollups.
+      obs::DecisionRecord rec;
+      rec.t = now;
+      rec.kind = obs::DecisionRecord::Kind::kFirstFit;
+      rec.vm = v;
+      rec.host = h;
+      emit_decision(ctx.dc.recorder(), std::move(rec));
       break;
     }
   }
@@ -288,23 +264,36 @@ std::vector<sched::Action> ScoreBasedPolicy::first_fit(
   return actions;
 }
 
+void ScoreBasedPolicy::emplace_model(const sched::SchedContext& ctx,
+                                     bool migration,
+                                     std::optional<ScoreModel>& model) {
+  if (!config_.incremental) {
+    model.emplace(ctx.dc, ctx.queue, config_.params, migration, pool());
+    return;
+  }
+  fleet_.refresh(ctx.dc, ctx.queue);
+  model.emplace(fleet_, ctx.dc, ctx.queue, config_.params, migration, pool());
+}
+
 datacenter::HostId ScoreBasedPolicy::choose_power_off(
     const sched::SchedContext& ctx,
     const std::vector<datacenter::HostId>& idle_hosts) {
   EA_EXPECTS(!idle_hosts.empty());
-  // Rank by the aggregated matrix row of each idle candidate.
-  ScoreModel model(ctx.dc, ctx.queue, config_.params, config_.migration,
-                   pool());
+  // Rank by the aggregated matrix row of each idle candidate (row ==
+  // HostId), on the same model the rounds use.
+  std::optional<ScoreModel> model;
+  emplace_model(ctx, config_.migration, model);
+  // The power controller lists idle hosts in ascending HostId order, so
+  // the strict > below gives ties to the lowest HostId.
   datacenter::HostId best = idle_hosts.front();
   double best_score = -1;
-  for (int r = 0; r < model.virtual_row(); ++r) {
-    const datacenter::HostId h = model.host_at(r);
-    if (std::find(idle_hosts.begin(), idle_hosts.end(), h) ==
-        idle_hosts.end()) {
-      continue;
-    }
-    double agg = model.row_aggregate(r);
-    if (model.cols() == 0) {
+  for (const datacenter::HostId h : idle_hosts) {
+    const int r = static_cast<int>(h);
+    // A non-placeable host (quarantined, breaker-vetoed) has an all-kInf
+    // row that would aggregate highest; it is not a candidate.
+    if (!model->placeable(r)) continue;
+    double agg = model->row_aggregate(r);
+    if (model->cols() == 0) {
       // Empty matrix: fall back to overhead-based ranking so the choice
       // stays deterministic and sensible.
       agg = ctx.dc.host(h).spec.creation_cost_s +

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/annealing.hpp"
 #include "core/fleet.hpp"
@@ -53,11 +54,11 @@ struct ScoreBasedConfig {
   /// persistent fleet snapshot between rounds, re-read only the hosts the
   /// Datacenter's dirty journal names, and let the hill climber prune
   /// provably infeasible candidates through the capacity-bucket index.
-  /// Decisions are bit-identical to the full-rebuild path (the fleet
-  /// differential tests hold this); disable to force the reference
-  /// rebuild-every-round behaviour. Only the hill-climb solver uses it —
-  /// annealing explores uphill moves the pruned layout cannot represent —
-  /// and building with -DEASCHED_FLEET_REFERENCE=ON overrides it to off.
+  /// Every score model the policy builds — rounds under either solver and
+  /// power-off ranking — uses it. Disable to run the reference core: each
+  /// model reads every host afresh, prunes nothing and persists no score
+  /// columns. Decisions are bit-identical either way (the fleet
+  /// differential and end-to-end tests hold this).
   bool incremental = true;
   std::string label = "SB";
 
@@ -99,6 +100,11 @@ class ScoreBasedPolicy final : public sched::Policy {
   /// returns the shared pool, or nullptr when running serially.
   SolverPool* pool();
 
+  /// Builds a score model of `ctx` into `model`: over fleet_, refreshed
+  /// here, in incremental mode; over a private full read otherwise.
+  void emplace_model(const sched::SchedContext& ctx, bool migration,
+                     std::optional<ScoreModel>& model);
+
   /// LadderLevel::kFirstFit round: greedy first-fit placements of queued
   /// VMs (ascending host id), no score model, no migrations. O(queue x
   /// hosts) with no allocation beyond the action vector — the cheap rung
@@ -107,7 +113,7 @@ class ScoreBasedPolicy final : public sched::Policy {
 
   ScoreBasedConfig config_;
   HillClimbStats last_stats_;
-  FleetState fleet_;  ///< cross-round incremental state (incremental mode)
+  FleetState fleet_;  ///< cross-round state of the incremental core
   sim::SimTime last_consolidation_ = -1e18;  ///< time of last migration round
   std::unique_ptr<SolverPool> pool_;  ///< lazily created, reused each round
   bool pool_resolved_ = false;

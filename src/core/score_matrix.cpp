@@ -11,7 +11,6 @@
 namespace easched::core {
 
 using datacenter::HostId;
-using datacenter::HostState;
 using datacenter::VmId;
 using datacenter::VmState;
 
@@ -31,107 +30,38 @@ void ScoreModel::fill_column_common(VmCol& c, const datacenter::Vm& vm,
   c.software = vm.job.software;
 }
 
-void ScoreModel::bind_own_rows() {
-  placeable_ = own_.placeable.data();
-  cap_cpu_ = own_.cpu_cap.data();
-  cap_mem_ = own_.mem_cap.data();
-  mgmt_ = own_.mgmt.data();
-  conc_ = own_.conc.data();
-  cost_create_ = own_.creation.data();
-  cost_migrate_ = own_.migration.data();
-  reliability_ = own_.reliability.data();
-  arch_ = own_.arch.data();
-  software_ = own_.software.data();
+ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
+                       const std::vector<VmId>& queued,
+                       const ScoreParams& params, bool migration_enabled,
+                       SolverPool* pool)
+    : params_(params), pool_(pool), fleet_(&fleet) {
+  init(dc, queued, migration_enabled);
 }
 
 ScoreModel::ScoreModel(const datacenter::Datacenter& dc,
                        const std::vector<VmId>& queued,
                        const ScoreParams& params, bool migration_enabled,
                        SolverPool* pool)
-    : params_(params), pool_(pool) {
-  const sim::SimTime now = dc.simulator().now();
-
-  // Rows: powered-on hosts, compacted (legacy layout).
-  std::vector<int> row_of_host(dc.num_hosts(), -1);
-  for (HostId h = 0; h < dc.num_hosts(); ++h) {
-    const auto& host = dc.host(h);
-    if (!dc.placeable(h)) continue;
-    row_of_host[h] = static_cast<int>(own_.id.size());
-    own_.id.push_back(h);
-    own_.cpu_cap.push_back(host.spec.cpu_capacity_pct);
-    own_.mem_cap.push_back(host.spec.mem_mb);
-    cpu_res_.push_back(dc.reserved_cpu_pct(h));
-    mem_res_.push_back(dc.reserved_mem_mb(h));
-    vm_count_.push_back(static_cast<int>(host.vm_count()));
-    own_.mgmt.push_back(host.mgmt_demand_pct());
-    double conc = 0;
-    for (const auto& op : host.ops) {
-      conc += std::max(0.0, op.ends - now);
-    }
-    own_.conc.push_back(conc);
-    double running = 0;
-    for (VmId v : host.residents) {
-      if (dc.vm(v).state == VmState::kRunning) {
-        running += dc.vm(v).cpu_demand_pct;
-      }
-    }
-    running_.push_back(running);
-    own_.creation.push_back(host.spec.creation_cost_s);
-    own_.migration.push_back(host.spec.migration_cost_s);
-    own_.reliability.push_back(host.spec.reliability);
-    own_.arch.push_back(host.spec.arch);
-    own_.software.push_back(host.spec.software);
-  }
-  own_.placeable.assign(own_.id.size(), 1);
-  nrows_ = static_cast<int>(own_.id.size());
-  bind_own_rows();
-
-  auto add_column = [&](const datacenter::Vm& vm, bool is_new) {
-    VmCol c;
-    fill_column_common(c, vm, is_new, now);
-    c.original = is_new ? virtual_row() : row_of_host[vm.host];
-    if (!is_new && c.original < 0) return;  // host offline; shouldn't happen
-    c.planned = c.original;
-    vms_.push_back(c);
-  };
-
-  for (VmId v : queued) {
-    EA_EXPECTS(dc.vm(v).state == VmState::kQueued);
-    add_column(dc.vm(v), /*is_new=*/true);
-  }
-  if (migration_enabled) {
-    for (VmId v : dc.active_vms()) {
-      const auto& vm = dc.vm(v);
-      // VMs with an operation in flight have infinite scores everywhere
-      // but home (III-A.3); excluding them as columns is equivalent.
-      if (vm.state == VmState::kRunning) add_column(vm, /*is_new=*/false);
-    }
-  }
-
-  const std::size_t cells =
-      static_cast<std::size_t>(nrows_) * vms_.size();
-  static_terms_.resize(cells);
-  static_ok_.assign(cells, 0);
-  cache_.resize(cells);
-  cache_ok_.assign(cells, 0);
-  build_static_terms(pool_);
+    : params_(params),
+      pool_(pool),
+      owned_fleet_(std::make_unique<FleetState>()),
+      fleet_(owned_fleet_.get()) {
+  owned_fleet_->read_all(dc);
+  init(dc, queued, migration_enabled);
 }
 
-ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
-                       const std::vector<VmId>& queued,
-                       const ScoreParams& params, bool migration_enabled,
-                       SolverPool* pool)
-    : params_(params), pool_(pool), fleet_scratch_home_(&fleet),
-      fleet_mode_(true) {
+void ScoreModel::init(const datacenter::Datacenter& dc,
+                      const std::vector<VmId>& queued,
+                      bool migration_enabled) {
   const sim::SimTime now = dc.simulator().now();
-  const FleetSnapshot& snap = fleet.snapshot();
+  const FleetSnapshot& snap = fleet_->snapshot();
   EA_EXPECTS(snap.size() == dc.num_hosts());
   nrows_ = static_cast<int>(snap.size());
 
-  // Immutable attributes alias the cross-round snapshot; only the
-  // plan-tracked state is copied (move() mutates it). The copies land in
-  // the fleet's recycled scratch buffers — move the capacity in, then
-  // assign, so steady-state rounds allocate nothing.
+  // Immutable attributes alias the snapshot; only the plan-tracked state is
+  // copied (move() mutates it). The copies land in the fleet's recycled
+  // scratch buffers — move the capacity in, then assign, so steady-state
+  // rounds allocate nothing.
   placeable_ = snap.placeable.data();
   cap_cpu_ = snap.cpu_cap.data();
   cap_mem_ = snap.mem_cap.data();
@@ -142,19 +72,20 @@ ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
   reliability_ = snap.reliability.data();
   arch_ = snap.arch.data();
   software_ = snap.software.data();
-  ModelScratch& scratch = fleet.model_scratch();
+  ModelScratch& scratch = fleet_->model_scratch();
   const auto take = [](auto& dst, auto& src, const auto& from) {
     dst = std::move(src);
     dst.assign(from.begin(), from.end());
   };
+  const HostBucketIndex& index = fleet_->index();
   take(cpu_res_, scratch.cpu_res, snap.cpu_res);
   take(mem_res_, scratch.mem_res, snap.mem_res);
   take(running_, scratch.running, snap.running_demand);
   take(vm_count_, scratch.vm_count, snap.vm_count);
-  take(free_cpu_, scratch.free_cpu, fleet.index().free_cpu_all());
-  take(free_mem_, scratch.free_mem, fleet.index().free_mem_all());
-  take(block_free_cpu_, scratch.block_free_cpu, fleet.index().block_free_cpu());
-  take(block_free_mem_, scratch.block_free_mem, fleet.index().block_free_mem());
+  take(free_cpu_, scratch.free_cpu, index.free_cpu_all());
+  take(free_mem_, scratch.free_mem, index.free_mem_all());
+  take(block_free_cpu_, scratch.block_free_cpu, index.block_free_cpu());
+  take(block_free_mem_, scratch.block_free_mem, index.block_free_mem());
   plan_touched_ = std::move(scratch.plan_touched);
   plan_touched_.assign(static_cast<std::size_t>(nrows_), 0);
 
@@ -168,17 +99,18 @@ ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
     // on (Pvirt charges the creation cost, not the time-varying Pm; Pconc
     // cells change only when their host is dirtied, which invalidates
     // them): carry it across rounds.
-    if (!params_.use_sla) {
-      c.persist = fleet.col_cache(c.id, snap.size());
+    if (!reference() && !params_.use_sla) {
+      c.persist = fleet_->col_cache(c.id, snap.size());
     }
     vms_.push_back(c);
   }
   if (migration_enabled) {
     for (VmId v : dc.active_vms()) {
       const auto& vm = dc.vm(v);
+      // VMs with an operation in flight have infinite scores everywhere
+      // but home (III-A.3); excluding them as columns is equivalent. A
+      // running VM on a non-placeable host is pinned, not a column.
       if (vm.state != VmState::kRunning) continue;
-      // Mirrors the legacy row_of_host < 0 exclusion: a running VM on a
-      // non-placeable host is pinned, not a column.
       if (snap.placeable[vm.host] == 0) continue;
       VmCol c;
       fill_column_common(c, vm, /*is_new=*/false, now);
@@ -205,8 +137,7 @@ ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
 }
 
 ScoreModel::~ScoreModel() {
-  if (fleet_scratch_home_ == nullptr) return;
-  ModelScratch& scratch = fleet_scratch_home_->model_scratch();
+  ModelScratch& scratch = fleet_->model_scratch();
   scratch.cpu_res = std::move(cpu_res_);
   scratch.mem_res = std::move(mem_res_);
   scratch.running = std::move(running_);
@@ -220,23 +151,6 @@ ScoreModel::~ScoreModel() {
   scratch.static_ok = std::move(static_ok_);
   scratch.cache = std::move(cache_);
   scratch.cache_ok = std::move(cache_ok_);
-}
-
-void ScoreModel::build_static_terms(SolverPool* pool) {
-  const int nrows = nrows_;
-  if (nrows == 0 || vms_.empty()) return;
-  const auto build_rows = [this](int begin, int end) {
-    const int ncols = static_cast<int>(vms_.size());
-    for (int r = begin; r < end; ++r) {
-      for (int c = 0; c < ncols; ++c) build_static_cell(r, c);
-    }
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->parallel_for(nrows, build_rows);
-  } else {
-    build_rows(0, nrows);
-  }
-  std::fill(static_ok_.begin(), static_ok_.end(), 1);
 }
 
 void ScoreModel::build_static_cell(int r, int c) const {
@@ -256,7 +170,7 @@ void ScoreModel::build_static_cell(int r, int c) const {
 }
 
 void ScoreModel::prime() {
-  if (fleet_mode_) return;  // the argmin warms what it reads
+  if (!reference()) return;  // the argmin warms what it reads
   const int nrows = nrows_;
   const int ncols = static_cast<int>(vms_.size());
   if (nrows == 0 || ncols == 0) return;
@@ -303,8 +217,12 @@ VmId ScoreModel::vm_at(int c) const {
 
 HostId ScoreModel::host_at(int r) const {
   EA_EXPECTS(r >= 0 && r < virtual_row());
-  return fleet_mode_ ? static_cast<HostId>(r)
-                     : own_.id[static_cast<std::size_t>(r)];
+  return static_cast<HostId>(r);
+}
+
+bool ScoreModel::placeable(int r) const {
+  EA_EXPECTS(r >= 0 && r < virtual_row());
+  return placeable_[r] != 0;
 }
 
 double ScoreModel::cell(int r, int c) const {
@@ -315,7 +233,7 @@ double ScoreModel::cell(int r, int c) const {
   if (!cache_ok_[i]) {
     FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
     if (persist != nullptr && plan_touched_[static_cast<std::size_t>(r)] == 0) {
-      // Fleet mode, untouched row: the row's plan state equals the
+      // Untouched row: the row's plan state equals the
       // snapshot, so the cross-round persisted value (computed under the
       // same state last round — its host would have been dirtied
       // otherwise) is exact; a fresh evaluation is persisted for the next
@@ -344,7 +262,7 @@ double ScoreModel::recompute_cell(int r, int c) const {
 }
 
 bool ScoreModel::provably_inf(int r, int c) const {
-  if (!fleet_mode_) return false;
+  if (reference()) return false;
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
   if (v.planned == r) return false;  // need is 0; the keep cell may be finite
   if (placeable_[r] == 0) return true;      // compat folds placeability
@@ -356,7 +274,7 @@ bool ScoreModel::provably_inf(int r, int c) const {
 }
 
 bool ScoreModel::skip_block(int c, int blk) const {
-  if (!fleet_mode_) return false;
+  if (reference()) return false;
   if (blk < 0 || blk >= static_cast<int>(block_free_cpu_.size())) {
     return false;  // the virtual row's tail block is never skippable
   }
@@ -553,10 +471,8 @@ ScoreModel::Dirty ScoreModel::move(int r, int c) {
     running_[new_row] += v.cpu;
   }
   v.planned = r;
-  if (fleet_mode_) {
-    if (dirty.row_a >= 0) touch_row(dirty.row_a);
-    if (dirty.row_b >= 0) touch_row(dirty.row_b);
-  }
+  if (dirty.row_a >= 0) touch_row(dirty.row_a);
+  if (dirty.row_b >= 0) touch_row(dirty.row_b);
   {
     obs::PhaseProfiler::Scope scope(profiler_, obs::Phase::kInvalidate);
     if (dirty.row_a >= 0) invalidate_row(dirty.row_a);

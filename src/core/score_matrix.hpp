@@ -23,30 +23,31 @@
 // constantly kInfScore. tests/test_score_cache.cpp holds this contract to
 // zero-tolerance equality against fresh recomputation.
 //
-// Two row layouts share one evaluation path:
+// Row layout: one row per host, row index == HostId, plus the virtual host
+// as the last row. The immutable per-row attributes alias a FleetSnapshot
+// (zero copies); only the four plan-tracked arrays are copied per round,
+// and the plan-independent terms are built lazily per cell. Non-placeable
+// hosts keep a row whose cells are constantly kInfScore (placeability is
+// folded into the Preq compatibility bit), so they never win an argmin.
 //
-//   Legacy (full-rebuild) mode — the original constructor. Rows are the
-//   *placeable* hosts, compacted; every per-host attribute is re-read from
-//   the Datacenter and copied into an owned backing store. Used by the
-//   annealing solver, choose_power_off's ranking matrix, and as the
-//   reference side of the incremental differential tests.
+// Two modes share that layout and every evaluation path:
 //
-//   Fleet (incremental) mode — the FleetState constructor. Rows are ALL
-//   hosts, row index == HostId; the immutable attribute arrays alias the
-//   cross-round FleetSnapshot (zero copies), only the four plan-tracked
-//   arrays are copied per round, and the plan-independent terms are built
-//   lazily per cell. Non-placeable hosts keep a row whose cells are
-//   constantly kInfScore (placeability is folded into the Preq
-//   compatibility bit), so relative order of the placeable rows — and
-//   therefore every argmin decision — matches the legacy layout exactly.
-//   Fleet mode additionally maintains plan-tracked free-capacity margins
-//   (seeded from the HostBucketIndex) that let the solver skip provably
-//   infeasible cells and whole kArgminBlock row blocks, and it carries
-//   queued VMs' evaluated score columns across rounds through FleetColCache
-//   (only when their scores are round-time-independent, i.e. !use_sla;
-//   see provably_inf()/skip_block()/cell() below).
+//   Incremental — the FleetState constructor. The snapshot is the policy's
+//   cross-round FleetState, refreshed from the Datacenter's dirty journal.
+//   The model keeps plan-tracked free-capacity margins (seeded from the
+//   HostBucketIndex) that let the solver skip provably infeasible cells
+//   and whole kArgminBlock row blocks, and it carries queued VMs'
+//   evaluated score columns across rounds through FleetColCache (only when
+//   their scores are round-time-independent, i.e. !use_sla; see
+//   provably_inf()/skip_block()/cell() below).
+//
+//   Reference — the Datacenter constructor, the executable specification
+//   the incremental mode is differential-tested against. It reads every
+//   host into a privately owned FleetState (FleetState::read_all, which
+//   leaves the dirty journal alone), prunes nothing and persists nothing.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -77,29 +78,28 @@ struct ScoreBreakdown {
 
 class ScoreModel {
  public:
-  /// Legacy full-rebuild snapshot of `dc`. Columns are built from the
-  /// queued VMs plus — when `migration_enabled` — every running VM (they
-  /// are then movable). Running VMs with an operation in flight are pinned
-  /// wherever they are (the paper gives them infinite scores; we simply
-  /// exclude them as columns, which is equivalent and cheaper). Rows are
-  /// the powered-on hosts plus the virtual host as the last row.
+  /// Incremental-mode snapshot: borrows `fleet` (already refresh()ed for
+  /// this round against `dc`) instead of re-reading the Datacenter.
+  /// Columns are built from the queued VMs plus — when `migration_enabled`
+  /// — every running VM on a placeable host (they are then movable).
+  /// Running VMs with an operation in flight are pinned wherever they are
+  /// (the paper gives them infinite scores; we simply exclude them as
+  /// columns, which is equivalent and cheaper). The model must not outlive
+  /// the round — it aliases the snapshot's arrays and writes evaluated
+  /// queued-VM cells through into the fleet's persistent columns.
   ///
-  /// `pool` (optional, not owned) parallelizes the plan-independent term
-  /// build and prime() over row ranges; results are bit-identical to the
-  /// serial build.
-  ScoreModel(const datacenter::Datacenter& dc,
+  /// `pool` (optional, not owned) parallelizes the reference mode's prime()
+  /// over row ranges; results are bit-identical to the serial build.
+  ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
              const ScoreParams& params, bool migration_enabled,
              SolverPool* pool = nullptr);
 
-  /// Fleet-mode constructor: borrows `fleet` (already refresh()ed for this
-  /// round against `dc`) instead of re-reading the Datacenter. The model
-  /// must not outlive the round — it aliases the snapshot's arrays and
-  /// writes evaluated queued-VM cells through into the fleet's persistent
-  /// columns. Decisions (move traces, emitted actions) are identical to
-  /// the legacy constructor's; only row indexing differs (HostId-direct
-  /// instead of compacted), which host_at() hides.
-  ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
+  /// Reference-mode snapshot of `dc`: the same columns and layout over a
+  /// private full read of every host, with pruning and persistent columns
+  /// off. Decisions (move traces, emitted actions) are identical to the
+  /// incremental mode's; the fleet differential tests hold this.
+  ScoreModel(const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
              const ScoreParams& params, bool migration_enabled,
              SolverPool* pool = nullptr);
@@ -107,21 +107,20 @@ class ScoreModel {
   ScoreModel(const ScoreModel&) = delete;
   ScoreModel& operator=(const ScoreModel&) = delete;
 
-  /// Fleet mode returns the big per-round buffers (cache, static terms,
-  /// plan vectors, margins) to the FleetState's ModelScratch so the next
-  /// round reuses their capacity instead of re-allocating. Legacy mode
-  /// does nothing.
+  /// Returns the big per-round buffers (cache, static terms, plan vectors,
+  /// margins) to the FleetState's ModelScratch so the next round reuses
+  /// their capacity instead of re-allocating.
   ~ScoreModel();
 
   [[nodiscard]] int rows() const;  ///< hosts + 1 (virtual host, last row)
   [[nodiscard]] int cols() const;
   [[nodiscard]] int virtual_row() const { return rows() - 1; }
-  [[nodiscard]] bool fleet_mode() const { return fleet_mode_; }
+  [[nodiscard]] bool reference() const { return owned_fleet_ != nullptr; }
 
   /// Score(h, vm) for the current plan. The virtual row is kInfScore.
   /// Cached: repeated calls between moves are O(1); a move re-evaluates
-  /// only cells of the two touched rows on their next read. In fleet mode
-  /// a queued VM's cells additionally read from / write through to its
+  /// only cells of the two touched rows on their next read. In incremental
+  /// mode a queued VM's cells additionally read from / write through to its
   /// persistent cross-round column while the row's plan is untouched.
   [[nodiscard]] double cell(int r, int c) const;
 
@@ -142,12 +141,12 @@ class ScoreModel {
     profiler_ = profiler;
   }
 
-  /// Evaluates every cell into the cache, partitioned by rows over the
-  /// pool when one was supplied (the "initial matrix build" sweep). A
-  /// serial call is equivalent; lazy per-cell fills are too. Fleet mode
-  /// makes this a no-op: eagerly sweeping all M x N cells is exactly the
-  /// cost the incremental path exists to avoid, and the solver's blocked
-  /// argmin warms what it reads.
+  /// Reference mode: evaluates every cell into the cache, partitioned by
+  /// rows over the pool when one was supplied (the "initial matrix build"
+  /// sweep). A serial call is equivalent; lazy per-cell fills are too.
+  /// Incremental mode makes this a no-op: eagerly sweeping all M x N cells
+  /// is exactly the cost the incremental path exists to avoid, and the
+  /// solver's blocked argmin warms what it reads.
   void prime();
 
   /// Row where column `c` is currently planned.
@@ -163,15 +162,15 @@ class ScoreModel {
   /// plan — incompatible hardware/software, a non-placeable row, or a VM
   /// demand exceeding the row's conservatively-widened free margin (see
   /// kFleetOverMargin). Never true for the column's planned row. Always
-  /// false in legacy mode (the reference path stays spec-simple). The
-  /// solver may skip a provably-inf cell: its delta against any keep score
-  /// is >= 0, so it can never be selected by the argmin.
+  /// false in reference mode (the spec stays simple). The solver may skip
+  /// a provably-inf cell: its delta against any keep score is >= 0, so it
+  /// can never be selected by the argmin.
   [[nodiscard]] bool provably_inf(int r, int c) const;
 
   /// Block-level variant: true when *every* host row of kArgminBlock block
   /// `blk` is provably infeasible for column `c` (the block's maximum free
   /// margin cannot fit the VM). The solver then skips the whole block.
-  /// False in legacy mode and for any block index outside the real-host
+  /// False in reference mode and for any block index outside the real-host
   /// range (the virtual row's tail block is never skippable).
   [[nodiscard]] bool skip_block(int c, int blk) const;
 
@@ -180,9 +179,9 @@ class ScoreModel {
   /// left and entered (their occupation changed for all other columns).
   /// Moving to the virtual row (allowed only for undo by the exhaustive
   /// reference solver) releases the column's reservations. Invalidates the
-  /// cached cells of the dirty rows; in fleet mode also updates the
-  /// touched rows' pruning margins and marks them plan-touched (their
-  /// cells stop flowing through the persistent columns).
+  /// cached cells of the dirty rows, updates the touched rows' pruning
+  /// margins and marks them plan-touched (their cells stop flowing through
+  /// the persistent columns).
   struct Dirty {
     int col = -1;
     int row_a = -1;  ///< previous row (-1 if it was the virtual row)
@@ -193,6 +192,9 @@ class ScoreModel {
   /// Mapping back to datacenter ids.
   [[nodiscard]] datacenter::VmId vm_at(int c) const;
   [[nodiscard]] datacenter::HostId host_at(int r) const;
+  /// Whether real row `r`'s host was placeable at snapshot time (a
+  /// non-placeable row is constantly kInfScore).
+  [[nodiscard]] bool placeable(int r) const;
 
   /// Aggregated row score (used to rank idle hosts for power-off,
   /// section III-C): sum of the finite scores plus kInfScore-weighted count
@@ -204,8 +206,8 @@ class ScoreModel {
   /// in `first_r`/`first_c` (optional). Cold cells are skipped — only
   /// memoized values can be stale — so the scan costs one recompute per
   /// warm cell and nothing touches the cache. This is the kScoreCache
-  /// invariant rule (validate/invariant_checker.hpp). In fleet mode it
-  /// also covers the persistent columns: a stale persisted value is loaded
+  /// invariant rule (validate/invariant_checker.hpp). In incremental mode
+  /// it also covers the persistent columns: a stale persisted value is loaded
   /// into the cache on first read and then diverges from the fresh
   /// recomputation like any other corruption.
   [[nodiscard]] int count_cache_divergences(int* first_r = nullptr,
@@ -231,8 +233,8 @@ class ScoreModel {
     double fault_tolerance = 0;
     workload::Arch arch{};
     std::uint32_t software = 0;
-    /// Cross-round persistent column (fleet mode, queued VMs whose score
-    /// is round-time-independent); null otherwise. Not owned — lives in
+    /// Cross-round persistent column (incremental mode, queued VMs whose
+    /// score is round-time-independent); null otherwise. Not owned — lives in
     /// the FleetState, node-stable for the model's lifetime.
     FleetColCache* persist = nullptr;
   };
@@ -243,27 +245,15 @@ class ScoreModel {
   /// with fleet.hpp's ModelScratch so the backing array can be recycled
   /// across rounds.
   using StaticTerms = CellStaticTerms;
-  /// Legacy mode's owned backing store for the immutable row attributes
-  /// (fleet mode aliases the FleetSnapshot instead). `placeable` is all-1:
-  /// legacy rows are the placeable hosts by construction.
-  struct OwnRows {
-    std::vector<datacenter::HostId> id;
-    std::vector<unsigned char> placeable;
-    std::vector<double> cpu_cap, mem_cap;
-    std::vector<double> mgmt, conc;
-    std::vector<double> creation, migration, reliability;
-    std::vector<workload::Arch> arch;
-    std::vector<std::uint32_t> software;
-  };
-
   [[nodiscard]] std::size_t at(int r, int c) const {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(vms_.size()) +
            static_cast<std::size_t>(c);
   }
+  void init(const datacenter::Datacenter& dc,
+            const std::vector<datacenter::VmId>& queued,
+            bool migration_enabled);
   static void fill_column_common(VmCol& c, const datacenter::Vm& vm,
                                  bool is_new, sim::SimTime now);
-  void bind_own_rows();
-  void build_static_terms(SolverPool* pool);
   void build_static_cell(int r, int c) const;
   [[nodiscard]] const StaticTerms& ensure_static(int r, int c) const {
     const std::size_t i = at(r, c);
@@ -275,19 +265,18 @@ class ScoreModel {
   }
   [[nodiscard]] double score_cell(int r, int c) const;
   void invalidate_row(int r);
-  void touch_row(int r);          ///< fleet mode: margins + plan_touched
+  void touch_row(int r);          ///< margins + plan_touched
   void rebuild_margin_block(int blk);
 
   ScoreParams params_;
   obs::PhaseProfiler* profiler_ = nullptr;  ///< not owned; may be null
   SolverPool* pool_ = nullptr;              ///< not owned; may be null
-  FleetState* fleet_scratch_home_ = nullptr;  ///< buffer return target
-  bool fleet_mode_ = false;
+  std::unique_ptr<FleetState> owned_fleet_;  ///< reference mode only
+  FleetState* fleet_ = nullptr;  ///< snapshot source and buffer return target
   int nrows_ = 0;  ///< real host rows (excl. the virtual row)
 
-  // Immutable per-row attributes, SoA. Raw aliases: into own_ (legacy) or
-  // into the borrowed FleetSnapshot (fleet mode, zero copies). Bound once
-  // in the constructor after the backing storage is final.
+  // Immutable per-row attributes, SoA. Raw aliases into the FleetSnapshot
+  // (zero copies), bound once in init().
   const unsigned char* placeable_ = nullptr;
   const double* cap_cpu_ = nullptr;
   const double* cap_mem_ = nullptr;
@@ -303,20 +292,19 @@ class ScoreModel {
   std::vector<double> cpu_res_, mem_res_, running_;
   std::vector<int> vm_count_;
 
-  // Fleet mode only: plan-tracked pruning margins (seeded from the
-  // HostBucketIndex, maintained by move()) and the plan-touched rows
-  // (their cells no longer flow through the persistent columns).
+  // Plan-tracked pruning margins (seeded from the HostBucketIndex,
+  // maintained by move()) and the plan-touched rows (their cells no longer
+  // flow through the persistent columns).
   std::vector<double> free_cpu_, free_mem_;
   std::vector<double> block_free_cpu_, block_free_mem_;
   std::vector<unsigned char> plan_touched_;
 
-  OwnRows own_;
   std::vector<VmCol> vms_;
-  // Plan-independent terms, built eagerly (legacy) or lazily per cell
-  // (fleet mode — most cells of a pruned matrix are never read).
+  // Plan-independent terms, built lazily per cell (most cells of a pruned
+  // matrix are never read).
   // `mutable`: ensure_static() memoizes from const queries. Race-free for
   // the same reason the score cache is: threaded sweeps only touch
-  // disjoint row (build) or column (argmin) ranges.
+  // disjoint row (prime) or column (argmin) ranges.
   mutable std::vector<StaticTerms> static_terms_;
   mutable std::vector<unsigned char> static_ok_;
   // Per-cell score cache over the real rows. `mutable`: cell() is a const

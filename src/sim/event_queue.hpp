@@ -32,10 +32,6 @@
 #include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-#include "sim/reference_event_queue.hpp"
-#endif
-
 namespace easched::sim {
 
 /// Identifies a scheduled event for cancellation. Value 0 is reserved for
@@ -138,12 +134,6 @@ class PooledEventQueue {
   std::size_t dead_in_heap_ = 0;  ///< cancelled entries still parked
 };
 
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-// Baseline-measurement builds: the simulator runs on the seed queue so
-// whole-run before/after numbers come from the same source tree.
-using EventQueue = ReferenceEventQueue;
-#else
 using EventQueue = PooledEventQueue;
-#endif
 
 }  // namespace easched::sim

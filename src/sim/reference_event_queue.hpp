@@ -7,13 +7,10 @@
 // (time, then push sequence; cancelled entries skipped) *defines* the
 // kernel's ordering semantics, and `tests/test_event_queue_differential.cpp`
 // drives it and `PooledEventQueue` with identical scripts to prove the
-// pooled rewrite changes nothing observable.
-//
-// It also remains buildable as the simulator's queue
-// (`-DEASCHED_SIM_REFERENCE_QUEUE=ON`, see event_queue.hpp) so
-// `scripts/refresh_bench.sh` can regenerate the pre-PR whole-run baseline
-// in BENCH_sim.json, and `bench_event_queue --smoke` (ctest:
-// `bench_sim_smoke`) can fail if the pooled queue ever regresses below it.
+// pooled rewrite changes nothing observable. `bench_event_queue` times it
+// against the pooled queue in the same binary, and its `--smoke` mode
+// (ctest: `bench_sim_smoke`) fails if the pooled queue ever regresses
+// below it.
 #pragma once
 
 #include <algorithm>

@@ -2,13 +2,16 @@
 //
 //   - the headline differential: a persistent FleetState driven through
 //     many mutated rounds must yield bit-identical score cells and
-//     hill-climb decisions to a from-scratch legacy rebuild every round;
-//   - end-to-end run identity (incremental vs reference policy, and 1 vs 4
-//     solver threads on the incremental path);
+//     hill-climb decisions to the reference model's full read every round;
+//   - power-off ranking agreement between the two modes, with idle hosts
+//     that are quarantined or breaker-vetoed;
+//   - end-to-end run identity (incremental vs reference policy across the
+//     SB configurations and both solvers, and 1 vs 4 solver threads on the
+//     incremental path);
 //   - targeted dirty-journal behavior: maintenance flips, journal
 //     deduplication, clean rounds re-reading nothing, clock-aged in-flight
-//     operations caught by the force-reread scan, and persistent column
-//     pruning;
+//     operations caught by the force-reread scan, the reference model
+//     leaving the journal alone, and persistent column pruning;
 //   - HostBucketIndex unit/property checks (margins, block maxima, band
 //     histogram, conservative candidate bound);
 //   - the kFleetSnapshot / kFleetIndex invariant rules: clean state passes,
@@ -26,6 +29,9 @@
 #include "core/score_matrix.hpp"
 #include "core/solver_pool.hpp"
 #include "experiments/runner.hpp"
+#include "faults/fault_injector.hpp"
+#include "faults/fault_plan.hpp"
+#include "resilience/resilience.hpp"
 #include "test_random_instances.hpp"
 #include "validate/invariant_checker.hpp"
 
@@ -39,73 +45,52 @@ using easched::testing::make_random_instance;
 using easched::testing::RandomInstance;
 using easched::testing::SmallDc;
 
-// ---- row translation --------------------------------------------------------
-// Fleet-mode rows are HostIds, legacy rows are compacted placeable hosts:
-// raw row indices differ between the layouts, so every comparison goes
-// through host ids (virtual rows map to a sentinel).
+// ---- model comparison -------------------------------------------------------
+// Both modes index rows by HostId, so cells, traces and plans compare raw.
 
-constexpr HostId kVirtualSentinel = std::numeric_limits<HostId>::max();
-
-HostId row_host(const ScoreModel& m, int r) {
-  return r == m.virtual_row() ? kVirtualSentinel : m.host_at(r);
-}
-
-/// Bitwise cell equality between a fleet-mode and a legacy model of the
-/// same round, plus column identity and the all-inf guarantee for
-/// non-placeable fleet rows.
-void expect_models_equal(const ScoreModel& fleet, const ScoreModel& legacy,
+/// Bitwise cell equality between an incremental and a reference model of
+/// the same round, plus column identity and the all-inf guarantee for
+/// non-placeable rows.
+void expect_models_equal(const ScoreModel& inc, const ScoreModel& ref,
                          const datacenter::Datacenter& dc) {
-  ASSERT_TRUE(fleet.fleet_mode());
-  ASSERT_FALSE(legacy.fleet_mode());
-  ASSERT_EQ(fleet.cols(), legacy.cols());
-  for (int c = 0; c < legacy.cols(); ++c) {
-    ASSERT_EQ(fleet.vm_at(c), legacy.vm_at(c)) << "column order diverged";
-    ASSERT_EQ(fleet.movable(c), legacy.movable(c));
-    ASSERT_EQ(row_host(fleet, fleet.original_row(c)),
-              row_host(legacy, legacy.original_row(c)));
+  ASSERT_FALSE(inc.reference());
+  ASSERT_TRUE(ref.reference());
+  ASSERT_EQ(inc.rows(), ref.rows());
+  ASSERT_EQ(inc.cols(), ref.cols());
+  for (int c = 0; c < ref.cols(); ++c) {
+    ASSERT_EQ(inc.vm_at(c), ref.vm_at(c)) << "column order diverged";
+    ASSERT_EQ(inc.movable(c), ref.movable(c));
+    ASSERT_EQ(inc.original_row(c), ref.original_row(c));
   }
-  for (int lr = 0; lr < legacy.virtual_row(); ++lr) {
-    const int fr = static_cast<int>(legacy.host_at(lr));
-    for (int c = 0; c < legacy.cols(); ++c) {
-      // EXPECT_EQ at zero tolerance: both layouts run the same arithmetic.
-      ASSERT_EQ(fleet.cell(fr, c), legacy.cell(lr, c))
-          << "cell diverged at host " << legacy.host_at(lr) << ", col " << c;
-    }
-  }
-  // Rows the legacy layout dropped (non-placeable hosts) must be
-  // constantly infinite in the fleet layout.
-  for (HostId h = 0; h < dc.num_hosts(); ++h) {
-    if (dc.placeable(h)) continue;
-    for (int c = 0; c < fleet.cols(); ++c) {
-      ASSERT_TRUE(is_inf_score(fleet.cell(static_cast<int>(h), c)))
-          << "non-placeable host " << h << " has a finite cell";
+  for (int r = 0; r < ref.virtual_row(); ++r) {
+    ASSERT_EQ(inc.placeable(r), dc.placeable(ref.host_at(r)));
+    for (int c = 0; c < ref.cols(); ++c) {
+      // ASSERT_EQ at zero tolerance: both modes run the same arithmetic.
+      ASSERT_EQ(inc.cell(r, c), ref.cell(r, c))
+          << "cell diverged at host " << r << ", col " << c;
+      if (!inc.placeable(r)) {
+        ASSERT_TRUE(is_inf_score(inc.cell(r, c)))
+            << "non-placeable host " << r << " has a finite cell";
+      }
     }
   }
 }
 
-/// Host-translated trace/plan equality between a fleet-mode and a legacy
-/// solve: same columns, same hosts, bit-identical deltas, same final plan.
-void expect_same_decisions(const HillClimbStats& sf, const HillClimbStats& sl,
-                           const ScoreModel& fm, const ScoreModel& lm) {
-  ASSERT_EQ(sf.trace.size(), sl.trace.size()) << "move counts diverged";
-  for (std::size_t i = 0; i < sl.trace.size(); ++i) {
-    ASSERT_EQ(sf.trace[i].col, sl.trace[i].col) << "move " << i;
-    ASSERT_EQ(row_host(fm, sf.trace[i].from_row),
-              row_host(lm, sl.trace[i].from_row))
-        << "move " << i;
-    ASSERT_EQ(row_host(fm, sf.trace[i].to_row),
-              row_host(lm, sl.trace[i].to_row))
-        << "move " << i;
-    ASSERT_EQ(sf.trace[i].delta, sl.trace[i].delta) << "move " << i;
+/// Trace/plan equality between two solves: same moves with bit-identical
+/// deltas, same final plan.
+void expect_same_decisions(const HillClimbStats& sa, const HillClimbStats& sb,
+                           const ScoreModel& ma, const ScoreModel& mb) {
+  ASSERT_EQ(sa.trace.size(), sb.trace.size()) << "move counts diverged";
+  for (std::size_t i = 0; i < sb.trace.size(); ++i) {
+    ASSERT_TRUE(sa.trace[i] == sb.trace[i]) << "move " << i;
   }
-  EXPECT_EQ(sf.moves, sl.moves);
-  EXPECT_EQ(sf.migration_moves, sl.migration_moves);
-  EXPECT_EQ(sf.hit_move_limit, sl.hit_move_limit);
-  EXPECT_EQ(sf.total_gain, sl.total_gain);  // same deltas, same order
-  ASSERT_EQ(fm.cols(), lm.cols());
-  for (int c = 0; c < lm.cols(); ++c) {
-    ASSERT_EQ(row_host(fm, fm.plan_row(c)), row_host(lm, lm.plan_row(c)))
-        << "plans diverge at col " << c;
+  EXPECT_EQ(sa.moves, sb.moves);
+  EXPECT_EQ(sa.migration_moves, sb.migration_moves);
+  EXPECT_EQ(sa.hit_move_limit, sb.hit_move_limit);
+  EXPECT_EQ(sa.total_gain, sb.total_gain);  // same deltas, same order
+  ASSERT_EQ(ma.cols(), mb.cols());
+  for (int c = 0; c < mb.cols(); ++c) {
+    ASSERT_EQ(ma.plan_row(c), mb.plan_row(c)) << "plans diverge at col " << c;
   }
 }
 
@@ -137,15 +122,15 @@ HillClimbLimits random_limits(support::Rng& rng) {
 /// What the policy does between rounds, compressed: place the queued VMs
 /// the (already-validated) plan put on real hosts, so the next round sees
 /// the datacenter the decisions produced.
-void apply_queued_placements(const ScoreModel& legacy, SmallDc& f,
+void apply_queued_placements(const ScoreModel& model, SmallDc& f,
                              std::vector<VmId>& queue) {
   std::vector<VmId> placed;
-  for (int c = 0; c < legacy.cols(); ++c) {
-    if (legacy.original_row(c) != legacy.virtual_row()) continue;
-    const int plan = legacy.plan_row(c);
-    if (plan == legacy.virtual_row()) continue;
-    const HostId h = legacy.host_at(plan);
-    const VmId v = legacy.vm_at(c);
+  for (int c = 0; c < model.cols(); ++c) {
+    if (model.original_row(c) != model.virtual_row()) continue;
+    const int plan = model.plan_row(c);
+    if (plan == model.virtual_row()) continue;
+    const HostId h = model.host_at(plan);
+    const VmId v = model.vm_at(c);
     if (!f.dc.placeable(h) || !f.dc.fits(h, v)) continue;
     f.dc.place(v, h);
     placed.push_back(v);
@@ -177,7 +162,9 @@ void mutate_between_rounds(support::Rng& rng, SmallDc& f,
 class FleetDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The tentpole guarantee: a FleetState carried across mutated rounds
-// produces the exact cells and the exact decisions of a full rebuild.
+// produces the exact cells and the exact decisions of a full read. The
+// reference model is built before the refresh each round: its full read
+// must leave the dirty journal for the refresh to consume.
 TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
   const std::uint64_t seed = GetParam();
   support::Rng rng{seed};
@@ -191,29 +178,29 @@ TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
 
     for (int round = 0; round < 4; ++round) {
       SCOPED_TRACE(::testing::Message() << "round " << round);
+      ScoreModel rm(f.dc, queue, inst.params, inst.migration);
       fleet.refresh(f.dc, queue);
       EXPECT_EQ(f.dc.fleet_dirty_count(), 0u);  // refresh drained it
 
       ScoreModel fm(fleet, f.dc, queue, inst.params, inst.migration);
-      ScoreModel lm(f.dc, queue, inst.params, inst.migration);
-      expect_models_equal(fm, lm, f.dc);
+      expect_models_equal(fm, rm, f.dc);
       if (::testing::Test::HasFatalFailure()) return;
 
       const HillClimbLimits limits = random_limits(rng);
       const HillClimbStats sf = hill_climb(fm, limits);
-      const HillClimbStats sl = hill_climb(lm, limits);
-      expect_same_decisions(sf, sl, fm, lm);
+      const HillClimbStats sr = hill_climb(rm, limits);
+      expect_same_decisions(sf, sr, fm, rm);
       if (::testing::Test::HasFatalFailure()) return;
 
-      apply_queued_placements(lm, f, queue);
+      apply_queued_placements(rm, f, queue);
       mutate_between_rounds(rng, f, queue, maint);
     }
   }
 }
 
-// Threading must not change fleet-mode decisions: serial fleet, 4-thread
-// fleet and the legacy reference all agree on one round. (Fresh FleetStates
-// both take the full-init path, so sharing one drained journal is fine.)
+// Threading must not change incremental decisions: serial, 4-thread and
+// the reference all agree on one round. (Fresh FleetStates both take the
+// full-init path, so sharing one drained journal is fine.)
 TEST_P(FleetDifferential, ThreadedFleetMatchesSerialAndReference) {
   const std::uint64_t seed = GetParam() * 6151 + 11;
   support::Rng rng{seed};
@@ -226,7 +213,7 @@ TEST_P(FleetDifferential, ThreadedFleetMatchesSerialAndReference) {
     FleetState fs_ser, fs_thr;
     fs_ser.refresh(f.dc, inst.queue);
     fs_thr.refresh(f.dc, inst.queue);
-    ScoreModel m_leg(f.dc, inst.queue, inst.params, inst.migration);
+    ScoreModel m_ref(f.dc, inst.queue, inst.params, inst.migration);
     ScoreModel m_ser(fs_ser, f.dc, inst.queue, inst.params, inst.migration);
     ScoreModel m_thr(fs_thr, f.dc, inst.queue, inst.params, inst.migration,
                      &pool4);
@@ -234,20 +221,14 @@ TEST_P(FleetDifferential, ThreadedFleetMatchesSerialAndReference) {
     const HillClimbLimits limits = random_limits(rng);
     HillClimbLimits l4 = limits;
     l4.pool = &pool4;
-    const HillClimbStats s_leg = hill_climb(m_leg, limits);
+    const HillClimbStats s_ref = hill_climb(m_ref, limits);
     const HillClimbStats s_ser = hill_climb(m_ser, limits);
     const HillClimbStats s_thr = hill_climb(m_thr, l4);
 
-    expect_same_decisions(s_ser, s_leg, m_ser, m_leg);
+    expect_same_decisions(s_ser, s_ref, m_ser, m_ref);
     if (::testing::Test::HasFatalFailure()) return;
-    // Both fleet layouts index rows by HostId: traces compare raw.
-    ASSERT_EQ(s_thr.trace.size(), s_ser.trace.size());
-    for (std::size_t i = 0; i < s_ser.trace.size(); ++i) {
-      ASSERT_TRUE(s_thr.trace[i] == s_ser.trace[i]) << "move " << i;
-    }
-    for (int c = 0; c < m_ser.cols(); ++c) {
-      ASSERT_EQ(m_thr.plan_row(c), m_ser.plan_row(c));
-    }
+    expect_same_decisions(s_thr, s_ser, m_thr, m_ser);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -288,6 +269,24 @@ TEST(FleetDirty, JournalDeduplicates) {
   f.dc.set_maintenance(2, false);
   f.dc.set_maintenance(2, true);
   EXPECT_EQ(f.dc.fleet_dirty_count(), 1u);  // bounded by num_hosts
+}
+
+// The reference model reads every host itself; the journal's single
+// consumer is the incremental FleetState, which must still see the flip.
+TEST(FleetDirty, ReferenceModelLeavesTheJournalAlone) {
+  SmallDc f(3);
+  FleetState fleet;
+  fleet.refresh(f.dc, {});
+
+  f.dc.set_maintenance(1, true);
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);
+  const ScoreModel ref(f.dc, {}, ScoreParams{}, /*migration_enabled=*/false);
+  EXPECT_FALSE(ref.placeable(1));
+  EXPECT_EQ(f.dc.fleet_dirty_count(), 1u);
+
+  fleet.refresh(f.dc, {});
+  EXPECT_EQ(fleet.snapshot().placeable[1], 0);
+  EXPECT_EQ(fleet.stats().last_reread, 1u);
 }
 
 // A round with no datacenter changes re-reads nothing, and the matrix it
@@ -389,6 +388,104 @@ TEST(FleetDirty, SlaColumnsAreNotPersisted) {
     for (int c = 0; c < m.cols(); ++c) (void)m.cell(r, c);
   }
   EXPECT_EQ(fleet.col_cache_count(), 0u);
+}
+
+// ---- power-off ranking ------------------------------------------------------
+
+// Idle-host ranking runs on the round's model in both modes. Two idle hosts
+// are on but not placeable — one quarantined after a failed creation, one
+// vetoed by an open circuit breaker — so their rows are all-kInf and would
+// aggregate highest. Both modes must skip them while a placeable candidate
+// is left, and must agree on every pick as the hosts are shed one by one.
+TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
+  constexpr HostId kLemon = 1;   // quarantined by its failed creation
+  constexpr HostId kBroken = 4;  // breaker opened by a failed operation
+  faults::FaultPlan plan;
+  plan.enabled = true;
+  plan.spec(faults::FaultOp::kCreate).fail_prob = 1e-9;
+  plan.lemons.push_back({kLemon, 1e12});  // capped: every creation fails
+  faults::FaultInjector injector(plan);
+  datacenter::DatacenterConfig base;
+  base.fault_injector = &injector;
+  base.quarantine.failure_budget = 1;
+  base.quarantine.cooldown_s = 1e9;
+  SmallDc f(8, base);
+
+  resilience::ResilienceConfig rcfg;
+  rcfg.enabled = true;
+  rcfg.breaker_threshold = 1;
+  rcfg.breaker_probe_after_s = 1e9;
+  resilience::ResilienceController rc(rcfg, f.recorder, f.dc.num_hosts());
+  f.recorder.resilience = &rc;
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
+  cfg.solver_threads = 1;
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{3};
+  std::vector<VmId> all;
+  const auto queued = [&] {
+    std::vector<VmId> q;
+    for (const VmId v : all) {
+      if (f.dc.vm(v).state == datacenter::VmState::kQueued) q.push_back(v);
+    }
+    return q;
+  };
+
+  // Churned multi-round history: the lemon's failed creation quarantines
+  // it, then both policies schedule the arrivals round by round.
+  all.push_back(f.admit_and_place(make_job(100, 512, 50000), kLemon));
+  f.simulator.run_until(200.0);
+  ASSERT_TRUE(f.dc.host(kLemon).quarantined);
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      all.push_back(f.dc.admit_job(
+          make_job(100, 512, 50000, 1.5, f.simulator.now())));
+    }
+    const std::vector<VmId> queue = queued();
+    const sched::SchedContext ctx{f.dc, queue, rng};
+    const auto ref_actions = ref.schedule(ctx);
+    const auto inc_actions = inc.schedule(ctx);
+    ASSERT_EQ(inc_actions.size(), ref_actions.size());
+    for (std::size_t i = 0; i < ref_actions.size(); ++i) {
+      ASSERT_EQ(inc_actions[i].vm, ref_actions[i].vm);
+      ASSERT_EQ(inc_actions[i].host, ref_actions[i].host);
+      if (ref_actions[i].kind == sched::Action::Kind::kPlace) {
+        f.dc.place(ref_actions[i].vm, ref_actions[i].host);
+      }
+    }
+    f.simulator.run_until(f.simulator.now() + 600.0);
+  }
+  rc.note_op_failure(kBroken, f.simulator.now());
+
+  std::vector<HostId> idle;
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+    if (f.dc.host(h).is_idle_on()) idle.push_back(h);
+  }
+  ASSERT_NE(std::find(idle.begin(), idle.end(), kLemon), idle.end());
+  ASSERT_NE(std::find(idle.begin(), idle.end(), kBroken), idle.end());
+  ASSERT_FALSE(f.dc.placeable(kLemon));
+  ASSERT_FALSE(f.dc.placeable(kBroken));
+
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  int placeable_picks = 0;
+  while (!idle.empty()) {
+    const bool any_placeable =
+        std::any_of(idle.begin(), idle.end(),
+                    [&f](HostId h) { return f.dc.placeable(h); });
+    const HostId r = ref.choose_power_off(ctx, idle);
+    const HostId h = inc.choose_power_off(ctx, idle);
+    ASSERT_EQ(h, r) << "modes disagree with " << idle.size() << " idle";
+    if (any_placeable) {
+      ASSERT_TRUE(f.dc.placeable(h)) << "picked non-placeable host " << h;
+      ++placeable_picks;
+    }
+    f.dc.power_off(h);
+    idle.erase(std::find(idle.begin(), idle.end(), h));
+  }
+  EXPECT_GE(placeable_picks, 2);
 }
 
 // ---- HostBucketIndex --------------------------------------------------------
@@ -575,8 +672,65 @@ void expect_same_run(const experiments::RunResult& a,
   EXPECT_EQ(a.report.jobs_finished, b.report.jobs_finished);
 }
 
+struct EndToEndCase {
+  const char* name;
+  ScoreBasedConfig (*config)();
+  MatrixSolver solver = MatrixSolver::kHillClimb;
+  const char* faults = nullptr;  ///< inline fault plan, if any
+};
+
+void PrintTo(const EndToEndCase& tc, std::ostream* os) { *os << tc.name; }
+
+class FleetEndToEndByConfig : public ::testing::TestWithParam<EndToEndCase> {
+ protected:
+  [[nodiscard]] experiments::RunResult run(bool incremental) const {
+    const EndToEndCase& tc = GetParam();
+    ScoreBasedConfig cfg = tc.config();
+    cfg.solver = tc.solver;
+    cfg.incremental = incremental;
+    experiments::RunConfig config = easched::testing::small_config(cfg.label);
+    config.policy_instance = std::make_unique<ScoreBasedPolicy>(cfg);
+    if (tc.faults != nullptr) {
+      config.faults = faults::parse_fault_plan(tc.faults);
+    }
+    return experiments::run_experiment(easched::testing::small_week(),
+                                       std::move(config));
+  }
+};
+
 // The whole-run guarantee behind the perf work: the incremental core
-// changes nothing about what the policy decides.
+// changes nothing about what the policy decides — rounds, power-off
+// ranking (including its empty-matrix fallback under SB0), faults and
+// breakers, and annealing's random walk.
+TEST_P(FleetEndToEndByConfig, IncrementalRunMatchesReferenceRun) {
+  const auto reference = run(false);
+  const auto incremental = run(true);
+  expect_same_run(incremental, reference);
+  if (GetParam().solver == MatrixSolver::kAnnealing) {
+    // No other test runs annealing end to end: pin its run so a change to
+    // the walk (rows it draws, cells it reads) shows up here.
+    EXPECT_EQ(incremental.report.energy_kwh, 212.78065401551152);  // bitwise
+    EXPECT_EQ(incremental.report.creations, 347u);
+    EXPECT_EQ(incremental.report.migrations, 427u);
+    EXPECT_EQ(incremental.report.turn_offs, 39u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, FleetEndToEndByConfig,
+    ::testing::Values(
+        EndToEndCase{"SB0", &ScoreBasedConfig::sb0},
+        EndToEndCase{"SBfullFaults", &ScoreBasedConfig::sb_full,
+                     MatrixSolver::kHillClimb,
+                     "migrate.fail=0.08,create.fail=0.03,create.hang=0.01,"
+                     "power_on.fail=0.02,lemon=3:8,breaker_threshold=3"},
+        EndToEndCase{"SBAnnealing", &ScoreBasedConfig::sb,
+                     MatrixSolver::kAnnealing}),
+    [](const ::testing::TestParamInfo<EndToEndCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The plain SB case of the guarantee above.
 TEST(FleetEndToEnd, IncrementalRunMatchesReferenceRun) {
   const auto jobs = easched::testing::small_week();
   const auto reference =

@@ -19,14 +19,20 @@ ScoreParams default_params() {
   return p;
 }
 
-TEST(ScoreModel, RowsAreOnHostsPlusVirtual) {
+TEST(ScoreModel, RowsAreAllHostsPlusVirtual) {
   SmallDc f(3);
   f.dc.power_off(2);
   f.simulator.run_until(20.0);
-  ScoreModel m(f.dc, {}, default_params(), false);
-  EXPECT_EQ(m.rows(), 3);  // 2 on + virtual
-  EXPECT_EQ(m.virtual_row(), 2);
-  EXPECT_EQ(m.cols(), 0);
+  const VmId v = f.dc.admit_job(make_job());
+  ScoreModel m(f.dc, {v}, default_params(), false);
+  EXPECT_EQ(m.rows(), 4);  // every host, row == HostId, + virtual
+  EXPECT_EQ(m.virtual_row(), 3);
+  EXPECT_EQ(m.cols(), 1);
+  for (int r = 0; r < m.virtual_row(); ++r) EXPECT_EQ(m.host_at(r), r);
+  EXPECT_TRUE(m.placeable(0));
+  EXPECT_FALSE(m.placeable(2));  // off: kept as a constantly-infinite row
+  EXPECT_FALSE(is_inf_score(m.cell(0, 0)));
+  EXPECT_TRUE(is_inf_score(m.cell(2, 0)));
 }
 
 TEST(ScoreModel, QueuedVmsAreColumnsAtVirtualRow) {
