@@ -5,7 +5,10 @@
 #   1. default build      — full test suite, then the validate-labelled
 #                           tests again with run-time checking forced on
 #                           for every experiment (EASCHED_VALIDATE=1)
-#   2. AddressSanitizer   — validate + faults + resilience suites
+#   2. AddressSanitizer   — validate + faults + resilience + telemetry +
+#                           sched suites (sched: the power controller and
+#                           driver read the Datacenter's maintained
+#                           per-host node-class state)
 #   3. ThreadSanitizer    — validate + solver + resilience suites (the
 #                           threaded solver and the ladder's thread-count
 #                           determinism under the checker)
@@ -67,10 +70,11 @@ if [ "$fast" = "fast" ]; then
   exit 0
 fi
 
-echo "== address-sanitized build: validate + faults + resilience + telemetry =="
+echo "== address-sanitized build: validate + faults + resilience + telemetry + sched =="
 build "$repo/build-validate-asan" -DEASCHED_SANITIZE=address
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-asan" \
-  -L "validate|faults|resilience|telemetry" --output-on-failure -j"$(nproc)"
+  -L "validate|faults|resilience|telemetry|sched" --output-on-failure \
+  -j"$(nproc)"
 
 echo "== thread-sanitized build: validate + solver + resilience + fleet =="
 build "$repo/build-validate-tsan" -DEASCHED_SANITIZE=thread

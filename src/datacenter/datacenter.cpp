@@ -45,6 +45,8 @@ Datacenter::Datacenter(sim::Simulator& simulator, DatacenterConfig config,
   hosts_.resize(config_.hosts.size());
   failure_events_.assign(config_.hosts.size(), sim::kNoEvent);
   fleet_dirty_flag_.assign(config_.hosts.size(), 0);
+  node_class_.assign(config_.hosts.size(), 0);
+  node_dirty_flag_.assign(config_.hosts.size(), 0);
   const std::size_t on_count =
       std::min(config_.initially_on, config_.hosts.size());
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
@@ -55,6 +57,8 @@ Datacenter::Datacenter(sim::Simulator& simulator, DatacenterConfig config,
     if (config_.inject_failures && hosts_[i].state == HostState::kOn) {
       schedule_failure(hosts_[i].id);
     }
+    node_dirty_flag_[i] = 1;
+    node_dirty_.push_back(hosts_[i].id);
   }
   update_node_counters();
 
@@ -88,39 +92,49 @@ Vm& Datacenter::vm_mut(VmId v) {
   return vms_[v];
 }
 
+void Datacenter::settle_node_counts() const {
+  const auto bit = [](bool set, NodeClass c) { return set ? 1 << c : 0; };
+  for (const HostId h : node_dirty_) {
+    node_dirty_flag_[h] = 0;
+    const Host& host = hosts_[h];
+    const unsigned char was = node_class_[h];
+    const auto now = static_cast<unsigned char>(
+        bit(host.is_online(), kOnline) | bit(host.is_working(), kWorking) |
+        bit(host.state == HostState::kBooting, kBooting) |
+        bit(host.quarantined && host.state == HostState::kOn,
+            kQuarantinedOn));
+    if (now == was) continue;
+    node_class_[h] = now;
+    for (int c = 0; c < kNumNodeClasses; ++c) {
+      node_counts_[c] += ((now >> c) & 1) - ((was >> c) & 1);
+    }
+  }
+  node_dirty_.clear();
+}
+
 int Datacenter::online_count() const {
-  int n = 0;
-  for (const auto& h : hosts_) n += h.is_online() ? 1 : 0;
-  return n;
+  settle_node_counts();
+  return node_counts_[kOnline];
 }
 
 int Datacenter::working_count() const {
-  int n = 0;
-  for (const auto& h : hosts_) n += h.is_working() ? 1 : 0;
-  return n;
+  settle_node_counts();
+  return node_counts_[kWorking];
+}
+
+int Datacenter::booting_count() const {
+  settle_node_counts();
+  return node_counts_[kBooting];
+}
+
+int Datacenter::quarantined_on_count() const {
+  settle_node_counts();
+  return node_counts_[kQuarantinedOn];
 }
 
 int Datacenter::offline_available_count() const {
   int n = 0;
   for (const auto& h : hosts_) n += h.state == HostState::kOff ? 1 : 0;
-  return n;
-}
-
-int Datacenter::booting_count() const {
-  int n = 0;
-  for (const auto& h : hosts_) n += h.state == HostState::kBooting ? 1 : 0;
-  return n;
-}
-
-int Datacenter::failed_count() const {
-  int n = 0;
-  for (const auto& h : hosts_) n += h.state == HostState::kFailed ? 1 : 0;
-  return n;
-}
-
-std::size_t Datacenter::placed_vm_count() const {
-  std::size_t n = 0;
-  for (const auto& h : hosts_) n += h.vm_count();
   return n;
 }
 
@@ -266,7 +280,7 @@ void Datacenter::reschedule_finish(Vm& v) {
 void Datacenter::reallocate_io(HostId h) {
   Host& host = hosts_[h];
   const sim::SimTime t = sim_.now();
-  mark_fleet_dirty(h);  // operation set / progress schedule changes
+  mark_dirty(h);  // operation set / progress schedule changes
 
   // 1. Integrate progress of the active operations at their old rates.
   // A hung operation holds its channel slot (a wedged transfer still
@@ -335,7 +349,7 @@ void Datacenter::reallocate(HostId h) {
   Host& host = hosts_[h];
   // Every resident/reservation/demand change funnels through here, so one
   // mark covers the bulk of the fleet dirty protocol.
-  mark_fleet_dirty(h);
+  mark_dirty(h);
 
   // 1. Integrate progress of everything currently running here.
   for (VmId r : host.residents) integrate_progress(vms_[r]);
@@ -695,7 +709,7 @@ void Datacenter::complete_checkpoint(HostId h, VmId v) {
 
 void Datacenter::set_maintenance(HostId h, bool on) {
   host_mut(h).maintenance = on;
-  mark_fleet_dirty(h);  // placeability flip
+  mark_dirty(h);  // placeability flip
 }
 
 void Datacenter::power_on(HostId h) {
@@ -991,7 +1005,7 @@ void Datacenter::inject_host_failure(HostId h) {
 
 void Datacenter::debug_add_resident(HostId h, VmId v) {
   host_mut(h).residents.push_back(v);
-  mark_fleet_dirty(h);
+  mark_dirty(h);
 }
 
 void Datacenter::debug_force_place(VmId v, HostId h) {
@@ -999,7 +1013,7 @@ void Datacenter::debug_force_place(VmId v, HostId h) {
   m.state = VmState::kRunning;
   m.host = h;
   host_mut(h).residents.push_back(v);
-  mark_fleet_dirty(h);
+  mark_dirty(h);
 }
 
 void Datacenter::set_host_state(Host& h, HostState to) {
@@ -1007,13 +1021,23 @@ void Datacenter::set_host_state(Host& h, HostState to) {
     ck->on_host_transition(sim_.now(), h.id, h.state, to);
   }
   h.state = to;
-  mark_fleet_dirty(h.id);
+  mark_dirty(h.id);
 }
 
-void Datacenter::mark_fleet_dirty(HostId h) {
-  if (fleet_dirty_flag_[h] != 0) return;
-  fleet_dirty_flag_[h] = 1;
-  fleet_dirty_.push_back(h);
+void Datacenter::debug_corrupt_node_counts(int delta) {
+  settle_node_counts();
+  node_counts_[kOnline] += delta;
+}
+
+void Datacenter::mark_dirty(HostId h) {
+  if (fleet_dirty_flag_[h] == 0) {
+    fleet_dirty_flag_[h] = 1;
+    fleet_dirty_.push_back(h);
+  }
+  if (node_dirty_flag_[h] == 0) {
+    node_dirty_flag_[h] = 1;
+    node_dirty_.push_back(h);
+  }
 }
 
 void Datacenter::drain_fleet_dirty(std::vector<HostId>& out) const {
@@ -1224,7 +1248,7 @@ void Datacenter::note_host_fault(HostId h) {
   if (host.fault_count < q.failure_budget) return;
 
   host.quarantined = true;
-  mark_fleet_dirty(h);  // placeability flip
+  mark_dirty(h);  // placeability flip
   ++recorder_.counts.quarantines;
   record_fault_event("quarantine host=%u cooldown=%.0fs",
                      static_cast<unsigned>(h), q.cooldown_s);
@@ -1240,7 +1264,7 @@ void Datacenter::note_host_fault(HostId h) {
     hh.quarantined = false;
     hh.fault_count = 0;
     hh.fault_window_start = sim_.now();
-    mark_fleet_dirty(h);  // placeability flip
+    mark_dirty(h);  // placeability flip
     record_fault_event("unquarantine host=%u", static_cast<unsigned>(h));
     if (auto* tr = obs::tracer(recorder_)) {
       tr->emit(sim_.now(), obs::EventKind::kUnquarantine).host = h;

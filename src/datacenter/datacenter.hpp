@@ -107,14 +107,16 @@ class Datacenter {
   [[nodiscard]] const Vm& vm(VmId v) const;
   [[nodiscard]] std::size_t num_vms() const { return vms_.size(); }
 
-  [[nodiscard]] int online_count() const;  ///< On or Booting
-  [[nodiscard]] int working_count() const;
-  [[nodiscard]] int offline_available_count() const;  ///< Off (not failed)
+  /// Node-class counts, maintained from the same mutation marks as the
+  /// fleet dirty journal: a read re-classifies only the hosts touched
+  /// since the previous read, so it costs O(hosts changed), not O(hosts).
+  [[nodiscard]] int online_count() const;   ///< On or Booting
+  [[nodiscard]] int working_count() const;  ///< residents or operations
   [[nodiscard]] int booting_count() const;
-  [[nodiscard]] int failed_count() const;
-  /// VMs currently assigned to any host (Creating/Running/incoming
-  /// Migrating) — the telemetry "jobs running" rollup.
-  [[nodiscard]] std::size_t placed_vm_count() const;
+  /// Quarantined hosts still On (the driver's evacuation candidates).
+  [[nodiscard]] int quarantined_on_count() const;
+  /// Off hosts (not failed); a full O(hosts) scan.
+  [[nodiscard]] int offline_available_count() const;
 
   /// Host occupation: max over CPU and memory of reserved/capacity.
   /// Reservations count Creating/Running residents and incoming migrations
@@ -217,6 +219,9 @@ class Datacenter {
   /// the meters.
   void debug_add_resident(HostId h, VmId v);
   void debug_force_place(VmId v, HostId h);
+  /// Shifts the maintained online count by `delta` without touching any
+  /// host (breaks the node-count rule only).
+  void debug_corrupt_node_counts(int delta);
 
   // ---- notifications to the scheduler driver ------------------------------
 
@@ -268,8 +273,12 @@ class Datacenter {
   /// assigning, so every transition is validated or none are.
   void set_host_state(Host& h, HostState to);
 
-  /// Records `h` in the fleet dirty journal (deduplicated).
-  void mark_fleet_dirty(HostId h);
+  /// Records `h` in the fleet dirty journal and on the node-class queue
+  /// (each deduplicated by its own flag).
+  void mark_dirty(HostId h);
+  /// Re-classifies the hosts on the node-class queue and adjusts the
+  /// counts by their class-bit deltas.
+  void settle_node_counts() const;
 
   /// Integrates progress and recomputes shares/power on a host.
   void reallocate(HostId h);
@@ -329,6 +338,22 @@ class Datacenter {
   // drain is a const query from the scheduling policy's point of view.
   mutable std::vector<HostId> fleet_dirty_;
   mutable std::vector<unsigned char> fleet_dirty_flag_;
+
+  // Node-class counts (see online_count()): per-host class bits, one count
+  // per class, and the queue of hosts to re-classify on the next read. A
+  // second queue, not the fleet journal, because FleetState::refresh() is
+  // that journal's single consumer. `mutable` because reads settle it.
+  enum NodeClass : unsigned char {
+    kOnline,
+    kWorking,
+    kBooting,
+    kQuarantinedOn,
+    kNumNodeClasses,
+  };
+  mutable std::vector<unsigned char> node_class_;
+  mutable int node_counts_[kNumNodeClasses] = {};
+  mutable std::vector<HostId> node_dirty_;
+  mutable std::vector<unsigned char> node_dirty_flag_;
 
   // Water-filling scratch for reallocate(), reused across calls: at fleet
   // scale the per-call vectors were a measurable slice of the event

@@ -322,11 +322,12 @@ void SchedulerDriver::round() {
 }
 
 std::size_t SchedulerDriver::backoff_count() const {
-  std::size_t n = 0;
-  for (const RetryState& r : retry_) {
-    if (r.not_before > sim_.now()) ++n;
-  }
-  return n;
+  // Drop the VMs whose gate has passed (or was reset). Simulated time
+  // never runs backwards, so only schedule_retry() can gate them again.
+  const sim::SimTime now = sim_.now();
+  std::erase_if(backoff_,
+                [&](VmId v) { return !(retry_[v].not_before > now); });
+  return backoff_.size();
 }
 
 SchedulerDriver::RetryState& SchedulerDriver::retry_state(VmId v) {
@@ -348,6 +349,9 @@ void SchedulerDriver::schedule_retry(VmId v, bool track_recovery) {
   const double delay = std::min(rp.cap_s, exponential) *
                        (1.0 + rp.jitter * retry_rng_.uniform01());
   r.not_before = sim_.now() + delay;
+  if (std::find(backoff_.begin(), backoff_.end(), v) == backoff_.end()) {
+    backoff_.push_back(v);
+  }
   ++dc_.recorder().counts.retries;
   if (auto* tr = obs::tracer(dc_.recorder())) {
     auto& e = tr->emit(sim_.now(), obs::EventKind::kRetry);
@@ -417,6 +421,7 @@ void SchedulerDriver::evacuate_quarantined() {
   // as capacity allows. Unlike a drain the host is not powered off here —
   // the cooldown decides when it may serve again (the controller may still
   // shed it once idle).
+  if (dc_.quarantined_on_count() == 0) return;
   for (datacenter::HostId h = 0; h < dc_.num_hosts(); ++h) {
     const auto& host = dc_.host(h);
     if (!host.quarantined || host.state != datacenter::HostState::kOn) {

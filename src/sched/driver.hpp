@@ -176,6 +176,9 @@ class SchedulerDriver {
   std::vector<datacenter::VmId> queue_;
   std::vector<datacenter::VmId> eligible_;  ///< round scratch: queue_ minus backoff
   std::vector<RetryState> retry_;
+  /// VMs whose backoff gate was set and not yet seen to pass, each once;
+  /// backoff_count() prunes it, so it stays O(VMs in backoff).
+  mutable std::vector<datacenter::VmId> backoff_;
   std::vector<datacenter::HostId> draining_;
   std::vector<bool> boosted_;  ///< per-VM: demand already boosted
   std::size_t submitted_ = 0;

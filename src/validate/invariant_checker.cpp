@@ -65,6 +65,8 @@ const char* to_string(Rule rule) noexcept {
       return "fleet-snapshot";
     case Rule::kFleetIndex:
       return "fleet-index";
+    case Rule::kNodeCounts:
+      return "node-counts";
   }
   return "?";
 }
@@ -171,6 +173,7 @@ void InvariantChecker::check_datacenter(const Datacenter& dc) {
   check_conservation(dc, t);
   check_capacity(dc, t);
   check_energy(dc, t);
+  check_node_counts(dc, t);
 }
 
 void InvariantChecker::check_conservation(const Datacenter& dc,
@@ -263,6 +266,41 @@ void InvariantChecker::check_capacity(const Datacenter& dc, sim::SimTime t) {
                msg("host %u CPU oversubscribed: %.1f%% reserved of %.1f%%",
                    h, cpu, host.spec.cpu_capacity_pct));
       }
+    }
+  }
+}
+
+void InvariantChecker::check_node_counts(const Datacenter& dc,
+                                         sim::SimTime t) {
+  // The only full recount of the node classes: the Datacenter maintains
+  // them from its mutation marks, so a mismatch means a missed mark.
+  int online = 0;
+  int working = 0;
+  int booting = 0;
+  int quarantined_on = 0;
+  for (HostId h = 0; h < dc.num_hosts(); ++h) {
+    const Host& host = dc.host(h);
+    online += host.is_online() ? 1 : 0;
+    working += host.is_working() ? 1 : 0;
+    booting += host.state == HostState::kBooting ? 1 : 0;
+    quarantined_on +=
+        host.quarantined && host.state == HostState::kOn ? 1 : 0;
+  }
+  const struct {
+    const char* name;
+    int maintained;
+    int recount;
+  } counts[] = {
+      {"online", dc.online_count(), online},
+      {"working", dc.working_count(), working},
+      {"booting", dc.booting_count(), booting},
+      {"quarantined-on", dc.quarantined_on_count(), quarantined_on},
+  };
+  for (const auto& c : counts) {
+    if (c.maintained != c.recount) {
+      report(Rule::kNodeCounts, t,
+             msg("%s count %d but %d hosts by recount", c.name, c.maintained,
+                 c.recount));
     }
   }
 }

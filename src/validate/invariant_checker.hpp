@@ -31,6 +31,9 @@
 //   kFleetIndex        the capacity-bucket index (margins, per-block
 //                      maxima, band histogram) is consistent with the
 //                      snapshot it was built from
+//   kNodeCounts        the Datacenter's maintained online / working /
+//                      booting / quarantined-On counts equal a full
+//                      recount of every host
 //
 // The checker is passive: it never mutates the world. On violation it
 // records a Violation, invokes the `on_violation` callback (the runner
@@ -74,8 +77,9 @@ enum class Rule : std::uint8_t {
   kBreakerTransition,
   kFleetSnapshot,
   kFleetIndex,
+  kNodeCounts,
 };
-inline constexpr int kNumRules = 10;
+inline constexpr int kNumRules = 11;
 
 const char* to_string(Rule rule) noexcept;
 
@@ -102,8 +106,9 @@ class InvariantChecker : public sim::SimObserver {
  public:
   explicit InvariantChecker(CheckerConfig config = {});
 
-  /// Full world sweep: VM conservation, capacity, quarantine legality and
-  /// energy consistency. Called by the driver at the end of every round.
+  /// Full world sweep: VM conservation, capacity, quarantine legality,
+  /// energy consistency and the maintained node counts. Called by the
+  /// driver at the end of every round.
   void check_datacenter(const datacenter::Datacenter& dc);
 
   /// Cache-vs-recompute agreement over every warmed score-matrix cell.
@@ -166,6 +171,7 @@ class InvariantChecker : public sim::SimObserver {
   void check_conservation(const datacenter::Datacenter& dc, sim::SimTime t);
   void check_capacity(const datacenter::Datacenter& dc, sim::SimTime t);
   void check_energy(const datacenter::Datacenter& dc, sim::SimTime t);
+  void check_node_counts(const datacenter::Datacenter& dc, sim::SimTime t);
   void report(Rule rule, sim::SimTime t, std::string message);
 
   CheckerConfig config_;

@@ -183,5 +183,29 @@ TEST(Driver, ManualRoundIsIdempotentOnQuietSystem) {
   EXPECT_EQ(f.dc.online_count(), online);
 }
 
+// The backoff gate is strict (not_before > now): at the very instant a
+// backoff expires the VM is eligible again and no longer counted.
+TEST(Driver, BackoffEndsExactlyAtNotBefore) {
+  faults::FaultPlan plan;
+  plan.enabled = true;
+  plan.spec(faults::FaultOp::kCreate).hang_prob = 1.0;
+  easched::testing::InjectedDc t(plan);
+  DriverConfig config;
+  config.retry = {/*base_s=*/5, /*cap_s=*/300, /*jitter=*/0};
+  policies::BackfillingPolicy policy;
+  SchedulerDriver driver(t.f.simulator, t.f.dc, policy, config);
+  driver.submit_workload(one_job(100, 500, /*submit=*/10));
+  // Placed at t=10, the hung creation is aborted at its deadline 4 x 40 s
+  // later, and the retry is gated until 170 + 5 = 175.
+  t.f.simulator.run_until(170.0);
+  EXPECT_EQ(t.f.dc.vm(0).state, VmState::kQueued);
+  EXPECT_EQ(driver.backoff_count(), 1u);
+  t.f.simulator.run_until(174.5);
+  EXPECT_EQ(driver.backoff_count(), 1u);
+  t.f.simulator.run_until(175.0);
+  EXPECT_EQ(driver.backoff_count(), 0u);
+  EXPECT_EQ(t.f.dc.vm(0).state, VmState::kCreating);  // re-placed at 175
+}
+
 }  // namespace
 }  // namespace easched::sched

@@ -161,11 +161,16 @@ class Fuzzer {
   void check_invariants() {
     double expected_working = 0;
     double expected_online = 0;
+    double expected_booting = 0;
+    double expected_quarantined_on = 0;
 
     for (HostId h = 0; h < dc_->num_hosts(); ++h) {
       const Host& host = dc_->host(h);
       expected_working += host.is_working() ? 1 : 0;
       expected_online += host.is_online() ? 1 : 0;
+      expected_booting += host.state == HostState::kBooting ? 1 : 0;
+      expected_quarantined_on +=
+          host.quarantined && host.state == HostState::kOn ? 1 : 0;
 
       // Residents' states and back-pointers are consistent.
       for (VmId v : host.residents) {
@@ -224,6 +229,9 @@ class Fuzzer {
 
     ASSERT_EQ(dc_->working_count(), static_cast<int>(expected_working));
     ASSERT_EQ(dc_->online_count(), static_cast<int>(expected_online));
+    ASSERT_EQ(dc_->booting_count(), static_cast<int>(expected_booting));
+    ASSERT_EQ(dc_->quarantined_on_count(),
+              static_cast<int>(expected_quarantined_on));
 
     // Every VM's bookkeeping is sane.
     for (VmId v = 0; v < dc_->num_vms(); ++v) {

@@ -8,13 +8,31 @@
 namespace easched::sched {
 namespace {
 
+using datacenter::HostId;
 using datacenter::HostState;
 using datacenter::VmId;
 using easched::testing::SmallDc;
 using easched::testing::make_job;
 
+/// The backfilling policy's power picks, with every hook call counted.
+struct CountingPolicy : policies::BackfillingPolicy {
+  int power_on_calls = 0;
+  int power_off_calls = 0;
+
+  HostId choose_power_on(const SchedContext& ctx,
+                         const std::vector<HostId>& off_hosts) override {
+    ++power_on_calls;
+    return BackfillingPolicy::choose_power_on(ctx, off_hosts);
+  }
+  HostId choose_power_off(const SchedContext& ctx,
+                          const std::vector<HostId>& idle_hosts) override {
+    ++power_off_calls;
+    return BackfillingPolicy::choose_power_off(ctx, idle_hosts);
+  }
+};
+
 struct ControllerHarness : SmallDc {
-  policies::BackfillingPolicy policy;
+  CountingPolicy policy;
   support::Rng rng{5};
   std::vector<VmId> queue;
 
@@ -75,38 +93,51 @@ TEST(PowerController, BandIsStable) {
   for (int i = 0; i < 3; ++i) f.admit_and_place(make_job(), i);
   f.update({0.30, 0.90, 1, true});
   const int online = f.dc.online_count();
-  // Re-running the controller on an unchanged system must change nothing.
+  // Re-running the controller on an unchanged system must change nothing;
+  // neither side acts, so neither hook runs.
+  f.policy.power_on_calls = f.policy.power_off_calls = 0;
   f.update({0.30, 0.90, 1, true});
   EXPECT_EQ(f.dc.online_count(), online);
+  EXPECT_EQ(f.policy.power_on_calls, 0);
+  EXPECT_EQ(f.policy.power_off_calls, 0);
   EXPECT_GE(3.0 / online, 0.30);
   EXPECT_LE(3.0 / online, 0.90);
 }
 
+/// One busy medium host on, then three off hosts of different specs, and
+/// a queued VM too large for what is left on the busy host.
+struct StarvedHarness : ControllerHarness {
+  StarvedHarness() : ControllerHarness(4, [] {
+    datacenter::DatacenterConfig base;
+    base.hosts = {datacenter::HostSpec::medium(), datacenter::HostSpec::slow(),
+                  datacenter::HostSpec::fast(), datacenter::HostSpec::medium()};
+    base.initially_on = 1;
+    return base;
+  }()) {
+    admit_and_place(make_job(300, 512, 50000), 0);
+    simulator.run_until(100.0);
+    queue.push_back(dc.admit_job(make_job(200, 512)));
+  }
+};
+
 TEST(PowerController, QueuedVmThatFitsNowhereForcesTurnOn) {
-  datacenter::DatacenterConfig base;
-  base.initially_on = 1;
-  ControllerHarness f(3, base);
-  f.admit_and_place(make_job(300, 512, 50000), 0);
-  f.simulator.run_until(100.0);
+  StarvedHarness f;
   // Ratio is 1/1 = 1 > 0.9 anyway; make lambda_max huge to isolate the
   // starvation rule.
-  f.queue.push_back(f.dc.admit_job(make_job(200, 512)));
   PowerControllerConfig config{0.0, 100.0, 1, true};
   f.update(config);
   EXPECT_EQ(f.dc.online_count(), 2);  // booted one node for the stuck VM
+  EXPECT_EQ(f.policy.power_on_calls, 1);
+  EXPECT_EQ(f.dc.host(2).state, HostState::kBooting);  // the fast booter
 }
 
 TEST(PowerController, NoForcedTurnOnWhileBooting) {
-  datacenter::DatacenterConfig base;
-  base.initially_on = 1;
-  ControllerHarness f(3, base);
-  f.admit_and_place(make_job(300, 512, 50000), 0);
-  f.simulator.run_until(100.0);
-  f.queue.push_back(f.dc.admit_job(make_job(200, 512)));
+  StarvedHarness f;
   PowerControllerConfig config{0.0, 100.0, 1, true};
   f.update(config);
   f.update(config);  // second call: a node is already booting
   EXPECT_EQ(f.dc.online_count(), 2);
+  EXPECT_EQ(f.policy.power_on_calls, 1);
 }
 
 TEST(PowerController, NeverTurnsOffWhileQueueNonEmpty) {

@@ -103,6 +103,20 @@ TEST(InvariantChecker, CatchesMemoryOversubscription) {
   EXPECT_EQ(other_rule_count(ck, Rule::kCapacity), 0u);
 }
 
+TEST(InvariantChecker, CatchesDriftedNodeCounts) {
+  SmallDc f(3);
+  f.admit_and_place(make_job(), 0);
+  f.dc.power_off(2);
+  InvariantChecker ck;
+  ck.check_datacenter(f.dc);
+  ASSERT_TRUE(ck.ok());
+
+  f.dc.debug_corrupt_node_counts(+1);  // the online count drifts
+  ck.check_datacenter(f.dc);
+  EXPECT_EQ(ck.count(Rule::kNodeCounts), 1u);
+  EXPECT_EQ(other_rule_count(ck, Rule::kNodeCounts), 0u);
+}
+
 TEST(InvariantChecker, CatchesIllegalPowerTransition) {
   InvariantChecker ck;
   ck.on_host_transition(5.0, 0, HostState::kOff, HostState::kBooting);
