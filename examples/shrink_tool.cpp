@@ -60,12 +60,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-#if !EASCHED_VALIDATE_ENABLED
-  std::fprintf(stderr,
-               "warning: built with EASCHED_VALIDATE=OFF — the checker "
-               "hooks are compiled out, nothing can reproduce\n");
-#endif
-
   validate::ReproBundle bundle =
       validate::read_repro_bundle_file(bundle_path);
   std::printf("bundle: %s — %zu jobs, violation \"%s\" at t=%.3f\n",

@@ -5,23 +5,14 @@
 #   1. default build      — full test suite, then the validate-labelled
 #                           tests again with run-time checking forced on
 #                           for every experiment (EASCHED_VALIDATE=1)
-#   2. AddressSanitizer   — validate + faults + resilience + telemetry +
-#                           sched suites (sched: the power controller and
-#                           driver read the Datacenter's maintained
-#                           per-host node-class state)
-#   3. ThreadSanitizer    — validate + solver + resilience suites (the
-#                           threaded solver and the ladder's thread-count
-#                           determinism under the checker)
-#   4. EASCHED_VALIDATE=OFF — compile-out check: the hook call sites must
-#                           vanish and the validate suite must still pass
-#                           (the checker itself is always built)
-#   5. EASCHED_RESILIENCE=OFF — same compile-out check for the resilience
-#                           control plane (tests drive the controller
-#                           directly, so its suite must still pass)
-#   6. EASCHED_TELEMETRY=OFF — same compile-out check for the live
-#                           telemetry plane (ring/serialisation/alert-engine
-#                           tests drive the classes directly and must still
-#                           pass; the sampling end-to-end tests compile out)
+#   2. AddressSanitizer + UndefinedBehaviorSanitizer — validate + faults +
+#                           resilience + telemetry + sched + obs suites
+#                           (sched: the power controller and driver read
+#                           the Datacenter's maintained per-host node-class
+#                           state)
+#   3. ThreadSanitizer    — validate + solver + resilience + fleet suites
+#                           (the threaded solver and the ladder's
+#                           thread-count determinism under the checker)
 #
 # Usage: scripts/run_validation.sh [fast]
 #   fast — default build only (step 1); CI tier-1 runs this.
@@ -70,30 +61,15 @@ if [ "$fast" = "fast" ]; then
   exit 0
 fi
 
-echo "== address-sanitized build: validate + faults + resilience + telemetry + sched =="
+echo "== address+UB-sanitized build: validate + faults + resilience + telemetry + sched + obs =="
 build "$repo/build-validate-asan" -DEASCHED_SANITIZE=address
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-asan" \
-  -L "validate|faults|resilience|telemetry|sched" --output-on-failure \
+  -L "validate|faults|resilience|telemetry|sched|obs" --output-on-failure \
   -j"$(nproc)"
 
 echo "== thread-sanitized build: validate + solver + resilience + fleet =="
 build "$repo/build-validate-tsan" -DEASCHED_SANITIZE=thread
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-tsan" \
   -L "validate|solver|resilience|fleet" --output-on-failure -j"$(nproc)"
-
-echo "== EASCHED_VALIDATE=OFF build: hooks compiled out =="
-build "$repo/build-validate-off" -DEASCHED_VALIDATE=OFF
-EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-off" -L validate \
-  --output-on-failure -j"$(nproc)"
-
-echo "== EASCHED_RESILIENCE=OFF build: control-plane hooks compiled out =="
-build "$repo/build-resilience-off" -DEASCHED_RESILIENCE=OFF
-ctest --test-dir "$repo/build-resilience-off" -L resilience \
-  --output-on-failure -j"$(nproc)"
-
-echo "== EASCHED_TELEMETRY=OFF build: sampling hooks compiled out =="
-build "$repo/build-telemetry-off" -DEASCHED_TELEMETRY=OFF
-ctest --test-dir "$repo/build-telemetry-off" -L telemetry \
-  --output-on-failure -j"$(nproc)"
 
 echo "validation matrix OK"

@@ -25,7 +25,7 @@ max_tests="${3:-2000}"
 
 build_dir="$repo/build-validate"
 cmake -S "$repo" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
-  -DEASCHED_VALIDATE=ON -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_BENCH=OFF \
+  -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_BENCH=OFF \
   >/dev/null
 cmake --build "$build_dir" --target shrink_tool -j"$(nproc)" >/dev/null
 

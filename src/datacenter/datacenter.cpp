@@ -132,12 +132,6 @@ int Datacenter::quarantined_on_count() const {
   return node_counts_[kQuarantinedOn];
 }
 
-int Datacenter::offline_available_count() const {
-  int n = 0;
-  for (const auto& h : hosts_) n += h.state == HostState::kOff ? 1 : 0;
-  return n;
-}
-
 double Datacenter::reserved_cpu_pct(HostId h) const {
   const Host& host = hosts_[h];
   double cpu = 0;

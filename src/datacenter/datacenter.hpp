@@ -115,8 +115,6 @@ class Datacenter {
   [[nodiscard]] int booting_count() const;
   /// Quarantined hosts still On (the driver's evacuation candidates).
   [[nodiscard]] int quarantined_on_count() const;
-  /// Off hosts (not failed); a full O(hosts) scan.
-  [[nodiscard]] int offline_available_count() const;
 
   /// Host occupation: max over CPU and memory of reserved/capacity.
   /// Reservations count Creating/Running residents and incoming migrations

@@ -31,18 +31,14 @@ std::string inline_fault_spec(const faults::FaultPlan& plan) {
 RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   EA_EXPECTS(!jobs.empty());
 
-#if EASCHED_VALIDATE_ENABLED
   if (!config.validate.enabled) {
-    // Runtime half of the switch: flip validation on without recompiling.
+    // Flip validation on from the environment without touching the config.
     const char* env = std::getenv("EASCHED_VALIDATE");
     if (env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0')) {
       config.validate.enabled = true;
     }
   }
-#else
-  config.validate.enabled = false;
-#endif
 
   sim::Simulator simulator;
   metrics::Recorder recorder(config.datacenter.hosts.size());
@@ -73,15 +69,11 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
     }
   }
 
-#if EASCHED_RESILIENCE_ENABLED
   std::optional<resilience::ResilienceController> res;
   if (config.resilience.enabled) {
     res.emplace(config.resilience, recorder, config.datacenter.hosts.size());
     recorder.resilience = &*res;
   }
-#else
-  config.resilience.enabled = false;
-#endif
 
   datacenter::Datacenter dc(simulator, config.datacenter, recorder);
 
@@ -146,7 +138,7 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
 
   // Live telemetry: register the sampling periodic only when a plane is
   // enabled — an untouched run schedules no extra events and stays
-  // bit-identical to a build without the telemetry layer.
+  // bit-identical to a run with no telemetry plane.
   obs::TelemetryPlane* telemetry = obs::telemetry(recorder);
   obs::TelemetryPlane::Sources telemetry_src;
   if (telemetry != nullptr) {
@@ -216,8 +208,8 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
     simulator.set_observer(nullptr);
     recorder.validator = nullptr;
   }
-  // Post-run aggregation, not hot-path instrumentation: works even with
-  // EASCHED_TRACE=OFF so --metrics-out survives instrumentation-free builds.
+  // Post-run aggregation, not hot-path instrumentation: runs whenever a
+  // bundle is attached, whichever of its instruments are enabled.
   if (config.obs != nullptr) {
     config.obs->registry.set_sim_time(simulator.now());
     obs::publish_run_metrics(recorder, config.obs->registry);

@@ -19,7 +19,7 @@ namespace easched::experiments {
 
 /// Run-time invariant checking (see validate/). Enabled explicitly here or
 /// via the EASCHED_VALIDATE environment variable (any non-empty value
-/// other than "0"); a build with EASCHED_VALIDATE=OFF ignores both.
+/// other than "0").
 struct RunValidation {
   bool enabled = false;
   validate::CheckerConfig checker;
@@ -47,8 +47,7 @@ struct RunConfig {
   /// with the degradation ladder, admission control, and per-host circuit
   /// breakers. Inert by default; parse from a CLI `--resilience=` spec with
   /// parse_resilience_spec(). A fault plan with breaker_threshold > 0 arms
-  /// the breakers even when this is otherwise disabled. Ignored entirely in
-  /// EASCHED_RESILIENCE=OFF builds.
+  /// the breakers even when this is otherwise disabled.
   resilience::ResilienceConfig resilience;
 
   /// Hard simulation-time cap as a safety net against pathological stalls;

@@ -169,18 +169,18 @@ struct Recorder {
   /// Optional observability bundle for the run (tracer / metrics registry
   /// / phase profiler); not owned. The recorder already flows through
   /// every instrumented layer, so it carries the pointer — access it via
-  /// the compile-gated helpers in obs/obs.hpp, never directly.
+  /// the helpers in obs/obs.hpp, never directly.
   obs::Observability* obs = nullptr;
 
   /// Optional run-time invariant checker (see validate/); not owned. Rides
   /// on the recorder for the same reason as `obs`: every instrumented
-  /// layer already receives the recorder. Access via the compile-gated
-  /// helper in validate/validate.hpp, never directly.
+  /// layer already receives the recorder. Access via the helper in
+  /// validate/validate.hpp, never directly.
   validate::InvariantChecker* validator = nullptr;
 
   /// Optional resilience controller (see resilience/); not owned. Same
-  /// ride-on-the-recorder pattern as `obs` and `validator`. Access via the
-  /// compile-gated helper in resilience/resilience.hpp, never directly.
+  /// ride-on-the-recorder pattern as `obs` and `validator`. Access via
+  /// the helper in resilience/resilience.hpp, never directly.
   resilience::ResilienceController* resilience = nullptr;
 
   /// Total energy in kWh up to time t.

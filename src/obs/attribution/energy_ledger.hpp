@@ -25,9 +25,8 @@
 // so ledger state — and the run_summary.json built from it — is
 // byte-identical across EASCHED_SOLVER_THREADS / EASCHED_SWEEP_THREADS.
 //
-// Like the Tracer, the ledger is a null sink until enable() is called and
-// its instrumentation call sites are compiled out entirely with
-// EASCHED_TRACE=OFF (see obs/obs.hpp).
+// Like the Tracer, the ledger is a null sink until enable() is called
+// (see obs/obs.hpp).
 #pragma once
 
 #include <cstdint>

@@ -54,9 +54,7 @@ const char* rung_name(std::size_t rung) {
   }
 }
 
-// [[maybe_unused]]: only referenced when EASCHED_TRACE_ENABLED.
-[[maybe_unused]] void write_energy(std::ostream& os,
-                                   const EnergyLedger& ledger) {
+void write_energy(std::ostream& os, const EnergyLedger& ledger) {
   bool first = true;
   os << "\"energy\":{";
   write_num(os, "total_j", ledger.total_j(), first);
@@ -108,8 +106,7 @@ const char* rung_name(std::size_t rung) {
   os << '}';
 }
 
-[[maybe_unused]] void write_decisions(std::ostream& os,
-                                      const DecisionLog& log) {
+void write_decisions(std::ostream& os, const DecisionLog& log) {
   const DecisionLog::Summary s = log.summarize();
   bool first = true;
   os << "\"decisions\":{";
@@ -217,7 +214,6 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
     os << "]},";
   }
 
-#if EASCHED_TRACE_ENABLED
   if (obs != nullptr && obs->ledger.enabled()) {
     write_energy(os, obs->ledger);
     os << ',';
@@ -226,9 +222,6 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
     write_decisions(os, obs->decisions);
     os << ',';
   }
-#else
-  (void)obs;
-#endif
 
   write_metrics(os, report.metrics);
   os << "}\n";

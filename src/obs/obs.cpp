@@ -49,7 +49,6 @@ void publish_run_metrics(const metrics::Recorder& rec,
       "robust.recovery_s", {1, 5, 15, 60, 300, 1800, 7200});
   for (double s : rec.recovery_s) recovery.observe(s);
 
-#if EASCHED_TRACE_ENABLED
   if (rec.obs != nullptr && rec.obs->ledger.enabled()) {
     const EnergyLedger& ledger = rec.obs->ledger;
     registry.gauge("energy.total_j").set(ledger.total_j());
@@ -94,7 +93,6 @@ void publish_run_metrics(const metrics::Recorder& rec,
           .set(s.dominant_counts[i]);
     }
   }
-#endif  // EASCHED_TRACE_ENABLED
 }
 
 }  // namespace easched::obs

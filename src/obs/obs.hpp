@@ -1,4 +1,4 @@
-// The observability bundle and its compile-gated access path.
+// The observability bundle and its access path.
 //
 // An `Observability` owns the three instruments a run can carry — event
 // tracer, metrics registry, phase profiler — and travels with the run's
@@ -13,11 +13,9 @@
 //     tr->emit(now, EventKind::kPowerOn).host = h;
 //   }
 //
-// With EASCHED_TRACE=OFF the accessors are constexpr nullptr, the branch
-// folds away, and the whole call site is dead code — the compile-time half
-// of the zero-cost guarantee. With tracing compiled in but not enabled,
-// each accessor is a pointer load plus a flag test — the runtime null
-// sink.
+// An instrument that is absent or not enabled is a null sink: the
+// accessor is a pointer load plus a flag test, and the call site's branch
+// is skipped.
 #pragma once
 
 #include "metrics/accumulators.hpp"
@@ -27,10 +25,6 @@
 #include "obs/profiler.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "obs/trace.hpp"
-
-#ifndef EASCHED_TRACE_ENABLED
-#define EASCHED_TRACE_ENABLED 1
-#endif
 
 namespace easched::obs {
 
@@ -45,8 +39,6 @@ struct Observability {
   DecisionLog decisions;
   TelemetryPlane telemetry;
 };
-
-#if EASCHED_TRACE_ENABLED
 
 /// The run's tracer, or nullptr when absent or not enabled.
 [[nodiscard]] inline Tracer* tracer(const metrics::Recorder& rec) noexcept {
@@ -75,47 +67,12 @@ struct Observability {
   return (o != nullptr && o->decisions.enabled()) ? &o->decisions : nullptr;
 }
 
-#endif  // EASCHED_TRACE_ENABLED
-
-#if EASCHED_TELEMETRY_ENABLED
-
-/// The run's telemetry plane, or nullptr when absent or not enabled. Gated
-/// by its own EASCHED_TELEMETRY option (mirroring EASCHED_TRACE) so the
-/// sampling periodic and every capture call site compile out with it.
+/// The run's telemetry plane, or nullptr when absent or not enabled.
 [[nodiscard]] inline TelemetryPlane* telemetry(
     const metrics::Recorder& rec) noexcept {
   Observability* o = rec.obs;
   return (o != nullptr && o->telemetry.enabled()) ? &o->telemetry : nullptr;
 }
-
-#else  // telemetry compiled out: accessor folds to constant nullptr
-
-[[nodiscard]] constexpr TelemetryPlane* telemetry(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-
-#endif  // EASCHED_TELEMETRY_ENABLED
-
-#if !EASCHED_TRACE_ENABLED  // accessors fold to constant nullptr
-
-[[nodiscard]] constexpr Tracer* tracer(const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-[[nodiscard]] constexpr PhaseProfiler* profiler(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-[[nodiscard]] constexpr EnergyLedger* ledger(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-[[nodiscard]] constexpr DecisionLog* decisions(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-
-#endif  // EASCHED_TRACE_ENABLED
 
 /// Publishes the recorder's run counters — the table counters and the PR 2
 /// robustness counters — into `registry` as named instruments, plus the

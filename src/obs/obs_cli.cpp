@@ -82,11 +82,6 @@ void configure(Observability& o, const ObsOptions& opts) {
     o.decisions.enable();
   }
   if (wants_telemetry(opts)) {
-#if !EASCHED_TELEMETRY_ENABLED
-    std::fprintf(stderr,
-                 "easched: warning: telemetry flags given but the build has "
-                 "EASCHED_TELEMETRY=OFF; no samples will be taken\n");
-#endif
     TelemetryConfig tc;
     tc.period_s = opts.telemetry_period_s;
     tc.ring_capacity = opts.telemetry_ring;

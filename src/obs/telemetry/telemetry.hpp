@@ -30,10 +30,9 @@
 // across EASCHED_SOLVER_THREADS / EASCHED_SWEEP_THREADS values. The
 // telemetry ctest gate asserts this.
 //
-// Compile-out mirrors EASCHED_TRACE: with EASCHED_TELEMETRY=OFF the
-// `obs::telemetry()` accessor (obs.hpp) folds to constexpr nullptr and the
-// runner's sampling periodic is dead code; the classes themselves are
-// always built so tests can drive them directly.
+// Like the Tracer, the plane is a null sink until enable() is called: the
+// `obs::telemetry()` accessor (obs.hpp) returns nullptr and the runner
+// registers no sampling periodic.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +43,6 @@
 
 #include "obs/telemetry/alerts.hpp"
 #include "sim/time.hpp"
-
-#ifndef EASCHED_TELEMETRY_ENABLED
-#define EASCHED_TELEMETRY_ENABLED 1
-#endif
 
 namespace easched::datacenter {
 class Datacenter;

@@ -33,9 +33,9 @@
 //
 // Plumbing mirrors obs/ and validate/: the controller travels with the
 // run's metrics::Recorder as a nullable pointer (Recorder::resilience)
-// behind the compile-gated accessor below. With EASCHED_RESILIENCE=OFF
-// the accessor folds to constexpr nullptr and every call site is dead
-// code; the class itself is always built so tests can drive it directly.
+// behind the accessor below. With no controller attached the accessor
+// returns nullptr and every call site's branch is skipped; tests can
+// also drive the class directly.
 //
 // Determinism contract: every input the controller consumes — solver
 // move counts, queue depths, operation outcomes, sim-time stamps — is
@@ -53,16 +53,12 @@
 #include "resilience/health.hpp"
 #include "sim/time.hpp"
 
-#ifndef EASCHED_RESILIENCE_ENABLED
-#define EASCHED_RESILIENCE_ENABLED 1
-#endif
-
 namespace easched::resilience {
 
 struct ResilienceConfig {
   /// Master switch; parse_resilience_spec() sets it, and a
   /// default-constructed config is inert so existing setups are
-  /// bit-identical to a build without the controller.
+  /// bit-identical to a run without the controller.
   bool enabled = false;
 
   // ---- solver deadline watchdog + degradation ladder --------------------
@@ -175,7 +171,7 @@ class ResilienceController {
   /// Healthy). Inline so the per-cell fits/score hot path can skip the
   /// allows_placement() call entirely while the whole fleet is healthy —
   /// the common case, and the reason an idle controller stays within the
-  /// bench_resilience_smoke overhead budget.
+  /// `bench_overhead --component=resilience` budget.
   [[nodiscard]] bool may_veto_placement() const noexcept {
     return not_healthy_ > 0;
   }
@@ -229,21 +225,10 @@ class ResilienceController {
   std::size_t not_healthy_ = 0;  ///< breakers currently not Healthy
 };
 
-#if EASCHED_RESILIENCE_ENABLED
-
 /// The run's resilience controller, or nullptr when none is attached.
 [[nodiscard]] inline ResilienceController* controller(
     const metrics::Recorder& rec) noexcept {
   return rec.resilience;
 }
-
-#else  // resilience compiled out: accessor folds to constant nullptr
-
-[[nodiscard]] constexpr ResilienceController* controller(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-
-#endif  // EASCHED_RESILIENCE_ENABLED
 
 }  // namespace easched::resilience

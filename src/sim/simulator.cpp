@@ -42,9 +42,7 @@ void Simulator::cancel_periodic(PeriodicHandle handle) {
 void Simulator::step() {
   auto fired = queue_.pop();
   EA_ASSERT(fired.time >= now_);
-#if EASCHED_VALIDATE_ENABLED
   if (observer_ != nullptr) observer_->on_event_dispatched(fired.time);
-#endif
   now_ = fired.time;
   ++dispatched_;
   fired.action();

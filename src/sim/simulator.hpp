@@ -18,16 +18,11 @@
 #include "sim/time.hpp"
 #include "support/contracts.hpp"
 
-#ifndef EASCHED_VALIDATE_ENABLED
-#define EASCHED_VALIDATE_ENABLED 1
-#endif
-
 namespace easched::sim {
 
 /// Hook interface for run-time validation (see validate/). The simulator
-/// notifies the attached observer on every dispatched event; with
-/// EASCHED_VALIDATE=OFF the call site in step() is compiled out entirely,
-/// with it ON but no observer attached the cost is one pointer test.
+/// notifies the attached observer on every dispatched event; with no
+/// observer attached the cost is one pointer test.
 class SimObserver {
  public:
   virtual ~SimObserver() = default;

@@ -40,9 +40,8 @@
 // uses this to emit an obs trace event and write a repro bundle), and —
 // when configured — aborts the process for fail-fast debugging.
 //
-// Access from instrumented layers goes through validate/validate.hpp,
-// which compiles to nothing under EASCHED_VALIDATE=OFF. This class itself
-// is always built, so tests can drive it directly in either configuration.
+// Access from instrumented layers goes through validate/validate.hpp;
+// tests can also drive this class directly.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// Compile-gated access path to the run's invariant checker.
+// Access path to the run's invariant checker.
 //
 // Mirrors obs/obs.hpp: the checker travels with the run's
 // `metrics::Recorder` as a nullable pointer (`Recorder::validator`), so
@@ -11,36 +11,20 @@
 //     ck->check_datacenter(dc);
 //   }
 //
-// With EASCHED_VALIDATE=OFF the accessor is constexpr nullptr, the branch
-// folds away, and the whole call site is dead code — the compile-time half
-// of the zero-cost guarantee. With validation compiled in but no checker
-// attached, each call site is one pointer load and test.
+// With no checker attached, each call site is one pointer load and test.
+// Checking is requested at run time (RunConfig.validate, or the
+// EASCHED_VALIDATE=1 environment variable; see experiments/runner.hpp).
 #pragma once
 
 #include "metrics/accumulators.hpp"
 #include "validate/invariant_checker.hpp"
 
-#ifndef EASCHED_VALIDATE_ENABLED
-#define EASCHED_VALIDATE_ENABLED 1
-#endif
-
 namespace easched::validate {
-
-#if EASCHED_VALIDATE_ENABLED
 
 /// The run's invariant checker, or nullptr when none is attached.
 [[nodiscard]] inline InvariantChecker* checker(
     const metrics::Recorder& rec) noexcept {
   return rec.validator;
 }
-
-#else  // validation compiled out: accessor folds to constant nullptr
-
-[[nodiscard]] constexpr InvariantChecker* checker(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-
-#endif  // EASCHED_VALIDATE_ENABLED
 
 }  // namespace easched::validate

@@ -261,7 +261,6 @@ TEST(PowerStates, WorkingAndOnlineCounters) {
   EXPECT_EQ(f.dc.working_count(), 0);
   f.admit_and_place(make_job(), 0);
   EXPECT_EQ(f.dc.working_count(), 1);
-  EXPECT_EQ(f.dc.offline_available_count(), 1);
 }
 
 // ---- demand boost -----------------------------------------------------------

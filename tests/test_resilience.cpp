@@ -462,11 +462,6 @@ experiments::RunResult run_overload(int solver_threads) {
   return experiments::run_experiment(burst_workload(), std::move(config));
 }
 
-// The active-controller scenarios need the runner wiring, which folds away
-// in EASCHED_RESILIENCE=OFF builds (the determinism-across-repeats and
-// inert-identity tests below still hold there and stay enabled).
-#if EASCHED_RESILIENCE_ENABLED
-
 TEST(OverloadScenario, DownshiftsShedsRecoversAndFinishes) {
   const auto result = run_overload(1);
   EXPECT_FALSE(result.hit_horizon);
@@ -531,8 +526,6 @@ TEST(OverloadScenario, FaultPlanBreakerKeysArmTheBreakers) {
   EXPECT_EQ(result.jobs_finished, result.jobs_submitted);
   EXPECT_GT(result.report.breaker_opens, 0u);
 }
-
-#endif  // EASCHED_RESILIENCE_ENABLED
 
 TEST(RunnerIdentity, InertControllerIsBitIdenticalToNoController) {
   const auto run = [](bool with_inert_controller) {

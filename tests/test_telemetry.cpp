@@ -300,8 +300,6 @@ TEST(Dashboard, RendersHeadlineAndAlerts) {
 
 // ---- TelemetryPlane end-to-end ---------------------------------------------
 
-#if EASCHED_TELEMETRY_ENABLED
-
 /// Runs the shared small scenario with a telemetry plane attached and
 /// returns the MemorySink's captured stream.
 std::vector<TelemetrySnapshot> run_sampled(const std::string& alerts = "") {
@@ -410,8 +408,6 @@ TEST(TelemetryPlane, FinishTakesClosingSampleAndSinksSeeEverySample) {
   // finish() closes the stream at the run's end time.
   EXPECT_DOUBLE_EQ(snaps.back().t, result.end_time_s);
 }
-
-#endif  // EASCHED_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace easched::obs

@@ -290,9 +290,7 @@ TEST(ReproBundle, RejectsMalformedInput) {
 // ---- end-to-end: validated runs stay clean ----------------------------------
 //
 // These drive the real hook sites (driver round sweep, datacenter power
-// transitions, simulator event stream, score-policy cache audit), so they
-// only exist when the hooks are compiled in.
-#if EASCHED_VALIDATE_ENABLED
+// transitions, simulator event stream, score-policy cache audit).
 
 TEST(ValidatedRun, CleanPoliciesProduceNoViolations) {
   const auto jobs = small_week();
@@ -368,8 +366,6 @@ TEST(ValidatedRun, EnvVarSwitchesCheckingOn) {
   EXPECT_EQ(on.events_dispatched, off.events_dispatched);
   EXPECT_DOUBLE_EQ(on.report.energy_kwh, off.report.energy_kwh);
 }
-
-#endif  // EASCHED_VALIDATE_ENABLED
 
 }  // namespace
 }  // namespace easched::validate
