@@ -11,7 +11,6 @@
 #include "core/hill_climb.hpp"
 #include "core/score_based_policy.hpp"
 #include "core/score_matrix.hpp"
-#include "core/solver_pool.hpp"
 #include "datacenter/xen_scheduler.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/setup.hpp"
@@ -158,22 +157,20 @@ struct ScalingFixture {
 
 /// solver_scaling: one consolidation round (matrix build + solve) at fleet
 /// sizes 100 / 400 / 1600, comparing the seed implementation
-/// (hill_climb_reference, full-matrix rescan per iteration), the
-/// incremental production solver, and the incremental solver over a 4-way
-/// SolverPool. All three produce bit-identical plans
+/// (hill_climb_reference, full-matrix rescan per iteration) with the
+/// incremental production solver. Both produce bit-identical plans
 /// (tests/test_solver_equivalence.cpp); only the time differs.
 template <typename Solve>
-void solver_scaling_round(benchmark::State& state, const Solve& solve,
-                          core::SolverPool* pool = nullptr) {
+void solver_scaling_round(benchmark::State& state, const Solve& solve) {
   ScalingFixture fx(static_cast<int>(state.range(0)));
   core::ScoreParams params;
   for (auto _ : state) {
-    core::ScoreModel model(fx.dc, fx.queue, params, /*migration=*/true, pool);
+    core::ScoreModel model(fx.dc, fx.queue, params, /*migration=*/true);
     auto stats = solve(model);
     benchmark::DoNotOptimize(stats.moves);
   }
   state.counters["moves"] = static_cast<double>([&] {
-    core::ScoreModel model(fx.dc, fx.queue, params, true, pool);
+    core::ScoreModel model(fx.dc, fx.queue, params, true);
     return solve(model).moves;
   }());
 }
@@ -193,18 +190,6 @@ void BM_SolverScaling_Incremental(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SolverScaling_Incremental)
-    ->Arg(100)->Arg(400)->Arg(1600)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SolverScaling_Threaded4(benchmark::State& state) {
-  core::SolverPool pool(4);
-  core::HillClimbLimits limits;
-  limits.pool = &pool;
-  solver_scaling_round(state, [&](core::ScoreModel& model) {
-    return core::hill_climb(model, limits);
-  }, &pool);
-}
-BENCHMARK(BM_SolverScaling_Threaded4)
     ->Arg(100)->Arg(400)->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 

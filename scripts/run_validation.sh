@@ -10,9 +10,10 @@
 #                           (sched: the power controller and driver read
 #                           the Datacenter's maintained per-host node-class
 #                           state)
-#   3. ThreadSanitizer    — validate + solver + resilience + fleet suites
-#                           (the threaded solver and the ladder's
-#                           thread-count determinism under the checker)
+#   3. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
+#                           suites (sweep covers SweepRunner, the only
+#                           library code that starts threads; the other
+#                           suites stay as a wider net)
 #
 # Usage: scripts/run_validation.sh [fast]
 #   fast — default build only (step 1); CI tier-1 runs this.
@@ -67,9 +68,9 @@ EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-asan" \
   -L "validate|faults|resilience|telemetry|sched|obs" --output-on-failure \
   -j"$(nproc)"
 
-echo "== thread-sanitized build: validate + solver + resilience + fleet =="
+echo "== thread-sanitized build: validate + solver + resilience + fleet + sweep =="
 build "$repo/build-validate-tsan" -DEASCHED_SANITIZE=thread
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-tsan" \
-  -L "validate|solver|resilience|fleet" --output-on-failure -j"$(nproc)"
+  -L "validate|solver|resilience|fleet|sweep" --output-on-failure -j"$(nproc)"
 
 echo "validation matrix OK"

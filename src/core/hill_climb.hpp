@@ -19,12 +19,9 @@
 //     rows) to maintain a per-column blocked argmin incrementally, so an
 //     iteration costs O(cols x (block + rows/block)) instead of
 //     O(rows x cols) — an ~8x round speedup at 1600 hosts
-//     (bench_micro solver_scaling, BENCH_solver.json).
-//     With a SolverPool in the limits, the initial sweep and per-iteration
-//     column updates run chunked over the pool; per-column state is
-//     disjoint and the global reduction happens on the calling thread in
-//     ascending column order, so serial and threaded runs are bit-identical
-//     (tests/test_solver_equivalence.cpp compares full move traces).
+//     (bench_micro solver_scaling, BENCH_solver.json). Its move trace is
+//     bit-identical to the reference's (tests/test_solver_equivalence.cpp
+//     compares full move traces).
 //
 // The solver is generic over the model so the paper's worked 5x6 example
 // matrix (and any toy model in the tests) can be optimized with exactly the
@@ -45,7 +42,6 @@
 #include <vector>
 
 #include "core/score.hpp"
-#include "core/solver_pool.hpp"
 
 namespace easched::core {
 
@@ -79,10 +75,6 @@ struct HillClimbLimits {
   /// real cost the matrix only approximates) are not taken.
   double min_gain = 1e-9;
   double min_migration_gain = 1e-9;
-  /// Optional thread pool (not owned) for the initial sweep and the
-  /// per-iteration column updates. Null or single-threaded pools run
-  /// serially; results are identical either way.
-  SolverPool* pool = nullptr;
 };
 
 /// The executable specification (the seed implementation): full-matrix
@@ -157,7 +149,7 @@ HillClimbStats hill_climb_reference(Model& model,
 
 /// The production solver: identical move sequence to hill_climb_reference()
 /// (bit-identical deltas and final plan), with incremental per-column
-/// argmin maintenance and optional threading. See the header comment.
+/// argmin maintenance. See the header comment.
 ///
 /// Per-column argmin structure: rows are grouped into fixed blocks of
 /// kArgminBlock; each column keeps the lexicographic (delta, row) minimum
@@ -175,11 +167,8 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   const int vrow = model.virtual_row();
   if (cols == 0 || rows <= 1) return stats;
 
-  SolverPool* pool =
-      limits.pool != nullptr && limits.pool->threads() > 1 ? limits.pool
-                                                           : nullptr;
   if constexpr (requires { model.prime(); }) {
-    model.prime();  // row-partitioned initial matrix build (cached models)
+    model.prime();  // initial matrix build (cached models)
   }
 
   // kArgminBlock (core/score.hpp) is shared with the fleet bucket index:
@@ -248,17 +237,7 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
     reduce_col(c);
   };
 
-  const auto for_cols = [&](const auto& fn) {
-    if (pool != nullptr) {
-      pool->parallel_for(cols, [&fn](int begin, int end) {
-        for (int c = begin; c < end; ++c) fn(c);
-      });
-    } else {
-      for (int c = 0; c < cols; ++c) fn(c);
-    }
-  };
-
-  for_cols(recompute_col);
+  for (int c = 0; c < cols; ++c) recompute_col(c);
 
   while (stats.moves < limits.max_moves) {
     // Deterministic reduction over the per-column bests, in ascending
@@ -304,18 +283,18 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
     //    rescanning their blocks and re-reducing is exact.
     const int ra = dirty.row_a;
     const int rb = dirty.row_b;
-    for_cols([&](int c) {
+    for (int c = 0; c < cols; ++c) {
       const int plan = model.plan_row(c);
       if (c == dirty.col || plan == ra || plan == rb) {
         recompute_col(c);
-        return;
+        continue;
       }
       if (ra >= 0) scan_block(c, ra / kArgminBlock);
       if (rb >= 0 && (ra < 0 || rb / kArgminBlock != ra / kArgminBlock)) {
         scan_block(c, rb / kArgminBlock);
       }
       reduce_col(c);
-    });
+    }
   }
   stats.hit_move_limit = stats.moves >= limits.max_moves;
   return stats;

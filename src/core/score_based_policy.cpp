@@ -81,16 +81,6 @@ ScoreBasedConfig ScoreBasedConfig::sb_full() {
   return c;
 }
 
-SolverPool* ScoreBasedPolicy::pool() {
-  if (!pool_resolved_) {
-    const int threads = config_.solver_threads > 0 ? config_.solver_threads
-                                                   : SolverPool::env_threads();
-    if (threads > 1) pool_ = std::make_unique<SolverPool>(threads);
-    pool_resolved_ = true;
-  }
-  return pool_.get();
-}
-
 std::vector<sched::Action> ScoreBasedPolicy::schedule(
     const sched::SchedContext& ctx) {
   const sim::SimTime now = ctx.dc.simulator().now();
@@ -147,7 +137,6 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       }
       limits.max_migration_moves = config_.max_migrations_per_round;
       limits.min_migration_gain = config_.min_migration_gain;
-      limits.pool = pool();
       last_stats_ = hill_climb(model, limits);
       if (auto* rc = resilience::controller(ctx.dc.recorder())) {
         rc->note_solver_effort(now, last_stats_.moves);
@@ -268,11 +257,11 @@ void ScoreBasedPolicy::emplace_model(const sched::SchedContext& ctx,
                                      bool migration,
                                      std::optional<ScoreModel>& model) {
   if (!config_.incremental) {
-    model.emplace(ctx.dc, ctx.queue, config_.params, migration, pool());
+    model.emplace(ctx.dc, ctx.queue, config_.params, migration);
     return;
   }
   fleet_.refresh(ctx.dc, ctx.queue);
-  model.emplace(fleet_, ctx.dc, ctx.queue, config_.params, migration, pool());
+  model.emplace(fleet_, ctx.dc, ctx.queue, config_.params, migration);
 }
 
 datacenter::HostId ScoreBasedPolicy::choose_power_off(

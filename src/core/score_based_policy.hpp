@@ -12,15 +12,14 @@
 //   SB-full = SB + PSLA + Pfault              (extensions, A2/A3 benches)
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <string>
 
 #include "core/annealing.hpp"
 #include "core/fleet.hpp"
 #include "core/hill_climb.hpp"
 #include "core/score.hpp"
 #include "core/score_matrix.hpp"
-#include "core/solver_pool.hpp"
 #include "sched/policy.hpp"
 
 namespace easched::core {
@@ -45,10 +44,8 @@ struct ScoreBasedConfig {
   /// Minimum matrix improvement a migration must bring; keeps marginal
   /// reshuffles (whose cost the matrix only approximates) from happening.
   double min_migration_gain = 35;
-  /// Worker threads for the matrix build and the hill-climbing sweep.
-  /// 0 = take EASCHED_SOLVER_THREADS from the environment (default 1,
-  /// i.e. serial). Threaded plans are bit-identical to serial ones
-  /// (tests/test_solver_equivalence.cpp).
+  /// Ignored: the solver is serial. Kept only so that callers that still
+  /// set it (perfbench/) compile; nothing in the library reads it.
   int solver_threads = 0;
   /// Cross-round incremental scheduling core (core/fleet.hpp): keep a
   /// persistent fleet snapshot between rounds, re-read only the hosts the
@@ -96,10 +93,6 @@ class ScoreBasedPolicy final : public sched::Policy {
   }
 
  private:
-  /// Resolves config_.solver_threads (consulting the environment once) and
-  /// returns the shared pool, or nullptr when running serially.
-  SolverPool* pool();
-
   /// Builds a score model of `ctx` into `model`: over fleet_, refreshed
   /// here, in incremental mode; over a private full read otherwise.
   void emplace_model(const sched::SchedContext& ctx, bool migration,
@@ -115,8 +108,6 @@ class ScoreBasedPolicy final : public sched::Policy {
   HillClimbStats last_stats_;
   FleetState fleet_;  ///< cross-round state of the incremental core
   sim::SimTime last_consolidation_ = -1e18;  ///< time of last migration round
-  std::unique_ptr<SolverPool> pool_;  ///< lazily created, reused each round
-  bool pool_resolved_ = false;
 };
 
 }  // namespace easched::core

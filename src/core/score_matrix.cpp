@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "core/penalties.hpp"
-#include "core/solver_pool.hpp"
 #include "support/contracts.hpp"
 #include "workload/satisfaction.hpp"
 
@@ -32,18 +31,15 @@ void ScoreModel::fill_column_common(VmCol& c, const datacenter::Vm& vm,
 
 ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
                        const std::vector<VmId>& queued,
-                       const ScoreParams& params, bool migration_enabled,
-                       SolverPool* pool)
-    : params_(params), pool_(pool), fleet_(&fleet) {
+                       const ScoreParams& params, bool migration_enabled)
+    : params_(params), fleet_(&fleet) {
   init(dc, queued, migration_enabled);
 }
 
 ScoreModel::ScoreModel(const datacenter::Datacenter& dc,
                        const std::vector<VmId>& queued,
-                       const ScoreParams& params, bool migration_enabled,
-                       SolverPool* pool)
+                       const ScoreParams& params, bool migration_enabled)
     : params_(params),
-      pool_(pool),
       owned_fleet_(std::make_unique<FleetState>()),
       fleet_(owned_fleet_.get()) {
   owned_fleet_->read_all(dc);
@@ -174,21 +170,14 @@ void ScoreModel::prime() {
   const int nrows = nrows_;
   const int ncols = static_cast<int>(vms_.size());
   if (nrows == 0 || ncols == 0) return;
-  const auto fill_rows = [this, ncols](int begin, int end) {
-    for (int r = begin; r < end; ++r) {
-      for (int c = 0; c < ncols; ++c) {
-        const std::size_t i = at(r, c);
-        if (!cache_ok_[i]) {
-          cache_[i] = score_cell(r, c);
-          cache_ok_[i] = 1;
-        }
+  for (int r = 0; r < nrows; ++r) {
+    for (int c = 0; c < ncols; ++c) {
+      const std::size_t i = at(r, c);
+      if (!cache_ok_[i]) {
+        cache_[i] = score_cell(r, c);
+        cache_ok_[i] = 1;
       }
     }
-  };
-  if (pool_ != nullptr && pool_->threads() > 1) {
-    pool_->parallel_for(nrows, fill_rows);
-  } else {
-    fill_rows(0, nrows);
   }
 }
 

@@ -58,8 +58,6 @@
 
 namespace easched::core {
 
-class SolverPool;
-
 /// Score(h, vm) split into its per-penalty terms. For a finite cell the
 /// left-to-right sum req+res+virt+conc+pwr+sla+fault equals `total` exactly
 /// (same accumulation order as the evaluation); an incompatible or
@@ -87,13 +85,9 @@ class ScoreModel {
   /// columns, which is equivalent and cheaper). The model must not outlive
   /// the round — it aliases the snapshot's arrays and writes evaluated
   /// queued-VM cells through into the fleet's persistent columns.
-  ///
-  /// `pool` (optional, not owned) parallelizes the reference mode's prime()
-  /// over row ranges; results are bit-identical to the serial build.
   ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
-             const ScoreParams& params, bool migration_enabled,
-             SolverPool* pool = nullptr);
+             const ScoreParams& params, bool migration_enabled);
 
   /// Reference-mode snapshot of `dc`: the same columns and layout over a
   /// private full read of every host, with pruning and persistent columns
@@ -101,8 +95,7 @@ class ScoreModel {
   /// incremental mode's; the fleet differential tests hold this.
   ScoreModel(const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
-             const ScoreParams& params, bool migration_enabled,
-             SolverPool* pool = nullptr);
+             const ScoreParams& params, bool migration_enabled);
 
   ScoreModel(const ScoreModel&) = delete;
   ScoreModel& operator=(const ScoreModel&) = delete;
@@ -141,9 +134,8 @@ class ScoreModel {
     profiler_ = profiler;
   }
 
-  /// Reference mode: evaluates every cell into the cache, partitioned by
-  /// rows over the pool when one was supplied (the "initial matrix build"
-  /// sweep). A serial call is equivalent; lazy per-cell fills are too.
+  /// Reference mode: evaluates every cell into the cache (the "initial
+  /// matrix build" sweep). Lazy per-cell fills are equivalent.
   /// Incremental mode makes this a no-op: eagerly sweeping all M x N cells
   /// is exactly the cost the incremental path exists to avoid, and the
   /// solver's blocked argmin warms what it reads.
@@ -270,7 +262,6 @@ class ScoreModel {
 
   ScoreParams params_;
   obs::PhaseProfiler* profiler_ = nullptr;  ///< not owned; may be null
-  SolverPool* pool_ = nullptr;              ///< not owned; may be null
   std::unique_ptr<FleetState> owned_fleet_;  ///< reference mode only
   FleetState* fleet_ = nullptr;  ///< snapshot source and buffer return target
   int nrows_ = 0;  ///< real host rows (excl. the virtual row)
@@ -302,9 +293,10 @@ class ScoreModel {
   std::vector<VmCol> vms_;
   // Plan-independent terms, built lazily per cell (most cells of a pruned
   // matrix are never read).
-  // `mutable`: ensure_static() memoizes from const queries. Race-free for
-  // the same reason the score cache is: threaded sweeps only touch
-  // disjoint row (prime) or column (argmin) ranges.
+  // `mutable`: ensure_static() memoizes from const queries. The valid
+  // flags here and below are one byte each (not vector<bool>), so the hot
+  // cell() path reads and sets them without bit masking, and they recycle
+  // through FleetState::ModelScratch's byte vectors.
   mutable std::vector<StaticTerms> static_terms_;
   mutable std::vector<unsigned char> static_ok_;
   // Per-cell score cache over the real rows. `mutable`: cell() is a const

@@ -10,9 +10,8 @@
 // same table, any thread count".
 //
 // Thread count comes from EASCHED_SWEEP_THREADS (default 1, clamped to
-// [1, 64]), mirroring the solver pool's EASCHED_SOLVER_THREADS knob. Note
-// the two pools compose multiplicatively: a sweep worker running a config
-// with solver threads > 1 spawns its own solver pool per run.
+// [1, 64]). Each run is single-threaded, so this is the only thread count
+// to size against the machine.
 #pragma once
 
 #include <functional>

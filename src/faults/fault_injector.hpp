@@ -6,7 +6,7 @@
 // run slow). Every decision and every recovery action taken afterwards
 // (abort, rollback, retry, quarantine) is appended to a formatted event
 // trace, which is what the determinism tests compare: the same plan seed
-// must yield the same trace across runs and solver thread counts.
+// must yield the same trace across runs.
 //
 // The injector performs exactly two RNG draws per decision regardless of
 // the outcome, so editing one operation's probabilities never shifts the

@@ -23,7 +23,8 @@
 // Determinism contract: all samples arrive from the simulation thread at
 // sim-time stamps; nothing here reads the wall clock or any thread count,
 // so ledger state — and the run_summary.json built from it — is
-// byte-identical across EASCHED_SOLVER_THREADS / EASCHED_SWEEP_THREADS.
+// byte-identical across same-seed runs, in a sweep at any
+// EASCHED_SWEEP_THREADS.
 //
 // Like the Tracer, the ledger is a null sink until enable() is called
 // (see obs/obs.hpp).

@@ -26,8 +26,7 @@
 // Determinism contract: every sampled value derives from simulation state
 // (sim clock, host/VM state, exact time-weighted integrals) — never from
 // wall clock or thread scheduling — so the snapshot stream, the JSONL
-// bytes and the alert firing log are byte-identical across repeats and
-// across EASCHED_SOLVER_THREADS / EASCHED_SWEEP_THREADS values. The
+// bytes and the alert firing log are byte-identical across repeats. The
 // telemetry ctest gate asserts this.
 //
 // Like the Tracer, the plane is a null sink until enable() is called: the

@@ -7,14 +7,13 @@
 // (`trace_tool summarize`) or as Chrome `trace_event` JSON loadable in
 // chrome://tracing and Perfetto.
 //
-// Determinism contract: every event is emitted from the simulation thread
-// (solver-pool workers never emit), stamped with the simulation clock and a
-// stable sequence id assigned in emission order. Exports sort stably by
-// sim-time, so identical runs — including runs that differ only in
-// EASCHED_SOLVER_THREADS — produce byte-identical traces. The only
-// wall-clock data allowed in a trace are numeric args carrying the
-// `wall_` prefix (round profiling), which `write_jsonl(os, false)` strips;
-// tests/test_obs.cpp compares thread counts through that masked form.
+// Determinism contract: every event is emitted from the simulation thread,
+// stamped with the simulation clock and a stable sequence id assigned in
+// emission order. Exports sort stably by sim-time, so identical runs
+// produce byte-identical traces. The only wall-clock data allowed in a
+// trace are numeric args carrying the `wall_` prefix (round profiling),
+// which `write_jsonl(os, false)` strips; tests/test_obs.cpp compares
+// repeated runs through that masked form.
 //
 // The tracer is a null sink until enable() is called: the instrumentation
 // call sites (see obs.hpp) check enabled() through a single pointer load,

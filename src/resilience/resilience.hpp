@@ -16,7 +16,7 @@
 //     frozen) and back up one rung only after `recovery_rounds`
 //     consecutive healthy rounds (hysteresis). The budget is counted in
 //     solver steps, not wall time, so the ladder walk is bit-identical
-//     across machines and EASCHED_SOLVER_THREADS values.
+//     across machines.
 //
 //   * Admission control & backpressure — a bounded pending queue with
 //     deferral and load-shedding tiers driven by queue depth and an EWMA
@@ -39,9 +39,8 @@
 //
 // Determinism contract: every input the controller consumes — solver
 // move counts, queue depths, operation outcomes, sim-time stamps — is
-// identical across runs and solver thread counts, so ladder walks,
-// admission verdicts and breaker transitions (and therefore the whole
-// RunReport) are too.
+// identical across runs, so ladder walks, admission verdicts and breaker
+// transitions (and therefore the whole RunReport) are too.
 #pragma once
 
 #include <cstdint>

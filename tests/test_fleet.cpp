@@ -6,8 +6,7 @@
 //   - power-off ranking agreement between the two modes, with idle hosts
 //     that are quarantined or breaker-vetoed;
 //   - end-to-end run identity (incremental vs reference policy across the
-//     SB configurations and both solvers, and 1 vs 4 solver threads on the
-//     incremental path);
+//     SB configurations and both solvers);
 //   - targeted dirty-journal behavior: maintenance flips, journal
 //     deduplication, clean rounds re-reading nothing, clock-aged in-flight
 //     operations caught by the force-reread scan, the reference model
@@ -27,7 +26,6 @@
 #include "core/hill_climb.hpp"
 #include "core/score_based_policy.hpp"
 #include "core/score_matrix.hpp"
-#include "core/solver_pool.hpp"
 #include "experiments/runner.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
@@ -198,36 +196,26 @@ TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
   }
 }
 
-// Threading must not change incremental decisions: serial, 4-thread and
-// the reference all agree on one round. (Fresh FleetStates both take the
-// full-init path, so sharing one drained journal is fine.)
-TEST_P(FleetDifferential, ThreadedFleetMatchesSerialAndReference) {
+// A fresh FleetState (the full-init path of refresh()) and the reference
+// agree on one round under randomized solver limits.
+TEST_P(FleetDifferential, FreshFleetRoundMatchesReference) {
   const std::uint64_t seed = GetParam() * 6151 + 11;
   support::Rng rng{seed};
-  SolverPool pool4(4);
   for (int instance = 0; instance < 10; ++instance) {
     RandomInstance inst = make_random_instance(rng, seed, instance);
     SCOPED_TRACE(inst.describe());
     SmallDc& f = *inst.fixture;
 
-    FleetState fs_ser, fs_thr;
-    fs_ser.refresh(f.dc, inst.queue);
-    fs_thr.refresh(f.dc, inst.queue);
+    FleetState fs;
+    fs.refresh(f.dc, inst.queue);
     ScoreModel m_ref(f.dc, inst.queue, inst.params, inst.migration);
-    ScoreModel m_ser(fs_ser, f.dc, inst.queue, inst.params, inst.migration);
-    ScoreModel m_thr(fs_thr, f.dc, inst.queue, inst.params, inst.migration,
-                     &pool4);
+    ScoreModel m_inc(fs, f.dc, inst.queue, inst.params, inst.migration);
 
     const HillClimbLimits limits = random_limits(rng);
-    HillClimbLimits l4 = limits;
-    l4.pool = &pool4;
     const HillClimbStats s_ref = hill_climb(m_ref, limits);
-    const HillClimbStats s_ser = hill_climb(m_ser, limits);
-    const HillClimbStats s_thr = hill_climb(m_thr, l4);
+    const HillClimbStats s_inc = hill_climb(m_inc, limits);
 
-    expect_same_decisions(s_ser, s_ref, m_ser, m_ref);
-    if (::testing::Test::HasFatalFailure()) return;
-    expect_same_decisions(s_thr, s_ser, m_thr, m_ser);
+    expect_same_decisions(s_inc, s_ref, m_inc, m_ref);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -419,7 +407,6 @@ TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
   f.recorder.resilience = &rc;
 
   ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
-  cfg.solver_threads = 1;
   ScoreBasedPolicy inc(cfg);
   cfg.incremental = false;
   ScoreBasedPolicy ref(cfg);
@@ -651,10 +638,9 @@ TEST(FleetChecker, CatchesCorruptedIndex) {
 
 // ---- end-to-end -------------------------------------------------------------
 
-experiments::RunConfig fleet_run_config(bool incremental, int threads = 0) {
+experiments::RunConfig fleet_run_config(bool incremental) {
   ScoreBasedConfig cfg = ScoreBasedConfig::sb();
   cfg.incremental = incremental;
-  cfg.solver_threads = threads;
   experiments::RunConfig config = easched::testing::small_config("SB");
   config.policy_instance = std::make_unique<ScoreBasedPolicy>(cfg);
   return config;
@@ -738,15 +724,6 @@ TEST(FleetEndToEnd, IncrementalRunMatchesReferenceRun) {
   const auto incremental =
       experiments::run_experiment(jobs, fleet_run_config(true));
   expect_same_run(incremental, reference);
-}
-
-TEST(FleetEndToEnd, SolverThreadCountDoesNotChangeDecisions) {
-  const auto jobs = easched::testing::small_week();
-  const auto serial =
-      experiments::run_experiment(jobs, fleet_run_config(true, 1));
-  const auto threaded =
-      experiments::run_experiment(jobs, fleet_run_config(true, 4));
-  expect_same_run(threaded, serial);
 }
 
 // Full run with the invariant checker on: every round's refresh is checked

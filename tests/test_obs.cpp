@@ -1,5 +1,5 @@
-// Observability layer tests: tracer determinism across solver thread
-// counts, export formats (JSONL + Chrome trace_event golden snippet and
+// Observability layer tests: tracer determinism across same-seed runs,
+// export formats (JSONL + Chrome trace_event golden snippet and
 // structural validation), metrics-registry semantics (inclusive-le
 // histogram buckets, sorted snapshots), phase-profiler rollups, the
 // null-sink guarantees, and the CLI typo warning.
@@ -29,15 +29,13 @@ workload::Workload small_workload(std::uint64_t seed = 77) {
   return workload::generate(c);
 }
 
-/// SB policy with migration, pinned to `threads` solver workers, so runs
-/// differ only in threading — the determinism contract under test.
-experiments::RunConfig traced_config(int threads) {
+/// SB policy with migration on a small seeded fleet.
+experiments::RunConfig traced_config() {
   experiments::RunConfig config;
   config.datacenter.hosts = experiments::evaluation_hosts(3, 8, 4);
   config.datacenter.seed = 5;
-  core::ScoreBasedConfig sb = core::ScoreBasedConfig::sb();
-  sb.solver_threads = threads;
-  config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(sb);
+  config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(
+      core::ScoreBasedConfig::sb());
   config.horizon_s = 90 * sim::kDay;
   return config;
 }
@@ -50,11 +48,11 @@ struct TracedRun {
 /// Runs the small workload with tracer + profiler enabled. The bundle must
 /// not move after the run starts (the recorder holds a pointer), hence the
 /// heap-allocated struct.
-std::unique_ptr<TracedRun> run_traced(int threads) {
+std::unique_ptr<TracedRun> run_traced() {
   auto run = std::make_unique<TracedRun>();
   run->obs.tracer.enable();
   run->obs.profiler.enable();
-  auto config = traced_config(threads);
+  auto config = traced_config();
   config.obs = &run->obs;
   run->result = experiments::run_experiment(small_workload(), std::move(config));
   return run;
@@ -88,10 +86,10 @@ TEST(Tracer, NullSinkByDefault) {
 
 TEST(Tracer, RunWithoutEnabledInstrumentsEmitsNothing) {
   obs::Observability bundle;  // attached, never enabled
-  auto config = traced_config(1);
+  auto config = traced_config();
   config.obs = &bundle;
   const auto with_obs = experiments::run_experiment(small_workload(), std::move(config));
-  const auto without = experiments::run_experiment(small_workload(), traced_config(1));
+  const auto without = experiments::run_experiment(small_workload(), traced_config());
 
   EXPECT_EQ(bundle.tracer.size(), 0u);
   EXPECT_TRUE(bundle.profiler.rollups().empty());
@@ -209,24 +207,24 @@ TEST(ChromeTrace, ValidatorRejectsMalformedDocuments) {
 
 // ---- end-to-end run traces -------------------------------------------------
 
-TEST(RunTrace, ByteIdenticalAcrossSolverThreadCounts) {
-  const auto serial = run_traced(1);
-  const auto threaded = run_traced(4);
-  ASSERT_GT(serial->obs.tracer.size(), 0u);
+TEST(RunTrace, ByteIdenticalAcrossRuns) {
+  const auto first = run_traced();
+  const auto second = run_traced();
+  ASSERT_GT(first->obs.tracer.size(), 0u);
   // Same events, same order, same payloads once wall-clock profiling
   // fields are masked — sim results must match exactly too.
-  EXPECT_EQ(jsonl_of(serial->obs.tracer, false),
-            jsonl_of(threaded->obs.tracer, false));
-  EXPECT_DOUBLE_EQ(serial->result.report.energy_kwh,
-                   threaded->result.report.energy_kwh);
-  EXPECT_EQ(serial->result.events_dispatched,
-            threaded->result.events_dispatched);
+  EXPECT_EQ(jsonl_of(first->obs.tracer, false),
+            jsonl_of(second->obs.tracer, false));
+  EXPECT_DOUBLE_EQ(first->result.report.energy_kwh,
+                   second->result.report.energy_kwh);
+  EXPECT_EQ(first->result.events_dispatched,
+            second->result.events_dispatched);
 }
 
 TEST(RunTrace, RunPublishesKernelCountersToRegistry) {
   // The runner must feed the simulation-kernel counters through the
   // recorder into the attached registry; they mirror the RunResult fields.
-  const auto run = run_traced(1);
+  const auto run = run_traced();
   const auto snap = run->obs.registry.snapshot();
   const auto* dispatched = snap.find("sim.events_dispatched");
   const auto* cancelled = snap.find("sim.events_cancelled");
@@ -240,7 +238,7 @@ TEST(RunTrace, RunPublishesKernelCountersToRegistry) {
 }
 
 TEST(RunTrace, ChromeExportOfRealRunValidates) {
-  const auto run = run_traced(1);
+  const auto run = run_traced();
   std::ostringstream os;
   run->obs.tracer.write_chrome(os);
   std::string error;
@@ -248,7 +246,7 @@ TEST(RunTrace, ChromeExportOfRealRunValidates) {
 }
 
 TEST(RunTrace, DecisionBreakdownsSumToTotal) {
-  const auto run = run_traced(1);
+  const auto run = run_traced();
   std::size_t decisions = 0;
   for (const auto& e : run->obs.tracer.events()) {
     if (e.kind != obs::EventKind::kDecision) continue;
@@ -276,7 +274,7 @@ TEST(RunTrace, DecisionBreakdownsSumToTotal) {
 }
 
 TEST(RunTrace, ProfilerCoversEveryRoundPhase) {
-  const auto run = run_traced(1);
+  const auto run = run_traced();
   const auto rollups = run->obs.profiler.rollups();
   ASSERT_FALSE(rollups.empty());
   std::size_t rounds = 0;
@@ -380,7 +378,7 @@ TEST(MetricsRegistry, PublishGoldenKeySet) {
   auto run = std::make_unique<TracedRun>();
   run->obs.ledger.enable();
   run->obs.decisions.enable();
-  auto config = traced_config(1);
+  auto config = traced_config();
   config.obs = &run->obs;
   run->result =
       experiments::run_experiment(small_workload(), std::move(config));

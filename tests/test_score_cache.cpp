@@ -10,7 +10,6 @@
 
 #include "core/score.hpp"
 #include "core/score_matrix.hpp"
-#include "core/solver_pool.hpp"
 #include "test_random_instances.hpp"
 
 namespace easched::core {
@@ -108,29 +107,6 @@ TEST_P(ScoreCacheProperty, ReadOrderDoesNotAffectValues) {
     for (int r = 0; r < primed.rows(); ++r) {
       for (int c = 0; c < primed.cols(); ++c) {
         ASSERT_EQ(primed.cell(r, c), lazy.cell(r, c));
-      }
-    }
-  }
-}
-
-// A pooled build must produce the exact cells of a serial build: the
-// static-term construction and prime() sweep are partitioned by rows, and
-// every partition computes the same arithmetic.
-TEST_P(ScoreCacheProperty, PooledBuildMatchesSerialBuild) {
-  const std::uint64_t seed = GetParam() * 7919 + 3;
-  support::Rng rng{seed};
-  SolverPool pool(4);
-  for (int instance = 0; instance < 25; ++instance) {
-    RandomInstance inst = make_random_instance(rng, seed, instance);
-    SCOPED_TRACE(inst.describe());
-    ScoreModel serial(inst.fixture->dc, inst.queue, inst.params,
-                      inst.migration);
-    ScoreModel pooled(inst.fixture->dc, inst.queue, inst.params,
-                      inst.migration, &pool);
-    pooled.prime();
-    for (int r = 0; r < serial.rows(); ++r) {
-      for (int c = 0; c < serial.cols(); ++c) {
-        ASSERT_EQ(serial.cell(r, c), pooled.cell(r, c));
       }
     }
   }

@@ -1,7 +1,7 @@
 // Differential tests locking the production hill climber to its executable
-// specification: across randomized instances, hill_climb() (serial and
-// threaded) must produce the exact move sequence — column, rows and
-// bit-identical delta — and final plan of hill_climb_reference(), and on
+// specification: across randomized instances, hill_climb() must produce
+// the exact move sequence — column, rows and bit-identical delta — and
+// final plan of hill_climb_reference(), and on
 // small instances selected seeds must reach the exhaustive optimum.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "core/exhaustive.hpp"
 #include "core/hill_climb.hpp"
 #include "core/score_matrix.hpp"
-#include "core/solver_pool.hpp"
 #include "test_random_instances.hpp"
 
 namespace easched::core {
@@ -50,13 +49,11 @@ void expect_same_outcome(const HillClimbStats& a, const HillClimbStats& b,
 
 class SolverEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The tentpole guarantee: incremental (serial) and threaded (2 and 4
-// workers) hill climbing replay the reference solver's move trace exactly.
-TEST_P(SolverEquivalence, IncrementalAndThreadedMatchReference) {
+// The tentpole guarantee: incremental hill climbing replays the reference
+// solver's move trace exactly.
+TEST_P(SolverEquivalence, IncrementalMatchesReference) {
   const std::uint64_t seed = GetParam();
   support::Rng rng{seed};
-  SolverPool pool2(2);
-  SolverPool pool4(4);
   for (int instance = 0; instance < 25; ++instance) {
     RandomInstance inst = make_random_instance(rng, seed, instance);
     SCOPED_TRACE(inst.describe());
@@ -74,44 +71,12 @@ TEST_P(SolverEquivalence, IncrementalAndThreadedMatchReference) {
                      inst.migration);
     ScoreModel m_ser(inst.fixture->dc, inst.queue, inst.params,
                      inst.migration);
-    ScoreModel m_p2(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-                    &pool2);
-    ScoreModel m_p4(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-                    &pool4);
 
     const HillClimbStats s_ref = hill_climb_reference(m_ref, limits);
     const HillClimbStats s_ser = hill_climb(m_ser, limits);
-    HillClimbLimits l2 = limits;
-    l2.pool = &pool2;
-    const HillClimbStats s_p2 = hill_climb(m_p2, l2);
-    HillClimbLimits l4 = limits;
-    l4.pool = &pool4;
-    const HillClimbStats s_p4 = hill_climb(m_p4, l4);
 
     expect_same_outcome(s_ref, s_ser, m_ref, m_ser);
-    expect_same_outcome(s_ref, s_p2, m_ref, m_p2);
-    expect_same_outcome(s_ref, s_p4, m_ref, m_p4);
   }
-}
-
-// Re-running the threaded solver over the same pool must be stable: the
-// pool carries no state between sweeps.
-TEST_P(SolverEquivalence, PoolReuseIsStable) {
-  const std::uint64_t seed = GetParam() * 31 + 7;
-  support::Rng rng{seed};
-  SolverPool pool(3);
-  RandomInstance inst = make_random_instance(rng, seed, 0);
-  SCOPED_TRACE(inst.describe());
-  HillClimbLimits limits;
-  limits.pool = &pool;
-
-  ScoreModel a(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-               &pool);
-  const HillClimbStats sa = hill_climb(a, limits);
-  ScoreModel b(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-               &pool);
-  const HillClimbStats sb = hill_climb(b, limits);
-  expect_same_outcome(sa, sb, a, b);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverEquivalence,
