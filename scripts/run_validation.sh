@@ -6,10 +6,12 @@
 #                           tests again with run-time checking forced on
 #                           for every experiment (EASCHED_VALIDATE=1)
 #   2. AddressSanitizer + UndefinedBehaviorSanitizer — validate + faults +
-#                           resilience + telemetry + sched + obs suites
-#                           (sched: the power controller and driver read
-#                           the Datacenter's maintained per-host node-class
-#                           state)
+#                           resilience + telemetry + sched + obs + fleet
+#                           suites (sched: the power controller and driver
+#                           read the Datacenter's maintained per-host
+#                           node-class state; fleet: the score model's
+#                           recycled, grow-only scratch buffers and the
+#                           fleet refresh's maintained host sets)
 #   3. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
 #                           suites (sweep covers SweepRunner, the only
 #                           library code that starts threads; the other
@@ -62,11 +64,11 @@ if [ "$fast" = "fast" ]; then
   exit 0
 fi
 
-echo "== address+UB-sanitized build: validate + faults + resilience + telemetry + sched + obs =="
+echo "== address+UB-sanitized build: validate + faults + resilience + telemetry + sched + obs + fleet =="
 build "$repo/build-validate-asan" -DEASCHED_SANITIZE=address
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-asan" \
-  -L "validate|faults|resilience|telemetry|sched|obs" --output-on-failure \
-  -j"$(nproc)"
+  -L "validate|faults|resilience|telemetry|sched|obs|fleet" \
+  --output-on-failure -j"$(nproc)"
 
 echo "== thread-sanitized build: validate + solver + resilience + fleet + sweep =="
 build "$repo/build-validate-tsan" -DEASCHED_SANITIZE=thread

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "datacenter/datacenter.hpp"
+#include "resilience/resilience.hpp"
 #include "support/contracts.hpp"
 
 namespace easched::core {
@@ -96,7 +97,6 @@ double FleetState::expected_free_mem(const FleetSnapshot& snap, HostId h) {
 
 void FleetState::refresh(const Datacenter& dc,
                          const std::vector<VmId>& queued) {
-  const sim::SimTime now = dc.simulator().now();
   const std::size_t n = dc.num_hosts();
   ++stats_.refreshes;
 
@@ -107,6 +107,7 @@ void FleetState::refresh(const Datacenter& dc,
     dirty_scratch_.push_back(h);
   };
 
+  std::uint64_t visited = 0;  // hosts examined outside the journal
   if (snap_.size() != n) {
     // First refresh (or a fleet-size change): full (re)initialization.
     reset(n);
@@ -117,37 +118,43 @@ void FleetState::refresh(const Datacenter& dc,
     for (HostId h = 0; h < n; ++h) mark(h);
   } else {
     // 1. Event-driven dirt: everything the Datacenter journalled since the
-    //    last round (reallocations, power transitions, maintenance and
-    //    quarantine flips, debug mutations).
+    //    last round (reallocations, operation starts and ends, power
+    //    transitions, maintenance and quarantine flips, debug mutations).
     journal_scratch_.clear();
     dc.drain_fleet_dirty(journal_scratch_);
     for (const HostId h : journal_scratch_) mark(h);
-    // 2. Out-of-band dirt the journal cannot see:
-    //    - circuit breakers flip dc.placeable(h) from inside the
-    //      resilience controller, without touching the Datacenter;
-    //    - Σ max(0, op.ends - now) ages with the clock, so any host with
-    //      in-flight operations (or a stale nonzero snapshot of them) must
-    //      be re-read every round.
-    for (HostId h = 0; h < n; ++h) {
-      if (dirty_flag_[h] != 0) continue;
-      if ((snap_.placeable[h] != 0) != dc.placeable(h)) {
-        mark(h);
-      } else if (!dc.host(h).ops.empty() || snap_.conc_remaining_s[h] != 0 ||
-                 snap_.mgmt_demand[h] != 0) {
+    // 2. Busy hosts: Σ max(0, op.ends - now) ages with the clock, so a
+    //    host whose last read saw operations is re-read every round. A
+    //    host that was idle then cannot have gained one since without
+    //    being journalled (every operation start goes through
+    //    reallocate_io or reallocate).
+    visited += busy_.size();
+    for (const HostId h : busy_) mark(h);
+    // 3. Breaker vetoes: circuit breakers flip dc.placeable(h) from inside
+    //    the resilience controller, without touching the Datacenter, and
+    //    the half-open probe delay elapses with the clock alone. Only a
+    //    host whose breaker is not Healthy can be vetoed, so re-checking
+    //    the hosts not Healthy now or at the last refresh covers every
+    //    flip since.
+    const auto recheck = [&](HostId h) {
+      ++visited;
+      if (dirty_flag_[h] == 0 &&
+          (snap_.placeable[h] != 0) != dc.placeable(h)) {
         mark(h);
       }
+    };
+    for (const HostId h : veto_watch_) recheck(h);
+    if (const auto* rc = resilience::controller(dc.recorder())) {
+      for (const HostId h : rc->not_healthy_hosts()) recheck(h);
     }
   }
+  stats_.last_out_of_band = visited;
 
-  for (const HostId h : dirty_scratch_) {
-    read_host(dc, h, now, snap_);
-    index_.update(h, snap_);
-    dirty_flag_[h] = 0;
-  }
+  read_dirty(dc);
   stats_.last_reread = dirty_scratch_.size();
   stats_.hosts_reread += dirty_scratch_.size();
 
-  // 3. Persistent columns: drop VMs that left the queue, then invalidate
+  // 4. Persistent columns: drop VMs that left the queue, then invalidate
   //    the dirty hosts' cells in the survivors.
   queued_scratch_.assign(queued.begin(), queued.end());
   std::sort(queued_scratch_.begin(), queued_scratch_.end());
@@ -169,12 +176,33 @@ void FleetState::refresh(const Datacenter& dc,
 }
 
 void FleetState::read_all(const Datacenter& dc) {
-  const sim::SimTime now = dc.simulator().now();
   const std::size_t n = dc.num_hosts();
   reset(n);
-  for (HostId h = 0; h < n; ++h) {
+  dirty_scratch_.clear();
+  for (HostId h = 0; h < n; ++h) dirty_scratch_.push_back(h);
+  read_dirty(dc);
+}
+
+void FleetState::read_dirty(const Datacenter& dc) {
+  const sim::SimTime now = dc.simulator().now();
+  ++read_epoch_;
+  busy_.clear();
+  for (const HostId h : dirty_scratch_) {
     read_host(dc, h, now, snap_);
     index_.update(h, snap_);
+    dirty_flag_[h] = 0;
+    read_stamp_[h] = read_epoch_;
+    // Every host that was busy at its last read is in this round's dirty
+    // set, so rebuilding the busy set from the hosts read here is exact.
+    if (!dc.host(h).ops.empty() || snap_.conc_remaining_s[h] != 0 ||
+        snap_.mgmt_demand[h] != 0) {
+      busy_.push_back(h);
+    }
+  }
+  veto_watch_.clear();
+  if (const auto* rc = resilience::controller(dc.recorder())) {
+    veto_watch_.assign(rc->not_healthy_hosts().begin(),
+                       rc->not_healthy_hosts().end());
   }
 }
 
@@ -182,6 +210,9 @@ void FleetState::reset(std::size_t n) {
   snap_.resize(n);
   index_.reset(n);
   dirty_flag_.assign(n, 0);
+  read_stamp_.assign(n, 0);
+  busy_.clear();
+  veto_watch_.clear();
   cols_.clear();
   queued_scratch_.clear();
 }
@@ -225,6 +256,7 @@ FleetColCache* FleetState::col_cache(VmId v, std::size_t num_hosts) {
 void FleetState::debug_corrupt_snapshot(HostId h, double delta) {
   EA_EXPECTS(h < snap_.size());
   snap_.cpu_res[h] += delta;
+  read_stamp_[h] = ++read_epoch_;  // the entry changed under its stamp
 }
 
 void FleetState::debug_corrupt_index(HostId h, double delta) {

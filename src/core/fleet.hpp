@@ -7,8 +7,9 @@
 // round's snapshot. FleetState exploits that: it owns a persistent SoA
 // snapshot of the per-host hot fields, consumes the Datacenter's dirty
 // journal (drain_fleet_dirty) each round, and re-reads *only* the dirtied
-// hosts — through the one read_host() path a full read uses, so the
-// snapshot is bitwise equal to a fresh full read at all times (the
+// hosts, the hosts with operations in flight and the breaker-vetoed ones
+// (see refresh()) — through the one read_host() path a full read uses, so
+// the snapshot is bitwise equal to a fresh full read at all times (the
 // kFleetSnapshot invariant rule holds this).
 //
 // Three cooperating pieces live here:
@@ -175,7 +176,8 @@ struct CellStaticTerms {
 /// incremental round budget. The model takes these buffers in its
 /// constructor and returns them in its destructor; stale contents are
 /// never read because validity is tracked by the _ok bitmaps (re-zeroed
-/// each round) and the plan vectors are overwritten wholesale.
+/// for each model; the cell arrays behind them only grow) and the plan
+/// vectors are overwritten wholesale.
 struct ModelScratch {
   std::vector<double> cpu_res, mem_res, running;
   std::vector<int> vm_count;
@@ -193,15 +195,25 @@ class FleetState {
     std::uint64_t refreshes = 0;      ///< refresh() calls
     std::uint64_t hosts_reread = 0;   ///< dirty hosts re-read, cumulative
     std::uint64_t last_reread = 0;    ///< dirty hosts re-read, last round
+    /// Hosts the last round examined outside the journal: the busy set
+    /// plus the breaker re-checks (a host can count twice). 0 on a round
+    /// with no in-flight operations and every breaker Healthy.
+    std::uint64_t last_out_of_band = 0;
     std::uint64_t cols_dropped = 0;   ///< persistent columns pruned
   };
 
-  /// Brings the snapshot and index up to date with `dc`: drains the dirty
-  /// journal, re-scans placeability (circuit breakers can flip it without
-  /// any Datacenter mutation), force-rereads hosts with time-dependent
-  /// state (in-flight operations age with the clock), and prunes the
-  /// persistent columns down to `queued`. First call (or a fleet-size
-  /// change) initializes everything.
+  /// Brings the snapshot and index up to date with `dc` and prunes the
+  /// persistent columns down to `queued`. It re-reads the union of three
+  /// sources of dirt, never the whole fleet:
+  ///   - the Datacenter's dirty journal (every host mutation);
+  ///   - the busy set: hosts whose last read saw in-flight operations,
+  ///     whose remaining time ages with the clock alone;
+  ///   - breaker vetoes: the hosts whose breaker is not Healthy now or was
+  ///     not at the last refresh (the resilience controller's list), whose
+  ///     placeability is re-checked because it can flip without any
+  ///     Datacenter mutation.
+  /// A clean round therefore costs O(dirty + busy + not-Healthy). First
+  /// call (or a fleet-size change) initializes everything.
   void refresh(const datacenter::Datacenter& dc,
                const std::vector<datacenter::VmId>& queued);
 
@@ -216,6 +228,12 @@ class FleetState {
   [[nodiscard]] const FleetSnapshot& snapshot() const { return snap_; }
   [[nodiscard]] const HostBucketIndex& index() const { return index_; }
   [[nodiscard]] const RefreshStats& stats() const { return stats_; }
+  /// Stamp of host `h`'s last read (refresh, read_all or a debug
+  /// mutation); strictly increasing across reads, so an unchanged stamp
+  /// means snapshot entry `h` is unchanged.
+  [[nodiscard]] std::uint64_t read_stamp(datacenter::HostId h) const {
+    return read_stamp_[h];
+  }
 
   /// The persistent score column for VM `v`, created (sized to
   /// `num_hosts`, all cells invalid) on first request. The pointer stays
@@ -254,6 +272,9 @@ class FleetState {
   /// Sizes the snapshot, index and dirty flags to `n` hosts, all unread,
   /// and drops every persistent column.
   void reset(std::size_t n);
+  /// Reads every host of dirty_scratch_ and rebuilds the busy set and the
+  /// breaker watch list from that read.
+  void read_dirty(const datacenter::Datacenter& dc);
 
   FleetSnapshot snap_;
   HostBucketIndex index_;
@@ -261,6 +282,11 @@ class FleetState {
   std::vector<datacenter::HostId> dirty_scratch_;
   std::vector<datacenter::HostId> journal_scratch_;
   std::vector<unsigned char> dirty_flag_;
+  std::vector<std::uint64_t> read_stamp_;
+  std::uint64_t read_epoch_ = 0;  ///< last stamp handed out
+  std::vector<datacenter::HostId> busy_;  ///< ops in flight at last read
+  /// Hosts whose breaker was not Healthy at the last read_dirty().
+  std::vector<datacenter::HostId> veto_watch_;
   std::vector<datacenter::VmId> queued_scratch_;  ///< sorted, for pruning
   ModelScratch scratch_;
   RefreshStats stats_;

@@ -272,21 +272,42 @@ datacenter::HostId ScoreBasedPolicy::choose_power_off(
   // HostId), on the same model the rounds use.
   std::optional<ScoreModel> model;
   emplace_model(ctx, config_.migration, model);
+  PowerOffMemo& memo = power_off_memo_;
+  if (config_.incremental) {
+    model->column_key(memo.scratch);
+    if (memo.scratch != memo.key ||
+        memo.stamp.size() != ctx.dc.num_hosts()) {
+      std::swap(memo.key, memo.scratch);
+      memo.aggregate.assign(ctx.dc.num_hosts(), 0.0);
+      memo.stamp.assign(ctx.dc.num_hosts(), 0);
+    }
+  }
+  const auto aggregate = [&](datacenter::HostId h) {
+    const int r = static_cast<int>(h);
+    if (!config_.incremental) return model->row_aggregate(r);
+    const std::uint64_t stamp = fleet_.read_stamp(h);
+    if (memo.stamp[h] != stamp) {
+      memo.aggregate[h] = model->row_aggregate(r);
+      memo.stamp[h] = stamp;
+    }
+    return memo.aggregate[h];
+  };
   // The power controller lists idle hosts in ascending HostId order, so
   // the strict > below gives ties to the lowest HostId.
   datacenter::HostId best = idle_hosts.front();
   double best_score = -1;
   for (const datacenter::HostId h : idle_hosts) {
-    const int r = static_cast<int>(h);
     // A non-placeable host (quarantined, breaker-vetoed) has an all-kInf
     // row that would aggregate highest; it is not a candidate.
-    if (!model->placeable(r)) continue;
-    double agg = model->row_aggregate(r);
+    if (!model->placeable(static_cast<int>(h))) continue;
+    double agg = 0;
     if (model->cols() == 0) {
       // Empty matrix: fall back to overhead-based ranking so the choice
       // stays deterministic and sensible.
       agg = ctx.dc.host(h).spec.creation_cost_s +
             ctx.dc.host(h).spec.migration_cost_s;
+    } else {
+      agg = aggregate(h);
     }
     if (agg > best_score) {
       best_score = agg;

@@ -104,9 +104,23 @@ class ScoreBasedPolicy final : public sched::Policy {
   /// the watchdog can always afford.
   std::vector<sched::Action> first_fit(const sched::SchedContext& ctx) const;
 
+  /// Incremental mode's power-off ranking memo. The power controller asks
+  /// for one pick per host it sheds, each on a freshly built model; between
+  /// picks only the shed host is journalled, so most idle rows aggregate to
+  /// the same value again. A stored aggregate is reused while the model's
+  /// column_key() equals `key` bitwise and the host's FleetState read
+  /// stamp equals the stored one (see ScoreModel::column_key).
+  struct PowerOffMemo {
+    std::vector<std::uint64_t> key;    ///< columns the aggregates belong to
+    std::vector<std::uint64_t> scratch;  ///< the current model's key
+    std::vector<double> aggregate;     ///< by HostId
+    std::vector<std::uint64_t> stamp;  ///< read stamp at aggregation; 0: none
+  };
+
   ScoreBasedConfig config_;
   HillClimbStats last_stats_;
   FleetState fleet_;  ///< cross-round state of the incremental core
+  PowerOffMemo power_off_memo_;
   sim::SimTime last_consolidation_ = -1e18;  ///< time of last migration round
 };
 

@@ -1,6 +1,7 @@
 #include "core/score_matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "core/penalties.hpp"
@@ -117,17 +118,20 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
   }
 
   // The M x N arrays are the round's dominant allocation at fleet scale;
-  // recycle them too. resize() (not assign) for the data arrays: stale
-  // contents are unreadable behind the zeroed _ok bitmaps, so only the
-  // bitmaps pay a fleet-sized clear per round.
+  // recycle them too. The data arrays only ever grow: a cell is read only
+  // after its _ok flag is set, so the stale bytes of an earlier (larger or
+  // differently shaped) model are never seen, and shrinking-then-growing
+  // would zero-fill every appended cell of each large model (power-off
+  // models alternate with small queue-only rounds). Only the _ok flags pay
+  // a clear per model.
   const std::size_t cells =
       static_cast<std::size_t>(nrows_) * vms_.size();
   static_terms_ = std::move(scratch.static_terms);
-  static_terms_.resize(cells);
+  if (static_terms_.size() < cells) static_terms_.resize(cells);
   static_ok_ = std::move(scratch.static_ok);
   static_ok_.assign(cells, 0);  // built lazily; most cells prune away
   cache_ = std::move(scratch.cache);
-  cache_.resize(cells);
+  if (cache_.size() < cells) cache_.resize(cells);
   cache_ok_ = std::move(scratch.cache_ok);
   cache_ok_.assign(cells, 0);
 }
@@ -495,6 +499,22 @@ void ScoreModel::debug_corrupt_cache(int r, int c, double delta) {
   EA_EXPECTS(c >= 0 && c < cols());
   (void)cell(r, c);  // force the cell warm so the perturbation sticks
   cache_[at(r, c)] += delta;
+}
+
+void ScoreModel::column_key(std::vector<std::uint64_t>& out) const {
+  out.clear();
+  out.reserve(vms_.size() * 12);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const VmCol& v : vms_) {
+    out.insert(out.end(),
+               {bits(v.cpu), bits(v.mem), bits(v.elapsed_s),
+                bits(v.remaining_user_s), bits(v.remaining_work_s),
+                bits(v.deadline_s), bits(v.fault_tolerance),
+                static_cast<std::uint64_t>(v.is_new),
+                static_cast<std::uint64_t>(v.original),
+                static_cast<std::uint64_t>(v.planned),
+                static_cast<std::uint64_t>(v.arch), v.software});
+  }
 }
 
 double ScoreModel::row_aggregate(int r) const {

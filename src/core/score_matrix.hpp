@@ -193,6 +193,14 @@ class ScoreModel {
   /// of infinite ones, folded into one comparable number.
   [[nodiscard]] double row_aggregate(int r) const;
 
+  /// Replaces `out` with a bitwise encoding of every column
+  /// field a cell reads. With the fixed params, real row `r`'s cells — and
+  /// so row_aggregate(r) — are a function of snapshot entry `r` and this
+  /// key alone while the plan is the snapshot's (no move() yet): equal
+  /// keys and an unchanged FleetState::read_stamp(r) mean an equal
+  /// aggregate. The power-off ranking memo relies on this.
+  void column_key(std::vector<std::uint64_t>& out) const;
+
   /// Compares every *warmed* cached cell against a fresh recomputation and
   /// returns how many diverge; the coordinates of the first divergence land
   /// in `first_r`/`first_c` (optional). Cold cells are skipped — only

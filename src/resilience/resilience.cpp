@@ -263,9 +263,13 @@ void ResilienceController::set_health(sim::SimTime now, datacenter::HostId h,
     ck->check_breaker_transition(now, h, b.state, to);
   }
   if (b.state == HostHealth::kHealthy && to != HostHealth::kHealthy) {
-    ++not_healthy_;
+    b.not_healthy_pos = not_healthy_.size();
+    not_healthy_.push_back(h);
   } else if (b.state != HostHealth::kHealthy && to == HostHealth::kHealthy) {
-    --not_healthy_;
+    const datacenter::HostId last = not_healthy_.back();
+    not_healthy_[b.not_healthy_pos] = last;
+    breakers_[last].not_healthy_pos = b.not_healthy_pos;
+    not_healthy_.pop_back();
   }
   b.state = to;
 }
@@ -445,7 +449,7 @@ HostHealth ResilienceController::health(datacenter::HostId h) const {
 }
 
 std::size_t ResilienceController::breakers_not_healthy() const noexcept {
-  return not_healthy_;
+  return not_healthy_.size();
 }
 
 }  // namespace easched::resilience

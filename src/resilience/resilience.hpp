@@ -172,7 +172,7 @@ class ResilienceController {
   /// the common case, and the reason an idle controller stays within the
   /// `bench_overhead --component=resilience` budget.
   [[nodiscard]] bool may_veto_placement() const noexcept {
-    return not_healthy_ > 0;
+    return !not_healthy_.empty();
   }
   /// Whether placements/migrations onto `h` are allowed right now:
   /// Healthy, or Suspect with the half-open probe slot free.
@@ -196,6 +196,14 @@ class ResilienceController {
   }
   /// Hosts whose breaker is currently not Healthy.
   [[nodiscard]] std::size_t breakers_not_healthy() const noexcept;
+  /// Those hosts, in no particular order — the only hosts on which
+  /// allows_placement() can be false (or change with the clock alone), so
+  /// the scheduling core's fleet refresh re-checks placeability for these
+  /// instead of scanning the fleet.
+  [[nodiscard]] const std::vector<datacenter::HostId>& not_healthy_hosts()
+      const noexcept {
+    return not_healthy_;
+  }
 
  private:
   struct Breaker {
@@ -204,6 +212,7 @@ class ResilienceController {
     int open_streak = 0;  ///< re-opens since the last close
     bool probe_inflight = false;
     sim::SimTime opened_at = 0;
+    std::size_t not_healthy_pos = 0;  ///< index in not_healthy_ if listed
   };
 
   void shift_ladder(sim::SimTime now, LadderLevel to, bool breach);
@@ -221,7 +230,9 @@ class ResilienceController {
   int round_moves_ = 0;
   int healthy_rounds_ = 0;
   double effort_ewma_ = 0;
-  std::size_t not_healthy_ = 0;  ///< breakers currently not Healthy
+  /// Hosts whose breaker is not Healthy; set_health() keeps it (O(1)
+  /// append / swap-remove through Breaker::not_healthy_pos).
+  std::vector<datacenter::HostId> not_healthy_;
 };
 
 /// The run's resilience controller, or nullptr when none is attached.

@@ -379,8 +379,8 @@ void InvariantChecker::check_fleet(const core::FleetState& fleet,
   }
 
   // kFleetSnapshot: every field of every host, bitwise, against the shared
-  // read path. A divergence means the dirty journal (or the refresh's
-  // out-of-band scans) missed a mutation.
+  // read path. A divergence means the dirty journal (or the refresh's busy
+  // set or breaker re-checks) missed a mutation.
   core::FleetSnapshot fresh;
   fresh.resize(n);
   for (HostId h = 0; h < n; ++h) {

@@ -7,10 +7,16 @@
 //     that are quarantined or breaker-vetoed;
 //   - end-to-end run identity (incremental vs reference policy across the
 //     SB configurations and both solvers);
+//   - recycled model scratch: models that grow and shrink round to round
+//     over one FleetState never read a previous model's cells;
 //   - targeted dirty-journal behavior: maintenance flips, journal
-//     deduplication, clean rounds re-reading nothing, clock-aged in-flight
-//     operations caught by the force-reread scan, the reference model
-//     leaving the journal alone, and persistent column pruning;
+//     deduplication, clean rounds re-reading nothing, dirt the journal
+//     cannot see (clock-aged in-flight operations, breaker vetoes that
+//     flip with the clock or inside the resilience controller), the
+//     reference model leaving the journal alone, and persistent column
+//     pruning;
+//   - the power-off ranking memo: shedding several hosts in one power
+//     controller update, and a column change that must miss the memo;
 //   - HostBucketIndex unit/property checks (margins, block maxima, band
 //     histogram, conservative candidate bound);
 //   - the kFleetSnapshot / kFleetIndex invariant rules: clean state passes,
@@ -18,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "resilience/resilience.hpp"
+#include "sched/power_controller.hpp"
 #include "test_random_instances.hpp"
 #include "validate/invariant_checker.hpp"
 
@@ -223,6 +231,53 @@ TEST_P(FleetDifferential, FreshFleetRoundMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
+// The model scratch is recycled across models and its data arrays only
+// grow, so a small model sits on top of a larger model's stale cells (at
+// other indices: the layout is r * cols + c). Swing the model size over
+// one FleetState — a large migration model, a small queue-only one, the
+// large one again — and hold every cell to a fresh reference model.
+TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
+  datacenter::DatacenterConfig base;
+  const datacenter::HostSpec specs[] = {
+      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
+      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
+  for (int i = 0; i < 8; ++i) base.hosts.push_back(specs[i % 4]);
+  SmallDc f(8, base);
+  for (int i = 0; i < 6; ++i) {
+    f.admit_and_place(make_job(50.0 + 25.0 * i, 256.0 + 64.0 * i),
+                      static_cast<HostId>(i));
+  }
+  f.simulator.run_until(400.0);  // creations done: the VMs are columns
+  std::vector<VmId> big_queue;
+  for (int i = 0; i < 3; ++i) {
+    big_queue.push_back(f.dc.admit_job(
+        make_job(100.0 * (i + 1), 300.0 + 200.0 * i, 5000, 1.5,
+                 f.simulator.now())));
+  }
+  const std::vector<VmId> small_queue = {big_queue.back()};
+  ScoreParams params;
+  params.use_fault = true;
+
+  struct Build {
+    const std::vector<VmId>* queue;
+    bool migration;
+  };
+  const Build swing[] = {{&big_queue, true}, {&small_queue, false},
+                         {&big_queue, true}, {&small_queue, true},
+                         {&big_queue, false}};
+  FleetState fleet;
+  int step = 0;
+  for (const Build& b : swing) {
+    SCOPED_TRACE(::testing::Message() << "build " << step++);
+    fleet.refresh(f.dc, *b.queue);
+    const ScoreModel inc(fleet, f.dc, *b.queue, params, b.migration);
+    const ScoreModel ref(f.dc, *b.queue, params, b.migration);
+    expect_models_equal(inc, ref, f.dc);  // warms every cell of `inc`
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(inc.count_cache_divergences(), 0);
+  }
+}
+
 // ---- dirty-journal behavior -------------------------------------------------
 
 TEST(FleetDirty, RefreshPicksUpMaintenanceFlip) {
@@ -313,7 +368,7 @@ TEST(FleetDirty, CleanRoundRereadsNothingAndMatrixIsByteStable) {
 }
 
 // An in-flight operation's Pconc contribution ages with the clock without
-// any Datacenter mutation; refresh's force-reread scan must catch it.
+// any Datacenter mutation; refresh's busy set must catch it.
 TEST(FleetDirty, InFlightOperationAgesWithClock) {
   SmallDc f(2);
   const VmId v = f.dc.admit_job(make_job());
@@ -328,13 +383,131 @@ TEST(FleetDirty, InFlightOperationAgesWithClock) {
   // dispatched, nothing journaled — but the remaining time shrank.
   f.simulator.run_until(f.simulator.now() + conc0 * 0.5);
   fleet.refresh(f.dc, {});
-  EXPECT_GE(fleet.stats().last_reread, 1u);  // the out-of-band scan fired
+  EXPECT_GE(fleet.stats().last_reread, 1u);  // the busy set re-read it
   EXPECT_LT(fleet.snapshot().conc_remaining_s[0], conc0);
 
   // And the refreshed state satisfies the snapshot rule at the new time.
   validate::InvariantChecker ck;
   ck.check_fleet(fleet, f.dc, f.simulator.now());
   EXPECT_TRUE(ck.ok());
+}
+
+/// Bitwise equality of the refreshed snapshot and index with a fresh full
+/// read of `dc` (FleetState::read_all).
+void expect_matches_full_read(const FleetState& fleet,
+                              const datacenter::Datacenter& dc) {
+  FleetState fresh;
+  fresh.read_all(dc);
+  const auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  const FleetSnapshot& a = fleet.snapshot();
+  const FleetSnapshot& b = fresh.snapshot();
+  EXPECT_TRUE(same(a.placeable, b.placeable));
+  EXPECT_TRUE(same(a.cpu_cap, b.cpu_cap));
+  EXPECT_TRUE(same(a.mem_cap, b.mem_cap));
+  EXPECT_TRUE(same(a.cpu_res, b.cpu_res));
+  EXPECT_TRUE(same(a.mem_res, b.mem_res));
+  EXPECT_TRUE(same(a.vm_count, b.vm_count));
+  EXPECT_TRUE(same(a.running_demand, b.running_demand));
+  EXPECT_TRUE(same(a.mgmt_demand, b.mgmt_demand));
+  EXPECT_TRUE(same(a.conc_remaining_s, b.conc_remaining_s));
+  EXPECT_TRUE(same(a.creation_cost, b.creation_cost));
+  EXPECT_TRUE(same(a.migration_cost, b.migration_cost));
+  EXPECT_TRUE(same(a.reliability, b.reliability));
+  EXPECT_TRUE(same(a.arch, b.arch));
+  EXPECT_TRUE(same(a.software, b.software));
+  EXPECT_TRUE(same(fleet.index().free_cpu_all(), fresh.index().free_cpu_all()));
+  EXPECT_TRUE(same(fleet.index().free_mem_all(), fresh.index().free_mem_all()));
+  EXPECT_TRUE(same(fleet.index().block_free_cpu(),
+                   fresh.index().block_free_cpu()));
+}
+
+// Breaker vetoes change placeability without any Datacenter mutation: the
+// breaker opens inside the resilience controller, its half-open probe
+// delay elapses with the clock, a probe goes in flight and clears, and the
+// breaker closes back to Healthy. No step is journalled, and after each
+// the refreshed snapshot must still be a full read.
+TEST(FleetDirty, BreakerVetoesFlipWithoutTheJournal) {
+  constexpr HostId kHost = 1;
+  constexpr double kProbeAfter = 600;
+  SmallDc f(4);
+  resilience::ResilienceConfig rcfg;
+  rcfg.enabled = true;
+  rcfg.breaker_threshold = 1;
+  rcfg.breaker_probe_after_s = kProbeAfter;
+  resilience::ResilienceController rc(rcfg, f.recorder, f.dc.num_hosts());
+  f.recorder.resilience = &rc;
+
+  FleetState fleet;
+  fleet.refresh(f.dc, {});
+  const auto step = [&](const char* what, bool placeable) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(f.dc.fleet_dirty_count(), 0u) << "step was journalled";
+    fleet.refresh(f.dc, {});
+    EXPECT_EQ(fleet.snapshot().placeable[kHost], placeable ? 1 : 0);
+    expect_matches_full_read(fleet, f.dc);
+  };
+
+  rc.note_op_failure(kHost, f.simulator.now());
+  step("breaker opens", false);
+  f.simulator.run_until(f.simulator.now() + kProbeAfter);
+  step("probe delay elapses", true);
+  rc.note_op_start(kHost, f.simulator.now());
+  step("probe in flight", false);
+  rc.note_op_failure(kHost, f.simulator.now());
+  step("probe fails and clears: re-opened", false);
+  f.simulator.run_until(f.simulator.now() + kProbeAfter);
+  step("probe delay elapses again", true);
+  rc.note_op_start(kHost, f.simulator.now());
+  step("second probe in flight", false);
+  rc.note_op_success(kHost, f.simulator.now());
+  ASSERT_EQ(rc.health(kHost), resilience::HostHealth::kHealthy);
+  step("probe succeeds: breaker closes to Healthy", true);
+
+  // Every breaker is Healthy and no operation is in flight: the next
+  // round looks at nothing outside the journal.
+  fleet.refresh(f.dc, {});
+  EXPECT_EQ(fleet.stats().last_out_of_band, 0u);
+  EXPECT_EQ(fleet.stats().last_reread, 0u);
+}
+
+// An in-flight operation ages with the clock, unjournalled, until its
+// completion is journalled; the busy set re-reads the host every round in
+// between and lets it go once the operation is done.
+TEST(FleetDirty, BusyHostAgesThenCompletes) {
+  SmallDc f(3);
+  FleetState fleet;
+  fleet.refresh(f.dc, {});
+  EXPECT_EQ(fleet.stats().last_out_of_band, 0u);
+
+  const VmId v = f.dc.admit_job(make_job());
+  f.dc.place(v, 2);  // journalled: the creation starts
+  fleet.refresh(f.dc, {});
+  const double conc0 = fleet.snapshot().conc_remaining_s[2];
+  ASSERT_GT(conc0, 0.0);
+  expect_matches_full_read(fleet, f.dc);
+
+  for (int i = 1; i <= 3; ++i) {
+    f.simulator.run_until(f.simulator.now() + conc0 * 0.2);
+    ASSERT_EQ(f.dc.fleet_dirty_count(), 0u);  // aging is not journalled
+    fleet.refresh(f.dc, {});
+    EXPECT_EQ(fleet.stats().last_out_of_band, 1u);
+    EXPECT_EQ(fleet.stats().last_reread, 1u);
+    EXPECT_LT(fleet.snapshot().conc_remaining_s[2], conc0);
+    expect_matches_full_read(fleet, f.dc);
+  }
+
+  f.simulator.run_until(f.simulator.now() + conc0);  // creation completes
+  ASSERT_EQ(f.dc.vm(v).state, datacenter::VmState::kRunning);
+  fleet.refresh(f.dc, {});
+  EXPECT_EQ(fleet.snapshot().conc_remaining_s[2], 0.0);
+  expect_matches_full_read(fleet, f.dc);
+
+  fleet.refresh(f.dc, {});  // idle again: nothing outside the journal
+  EXPECT_EQ(fleet.stats().last_out_of_band, 0u);
+  EXPECT_EQ(fleet.stats().last_reread, 0u);
 }
 
 TEST(FleetDirty, PersistentColumnsFollowTheQueue) {
@@ -473,6 +646,99 @@ TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
     idle.erase(std::find(idle.begin(), idle.end(), h));
   }
   EXPECT_GE(placeable_picks, 2);
+}
+
+/// Forwards to a ScoreBasedPolicy and records every power-off pick, so two
+/// power controller runs can be compared pick by pick.
+class RecordingPolicy final : public sched::Policy {
+ public:
+  explicit RecordingPolicy(ScoreBasedConfig cfg) : inner_(std::move(cfg)) {}
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  std::vector<sched::Action> schedule(const sched::SchedContext& ctx) override {
+    return inner_.schedule(ctx);
+  }
+  HostId choose_power_off(const sched::SchedContext& ctx,
+                          const std::vector<HostId>& idle) override {
+    picks.push_back(inner_.choose_power_off(ctx, idle));
+    return picks.back();
+  }
+  std::vector<HostId> picks;
+
+ private:
+  ScoreBasedPolicy inner_;
+};
+
+/// Picks of one power controller update on a fleet of mixed node classes
+/// with a few running VMs and a lambda_min that sheds every idle host.
+std::vector<HostId> shed_in_one_update(bool incremental) {
+  datacenter::DatacenterConfig base;
+  const datacenter::HostSpec specs[] = {
+      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
+      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
+  for (int i = 0; i < 10; ++i) base.hosts.push_back(specs[(i * 3) % 4]);
+  SmallDc f(10, base);
+  f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.admit_and_place(make_job(200, 1024, 50000), 3);
+  f.admit_and_place(make_job(150, 768, 50000), 7);
+  f.simulator.run_until(400.0);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
+  cfg.incremental = incremental;
+  RecordingPolicy policy(cfg);
+  sched::PowerControllerConfig pcfg;
+  pcfg.lambda_min = 0.9;  // shed until working / online >= 0.9
+  support::Rng rng{5};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  sched::PowerController(pcfg).update(ctx, f.dc, policy);
+  return policy.picks;
+}
+
+// The power controller sheds one choose_power_off pick at a time, all at
+// one sim time; the incremental policy reuses its row aggregates across
+// those picks. Its picks must be the reference policy's.
+TEST(FleetPowerOff, ShedsSeveralHostsInOneUpdateLikeTheReference) {
+  const std::vector<HostId> ref = shed_in_one_update(false);
+  const std::vector<HostId> inc = shed_in_one_update(true);
+  ASSERT_GE(ref.size(), 5u);
+  EXPECT_EQ(inc, ref);
+}
+
+// A running VM's demand grows between two picks at the same sim time. The
+// idle hosts are not re-read (only the VM's host is journalled), but the
+// VM's column changed, so the memo must miss: the grown VM no longer fits
+// the smaller idle host, whose row turns infinite and now ranks first.
+TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
+  constexpr HostId kBig = 1;    // idle, 800 % CPU
+  constexpr HostId kSmall = 2;  // idle, 400 % CPU
+  datacenter::DatacenterConfig base;
+  datacenter::HostSpec big = datacenter::HostSpec::medium();
+  big.cpu_capacity_pct = 800;
+  base.hosts = {big, big, datacenter::HostSpec::medium()};
+  SmallDc f(3, base);
+  const VmId v = f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.simulator.run_until(400.0);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{7};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  const std::vector<HostId> idle = {kBig, kSmall};
+
+  // Both rows are finite; the emptier (bigger) host aggregates higher.
+  const HostId before = ref.choose_power_off(ctx, idle);
+  EXPECT_EQ(before, kBig);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), before);
+
+  const sim::SimTime t = f.simulator.now();
+  f.dc.boost_demand(v, 500);  // no longer fits kSmall
+  ASSERT_EQ(f.simulator.now(), t);
+  const HostId after = ref.choose_power_off(ctx, idle);
+  EXPECT_EQ(after, kSmall);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), after);
 }
 
 // ---- HostBucketIndex --------------------------------------------------------
