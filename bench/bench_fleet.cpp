@@ -14,8 +14,7 @@
 //                 re-reads all M hosts and evaluates the matrix without
 //                 pruning or persistent columns (the executable spec);
 //   incremental — the cross-round FleetState path: dirty-journal re-reads,
-//                 lazy static terms, capacity-pruned argmin, persistent
-//                 queued-VM columns.
+//                 capacity-pruned argmin, persistent queued-VM columns.
 //
 // The two action streams are compared round for round and any divergence
 // is a hard failure: the speedup claim is only meaningful if the decisions

@@ -6,12 +6,14 @@
 #                           tests again with run-time checking forced on
 #                           for every experiment (EASCHED_VALIDATE=1)
 #   2. AddressSanitizer + UndefinedBehaviorSanitizer — validate + faults +
-#                           resilience + telemetry + sched + obs + fleet
-#                           suites (sched: the power controller and driver
-#                           read the Datacenter's maintained per-host
-#                           node-class state; fleet: the score model's
-#                           recycled, grow-only scratch buffers and the
-#                           fleet refresh's maintained host sets)
+#                           resilience + telemetry + sched + obs + fleet +
+#                           solver suites (sched: the power controller and
+#                           driver read the Datacenter's maintained
+#                           per-host node-class state; fleet: the score
+#                           model's recycled scratch buffers, persisted
+#                           columns and the fleet refresh's maintained host
+#                           sets; solver: the penalty terms, the score
+#                           model's evaluator and the solvers' indexing)
 #   3. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
 #                           suites (sweep covers SweepRunner, the only
 #                           library code that starts threads; the other
@@ -64,10 +66,10 @@ if [ "$fast" = "fast" ]; then
   exit 0
 fi
 
-echo "== address+UB-sanitized build: validate + faults + resilience + telemetry + sched + obs + fleet =="
+echo "== address+UB-sanitized build: validate + faults + resilience + telemetry + sched + obs + fleet + solver =="
 build "$repo/build-validate-asan" -DEASCHED_SANITIZE=address
 EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate-asan" \
-  -L "validate|faults|resilience|telemetry|sched|obs|fleet" \
+  -L "validate|faults|resilience|telemetry|sched|obs|fleet|solver" \
   --output-on-failure -j"$(nproc)"
 
 echo "== thread-sanitized build: validate + solver + resilience + fleet + sweep =="

@@ -37,25 +37,16 @@ void HostBucketIndex::reset(std::size_t num_hosts) {
       (num_hosts + kArgminBlock - 1) / static_cast<std::size_t>(kArgminBlock);
   block_free_cpu_.assign(nblocks, -1.0);
   block_free_mem_.assign(nblocks, -1.0);
-  band_count_.assign(kBands, 0);
-  band_of_host_.assign(num_hosts, -1);
-}
-
-int HostBucketIndex::band_of(double free_cpu_pct) {
-  if (free_cpu_pct < 0) return -1;
-  const int b = static_cast<int>(free_cpu_pct / kBandWidthPct);
-  return b >= kBands ? kBands - 1 : b;
 }
 
 void HostBucketIndex::update(HostId h, const FleetSnapshot& snap) {
-  free_cpu_[h] = FleetState::expected_free_cpu(snap, h);
-  free_mem_[h] = FleetState::expected_free_mem(snap, h);
-  const int band = band_of(free_cpu_[h]);
-  if (band != band_of_host_[h]) {
-    if (band_of_host_[h] >= 0) --band_count_[band_of_host_[h]];
-    if (band >= 0) ++band_count_[band];
-    band_of_host_[h] = static_cast<std::int8_t>(band);
-  }
+  set(h, FleetState::expected_free_cpu(snap, h),
+      FleetState::expected_free_mem(snap, h));
+}
+
+void HostBucketIndex::set(HostId h, double free_cpu, double free_mem) {
+  free_cpu_[h] = free_cpu;
+  free_mem_[h] = free_mem;
   rebuild_block(static_cast<int>(h) / kArgminBlock);
 }
 
@@ -73,26 +64,16 @@ void HostBucketIndex::rebuild_block(int blk) {
   block_free_mem_[static_cast<std::size_t>(blk)] = best_mem;
 }
 
-int HostBucketIndex::candidate_upper_bound(double cpu_need_pct) const {
-  int band = band_of(std::max(cpu_need_pct, 0.0));
-  if (band < 0) band = 0;
-  int count = 0;
-  for (int b = band; b < kBands; ++b) count += band_count_[b];
-  return count;
-}
-
 void HostBucketIndex::debug_corrupt(HostId h, double delta) {
   free_cpu_[h] += delta;
 }
 
 double FleetState::expected_free_cpu(const FleetSnapshot& snap, HostId h) {
-  if (snap.placeable[h] == 0) return -1.0;
-  return snap.cpu_cap[h] * kFleetOverMargin - snap.cpu_res[h];
+  return free_margin(snap.placeable[h] != 0, snap.cpu_cap[h], snap.cpu_res[h]);
 }
 
 double FleetState::expected_free_mem(const FleetSnapshot& snap, HostId h) {
-  if (snap.placeable[h] == 0) return -1.0;
-  return snap.mem_cap[h] * kFleetOverMargin - snap.mem_res[h];
+  return free_margin(snap.placeable[h] != 0, snap.mem_cap[h], snap.mem_res[h]);
 }
 
 void FleetState::refresh(const Datacenter& dc,

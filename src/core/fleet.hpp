@@ -26,9 +26,10 @@
 //                     implies an infinite Pres cell), per-kArgminBlock
 //                     maxima of those margins (consulted block-for-block
 //                     by hill_climb's blocked argmin to skip whole blocks
-//                     of hosts that cannot accept a VM), and a free-CPU
-//                     band histogram for O(1) candidate-count estimates.
-//                     Updated incrementally for dirty hosts only.
+//                     of hosts that cannot accept a VM). Updated
+//                     incrementally for dirty hosts only; the ScoreModel
+//                     copies it per round and keeps the copy in step with
+//                     its plan.
 //
 //   FleetColCache   — persistent per-VM score columns. A queued VM that
 //                     stays queued across rounds keeps its evaluated
@@ -68,6 +69,15 @@ namespace easched::core {
 /// possibly still over) are evaluated exactly.
 inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 
+/// The one margin formula, shared by the index, the ScoreModel's
+/// plan-tracked margins and the kFleetIndex checker rule: a placeable
+/// host's free margin is cap * kFleetOverMargin - reserved, a
+/// non-placeable host's is -1 (any need exceeds it).
+[[nodiscard]] inline double free_margin(bool placeable, double cap,
+                                        double reserved) {
+  return placeable ? cap * kFleetOverMargin - reserved : -1.0;
+}
+
 /// SoA snapshot of every host's score-relevant fields, row index == HostId.
 /// Every field is written by FleetState::read_host(); kFleetSnapshot
 /// asserts bitwise equality against a fresh re-read.
@@ -89,24 +99,20 @@ struct FleetSnapshot {
 };
 
 /// Capacity-bucketed host index over the snapshot (see header comment).
-/// All three structures are maintained per-host: update(h, ...) is O(block)
-/// for the block maxima and O(1) for the histogram.
+/// Both structures are maintained per host: set(h, ...) and update(h, ...)
+/// are O(kArgminBlock) for the block maxima.
 class HostBucketIndex {
  public:
-  /// Free-CPU band width / count for the candidate histogram. 64 bands of
-  /// 25 CPU-% cover margins up to 1600 % (a 16-way machine); anything
-  /// larger saturates into the top band, which only ever *over*-counts
-  /// candidates (the histogram is advisory, never used for pruning).
-  static constexpr double kBandWidthPct = 25.0;
-  static constexpr int kBands = 64;
-
   void reset(std::size_t num_hosts);
   /// Recomputes host `h`'s margins from the snapshot entry and maintains
-  /// the block maxima and the band histogram.
+  /// the block maxima.
   void update(datacenter::HostId h, const FleetSnapshot& snap);
+  /// Stores host `h`'s margins and maintains the block maxima (the score
+  /// model's plan-tracked copy feeds this from its planned reservations).
+  void set(datacenter::HostId h, double free_cpu, double free_mem);
 
   [[nodiscard]] std::size_t size() const { return free_cpu_.size(); }
-  /// Free margin of `h` (cap * kFleetOverMargin - reserved); -1 when the
+  /// Free margin of `h` (free_margin() of its reservation); -1 when the
   /// host is not placeable, so any need > margin and it prunes away.
   [[nodiscard]] double free_cpu(datacenter::HostId h) const {
     return free_cpu_[h];
@@ -129,16 +135,8 @@ class HostBucketIndex {
     return block_free_mem_;
   }
 
-  /// Band of a free-CPU margin (-1 for unplaceable margins).
-  [[nodiscard]] static int band_of(double free_cpu_pct);
-  [[nodiscard]] int band_count(int band) const { return band_count_[band]; }
-  /// Upper bound on the number of hosts whose free CPU could fit
-  /// `cpu_need_pct` (counts every band at or above the need's band, so the
-  /// boundary band over-counts — a conservative candidate estimate).
-  [[nodiscard]] int candidate_upper_bound(double cpu_need_pct) const;
-
   /// Test hook: perturbs host `h`'s stored free-CPU margin without
-  /// touching blocks or bands, simulating a missed index update (the
+  /// touching the blocks, simulating a missed index update (the
   /// kFleetIndex mutation tests use this).
   void debug_corrupt(datacenter::HostId h, double delta);
 
@@ -147,8 +145,6 @@ class HostBucketIndex {
 
   std::vector<double> free_cpu_, free_mem_;
   std::vector<double> block_free_cpu_, block_free_mem_;
-  std::vector<int> band_count_;    ///< histogram over free-CPU bands
-  std::vector<std::int8_t> band_of_host_;  ///< -1: not counted
 };
 
 /// Persistent score column of one queued VM: Score(h, vm) per HostId plus
@@ -159,34 +155,15 @@ struct FleetColCache {
   std::vector<unsigned char> ok;
 };
 
-/// Plan-independent penalty terms of one (host, vm) cell, fixed at
-/// snapshot time (see ScoreModel: Preq compatibility with placeability
-/// folded in, Pvirt, Pconc, Pfault). Defined here so the fleet scratch
-/// below can own the backing array across rounds.
-struct CellStaticTerms {
-  double virt = 0;
-  double conc = 0;
-  double fault = 0;
-  bool compat = false;
-};
-
-/// Round-to-round reusable backing buffers for the ScoreModel.
-/// The per-round matrices are M x N — multiple MB at fleet scale — and a
-/// fresh allocate-and-zero every round costs a measurable slice of the
-/// incremental round budget. The model takes these buffers in its
-/// constructor and returns them in its destructor; stale contents are
-/// never read because validity is tracked by the _ok bitmaps (re-zeroed
-/// for each model; the cell arrays behind them only grow) and the plan
-/// vectors are overwritten wholesale.
+/// Round-to-round reusable backing buffers for the ScoreModel's
+/// plan-tracked per-row state (O(hosts) each; the model keeps no per-cell
+/// state). The model takes these buffers in its constructor and returns
+/// them in its destructor; their contents are overwritten wholesale.
 struct ModelScratch {
   std::vector<double> cpu_res, mem_res, running;
   std::vector<int> vm_count;
-  std::vector<double> free_cpu, free_mem, block_free_cpu, block_free_mem;
   std::vector<unsigned char> plan_touched;
-  std::vector<CellStaticTerms> static_terms;
-  std::vector<unsigned char> static_ok;
-  std::vector<double> cache;
-  std::vector<unsigned char> cache_ok;
+  HostBucketIndex margins;
 };
 
 class FleetState {
@@ -242,9 +219,7 @@ class FleetState {
                                          std::size_t num_hosts);
   [[nodiscard]] std::size_t col_cache_count() const { return cols_.size(); }
 
-  /// The expected free margin for snapshot entry `h` — the single formula
-  /// shared by the index, the ScoreModel's plan-tracked margins and the
-  /// kFleetIndex checker rule.
+  /// free_margin() of snapshot entry `h`'s CPU / memory.
   [[nodiscard]] static double expected_free_cpu(const FleetSnapshot& snap,
                                                 datacenter::HostId h);
   [[nodiscard]] static double expected_free_mem(const FleetSnapshot& snap,

@@ -28,9 +28,11 @@
 // code the real policy uses. The model concept:
 //   int rows(), int cols(), int virtual_row();
 //   double cell(int r, int c);            // score under the current plan
-//   int plan_row(int c); bool movable(int c);
+//   int plan_row(int c), int original_row(int c); bool movable(int c);
 //   Dirty move(int r, int c);             // Dirty{col, row_a, row_b}
-// Optionally: void prime()                // pre-fill any internal cache
+// cell() need not be cheap to repeat: both solvers read each cell they
+// need once per dirtying and keep what they read (the reference its full
+// matrix, hill_climb its per-column argmin and keep scores).
 // Optionally (candidate pruning; both must be *conservative*, i.e. only
 // ever true for cells whose delta against any keep score is >= 0, so the
 // argmin provably never selects them and the move trace stays identical):
@@ -167,10 +169,6 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   const int vrow = model.virtual_row();
   if (cols == 0 || rows <= 1) return stats;
 
-  if constexpr (requires { model.prime(); }) {
-    model.prime();  // initial matrix build (cached models)
-  }
-
   // kArgminBlock (core/score.hpp) is shared with the fleet bucket index:
   // its per-block free-capacity maxima are what skip_block() consults.
   const int nblocks = (rows + kArgminBlock - 1) / kArgminBlock;
@@ -186,10 +184,14 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   std::vector<Cand> block_best(static_cast<std::size_t>(cols) *
                                static_cast<std::size_t>(nblocks));
   std::vector<Cand> best(static_cast<std::size_t>(cols));
+  // Score of keeping each column where it is planned. It changes only when
+  // the column or its plan row is dirtied, and exactly then the column is
+  // recomputed (recompute_col), which re-reads it.
+  std::vector<double> keep_score(static_cast<std::size_t>(cols));
 
   const auto rescan_block = [&](int c, int blk) {
     const int plan = model.plan_row(c);
-    const double keep = model.cell(plan, c);
+    const double keep = keep_score[static_cast<std::size_t>(c)];
     Cand b;
     const int lo = blk * kArgminBlock;
     const int hi = std::min(rows, lo + kArgminBlock);
@@ -233,6 +235,7 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
     best[static_cast<std::size_t>(c)] = b;
   };
   const auto recompute_col = [&](int c) {
+    keep_score[static_cast<std::size_t>(c)] = model.cell(model.plan_row(c), c);
     for (int blk = 0; blk < nblocks; ++blk) scan_block(c, blk);
     reduce_col(c);
   };

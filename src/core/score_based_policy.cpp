@@ -116,7 +116,6 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
     }
   }
   ScoreModel& model = *model_storage;
-  model.set_profiler(prof);
   {
     obs::PhaseProfiler::Scope scope(prof, obs::Phase::kClimb);
     if (config_.solver == MatrixSolver::kAnnealing &&
@@ -143,8 +142,9 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       }
     }
   }
-  // The climb warmed whatever cells it touched; before committing the plan
-  // to actions, hold the cache to the recompute contract (kScoreCache).
+  // The climb persisted whatever queued cells it read on untouched rows;
+  // before committing the plan to actions, hold the persisted columns to
+  // the fresh-evaluation contract (kScoreCache).
   if (auto* ck = validate::checker(ctx.dc.recorder())) {
     ck->check_score_model(model, now);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "core/penalties.hpp"
 #include "support/contracts.hpp"
@@ -74,15 +73,12 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
     dst = std::move(src);
     dst.assign(from.begin(), from.end());
   };
-  const HostBucketIndex& index = fleet_->index();
   take(cpu_res_, scratch.cpu_res, snap.cpu_res);
   take(mem_res_, scratch.mem_res, snap.mem_res);
   take(running_, scratch.running, snap.running_demand);
   take(vm_count_, scratch.vm_count, snap.vm_count);
-  take(free_cpu_, scratch.free_cpu, index.free_cpu_all());
-  take(free_mem_, scratch.free_mem, index.free_mem_all());
-  take(block_free_cpu_, scratch.block_free_cpu, index.block_free_cpu());
-  take(block_free_mem_, scratch.block_free_mem, index.block_free_mem());
+  margins_ = std::move(scratch.margins);
+  margins_ = fleet_->index();  // copy-assignment reuses the capacity
   plan_touched_ = std::move(scratch.plan_touched);
   plan_touched_.assign(static_cast<std::size_t>(nrows_), 0);
 
@@ -116,24 +112,6 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
       vms_.push_back(c);
     }
   }
-
-  // The M x N arrays are the round's dominant allocation at fleet scale;
-  // recycle them too. The data arrays only ever grow: a cell is read only
-  // after its _ok flag is set, so the stale bytes of an earlier (larger or
-  // differently shaped) model are never seen, and shrinking-then-growing
-  // would zero-fill every appended cell of each large model (power-off
-  // models alternate with small queue-only rounds). Only the _ok flags pay
-  // a clear per model.
-  const std::size_t cells =
-      static_cast<std::size_t>(nrows_) * vms_.size();
-  static_terms_ = std::move(scratch.static_terms);
-  if (static_terms_.size() < cells) static_terms_.resize(cells);
-  static_ok_ = std::move(scratch.static_ok);
-  static_ok_.assign(cells, 0);  // built lazily; most cells prune away
-  cache_ = std::move(scratch.cache);
-  if (cache_.size() < cells) cache_.resize(cells);
-  cache_ok_ = std::move(scratch.cache_ok);
-  cache_ok_.assign(cells, 0);
 }
 
 ScoreModel::~ScoreModel() {
@@ -142,47 +120,8 @@ ScoreModel::~ScoreModel() {
   scratch.mem_res = std::move(mem_res_);
   scratch.running = std::move(running_);
   scratch.vm_count = std::move(vm_count_);
-  scratch.free_cpu = std::move(free_cpu_);
-  scratch.free_mem = std::move(free_mem_);
-  scratch.block_free_cpu = std::move(block_free_cpu_);
-  scratch.block_free_mem = std::move(block_free_mem_);
   scratch.plan_touched = std::move(plan_touched_);
-  scratch.static_terms = std::move(static_terms_);
-  scratch.static_ok = std::move(static_ok_);
-  scratch.cache = std::move(cache_);
-  scratch.cache_ok = std::move(cache_ok_);
-}
-
-void ScoreModel::build_static_cell(int r, int c) const {
-  const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  StaticTerms& st = static_terms_[at(r, c)];
-  st.compat = placeable_[r] != 0 && arch_[r] == v.arch &&
-              (software_[r] & v.software) == v.software;
-  if (!st.compat) return;
-  const bool home = v.original == r;
-  if (params_.use_virt) {
-    const double pm = p_migration(cost_migrate_[r], v.remaining_user_s);
-    st.virt = p_virt(home, /*operation_on_vm=*/false, v.is_new,
-                     cost_create_[r], pm);
-  }
-  st.conc = p_conc(home, conc_[r]);
-  st.fault = p_fault(reliability_[r], v.fault_tolerance, params_.c_fail);
-}
-
-void ScoreModel::prime() {
-  if (!reference()) return;  // the argmin warms what it reads
-  const int nrows = nrows_;
-  const int ncols = static_cast<int>(vms_.size());
-  if (nrows == 0 || ncols == 0) return;
-  for (int r = 0; r < nrows; ++r) {
-    for (int c = 0; c < ncols; ++c) {
-      const std::size_t i = at(r, c);
-      if (!cache_ok_[i]) {
-        cache_[i] = score_cell(r, c);
-        cache_ok_[i] = 1;
-      }
-    }
-  }
+  scratch.margins = std::move(margins_);
 }
 
 int ScoreModel::rows() const { return nrows_ + 1; }
@@ -222,36 +161,20 @@ double ScoreModel::cell(int r, int c) const {
   EA_EXPECTS(r >= 0 && r < rows());
   EA_EXPECTS(c >= 0 && c < cols());
   if (r == virtual_row()) return kInfScore;
-  const std::size_t i = at(r, c);
-  if (!cache_ok_[i]) {
-    FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
-    if (persist != nullptr && plan_touched_[static_cast<std::size_t>(r)] == 0) {
-      // Untouched row: the row's plan state equals the
-      // snapshot, so the cross-round persisted value (computed under the
-      // same state last round — its host would have been dirtied
-      // otherwise) is exact; a fresh evaluation is persisted for the next
-      // round.
-      auto& ok = persist->ok[static_cast<std::size_t>(r)];
-      if (ok != 0) {
-        cache_[i] = persist->by_host[static_cast<std::size_t>(r)];
-      } else {
-        cache_[i] = score_cell(r, c);
-        persist->by_host[static_cast<std::size_t>(r)] = cache_[i];
-        ok = 1;
-      }
-    } else {
-      cache_[i] = score_cell(r, c);
-    }
-    cache_ok_[i] = 1;
+  FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
+  if (persist == nullptr || plan_touched_[static_cast<std::size_t>(r)] != 0) {
+    return evaluate(r, c).total;
   }
-  return cache_[i];
-}
-
-double ScoreModel::recompute_cell(int r, int c) const {
-  EA_EXPECTS(r >= 0 && r < rows());
-  EA_EXPECTS(c >= 0 && c < cols());
-  if (r == virtual_row()) return kInfScore;
-  return score_cell(r, c);
+  // Untouched row: the row's plan state equals the snapshot, so the
+  // persisted value (evaluated against the same snapshot entry; a re-read
+  // would have invalidated it) is exact. A fresh evaluation is persisted
+  // for the next read and the next round.
+  const auto h = static_cast<std::size_t>(r);
+  if (persist->ok[h] == 0) {
+    persist->by_host[h] = evaluate(r, c).total;
+    persist->ok[h] = 1;
+  }
+  return persist->by_host[h];
 }
 
 bool ScoreModel::provably_inf(int r, int c) const {
@@ -262,100 +185,47 @@ bool ScoreModel::provably_inf(int r, int c) const {
   if (arch_[r] != v.arch || (software_[r] & v.software) != v.software) {
     return true;
   }
-  return v.cpu > free_cpu_[static_cast<std::size_t>(r)] ||
-         v.mem > free_mem_[static_cast<std::size_t>(r)];
+  const auto h = static_cast<HostId>(r);
+  return v.cpu > margins_.free_cpu(h) || v.mem > margins_.free_mem(h);
 }
 
 bool ScoreModel::skip_block(int c, int blk) const {
   if (reference()) return false;
-  if (blk < 0 || blk >= static_cast<int>(block_free_cpu_.size())) {
+  const std::vector<double>& block_cpu = margins_.block_free_cpu();
+  if (blk < 0 || blk >= static_cast<int>(block_cpu.size())) {
     return false;  // the virtual row's tail block is never skippable
   }
   // The block maxima only prove capacity infeasibility, not compatibility
   // — but a skipped candidate would have delta >= 0 either way, and the
   // plan row is exempt because rescans skip it anyway.
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  return v.cpu > block_free_cpu_[static_cast<std::size_t>(blk)] ||
-         v.mem > block_free_mem_[static_cast<std::size_t>(blk)];
+  const auto b = static_cast<std::size_t>(blk);
+  return v.cpu > block_cpu[b] || v.mem > margins_.block_free_mem()[b];
 }
 
 ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
   EA_EXPECTS(r >= 0 && r < rows());
   EA_EXPECTS(c >= 0 && c < cols());
-  ScoreBreakdown b;
   if (r == virtual_row()) {
+    ScoreBreakdown b;
     b.req = kInfScore;
     b.total = kInfScore;
     return b;
   }
-  // Term-for-term mirror of score_cell(): same expressions, same
-  // accumulation order, so the left-to-right sum of the terms reproduces
-  // cell(r, c) bit for bit.
-  const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  const StaticTerms& st = ensure_static(r, c);
-  if (!st.compat) {
-    b.req = kInfScore;
-    b.total = kInfScore;
-    return b;
-  }
-  const bool planned_here = v.planned == r;
-  const bool home = v.original == r;
-  const double cpu =
-      cpu_res_[static_cast<std::size_t>(r)] + (planned_here ? 0.0 : v.cpu);
-  const double mem =
-      mem_res_[static_cast<std::size_t>(r)] + (planned_here ? 0.0 : v.mem);
-  const double occupation =
-      std::max(cpu / cap_cpu_[r], mem / cap_mem_[r]);
-  b.res = p_res(occupation);
-  if (is_inf_score(b.res)) {
-    b.total = kInfScore;
-    return b;
-  }
-  double s = b.res;
-  if (params_.use_virt) {
-    b.virt = st.virt;
-    s += b.virt;
-  }
-  if (params_.use_conc) {
-    b.conc = st.conc;
-    s += b.conc;
-  }
-  if (params_.use_pwr) {
-    const int count_wo_vm =
-        vm_count_[static_cast<std::size_t>(r)] - (planned_here ? 1 : 0);
-    b.pwr = p_pwr(count_wo_vm, params_.th_empty, params_.c_empty, occupation,
-                  params_.c_fill);
-    s += b.pwr;
-  }
-  if (params_.use_sla) {
-    double demand = running_[static_cast<std::size_t>(r)] + mgmt_[r];
-    if (!planned_here) demand += v.cpu;
-    const double rate =
-        demand <= cap_cpu_[r] || demand <= 0 ? 1.0 : cap_cpu_[r] / demand;
-    const double transfer =
-        v.is_new ? cost_create_[r] : (home ? 0.0 : cost_migrate_[r]);
-    const double projected =
-        v.elapsed_s + transfer + v.remaining_work_s / rate;
-    const double fulfilment =
-        workload::satisfaction(std::max(projected, 0.0), v.deadline_s) /
-        100.0;
-    b.sla = p_sla(fulfilment, params_.th_sla, params_.c_sla);
-    s += b.sla;
-  }
-  if (params_.use_fault) {
-    b.fault = st.fault;
-    s += b.fault;
-  }
-  b.total = std::min(s, kInfScore);
-  return b;
+  return evaluate(r, c);
 }
 
-double ScoreModel::score_cell(int r, int c) const {
+ScoreBreakdown ScoreModel::evaluate(int r, int c) const {
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  const StaticTerms& st = ensure_static(r, c);
+  ScoreBreakdown b;
 
-  // Preq — hardware and software requirements (plan-independent).
-  if (!st.compat) return kInfScore;
+  // Preq — hardware and software requirements, placeability folded in.
+  b.req = p_req(placeable_[r] != 0 && arch_[r] == v.arch &&
+                (software_[r] & v.software) == v.software);
+  if (is_inf_score(b.req)) {
+    b.total = kInfScore;
+    return b;
+  }
 
   const bool planned_here = v.planned == r;
   const bool home = v.original == r;
@@ -367,20 +237,33 @@ double ScoreModel::score_cell(int r, int c) const {
       mem_res_[static_cast<std::size_t>(r)] + (planned_here ? 0.0 : v.mem);
   const double occupation =
       std::max(cpu / cap_cpu_[r], mem / cap_mem_[r]);
-  double s = p_res(occupation);
-  if (is_inf_score(s)) return kInfScore;
+  b.res = p_res(occupation);
+  if (is_inf_score(b.res)) {
+    b.total = kInfScore;
+    return b;
+  }
 
+  // Left-to-right accumulation in the ScoreBreakdown field order (req is
+  // 0 here), so summing the terms reproduces `total` bit for bit.
+  double s = b.res;
   if (params_.use_virt) {
-    s += st.virt;
+    // Pvirt is charged from the original location, the migration term Pm
+    // against the user-estimated remaining time.
+    const double pm = p_migration(cost_migrate_[r], v.remaining_user_s);
+    b.virt = p_virt(home, /*operation_on_vm=*/false, v.is_new,
+                    cost_create_[r], pm);
+    s += b.virt;
   }
   if (params_.use_conc) {
-    s += st.conc;
+    b.conc = p_conc(home, conc_[r]);
+    s += b.conc;
   }
   if (params_.use_pwr) {
     const int count_wo_vm =
         vm_count_[static_cast<std::size_t>(r)] - (planned_here ? 1 : 0);
-    s += p_pwr(count_wo_vm, params_.th_empty, params_.c_empty, occupation,
-               params_.c_fill);
+    b.pwr = p_pwr(count_wo_vm, params_.th_empty, params_.c_empty, occupation,
+                  params_.c_fill);
+    s += b.pwr;
   }
   if (params_.use_sla) {
     double demand = running_[static_cast<std::size_t>(r)] + mgmt_[r];
@@ -396,43 +279,23 @@ double ScoreModel::score_cell(int r, int c) const {
     const double fulfilment =
         workload::satisfaction(std::max(projected, 0.0), v.deadline_s) /
         100.0;
-    s += p_sla(fulfilment, params_.th_sla, params_.c_sla);
+    b.sla = p_sla(fulfilment, params_.th_sla, params_.c_sla);
+    s += b.sla;
   }
   if (params_.use_fault) {
-    s += st.fault;
+    b.fault = p_fault(reliability_[r], v.fault_tolerance, params_.c_fail);
+    s += b.fault;
   }
-  return std::min(s, kInfScore);
-}
-
-void ScoreModel::invalidate_row(int r) {
-  const std::size_t ncols = vms_.size();
-  if (ncols == 0) return;
-  std::memset(cache_ok_.data() + at(r, 0), 0, ncols);
+  b.total = std::min(s, kInfScore);
+  return b;
 }
 
 void ScoreModel::touch_row(int r) {
   const auto i = static_cast<std::size_t>(r);
   plan_touched_[i] = 1;
-  free_cpu_[i] = placeable_[r] != 0
-                     ? cap_cpu_[r] * kFleetOverMargin - cpu_res_[i]
-                     : -1.0;
-  free_mem_[i] = placeable_[r] != 0
-                     ? cap_mem_[r] * kFleetOverMargin - mem_res_[i]
-                     : -1.0;
-  rebuild_margin_block(r / kArgminBlock);
-}
-
-void ScoreModel::rebuild_margin_block(int blk) {
-  const int lo = blk * kArgminBlock;
-  const int hi = std::min(nrows_, lo + kArgminBlock);
-  double best_cpu = -1.0;
-  double best_mem = -1.0;
-  for (int r = lo; r < hi; ++r) {
-    best_cpu = std::max(best_cpu, free_cpu_[static_cast<std::size_t>(r)]);
-    best_mem = std::max(best_mem, free_mem_[static_cast<std::size_t>(r)]);
-  }
-  block_free_cpu_[static_cast<std::size_t>(blk)] = best_cpu;
-  block_free_mem_[static_cast<std::size_t>(blk)] = best_mem;
+  margins_.set(static_cast<HostId>(r),
+               free_margin(placeable_[r] != 0, cap_cpu_[r], cpu_res_[i]),
+               free_margin(placeable_[r] != 0, cap_mem_[r], mem_res_[i]));
 }
 
 ScoreModel::Dirty ScoreModel::move(int r, int c) {
@@ -466,23 +329,21 @@ ScoreModel::Dirty ScoreModel::move(int r, int c) {
   v.planned = r;
   if (dirty.row_a >= 0) touch_row(dirty.row_a);
   if (dirty.row_b >= 0) touch_row(dirty.row_b);
-  {
-    obs::PhaseProfiler::Scope scope(profiler_, obs::Phase::kInvalidate);
-    if (dirty.row_a >= 0) invalidate_row(dirty.row_a);
-    if (dirty.row_b >= 0) invalidate_row(dirty.row_b);
-  }
   return dirty;
 }
 
 int ScoreModel::count_cache_divergences(int* first_r, int* first_c) const {
   int diverged = 0;
-  for (int r = 0; r < virtual_row(); ++r) {
-    for (int c = 0; c < cols(); ++c) {
-      const std::size_t i = at(r, c);
-      if (!cache_ok_[i]) continue;  // cold cells cannot be stale
+  for (int c = 0; c < cols(); ++c) {
+    const FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
+    if (persist == nullptr) continue;
+    for (int r = 0; r < virtual_row(); ++r) {
+      const auto h = static_cast<std::size_t>(r);
+      // Touched rows bypass the column; invalid cells are never read.
+      if (plan_touched_[h] != 0 || persist->ok[h] == 0) continue;
       // Bitwise comparison, matching the zero-tolerance contract the
       // property tests hold: both sides run the same arithmetic.
-      if (cache_[i] != score_cell(r, c)) {
+      if (persist->by_host[h] != evaluate(r, c).total) {
         if (diverged == 0) {
           if (first_r != nullptr) *first_r = r;
           if (first_c != nullptr) *first_c = c;
@@ -497,8 +358,11 @@ int ScoreModel::count_cache_divergences(int* first_r, int* first_c) const {
 void ScoreModel::debug_corrupt_cache(int r, int c, double delta) {
   EA_EXPECTS(r >= 0 && r < virtual_row());
   EA_EXPECTS(c >= 0 && c < cols());
-  (void)cell(r, c);  // force the cell warm so the perturbation sticks
-  cache_[at(r, c)] += delta;
+  FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
+  EA_EXPECTS(persist != nullptr);
+  EA_EXPECTS(plan_touched_[static_cast<std::size_t>(r)] == 0);
+  (void)cell(r, c);  // persist the cell so the perturbation sticks
+  persist->by_host[static_cast<std::size_t>(r)] += delta;
 }
 
 void ScoreModel::column_key(std::vector<std::uint64_t>& out) const {
@@ -530,8 +394,12 @@ double ScoreModel::row_aggregate(int r) const {
       finite_sum += s;
     }
   }
-  // Fold the infinity count in at a weight that dominates any finite sum
-  // but still compares two rows by their finite parts when counts tie.
+  // Fold the infinity count in at weight 1e9: rows compare mainly by
+  // their count of infinite cells, then by their finite parts when the
+  // counts tie. The weight does not dominate every finite sum — with PSLA
+  // on, a soft-infinite cell (kSoftInfScore, also 1e9) is finite and
+  // weighs as much as one infinite cell — but the power-off ranking is
+  // defined by this formula, so it stays as it is.
   return inf_count * 1e9 + finite_sum;
 }
 

@@ -9,37 +9,44 @@
 // the hypothetical final configuration, while the one-off move costs
 // (Pvirt) are always charged from the VM's *original* location.
 //
-// Incremental evaluation. Score(h, vm) splits into a plan-independent part
-// — Preq compatibility, Pvirt (charged from the original location), Pconc
-// (the snapshot's in-flight operations) and Pfault — computed once per
-// (host, vm) pair, and a plan-dependent part (Pres, Ppwr, PSLA) evaluated
-// against the current plan. Evaluated cells are cached.
+// Evaluation on read. A cell is the sum of the seven penalty terms of
+// core/penalties.hpp, each a few flops, so cell(r, c) evaluates it when it
+// is read; the model keeps no per-cell state. The one private evaluator
+// behind cell() and breakdown() returns the per-term ScoreBreakdown.
 //
-// Cache-invalidation contract: move(r, c) dirties exactly the rows the
-// column left and entered — those rows' occupation, VM count and running
-// demand changed for *every* column — and nothing else. The moved column's
-// cells on untouched rows are unchanged (its static terms are charged from
+// Dirty contract: move(r, c) changes exactly the rows the column left and
+// entered — those rows' occupation, VM count and running demand changed
+// for *every* column — and the moved column itself. The moved column's
+// cells on the other rows are unchanged (Pvirt and Pconc are charged from
 // its original location, which never moves), and the virtual row is
-// constantly kInfScore. tests/test_score_cache.cpp holds this contract to
-// zero-tolerance equality against fresh recomputation.
+// constantly kInfScore. The solver's per-column argmin relies on this.
+//
+// Persisted-column contract (incremental mode): the only stored scores are
+// the cross-round FleetColCache columns of queued VMs. A persisted cell
+// (h, vm) was evaluated against snapshot entry h, and FleetState::refresh
+// invalidates it whenever h is re-read, so on a row the plan has not
+// touched (no move() into or out of it yet) it equals a fresh evaluation.
+// Rows the plan touched bypass the column. The kScoreCache invariant rule
+// (count_cache_divergences()) and tests/test_score_cache.cpp hold this to
+// zero-tolerance equality.
 //
 // Row layout: one row per host, row index == HostId, plus the virtual host
 // as the last row. The immutable per-row attributes alias a FleetSnapshot
-// (zero copies); only the four plan-tracked arrays are copied per round,
-// and the plan-independent terms are built lazily per cell. Non-placeable
-// hosts keep a row whose cells are constantly kInfScore (placeability is
-// folded into the Preq compatibility bit), so they never win an argmin.
+// (zero copies); only the plan-tracked per-row arrays are copied per
+// round. Non-placeable hosts keep a row whose cells are constantly
+// kInfScore (placeability is folded into the Preq compatibility bit), so
+// they never win an argmin.
 //
 // Two modes share that layout and every evaluation path:
 //
 //   Incremental — the FleetState constructor. The snapshot is the policy's
 //   cross-round FleetState, refreshed from the Datacenter's dirty journal.
-//   The model keeps plan-tracked free-capacity margins (seeded from the
-//   HostBucketIndex) that let the solver skip provably infeasible cells
-//   and whole kArgminBlock row blocks, and it carries queued VMs'
-//   evaluated score columns across rounds through FleetColCache (only when
-//   their scores are round-time-independent, i.e. !use_sla; see
-//   provably_inf()/skip_block()/cell() below).
+//   The model keeps plan-tracked free-capacity margins (a copy of the
+//   HostBucketIndex, kept in step with the plan) that let the solver skip
+//   provably infeasible cells and whole kArgminBlock row blocks, and it
+//   carries queued VMs' evaluated score columns across rounds through
+//   FleetColCache (only when their scores are round-time-independent,
+//   i.e. !use_sla; see provably_inf()/skip_block()/cell() below).
 //
 //   Reference — the Datacenter constructor, the executable specification
 //   the incremental mode is differential-tested against. It reads every
@@ -54,7 +61,6 @@
 #include "core/score.hpp"
 #include "datacenter/datacenter.hpp"
 #include "datacenter/ids.hpp"
-#include "obs/profiler.hpp"
 
 namespace easched::core {
 
@@ -100,9 +106,9 @@ class ScoreModel {
   ScoreModel(const ScoreModel&) = delete;
   ScoreModel& operator=(const ScoreModel&) = delete;
 
-  /// Returns the big per-round buffers (cache, static terms, plan vectors,
-  /// margins) to the FleetState's ModelScratch so the next round reuses
-  /// their capacity instead of re-allocating.
+  /// Returns the per-row plan buffers and margins to the FleetState's
+  /// ModelScratch so the next round reuses their capacity instead of
+  /// re-allocating.
   ~ScoreModel();
 
   [[nodiscard]] int rows() const;  ///< hosts + 1 (virtual host, last row)
@@ -110,36 +116,17 @@ class ScoreModel {
   [[nodiscard]] int virtual_row() const { return rows() - 1; }
   [[nodiscard]] bool reference() const { return owned_fleet_ != nullptr; }
 
-  /// Score(h, vm) for the current plan. The virtual row is kInfScore.
-  /// Cached: repeated calls between moves are O(1); a move re-evaluates
-  /// only cells of the two touched rows on their next read. In incremental
-  /// mode a queued VM's cells additionally read from / write through to its
-  /// persistent cross-round column while the row's plan is untouched.
+  /// Score(h, vm) for the current plan, evaluated on read. The virtual
+  /// row is kInfScore. In incremental mode a queued VM's cells read from /
+  /// write through to its persistent cross-round column while the row's
+  /// plan is untouched.
   [[nodiscard]] double cell(int r, int c) const;
 
-  /// Recomputes Score(r, c) from the bookkeeping, bypassing (and not
-  /// updating) the cache. Same arithmetic as cell(); exposed so the
-  /// property tests can assert cache/fresh equality at zero tolerance.
-  [[nodiscard]] double recompute_cell(int r, int c) const;
-
-  /// Per-penalty decomposition of Score(r, c) under the current plan —
-  /// the score-attribution payload of kDecision trace events. Mirrors
-  /// score_cell() term for term; breakdown(r, c).total == cell(r, c)
-  /// exactly (the obs tests hold this).
+  /// Per-penalty decomposition of Score(r, c) under the current plan,
+  /// freshly evaluated — the score-attribution payload of kDecision trace
+  /// events. Same evaluator as cell(), so breakdown(r, c).total ==
+  /// cell(r, c) exactly.
   [[nodiscard]] ScoreBreakdown breakdown(int r, int c) const;
-
-  /// Attaches a phase profiler (not owned; may be null) so move()'s
-  /// dirty-row invalidations are timed under Phase::kInvalidate.
-  void set_profiler(obs::PhaseProfiler* profiler) noexcept {
-    profiler_ = profiler;
-  }
-
-  /// Reference mode: evaluates every cell into the cache (the "initial
-  /// matrix build" sweep). Lazy per-cell fills are equivalent.
-  /// Incremental mode makes this a no-op: eagerly sweeping all M x N cells
-  /// is exactly the cost the incremental path exists to avoid, and the
-  /// solver's blocked argmin warms what it reads.
-  void prime();
 
   /// Row where column `c` is currently planned.
   [[nodiscard]] int plan_row(int c) const;
@@ -170,10 +157,9 @@ class ScoreModel {
   /// region: every cell of column `c`, plus every cell of the rows the VM
   /// left and entered (their occupation changed for all other columns).
   /// Moving to the virtual row (allowed only for undo by the exhaustive
-  /// reference solver) releases the column's reservations. Invalidates the
-  /// cached cells of the dirty rows, updates the touched rows' pruning
-  /// margins and marks them plan-touched (their cells stop flowing through
-  /// the persistent columns).
+  /// reference solver) releases the column's reservations. Updates the
+  /// touched rows' pruning margins and marks them plan-touched (their
+  /// cells stop flowing through the persistent columns).
   struct Dirty {
     int col = -1;
     int row_a = -1;  ///< previous row (-1 if it was the virtual row)
@@ -189,8 +175,8 @@ class ScoreModel {
   [[nodiscard]] bool placeable(int r) const;
 
   /// Aggregated row score (used to rank idle hosts for power-off,
-  /// section III-C): sum of the finite scores plus kInfScore-weighted count
-  /// of infinite ones, folded into one comparable number.
+  /// section III-C): sum of the finite scores plus 1e9 per infinite one,
+  /// folded into one comparable number.
   [[nodiscard]] double row_aggregate(int r) const;
 
   /// Replaces `out` with a bitwise encoding of every column
@@ -201,21 +187,19 @@ class ScoreModel {
   /// aggregate. The power-off ranking memo relies on this.
   void column_key(std::vector<std::uint64_t>& out) const;
 
-  /// Compares every *warmed* cached cell against a fresh recomputation and
-  /// returns how many diverge; the coordinates of the first divergence land
-  /// in `first_r`/`first_c` (optional). Cold cells are skipped — only
-  /// memoized values can be stale — so the scan costs one recompute per
-  /// warm cell and nothing touches the cache. This is the kScoreCache
-  /// invariant rule (validate/invariant_checker.hpp). In incremental mode
-  /// it also covers the persistent columns: a stale persisted value is loaded
-  /// into the cache on first read and then diverges from the fresh
-  /// recomputation like any other corruption.
+  /// Compares every valid persisted cell on a plan-untouched row against
+  /// a fresh evaluation, bitwise, and returns how many diverge; the
+  /// coordinates of the first divergence land in `first_r`/`first_c`
+  /// (optional). Nothing else is stored, so nothing else can be stale.
+  /// This is the kScoreCache invariant rule
+  /// (validate/invariant_checker.hpp); it reads and writes nothing.
   [[nodiscard]] int count_cache_divergences(int* first_r = nullptr,
                                             int* first_c = nullptr) const;
 
-  /// Test hook for the validator's mutation tests: forces cell (r, c) into
-  /// the cache and then perturbs the cached value by `delta`, simulating a
-  /// missed invalidation. Requires a real row and a valid column.
+  /// Test hook for the validator's mutation tests: persists cell (r, c)
+  /// and then perturbs the persisted value by `delta`, simulating a missed
+  /// invalidation. Requires a plan-untouched real row and a column with a
+  /// persistent cross-round column.
   void debug_corrupt_cache(int r, int c, double delta);
 
  private:
@@ -238,38 +222,17 @@ class ScoreModel {
     /// the FleetState, node-stable for the model's lifetime.
     FleetColCache* persist = nullptr;
   };
-  /// Plan-independent penalty terms of one (host, vm) pair, fixed at
-  /// snapshot time: Preq compatibility (placeability folded in), Pvirt
-  /// (incl. the Pm migration term), Pconc and Pfault. The plan-dependent
-  /// remainder (Pres, Ppwr, PSLA) is evaluated by score_cell(). Shared
-  /// with fleet.hpp's ModelScratch so the backing array can be recycled
-  /// across rounds.
-  using StaticTerms = CellStaticTerms;
-  [[nodiscard]] std::size_t at(int r, int c) const {
-    return static_cast<std::size_t>(r) * static_cast<std::size_t>(vms_.size()) +
-           static_cast<std::size_t>(c);
-  }
   void init(const datacenter::Datacenter& dc,
             const std::vector<datacenter::VmId>& queued,
             bool migration_enabled);
   static void fill_column_common(VmCol& c, const datacenter::Vm& vm,
                                  bool is_new, sim::SimTime now);
-  void build_static_cell(int r, int c) const;
-  [[nodiscard]] const StaticTerms& ensure_static(int r, int c) const {
-    const std::size_t i = at(r, c);
-    if (!static_ok_[i]) {
-      build_static_cell(r, c);
-      static_ok_[i] = 1;
-    }
-    return static_terms_[i];
-  }
-  [[nodiscard]] double score_cell(int r, int c) const;
-  void invalidate_row(int r);
-  void touch_row(int r);          ///< margins + plan_touched
-  void rebuild_margin_block(int blk);
+  /// The one evaluator: Score(r, c) of real row `r` under the current
+  /// plan, term by term.
+  [[nodiscard]] ScoreBreakdown evaluate(int r, int c) const;
+  void touch_row(int r);  ///< margins + plan_touched
 
   ScoreParams params_;
-  obs::PhaseProfiler* profiler_ = nullptr;  ///< not owned; may be null
   std::unique_ptr<FleetState> owned_fleet_;  ///< reference mode only
   FleetState* fleet_ = nullptr;  ///< snapshot source and buffer return target
   int nrows_ = 0;  ///< real host rows (excl. the virtual row)
@@ -291,26 +254,13 @@ class ScoreModel {
   std::vector<double> cpu_res_, mem_res_, running_;
   std::vector<int> vm_count_;
 
-  // Plan-tracked pruning margins (seeded from the HostBucketIndex,
+  // Plan-tracked pruning margins (a copy of the fleet's HostBucketIndex,
   // maintained by move()) and the plan-touched rows (their cells no longer
   // flow through the persistent columns).
-  std::vector<double> free_cpu_, free_mem_;
-  std::vector<double> block_free_cpu_, block_free_mem_;
+  HostBucketIndex margins_;
   std::vector<unsigned char> plan_touched_;
 
   std::vector<VmCol> vms_;
-  // Plan-independent terms, built lazily per cell (most cells of a pruned
-  // matrix are never read).
-  // `mutable`: ensure_static() memoizes from const queries. The valid
-  // flags here and below are one byte each (not vector<bool>), so the hot
-  // cell() path reads and sets them without bit masking, and they recycle
-  // through FleetState::ModelScratch's byte vectors.
-  mutable std::vector<StaticTerms> static_terms_;
-  mutable std::vector<unsigned char> static_ok_;
-  // Per-cell score cache over the real rows. `mutable`: cell() is a const
-  // query that memoizes.
-  mutable std::vector<double> cache_;
-  mutable std::vector<unsigned char> cache_ok_;
 };
 
 }  // namespace easched::core

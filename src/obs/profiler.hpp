@@ -1,8 +1,8 @@
 // Wall-clock phase profiling for the scheduler round.
 //
 // A PhaseProfiler collects per-phase duration samples via RAII Scope
-// guards placed around the round's stages (dirty-row invalidation,
-// score-matrix rebuild, hill-climb, actuation, power management). Samples
+// guards placed around the round's stages (score-matrix rebuild,
+// hill-climb, actuation, power management). Samples
 // are wall-clock and therefore non-deterministic by nature: they never
 // feed back into simulation state, only into the profiling rollup and the
 // `wall_`-prefixed trace args that determinism checks mask out.
@@ -22,8 +22,12 @@ namespace easched::obs {
 
 /// Scheduler round stages, in execution order.
 enum class Phase : std::uint8_t {
-  kInvalidate,  ///< dirty-row invalidation in the score-matrix cache
-  kRebuild,     ///< score-matrix (re)build / cache priming
+  /// No longer timed: the score model evaluates cells on read and keeps
+  /// no cache to invalidate. Kept only because frozen perfbench still
+  /// reads it (its core.invalidate_s is now always 0), like
+  /// ScoreBasedConfig::solver_threads.
+  kInvalidate,
+  kRebuild,     ///< fleet refresh and score-model build
   kClimb,       ///< hill-climb / annealing iterations
   kActuate,     ///< applying the plan to the datacenter
   kPower,       ///< lambda-threshold power management update

@@ -359,7 +359,7 @@ void InvariantChecker::check_score_model(const core::ScoreModel& model,
   const int diverged = model.count_cache_divergences(&r, &c);
   if (diverged > 0) {
     report(Rule::kScoreCache, t,
-           msg("%d cached score cells diverge from recomputation, "
+           msg("%d persisted score cells diverge from a fresh evaluation, "
                "first at (%d, %d)",
                diverged, r, c));
   }
@@ -407,9 +407,9 @@ void InvariantChecker::check_fleet(const core::FleetState& fleet,
     }
   }
 
-  // kFleetIndex: margins, block maxima and the band histogram against the
-  // snapshot they were built from (not `fresh` — a stale snapshot is the
-  // other rule's violation; the index must mirror its own source).
+  // kFleetIndex: margins and block maxima against the snapshot they were
+  // built from (not `fresh` — a stale snapshot is the other rule's
+  // violation; the index must mirror its own source).
   const core::HostBucketIndex& index = fleet.index();
   if (index.size() != n) {
     report(Rule::kFleetIndex, t,
@@ -453,19 +453,6 @@ void InvariantChecker::check_fleet(const core::FleetState& fleet,
              msg("block %zu: index maxima (%.6f, %.6f) != recomputed "
                  "(%.6f, %.6f)",
                  blk, block_cpu[blk], block_mem[blk], best_cpu, best_mem));
-    }
-  }
-  std::vector<int> bands(core::HostBucketIndex::kBands, 0);
-  for (HostId h = 0; h < n; ++h) {
-    const int b = core::HostBucketIndex::band_of(
-        core::FleetState::expected_free_cpu(snap, h));
-    if (b >= 0) ++bands[b];
-  }
-  for (int b = 0; b < core::HostBucketIndex::kBands; ++b) {
-    if (index.band_count(b) != bands[b]) {
-      report(Rule::kFleetIndex, t,
-             msg("band %d: index counts %d hosts, recount says %d", b,
-                 index.band_count(b), bands[b]));
     }
   }
 }

@@ -18,8 +18,9 @@
 //                      CPU — shares shrink — so that check is opt-in)
 //   kPowerLegality     host power-state transitions follow the machine in
 //                      host.hpp (incl. boot-failure and quarantine paths)
-//   kScoreCache        every cached score-matrix cell equals a
-//                      from-scratch recomputation
+//   kScoreCache        every persisted cross-round score cell
+//                      (FleetColCache) on a plan-untouched row equals a
+//                      fresh evaluation
 //   kEventMonotonicity the event queue pops in nondecreasing time order
 //   kEnergyConsistency recorded power samples match the power model for
 //                      the host's state, and the energy integral is the
@@ -29,8 +30,8 @@
 //                      i.e. the dirty journal missed nothing, which also
 //                      implies a clean round's score matrix is byte-stable
 //   kFleetIndex        the capacity-bucket index (margins, per-block
-//                      maxima, band histogram) is consistent with the
-//                      snapshot it was built from
+//                      maxima) is consistent with the snapshot it was
+//                      built from
 //   kNodeCounts        the Datacenter's maintained online / working /
 //                      booting / quarantined-On counts equal a full
 //                      recount of every host
@@ -110,8 +111,8 @@ class InvariantChecker : public sim::SimObserver {
   /// driver at the end of every round.
   void check_datacenter(const datacenter::Datacenter& dc);
 
-  /// Cache-vs-recompute agreement over every warmed score-matrix cell.
-  /// Called by the score policy after each hill-climb.
+  /// Persisted-vs-fresh agreement over every persisted score cell on a
+  /// plan-untouched row. Called by the score policy after each solve.
   void check_score_model(const core::ScoreModel& model, sim::SimTime t);
 
   /// Fleet-state coherence (kFleetSnapshot + kFleetIndex): the cross-round

@@ -8,7 +8,8 @@
 //   - end-to-end run identity (incremental vs reference policy across the
 //     SB configurations and both solvers);
 //   - recycled model scratch: models that grow and shrink round to round
-//     over one FleetState never read a previous model's cells;
+//     over one FleetState match the reference, and a model keeps no
+//     per-cell state in the scratch it returns;
 //   - targeted dirty-journal behavior: maintenance flips, journal
 //     deduplication, clean rounds re-reading nothing, dirt the journal
 //     cannot see (clock-aged in-flight operations, breaker vetoes that
@@ -17,8 +18,7 @@
 //     pruning;
 //   - the power-off ranking memo: shedding several hosts in one power
 //     controller update, and a column change that must miss the memo;
-//   - HostBucketIndex unit/property checks (margins, block maxima, band
-//     histogram, conservative candidate bound);
+//   - HostBucketIndex unit checks (margins, block maxima);
 //   - the kFleetSnapshot / kFleetIndex invariant rules: clean state passes,
 //     seeded corruptions trip them.
 #include <gtest/gtest.h>
@@ -231,11 +231,11 @@ TEST_P(FleetDifferential, FreshFleetRoundMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
-// The model scratch is recycled across models and its data arrays only
-// grow, so a small model sits on top of a larger model's stale cells (at
-// other indices: the layout is r * cols + c). Swing the model size over
-// one FleetState — a large migration model, a small queue-only one, the
-// large one again — and hold every cell to a fresh reference model.
+// The model's plan buffers and margins are recycled across models through
+// the fleet's scratch, and its persisted columns outlive it. Swing the
+// model size over one FleetState — a large migration model, a small
+// queue-only one, the large one again — and hold every cell to a fresh
+// reference model and every persisted cell to a fresh evaluation.
 TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
   datacenter::DatacenterConfig base;
   const datacenter::HostSpec specs[] = {
@@ -276,6 +276,47 @@ TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
     if (::testing::Test::HasFatalFailure()) return;
     EXPECT_EQ(inc.count_cache_divergences(), 0);
   }
+}
+
+// Cells are evaluated on read, so what a model hands back to the fleet's
+// scratch is O(hosts), whatever its column count: a 1000-host x 100-column
+// model, every cell read and a few moves applied, leaves no vector in the
+// scratch with more capacity than hosts + 1.
+TEST(FleetScratch, ModelKeepsNoPerCellState) {
+  constexpr std::size_t kHosts = 1000;
+  constexpr int kCols = 100;
+  SmallDc f(kHosts);
+  std::vector<VmId> queue;
+  for (int i = 0; i < kCols; ++i) {
+    queue.push_back(f.dc.admit_job(make_job(50.0 + i, 128.0 + 4.0 * i)));
+  }
+  FleetState fleet;
+  fleet.refresh(f.dc, queue);
+  {
+    ScoreModel m(fleet, f.dc, queue, ScoreParams{},
+                 /*migration_enabled=*/false);
+    ASSERT_EQ(m.rows(), static_cast<int>(kHosts) + 1);
+    ASSERT_EQ(m.cols(), kCols);
+    for (int r = 0; r < m.rows(); ++r) {
+      for (int c = 0; c < m.cols(); ++c) (void)m.cell(r, c);
+    }
+    for (int c = 0; c < 4; ++c) m.move(c, c);
+    for (int c = 0; c < m.cols(); ++c) (void)m.cell(0, c);
+  }
+  const ModelScratch& scratch = fleet.model_scratch();
+  const std::size_t bound = kHosts + 1;
+  EXPECT_LE(scratch.cpu_res.capacity(), bound);
+  EXPECT_LE(scratch.mem_res.capacity(), bound);
+  EXPECT_LE(scratch.running.capacity(), bound);
+  EXPECT_LE(scratch.vm_count.capacity(), bound);
+  EXPECT_LE(scratch.plan_touched.capacity(), bound);
+  EXPECT_LE(scratch.margins.free_cpu_all().capacity(), bound);
+  EXPECT_LE(scratch.margins.free_mem_all().capacity(), bound);
+  EXPECT_LE(scratch.margins.block_free_cpu().capacity(), bound);
+  EXPECT_LE(scratch.margins.block_free_mem().capacity(), bound);
+  // The buffers did come back (the scratch is recycled, not dropped).
+  EXPECT_EQ(scratch.cpu_res.size(), kHosts);
+  EXPECT_EQ(scratch.margins.size(), kHosts);
 }
 
 // ---- dirty-journal behavior -------------------------------------------------
@@ -754,7 +795,7 @@ FleetSnapshot uniform_snapshot(std::size_t n, double cap_cpu, double cap_mem) {
   return snap;
 }
 
-TEST(HostBucketIndex, MarginsBlocksAndBands) {
+TEST(HostBucketIndex, MarginsAndBlocks) {
   // 70 hosts = two full kArgminBlock blocks plus a partial tail.
   const std::size_t n = 70;
   FleetSnapshot snap = uniform_snapshot(n, 400, 4096);
@@ -769,17 +810,12 @@ TEST(HostBucketIndex, MarginsBlocksAndBands) {
     index.update(static_cast<HostId>(h), snap);
   }
 
-  int placeable = 0;
   for (std::size_t h = 0; h < n; ++h) {
     EXPECT_EQ(index.free_cpu(h),
               FleetState::expected_free_cpu(snap, static_cast<HostId>(h)));
     EXPECT_EQ(index.free_mem(h),
               FleetState::expected_free_mem(snap, static_cast<HostId>(h)));
-    if (snap.placeable[h]) {
-      ++placeable;
-    } else {
-      EXPECT_EQ(index.free_cpu(h), -1.0);
-    }
+    if (!snap.placeable[h]) EXPECT_EQ(index.free_cpu(h), -1.0);
   }
   const std::size_t nblocks = (n + kArgminBlock - 1) / kArgminBlock;
   ASSERT_EQ(index.block_free_cpu().size(), nblocks);
@@ -793,11 +829,6 @@ TEST(HostBucketIndex, MarginsBlocksAndBands) {
     EXPECT_EQ(index.block_free_cpu()[blk], best_cpu);
     EXPECT_EQ(index.block_free_mem()[blk], best_mem);
   }
-  int counted = 0;
-  for (int b = 0; b < HostBucketIndex::kBands; ++b) {
-    counted += index.band_count(b);
-  }
-  EXPECT_EQ(counted, placeable);  // unplaceable hosts leave the histogram
 
   // Incremental update keeps everything consistent.
   snap.cpu_res[10] = 390.0;
@@ -806,42 +837,16 @@ TEST(HostBucketIndex, MarginsBlocksAndBands) {
   index.update(14, snap);
   EXPECT_EQ(index.free_cpu(10), FleetState::expected_free_cpu(snap, 10));
   EXPECT_EQ(index.free_cpu(14), -1.0);
-}
 
-TEST(HostBucketIndex, BandOfEdges) {
-  EXPECT_EQ(HostBucketIndex::band_of(-1.0), -1);
-  EXPECT_EQ(HostBucketIndex::band_of(0.0), 0);
-  EXPECT_EQ(HostBucketIndex::band_of(HostBucketIndex::kBandWidthPct - 0.01),
-            0);
-  EXPECT_EQ(HostBucketIndex::band_of(HostBucketIndex::kBandWidthPct), 1);
-  EXPECT_EQ(HostBucketIndex::band_of(1e9), HostBucketIndex::kBands - 1);
-}
-
-// The histogram bound may over-count (band granularity, the saturated top
-// band) but must never under-count true candidates.
-TEST(HostBucketIndex, CandidateUpperBoundIsConservative) {
-  support::Rng rng{4242};
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 200));
-    FleetSnapshot snap = uniform_snapshot(n, 1600, 8192);
-    for (std::size_t h = 0; h < n; ++h) {
-      snap.cpu_res[h] = rng.uniform(0, 1800);  // some hosts oversubscribed
-      if (rng.uniform01() < 0.1) snap.placeable[h] = 0;
-    }
-    HostBucketIndex index;
-    index.reset(n);
-    for (std::size_t h = 0; h < n; ++h) {
-      index.update(static_cast<HostId>(h), snap);
-    }
-    for (double need : {10.0, 100.0, 333.0, 900.0, 1700.0}) {
-      int exact = 0;
-      for (std::size_t h = 0; h < n; ++h) {
-        if (index.free_cpu(h) >= need) ++exact;
-      }
-      EXPECT_GE(index.candidate_upper_bound(need), exact)
-          << "n=" << n << " need=" << need;
-    }
-  }
+  // set() (the score model's plan-tracked path) maintains the block
+  // maxima both ways: a wider margin raises its block's maximum, and
+  // narrowing it again restores the snapshot-derived one.
+  const double block1_cpu = index.block_free_cpu()[1];
+  index.set(40, 1e6, 2e6);
+  EXPECT_EQ(index.block_free_cpu()[1], 1e6);
+  EXPECT_EQ(index.block_free_mem()[1], 2e6);
+  index.update(40, snap);
+  EXPECT_EQ(index.block_free_cpu()[1], block1_cpu);
 }
 
 // ---- invariant rules --------------------------------------------------------
