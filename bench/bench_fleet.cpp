@@ -12,9 +12,9 @@
 //
 //   reference   — ScoreBasedConfig.incremental = false: every round
 //                 re-reads all M hosts and evaluates the matrix without
-//                 pruning or persistent columns (the executable spec);
-//   incremental — the cross-round FleetState path: dirty-journal re-reads,
-//                 capacity-pruned argmin, persistent queued-VM columns.
+//                 pruning (the executable spec);
+//   incremental — the cross-round FleetState path: dirty-journal re-reads
+//                 and the capacity-pruned argmin.
 //
 // The two action streams are compared round for round and any divergence
 // is a hard failure: the speedup claim is only meaningful if the decisions

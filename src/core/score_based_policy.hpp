@@ -52,10 +52,10 @@ struct ScoreBasedConfig {
   /// Datacenter's dirty journal names, and let the hill climber prune
   /// provably infeasible candidates through the capacity-bucket index.
   /// Every score model the policy builds — rounds under either solver and
-  /// power-off ranking — uses it. Disable to run the reference core: each
-  /// model reads every host afresh, prunes nothing and persists no score
-  /// columns. Decisions are bit-identical either way (the fleet
-  /// differential and end-to-end tests hold this).
+  /// power-off ranking — uses it. Neither mode stores scores across
+  /// rounds. Disable to run the reference core: each model reads every
+  /// host afresh and prunes nothing. Decisions are bit-identical either
+  /// way (the fleet differential and end-to-end tests hold this).
   bool incremental = true;
   std::string label = "SB";
 

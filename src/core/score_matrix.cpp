@@ -79,8 +79,6 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
   take(vm_count_, scratch.vm_count, snap.vm_count);
   margins_ = std::move(scratch.margins);
   margins_ = fleet_->index();  // copy-assignment reuses the capacity
-  plan_touched_ = std::move(scratch.plan_touched);
-  plan_touched_.assign(static_cast<std::size_t>(nrows_), 0);
 
   for (VmId v : queued) {
     EA_EXPECTS(dc.vm(v).state == VmState::kQueued);
@@ -88,13 +86,6 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
     fill_column_common(c, dc.vm(v), /*is_new=*/true, now);
     c.original = virtual_row();
     c.planned = c.original;
-    // A queued VM's score column is round-time-independent unless PSLA is
-    // on (Pvirt charges the creation cost, not the time-varying Pm; Pconc
-    // cells change only when their host is dirtied, which invalidates
-    // them): carry it across rounds.
-    if (!reference() && !params_.use_sla) {
-      c.persist = fleet_->col_cache(c.id, snap.size());
-    }
     vms_.push_back(c);
   }
   if (migration_enabled) {
@@ -120,7 +111,6 @@ ScoreModel::~ScoreModel() {
   scratch.mem_res = std::move(mem_res_);
   scratch.running = std::move(running_);
   scratch.vm_count = std::move(vm_count_);
-  scratch.plan_touched = std::move(plan_touched_);
   scratch.margins = std::move(margins_);
 }
 
@@ -157,26 +147,6 @@ bool ScoreModel::placeable(int r) const {
   return placeable_[r] != 0;
 }
 
-double ScoreModel::cell(int r, int c) const {
-  EA_EXPECTS(r >= 0 && r < rows());
-  EA_EXPECTS(c >= 0 && c < cols());
-  if (r == virtual_row()) return kInfScore;
-  FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
-  if (persist == nullptr || plan_touched_[static_cast<std::size_t>(r)] != 0) {
-    return evaluate(r, c).total;
-  }
-  // Untouched row: the row's plan state equals the snapshot, so the
-  // persisted value (evaluated against the same snapshot entry; a re-read
-  // would have invalidated it) is exact. A fresh evaluation is persisted
-  // for the next read and the next round.
-  const auto h = static_cast<std::size_t>(r);
-  if (persist->ok[h] == 0) {
-    persist->by_host[h] = evaluate(r, c).total;
-    persist->ok[h] = 1;
-  }
-  return persist->by_host[h];
-}
-
 bool ScoreModel::provably_inf(int r, int c) const {
   if (reference()) return false;
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
@@ -206,18 +176,13 @@ bool ScoreModel::skip_block(int c, int blk) const {
 ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
   EA_EXPECTS(r >= 0 && r < rows());
   EA_EXPECTS(c >= 0 && c < cols());
+  ScoreBreakdown b;
   if (r == virtual_row()) {
-    ScoreBreakdown b;
     b.req = kInfScore;
     b.total = kInfScore;
     return b;
   }
-  return evaluate(r, c);
-}
-
-ScoreBreakdown ScoreModel::evaluate(int r, int c) const {
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  ScoreBreakdown b;
 
   // Preq — hardware and software requirements, placeability folded in.
   b.req = p_req(placeable_[r] != 0 && arch_[r] == v.arch &&
@@ -292,7 +257,6 @@ ScoreBreakdown ScoreModel::evaluate(int r, int c) const {
 
 void ScoreModel::touch_row(int r) {
   const auto i = static_cast<std::size_t>(r);
-  plan_touched_[i] = 1;
   margins_.set(static_cast<HostId>(r),
                free_margin(placeable_[r] != 0, cap_cpu_[r], cpu_res_[i]),
                free_margin(placeable_[r] != 0, cap_mem_[r], mem_res_[i]));
@@ -330,39 +294,6 @@ ScoreModel::Dirty ScoreModel::move(int r, int c) {
   if (dirty.row_a >= 0) touch_row(dirty.row_a);
   if (dirty.row_b >= 0) touch_row(dirty.row_b);
   return dirty;
-}
-
-int ScoreModel::count_cache_divergences(int* first_r, int* first_c) const {
-  int diverged = 0;
-  for (int c = 0; c < cols(); ++c) {
-    const FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
-    if (persist == nullptr) continue;
-    for (int r = 0; r < virtual_row(); ++r) {
-      const auto h = static_cast<std::size_t>(r);
-      // Touched rows bypass the column; invalid cells are never read.
-      if (plan_touched_[h] != 0 || persist->ok[h] == 0) continue;
-      // Bitwise comparison, matching the zero-tolerance contract the
-      // property tests hold: both sides run the same arithmetic.
-      if (persist->by_host[h] != evaluate(r, c).total) {
-        if (diverged == 0) {
-          if (first_r != nullptr) *first_r = r;
-          if (first_c != nullptr) *first_c = c;
-        }
-        ++diverged;
-      }
-    }
-  }
-  return diverged;
-}
-
-void ScoreModel::debug_corrupt_cache(int r, int c, double delta) {
-  EA_EXPECTS(r >= 0 && r < virtual_row());
-  EA_EXPECTS(c >= 0 && c < cols());
-  FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
-  EA_EXPECTS(persist != nullptr);
-  EA_EXPECTS(plan_touched_[static_cast<std::size_t>(r)] == 0);
-  (void)cell(r, c);  // persist the cell so the perturbation sticks
-  persist->by_host[static_cast<std::size_t>(r)] += delta;
 }
 
 void ScoreModel::column_key(std::vector<std::uint64_t>& out) const {

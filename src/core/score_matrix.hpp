@@ -11,8 +11,8 @@
 //
 // Evaluation on read. A cell is the sum of the seven penalty terms of
 // core/penalties.hpp, each a few flops, so cell(r, c) evaluates it when it
-// is read; the model keeps no per-cell state. The one private evaluator
-// behind cell() and breakdown() returns the per-term ScoreBreakdown.
+// is read. No score is stored: not in the model, and not in the FleetState
+// across rounds. cell(r, c) is breakdown(r, c).total.
 //
 // Dirty contract: move(r, c) changes exactly the rows the column left and
 // entered — those rows' occupation, VM count and running demand changed
@@ -20,15 +20,6 @@
 // cells on the other rows are unchanged (Pvirt and Pconc are charged from
 // its original location, which never moves), and the virtual row is
 // constantly kInfScore. The solver's per-column argmin relies on this.
-//
-// Persisted-column contract (incremental mode): the only stored scores are
-// the cross-round FleetColCache columns of queued VMs. A persisted cell
-// (h, vm) was evaluated against snapshot entry h, and FleetState::refresh
-// invalidates it whenever h is re-read, so on a row the plan has not
-// touched (no move() into or out of it yet) it equals a fresh evaluation.
-// Rows the plan touched bypass the column. The kScoreCache invariant rule
-// (count_cache_divergences()) and tests/test_score_cache.cpp hold this to
-// zero-tolerance equality.
 //
 // Row layout: one row per host, row index == HostId, plus the virtual host
 // as the last row. The immutable per-row attributes alias a FleetSnapshot
@@ -43,15 +34,13 @@
 //   cross-round FleetState, refreshed from the Datacenter's dirty journal.
 //   The model keeps plan-tracked free-capacity margins (a copy of the
 //   HostBucketIndex, kept in step with the plan) that let the solver skip
-//   provably infeasible cells and whole kArgminBlock row blocks, and it
-//   carries queued VMs' evaluated score columns across rounds through
-//   FleetColCache (only when their scores are round-time-independent,
-//   i.e. !use_sla; see provably_inf()/skip_block()/cell() below).
+//   provably infeasible cells and whole kArgminBlock row blocks (see
+//   provably_inf()/skip_block() below).
 //
 //   Reference — the Datacenter constructor, the executable specification
 //   the incremental mode is differential-tested against. It reads every
 //   host into a privately owned FleetState (FleetState::read_all, which
-//   leaves the dirty journal alone), prunes nothing and persists nothing.
+//   leaves the dirty journal alone) and prunes nothing.
 #pragma once
 
 #include <memory>
@@ -89,16 +78,16 @@ class ScoreModel {
   /// Running VMs with an operation in flight are pinned wherever they are
   /// (the paper gives them infinite scores; we simply exclude them as
   /// columns, which is equivalent and cheaper). The model must not outlive
-  /// the round — it aliases the snapshot's arrays and writes evaluated
-  /// queued-VM cells through into the fleet's persistent columns.
+  /// the round — it aliases the snapshot's arrays and borrows the fleet's
+  /// scratch buffers.
   ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
              const ScoreParams& params, bool migration_enabled);
 
   /// Reference-mode snapshot of `dc`: the same columns and layout over a
-  /// private full read of every host, with pruning and persistent columns
-  /// off. Decisions (move traces, emitted actions) are identical to the
-  /// incremental mode's; the fleet differential tests hold this.
+  /// private full read of every host, with pruning off. Decisions (move
+  /// traces, emitted actions) are identical to the incremental mode's; the
+  /// fleet differential tests hold this.
   ScoreModel(const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
              const ScoreParams& params, bool migration_enabled);
@@ -116,16 +105,15 @@ class ScoreModel {
   [[nodiscard]] int virtual_row() const { return rows() - 1; }
   [[nodiscard]] bool reference() const { return owned_fleet_ != nullptr; }
 
-  /// Score(h, vm) for the current plan, evaluated on read. The virtual
-  /// row is kInfScore. In incremental mode a queued VM's cells read from /
-  /// write through to its persistent cross-round column while the row's
-  /// plan is untouched.
-  [[nodiscard]] double cell(int r, int c) const;
+  /// Score(h, vm) for the current plan, evaluated on read:
+  /// breakdown(r, c).total. The virtual row is kInfScore.
+  [[nodiscard]] double cell(int r, int c) const {
+    return breakdown(r, c).total;
+  }
 
-  /// Per-penalty decomposition of Score(r, c) under the current plan,
-  /// freshly evaluated — the score-attribution payload of kDecision trace
-  /// events. Same evaluator as cell(), so breakdown(r, c).total ==
-  /// cell(r, c) exactly.
+  /// Per-penalty decomposition of Score(r, c) under the current plan —
+  /// the one evaluator, and the score-attribution payload of kDecision
+  /// trace events.
   [[nodiscard]] ScoreBreakdown breakdown(int r, int c) const;
 
   /// Row where column `c` is currently planned.
@@ -158,8 +146,7 @@ class ScoreModel {
   /// left and entered (their occupation changed for all other columns).
   /// Moving to the virtual row (allowed only for undo by the exhaustive
   /// reference solver) releases the column's reservations. Updates the
-  /// touched rows' pruning margins and marks them plan-touched (their
-  /// cells stop flowing through the persistent columns).
+  /// touched rows' pruning margins.
   struct Dirty {
     int col = -1;
     int row_a = -1;  ///< previous row (-1 if it was the virtual row)
@@ -187,21 +174,6 @@ class ScoreModel {
   /// aggregate. The power-off ranking memo relies on this.
   void column_key(std::vector<std::uint64_t>& out) const;
 
-  /// Compares every valid persisted cell on a plan-untouched row against
-  /// a fresh evaluation, bitwise, and returns how many diverge; the
-  /// coordinates of the first divergence land in `first_r`/`first_c`
-  /// (optional). Nothing else is stored, so nothing else can be stale.
-  /// This is the kScoreCache invariant rule
-  /// (validate/invariant_checker.hpp); it reads and writes nothing.
-  [[nodiscard]] int count_cache_divergences(int* first_r = nullptr,
-                                            int* first_c = nullptr) const;
-
-  /// Test hook for the validator's mutation tests: persists cell (r, c)
-  /// and then perturbs the persisted value by `delta`, simulating a missed
-  /// invalidation. Requires a plan-untouched real row and a column with a
-  /// persistent cross-round column.
-  void debug_corrupt_cache(int r, int c, double delta);
-
  private:
   struct VmCol {
     datacenter::VmId id = 0;
@@ -217,20 +189,13 @@ class ScoreModel {
     double fault_tolerance = 0;
     workload::Arch arch{};
     std::uint32_t software = 0;
-    /// Cross-round persistent column (incremental mode, queued VMs whose
-    /// score is round-time-independent); null otherwise. Not owned — lives in
-    /// the FleetState, node-stable for the model's lifetime.
-    FleetColCache* persist = nullptr;
   };
   void init(const datacenter::Datacenter& dc,
             const std::vector<datacenter::VmId>& queued,
             bool migration_enabled);
   static void fill_column_common(VmCol& c, const datacenter::Vm& vm,
                                  bool is_new, sim::SimTime now);
-  /// The one evaluator: Score(r, c) of real row `r` under the current
-  /// plan, term by term.
-  [[nodiscard]] ScoreBreakdown evaluate(int r, int c) const;
-  void touch_row(int r);  ///< margins + plan_touched
+  void touch_row(int r);  ///< re-derives row r's pruning margins
 
   ScoreParams params_;
   std::unique_ptr<FleetState> owned_fleet_;  ///< reference mode only
@@ -255,10 +220,8 @@ class ScoreModel {
   std::vector<int> vm_count_;
 
   // Plan-tracked pruning margins (a copy of the fleet's HostBucketIndex,
-  // maintained by move()) and the plan-touched rows (their cells no longer
-  // flow through the persistent columns).
+  // maintained by move()).
   HostBucketIndex margins_;
-  std::vector<unsigned char> plan_touched_;
 
   std::vector<VmCol> vms_;
 };

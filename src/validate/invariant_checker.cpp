@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "core/fleet.hpp"
-#include "core/score_matrix.hpp"
 #include "datacenter/datacenter.hpp"
 #include "datacenter/vm.hpp"
 
@@ -51,8 +50,6 @@ const char* to_string(Rule rule) noexcept {
       return "capacity";
     case Rule::kPowerLegality:
       return "power-legality";
-    case Rule::kScoreCache:
-      return "score-cache";
     case Rule::kEventMonotonicity:
       return "event-monotonicity";
     case Rule::kEnergyConsistency:
@@ -348,20 +345,6 @@ void InvariantChecker::check_energy(const Datacenter& dc, sim::SimTime t) {
     report(Rule::kEnergyConsistency, t,
            msg("energy integral %.6f Ws != sum of host integrals %.6f Ws",
                total_integral, host_sum_integral));
-  }
-}
-
-void InvariantChecker::check_score_model(const core::ScoreModel& model,
-                                         sim::SimTime t) {
-  ++checks_;
-  int r = -1;
-  int c = -1;
-  const int diverged = model.count_cache_divergences(&r, &c);
-  if (diverged > 0) {
-    report(Rule::kScoreCache, t,
-           msg("%d persisted score cells diverge from a fresh evaluation, "
-               "first at (%d, %d)",
-               diverged, r, c));
   }
 }
 

@@ -18,9 +18,6 @@
 //                      CPU — shares shrink — so that check is opt-in)
 //   kPowerLegality     host power-state transitions follow the machine in
 //                      host.hpp (incl. boot-failure and quarantine paths)
-//   kScoreCache        every persisted cross-round score cell
-//                      (FleetColCache) on a plan-untouched row equals a
-//                      fresh evaluation
 //   kEventMonotonicity the event queue pops in nondecreasing time order
 //   kEnergyConsistency recorded power samples match the power model for
 //                      the host's state, and the energy integral is the
@@ -57,7 +54,6 @@
 
 namespace easched::core {
 class FleetState;
-class ScoreModel;
 }  // namespace easched::core
 
 namespace easched::datacenter {
@@ -70,7 +66,6 @@ enum class Rule : std::uint8_t {
   kVmConservation,
   kCapacity,
   kPowerLegality,
-  kScoreCache,
   kEventMonotonicity,
   kEnergyConsistency,
   kLadderTransition,
@@ -79,7 +74,7 @@ enum class Rule : std::uint8_t {
   kFleetIndex,
   kNodeCounts,
 };
-inline constexpr int kNumRules = 11;
+inline constexpr int kNumRules = 10;
 
 const char* to_string(Rule rule) noexcept;
 
@@ -110,10 +105,6 @@ class InvariantChecker : public sim::SimObserver {
   /// energy consistency and the maintained node counts. Called by the
   /// driver at the end of every round.
   void check_datacenter(const datacenter::Datacenter& dc);
-
-  /// Persisted-vs-fresh agreement over every persisted score cell on a
-  /// plan-untouched row. Called by the score policy after each solve.
-  void check_score_model(const core::ScoreModel& model, sim::SimTime t);
 
   /// Fleet-state coherence (kFleetSnapshot + kFleetIndex): the cross-round
   /// snapshot against a fresh re-read of every host, and the bucket index

@@ -13,9 +13,8 @@
 //   - targeted dirty-journal behavior: maintenance flips, journal
 //     deduplication, clean rounds re-reading nothing, dirt the journal
 //     cannot see (clock-aged in-flight operations, breaker vetoes that
-//     flip with the clock or inside the resilience controller), the
-//     reference model leaving the journal alone, and persistent column
-//     pruning;
+//     flip with the clock or inside the resilience controller), and the
+//     reference model leaving the journal alone;
 //   - the power-off ranking memo: shedding several hosts in one power
 //     controller update, and a column change that must miss the memo;
 //   - HostBucketIndex unit checks (margins, block maxima);
@@ -185,7 +184,7 @@ TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
     for (int round = 0; round < 4; ++round) {
       SCOPED_TRACE(::testing::Message() << "round " << round);
       ScoreModel rm(f.dc, queue, inst.params, inst.migration);
-      fleet.refresh(f.dc, queue);
+      fleet.refresh(f.dc);
       EXPECT_EQ(f.dc.fleet_dirty_count(), 0u);  // refresh drained it
 
       ScoreModel fm(fleet, f.dc, queue, inst.params, inst.migration);
@@ -215,7 +214,7 @@ TEST_P(FleetDifferential, FreshFleetRoundMatchesReference) {
     SmallDc& f = *inst.fixture;
 
     FleetState fs;
-    fs.refresh(f.dc, inst.queue);
+    fs.refresh(f.dc);
     ScoreModel m_ref(f.dc, inst.queue, inst.params, inst.migration);
     ScoreModel m_inc(fs, f.dc, inst.queue, inst.params, inst.migration);
 
@@ -232,10 +231,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 // The model's plan buffers and margins are recycled across models through
-// the fleet's scratch, and its persisted columns outlive it. Swing the
-// model size over one FleetState — a large migration model, a small
-// queue-only one, the large one again — and hold every cell to a fresh
-// reference model and every persisted cell to a fresh evaluation.
+// the fleet's scratch. Swing the model size over one FleetState — a large
+// migration model, a small queue-only one, the large one again — and hold
+// every cell to a fresh reference model.
 TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
   datacenter::DatacenterConfig base;
   const datacenter::HostSpec specs[] = {
@@ -269,12 +267,11 @@ TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
   int step = 0;
   for (const Build& b : swing) {
     SCOPED_TRACE(::testing::Message() << "build " << step++);
-    fleet.refresh(f.dc, *b.queue);
+    fleet.refresh(f.dc);
     const ScoreModel inc(fleet, f.dc, *b.queue, params, b.migration);
     const ScoreModel ref(f.dc, *b.queue, params, b.migration);
-    expect_models_equal(inc, ref, f.dc);  // warms every cell of `inc`
+    expect_models_equal(inc, ref, f.dc);
     if (::testing::Test::HasFatalFailure()) return;
-    EXPECT_EQ(inc.count_cache_divergences(), 0);
   }
 }
 
@@ -291,7 +288,7 @@ TEST(FleetScratch, ModelKeepsNoPerCellState) {
     queue.push_back(f.dc.admit_job(make_job(50.0 + i, 128.0 + 4.0 * i)));
   }
   FleetState fleet;
-  fleet.refresh(f.dc, queue);
+  fleet.refresh(f.dc);
   {
     ScoreModel m(fleet, f.dc, queue, ScoreParams{},
                  /*migration_enabled=*/false);
@@ -309,7 +306,6 @@ TEST(FleetScratch, ModelKeepsNoPerCellState) {
   EXPECT_LE(scratch.mem_res.capacity(), bound);
   EXPECT_LE(scratch.running.capacity(), bound);
   EXPECT_LE(scratch.vm_count.capacity(), bound);
-  EXPECT_LE(scratch.plan_touched.capacity(), bound);
   EXPECT_LE(scratch.margins.free_cpu_all().capacity(), bound);
   EXPECT_LE(scratch.margins.free_mem_all().capacity(), bound);
   EXPECT_LE(scratch.margins.block_free_cpu().capacity(), bound);
@@ -327,18 +323,18 @@ TEST(FleetDirty, RefreshPicksUpMaintenanceFlip) {
   f.simulator.run_until(400.0);
 
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   ASSERT_EQ(fleet.snapshot().placeable[1], 1);
 
   f.dc.set_maintenance(1, true);
   EXPECT_GE(f.dc.fleet_dirty_count(), 1u);
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.snapshot().placeable[1], 0);
   EXPECT_EQ(fleet.index().free_cpu(1), -1.0);  // prunes everything
   EXPECT_GE(fleet.stats().last_reread, 1u);
 
   f.dc.set_maintenance(1, false);
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.snapshot().placeable[1], 1);
   EXPECT_GT(fleet.index().free_cpu(1), 0.0);
 }
@@ -346,7 +342,7 @@ TEST(FleetDirty, RefreshPicksUpMaintenanceFlip) {
 TEST(FleetDirty, JournalDeduplicates) {
   SmallDc f(3);
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   ASSERT_EQ(f.dc.fleet_dirty_count(), 0u);
 
   f.dc.set_maintenance(2, true);
@@ -360,7 +356,7 @@ TEST(FleetDirty, JournalDeduplicates) {
 TEST(FleetDirty, ReferenceModelLeavesTheJournalAlone) {
   SmallDc f(3);
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
 
   f.dc.set_maintenance(1, true);
   ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);
@@ -368,7 +364,7 @@ TEST(FleetDirty, ReferenceModelLeavesTheJournalAlone) {
   EXPECT_FALSE(ref.placeable(1));
   EXPECT_EQ(f.dc.fleet_dirty_count(), 1u);
 
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.snapshot().placeable[1], 0);
   EXPECT_EQ(fleet.stats().last_reread, 1u);
 }
@@ -384,17 +380,17 @@ TEST(FleetDirty, CleanRoundRereadsNothingAndMatrixIsByteStable) {
                                                      f.simulator.now())),
                              f.dc.admit_job(make_job(200, 512, 8000, 1.5,
                                                      f.simulator.now()))};
-  const ScoreParams params;  // use_sla off: persistent columns eligible
+  const ScoreParams params;
 
   FleetState fleet;
-  fleet.refresh(f.dc, queue);
+  fleet.refresh(f.dc);
   ScoreModel a(fleet, f.dc, queue, params, /*migration_enabled=*/true);
   std::vector<double> cells_a;
   for (int r = 0; r < a.rows(); ++r) {
     for (int c = 0; c < a.cols(); ++c) cells_a.push_back(a.cell(r, c));
   }
 
-  fleet.refresh(f.dc, queue);
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.stats().last_reread, 0u);  // clean dirty set
 
   ScoreModel b(fleet, f.dc, queue, params, /*migration_enabled=*/true);
@@ -416,14 +412,14 @@ TEST(FleetDirty, InFlightOperationAgesWithClock) {
   f.dc.place(v, 0);  // creation now in flight on host 0
 
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   const double conc0 = fleet.snapshot().conc_remaining_s[0];
   ASSERT_GT(conc0, 0.0);
 
   // Advance the clock to just before the creation completes: nothing is
   // dispatched, nothing journaled — but the remaining time shrank.
   f.simulator.run_until(f.simulator.now() + conc0 * 0.5);
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_GE(fleet.stats().last_reread, 1u);  // the busy set re-read it
   EXPECT_LT(fleet.snapshot().conc_remaining_s[0], conc0);
 
@@ -482,11 +478,11 @@ TEST(FleetDirty, BreakerVetoesFlipWithoutTheJournal) {
   f.recorder.resilience = &rc;
 
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   const auto step = [&](const char* what, bool placeable) {
     SCOPED_TRACE(what);
     EXPECT_EQ(f.dc.fleet_dirty_count(), 0u) << "step was journalled";
-    fleet.refresh(f.dc, {});
+    fleet.refresh(f.dc);
     EXPECT_EQ(fleet.snapshot().placeable[kHost], placeable ? 1 : 0);
     expect_matches_full_read(fleet, f.dc);
   };
@@ -509,7 +505,7 @@ TEST(FleetDirty, BreakerVetoesFlipWithoutTheJournal) {
 
   // Every breaker is Healthy and no operation is in flight: the next
   // round looks at nothing outside the journal.
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.stats().last_out_of_band, 0u);
   EXPECT_EQ(fleet.stats().last_reread, 0u);
 }
@@ -520,12 +516,12 @@ TEST(FleetDirty, BreakerVetoesFlipWithoutTheJournal) {
 TEST(FleetDirty, BusyHostAgesThenCompletes) {
   SmallDc f(3);
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.stats().last_out_of_band, 0u);
 
   const VmId v = f.dc.admit_job(make_job());
   f.dc.place(v, 2);  // journalled: the creation starts
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   const double conc0 = fleet.snapshot().conc_remaining_s[2];
   ASSERT_GT(conc0, 0.0);
   expect_matches_full_read(fleet, f.dc);
@@ -533,7 +529,7 @@ TEST(FleetDirty, BusyHostAgesThenCompletes) {
   for (int i = 1; i <= 3; ++i) {
     f.simulator.run_until(f.simulator.now() + conc0 * 0.2);
     ASSERT_EQ(f.dc.fleet_dirty_count(), 0u);  // aging is not journalled
-    fleet.refresh(f.dc, {});
+    fleet.refresh(f.dc);
     EXPECT_EQ(fleet.stats().last_out_of_band, 1u);
     EXPECT_EQ(fleet.stats().last_reread, 1u);
     EXPECT_LT(fleet.snapshot().conc_remaining_s[2], conc0);
@@ -542,54 +538,13 @@ TEST(FleetDirty, BusyHostAgesThenCompletes) {
 
   f.simulator.run_until(f.simulator.now() + conc0);  // creation completes
   ASSERT_EQ(f.dc.vm(v).state, datacenter::VmState::kRunning);
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   EXPECT_EQ(fleet.snapshot().conc_remaining_s[2], 0.0);
   expect_matches_full_read(fleet, f.dc);
 
-  fleet.refresh(f.dc, {});  // idle again: nothing outside the journal
+  fleet.refresh(f.dc);  // idle again: nothing outside the journal
   EXPECT_EQ(fleet.stats().last_out_of_band, 0u);
   EXPECT_EQ(fleet.stats().last_reread, 0u);
-}
-
-TEST(FleetDirty, PersistentColumnsFollowTheQueue) {
-  SmallDc f(3);
-  std::vector<VmId> queue;
-  for (int i = 0; i < 3; ++i) {
-    queue.push_back(f.dc.admit_job(make_job(100, 256 + 100 * i)));
-  }
-  const ScoreParams params;  // use_sla off: columns are persistable
-
-  FleetState fleet;
-  fleet.refresh(f.dc, queue);
-  {
-    ScoreModel m(fleet, f.dc, queue, params, /*migration_enabled=*/false);
-    for (int r = 0; r < m.rows(); ++r) {
-      for (int c = 0; c < m.cols(); ++c) (void)m.cell(r, c);
-    }
-  }
-  EXPECT_EQ(fleet.col_cache_count(), 3u);
-
-  // Two VMs leave the queue: their columns must be pruned at refresh.
-  queue.resize(1);
-  fleet.refresh(f.dc, queue);
-  EXPECT_EQ(fleet.col_cache_count(), 1u);
-  EXPECT_EQ(fleet.stats().cols_dropped, 2u);
-}
-
-// use_sla makes queued columns time-dependent; they must not persist.
-TEST(FleetDirty, SlaColumnsAreNotPersisted) {
-  SmallDc f(3);
-  std::vector<VmId> queue = {f.dc.admit_job(make_job())};
-  ScoreParams params;
-  params.use_sla = true;
-
-  FleetState fleet;
-  fleet.refresh(f.dc, queue);
-  ScoreModel m(fleet, f.dc, queue, params, /*migration_enabled=*/false);
-  for (int r = 0; r < m.rows(); ++r) {
-    for (int c = 0; c < m.cols(); ++c) (void)m.cell(r, c);
-  }
-  EXPECT_EQ(fleet.col_cache_count(), 0u);
 }
 
 // ---- power-off ranking ------------------------------------------------------
@@ -868,7 +823,7 @@ TEST(FleetChecker, CleanFleetPasses) {
   f.admit_and_place(make_job(200, 900), 2);
   f.simulator.run_until(400.0);
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
 
   validate::InvariantChecker ck;
   ck.check_fleet(fleet, f.dc, f.simulator.now());
@@ -881,7 +836,7 @@ TEST(FleetChecker, CatchesCorruptedSnapshot) {
   f.admit_and_place(make_job(), 1);
   f.simulator.run_until(400.0);
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   fleet.debug_corrupt_snapshot(1, 13.0);
 
   validate::InvariantChecker ck;
@@ -898,7 +853,7 @@ TEST(FleetChecker, CatchesCorruptedIndex) {
   f.admit_and_place(make_job(), 0);
   f.simulator.run_until(400.0);
   FleetState fleet;
-  fleet.refresh(f.dc, {});
+  fleet.refresh(f.dc);
   fleet.debug_corrupt_index(2, 5.0);
 
   validate::InvariantChecker ck;
@@ -956,9 +911,10 @@ class FleetEndToEndByConfig : public ::testing::TestWithParam<EndToEndCase> {
 };
 
 // The whole-run guarantee behind the perf work: the incremental core
-// changes nothing about what the policy decides — rounds, power-off
-// ranking (including its empty-matrix fallback under SB0), faults and
-// breakers, and annealing's random walk.
+// changes nothing about what the policy decides — rounds under every
+// penalty set (SB0 to SB-full), power-off ranking (including its
+// empty-matrix fallback under SB0), faults and breakers, and annealing's
+// random walk.
 TEST_P(FleetEndToEndByConfig, IncrementalRunMatchesReferenceRun) {
   const auto reference = run(false);
   const auto incremental = run(true);
@@ -977,6 +933,8 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, FleetEndToEndByConfig,
     ::testing::Values(
         EndToEndCase{"SB0", &ScoreBasedConfig::sb0},
+        EndToEndCase{"SB1", &ScoreBasedConfig::sb1},
+        EndToEndCase{"SB2", &ScoreBasedConfig::sb2},
         EndToEndCase{"SBfullFaults", &ScoreBasedConfig::sb_full,
                      MatrixSolver::kHillClimb,
                      "migrate.fail=0.08,create.fail=0.03,create.hang=0.01,"

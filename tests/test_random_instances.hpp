@@ -1,5 +1,6 @@
 // Shared generator of randomized scheduling scenarios for the solver
-// property and differential tests (test_score_cache, test_solver_equivalence).
+// property and differential tests (test_score_model_property,
+// test_solver_equivalence).
 //
 // Each instance is a small heterogeneous datacenter with a settled running
 // population, a non-empty queue and randomized penalty configuration —

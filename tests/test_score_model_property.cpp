@@ -1,11 +1,11 @@
-// Property tests for the ScoreModel's one stored score: the cross-round
-// persisted columns (FleetColCache) of queued VMs. Across hundreds of
-// randomized datacenters, each carried over several refreshed rounds with
-// journalled dirt in between and driven through random move sequences,
-// every cell read must equal a fresh evaluation at ZERO tolerance — a
-// persisted cell stores the result of the same arithmetic, so even the
-// last ulp must match. This is the lockdown of the persisted-column
-// contract described in src/core/score_matrix.hpp.
+// Property tests for the ScoreModel's two modes. Across hundreds of
+// randomized datacenters, each carried over several refreshed rounds of
+// one FleetState with journalled dirt in between and driven through random
+// move sequences, every cell of the incremental model must equal the
+// reference model's at ZERO tolerance: both modes run the same evaluator
+// over bitwise-equal snapshots and plans, so even the last ulp must match.
+// Neither mode stores a score, so neither the round a model is built in
+// nor the order its cells are read in may change a value.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,17 +23,27 @@ using datacenter::VmId;
 using easched::testing::RandomInstance;
 using easched::testing::make_random_instance;
 
-/// Bitwise check of every cell against a fresh evaluation, plus the
-/// kScoreCache scan over the persisted columns.
-void expect_cache_fresh(const ScoreModel& model) {
-  for (int r = 0; r < model.rows(); ++r) {
-    for (int c = 0; c < model.cols(); ++c) {
-      // EXPECT_EQ, not EXPECT_NEAR: tolerance is exactly zero.
-      ASSERT_EQ(model.cell(r, c), model.breakdown(r, c).total)
-          << "cache diverged at (" << r << ", " << c << ")";
+/// Bitwise check of every cell and plan row of `inc` against `ref`, and of
+/// the pruning: a cell the incremental model may skip as provably infinite
+/// must be infinite in the reference.
+void expect_same_cells(const ScoreModel& inc, const ScoreModel& ref) {
+  ASSERT_EQ(inc.rows(), ref.rows());
+  ASSERT_EQ(inc.cols(), ref.cols());
+  for (int c = 0; c < inc.cols(); ++c) {
+    ASSERT_EQ(inc.plan_row(c), ref.plan_row(c)) << "column " << c;
+  }
+  for (int r = 0; r < inc.rows(); ++r) {
+    for (int c = 0; c < inc.cols(); ++c) {
+      const double want = ref.cell(r, c);
+      // ASSERT_EQ, not ASSERT_NEAR: tolerance is exactly zero.
+      ASSERT_EQ(inc.cell(r, c), want)
+          << "incremental diverged at (" << r << ", " << c << ")";
+      if (r < inc.virtual_row() && inc.provably_inf(r, c)) {
+        ASSERT_TRUE(is_inf_score(want))
+            << "pruned a finite cell at (" << r << ", " << c << ")";
+      }
     }
   }
-  ASSERT_EQ(model.count_cache_divergences(), 0);
 }
 
 /// Journalled dirt between rounds: the clock advances (operations age and
@@ -56,14 +66,6 @@ void dirty_between_rounds(support::Rng& rng, easched::testing::SmallDc& f,
   }
 }
 
-/// The scenario's parameters with PSLA off: only then are queued columns
-/// round-time-independent and persisted, which is what these tests probe.
-ScoreParams persisting(const RandomInstance& inst) {
-  ScoreParams params = inst.params;
-  params.use_sla = false;
-  return params;
-}
-
 /// Picks a random legal move: a movable column and a row it is not planned
 /// on. Queued columns may also be evicted back to the virtual row.
 bool random_move(support::Rng& rng, ScoreModel& model, int* out_r,
@@ -83,37 +85,40 @@ bool random_move(support::Rng& rng, ScoreModel& model, int* out_r,
   return false;
 }
 
-class ScoreCacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class ScoreModelProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The headline property: 100 instances per seed x 5 seeds = 500 randomized
 // datacenters, each carried through three refreshed rounds of one
-// FleetState. Each round's incremental model is driven through a random
-// move sequence with a full persisted-vs-fresh sweep after every apply.
-TEST_P(ScoreCacheProperty, CachedCellsEqualFreshRecomputation) {
+// FleetState. Each round's incremental model and a reference model of the
+// same round are driven through the same random move sequence, with a
+// full bitwise sweep after every apply.
+TEST_P(ScoreModelProperty, IncrementalCellsEqualReference) {
   const std::uint64_t seed = GetParam();
   support::Rng rng{seed};
   for (int instance = 0; instance < 100; ++instance) {
     RandomInstance inst = make_random_instance(rng, seed, instance);
     SCOPED_TRACE(inst.describe());
-    const ScoreParams params = persisting(inst);
     std::vector<VmId> queue = inst.queue;
     FleetState fleet;
     for (int round = 0; round < 3; ++round) {
       SCOPED_TRACE(::testing::Message() << "round " << round);
-      fleet.refresh(inst.fixture->dc, queue);
+      fleet.refresh(inst.fixture->dc);
       {
-        ScoreModel model(fleet, inst.fixture->dc, queue, params,
-                         inst.migration);
-        ASSERT_FALSE(model.reference());
-        expect_cache_fresh(model);  // persists every queued cell
+        ScoreModel inc(fleet, inst.fixture->dc, queue, inst.params,
+                       inst.migration);
+        ScoreModel ref(inst.fixture->dc, queue, inst.params, inst.migration);
+        ASSERT_FALSE(inc.reference());
+        ASSERT_TRUE(ref.reference());
+        expect_same_cells(inc, ref);
         const int moves =
-            model.cols() == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 12));
+            inc.cols() == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 12));
         for (int m = 0; m < moves; ++m) {
           int r = -1, c = -1;
-          if (!random_move(rng, model, &r, &c)) break;
-          model.move(r, c);
-          expect_cache_fresh(model);
-          ASSERT_EQ(model.plan_row(c), r);
+          if (!random_move(rng, inc, &r, &c)) break;
+          inc.move(r, c);
+          ref.move(r, c);
+          expect_same_cells(inc, ref);
+          ASSERT_EQ(inc.plan_row(c), r);
         }
       }
       dirty_between_rounds(rng, *inst.fixture, queue);
@@ -121,27 +126,25 @@ TEST_P(ScoreCacheProperty, CachedCellsEqualFreshRecomputation) {
   }
 }
 
-// Read order must not matter: two models of the same round, fed the same
-// moves but read in different orders (one eagerly before the moves, one
-// lazily and sparsely), agree bitwise on every cell. Both write through
-// to the one FleetState's persisted columns, over three refreshed rounds
-// with journalled dirt in between.
-TEST_P(ScoreCacheProperty, ReadOrderDoesNotAffectValues) {
+// Read order must not matter: an incremental model read eagerly before
+// the moves and a reference model of the same round read lazily and
+// sparsely, fed the same moves, agree bitwise on every cell at the end —
+// over three refreshed rounds with journalled dirt in between.
+TEST_P(ScoreModelProperty, ReadOrderDoesNotAffectValues) {
   const std::uint64_t seed = GetParam() * 1000003 + 17;
   support::Rng rng{seed};
   for (int instance = 0; instance < 40; ++instance) {
     RandomInstance inst = make_random_instance(rng, seed, instance);
     SCOPED_TRACE(inst.describe());
-    const ScoreParams params = persisting(inst);
     std::vector<VmId> queue = inst.queue;
     FleetState fleet;
     for (int round = 0; round < 3; ++round) {
       SCOPED_TRACE(::testing::Message() << "round " << round);
-      fleet.refresh(inst.fixture->dc, queue);
+      fleet.refresh(inst.fixture->dc);
       {
-        ScoreModel eager(fleet, inst.fixture->dc, queue, params,
+        ScoreModel eager(fleet, inst.fixture->dc, queue, inst.params,
                          inst.migration);
-        ScoreModel lazy(fleet, inst.fixture->dc, queue, params,
+        ScoreModel lazy(inst.fixture->dc, queue, inst.params,
                         inst.migration);
         for (int r = 0; r < eager.rows(); ++r) {
           for (int c = 0; c < eager.cols(); ++c) (void)eager.cell(r, c);
@@ -173,11 +176,11 @@ TEST_P(ScoreCacheProperty, ReadOrderDoesNotAffectValues) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ScoreCacheProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, ScoreModelProperty,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u));
 
 // row_aggregate reads through cell(); spot-check it tracks moves.
-TEST(ScoreCache, RowAggregateTracksMoves) {
+TEST(ScoreModelRows, RowAggregateTracksMoves) {
   support::Rng rng{42};
   RandomInstance inst = make_random_instance(rng, 42, 0);
   SCOPED_TRACE(inst.describe());

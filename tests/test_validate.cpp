@@ -10,8 +10,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/fleet.hpp"
-#include "core/score_matrix.hpp"
 #include "experiments/runner.hpp"
 #include "test_random_instances.hpp"
 #include "validate/invariant_checker.hpp"
@@ -127,32 +125,6 @@ TEST(InvariantChecker, CatchesIllegalPowerTransition) {
   EXPECT_EQ(other_rule_count(ck, Rule::kPowerLegality), 0u);
   ASSERT_EQ(ck.violations().size(), 1u);
   EXPECT_EQ(ck.violations()[0].t, 10.0);
-}
-
-// The only stored scores are the persisted cross-round columns of queued
-// VMs, so the rule is seeded on an incremental model whose queued column
-// persists (PSLA off).
-TEST(InvariantChecker, CatchesCorruptedScoreCache) {
-  SmallDc f(3);
-  const std::vector<datacenter::VmId> queue = {f.dc.admit_job(make_job())};
-  const core::ScoreParams params;  // use_sla off: the column persists
-  ASSERT_FALSE(params.use_sla);
-  core::FleetState fleet;
-  fleet.refresh(f.dc, queue);
-  core::ScoreModel model(fleet, f.dc, queue, params,
-                         /*migration_enabled=*/false);
-  ASSERT_EQ(model.cols(), 1);
-  // A finite cell, so the perturbation survives the addition.
-  ASSERT_FALSE(core::is_inf_score(model.cell(0, 0)));
-
-  InvariantChecker ck;
-  ck.check_score_model(model, 1.0);
-  ASSERT_TRUE(ck.ok());
-
-  model.debug_corrupt_cache(0, 0, 1e-3);
-  ck.check_score_model(model, 2.0);
-  EXPECT_EQ(ck.count(Rule::kScoreCache), 1u);
-  EXPECT_EQ(other_rule_count(ck, Rule::kScoreCache), 0u);
 }
 
 TEST(InvariantChecker, CatchesEventTimeRegression) {
@@ -300,7 +272,7 @@ TEST(ReproBundle, RejectsMalformedInput) {
 // ---- end-to-end: validated runs stay clean ----------------------------------
 //
 // These drive the real hook sites (driver round sweep, datacenter power
-// transitions, simulator event stream, score-policy cache audit).
+// transitions, simulator event stream, score-policy fleet check).
 
 TEST(ValidatedRun, CleanPoliciesProduceNoViolations) {
   const auto jobs = small_week();
