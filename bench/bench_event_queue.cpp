@@ -18,16 +18,19 @@
 // `--smoke` (the `bench_sim_smoke` ctest entry) runs reduced-size
 // microbenches only and exits non-zero if the pooled queue is slower than
 // the reference on either pattern (small multiplicative slack for timer
-// jitter). `--json` emits the measurements as JSON for
-// scripts/refresh_bench.sh to assemble into BENCH_sim.json.
+// jitter). `--json` emits the measurements as an easched.baseline/1
+// document, committed as BENCH_sim.json by scripts/refresh_bench.sh: times
+// may rise and rates fall 25 % against it, the week's event count is exact.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/attribution/summary_diff.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/reference_event_queue.hpp"
 #include "support/cli.hpp"
@@ -88,12 +91,6 @@ double cancel_resched_once(int live, int rounds, int& sink) {
   return ms;
 }
 
-struct Row {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,7 +102,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 3 : 5));
   args.warn_unrecognized();
 
-  std::vector<Row> rows;
+  std::vector<obs::BaselineMetric> rows;
   int sink = 0;
 
   // ---- churn + cancel_resched, pooled vs reference, interleaved --------
@@ -126,10 +123,12 @@ int main(int argc, char** argv) {
   const double churn_ref_ns = median(churn_ref) * 1e6 / (2.0 * churn_n);
   const double cr_pooled_ns = median(cr_pooled) * 1e6 / cr_rounds;
   const double cr_ref_ns = median(cr_ref) * 1e6 / cr_rounds;
-  rows.push_back({"churn_pooled", churn_pooled_ns, "ns/op"});
-  rows.push_back({"churn_reference", churn_ref_ns, "ns/op"});
-  rows.push_back({"cancel_resched_pooled", cr_pooled_ns, "ns/op"});
-  rows.push_back({"cancel_resched_reference", cr_ref_ns, "ns/op"});
+  rows.push_back({"churn_pooled", churn_pooled_ns, "ns/op", "lower", -1, 0.25});
+  rows.push_back({"churn_reference", churn_ref_ns, "ns/op", "lower", -1, 0.25});
+  rows.push_back({"cancel_resched_pooled", cr_pooled_ns, "ns/op",
+                  "lower", -1, 0.25});
+  rows.push_back({"cancel_resched_reference", cr_ref_ns, "ns/op",
+                  "lower", -1, 0.25});
 
   if (!json) {
     std::printf("churn (push+pop, n=%d):    pooled %7.1f ns/op,  "
@@ -156,11 +155,11 @@ int main(int argc, char** argv) {
       dispatched = res.events_dispatched;
     }
     const double events_per_sec = dispatched / (best_ms / 1000.0);
-    rows.push_back({"whole_run_week_ms", best_ms, "ms"});
+    rows.push_back({"whole_run_week_ms", best_ms, "ms", "lower", -1, 0.25});
     rows.push_back({"whole_run_week_events", static_cast<double>(dispatched),
-                    "events"});
-    rows.push_back({"whole_run_week_events_per_sec", events_per_sec,
-                    "events/s"});
+                    "events", "", 0, -1});
+    rows.push_back({"whole_run_week_events_per_sec", events_per_sec, "events/s",
+                    "higher", -1, 0.25});
     if (!json) {
       std::printf("whole-run week (SB 30-90, pooled queue): %.0f ms, "
                   "%llu events, %.0f events/sec\n",
@@ -204,9 +203,12 @@ int main(int argc, char** argv) {
     time_sweep(1);  // warm-up (page cache, allocator)
     const double serial_ms = time_sweep(1);
     const double threaded_ms = time_sweep(4);
-    rows.push_back({"sweep_grid8_threads1_ms", serial_ms, "ms"});
-    rows.push_back({"sweep_grid8_threads4_ms", threaded_ms, "ms"});
-    rows.push_back({"sweep_grid8_speedup", serial_ms / threaded_ms, "x"});
+    rows.push_back({"sweep_grid8_threads1_ms", serial_ms, "ms",
+                    "lower", -1, 0.25});
+    rows.push_back({"sweep_grid8_threads4_ms", threaded_ms, "ms",
+                    "lower", -1, 0.25});
+    rows.push_back({"sweep_grid8_speedup", serial_ms / threaded_ms, "x",
+                    "higher", -1, 0.25});
     if (!json) {
       std::printf("sweep (8-point grid): 1 thread %.0f ms, 4 threads "
                   "%.0f ms (%.2fx, %u hw threads)\n",
@@ -216,15 +218,14 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("{\n  \"context\": {\"queue\": \"pooled\", \"hw_threads\": %u, "
-                "\"reps\": %d},\n  \"benchmarks\": [\n",
-                std::thread::hardware_concurrency(), reps);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::printf("    {\"name\": \"%s\", \"value\": %.2f, \"unit\": \"%s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value, rows[i].unit.c_str(),
-                  i + 1 < rows.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
+    obs::write_baseline(
+        std::cout,
+        {{"queue", "pooled"},
+         {"hw_threads", std::to_string(std::thread::hardware_concurrency())},
+         {"reps", std::to_string(reps)},
+         {"week", skip_week ? "skipped" : "run"},
+         {"sweep", skip_sweep ? "skipped" : "run"}},
+        rows);
   }
 
   if (smoke) {

@@ -12,13 +12,13 @@
 //   bench_fidelity_gate --record             re-record the golden file
 //   bench_fidelity_gate --envelopes=<path>   use a different golden file
 //
-// Tolerances live in the golden file itself (abs_tol / rel_tol per metric)
-// so bands can be widened in review without rebuilding. Completeness is
-// checked both ways: a metric added here must be recorded, and a recorded
-// metric must still be measured.
-#include <cmath>
+// The golden file is an easched.baseline/1 document (see
+// obs/attribution/summary_diff.hpp) and the comparison is the repo's one
+// comparator, obs::diff_summaries. Tolerances live in the golden file
+// itself (abs_tol / rel_tol per metric) so bands can be widened in review
+// without rebuilding. Completeness is checked both ways: a metric added
+// here must be recorded, and a recorded metric must still be measured.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,6 +27,7 @@
 #include "bench_common.hpp"
 #include "core/score_based_policy.hpp"
 #include "datacenter/datacenter.hpp"
+#include "obs/attribution/summary_diff.hpp"
 #include "sim/simulator.hpp"
 #include "support/cli.hpp"
 
@@ -37,15 +38,6 @@
 namespace {
 
 using namespace easched;
-
-/// One gated metric. Exactly one of abs_tol / rel_tol is active (>= 0);
-/// the band of a golden entry is abs_tol, or rel_tol * |value|.
-struct Metric {
-  std::string name;
-  double value = 0;
-  double abs_tol = -1;
-  double rel_tol = -1;
-};
 
 /// Steady-state power of one 4-way host running the given VMs (the
 /// Table I measurement, same stack as bench_table1_power_model).
@@ -71,8 +63,9 @@ double measure_watts(const std::vector<double>& vm_cpu_pct) {
 
 /// Measures every gated metric on the current build. Week runs execute
 /// concurrently under the sweep runner (deterministic per task).
-std::vector<Metric> measure() {
-  std::vector<Metric> m;
+/// Every gated metric carries exactly one of abs_tol / rel_tol.
+std::vector<obs::BaselineMetric> measure() {
+  std::vector<obs::BaselineMetric> m;
 
   struct Config1 {
     const char* key;
@@ -90,7 +83,7 @@ std::vector<Metric> measure() {
   };
   for (const auto& c : table1) {
     m.push_back({std::string("table1.") + c.key + ".watts",
-                 measure_watts(c.vm_cpu_pct), 0.5, -1});
+                 measure_watts(c.vm_cpu_pct), "W", "", 0.5, -1});
   }
 
   const auto jobs = bench::week_workload();
@@ -120,92 +113,37 @@ std::vector<Metric> measure() {
   const auto& sba = results[5].report;
   const auto& ce0 = results[6].report;
 
-  m.push_back({"table2.RD.energy_kwh", rd.energy_kwh, -1, 0.02});
-  m.push_back({"table2.RR.energy_kwh", rr.energy_kwh, -1, 0.02});
-  m.push_back({"table2.BF.energy_kwh", bf.energy_kwh, -1, 0.02});
-  m.push_back({"table2.SB0.energy_kwh", sb0.energy_kwh, -1, 0.02});
-  m.push_back({"table2.BF.satisfaction_pct", bf.satisfaction, 1.0, -1});
-  m.push_back({"table4.SB_30_90.energy_kwh", sb.energy_kwh, -1, 0.02});
-  m.push_back({"table4.SB_30_90.satisfaction_pct", sb.satisfaction, 1.0, -1});
-  m.push_back({"table4.SB_40_90.energy_kwh", sba.energy_kwh, -1, 0.02});
+  // Energies are held to 2 %, satisfactions to one percentage point.
+  const auto energy = [&m](const char* name, double kwh) {
+    m.push_back({name, kwh, "kWh", "", -1, 0.02});
+  };
+  const auto satisfaction = [&m](const char* name, double pct) {
+    m.push_back({name, pct, "%", "", 1.0, -1});
+  };
+  energy("table2.RD.energy_kwh", rd.energy_kwh);
+  energy("table2.RR.energy_kwh", rr.energy_kwh);
+  energy("table2.BF.energy_kwh", bf.energy_kwh);
+  energy("table2.SB0.energy_kwh", sb0.energy_kwh);
+  satisfaction("table2.BF.satisfaction_pct", bf.satisfaction);
+  energy("table4.SB_30_90.energy_kwh", sb.energy_kwh);
+  satisfaction("table4.SB_30_90.satisfaction_pct", sb.satisfaction);
+  energy("table4.SB_40_90.energy_kwh", sba.energy_kwh);
   // The headline claim (paper: -15 % vs BF). A drift here means the
   // reproduction no longer supports the abstract's number.
   m.push_back({"table4.sb4090_vs_bf_saving_pct",
-               100.0 * (1.0 - sba.energy_kwh / bf.energy_kwh), 2.0, -1});
+               100.0 * (1.0 - sba.energy_kwh / bf.energy_kwh), "%", "", 2.0,
+               -1});
   m.push_back({"table5.ce0.migrations",
-               static_cast<double>(ce0.migrations), 5.0, -1});
-  m.push_back({"table5.ce0.energy_kwh", ce0.energy_kwh, -1, 0.02});
+               static_cast<double>(ce0.migrations), "count", "", 5.0, -1});
+  energy("table5.ce0.energy_kwh", ce0.energy_kwh);
   return m;
 }
 
-// ---- golden-envelope file ------------------------------------------------
-// {"metrics": [{"name": "...", "value": X, "abs_tol": Y}, ...]} — written
-// and parsed here; the parser only needs to understand what the writer
-// emits (one object per metric, numeric fields after their quoted key).
-
-void write_envelopes(const std::string& path, const std::vector<Metric>& m) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"metrics\": [\n";
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof value, "%.10g", m[i].value);
-    out << "    {\"name\": \"" << m[i].name << "\", \"value\": " << value;
-    if (m[i].abs_tol >= 0) out << ", \"abs_tol\": " << m[i].abs_tol;
-    if (m[i].rel_tol >= 0) out << ", \"rel_tol\": " << m[i].rel_tol;
-    out << "}" << (i + 1 < m.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-/// First numeric value after `"key":` inside [from, to), or fallback.
-double find_num(const std::string& s, std::size_t from, std::size_t to,
-                const char* key, double fallback) {
-  const std::string quoted = std::string("\"") + key + "\"";
-  const auto p = s.find(quoted, from);
-  if (p == std::string::npos || p >= to) return fallback;
-  const auto colon = s.find(':', p + quoted.size());
-  if (colon == std::string::npos || colon >= to) return fallback;
-  return std::strtod(s.c_str() + colon + 1, nullptr);
-}
-
-std::vector<Metric> read_envelopes(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr,
-                 "cannot read golden envelopes %s — record them first with "
-                 "bench_fidelity_gate --record\n",
-                 path.c_str());
-    std::exit(1);
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  std::vector<Metric> out;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
-    const auto open = text.find('"', text.find(':', pos) + 1);
-    const auto close = text.find('"', open + 1);
-    auto end = text.find('}', pos);
-    if (open == std::string::npos || close == std::string::npos ||
-        end == std::string::npos) {
-      std::fprintf(stderr, "malformed golden envelope file %s\n",
-                   path.c_str());
-      std::exit(1);
-    }
-    Metric m;
-    m.name = text.substr(open + 1, close - open - 1);
-    m.value = find_num(text, close, end, "value", 0);
-    m.abs_tol = find_num(text, close, end, "abs_tol", -1);
-    m.rel_tol = find_num(text, close, end, "rel_tol", -1);
-    out.push_back(std::move(m));
-    pos = end;
-  }
-  return out;
+/// The measured metrics as a baseline document.
+std::string baseline_text(const std::vector<obs::BaselineMetric>& m) {
+  std::ostringstream os;
+  obs::write_baseline(os, {{"generator", "bench_fidelity_gate --record"}}, m);
+  return os.str();
 }
 
 }  // namespace
@@ -222,53 +160,39 @@ int main(int argc, char** argv) {
       "Table I/II/IV/V headline metrics must stay inside the golden "
       "envelopes recorded on a known-good main");
 
-  const auto measured = measure();
+  const std::string measured = baseline_text(measure());
   if (record) {
-    write_envelopes(path, measured);
-    std::printf("recorded %zu golden envelopes to %s\n", measured.size(),
-                path.c_str());
+    std::ofstream out(path);
+    if (!(out << measured)) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return 1;
+    }
+    std::printf("recorded golden envelopes to %s\n", path.c_str());
     return 0;
   }
 
-  const auto golden = read_envelopes(path);
-  support::TextTable table;
-  table.header({"metric", "golden", "measured", "band", "status"});
-  bool all = true;
-  for (const auto& g : golden) {
-    const Metric* meas = nullptr;
-    for (const auto& c : measured) {
-      if (c.name == g.name) meas = &c;
-    }
-    if (meas == nullptr) {
-      std::printf("FAIL: golden metric \"%s\" is no longer measured — "
-                  "re-record or restore it\n",
-                  g.name.c_str());
-      all = false;
-      continue;
-    }
-    const double band =
-        g.abs_tol >= 0 ? g.abs_tol : g.rel_tol * std::abs(g.value);
-    const bool ok = std::abs(meas->value - g.value) <= band;
-    all = all && ok;
-    table.add_row({g.name, support::TextTable::num(g.value, 2),
-                   support::TextTable::num(meas->value, 2),
-                   "+/- " + support::TextTable::num(band, 2),
-                   ok ? "PASS" : "FAIL"});
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr,
+                 "cannot read golden envelopes %s — record them first with "
+                 "bench_fidelity_gate --record\n",
+                 path.c_str());
+    return 1;
   }
-  for (const auto& c : measured) {
-    bool known = false;
-    for (const auto& g : golden) {
-      if (g.name == c.name) known = true;
-    }
-    if (!known) {
-      std::printf("FAIL: measured metric \"%s\" has no golden envelope — "
-                  "run --record\n",
-                  c.name.c_str());
-      all = false;
-    }
+  std::ostringstream golden_text;
+  golden_text << in.rdbuf();
+  obs::FlatSummary golden, fresh;
+  std::string error;
+  if (!obs::flatten_json(golden_text.str(), golden, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+    return 1;
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("fidelity gate: %s (%zu envelopes, %s)\n",
-              all ? "PASS" : "FAIL", golden.size(), path.c_str());
-  return all ? 0 : 1;
+  obs::flatten_json(measured, fresh);
+  // A metric missing on either side is a failure: a new one must be
+  // recorded, a recorded one must still be measured.
+  const obs::DiffResult result = obs::diff_summaries(golden, fresh, {});
+  std::fputs(obs::format_diff(result, path, "this build").c_str(), stdout);
+  std::printf("fidelity gate: %s (%s)\n", result.regressed() ? "FAIL" : "PASS",
+              path.c_str());
+  return result.regressed() ? 1 : 0;
 }

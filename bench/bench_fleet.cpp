@@ -18,21 +18,28 @@
 //
 // The two action streams are compared round for round and any divergence
 // is a hard failure: the speedup claim is only meaningful if the decisions
-// are identical. `--json` emits the rows committed as BENCH_fleet.json
-// (scripts/refresh_bench.sh).
+// are identical. `--json` emits the rows as an easched.baseline/1 document,
+// committed as BENCH_fleet.json (scripts/refresh_bench.sh) and diffed
+// against a fresh run with `trace_tool diff` (scripts/run_validation.sh).
+// Each row's incremental median may rise 25 % against the baseline and
+// identical_decisions has no slack at all; the other figures carry wide
+// bands (see run_main).
 //
 // The 100-host non-regression gate for the same two variants is
 // `bench_overhead --component=fleet` (the `bench_fleet_smoke` ctest entry).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/score_based_policy.hpp"
 #include "datacenter/datacenter.hpp"
 #include "metrics/accumulators.hpp"
+#include "obs/attribution/summary_diff.hpp"
 #include "sched/policy.hpp"
 #include "sim/simulator.hpp"
 #include "support/cli.hpp"
@@ -225,21 +232,34 @@ int run_main(const support::CliArgs& args, bool json) {
   }
 
   if (json) {
-    std::printf("{\n  \"benchmark\": \"fleet_round\",\n");
-    std::printf("  \"rounds\": %d, \"warmup\": %d,\n", rounds, warmup);
-    std::printf("  \"utilization\": %.2f,\n  \"rows\": [\n", kUtilization);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::printf(
-          "    {\"hosts\": %zu, \"churn\": %d, "
-          "\"reference_ms\": {\"mean\": %.4f, \"median\": %.4f}, "
-          "\"incremental_ms\": {\"mean\": %.4f, \"median\": %.4f}, "
-          "\"speedup\": %.2f, \"identical_decisions\": %s}%s\n",
-          r.hosts, r.churn, r.ref_mean_ms, r.ref_median_ms, r.inc_mean_ms,
-          r.inc_median_ms, r.speedup, r.identical ? "true" : "false",
-          i + 1 < rows.size() ? "," : "");
+    std::vector<obs::BaselineMetric> metrics;
+    for (const Row& r : rows) {
+      const std::string row = "h" + std::to_string(r.hosts) + "_c" +
+                              std::to_string(r.churn) + ".";
+      // The incremental median is the gated figure (25 %, one-sided).
+      // Reference rounds are bimodal and means follow the tail, so those
+      // and the speedup are context with bands wide enough for a shared
+      // machine: they catch a doubled time or a quartered speedup.
+      metrics.push_back({row + "incremental_median_ms", r.inc_median_ms, "ms",
+                         "lower", -1, 0.25});
+      metrics.push_back({row + "incremental_mean_ms", r.inc_mean_ms, "ms",
+                         "lower", -1, 1.0});
+      metrics.push_back({row + "reference_median_ms", r.ref_median_ms, "ms",
+                         "lower", -1, 1.0});
+      metrics.push_back({row + "reference_mean_ms", r.ref_mean_ms, "ms",
+                         "lower", -1, 1.0});
+      metrics.push_back({row + "speedup", r.speedup, "x", "higher", -1, 0.75});
+      metrics.push_back({row + "identical_decisions", r.identical ? 1.0 : 0.0,
+                         "bool", "", 0, -1});
     }
-    std::printf("  ]\n}\n");
+    obs::write_baseline(
+        std::cout,
+        {{"benchmark", "fleet_round"},
+         {"rounds", std::to_string(rounds)},
+         {"warmup", std::to_string(warmup)},
+         {"utilization", "0.95"},  // kUtilization
+         {"hw_threads", std::to_string(std::thread::hardware_concurrency())}},
+        metrics);
   } else {
     std::printf("%8s %8s %14s %14s %9s %10s\n", "hosts", "churn",
                 "ref med (ms)", "inc med (ms)", "speedup", "identical");

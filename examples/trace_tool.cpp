@@ -10,22 +10,24 @@
 //   trace_tool tail run.jsonl [--kind=migrate] # stream-filter JSONL events
 //             [--host=17] [--limit=N]          #   by kind prefix / host id
 //   trace_tool validate --trace run.json       # Chrome trace_event check
-//   trace_tool diff runA.json runB.json        # run_summary regression diff
-//             [--threshold=0.01]               #   global relative threshold
-//             [--prefix-thresholds=energy.:0.05,decisions.:0.1]
+//   trace_tool diff A.json B.json              # regression diff of B against
+//             [--threshold=0.01]               #   A: run summaries under one
+//                                              #   relative threshold,
+//                                              #   baselines under their own
+//                                              #   per-metric bands
 //
 // `diff` exits 0 when every metric matches within its threshold, 1 on any
 // delta / missing metric / schema mismatch — the regression verdict the
-// ctest gate and refresh_bench.sh rely on.
+// ctest gates, refresh_bench.sh and run_validation.sh rely on.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
 #include "obs/attribution/summary_diff.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "support/cli.hpp"
 #include "workload/swf.hpp"
@@ -33,18 +35,46 @@
 
 namespace {
 
-/// Extracts the string value of `"key":"..."` from one JSONL event line.
-/// The trace writer never emits escaped quotes in kind/label values, so a
-/// plain scan is exact for the fields we tally.
-std::string json_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return {};
-  const auto begin = pos + needle.size();
-  const auto end = line.find('"', begin);
-  if (end == std::string::npos) return {};
-  return line.substr(begin, end - begin);
-}
+/// Reads a JSONL run trace one event line at a time, keeping the fields
+/// `summarize` and `tail` look at.
+struct EventReader {
+  std::ifstream in;
+  std::string path;
+  std::string line;
+  std::uint64_t line_no = 0;
+  bool bad = false;  ///< stopped at a malformed line (reported on stderr)
+  std::string kind;
+  std::string label;
+  double host = -1;  ///< -1 = not host-scoped
+
+  explicit EventReader(const std::string& p) : in(p), path(p) {}
+
+  /// Advances to the next non-empty line; false at end or on a bad line.
+  bool next() {
+    using easched::obs::JsonType;
+    const auto visit = [this](const easched::obs::JsonNode& n) {
+      if (n.depth != 1) return true;
+      if (n.key == "kind" && n.type == JsonType::kString) kind = n.text;
+      if (n.key == "label" && n.type == JsonType::kString) label = n.text;
+      if (n.key == "host" && n.type == JsonType::kNumber) host = n.number;
+      return true;
+    };
+    while (std::getline(in, line)) {
+      ++line_no;
+      if (line.empty()) continue;
+      kind.clear();
+      label.clear();
+      host = -1;
+      std::string error;
+      if (easched::obs::read_json(line, visit, &error)) return true;
+      std::fprintf(stderr, "%s:%llu: %s\n", path.c_str(),
+                   static_cast<unsigned long long>(line_no), error.c_str());
+      bad = true;
+      return false;
+    }
+    return false;
+  }
+};
 
 /// Per-policy decision / migration / power-cycle tallies of one run trace.
 struct PolicyTally {
@@ -58,8 +88,8 @@ struct PolicyTally {
 };
 
 int summarize_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  EventReader e(path);
+  if (!e.in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 2;
   }
@@ -67,20 +97,17 @@ int summarize_trace(const std::string& path) {
   // each opened by a run_begin event labelled with its policy.
   std::map<std::string, PolicyTally> tallies;
   std::string policy = "(no run-begin)";
-  std::string line;
   std::uint64_t lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
+  while (e.next()) {
     ++lines;
-    const std::string kind = json_field(line, "kind");
+    const std::string& kind = e.kind;
     if (kind == "run-begin") {
-      const std::string label = json_field(line, "label");
-      policy = label.empty() ? "(unnamed)" : label;
+      policy = e.label.empty() ? "(unnamed)" : e.label;
     }
     PolicyTally& t = tallies[policy];
     ++t.events;
     if (kind == "decision") {
-      if (json_field(line, "label") == "migrate") {
+      if (e.label == "migrate") {
         ++t.migration_decisions;
       } else {
         ++t.placements;
@@ -95,6 +122,7 @@ int summarize_trace(const std::string& path) {
       ++t.power_offs;
     }
   }
+  if (e.bad) return 1;
   std::printf("%s: %llu events\n", path.c_str(),
               static_cast<unsigned long long>(lines));
   std::printf("%-12s %10s %10s %10s %10s %10s %10s\n", "policy", "place",
@@ -111,15 +139,6 @@ int summarize_trace(const std::string& path) {
   return 0;
 }
 
-/// Extracts the integer value of `"key":N` from one JSONL event line
-/// (host ids are unquoted). Returns -1 when the key is absent.
-long long json_int_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return -1;
-  return std::atoll(line.c_str() + pos + needle.size());
-}
-
 /// `tail` mode: stream a JSONL run trace, printing only the events whose
 /// kind starts with `kind_prefix` (empty = all) and whose host id equals
 /// `host` (-1 = all). A grep that understands the trace schema — `alert`
@@ -127,24 +146,19 @@ long long json_int_field(const std::string& line, const std::string& key) {
 /// machine's life story.
 int tail_trace(const std::string& path, const std::string& kind_prefix,
                long long host, std::uint64_t limit) {
-  std::ifstream in(path);
-  if (!in) {
+  EventReader e(path);
+  if (!e.in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 2;
   }
-  std::string line;
   std::uint64_t matched = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (!kind_prefix.empty() &&
-        json_field(line, "kind").rfind(kind_prefix, 0) != 0) {
-      continue;
-    }
-    if (host >= 0 && json_int_field(line, "host") != host) continue;
-    std::printf("%s\n", line.c_str());
+  while (e.next()) {
+    if (!kind_prefix.empty() && e.kind.rfind(kind_prefix, 0) != 0) continue;
+    if (host >= 0 && e.host != static_cast<double>(host)) continue;
+    std::printf("%s\n", e.line.c_str());
     if (limit > 0 && ++matched >= limit) break;
   }
-  return 0;
+  return e.bad ? 1 : 0;
 }
 
 int validate_trace(const std::string& path) {
@@ -181,27 +195,6 @@ bool load_flat_summary(const std::string& path,
   return true;
 }
 
-/// Parses `prefix:threshold` pairs separated by commas, e.g.
-/// "energy.:0.05,decisions.:0.1".
-bool parse_prefix_thresholds(const std::string& spec,
-                             easched::obs::DiffOptions& options) {
-  std::istringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    const auto colon = item.rfind(':');
-    if (colon == std::string::npos || colon == 0) {
-      std::fprintf(stderr,
-                   "bad --prefix-thresholds entry '%s' (want prefix:rel)\n",
-                   item.c_str());
-      return false;
-    }
-    options.prefix_thresholds.emplace_back(
-        item.substr(0, colon), std::stod(item.substr(colon + 1)));
-  }
-  return true;
-}
-
 int diff_summaries_cli(const std::string& path_a, const std::string& path_b,
                        const easched::obs::DiffOptions& options) {
   easched::obs::FlatSummary a;
@@ -227,15 +220,10 @@ int main(int argc, char** argv) {
   if (mode == "diff") {
     obs::DiffOptions options;
     options.rel_threshold = args.get_double("threshold", 0.0);
-    const std::string prefixes = args.get("prefix-thresholds", "");
     args.warn_unrecognized();
     if (args.positional().size() != 3) {
       std::fprintf(stderr,
-                   "trace_tool diff <runA.json> <runB.json> "
-                   "[--threshold=REL] [--prefix-thresholds=p:REL,...]\n");
-      return 2;
-    }
-    if (!prefixes.empty() && !parse_prefix_thresholds(prefixes, options)) {
+                   "trace_tool diff <A.json> <B.json> [--threshold=REL]\n");
       return 2;
     }
     return diff_summaries_cli(args.positional()[1], args.positional()[2],

@@ -24,9 +24,10 @@
 #   fast — default build only (step 1); CI tier-1 runs this.
 #
 # Opt-in: EASCHED_BENCH_REGRESSION=1 appends a benchmark-regression step —
-# a Release build of bench_fleet generates a reduced BENCH_fleet.json and
-# scripts/check_bench_regression.py diffs it (plus any other fresh
-# BENCH_*.json found in the build dir) against the committed baselines.
+# a Release build of bench_fleet re-measures every committed (hosts, churn)
+# row, and `trace_tool diff BENCH_fleet.json <fresh>` gates it under the
+# per-metric bands the committed baseline carries (identical_decisions
+# exactly, round times one-sided).
 # Off by default: it is a wall-clock measurement and needs an idle machine.
 set -eu
 
@@ -50,16 +51,17 @@ EASCHED_VALIDATE=1 ctest --test-dir "$repo/build-validate" -L validate \
 if [ "${EASCHED_BENCH_REGRESSION:-}" = "1" ]; then
   echo "== benchmark regression check (opt-in) =="
   cmake -S "$repo" -B "$repo/build-bench-check" -DCMAKE_BUILD_TYPE=Release \
-    -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "$repo/build-bench-check" --target bench_fleet \
+    -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_EXAMPLES=ON >/dev/null
+  cmake --build "$repo/build-bench-check" --target bench_fleet trace_tool \
     -j"$(nproc)" >/dev/null
-  # Reduced sweep: the checker compares only the (hosts, churn) rows that
-  # exist in both files, so fewer sizes/rounds still gate the overlap.
+  # The committed sizes and round counts: every baseline key exists in the
+  # fresh file (a missing key is a regression), and the measured rounds
+  # are the same steady-state window — a shorter warm-up times an earlier,
+  # different regime of the scenario.
   "$repo/build-bench-check/bench/bench_fleet" --json \
-    --hosts=1000,4000 --rounds=12 --warmup=4 \
     > "$repo/build-bench-check/BENCH_fleet.json"
-  python3 "$repo/scripts/check_bench_regression.py" \
-    --baseline-dir "$repo" --fresh-dir "$repo/build-bench-check"
+  "$repo/build-bench-check/examples/trace_tool" diff "$repo/BENCH_fleet.json" \
+    "$repo/build-bench-check/BENCH_fleet.json"
 fi
 
 if [ "$fast" = "fast" ]; then

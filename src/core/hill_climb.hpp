@@ -19,7 +19,7 @@
 //     rows) to maintain a per-column blocked argmin incrementally, so an
 //     iteration costs O(cols x (block + rows/block)) instead of
 //     O(rows x cols) — an ~8x round speedup at 1600 hosts
-//     (bench_micro solver_scaling, BENCH_solver.json). Its move trace is
+//     (bench_micro solver_scaling). Its move trace is
 //     bit-identical to the reference's (tests/test_solver_equivalence.cpp
 //     compares full move traces).
 //

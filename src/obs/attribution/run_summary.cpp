@@ -4,26 +4,11 @@
 #include <fstream>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace easched::obs {
 namespace {
-
-// Matches the metrics/trace exporters' shortest round-trippable formatting.
-void write_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
 
 void write_key(std::ostream& os, const char* key, bool& first) {
   if (!first) os << ',';
@@ -33,7 +18,7 @@ void write_key(std::ostream& os, const char* key, bool& first) {
 
 void write_num(std::ostream& os, const char* key, double v, bool& first) {
   write_key(os, key, first);
-  write_double(os, v);
+  write_json_number(os, v);
 }
 
 void write_count(std::ostream& os, const char* key, std::uint64_t v,
@@ -89,7 +74,7 @@ void write_energy(std::ostream& os, const EnergyLedger& ledger) {
     cf = false;
     write_json_string(os, cls);
     os << ':';
-    write_double(os, joules);
+    write_json_number(os, joules);
   }
   os << '}';
 
@@ -99,7 +84,7 @@ void write_energy(std::ostream& os, const EnergyLedger& ledger) {
   for (std::size_t r = 0; r < rungs.size(); ++r) {
     if (r > 0) os << ',';
     os << '"' << rung_name(r) << "\":";
-    write_double(os, rungs[r]);
+    write_json_number(os, rungs[r]);
   }
   os << '}';
 
@@ -123,7 +108,7 @@ void write_decisions(std::ostream& os, const DecisionLog& log) {
   for (std::size_t i = 0; i < kDecisionTermCount; ++i) {
     if (i > 0) os << ',';
     os << '"' << decision_term_name(i) << "\":";
-    write_double(os, s.term_totals[i]);
+    write_json_number(os, s.term_totals[i]);
   }
   os << '}';
 
@@ -149,10 +134,10 @@ void write_metrics(std::ostream& os, const MetricsSnapshot& snap) {
     if (row.kind == InstrumentKind::kHistogram) {
       // Flatten histograms to the two diffable scalars.
       os << "{\"count\":" << row.count << ",\"sum\":";
-      write_double(os, row.sum);
+      write_json_number(os, row.sum);
       os << '}';
     } else {
-      write_double(os, row.value);
+      write_json_number(os, row.value);
     }
   }
   os << '}';
@@ -167,9 +152,9 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
   os << "\"policy\":{\"name\":";
   write_json_string(os, report.policy);
   os << ",\"lambda_min\":";
-  write_double(os, report.lambda_min);
+  write_json_number(os, report.lambda_min);
   os << ",\"lambda_max\":";
-  write_double(os, report.lambda_max);
+  write_json_number(os, report.lambda_max);
   os << "},";
 
   {
@@ -206,9 +191,9 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
       os << "{\"rule\":";
       write_json_string(os, f.rule);
       os << ",\"fired_t\":";
-      write_double(os, f.fired_t);
+      write_json_number(os, f.fired_t);
       os << ",\"resolved_t\":";
-      write_double(os, f.resolved_t);
+      write_json_number(os, f.resolved_t);
       os << '}';
     }
     os << "]},";

@@ -1,183 +1,50 @@
 #include "obs/attribution/summary_diff.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <ostream>
 #include <set>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace easched::obs {
 namespace {
 
-// Recursive-descent parser for the JSON subset the repo's writers emit:
-// objects, arrays, numbers, strings (\" and \\ escapes), true/false/null.
-// Leaves land in FlatSummary under their dotted path.
-class Flattener {
- public:
-  Flattener(const std::string& text, FlatSummary& out)
-      : text_(text), out_(out) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!parse_value("")) {
-      if (error != nullptr) {
-        std::ostringstream os;
-        os << "parse error at offset " << pos_ << ": " << error_;
-        *error = os.str();
-      }
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error != nullptr) *error = "trailing content after document";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool fail(const char* msg) {
-    error_ = msg;
-    return false;
-  }
-
-  bool consume(char ch) {
-    if (pos_ >= text_.size() || text_[pos_] != ch) return false;
-    ++pos_;
-    return true;
-  }
-
-  static std::string join(const std::string& path, const std::string& key) {
-    return path.empty() ? key : path + "." + key;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      char ch = text_[pos_++];
-      if (ch == '"') return true;
-      if (ch == '\\') {
-        if (pos_ >= text_.size()) return fail("dangling escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: return fail("unsupported escape");
-        }
-      } else {
-        out += ch;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_value(const std::string& path) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char ch = text_[pos_];
-    if (ch == '{') return parse_object(path);
-    if (ch == '[') return parse_array(path);
-    if (ch == '"') {
-      std::string s;
-      if (!parse_string(s)) return false;
-      out_.strings[path] = std::move(s);
-      return true;
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out_.numbers[path] = 1;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out_.numbers[path] = 0;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;  // null leaves are dropped
-    }
-    return parse_number(path);
-  }
-
-  bool parse_number(const std::string& path) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return fail("expected value");
-    pos_ += static_cast<std::size_t>(end - start);
-    out_.numbers[path] = v;
-    return true;
-  }
-
-  bool parse_object(const std::string& path) {
-    consume('{');
-    skip_ws();
-    if (consume('}')) return true;
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      if (!parse_value(join(path, key))) return false;
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return true;
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(const std::string& path) {
-    consume('[');
-    skip_ws();
-    if (consume(']')) return true;
-    std::size_t index = 0;
-    while (true) {
-      if (!parse_value(join(path, std::to_string(index++)))) return false;
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return true;
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  const std::string& text_;
-  FlatSummary& out_;
-  std::size_t pos_ = 0;
-  const char* error_ = "";
-};
-
-double threshold_for(const std::string& key, const DiffOptions& options) {
-  double threshold = options.rel_threshold;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, t] : options.prefix_thresholds) {
-    if (prefix.size() >= best_len &&
-        key.compare(0, prefix.size(), prefix) == 0) {
-      best_len = prefix.size();
-      threshold = t;
-    }
-  }
-  return threshold;
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-void write_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
+/// Tolerance leaves of a baseline metric: metadata, never compared.
+bool is_tolerance(const std::string& key) {
+  return ends_with(key, ".abs_tol") || ends_with(key, ".rel_tol");
+}
+
+/// The band A's baseline puts on `key` ("metrics.<name>.value"): the
+/// tightest of its tolerances, or -1 when it carries none.
+double band_of(const FlatSummary& a, const std::string& key, double value) {
+  if (!ends_with(key, ".value")) return -1;
+  const std::string stem = key.substr(0, key.size() - 6);
+  double band = -1;
+  const auto tighten = [&band](double t) {
+    if (t >= 0 && (band < 0 || t < band)) band = t;
+  };
+  const auto abs_tol = a.numbers.find(stem + ".abs_tol");
+  if (abs_tol != a.numbers.end()) tighten(abs_tol->second);
+  const auto rel_tol = a.numbers.find(stem + ".rel_tol");
+  if (rel_tol != a.numbers.end()) tighten(rel_tol->second * std::fabs(value));
+  return band;
+}
+
+/// True when B moved from A in the direction A's baseline calls better.
+bool moved_better(const FlatSummary& a, const std::string& key, double va,
+                  double vb) {
+  if (!ends_with(key, ".value")) return false;
+  const auto it = a.strings.find(key.substr(0, key.size() - 6) + ".better");
+  if (it == a.strings.end()) return false;
+  return (it->second == "lower" && vb < va) ||
+         (it->second == "higher" && vb > va);
 }
 
 }  // namespace
@@ -186,7 +53,54 @@ bool flatten_json(const std::string& json, FlatSummary& out,
                   std::string* error) {
   out.numbers.clear();
   out.strings.clear();
-  return Flattener(json, out).run(error);
+  return read_json(
+      json,
+      [&out](const JsonNode& node) {
+        if (node.type == JsonType::kNumber || node.type == JsonType::kBool) {
+          out.numbers[std::string(node.path)] = node.number;
+        } else if (node.type == JsonType::kString) {
+          out.strings[std::string(node.path)] = std::string(node.text);
+        }
+        return true;
+      },
+      error);
+}
+
+void write_baseline(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<BaselineMetric>& metrics) {
+  os << "{\n  \"schema\": \"" << kBaselineSchema << "\",\n  \"context\": {";
+  for (std::size_t i = 0; i < context.size(); ++i) {
+    os << (i > 0 ? ", " : "");
+    write_json_string(os, context[i].first);
+    os << ": ";
+    write_json_string(os, context[i].second);
+  }
+  os << "},\n  \"metrics\": {\n";
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const BaselineMetric& m = metrics[i];
+    os << "    ";
+    write_json_string(os, m.name);
+    os << ": {\"value\": ";
+    write_json_number(os, m.value);
+    os << ", \"unit\": ";
+    write_json_string(os, m.unit);
+    if (!m.better.empty()) {
+      os << ", \"better\": ";
+      write_json_string(os, m.better);
+    }
+    if (m.abs_tol >= 0) {
+      os << ", \"abs_tol\": ";
+      write_json_number(os, m.abs_tol);
+    }
+    if (m.rel_tol >= 0) {
+      os << ", \"rel_tol\": ";
+      write_json_number(os, m.rel_tol);
+    }
+    os << '}' << (i + 1 < metrics.size() ? "," : "") << '\n';
+  }
+  os << "  }\n}\n";
 }
 
 DiffResult diff_summaries(const FlatSummary& a, const FlatSummary& b,
@@ -199,12 +113,15 @@ DiffResult diff_summaries(const FlatSummary& a, const FlatSummary& b,
       schema_a->second != schema_b->second) {
     result.schema_mismatch = true;
   }
+  const bool baseline =
+      schema_a != a.strings.end() && schema_a->second == kBaselineSchema;
 
   std::set<std::string> keys;
   for (const auto& [k, v] : a.numbers) keys.insert(k);
   for (const auto& [k, v] : b.numbers) keys.insert(k);
 
   for (const std::string& key : keys) {
+    if (baseline && is_tolerance(key)) continue;
     const auto ia = a.numbers.find(key);
     const auto ib = b.numbers.find(key);
     DiffEntry entry;
@@ -223,9 +140,13 @@ DiffResult diff_summaries(const FlatSummary& a, const FlatSummary& b,
     if (diff == 0) continue;
     const double scale = std::max(std::fabs(entry.a), std::fabs(entry.b));
     entry.rel = scale > 0 ? diff / scale : 0.0;
-    if (entry.rel > threshold_for(key, options)) {
-      result.deltas.push_back(std::move(entry));
+    if (baseline) {
+      if (moved_better(a, key, entry.a, entry.b)) continue;
+      entry.band = band_of(a, key, entry.a);
     }
+    const bool over = entry.band >= 0 ? diff > entry.band
+                                      : entry.rel > options.rel_threshold;
+    if (over) result.deltas.push_back(std::move(entry));
   }
   return result;
 }
@@ -242,17 +163,21 @@ std::string format_diff(const DiffResult& result, const std::string& name_a,
     if (e.missing_a) {
       os << "(missing)";
     } else {
-      write_double(os, e.a);
+      write_json_number(os, e.a);
     }
     os << " -> ";
     if (e.missing_b) {
       os << "(missing)";
     } else {
-      write_double(os, e.b);
+      write_json_number(os, e.b);
     }
     if (!e.missing_a && !e.missing_b) {
       os << " (rel ";
-      write_double(os, e.rel);
+      write_json_number(os, e.rel);
+      if (e.band >= 0) {
+        os << ", outside band +/- ";
+        write_json_number(os, e.band);
+      }
       os << ')';
     }
     os << '\n';

@@ -5,15 +5,10 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace easched::obs {
 namespace {
-
-// Shortest round-trippable formatting, matching the trace exporters.
-void write_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
 
 std::string full_name(const std::string& name, const std::string& label) {
   if (label.empty()) return name;
@@ -136,21 +131,21 @@ const SnapshotRow* MetricsSnapshot::find(const std::string& name) const {
 std::string MetricsSnapshot::to_csv() const {
   std::ostringstream os;
   os << "# sample_seq=" << sample_seq << " sim_time_s=";
-  write_double(os, sim_time_s);
+  write_json_number(os, sim_time_s);
   os << "\nname,kind,value,count,sum,buckets\n";
   for (const SnapshotRow& row : rows) {
     write_csv_field(os, row.name);
     os << ',' << to_string(row.kind) << ',';
-    write_double(os, row.value);
+    write_json_number(os, row.value);
     os << ',' << row.count << ',';
-    write_double(os, row.sum);
+    write_json_number(os, row.sum);
     os << ',';
     if (row.kind == InstrumentKind::kHistogram) {
       for (std::size_t i = 0; i < row.buckets.size(); ++i) {
         if (i > 0) os << '|';
         os << "le=";
         if (i < row.bounds.size()) {
-          write_double(os, row.bounds[i]);
+          write_json_number(os, row.bounds[i]);
         } else {
           os << "inf";
         }
@@ -165,27 +160,24 @@ std::string MetricsSnapshot::to_csv() const {
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream os;
   os << "{\"sample_seq\":" << sample_seq << ",\"sim_time_s\":";
-  write_double(os, sim_time_s);
+  write_json_number(os, sim_time_s);
   os << ",\"metrics\":[";
   bool first = true;
   for (const SnapshotRow& row : rows) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"";
-    for (char ch : row.name) {  // names are free-form; escape for JSON too
-      if (ch == '"' || ch == '\\') os << '\\';
-      os << ch;
-    }
-    os << "\",\"kind\":\""
+    os << "{\"name\":";
+    write_json_string(os, row.name);  // names are free-form
+    os << ",\"kind\":\""
        << to_string(row.kind) << "\",\"value\":";
-    write_double(os, row.value);
+    write_json_number(os, row.value);
     if (row.kind == InstrumentKind::kHistogram) {
       os << ",\"count\":" << row.count << ",\"sum\":";
-      write_double(os, row.sum);
+      write_json_number(os, row.sum);
       os << ",\"bounds\":[";
       for (std::size_t i = 0; i < row.bounds.size(); ++i) {
         if (i > 0) os << ',';
-        write_double(os, row.bounds[i]);
+        write_json_number(os, row.bounds[i]);
       }
       os << "],\"buckets\":[";
       for (std::size_t i = 0; i < row.buckets.size(); ++i) {

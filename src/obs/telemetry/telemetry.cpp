@@ -1,62 +1,46 @@
 #include "obs/telemetry/telemetry.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
 
 #include "datacenter/datacenter.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "resilience/resilience.hpp"
 #include "sched/driver.hpp"
 
 namespace easched::obs {
 
-namespace {
-
-/// Repo-wide deterministic double rendering (%.9g, like the trace and
-/// run_summary writers) — round-trips every value telemetry carries.
-void put_num(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
-
-}  // namespace
-
 void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
   os << "{\"seq\":" << snap.seq << ",\"t\":";
-  put_num(os, snap.t);
+  write_json_number(os, snap.t);
   os << ",\"on\":" << snap.hosts_on << ",\"booting\":" << snap.hosts_booting
      << ",\"off\":" << snap.hosts_off << ",\"failed\":" << snap.hosts_failed
      << ",\"working\":" << snap.working << ",\"online\":" << snap.online
      << ",\"ratio\":";
-  put_num(os, snap.ratio);
+  write_json_number(os, snap.ratio);
   os << ",\"lmin\":";
-  put_num(os, snap.lambda_min);
+  write_json_number(os, snap.lambda_min);
   os << ",\"lmax\":";
-  put_num(os, snap.lambda_max);
+  write_json_number(os, snap.lambda_max);
   os << ",\"power_w\":";
-  put_num(os, snap.power_w);
+  write_json_number(os, snap.power_w);
   os << ",\"kwh\":";
-  put_num(os, snap.energy_kwh);
+  write_json_number(os, snap.energy_kwh);
   os << ",\"queue\":" << snap.queue << ",\"backoff\":" << snap.backoff
      << ",\"running\":" << snap.running << ",\"deferred\":" << snap.deferred
      << ",\"shed\":" << snap.shed << ",\"sla\":";
-  put_num(os, snap.sla);
+  write_json_number(os, snap.sla);
   os << ",\"rung\":" << snap.rung
      << ",\"breakers_open\":" << snap.breakers_open << ",\"alerts\":[";
   for (std::size_t i = 0; i < snap.active_alerts.size(); ++i) {
     if (i > 0) os << ',';
-    os << '"';
-    // Rule names come from the spec parser, which rejects quotes/backslashes,
-    // so plain escaping of the two JSON-hostile characters suffices.
-    for (char c : snap.active_alerts[i]) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-    os << '"';
+    write_json_string(os, snap.active_alerts[i]);
   }
   os << "],\"hosts\":[";
   for (std::size_t i = 0; i < snap.hosts.size(); ++i) {
@@ -64,9 +48,9 @@ void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
     if (i > 0) os << ',';
     os << '[' << static_cast<int>(h.state) << ','
        << static_cast<int>(h.health) << ',';
-    put_num(os, h.util_pct);
+    write_json_number(os, h.util_pct);
     os << ',';
-    put_num(os, h.power_w);
+    write_json_number(os, h.power_w);
     os << ']';
   }
   os << "]}";
@@ -74,107 +58,72 @@ void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
 
 namespace {
 
-/// Minimal field extraction for the writer's own fixed schema; not a
-/// general JSON parser.
-bool find_field(const std::string& line, const char* key, std::size_t* pos) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  *pos = at + needle.size();
-  return true;
-}
-
-bool read_num(const std::string& line, const char* key, double* out) {
-  std::size_t pos = 0;
-  if (!find_field(line, key, &pos)) return false;
-  *out = std::strtod(line.c_str() + pos, nullptr);
+/// Stores `v` into `field` when it converts without overflow. Telemetry
+/// lines come from files, so an out-of-range number rejects the line.
+template <typename T>
+bool store(T& field, double v) {
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::lowest());
+  constexpr double hi = static_cast<double>(std::numeric_limits<T>::max());
+  if (!(v >= lo && (std::is_integral_v<T> ? v < hi + 1.0 : v <= hi))) {
+    return false;
+  }
+  field = static_cast<T>(v);
   return true;
 }
 
 }  // namespace
 
 bool parse_snapshot_jsonl(const std::string& line, TelemetrySnapshot* out) {
-  if (out == nullptr || line.empty() || line[0] != '{') return false;
+  if (out == nullptr) return false;
   TelemetrySnapshot snap;
-  double v = 0;
-  if (!read_num(line, "seq", &v)) return false;
-  snap.seq = static_cast<std::uint64_t>(v);
-  if (!read_num(line, "t", &snap.t)) return false;
-  if (!read_num(line, "on", &v)) return false;
-  snap.hosts_on = static_cast<int>(v);
-  if (!read_num(line, "booting", &v)) return false;
-  snap.hosts_booting = static_cast<int>(v);
-  if (!read_num(line, "off", &v)) return false;
-  snap.hosts_off = static_cast<int>(v);
-  if (!read_num(line, "failed", &v)) return false;
-  snap.hosts_failed = static_cast<int>(v);
-  if (!read_num(line, "working", &v)) return false;
-  snap.working = static_cast<int>(v);
-  if (!read_num(line, "online", &v)) return false;
-  snap.online = static_cast<int>(v);
-  if (!read_num(line, "ratio", &snap.ratio)) return false;
-  if (!read_num(line, "lmin", &snap.lambda_min)) return false;
-  if (!read_num(line, "lmax", &snap.lambda_max)) return false;
-  if (!read_num(line, "power_w", &snap.power_w)) return false;
-  if (!read_num(line, "kwh", &snap.energy_kwh)) return false;
-  if (!read_num(line, "queue", &v)) return false;
-  snap.queue = static_cast<std::size_t>(v);
-  if (!read_num(line, "backoff", &v)) return false;
-  snap.backoff = static_cast<std::size_t>(v);
-  if (!read_num(line, "running", &v)) return false;
-  snap.running = static_cast<std::size_t>(v);
-  if (!read_num(line, "deferred", &v)) return false;
-  snap.deferred = static_cast<std::uint64_t>(v);
-  if (!read_num(line, "shed", &v)) return false;
-  snap.shed = static_cast<std::uint64_t>(v);
-  if (!read_num(line, "sla", &snap.sla)) return false;
-  if (!read_num(line, "rung", &v)) return false;
-  snap.rung = static_cast<int>(v);
-  if (!read_num(line, "breakers_open", &v)) return false;
-  snap.breakers_open = static_cast<std::size_t>(v);
-
-  std::size_t pos = 0;
-  if (!find_field(line, "alerts", &pos) || line[pos] != '[') return false;
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == '"') {
-      std::string name;
-      ++pos;
-      while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-        name += line[pos++];
-      }
-      snap.active_alerts.push_back(std::move(name));
+  std::map<std::string, double, std::less<>> fields;  // top-level numbers
+  std::string section;  // the top-level member being read
+  bool alerts = false;
+  bool hosts = false;
+  const bool ok = read_json(line, [&](const JsonNode& n) {
+    if (n.depth == 0) return n.type == JsonType::kObject;
+    if (n.close) return true;
+    if (n.depth == 1) {
+      section = n.key;
+      if (n.type == JsonType::kNumber) fields.emplace(n.key, n.number);
+      alerts = alerts || (n.key == "alerts" && n.type == JsonType::kArray);
+      hosts = hosts || (n.key == "hosts" && n.type == JsonType::kArray);
+      return true;
     }
-    ++pos;
-  }
-
-  if (!find_field(line, "hosts", &pos) || line[pos] != '[') return false;
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == '[') {
-      ++pos;
-      HostSample h;
-      char* end = nullptr;
-      const char* p = line.c_str() + pos;
-      h.state = static_cast<std::uint8_t>(std::strtod(p, &end));
-      p = end + 1;  // skip ','
-      h.health = static_cast<std::uint8_t>(std::strtod(p, &end));
-      p = end + 1;
-      h.util_pct = static_cast<float>(std::strtod(p, &end));
-      p = end + 1;
-      h.power_w = static_cast<float>(std::strtod(p, &end));
-      pos = static_cast<std::size_t>(end - line.c_str());
-      snap.hosts.push_back(h);
-      while (pos < line.size() && line[pos] != ']') ++pos;  // tuple close
-      ++pos;
-    } else {
-      ++pos;
+    if (section == "alerts" && n.depth == 2 && n.type == JsonType::kString) {
+      snap.active_alerts.emplace_back(n.text);
+    } else if (section == "hosts" && n.depth == 2) {
+      snap.hosts.emplace_back();
+    } else if (section == "hosts" && n.depth == 3 && !snap.hosts.empty() &&
+               n.type == JsonType::kNumber) {
+      // Host tuples are [state, health, util_pct, power_w].
+      HostSample& h = snap.hosts.back();
+      if (n.key == "0") return store(h.state, n.number);
+      if (n.key == "1") return store(h.health, n.number);
+      if (n.key == "2") return store(h.util_pct, n.number);
+      if (n.key == "3") return store(h.power_w, n.number);
     }
-  }
+    return true;
+  });
+  if (!ok || !alerts || !hosts) return false;
 
+  const auto take = [&fields](const char* key, auto& field) {
+    const auto it = fields.find(key);
+    return it != fields.end() && store(field, it->second);
+  };
+  if (!take("seq", snap.seq) || !take("t", snap.t) ||
+      !take("on", snap.hosts_on) || !take("booting", snap.hosts_booting) ||
+      !take("off", snap.hosts_off) || !take("failed", snap.hosts_failed) ||
+      !take("working", snap.working) || !take("online", snap.online) ||
+      !take("ratio", snap.ratio) || !take("lmin", snap.lambda_min) ||
+      !take("lmax", snap.lambda_max) || !take("power_w", snap.power_w) ||
+      !take("kwh", snap.energy_kwh) || !take("queue", snap.queue) ||
+      !take("backoff", snap.backoff) || !take("running", snap.running) ||
+      !take("deferred", snap.deferred) || !take("shed", snap.shed) ||
+      !take("sla", snap.sla) || !take("rung", snap.rung) ||
+      !take("breakers_open", snap.breakers_open)) {
+    return false;
+  }
   *out = std::move(snap);
   return true;
 }
@@ -192,7 +141,7 @@ void prom_value(std::ostream& os, const char* name, double v,
   os << name;
   if (!labels.empty()) os << '{' << labels << '}';
   os << ' ';
-  put_num(os, v);
+  write_json_number(os, v);
   os << '\n';
 }
 

@@ -109,8 +109,9 @@ struct TelemetrySnapshot {
 void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap);
 
 /// Parses a line produced by write_snapshot_jsonl back into a snapshot
-/// (used by `watch_tool` to replay/follow a telemetry file). Returns false
-/// on lines that do not carry the expected schema.
+/// (used by `watch_tool` to replay/follow a telemetry file), through
+/// obs::read_json. Returns false on malformed JSON and on lines that do
+/// not carry the expected schema.
 bool parse_snapshot_jsonl(const std::string& line, TelemetrySnapshot* out);
 
 /// Prometheus text exposition of one snapshot (the `easched_*` metric

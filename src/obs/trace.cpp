@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <numeric>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace easched::obs {
 
@@ -88,21 +88,6 @@ const char* category(EventKind kind) noexcept {
   }
 }
 
-/// Shortest round-trip-ish decimal form, deterministic across runs and
-/// platforms for the value ranges a trace carries.
-void write_double(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
 bool is_wall_arg(const std::string& key) {
   return key.rfind("wall_", 0) == 0;
 }
@@ -141,27 +126,26 @@ void Tracer::write_jsonl(std::ostream& os, bool include_wall) const {
   for (std::size_t i : sorted_order()) {
     const TraceEvent& e = events_[i];
     os << "{\"t\":";
-    write_double(os, e.t);
+    write_json_number(os, e.t);
     if (e.dur > 0) {
       os << ",\"dur\":";
-      write_double(os, e.dur);
+      write_json_number(os, e.dur);
     }
     os << ",\"seq\":" << e.seq << ",\"kind\":\"" << to_string(e.kind) << '"';
     if (e.vm >= 0) os << ",\"vm\":" << e.vm;
     if (e.host >= 0) os << ",\"host\":" << e.host;
     if (e.host2 >= 0) os << ",\"host2\":" << e.host2;
     if (!e.label.empty()) {
-      os << ",\"label\":\"";
-      write_escaped(os, e.label);
-      os << '"';
+      os << ",\"label\":";
+      write_json_string(os, e.label);
     }
     bool any = false;
     for (const auto& [key, value] : e.args) {
       if (!include_wall && is_wall_arg(key)) continue;
-      os << (any ? "," : ",\"args\":{") << '"';
-      write_escaped(os, key);
-      os << "\":";
-      write_double(os, value);
+      os << (any ? "," : ",\"args\":{");
+      write_json_string(os, key);
+      os << ':';
+      write_json_number(os, value);
       any = true;
     }
     if (any) os << '}';
@@ -180,10 +164,11 @@ void Tracer::write_chrome(std::ostream& os) const {
     os << ",\n{\"name\":\"" << to_string(e.kind) << "\",\"cat\":\""
        << category(e.kind) << "\",\"ph\":\"" << (e.dur > 0 ? 'X' : 'i')
        << "\",\"ts\":";
-    write_double(os, e.t * 1e6);  // trace_event timestamps are microseconds
+    // trace_event timestamps are microseconds.
+    write_json_number(os, e.t * 1e6);
     if (e.dur > 0) {
       os << ",\"dur\":";
-      write_double(os, e.dur * 1e6);
+      write_json_number(os, e.dur * 1e6);
     }
     // Host-scoped events render as one Perfetto track per host (tid =
     // host + 1); everything else lands on the scheduler track (tid 0).
@@ -193,15 +178,14 @@ void Tracer::write_chrome(std::ostream& os) const {
     if (e.vm >= 0) os << ",\"vm\":" << e.vm;
     if (e.host2 >= 0) os << ",\"host2\":" << e.host2;
     if (!e.label.empty()) {
-      os << ",\"label\":\"";
-      write_escaped(os, e.label);
-      os << '"';
+      os << ",\"label\":";
+      write_json_string(os, e.label);
     }
     for (const auto& [key, value] : e.args) {
-      os << ",\"";
-      write_escaped(os, key);
-      os << "\":";
-      write_double(os, value);
+      os << ',';
+      write_json_string(os, key);
+      os << ':';
+      write_json_number(os, value);
     }
     os << "}}";
   }
@@ -209,273 +193,103 @@ void Tracer::write_chrome(std::ostream& os) const {
 }
 
 // ---- Chrome trace_event structural validation ------------------------------
-//
-// A compact recursive-descent JSON parser sufficient for schema checking:
-// it validates full JSON syntax and surfaces the value shapes the
-// trace_event format requires. No external dependencies.
-
-namespace {
-
-struct JsonCursor {
-  const std::string& text;
-  std::size_t pos = 0;
-  std::string error{};
-
-  [[nodiscard]] bool fail(const std::string& what) {
-    if (error.empty()) {
-      error = what + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] bool eat(char c) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-};
-
-bool parse_value(JsonCursor& in);
-
-bool parse_string(JsonCursor& in, std::string* out) {
-  if (!in.eat('"')) return false;
-  std::string s;
-  while (in.pos < in.text.size()) {
-    const char c = in.text[in.pos++];
-    if (c == '"') {
-      if (out != nullptr) *out = std::move(s);
-      return true;
-    }
-    if (c == '\\') {
-      if (in.pos >= in.text.size()) return in.fail("bad escape");
-      const char esc = in.text[in.pos++];
-      if (esc == 'u') {
-        for (int i = 0; i < 4; ++i) {
-          if (in.pos >= in.text.size() ||
-              !std::isxdigit(static_cast<unsigned char>(in.text[in.pos]))) {
-            return in.fail("bad \\u escape");
-          }
-          ++in.pos;
-        }
-        s += '?';
-      } else if (std::string("\"\\/bfnrt").find(esc) != std::string::npos) {
-        s += esc;
-      } else {
-        return in.fail("bad escape character");
-      }
-    } else {
-      s += c;
-    }
-  }
-  return in.fail("unterminated string");
-}
-
-bool parse_number(JsonCursor& in) {
-  const std::size_t start = in.pos;
-  if (in.pos < in.text.size() && in.text[in.pos] == '-') ++in.pos;
-  auto digits = [&in] {
-    std::size_t n = 0;
-    while (in.pos < in.text.size() &&
-           std::isdigit(static_cast<unsigned char>(in.text[in.pos]))) {
-      ++in.pos;
-      ++n;
-    }
-    return n;
-  };
-  if (digits() == 0) return in.fail("bad number");
-  if (in.pos < in.text.size() && in.text[in.pos] == '.') {
-    ++in.pos;
-    if (digits() == 0) return in.fail("bad fraction");
-  }
-  if (in.pos < in.text.size() &&
-      (in.text[in.pos] == 'e' || in.text[in.pos] == 'E')) {
-    ++in.pos;
-    if (in.pos < in.text.size() &&
-        (in.text[in.pos] == '+' || in.text[in.pos] == '-')) {
-      ++in.pos;
-    }
-    if (digits() == 0) return in.fail("bad exponent");
-  }
-  return in.pos > start;
-}
-
-/// One parsed object member: the value's leading character as a cheap type
-/// tag ('"' string, '{' object, '[' array, digit/'-' number, 't'/'f'/'n'
-/// literal) plus the decoded text for string values.
-struct Member {
-  std::string key;
-  char tag = '\0';
-  std::string str;  ///< decoded value when tag == '"'
-};
-
-bool parse_object(JsonCursor& in, std::vector<Member>* members) {
-  if (!in.eat('{')) return false;
-  if (in.peek('}')) return in.eat('}');
-  while (true) {
-    Member m;
-    if (!parse_string(in, &m.key)) return false;
-    if (!in.eat(':')) return false;
-    in.skip_ws();
-    m.tag = in.pos < in.text.size() ? in.text[in.pos] : '\0';
-    if (m.tag == '"') {
-      if (!parse_string(in, &m.str)) return false;
-    } else if (!parse_value(in)) {
-      return false;
-    }
-    if (members != nullptr) members->push_back(std::move(m));
-    if (in.peek(',')) {
-      if (!in.eat(',')) return false;
-      continue;
-    }
-    return in.eat('}');
-  }
-}
-
-bool parse_array(JsonCursor& in) {
-  if (!in.eat('[')) return false;
-  if (in.peek(']')) return in.eat(']');
-  while (true) {
-    if (!parse_value(in)) return false;
-    if (in.peek(',')) {
-      if (!in.eat(',')) return false;
-      continue;
-    }
-    return in.eat(']');
-  }
-}
-
-bool parse_literal(JsonCursor& in, const char* word) {
-  for (const char* p = word; *p != '\0'; ++p) {
-    if (in.pos >= in.text.size() || in.text[in.pos] != *p) {
-      return in.fail("bad literal");
-    }
-    ++in.pos;
-  }
-  return true;
-}
-
-bool parse_value(JsonCursor& in) {
-  in.skip_ws();
-  if (in.pos >= in.text.size()) return in.fail("unexpected end of input");
-  switch (in.text[in.pos]) {
-    case '"': return parse_string(in, nullptr);
-    case '{': return parse_object(in, nullptr);
-    case '[': return parse_array(in);
-    case 't': return parse_literal(in, "true");
-    case 'f': return parse_literal(in, "false");
-    case 'n': return parse_literal(in, "null");
-    default:  return parse_number(in);
-  }
-}
-
-bool is_number_tag(char tag) {
-  return tag == '-' || std::isdigit(static_cast<unsigned char>(tag)) != 0;
-}
-
-}  // namespace
 
 bool validate_chrome_trace(const std::string& json, std::string* error) {
-  const auto report = [error](const std::string& what) {
-    if (error != nullptr) *error = what;
+  std::string problem;
+  const auto report = [&problem](std::string what) {
+    problem = std::move(what);
     return false;
   };
 
-  JsonCursor in{json};
-  // Top level: an object whose traceEvents member is an array of event
-  // objects. Walk it with the same parser, intercepting the array.
-  if (!in.eat('{')) return report(in.error);
+  // The direct members of the traceEvents element being read: an element
+  // is checked when it closes, so memory stays one event deep.
+  struct Member {
+    std::string key;
+    JsonType type;
+    std::string text;
+  };
+  std::vector<Member> members;
+  bool in_events = false;
   bool saw_trace_events = false;
-  if (!in.peek('}')) {
-    while (true) {
-      std::string key;
-      if (!parse_string(in, &key)) return report(in.error);
-      if (!in.eat(':')) return report(in.error);
-      if (key == "traceEvents") {
-        saw_trace_events = true;
-        if (!in.eat('[')) return report(in.error);
-        std::size_t index = 0;
-        if (!in.peek(']')) {
-          while (true) {
-            std::vector<Member> members;
-            in.skip_ws();
-            if (!parse_object(in, &members)) return report(in.error);
-            const auto find = [&members](const char* k) -> const Member* {
-              for (const auto& m : members) {
-                if (m.key == k) return &m;
-              }
-              return nullptr;
-            };
-            const auto require = [&](const char* k, bool number) {
-              const Member* m = find(k);
-              if (m == nullptr) {
-                return report("event " + std::to_string(index) +
-                              ": missing \"" + k + "\"");
-              }
-              if (number ? !is_number_tag(m->tag) : m->tag != '"') {
-                return report("event " + std::to_string(index) + ": \"" + k +
-                              "\" has the wrong type");
-              }
-              return true;
-            };
-            if (!require("name", false)) return false;
-            if (!require("ph", false)) return false;
-            if (!require("pid", true)) return false;
-            if (!require("tid", true)) return false;
-            const Member* ph = find("ph");
-            // The phase letters chrome://tracing / Perfetto understand (the
-            // subset any producer may emit; ours uses X, i and M).
-            static const std::string kPhases = "BEXiIMCbensfPSTpFOND";
-            if (ph->str.size() != 1 ||
-                kPhases.find(ph->str[0]) == std::string::npos) {
-              return report("event " + std::to_string(index) +
-                            ": unknown phase \"" + ph->str + "\"");
-            }
-            if (ph->str[0] != 'M') {
-              // Every timed phase needs a timestamp; complete events also
-              // carry their duration. Metadata ("M") events need neither.
-              if (!require("ts", true)) return false;
-              if (ph->str[0] == 'X' && !require("dur", true)) return false;
-            }
-            ++index;
-            if (in.peek(',')) {
-              if (!in.eat(',')) return report(in.error);
-              continue;
-            }
-            if (!in.eat(']')) return report(in.error);
-            break;
-          }
-        } else {
-          if (!in.eat(']')) return report(in.error);
-        }
-      } else {
-        if (!parse_value(in)) return report(in.error);
+  std::size_t index = 0;
+
+  const auto check_event = [&]() {
+    const auto find = [&members](const char* key) -> const Member* {
+      for (const Member& m : members) {
+        if (m.key == key) return &m;
       }
-      if (in.peek(',')) {
-        if (!in.eat(',')) return report(in.error);
-        continue;
+      return nullptr;
+    };
+    const std::string where = "event " + std::to_string(index) + ": ";
+    const auto require = [&](const char* key, JsonType type) {
+      const Member* m = find(key);
+      if (m == nullptr) return report(where + "missing \"" + key + "\"");
+      if (m->type != type) {
+        return report(where + "\"" + key + "\" has the wrong type");
       }
-      if (!in.eat('}')) return report(in.error);
-      break;
+      return true;
+    };
+    if (!require("name", JsonType::kString) ||
+        !require("ph", JsonType::kString) ||
+        !require("pid", JsonType::kNumber) ||
+        !require("tid", JsonType::kNumber)) {
+      return false;
     }
-  } else {
-    if (!in.eat('}')) return report(in.error);
-  }
-  in.skip_ws();
-  if (in.pos != json.size()) return report("trailing data after document");
-  if (!saw_trace_events) return report("missing \"traceEvents\" array");
-  return true;
+    // The phase letters chrome://tracing / Perfetto understand (the subset
+    // any producer may emit; ours uses X, i and M).
+    static const std::string kPhases = "BEXiIMCbensfPSTpFOND";
+    const std::string& ph = find("ph")->text;
+    if (ph.size() != 1 || kPhases.find(ph[0]) == std::string::npos) {
+      return report(where + "unknown phase \"" + ph + "\"");
+    }
+    if (ph[0] == 'M') return true;
+    // Every timed phase needs a timestamp; complete events also carry
+    // their duration. Metadata ("M") events need neither.
+    return require("ts", JsonType::kNumber) &&
+           (ph[0] != 'X' || require("dur", JsonType::kNumber));
+  };
+
+  const bool ok = read_json(
+      json,
+      [&](const JsonNode& n) {
+        if (n.depth == 0) {
+          return n.type == JsonType::kObject || report("expected '{'");
+        }
+        if (n.depth == 1) {
+          if (n.key != "traceEvents") return true;
+          if (n.type != JsonType::kArray) {
+            return report("\"traceEvents\" is not an array");
+          }
+          saw_trace_events = true;
+          in_events = !n.close;
+          return true;
+        }
+        if (!in_events) return true;
+        if (n.depth == 2) {
+          if (n.type != JsonType::kObject) {
+            return report("event " + std::to_string(index) +
+                          ": not an object");
+          }
+          if (!n.close) {
+            members.clear();
+            return true;
+          }
+          if (!check_event()) return false;
+          ++index;
+          return true;
+        }
+        if (n.depth == 3 && !n.close) {
+          members.push_back({std::string(n.key), n.type,
+                             std::string(n.type == JsonType::kString
+                                             ? n.text
+                                             : std::string_view())});
+        }
+        return true;
+      },
+      &problem);
+  if (ok && !saw_trace_events) report("missing \"traceEvents\" array");
+  if (!problem.empty() && error != nullptr) *error = problem;
+  return problem.empty();
 }
 
 }  // namespace easched::obs

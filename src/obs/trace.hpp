@@ -133,10 +133,12 @@ class Tracer {
   std::vector<TraceEvent> events_;
 };
 
-/// Structural validation of a Chrome trace_event JSON document: parses the
-/// whole text as JSON and checks the trace_event shape (a top-level object
-/// with a `traceEvents` array whose entries carry `name`, `ph`, `ts`,
-/// `pid`, `tid`, a known phase letter, and `dur` on complete events).
+/// Structural validation of a Chrome trace_event JSON document: reads the
+/// whole text with obs::read_json (obs/json.hpp) and checks the
+/// trace_event shape (a top-level object with a `traceEvents` array whose
+/// entries carry `name`, `ph`, `ts`, `pid`, `tid`, a known phase letter,
+/// and `dur` on complete events). Each entry is checked as it closes, so
+/// memory stays one event deep on long-run traces.
 /// Returns true when valid; otherwise fills `error` (if non-null) with the
 /// first problem found. Used by `trace_tool validate` and the obs tests.
 bool validate_chrome_trace(const std::string& json, std::string* error);

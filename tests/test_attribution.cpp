@@ -303,7 +303,24 @@ TEST(SummaryDiff, FlagsMissingKeysAndSchemaMismatch) {
   EXPECT_TRUE(result.regressed());
 }
 
-TEST(SummaryDiff, AppliesGlobalAndPrefixThresholds) {
+/// A baseline document (easched.baseline/1) around the given metrics.
+obs::FlatSummary baseline(const std::string& metrics) {
+  obs::FlatSummary flat;
+  std::string error;
+  EXPECT_TRUE(obs::flatten_json(
+      R"({"schema":"easched.baseline/1","context":{"host":"x"},"metrics":{)" +
+          metrics + "}}",
+      flat, &error))
+      << error;
+  return flat;
+}
+
+/// Whether `fresh` regresses against `base` under the baseline rules.
+bool regresses(const std::string& base, const std::string& fresh) {
+  return obs::diff_summaries(baseline(base), baseline(fresh), {}).regressed();
+}
+
+TEST(SummaryDiff, AppliesGlobalThresholdAndPerMetricTolerances) {
   obs::FlatSummary a, b;
   ASSERT_TRUE(obs::flatten_json(
       R"({"schema":"s","energy":{"total":100},"sla":{"delay":10}})", a));
@@ -314,11 +331,83 @@ TEST(SummaryDiff, AppliesGlobalAndPrefixThresholds) {
   options.rel_threshold = 0.05;  // both within 5%
   EXPECT_FALSE(obs::diff_summaries(a, b, options).regressed());
 
-  // Tighten just the energy family: 4% delta now regresses, sla survives.
-  options.prefix_thresholds.emplace_back("energy.", 0.01);
-  const auto result = obs::diff_summaries(a, b, options);
+  // In a baseline the energy metric carries its own 1% band: its 4% delta
+  // now regresses, while sla (no tolerance) keeps the global 5%.
+  const auto result = obs::diff_summaries(
+      baseline(R"("energy.total":{"value":100,"unit":"J","rel_tol":0.01},)"
+               R"("sla.delay":{"value":10,"unit":"s"})"),
+      baseline(R"("energy.total":{"value":104,"unit":"J"},)"
+               R"("sla.delay":{"value":10.2,"unit":"s"})"),
+      options);
   ASSERT_EQ(result.deltas.size(), 1u);
-  EXPECT_EQ(result.deltas[0].key, "energy.total");
+  EXPECT_EQ(result.deltas[0].key, "metrics.energy.total.value");
+  EXPECT_DOUBLE_EQ(result.deltas[0].band, 1.0);
+}
+
+TEST(SummaryDiff, AbsTolIsAnInclusiveBand) {
+  const std::string base = R"("w":{"value":10,"unit":"W","abs_tol":0.5})";
+  EXPECT_FALSE(regresses(base, R"("w":{"value":10.5,"unit":"W"})"));
+  EXPECT_FALSE(regresses(base, R"("w":{"value":9.5,"unit":"W"})"));
+  EXPECT_TRUE(regresses(base, R"("w":{"value":10.5000001,"unit":"W"})"));
+  EXPECT_TRUE(regresses(base, R"("w":{"value":9.4999999,"unit":"W"})"));
+}
+
+TEST(SummaryDiff, RelTolIsRelativeToTheBaseline) {
+  const std::string base =
+      R"("e":{"value":100,"unit":"kWh","rel_tol":0.1})";
+  EXPECT_FALSE(regresses(base, R"("e":{"value":110,"unit":"kWh"})"));
+  EXPECT_FALSE(regresses(base, R"("e":{"value":90,"unit":"kWh"})"));
+  // 11 / 111 is under 10 % of the larger side, but 11 is over 10 % of the
+  // baseline's 100: the band is the baseline's.
+  EXPECT_TRUE(regresses(base, R"("e":{"value":111,"unit":"kWh"})"));
+}
+
+TEST(SummaryDiff, BetterMakesTheBandOneSided) {
+  const std::string base =
+      R"("t":{"value":10,"unit":"ms","better":"lower","rel_tol":0.25})";
+  EXPECT_FALSE(regresses(base, R"("t":{"value":5,"unit":"ms"})"));  // 2x
+  EXPECT_TRUE(regresses(base, R"("t":{"value":13,"unit":"ms"})"));   // +30%
+  EXPECT_FALSE(regresses(base, R"("t":{"value":12,"unit":"ms"})"));  // +20%
+  // Without a direction the same speedup is outside the band.
+  EXPECT_TRUE(regresses(R"("t":{"value":10,"unit":"ms","rel_tol":0.25})",
+                        R"("t":{"value":5,"unit":"ms"})"));
+}
+
+TEST(SummaryDiff, FlagsIdenticalDecisionsGoingFalse) {
+  const std::string base =
+      R"("h1000_c7.identical_decisions":{"value":1,"unit":"bool","abs_tol":0})";
+  EXPECT_FALSE(regresses(base, base));
+  EXPECT_TRUE(regresses(
+      base, R"("h1000_c7.identical_decisions":{"value":0,"unit":"bool"})"));
+}
+
+TEST(SummaryDiff, BaselineMetadataIsNotCompared) {
+  // Tolerances, units, directions and context differ or are missing on B:
+  // none of it is a delta.
+  const auto a = baseline(
+      R"("m":{"value":1,"unit":"ms","better":"lower","abs_tol":0.5,)"
+      R"("rel_tol":0.1})");
+  obs::FlatSummary b;
+  ASSERT_TRUE(obs::flatten_json(
+      R"({"schema":"easched.baseline/1","context":{"host":"y","n":"2"},)"
+      R"("metrics":{"m":{"value":1,"unit":"s","abs_tol":9}}})",
+      b));
+  const auto result = obs::diff_summaries(a, b, {});
+  EXPECT_FALSE(result.regressed()) << obs::format_diff(result, "a", "b");
+}
+
+TEST(SummaryDiff, BaselineFlagsAMetricMissingOnEitherSide) {
+  const auto result = obs::diff_summaries(
+      baseline(R"("kept":{"value":1,"unit":"x","abs_tol":1},)"
+               R"("dropped":{"value":1,"unit":"x","abs_tol":1})"),
+      baseline(R"("kept":{"value":1,"unit":"x"},)"
+               R"("added":{"value":1,"unit":"x"})"),
+      {});
+  ASSERT_EQ(result.deltas.size(), 2u);
+  EXPECT_EQ(result.deltas[0].key, "metrics.added.value");
+  EXPECT_TRUE(result.deltas[0].missing_a);
+  EXPECT_EQ(result.deltas[1].key, "metrics.dropped.value");
+  EXPECT_TRUE(result.deltas[1].missing_b);
 }
 
 TEST(SummaryDiff, CatchesPpwrAblationRegression) {

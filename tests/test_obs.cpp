@@ -12,6 +12,7 @@
 #include "core/score_based_policy.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/setup.hpp"
+#include "obs/attribution/summary_diff.hpp"
 #include "obs/obs.hpp"
 #include "support/cli.hpp"
 #include "workload/synthetic.hpp"
@@ -366,6 +367,22 @@ TEST(MetricsRegistry, CsvQuotesNamesWithCommasAndQuotes) {
   // The JSON export escapes the embedded quotes too.
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("ops{op=\\\"a,b\\\"}"), std::string::npos);
+}
+
+TEST(MetricsRegistry, JsonEscapesControlCharactersInNames) {
+  // Names are free-form: a newline or tab in one must not break the JSON
+  // export, and the strict reader must get the exact name back.
+  const std::string name = "odd\nname\twith \"quotes\" \\ and \x01";
+  obs::MetricsRegistry registry;
+  registry.counter(name).inc(3);
+  const std::string json = registry.snapshot().to_json();
+  EXPECT_EQ(json.find('\n'), json.size() - 1);  // only the trailing one
+
+  obs::FlatSummary flat;
+  std::string error;
+  ASSERT_TRUE(obs::flatten_json(json, flat, &error)) << error;
+  EXPECT_EQ(flat.strings.at("metrics.0.name"), name);
+  EXPECT_EQ(flat.numbers.at("metrics.0.value"), 3);
 }
 
 TEST(MetricsRegistry, PublishGoldenKeySet) {

@@ -135,6 +135,26 @@ TEST(TelemetryJsonl, RejectsNonSnapshotLines) {
   EXPECT_FALSE(parse_snapshot_jsonl("not json at all", &out));
 }
 
+TEST(TelemetryJsonl, RejectsNumbersOutsideTheFieldRange) {
+  // Telemetry files are outside input: a number that does not fit its
+  // field rejects the line instead of wrapping (or worse) on conversion.
+  std::ostringstream os;
+  write_snapshot_jsonl(os, sample_snapshot());
+  const std::string line = os.str();
+  const auto with = [&line](const std::string& from, const std::string& to) {
+    std::string edited = line;
+    edited.replace(edited.find(from), from.size(), to);
+    return edited;
+  };
+  TelemetrySnapshot out;
+  ASSERT_TRUE(parse_snapshot_jsonl(line, &out));
+  EXPECT_FALSE(parse_snapshot_jsonl(with("\"seq\":7", "\"seq\":-1"), &out));
+  EXPECT_FALSE(parse_snapshot_jsonl(with("\"on\":3", "\"on\":1e12"), &out));
+  EXPECT_FALSE(parse_snapshot_jsonl(with("[2,0,", "[300,0,"), &out));
+  EXPECT_TRUE(parse_snapshot_jsonl(with("[2,0,", "[255,0,"), &out));
+  EXPECT_EQ(out.hosts[0].state, 255);
+}
+
 // The Prometheus exposition is an external contract: scrape configs and
 // recording rules key on these family names and labels. Any diff against
 // the golden file is an intentional schema change — regenerate with
