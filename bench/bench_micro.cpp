@@ -8,6 +8,7 @@
 // seconds.
 #include <benchmark/benchmark.h>
 
+#include "core/fleet.hpp"
 #include "core/hill_climb.hpp"
 #include "core/score_based_policy.hpp"
 #include "core/score_matrix.hpp"
@@ -155,29 +156,42 @@ struct ScalingFixture {
   }
 };
 
-/// solver_scaling: one consolidation round (matrix build + solve) at fleet
-/// sizes 100 / 400 / 1600, comparing the seed implementation
-/// (hill_climb_reference, full-matrix rescan per iteration) with the
-/// incremental production solver. Both produce bit-identical plans
-/// (tests/test_solver_equivalence.cpp); only the time differs.
-template <typename Solve>
-void solver_scaling_round(benchmark::State& state, const Solve& solve) {
+/// The policy's solver limits: Algorithm 1's iteration limit, a budget of
+/// 8 migrations and a migration gain of 35.
+core::HillClimbLimits policy_limits() {
+  const core::ScoreBasedConfig config = core::ScoreBasedConfig::sb();
+  core::HillClimbLimits limits;
+  limits.max_moves = config.max_moves;
+  limits.max_migration_moves = config.max_migrations_per_round;
+  limits.min_migration_gain = config.min_migration_gain;
+  return limits;
+}
+
+/// solver_scaling: one consolidation round (matrix build + solve) of the
+/// SB policy at fleet sizes 100 / 400 / 1600, under the policy's limits.
+/// Serial is the executable specification: hill_climb_reference over a
+/// reference-mode model, a full-matrix rescan per iteration. Incremental
+/// is the production path: the round's FleetState refresh, a model over
+/// it, and hill_climb with every prune on. Both produce bit-identical
+/// plans (tests/test_solver_equivalence.cpp); only the time differs.
+/// `round` builds the model and solves it.
+template <typename Round>
+void solver_scaling(benchmark::State& state, const Round& round) {
   ScalingFixture fx(static_cast<int>(state.range(0)));
-  core::ScoreParams params;
+  core::HillClimbStats stats;
   for (auto _ : state) {
-    core::ScoreModel model(fx.dc, fx.queue, params, /*migration=*/true);
-    auto stats = solve(model);
+    stats = round(fx);
     benchmark::DoNotOptimize(stats.moves);
   }
-  state.counters["moves"] = static_cast<double>([&] {
-    core::ScoreModel model(fx.dc, fx.queue, params, true);
-    return solve(model).moves;
-  }());
+  state.counters["moves"] = static_cast<double>(stats.moves);
 }
 
 void BM_SolverScaling_Serial(benchmark::State& state) {
-  solver_scaling_round(state, [](core::ScoreModel& model) {
-    return core::hill_climb_reference(model, core::HillClimbLimits{});
+  solver_scaling(state, [](ScalingFixture& fx) {
+    core::ScoreModel model(fx.dc, fx.queue,
+                           core::ScoreBasedConfig::sb().params,
+                           /*migration=*/true);
+    return core::hill_climb_reference(model, policy_limits());
   });
 }
 BENCHMARK(BM_SolverScaling_Serial)
@@ -185,8 +199,13 @@ BENCHMARK(BM_SolverScaling_Serial)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SolverScaling_Incremental(benchmark::State& state) {
-  solver_scaling_round(state, [](core::ScoreModel& model) {
-    return core::hill_climb(model, core::HillClimbLimits{});
+  core::FleetState fleet;  // carried across rounds, as the policy does
+  solver_scaling(state, [&fleet](ScalingFixture& fx) {
+    fleet.refresh(fx.dc);
+    core::ScoreModel model(fleet, fx.dc, fx.queue,
+                           core::ScoreBasedConfig::sb().params,
+                           /*migration=*/true);
+    return core::hill_climb(model, policy_limits());
   });
 }
 BENCHMARK(BM_SolverScaling_Incremental)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "core/penalties.hpp"
 #include "support/contracts.hpp"
@@ -171,6 +172,62 @@ bool ScoreModel::skip_block(int c, int blk) const {
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
   const auto b = static_cast<std::size_t>(blk);
   return v.cpu > block_cpu[b] || v.mem > margins_.block_free_mem()[b];
+}
+
+const ScoreModel::RowExtrema& ScoreModel::row_extrema() const {
+  if (extrema_) return *extrema_;
+  RowExtrema x;
+  for (int r = 0; r < nrows_; ++r) {
+    if (placeable_[r] == 0) continue;
+    x.any_placeable = true;
+    x.min_cc = std::min(x.min_cc, cost_create_[r]);
+    x.min_cm = std::min(x.min_cm, cost_migrate_[r]);
+    x.min_conc = std::min(x.min_conc, conc_[r]);
+    x.min_rel = std::min(x.min_rel, reliability_[r]);
+    x.max_rel = std::max(x.max_rel, reliability_[r]);
+  }
+  extrema_ = x;
+  return *extrema_;
+}
+
+double ScoreModel::score_floor(int c) const {
+  EA_EXPECTS(c >= 0 && c < cols());
+  if (reference() || params_.c_fill < 0) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  const RowExtrema& x = row_extrema();
+  if (!x.any_placeable) return kInfScore;  // every real row is Preq-inf
+  const VmCol& v = vms_[static_cast<std::size_t>(c)];
+  // A running VM planned away from home has its home row as a candidate,
+  // where Pvirt and Pconc are 0.
+  const bool home_candidate = !v.is_new && v.planned != v.original;
+
+  // The same terms in the same accumulation order as breakdown(), each
+  // replaced by its lower bound; Pres is 0 on every finite cell.
+  double s = 0.0;
+  if (params_.use_virt) {
+    // p_migration is non-decreasing in Cm at a fixed Tr.
+    const double virt =
+        v.is_new ? x.min_cc : p_migration(x.min_cm, v.remaining_user_s);
+    s += home_candidate ? std::min(virt, 0.0) : virt;
+  }
+  if (params_.use_conc) {
+    s += home_candidate ? 0.0 : x.min_conc;
+  }
+  if (params_.use_pwr) {
+    // A finite cell's occupation is at most 1 + 1e-9 (p_res).
+    s += std::min(0.0, params_.c_empty) - (1.0 + 1e-9) * params_.c_fill;
+  }
+  if (params_.use_sla) {
+    s += std::min(0.0, params_.c_sla);
+  }
+  if (params_.use_fault) {
+    // Linear in the reliability, so its minimum is at an end of the range.
+    s += std::min(
+        p_fault(x.min_rel, v.fault_tolerance, params_.c_fail),
+        p_fault(x.max_rel, v.fault_tolerance, params_.c_fail));
+  }
+  return std::min(s, kInfScore);
 }
 
 ScoreBreakdown ScoreModel::breakdown(int r, int c) const {

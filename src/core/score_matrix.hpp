@@ -35,7 +35,9 @@
 //   The model keeps plan-tracked free-capacity margins (a copy of the
 //   HostBucketIndex, kept in step with the plan) that let the solver skip
 //   provably infeasible cells and whole kArgminBlock row blocks (see
-//   provably_inf()/skip_block() below).
+//   provably_inf()/skip_block() below), and a per-column score floor that
+//   lets it retire columns whose best possible delta cannot reach the
+//   pick threshold (score_floor()).
 //
 //   Reference — the Datacenter constructor, the executable specification
 //   the incremental mode is differential-tested against. It reads every
@@ -43,7 +45,9 @@
 //   leaves the dirty journal alone) and prunes nothing.
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -141,6 +145,20 @@ class ScoreModel {
   /// range (the virtual row's tail block is never skippable).
   [[nodiscard]] bool skip_block(int c, int blk) const;
 
+  /// Conservative score floor of column `c`: a lower bound on cell(r, c)
+  /// over every real row r != plan_row(c), under *any* plan of the other
+  /// columns. Each term is bounded from fleet-wide extrema of the
+  /// placeable rows (Pres = 0; Pvirt >= p_migration(min Cm, Tr) or min Cc;
+  /// Pconc >= min conc; Ppwr >= min(0, Ce) - (1+1e-9)*Cf; PSLA >=
+  /// min(0, Csla); Pfault at the fleet's min or max reliability; the home
+  /// row, once the column left it, has Pvirt = Pconc = 0), and the bounds
+  /// are summed in the evaluation's order — rounded addition and
+  /// multiplication are monotone, so the floor never exceeds a cell. It
+  /// changes only when column `c` itself moves. The extrema are computed
+  /// once per model, on the first call. -infinity in reference mode and
+  /// for a negative Cf (the spec prunes nothing).
+  [[nodiscard]] double score_floor(int c) const;
+
   /// Applies a plan move of column `c` to row `r` and returns the dirty
   /// region: every cell of column `c`, plus every cell of the rows the VM
   /// left and entered (their occupation changed for all other columns).
@@ -197,6 +215,16 @@ class ScoreModel {
                                  bool is_new, sim::SimTime now);
   void touch_row(int r);  ///< re-derives row r's pruning margins
 
+  /// Extrema of the immutable per-row attributes over the placeable rows
+  /// (what score_floor() bounds each term with).
+  struct RowExtrema {
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+    bool any_placeable = false;
+    double min_cc = kInf, min_cm = kInf, min_conc = kInf, min_rel = kInf;
+    double max_rel = -kInf;
+  };
+  const RowExtrema& row_extrema() const;
+
   ScoreParams params_;
   std::unique_ptr<FleetState> owned_fleet_;  ///< reference mode only
   FleetState* fleet_ = nullptr;  ///< snapshot source and buffer return target
@@ -224,6 +252,10 @@ class ScoreModel {
   HostBucketIndex margins_;
 
   std::vector<VmCol> vms_;
+
+  /// Filled on the first score_floor() call; a power-off ranking model,
+  /// which never climbs, never pays for it.
+  mutable std::optional<RowExtrema> extrema_;
 };
 
 }  // namespace easched::core

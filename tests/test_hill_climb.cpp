@@ -2,6 +2,7 @@
 // including the worked example of section III-B.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/hill_climb.hpp"
@@ -219,6 +220,84 @@ TEST(HillClimb, TerminatesOnOscillatingModel) {
   const auto stats = hill_climb(m, limits);
   EXPECT_EQ(stats.moves, 7);
   EXPECT_TRUE(stats.hit_move_limit);
+}
+
+/// Plan-dependent toy model with a score floor: a column's score on a row
+/// is its base cost minus `bonus` for every other column planned there, so
+/// a move changes both touched rows for every column (the Dirty contract).
+/// The floor is the tightest plan-independent bound: the column's cheapest
+/// base minus the bonus of every other column.
+class CrowdModel {
+ public:
+  CrowdModel(std::vector<std::vector<double>> base, std::vector<int> plan,
+             double bonus)
+      : base_(std::move(base)), plan_(std::move(plan)), bonus_(bonus) {}
+
+  int rows() const { return static_cast<int>(base_.size()) + 1; }
+  int cols() const { return static_cast<int>(plan_.size()); }
+  int virtual_row() const { return rows() - 1; }
+  double cell(int r, int c) const {
+    if (r == virtual_row()) return kInf;
+    int others = 0;
+    for (int o = 0; o < cols(); ++o) {
+      if (o != c && plan_row(o) == r) ++others;
+    }
+    return base_[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] -
+           bonus_ * others;
+  }
+  double score_floor(int c) const {
+    double lo = kInf;
+    for (const auto& row : base_) {
+      lo = std::min(lo, row[static_cast<std::size_t>(c)]);
+    }
+    return lo - bonus_ * (cols() - 1);
+  }
+  int plan_row(int c) const { return plan_[static_cast<std::size_t>(c)]; }
+  int original_row(int c) const { return original_[static_cast<std::size_t>(c)]; }
+  bool movable(int) const { return true; }
+  struct Dirty {
+    int col, row_a, row_b;
+  };
+  Dirty move(int r, int c) {
+    const int old = plan_row(c);
+    plan_[static_cast<std::size_t>(c)] = r;
+    return {c, old, r};
+  }
+
+ private:
+  std::vector<std::vector<double>> base_;  ///< [row][col], real rows
+  std::vector<int> plan_;
+  std::vector<int> original_ = plan_;
+  double bonus_;
+};
+
+// A retired column comes back when its keep score rises, and from then on
+// its candidates are tracked again. Columns X, Y, Z (bonus 10, migration
+// gain 35): X shares row 0 with Y and is retired (floor -10, keep 20).
+// Y leaves row 0 (delta -40), so X's keep rises to 30 and X is revived
+// with best delta -30 on row 1. Z then joins Y on row 2 (-46), which
+// improves X's row 2 to -40 — a cell only a revived, maintained column
+// sees — and X follows (-40).
+TEST(HillClimb, RetiredColumnIsRevivedWhenItsKeepScoreRises) {
+  const std::vector<std::vector<double>> base = {
+      // X    Y      Z
+      {30.0, 50.0, 100.0},   // row 0
+      {10.0, 100.0, 40.0},   // row 1
+      {10.0, 0.0, 4.0},      // row 2
+      {100.0, 100.0, 100.0}  // row 3
+  };
+  const std::vector<int> plan = {0, 0, 1};
+  HillClimbLimits limits;
+  limits.min_migration_gain = 35;
+  CrowdModel fast(base, plan, 10);
+  CrowdModel spec(base, plan, 10);
+  const auto s_fast = hill_climb(fast, limits);
+  const auto s_spec = hill_climb_reference(spec, limits);
+  const std::vector<HillClimbMove> want = {
+      {1, 0, 2, -40.0}, {2, 1, 2, -46.0}, {0, 0, 2, -40.0}};
+  EXPECT_EQ(s_spec.trace, want);
+  EXPECT_EQ(s_fast.trace, want);
+  EXPECT_GE(s_fast.cols_retired, 1);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // the per-instance cost.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -116,6 +117,21 @@ inline RandomInstance make_random_instance(support::Rng& rng,
   inst.params.use_fault = rng.uniform01() < 0.5;
   inst.migration = rng.uniform01() < 0.7;
   return inst;
+}
+
+/// Redraws the penalty weights around the evaluation values, zero and
+/// negative ones included, so every min(0, .) and end-of-range choice of
+/// the score floor (ScoreModel::score_floor) is taken both ways. Cf stays
+/// >= 0: below it the floor is -infinity.
+inline void randomize_weights(support::Rng& rng, core::ScoreParams& p) {
+  const auto pick = [&rng](double a, double b, double c) {
+    const auto i = rng.uniform_int(0, 3);
+    return i == 0 ? a : i == 1 ? b : i == 2 ? c : rng.uniform(-50, 150);
+  };
+  p.c_empty = pick(20, 0, -10);
+  p.c_fill = std::abs(pick(40, 0, 80));
+  p.c_sla = pick(100, 0, -30);
+  p.c_fail = pick(200, 0, -100);
 }
 
 /// Back-compat shape-only overload for callers outside a seeded stream

@@ -5,9 +5,11 @@
 // reference model's at ZERO tolerance: both modes run the same evaluator
 // over bitwise-equal snapshots and plans, so even the last ulp must match.
 // Neither mode stores a score, so neither the round a model is built in
-// nor the order its cells are read in may change a value.
+// nor the order its cells are read in may change a value. The incremental
+// model's score floor bounds every candidate cell under random plans.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -22,6 +24,7 @@ using datacenter::HostId;
 using datacenter::VmId;
 using easched::testing::RandomInstance;
 using easched::testing::make_random_instance;
+using easched::testing::randomize_weights;
 
 /// Bitwise check of every cell and plan row of `inc` against `ref`, and of
 /// the pruning: a cell the incremental model may skip as provably infinite
@@ -174,6 +177,89 @@ TEST_P(ScoreModelProperty, ReadOrderDoesNotAffectValues) {
       dirty_between_rounds(rng, *inst.fixture, queue);
     }
   }
+}
+
+// The score floor's contract (score_matrix.hpp): under any plan the random
+// moves produce, score_floor(c) is at most every cell of column c on a
+// real row other than its plan row — the home row included once the
+// column has left it — and it changes only when column c itself moves.
+// The reference model's floor is -infinity.
+TEST_P(ScoreModelProperty, ScoreFloorBoundsEveryCandidateCell) {
+  const std::uint64_t seed = GetParam() * 7777 + 5;
+  support::Rng rng{seed};
+  for (int instance = 0; instance < 60; ++instance) {
+    RandomInstance inst = make_random_instance(rng, seed, instance);
+    SCOPED_TRACE(inst.describe());
+    randomize_weights(rng, inst.params);
+    FleetState fleet;
+    fleet.refresh(inst.fixture->dc);
+    ScoreModel inc(fleet, inst.fixture->dc, inst.queue, inst.params,
+                   inst.migration);
+    ScoreModel ref(inst.fixture->dc, inst.queue, inst.params,
+                   inst.migration);
+    std::vector<double> floors(static_cast<std::size_t>(inc.cols()));
+    const auto check = [&] {
+      for (int c = 0; c < inc.cols(); ++c) {
+        ASSERT_EQ(ref.score_floor(c), -std::numeric_limits<double>::infinity());
+        const double floor = inc.score_floor(c);
+        floors[static_cast<std::size_t>(c)] = floor;
+        for (int r = 0; r < inc.virtual_row(); ++r) {
+          if (r == inc.plan_row(c)) continue;
+          ASSERT_LE(floor, inc.cell(r, c))
+              << "floor above the cell at (" << r << ", " << c << ")";
+        }
+      }
+    };
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+    const int moves =
+        inc.cols() == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 16));
+    for (int m = 0; m < moves; ++m) {
+      int r = -1, c = -1;
+      if (!random_move(rng, inc, &r, &c)) break;
+      inc.move(r, c);
+      for (int other = 0; other < inc.cols(); ++other) {
+        if (other == c) continue;
+        ASSERT_EQ(inc.score_floor(other),
+                  floors[static_cast<std::size_t>(other)])
+            << "column " << other << "'s floor moved with column " << c;
+      }
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// Once a running column leaves home, its home row is a candidate with
+// Pvirt = Pconc = 0: below the fleet's cheapest Pconc while every host has
+// a creation in flight. Home is exactly full with the VM back (Ppwr = -Cf),
+// so the floor must leave Pconc out there.
+TEST(ScoreFloor, CoversTheHomeRowOnceTheColumnLeft) {
+  datacenter::DatacenterConfig config;
+  config.hosts.assign(4, datacenter::HostSpec::medium());
+  config.hosts[0].cpu_capacity_pct = 500;
+  const std::size_t hosts = config.hosts.size();
+  easched::testing::SmallDc f(hosts, std::move(config));
+  for (int k = 0; k < 4; ++k) {
+    f.admit_and_place(easched::testing::make_job(100, 512, 36000), 0);
+  }
+  f.simulator.run_until(600);
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {  // creations in flight
+    f.admit_and_place(easched::testing::make_job(100, 512, 36000), h);
+  }
+  FleetState fleet;
+  fleet.refresh(f.dc);
+  const std::vector<VmId> no_queue;
+  ScoreModel model(fleet, f.dc, no_queue, ScoreParams{}, true);
+  ASSERT_EQ(model.cols(), 4);  // the settled VMs on host 0
+  for (int r = 1; r < model.virtual_row(); ++r) {
+    ASSERT_GT(model.breakdown(r, 0).conc, 0) << "host " << r << " is idle";
+  }
+  model.move(1, 0);
+  const ScoreBreakdown home = model.breakdown(0, 0);
+  ASSERT_EQ(home.conc, 0);
+  ASSERT_EQ(home.pwr, -ScoreParams{}.c_fill);
+  EXPECT_LE(model.score_floor(0), home.total);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScoreModelProperty,

@@ -3,20 +3,39 @@
 // the exact move sequence — column, rows and bit-identical delta — and
 // final plan of hill_climb_reference(), and on
 // small instances selected seeds must reach the exhaustive optimum.
+//
+// The production path — hill_climb() over a FleetState-backed model, whose
+// provably_inf / skip_block / score_floor prune — is held to
+// hill_climb_reference() over a reference-mode model, which prunes
+// nothing: on random fleets of up to 130 hosts (several kArgminBlock
+// blocks and a partial tail block) and on a table of adversarial cases
+// for the score floor. The climb counters are checked on a fixed
+// consolidation round.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/exhaustive.hpp"
+#include "core/fleet.hpp"
 #include "core/hill_climb.hpp"
+#include "core/score_based_policy.hpp"
 #include "core/score_matrix.hpp"
 #include "test_random_instances.hpp"
 
 namespace easched::core {
 namespace {
 
+using datacenter::HostId;
+using datacenter::HostSpec;
+using datacenter::VmId;
+using easched::testing::make_job;
 using easched::testing::RandomInstance;
 using easched::testing::make_random_instance;
+using easched::testing::randomize_weights;
+using easched::testing::SmallDc;
 
 double plan_cost(const ScoreModel& model) {
   double sum = 0;
@@ -79,8 +98,498 @@ TEST_P(SolverEquivalence, IncrementalMatchesReference) {
   }
 }
 
+/// The policy's solver limits (Algorithm 1 iteration limit, migration
+/// budget 8, migration gain 35).
+HillClimbLimits policy_limits() {
+  const ScoreBasedConfig config;
+  HillClimbLimits limits;
+  limits.max_moves = config.max_moves;
+  limits.max_migration_moves = config.max_migrations_per_round;
+  limits.min_migration_gain = config.min_migration_gain;
+  return limits;
+}
+
+/// Climbs the production path (hill_climb over an incremental model of a
+/// fresh FleetState) and the spec (hill_climb_reference over a reference
+/// model) on the same round and requires the same moves and plan.
+void expect_production_matches_spec(SmallDc& f,
+                                    const std::vector<VmId>& queue,
+                                    const ScoreParams& params,
+                                    bool migration,
+                                    const HillClimbLimits& limits) {
+  FleetState fleet;
+  fleet.refresh(f.dc);
+  ScoreModel m_inc(fleet, f.dc, queue, params, migration);
+  ScoreModel m_ref(f.dc, queue, params, migration);
+  ASSERT_FALSE(m_inc.reference());
+  ASSERT_TRUE(m_ref.reference());
+  const HillClimbStats s_ref = hill_climb_reference(m_ref, limits);
+  const HillClimbStats s_inc = hill_climb(m_inc, limits);
+  expect_same_outcome(s_ref, s_inc, m_ref, m_inc);
+}
+
+// The production path against the spec: a FleetState-backed model with
+// every prune on, on fleets large enough for several argmin blocks and a
+// partial tail block, under limits that include the policy's migration
+// gain and budgets that run out before, during or after the climb.
+TEST_P(SolverEquivalence, FleetModelMatchesReferenceSpec) {
+  const std::uint64_t seed = GetParam() * 7919 + 3;
+  support::Rng rng{seed};
+  for (int instance = 0; instance < 40; ++instance) {
+    RandomInstance inst =
+        make_random_instance(rng, seed, instance, /*max_hosts=*/130,
+                             /*max_running=*/200, /*max_queued=*/12);
+    SCOPED_TRACE(inst.describe());
+    if (rng.uniform01() < 0.5) randomize_weights(rng, inst.params);
+    HillClimbLimits limits = policy_limits();
+    const double gain_draw = rng.uniform01();
+    if (gain_draw < 0.25) {
+      limits.min_migration_gain = 1e-9;
+    } else if (gain_draw < 0.5) {
+      limits.min_migration_gain = rng.uniform(1, 60);
+    }
+    if (rng.uniform01() < 0.5) {
+      limits.max_migration_moves = static_cast<int>(rng.uniform_int(0, 3));
+    }
+    if (rng.uniform01() < 0.2) {
+      limits.max_moves = static_cast<int>(rng.uniform_int(1, 12));
+    }
+    expect_production_matches_spec(*inst.fixture, inst.queue, inst.params,
+                                   inst.migration, limits);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverEquivalence,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ---- a consolidation round --------------------------------------------------
+
+/// One scheduling round, ready to build models from.
+struct Round {
+  std::unique_ptr<SmallDc> fixture;
+  std::vector<VmId> queue;
+  ScoreParams params = ScoreBasedConfig::sb_full().params;
+  HillClimbLimits limits = policy_limits();
+};
+
+/// A consolidation round over `hosts` hosts cycling fast / medium / slow
+/// with reliabilities 0.90..0.99: a host carries 3 (most), 1 (every
+/// fifth) or 0 (every seventh) 100 % VMs, so fairly full hosts hold
+/// columns the floor retires and near-empty ones hold columns worth
+/// migrating. `queued` fresh VMs wait in the queue.
+Round consolidation_round(int hosts, int queued) {
+  datacenter::DatacenterConfig config;
+  for (int h = 0; h < hosts; ++h) {
+    HostSpec spec = h % 3 == 0   ? HostSpec::fast()
+                    : h % 3 == 1 ? HostSpec::medium()
+                                 : HostSpec::slow();
+    spec.reliability = 0.90 + 0.01 * (h % 10);
+    config.hosts.push_back(spec);
+  }
+  Round round;
+  round.fixture = std::make_unique<SmallDc>(config.hosts.size(),
+                                            std::move(config));
+  SmallDc& f = *round.fixture;
+  for (int h = 0; h < hosts; ++h) {
+    const int vms = h % 7 == 6 ? 0 : h % 5 == 4 ? 1 : 3;
+    for (int k = 0; k < vms; ++k) {
+      workload::Job job = make_job(100, 512, 36000);
+      job.fault_tolerance = 0.02 * ((h + k) % 3);
+      f.admit_and_place(job, static_cast<HostId>(h));
+    }
+  }
+  f.simulator.run_until(600);  // creations settle into Running
+  for (int i = 0; i < queued; ++i) {
+    round.queue.push_back(f.dc.admit_job(
+        make_job(100.0 * (i % 2 + 1), 512, 7200, 1.5, f.simulator.now())));
+  }
+  return round;
+}
+
+// ---- climb counters ---------------------------------------------------------
+
+/// Forwards the solver's model concept, pruning included, to a ScoreModel
+/// and logs every cell read: the rows each column was read at, in order.
+struct CellLog {
+  ScoreModel& model;
+  std::vector<std::vector<int>> reads;  ///< per column
+  std::int64_t total = 0;
+
+  explicit CellLog(ScoreModel& m)
+      : model(m), reads(static_cast<std::size_t>(m.cols())) {}
+  int rows() const { return model.rows(); }
+  int cols() const { return model.cols(); }
+  int virtual_row() const { return model.virtual_row(); }
+  double cell(int r, int c) {
+    reads[static_cast<std::size_t>(c)].push_back(r);
+    ++total;
+    return model.cell(r, c);
+  }
+  int plan_row(int c) const { return model.plan_row(c); }
+  int original_row(int c) const { return model.original_row(c); }
+  bool movable(int c) const { return model.movable(c); }
+  bool provably_inf(int r, int c) const { return model.provably_inf(r, c); }
+  bool skip_block(int c, int blk) const { return model.skip_block(c, blk); }
+  double score_floor(int c) const { return model.score_floor(c); }
+  ScoreModel::Dirty move(int r, int c) { return model.move(r, c); }
+};
+
+// On a fixed consolidation round (4 argmin blocks, the policy's limits),
+// the counters report exactly the cells the solver read; a column retired
+// by the floor whose plan row no move touches reads its keep score and
+// nothing else; and with the floor and the other prunes disabled
+// (reference mode) the same climb reads more cells.
+TEST(ClimbCounters, RetiredColumnsReadOnlyTheirKeepScore) {
+  Round round = consolidation_round(/*hosts=*/100, /*queued=*/4);
+  round.params = ScoreBasedConfig::sb().params;
+  SmallDc& f = *round.fixture;
+  FleetState fleet;
+  fleet.refresh(f.dc);
+  ScoreModel m_inc(fleet, f.dc, round.queue, round.params, true);
+  ScoreModel m_ref(f.dc, round.queue, round.params, true);
+  ASSERT_GE((m_inc.rows() + kArgminBlock - 1) / kArgminBlock, 3);
+
+  // Which columns the floor retires before any move, by the solver's rule.
+  std::vector<bool> retired_cold(static_cast<std::size_t>(m_inc.cols()));
+  for (int c = 0; c < m_inc.cols(); ++c) {
+    const bool migration = m_inc.original_row(c) != m_inc.virtual_row();
+    const double threshold = migration ? -round.limits.min_migration_gain
+                                       : -round.limits.min_gain;
+    retired_cold[static_cast<std::size_t>(c)] =
+        m_inc.score_floor(c) - m_inc.cell(m_inc.plan_row(c), c) > threshold;
+  }
+
+  CellLog log_inc(m_inc);
+  CellLog log_ref(m_ref);
+  const HillClimbStats s_inc = hill_climb(log_inc, round.limits);
+  const HillClimbStats s_ref = hill_climb(log_ref, round.limits);
+  expect_same_outcome(s_ref, s_inc, m_ref, m_inc);
+  ASSERT_GT(s_inc.migration_moves, 0) << "the fixture must consolidate";
+
+  EXPECT_EQ(s_inc.cells_read_cold + s_inc.cells_read_update, log_inc.total);
+  EXPECT_EQ(s_ref.cells_read_cold + s_ref.cells_read_update, log_ref.total);
+  EXPECT_EQ(s_ref.cols_retired, 0);  // reference mode prunes nothing
+
+  std::vector<bool> touched(static_cast<std::size_t>(m_inc.rows()), false);
+  std::vector<bool> moved(static_cast<std::size_t>(m_inc.cols()), false);
+  for (const HillClimbMove& mv : s_inc.trace) {
+    touched[static_cast<std::size_t>(mv.from_row)] = true;
+    touched[static_cast<std::size_t>(mv.to_row)] = true;
+    moved[static_cast<std::size_t>(mv.col)] = true;
+  }
+  int quiet_retired = 0;
+  for (int c = 0; c < m_inc.cols(); ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    const int plan = m_inc.plan_row(c);
+    if (!retired_cold[i] || moved[i] || touched[static_cast<std::size_t>(plan)]) {
+      continue;
+    }
+    ++quiet_retired;
+    EXPECT_EQ(log_inc.reads[i], std::vector<int>{plan})
+        << "retired column " << c << " read more than its keep score";
+  }
+  EXPECT_GT(quiet_retired, 0);
+  EXPECT_GE(s_inc.cols_retired, quiet_retired);
+  EXPECT_LT(log_inc.total, log_ref.total);
+}
+
+// ---- adversarial cases for the score floor ----------------------------------
+
+/// The row of the first host of class `klass`.
+int first_row_of(const SmallDc& f, const std::string& klass) {
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+    if (f.dc.host(h).spec.klass == klass) return static_cast<int>(h);
+  }
+  return -1;
+}
+
+/// The most negative migration delta the spec's first scan sees: over
+/// every running column and every real row but its plan row.
+double best_migration_delta(const ScoreModel& m) {
+  double best = 0;
+  for (int c = 0; c < m.cols(); ++c) {
+    if (m.original_row(c) == m.virtual_row()) continue;
+    const double keep = m.cell(m.plan_row(c), c);
+    for (int r = 0; r < m.virtual_row(); ++r) {
+      if (r != m.plan_row(c)) best = std::min(best, m.cell(r, c) - keep);
+    }
+  }
+  return best;
+}
+
+/// Whether some cell of the round satisfies `pred`.
+bool any_cell(const ScoreModel& m,
+              const std::function<bool(int, int)>& pred) {
+  for (int c = 0; c < m.cols(); ++c) {
+    for (int r = 0; r < m.virtual_row(); ++r) {
+      if (pred(r, c)) return true;
+    }
+  }
+  return false;
+}
+
+struct FloorCase {
+  const char* name;
+  /// Builds the round (the base consolidation round, adjusted).
+  std::function<Round()> build;
+  /// Holds when the round really exercises the case, on a reference model
+  /// of it; nullptr when the construction alone guarantees it.
+  std::function<bool(const Round&, const ScoreModel&)> exercised;
+  /// Further checks on the spec's move trace; nullptr for none.
+  std::function<void(const Round&, const HillClimbStats&)> check_trace;
+};
+
+Round base_round() { return consolidation_round(/*hosts=*/70, /*queued=*/3); }
+
+/// Admits a 100 % job at t=0 that waits in the queue until `wait_until`
+/// and is then placed on `host`; returns its VM.
+VmId late_placed(SmallDc& f, HostId host, double wait_until,
+                 double dedicated_s, double deadline_factor = 1.5) {
+  const VmId v =
+      f.dc.admit_job(make_job(100, 512, dedicated_s, deadline_factor, 0));
+  f.simulator.run_until(wait_until);
+  f.dc.place(v, host);
+  return v;
+}
+
+std::vector<FloorCase> floor_cases() {
+  std::vector<FloorCase> cases;
+  // The pick accepts a migration whose delta equals -min_migration_gain
+  // (`delta <= threshold`); the floor must not retire its column.
+  cases.push_back({"MigrationDeltaExactlyAtTheGain",
+                   [] {
+                     Round r = base_round();
+                     r.queue.clear();
+                     ScoreModel m(r.fixture->dc, r.queue, r.params, true);
+                     r.limits.min_migration_gain = -best_migration_delta(m);
+                     return r;
+                   },
+                   [](const Round& r, const ScoreModel&) {
+                     return r.limits.min_migration_gain > 0;
+                   },
+                   [](const Round& r, const HillClimbStats& s) {
+                     ASSERT_FALSE(s.trace.empty());
+                     EXPECT_EQ(s.trace.front().delta,
+                               -r.limits.min_migration_gain);
+                   }});
+  // With Cf = 0 and only Ppwr on, a VM alone on its host keeps Ce and
+  // every non-empty target scores exactly the floor 0: floor - keep is
+  // exactly the threshold -Ce, which must not retire the column.
+  cases.push_back({"FloorTightAtTheThreshold",
+                   [] {
+                     Round r = base_round();
+                     r.queue.clear();
+                     r.params = ScoreParams{};
+                     r.params.use_virt = false;
+                     r.params.use_conc = false;
+                     r.params.c_fill = 0;
+                     r.limits.min_migration_gain = r.params.c_empty;
+                     return r;
+                   },
+                   nullptr,
+                   [](const Round& r, const HillClimbStats& s) {
+                     ASSERT_FALSE(s.trace.empty());
+                     EXPECT_EQ(s.trace.front().delta, -r.params.c_empty);
+                   }});
+  // p_res admits occupations up to 1 + 1e-9, so a finite Ppwr can dip
+  // below -Cf: host 0's capacity is a hair under its three VMs plus one
+  // more, and the lone VM on host 1 gains most by moving there. The floor
+  // must cover that dip when the gain sits exactly at the threshold.
+  cases.push_back({"OccupationPastOneWithinTolerance",
+                   [] {
+                     datacenter::DatacenterConfig config;
+                     config.hosts.assign(6, HostSpec::medium());
+                     config.hosts[0].cpu_capacity_pct = 399.9999998;
+                     Round r;
+                     r.fixture = std::make_unique<SmallDc>(
+                         config.hosts.size(), std::move(config));
+                     SmallDc& f = *r.fixture;
+                     for (HostId h : {0, 0, 0, 1, 2, 2, 2, 3, 3, 3}) {
+                       f.admit_and_place(make_job(100, 512, 36000), h);
+                     }
+                     f.simulator.run_until(600);
+                     r.params = ScoreParams{};
+                     r.params.use_virt = false;
+                     r.params.use_conc = false;
+                     r.params.c_empty = 0;
+                     ScoreModel m(f.dc, r.queue, r.params, true);
+                     r.limits.min_migration_gain = -best_migration_delta(m);
+                     return r;
+                   },
+                   [](const Round& r, const ScoreModel& m) {
+                     return any_cell(m, [&](int row, int c) {
+                       return row == 0 && m.plan_row(c) != 0 &&
+                              m.breakdown(row, c).pwr < -r.params.c_fill;
+                     });
+                   },
+                   [](const Round& r, const HillClimbStats& s) {
+                     ASSERT_FALSE(s.trace.empty());
+                     EXPECT_EQ(s.trace.front().to_row, 0);
+                     EXPECT_EQ(s.trace.front().delta,
+                               -r.limits.min_migration_gain);
+                   }});
+  // A job past its user estimate (Tr < 0): Pm is 2 Cm everywhere.
+  cases.push_back({"OverdueJob",
+                   [] {
+                     Round r = base_round();
+                     late_placed(*r.fixture, 6, 2000, 1000);
+                     r.fixture->simulator.run_until(2100);
+                     r.params.use_sla = false;
+                     r.limits.min_migration_gain = 1e-9;
+                     return r;
+                   },
+                   [](const Round& r, const ScoreModel& m) {
+                     const int fast = first_row_of(*r.fixture, "fast");
+                     return any_cell(m, [&](int row, int c) {
+                       return row == fast &&
+                              m.breakdown(row, c).virt == 2 * 40.0;
+                     });
+                   },
+                   nullptr});
+  // Tr exactly at the branch point of p_migration for the fleet's
+  // cheapest migration (fast hosts, Cm = 40): Pm = Cm / 2 there.
+  cases.push_back({"RemainingTimeAtTheMigrationBranchPoint",
+                   [] {
+                     Round r = base_round();
+                     SmallDc& f = *r.fixture;
+                     const double now = f.simulator.now();
+                     // Tr = Tu - elapsed = (200 + 40) - 200 = 40 = Cm.
+                     const VmId v = f.dc.admit_job(
+                         make_job(100, 512, 200 + 40, 1.5, now));
+                     f.dc.place(v, 6);
+                     f.simulator.run_until(now + 200);
+                     r.limits.min_migration_gain = 1e-9;
+                     return r;
+                   },
+                   [](const Round& r, const ScoreModel& m) {
+                     const int fast = first_row_of(*r.fixture, "fast");
+                     return any_cell(m, [&](int row, int c) {
+                       return row == fast && m.plan_row(c) != fast &&
+                              m.breakdown(row, c).virt == 40.0 / 2;
+                     });
+                   },
+                   nullptr});
+  // Tolerance above unreliability: Pfault < 0 on every host.
+  cases.push_back({"NegativeFaultPenalty",
+                   [] {
+                     Round r = base_round();
+                     SmallDc& f = *r.fixture;
+                     for (HostId h : {HostId{4}, HostId{9}}) {
+                       workload::Job job = make_job(100, 512, 36000);
+                       job.fault_tolerance = 0.5;
+                       f.admit_and_place(job, h);
+                     }
+                     f.simulator.run_until(f.simulator.now() + 100);
+                     return r;
+                   },
+                   [](const Round&, const ScoreModel& m) {
+                     return any_cell(m, [&](int row, int c) {
+                       return m.breakdown(row, c).fault < 0;
+                     });
+                   },
+                   nullptr});
+  // A running VM whose SLA is already lost keeps a soft-infinite PSLA
+  // score at home.
+  cases.push_back({"SoftInfiniteSlaKeepScore",
+                   [] {
+                     Round r = base_round();
+                     late_placed(*r.fixture, 6, 2000, 1000, 1.2);
+                     r.fixture->simulator.run_until(2100);
+                     return r;
+                   },
+                   [](const Round&, const ScoreModel& m) {
+                     for (int c = 0; c < m.cols(); ++c) {
+                       if (m.breakdown(m.plan_row(c), c).sla == kSoftInfScore) {
+                         return true;
+                       }
+                     }
+                     return false;
+                   },
+                   nullptr});
+  // With a tiny migration gain, columns move away from home and their
+  // home row becomes a candidate with Pvirt = Pconc = 0.
+  cases.push_back({"HomeRowIsACandidateAfterAMove",
+                   [] {
+                     Round r = base_round();
+                     r.limits.min_migration_gain = 1e-9;
+                     r.limits.max_migration_moves = 64;
+                     return r;
+                   },
+                   nullptr,
+                   [](const Round&, const HillClimbStats& s) {
+                     // Each migration leaves the column's home row behind
+                     // as a candidate for the rest of the climb.
+                     EXPECT_GT(s.migration_moves, 1);
+                   }});
+  // Every host but one in maintenance: the only placeable row is home to
+  // the migration columns, and the floor's extrema come from it alone.
+  cases.push_back({"OnlyTheHomeHostIsPlaceable",
+                   [] {
+                     Round r = base_round();
+                     SmallDc& f = *r.fixture;
+                     for (HostId h = 1; h < f.dc.num_hosts(); ++h) {
+                       f.dc.set_maintenance(h, true);
+                     }
+                     return r;
+                   },
+                   [](const Round&, const ScoreModel& m) {
+                     for (int row = 1; row < m.virtual_row(); ++row) {
+                       if (m.placeable(row)) return false;
+                     }
+                     return m.placeable(0) && m.cols() > 3;
+                   },
+                   nullptr});
+  const auto tweak = [](const char* name,
+                        std::function<void(ScoreParams&)> set) {
+    return FloorCase{name,
+                     [set] {
+                       Round r = base_round();
+                       set(r.params);
+                       return r;
+                     },
+                     nullptr, nullptr};
+  };
+  cases.push_back(tweak("NoEmptyHostCost",
+                        [](ScoreParams& p) { p.c_empty = 0; }));
+  cases.push_back(tweak("NoFillReward", [](ScoreParams& p) { p.c_fill = 0; }));
+  cases.push_back(tweak("VirtOff", [](ScoreParams& p) { p.use_virt = false; }));
+  cases.push_back(tweak("ConcOff", [](ScoreParams& p) { p.use_conc = false; }));
+  cases.push_back(tweak("PwrOff", [](ScoreParams& p) { p.use_pwr = false; }));
+  cases.push_back(tweak("SlaOff", [](ScoreParams& p) { p.use_sla = false; }));
+  cases.push_back(
+      tweak("FaultOff", [](ScoreParams& p) { p.use_fault = false; }));
+  return cases;
+}
+
+void PrintTo(const FloorCase& fc, std::ostream* os) { *os << fc.name; }
+
+class ScoreFloorCase : public ::testing::TestWithParam<FloorCase> {};
+
+// Each case, climbed on the production path, replays the spec move for
+// move.
+TEST_P(ScoreFloorCase, MatchesReferenceMoveForMove) {
+  const FloorCase& fc = GetParam();
+  Round round = fc.build();
+  SmallDc& f = *round.fixture;
+  if (fc.exercised) {
+    ScoreModel probe(f.dc, round.queue, round.params, true);
+    ASSERT_TRUE(fc.exercised(round, probe))
+        << "the round does not exercise the case";
+  }
+  expect_production_matches_spec(f, round.queue, round.params, true,
+                                 round.limits);
+  if (fc.check_trace) {
+    ScoreModel m_ref(f.dc, round.queue, round.params, true);
+    fc.check_trace(round, hill_climb_reference(m_ref, round.limits));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, ScoreFloorCase, ::testing::ValuesIn(floor_cases()),
+    [](const ::testing::TestParamInfo<FloorCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // On small instances (<= 4 hosts, <= 5 VMs) the greedy solver reaches the
 // exhaustive optimum for these seeds (chosen to satisfy that; greedy is
