@@ -5,16 +5,18 @@
 #   1. default build      — full test suite, then the validate-labelled
 #                           tests again with run-time checking forced on
 #                           for every experiment (EASCHED_VALIDATE=1)
-#   2. AddressSanitizer + UndefinedBehaviorSanitizer — validate + faults +
+#   2. AddressSanitizer + UndefinedBehaviorSanitizer, with bounds-checked
+#                           standard containers (_GLIBCXX_ASSERTIONS) —
+#                           validate + faults +
 #                           resilience + telemetry + sched + obs + fleet +
 #                           solver suites (sched: the power controller and
 #                           driver read the Datacenter's maintained
 #                           per-host node-class state; fleet: the score
-#                           model's recycled scratch buffers, its
-#                           incremental-vs-reference property suite and the
-#                           fleet refresh's maintained host sets; solver:
-#                           the penalty terms, the score model's evaluator
-#                           and the solvers' indexing)
+#                           model's copy-on-touch plan rows and their
+#                           restore, its incremental-vs-reference property
+#                           suite and the fleet refresh's maintained host
+#                           sets; solver: the penalty terms, the score
+#                           model's evaluator and the solvers' indexing)
 #   3. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
 #                           suites (sweep covers SweepRunner, the only
 #                           library code that starts threads; the other

@@ -30,6 +30,25 @@ void FleetSnapshot::resize(std::size_t n) {
   software.assign(n, 0);
 }
 
+void RowExtrema::include(const FleetSnapshot& snap, HostId h) {
+  if (snap.placeable[h] == 0) return;
+  any_placeable = true;
+  min_cc = std::min(min_cc, snap.creation_cost[h]);
+  min_cm = std::min(min_cm, snap.migration_cost[h]);
+  min_conc = std::min(min_conc, snap.conc_remaining_s[h]);
+  min_rel = std::min(min_rel, snap.reliability[h]);
+  max_rel = std::max(max_rel, snap.reliability[h]);
+}
+
+void RowExtrema::merge(const RowExtrema& o) {
+  any_placeable = any_placeable || o.any_placeable;
+  min_cc = std::min(min_cc, o.min_cc);
+  min_cm = std::min(min_cm, o.min_cm);
+  min_conc = std::min(min_conc, o.min_conc);
+  min_rel = std::min(min_rel, o.min_rel);
+  max_rel = std::max(max_rel, o.max_rel);
+}
+
 void HostBucketIndex::reset(std::size_t num_hosts) {
   free_cpu_.assign(num_hosts, -1.0);
   free_mem_.assign(num_hosts, -1.0);
@@ -37,11 +56,24 @@ void HostBucketIndex::reset(std::size_t num_hosts) {
       (num_hosts + kArgminBlock - 1) / static_cast<std::size_t>(kArgminBlock);
   block_free_cpu_.assign(nblocks, -1.0);
   block_free_mem_.assign(nblocks, -1.0);
+  block_extrema_.assign(nblocks, RowExtrema{});
 }
 
 void HostBucketIndex::update(HostId h, const FleetSnapshot& snap) {
   set(h, FleetState::expected_free_cpu(snap, h),
       FleetState::expected_free_mem(snap, h));
+  const std::size_t blk = h / static_cast<std::size_t>(kArgminBlock);
+  const std::size_t lo = blk * static_cast<std::size_t>(kArgminBlock);
+  const std::size_t hi = std::min(size(), lo + kArgminBlock);
+  RowExtrema x;
+  for (std::size_t i = lo; i < hi; ++i) x.include(snap, static_cast<HostId>(i));
+  block_extrema_[blk] = x;
+}
+
+RowExtrema HostBucketIndex::extrema() const {
+  RowExtrema x;
+  for (const RowExtrema& b : block_extrema_) x.merge(b);
+  return x;
 }
 
 void HostBucketIndex::set(HostId h, double free_cpu, double free_mem) {
@@ -68,6 +100,10 @@ void HostBucketIndex::debug_corrupt(HostId h, double delta) {
   free_cpu_[h] += delta;
 }
 
+void HostBucketIndex::debug_corrupt_extrema(std::size_t blk, double delta) {
+  block_extrema_[blk].min_cc += delta;
+}
+
 double FleetState::expected_free_cpu(const FleetSnapshot& snap, HostId h) {
   return free_margin(snap.placeable[h] != 0, snap.cpu_cap[h], snap.cpu_res[h]);
 }
@@ -77,6 +113,7 @@ double FleetState::expected_free_mem(const FleetSnapshot& snap, HostId h) {
 }
 
 void FleetState::refresh(const Datacenter& dc) {
+  EA_EXPECTS(!planning());
   const std::size_t n = dc.num_hosts();
   ++stats_.refreshes;
 
@@ -136,6 +173,7 @@ void FleetState::refresh(const Datacenter& dc) {
 }
 
 void FleetState::read_all(const Datacenter& dc) {
+  EA_EXPECTS(!planning());
   const std::size_t n = dc.num_hosts();
   reset(n);
   dirty_scratch_.clear();
@@ -171,6 +209,7 @@ void FleetState::reset(std::size_t n) {
   index_.reset(n);
   dirty_flag_.assign(n, 0);
   read_stamp_.assign(n, 0);
+  plan_touched_.assign(n, 0);
   busy_.clear();
   veto_watch_.clear();
 }
@@ -202,6 +241,39 @@ void FleetState::read_host(const Datacenter& dc, HostId h, sim::SimTime now,
   snap.software[h] = host.spec.software;
 }
 
+void FleetState::plan_add(const ScoreModel* planner, HostId h, double cpu,
+                          double mem, int count) {
+  EA_EXPECTS(planner_ == nullptr || planner_ == planner);
+  EA_EXPECTS(h < snap_.size());
+  planner_ = planner;
+  if (plan_touched_[h] == 0) {
+    plan_touched_[h] = 1;
+    plan_log_.push_back({h, snap_.vm_count[h], snap_.cpu_res[h],
+                         snap_.mem_res[h], snap_.running_demand[h],
+                         index_.free_cpu(h), index_.free_mem(h)});
+  }
+  snap_.cpu_res[h] += cpu;
+  snap_.mem_res[h] += mem;
+  snap_.running_demand[h] += cpu;
+  snap_.vm_count[h] += count;
+  index_.set(h, expected_free_cpu(snap_, h), expected_free_mem(snap_, h));
+}
+
+void FleetState::restore_plan(const ScoreModel* planner) {
+  if (planner_ != planner) return;
+  for (auto it = plan_log_.rbegin(); it != plan_log_.rend(); ++it) {
+    const HostId h = it->h;
+    snap_.cpu_res[h] = it->cpu_res;
+    snap_.mem_res[h] = it->mem_res;
+    snap_.running_demand[h] = it->running;
+    snap_.vm_count[h] = it->vm_count;
+    index_.set(h, it->free_cpu, it->free_mem);
+    plan_touched_[h] = 0;
+  }
+  plan_log_.clear();
+  planner_ = nullptr;
+}
+
 void FleetState::debug_corrupt_snapshot(HostId h, double delta) {
   EA_EXPECTS(h < snap_.size());
   snap_.cpu_res[h] += delta;
@@ -211,6 +283,11 @@ void FleetState::debug_corrupt_snapshot(HostId h, double delta) {
 void FleetState::debug_corrupt_index(HostId h, double delta) {
   EA_EXPECTS(h < index_.size());
   index_.debug_corrupt(h, delta);
+}
+
+void FleetState::debug_corrupt_extrema(std::size_t blk, double delta) {
+  EA_EXPECTS(blk < index_.block_extrema().size());
+  index_.debug_corrupt_extrema(blk, delta);
 }
 
 }  // namespace easched::core

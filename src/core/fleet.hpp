@@ -9,16 +9,16 @@
 // journal (drain_fleet_dirty) each round, and re-reads *only* the dirtied
 // hosts, the hosts with operations in flight and the breaker-vetoed ones
 // (see refresh()) — through the one read_host() path a full read uses, so
-// the snapshot is bitwise equal to a fresh full read at all times (the
-// kFleetSnapshot invariant rule holds this).
+// between score models the snapshot is bitwise equal to a fresh full read
+// (the kFleetSnapshot invariant rule holds this).
 //
 // Two cooperating pieces live here:
 //
 //   FleetSnapshot   — SoA arrays over all HostIds (row index == HostId).
-//                     The ScoreModel points straight into these
-//                     arrays for its immutable row attributes; only the
-//                     plan-tracked fields (reservations, counts, demand)
-//                     are copied per round.
+//                     The ScoreModel points straight into these arrays
+//                     (zero copies) and plans on their plan-tracked fields
+//                     (reservations, counts, demand) in place, copy on
+//                     touch: see "Planning" below.
 //
 //   HostBucketIndex — capacity buckets over the snapshot: per-host free
 //                     CPU/memory margins (conservatively widened by
@@ -26,21 +26,35 @@
 //                     implies an infinite Pres cell), per-kArgminBlock
 //                     maxima of those margins (consulted block-for-block
 //                     by hill_climb's blocked argmin to skip whole blocks
-//                     of hosts that cannot accept a VM). Updated
-//                     incrementally for dirty hosts only; the ScoreModel
-//                     copies it per round and keeps the copy in step with
-//                     its plan.
+//                     of hosts that cannot accept a VM), and per-block
+//                     extrema of the placeable rows' plan-independent
+//                     attributes (what the model's score floor reduces).
+//                     Updated incrementally for dirty hosts only; a
+//                     planning model keeps the margins in step with its
+//                     plan and leaves the extrema alone.
+//
+// Planning (copy on touch). A ScoreModel's move() changes the snapshot's
+// cpu_res, mem_res, running_demand and vm_count of the rows it touches,
+// and their index margins, through plan_add(). The first touch of a row
+// logs the row's prior values; restore_plan() (the model's destructor)
+// writes the log back in reverse, leaving the snapshot, the margins and
+// the block maxima bitwise what they were and every read stamp unchanged.
+// A model therefore costs the rows it moves, not the fleet. One planner
+// per fleet: while a model has un-restored rows, refresh(), read_all(), a
+// new incremental model and another model's move() are contract
+// violations.
 //
 // FleetState stores host state only: no scores and nothing per VM. Every
 // score is evaluated on read by the per-round ScoreModel.
 //
 // Ownership: the score-based policy owns one FleetState per policy
 // instance and refreshes it at the top of every full round; the per-round
-// ScoreModel borrows it (non-const, for its recycled scratch buffers) and
-// must not outlive the round. The Datacenter only owns the journal.
+// ScoreModel borrows it (non-const, to plan on it) and must not outlive
+// the round. The Datacenter only owns the journal.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/score.hpp"
@@ -54,6 +68,8 @@ class Datacenter;
 
 namespace easched::core {
 
+class ScoreModel;
+
 /// Conservative over-capacity margin for the pruning margins. A host's
 /// free margin is cap * kFleetOverMargin - reserved; `need > margin` then
 /// safely implies p_res's exact predicate (reserved + need) / cap >
@@ -63,8 +79,8 @@ namespace easched::core {
 /// possibly still over) are evaluated exactly.
 inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 
-/// The one margin formula, shared by the index, the ScoreModel's
-/// plan-tracked margins and the kFleetIndex checker rule: a placeable
+/// The one margin formula, shared by the index (read and planned
+/// margins alike) and the kFleetIndex checker rule: a placeable
 /// host's free margin is cap * kFleetOverMargin - reserved, a
 /// non-placeable host's is -1 (any need exceeds it).
 [[nodiscard]] inline double free_margin(bool placeable, double cap,
@@ -73,8 +89,10 @@ inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 }
 
 /// SoA snapshot of every host's score-relevant fields, row index == HostId.
-/// Every field is written by FleetState::read_host(); kFleetSnapshot
-/// asserts bitwise equality against a fresh re-read.
+/// Every field is written by FleetState::read_host() (and the plan-tracked
+/// ones, until the planning model restores them, by
+/// FleetState::plan_add()); kFleetSnapshot asserts bitwise equality
+/// against a fresh re-read.
 struct FleetSnapshot {
   std::vector<unsigned char> placeable;  ///< dc.placeable(h) at refresh
   std::vector<double> cpu_cap, mem_cap;
@@ -92,6 +110,23 @@ struct FleetSnapshot {
   void resize(std::size_t n);
 };
 
+/// Extrema of the plan-independent per-row attributes over the placeable
+/// rows of a set of hosts — what ScoreModel::score_floor() bounds each
+/// term with. include() and merge() keep the first of equal values, so a
+/// block-wise reduction in host order is bitwise a sequential scan.
+struct RowExtrema {
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool any_placeable = false;
+  double min_cc = kInf, min_cm = kInf, min_conc = kInf, min_rel = kInf;
+  double max_rel = -kInf;
+
+  /// Folds in snapshot entry `h` when it is placeable.
+  void include(const FleetSnapshot& snap, datacenter::HostId h);
+  void merge(const RowExtrema& o);
+  /// Exact equality (the kFleetIndex rule compares with this).
+  [[nodiscard]] bool operator==(const RowExtrema& o) const = default;
+};
+
 /// Capacity-bucketed host index over the snapshot (see header comment).
 /// Both structures are maintained per host: set(h, ...) and update(h, ...)
 /// are O(kArgminBlock) for the block maxima.
@@ -99,10 +134,11 @@ class HostBucketIndex {
  public:
   void reset(std::size_t num_hosts);
   /// Recomputes host `h`'s margins from the snapshot entry and maintains
-  /// the block maxima.
+  /// the block maxima and the block extrema.
   void update(datacenter::HostId h, const FleetSnapshot& snap);
-  /// Stores host `h`'s margins and maintains the block maxima (the score
-  /// model's plan-tracked copy feeds this from its planned reservations).
+  /// Stores host `h`'s margins and maintains the block maxima (a planning
+  /// model feeds this from its planned reservations). The block extrema
+  /// are plan-independent and stay as they are.
   void set(datacenter::HostId h, double free_cpu, double free_mem);
 
   [[nodiscard]] std::size_t size() const { return free_cpu_.size(); }
@@ -128,27 +164,26 @@ class HostBucketIndex {
   [[nodiscard]] const std::vector<double>& block_free_mem() const {
     return block_free_mem_;
   }
+  /// Per-kArgminBlock RowExtrema of the placeable rows.
+  [[nodiscard]] const std::vector<RowExtrema>& block_extrema() const {
+    return block_extrema_;
+  }
+  /// The block extrema reduced over the whole fleet, O(blocks).
+  [[nodiscard]] RowExtrema extrema() const;
 
-  /// Test hook: perturbs host `h`'s stored free-CPU margin without
-  /// touching the blocks, simulating a missed index update (the
-  /// kFleetIndex mutation tests use this).
+  /// Test hooks: perturb host `h`'s stored free-CPU margin without
+  /// touching the blocks (a missed index update), or block `blk`'s
+  /// extrema minimum creation cost (a stale block); the kFleetIndex
+  /// mutation tests use these.
   void debug_corrupt(datacenter::HostId h, double delta);
+  void debug_corrupt_extrema(std::size_t blk, double delta);
 
  private:
   void rebuild_block(int blk);
 
   std::vector<double> free_cpu_, free_mem_;
   std::vector<double> block_free_cpu_, block_free_mem_;
-};
-
-/// Round-to-round reusable backing buffers for the ScoreModel's
-/// plan-tracked per-row state (O(hosts) each; the model keeps no per-cell
-/// state). The model takes these buffers in its constructor and returns
-/// them in its destructor; their contents are overwritten wholesale.
-struct ModelScratch {
-  std::vector<double> cpu_res, mem_res, running;
-  std::vector<int> vm_count;
-  HostBucketIndex margins;
+  std::vector<RowExtrema> block_extrema_;
 };
 
 class FleetState {
@@ -173,14 +208,15 @@ class FleetState {
   ///     placeability is re-checked because it can flip without any
   ///     Datacenter mutation.
   /// A clean round therefore costs O(dirty + busy + not-Healthy). First
-  /// call (or a fleet-size change) initializes everything.
+  /// call (or a fleet-size change) initializes everything. Expects no
+  /// model with un-restored plan rows (planning() is false).
   void refresh(const datacenter::Datacenter& dc);
 
   /// Full re-read of every host (the reference ScoreModel's snapshot):
   /// (re)initializes the snapshot and index from `dc`. Leaves the
   /// Datacenter's dirty journal alone — its single consumer is the
   /// policy's incremental FleetState, which must still see every host
-  /// dirtied since its last refresh.
+  /// dirtied since its last refresh. Expects planning() to be false.
   void read_all(const datacenter::Datacenter& dc);
 
   [[nodiscard]] bool initialized() const { return snap_.size() > 0; }
@@ -208,15 +244,27 @@ class FleetState {
                         datacenter::HostId h, sim::SimTime now,
                         FleetSnapshot& snap);
 
+  /// Plans a VM onto host `h` (or, with negated arguments, off it): adds
+  /// `cpu` % to the snapshot's cpu_res and running_demand of `h`, `mem` MB
+  /// to its mem_res and `count` to its vm_count, and re-derives its index
+  /// margins.
+  /// The first touch of `h` since the last restore_plan() logs its prior
+  /// values. Expects `planner` to be the fleet's only planner: no other
+  /// model may have un-restored rows.
+  void plan_add(const ScoreModel* planner, datacenter::HostId h, double cpu,
+                double mem, int count);
+  /// Writes `planner`'s logged rows back in reverse order of first touch
+  /// (a no-op when `planner` touched nothing) and ends its planning.
+  void restore_plan(const ScoreModel* planner);
+  /// Whether some model has un-restored plan rows on this fleet.
+  [[nodiscard]] bool planning() const { return planner_ != nullptr; }
+
   /// Test hooks for the kFleetSnapshot / kFleetIndex mutation tests:
-  /// perturb the stored snapshot reservation / index margin of host `h`.
+  /// perturb the stored snapshot reservation / index margin of host `h`,
+  /// or block `blk`'s extrema.
   void debug_corrupt_snapshot(datacenter::HostId h, double delta);
   void debug_corrupt_index(datacenter::HostId h, double delta);
-
-  /// The reusable model buffers. The per-round ScoreModel move()s them out
-  /// in its constructor and back in its destructor; between models the
-  /// vectors here hold the retained capacity (contents meaningless).
-  [[nodiscard]] ModelScratch& model_scratch() { return scratch_; }
+  void debug_corrupt_extrema(std::size_t blk, double delta);
 
  private:
   /// Sizes the snapshot, index and dirty flags to `n` hosts, all unread.
@@ -235,7 +283,16 @@ class FleetState {
   std::vector<datacenter::HostId> busy_;  ///< ops in flight at last read
   /// Hosts whose breaker was not Healthy at the last read_dirty().
   std::vector<datacenter::HostId> veto_watch_;
-  ModelScratch scratch_;
+  /// A plan row's values before its first touch by the planner.
+  struct PlanPrior {
+    datacenter::HostId h = 0;
+    int vm_count = 0;
+    double cpu_res = 0, mem_res = 0, running = 0;
+    double free_cpu = 0, free_mem = 0;
+  };
+  const ScoreModel* planner_ = nullptr;  ///< model with un-restored rows
+  std::vector<PlanPrior> plan_log_;      ///< first touches, in order
+  std::vector<unsigned char> plan_touched_;
   RefreshStats stats_;
 };
 

@@ -275,39 +275,44 @@ datacenter::HostId ScoreBasedPolicy::choose_power_off(
       memo.stamp.assign(ctx.dc.num_hosts(), 0);
     }
   }
-  const auto aggregate = [&](datacenter::HostId h) {
-    const int r = static_cast<int>(h);
-    if (!config_.incremental) return model->row_aggregate(r);
+  // The power controller lists idle hosts in ascending HostId order, so
+  // the strict > below gives ties to the lowest HostId.
+  const auto pick = [&](const auto& score) {
+    datacenter::HostId best = idle_hosts.front();
+    double best_score = -1;
+    for (const datacenter::HostId h : idle_hosts) {
+      // A non-placeable host (quarantined, breaker-vetoed) has an all-kInf
+      // row that would aggregate highest; it is not a candidate.
+      if (!model->placeable(static_cast<int>(h))) continue;
+      const double agg = score(h);
+      if (agg > best_score) {
+        best_score = agg;
+        best = h;
+      }
+    }
+    return best;
+  };
+  if (model->cols() == 0) {
+    // Empty matrix: fall back to overhead-based ranking so the choice
+    // stays deterministic and sensible.
+    return pick([&](datacenter::HostId h) {
+      return ctx.dc.host(h).spec.creation_cost_s +
+             ctx.dc.host(h).spec.migration_cost_s;
+    });
+  }
+  if (!config_.incremental) {
+    return pick([&](datacenter::HostId h) {
+      return model->row_aggregate(static_cast<int>(h));
+    });
+  }
+  return pick([&](datacenter::HostId h) {
     const std::uint64_t stamp = fleet_.read_stamp(h);
     if (memo.stamp[h] != stamp) {
-      memo.aggregate[h] = model->row_aggregate(r);
+      memo.aggregate[h] = model->row_aggregate(static_cast<int>(h));
       memo.stamp[h] = stamp;
     }
     return memo.aggregate[h];
-  };
-  // The power controller lists idle hosts in ascending HostId order, so
-  // the strict > below gives ties to the lowest HostId.
-  datacenter::HostId best = idle_hosts.front();
-  double best_score = -1;
-  for (const datacenter::HostId h : idle_hosts) {
-    // A non-placeable host (quarantined, breaker-vetoed) has an all-kInf
-    // row that would aggregate highest; it is not a candidate.
-    if (!model->placeable(static_cast<int>(h))) continue;
-    double agg = 0;
-    if (model->cols() == 0) {
-      // Empty matrix: fall back to overhead-based ranking so the choice
-      // stays deterministic and sensible.
-      agg = ctx.dc.host(h).spec.creation_cost_s +
-            ctx.dc.host(h).spec.migration_cost_s;
-    } else {
-      agg = aggregate(h);
-    }
-    if (agg > best_score) {
-      best_score = agg;
-      best = h;
-    }
-  }
-  return best;
+  });
 }
 
 }  // namespace easched::core

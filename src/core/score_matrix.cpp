@@ -53,12 +53,11 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
   const sim::SimTime now = dc.simulator().now();
   const FleetSnapshot& snap = fleet_->snapshot();
   EA_EXPECTS(snap.size() == dc.num_hosts());
+  EA_EXPECTS(!fleet_->planning());
   nrows_ = static_cast<int>(snap.size());
 
-  // Immutable attributes alias the snapshot; only the plan-tracked state is
-  // copied (move() mutates it). The copies land in the fleet's recycled
-  // scratch buffers — move the capacity in, then assign, so steady-state
-  // rounds allocate nothing.
+  // Every per-row attribute aliases the snapshot; move() plans on the
+  // plan-tracked ones in place, copy on touch (FleetState::plan_add).
   placeable_ = snap.placeable.data();
   cap_cpu_ = snap.cpu_cap.data();
   cap_mem_ = snap.mem_cap.data();
@@ -69,17 +68,11 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
   reliability_ = snap.reliability.data();
   arch_ = snap.arch.data();
   software_ = snap.software.data();
-  ModelScratch& scratch = fleet_->model_scratch();
-  const auto take = [](auto& dst, auto& src, const auto& from) {
-    dst = std::move(src);
-    dst.assign(from.begin(), from.end());
-  };
-  take(cpu_res_, scratch.cpu_res, snap.cpu_res);
-  take(mem_res_, scratch.mem_res, snap.mem_res);
-  take(running_, scratch.running, snap.running_demand);
-  take(vm_count_, scratch.vm_count, snap.vm_count);
-  margins_ = std::move(scratch.margins);
-  margins_ = fleet_->index();  // copy-assignment reuses the capacity
+  cpu_res_ = snap.cpu_res.data();
+  mem_res_ = snap.mem_res.data();
+  running_ = snap.running_demand.data();
+  vm_count_ = snap.vm_count.data();
+  margins_ = &fleet_->index();
 
   for (VmId v : queued) {
     EA_EXPECTS(dc.vm(v).state == VmState::kQueued);
@@ -106,47 +99,7 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
   }
 }
 
-ScoreModel::~ScoreModel() {
-  ModelScratch& scratch = fleet_->model_scratch();
-  scratch.cpu_res = std::move(cpu_res_);
-  scratch.mem_res = std::move(mem_res_);
-  scratch.running = std::move(running_);
-  scratch.vm_count = std::move(vm_count_);
-  scratch.margins = std::move(margins_);
-}
-
-int ScoreModel::rows() const { return nrows_ + 1; }
-int ScoreModel::cols() const { return static_cast<int>(vms_.size()); }
-
-int ScoreModel::plan_row(int c) const {
-  EA_EXPECTS(c >= 0 && c < cols());
-  return vms_[static_cast<std::size_t>(c)].planned;
-}
-
-int ScoreModel::original_row(int c) const {
-  EA_EXPECTS(c >= 0 && c < cols());
-  return vms_[static_cast<std::size_t>(c)].original;
-}
-
-bool ScoreModel::movable(int c) const {
-  EA_EXPECTS(c >= 0 && c < cols());
-  return vms_[static_cast<std::size_t>(c)].can_move;
-}
-
-VmId ScoreModel::vm_at(int c) const {
-  EA_EXPECTS(c >= 0 && c < cols());
-  return vms_[static_cast<std::size_t>(c)].id;
-}
-
-HostId ScoreModel::host_at(int r) const {
-  EA_EXPECTS(r >= 0 && r < virtual_row());
-  return static_cast<HostId>(r);
-}
-
-bool ScoreModel::placeable(int r) const {
-  EA_EXPECTS(r >= 0 && r < virtual_row());
-  return placeable_[r] != 0;
-}
+ScoreModel::~ScoreModel() { fleet_->restore_plan(this); }
 
 bool ScoreModel::provably_inf(int r, int c) const {
   if (reference()) return false;
@@ -157,12 +110,12 @@ bool ScoreModel::provably_inf(int r, int c) const {
     return true;
   }
   const auto h = static_cast<HostId>(r);
-  return v.cpu > margins_.free_cpu(h) || v.mem > margins_.free_mem(h);
+  return v.cpu > margins_->free_cpu(h) || v.mem > margins_->free_mem(h);
 }
 
 bool ScoreModel::skip_block(int c, int blk) const {
   if (reference()) return false;
-  const std::vector<double>& block_cpu = margins_.block_free_cpu();
+  const std::vector<double>& block_cpu = margins_->block_free_cpu();
   if (blk < 0 || blk >= static_cast<int>(block_cpu.size())) {
     return false;  // the virtual row's tail block is never skippable
   }
@@ -171,22 +124,11 @@ bool ScoreModel::skip_block(int c, int blk) const {
   // plan row is exempt because rescans skip it anyway.
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
   const auto b = static_cast<std::size_t>(blk);
-  return v.cpu > block_cpu[b] || v.mem > margins_.block_free_mem()[b];
+  return v.cpu > block_cpu[b] || v.mem > margins_->block_free_mem()[b];
 }
 
-const ScoreModel::RowExtrema& ScoreModel::row_extrema() const {
-  if (extrema_) return *extrema_;
-  RowExtrema x;
-  for (int r = 0; r < nrows_; ++r) {
-    if (placeable_[r] == 0) continue;
-    x.any_placeable = true;
-    x.min_cc = std::min(x.min_cc, cost_create_[r]);
-    x.min_cm = std::min(x.min_cm, cost_migrate_[r]);
-    x.min_conc = std::min(x.min_conc, conc_[r]);
-    x.min_rel = std::min(x.min_rel, reliability_[r]);
-    x.max_rel = std::max(x.max_rel, reliability_[r]);
-  }
-  extrema_ = x;
+const RowExtrema& ScoreModel::row_extrema() const {
+  if (!extrema_) extrema_ = margins_->extrema();
   return *extrema_;
 }
 
@@ -312,13 +254,6 @@ ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
   return b;
 }
 
-void ScoreModel::touch_row(int r) {
-  const auto i = static_cast<std::size_t>(r);
-  margins_.set(static_cast<HostId>(r),
-               free_margin(placeable_[r] != 0, cap_cpu_[r], cpu_res_[i]),
-               free_margin(placeable_[r] != 0, cap_mem_[r], mem_res_[i]));
-}
-
 ScoreModel::Dirty ScoreModel::move(int r, int c) {
   // Hill climbing only plans moves onto real hosts; the exhaustive
   // reference solver additionally undoes placements by moving a queued
@@ -332,24 +267,17 @@ ScoreModel::Dirty ScoreModel::move(int r, int c) {
   Dirty dirty;
   dirty.col = c;
   dirty.row_b = r == virtual_row() ? -1 : r;
+  // Planning the VM off its row adds its negated demand (x + (-y) is
+  // exactly x - y).
   if (v.planned != virtual_row()) {
-    const auto old_row = static_cast<std::size_t>(v.planned);
-    cpu_res_[old_row] -= v.cpu;
-    mem_res_[old_row] -= v.mem;
-    vm_count_[old_row] -= 1;
-    running_[old_row] -= v.cpu;
+    fleet_->plan_add(this, static_cast<HostId>(v.planned), -v.cpu, -v.mem,
+                     -1);
     dirty.row_a = v.planned;
   }
   if (r != virtual_row()) {
-    const auto new_row = static_cast<std::size_t>(r);
-    cpu_res_[new_row] += v.cpu;
-    mem_res_[new_row] += v.mem;
-    vm_count_[new_row] += 1;
-    running_[new_row] += v.cpu;
+    fleet_->plan_add(this, static_cast<HostId>(r), v.cpu, v.mem, 1);
   }
   v.planned = r;
-  if (dirty.row_a >= 0) touch_row(dirty.row_a);
-  if (dirty.row_b >= 0) touch_row(dirty.row_b);
   return dirty;
 }
 

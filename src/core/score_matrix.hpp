@@ -22,9 +22,13 @@
 // constantly kInfScore. The solver's per-column argmin relies on this.
 //
 // Row layout: one row per host, row index == HostId, plus the virtual host
-// as the last row. The immutable per-row attributes alias a FleetSnapshot
-// (zero copies); only the plan-tracked per-row arrays are copied per
-// round. Non-placeable hosts keep a row whose cells are constantly
+// as the last row. Every per-row attribute aliases a FleetSnapshot (zero
+// copies). The plan-tracked ones — reservations, VM counts, running
+// demand — and the index margins are planned in place, copy on touch:
+// move() logs a row's prior values the first time it touches the row
+// (FleetState::plan_add) and the destructor writes them back
+// (FleetState::restore_plan), so a model costs the rows it moves, not the
+// fleet. Non-placeable hosts keep a row whose cells are constantly
 // kInfScore (placeability is folded into the Preq compatibility bit), so
 // they never win an argmin.
 //
@@ -32,20 +36,20 @@
 //
 //   Incremental — the FleetState constructor. The snapshot is the policy's
 //   cross-round FleetState, refreshed from the Datacenter's dirty journal.
-//   The model keeps plan-tracked free-capacity margins (a copy of the
-//   HostBucketIndex, kept in step with the plan) that let the solver skip
-//   provably infeasible cells and whole kArgminBlock row blocks (see
-//   provably_inf()/skip_block() below), and a per-column score floor that
-//   lets it retire columns whose best possible delta cannot reach the
-//   pick threshold (score_floor()).
+//   The fleet's HostBucketIndex, whose margins move() keeps in step with
+//   the plan, lets the solver skip provably infeasible cells and whole
+//   kArgminBlock row blocks (see provably_inf()/skip_block() below), and
+//   its block extrema give a per-column score floor that lets it retire
+//   columns whose best possible delta cannot reach the pick threshold
+//   (score_floor()).
 //
 //   Reference — the Datacenter constructor, the executable specification
 //   the incremental mode is differential-tested against. It reads every
 //   host into a privately owned FleetState (FleetState::read_all, which
-//   leaves the dirty journal alone) and prunes nothing.
+//   leaves the dirty journal alone), plans on it the same way and prunes
+//   nothing.
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -54,6 +58,7 @@
 #include "core/score.hpp"
 #include "datacenter/datacenter.hpp"
 #include "datacenter/ids.hpp"
+#include "support/contracts.hpp"
 
 namespace easched::core {
 
@@ -82,8 +87,8 @@ class ScoreModel {
   /// Running VMs with an operation in flight are pinned wherever they are
   /// (the paper gives them infinite scores; we simply exclude them as
   /// columns, which is equivalent and cheaper). The model must not outlive
-  /// the round — it aliases the snapshot's arrays and borrows the fleet's
-  /// scratch buffers.
+  /// the round — it aliases the snapshot's arrays and plans on them.
+  /// Expects no other model with un-restored plan rows on `fleet`.
   ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
              const std::vector<datacenter::VmId>& queued,
              const ScoreParams& params, bool migration_enabled);
@@ -99,13 +104,13 @@ class ScoreModel {
   ScoreModel(const ScoreModel&) = delete;
   ScoreModel& operator=(const ScoreModel&) = delete;
 
-  /// Returns the per-row plan buffers and margins to the FleetState's
-  /// ModelScratch so the next round reuses their capacity instead of
-  /// re-allocating.
+  /// Restores every row move() touched (FleetState::restore_plan): the
+  /// snapshot and index are then bitwise what they were before the model.
   ~ScoreModel();
 
-  [[nodiscard]] int rows() const;  ///< hosts + 1 (virtual host, last row)
-  [[nodiscard]] int cols() const;
+  /// hosts + 1 (virtual host, last row)
+  [[nodiscard]] int rows() const { return nrows_ + 1; }
+  [[nodiscard]] int cols() const { return static_cast<int>(vms_.size()); }
   [[nodiscard]] int virtual_row() const { return rows() - 1; }
   [[nodiscard]] bool reference() const { return owned_fleet_ != nullptr; }
 
@@ -121,12 +126,12 @@ class ScoreModel {
   [[nodiscard]] ScoreBreakdown breakdown(int r, int c) const;
 
   /// Row where column `c` is currently planned.
-  [[nodiscard]] int plan_row(int c) const;
+  [[nodiscard]] int plan_row(int c) const { return col(c).planned; }
   /// Row where column `c` started (virtual row for queued VMs).
-  [[nodiscard]] int original_row(int c) const;
+  [[nodiscard]] int original_row(int c) const { return col(c).original; }
   /// Whether the solver may move column `c` (queued VMs always; running
   /// VMs only when migration is enabled).
-  [[nodiscard]] bool movable(int c) const;
+  [[nodiscard]] bool movable(int c) const { return col(c).can_move; }
 
   /// Conservative infeasibility test for cell (r, c), O(1), no evaluation:
   /// true only when Score(r, c) is *provably* kInfScore under the current
@@ -154,9 +159,10 @@ class ScoreModel {
   /// row, once the column left it, has Pvirt = Pconc = 0), and the bounds
   /// are summed in the evaluation's order — rounded addition and
   /// multiplication are monotone, so the floor never exceeds a cell. It
-  /// changes only when column `c` itself moves. The extrema are computed
-  /// once per model, on the first call. -infinity in reference mode and
-  /// for a negative Cf (the spec prunes nothing).
+  /// changes only when column `c` itself moves. The extrema are reduced
+  /// from the index's per-block extrema (HostBucketIndex::extrema(),
+  /// O(blocks)) once per model, on the first call. -infinity in reference
+  /// mode and for a negative Cf (the spec prunes nothing).
   [[nodiscard]] double score_floor(int c) const;
 
   /// Applies a plan move of column `c` to row `r` and returns the dirty
@@ -173,11 +179,17 @@ class ScoreModel {
   Dirty move(int r, int c);
 
   /// Mapping back to datacenter ids.
-  [[nodiscard]] datacenter::VmId vm_at(int c) const;
-  [[nodiscard]] datacenter::HostId host_at(int r) const;
+  [[nodiscard]] datacenter::VmId vm_at(int c) const { return col(c).id; }
+  [[nodiscard]] datacenter::HostId host_at(int r) const {
+    EA_EXPECTS(r >= 0 && r < virtual_row());
+    return static_cast<datacenter::HostId>(r);
+  }
   /// Whether real row `r`'s host was placeable at snapshot time (a
   /// non-placeable row is constantly kInfScore).
-  [[nodiscard]] bool placeable(int r) const;
+  [[nodiscard]] bool placeable(int r) const {
+    EA_EXPECTS(r >= 0 && r < virtual_row());
+    return placeable_[r] != 0;
+  }
 
   /// Aggregated row score (used to rank idle hosts for power-off,
   /// section III-C): sum of the finite scores plus 1e9 per infinite one,
@@ -213,25 +225,20 @@ class ScoreModel {
             bool migration_enabled);
   static void fill_column_common(VmCol& c, const datacenter::Vm& vm,
                                  bool is_new, sim::SimTime now);
-  void touch_row(int r);  ///< re-derives row r's pruning margins
-
-  /// Extrema of the immutable per-row attributes over the placeable rows
-  /// (what score_floor() bounds each term with).
-  struct RowExtrema {
-    static constexpr double kInf = std::numeric_limits<double>::infinity();
-    bool any_placeable = false;
-    double min_cc = kInf, min_cm = kInf, min_conc = kInf, min_rel = kInf;
-    double max_rel = -kInf;
-  };
+  const VmCol& col(int c) const {
+    EA_EXPECTS(c >= 0 && c < cols());
+    return vms_[static_cast<std::size_t>(c)];
+  }
   const RowExtrema& row_extrema() const;
 
   ScoreParams params_;
   std::unique_ptr<FleetState> owned_fleet_;  ///< reference mode only
-  FleetState* fleet_ = nullptr;  ///< snapshot source and buffer return target
+  FleetState* fleet_ = nullptr;  ///< snapshot source, planned on in place
   int nrows_ = 0;  ///< real host rows (excl. the virtual row)
 
-  // Immutable per-row attributes, SoA. Raw aliases into the FleetSnapshot
-  // (zero copies), bound once in init().
+  // Per-row attributes, SoA. Raw aliases into the FleetSnapshot (zero
+  // copies), bound once in init(). The vectors never reallocate while the
+  // model lives, so the pointers stay valid.
   const unsigned char* placeable_ = nullptr;
   const double* cap_cpu_ = nullptr;
   const double* cap_mem_ = nullptr;
@@ -243,13 +250,15 @@ class ScoreModel {
   const workload::Arch* arch_ = nullptr;
   const std::uint32_t* software_ = nullptr;
 
-  // Plan-tracked per-row state, owned and mutated by move().
-  std::vector<double> cpu_res_, mem_res_, running_;
-  std::vector<int> vm_count_;
+  // Plan-tracked per-row state: move() changes it through
+  // FleetState::plan_add, the destructor restores it.
+  const double* cpu_res_ = nullptr;
+  const double* mem_res_ = nullptr;
+  const double* running_ = nullptr;
+  const int* vm_count_ = nullptr;
 
-  // Plan-tracked pruning margins (a copy of the fleet's HostBucketIndex,
-  // maintained by move()).
-  HostBucketIndex margins_;
+  // Pruning margins: the fleet's index, kept in step with the plan.
+  const HostBucketIndex* margins_ = nullptr;
 
   std::vector<VmCol> vms_;
 

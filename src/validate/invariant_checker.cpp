@@ -438,6 +438,33 @@ void InvariantChecker::check_fleet(const core::FleetState& fleet,
                  blk, block_cpu[blk], block_mem[blk], best_cpu, best_mem));
     }
   }
+  // The block extrema of the placeable rows (the score floor's bounds),
+  // recomputed from the snapshot.
+  const std::vector<core::RowExtrema>& extrema = index.block_extrema();
+  if (extrema.size() != nblocks) {
+    report(Rule::kFleetIndex, t,
+           msg("fleet index has %zu extrema blocks, expected %zu",
+               extrema.size(), nblocks));
+    return;
+  }
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    core::RowExtrema x;
+    const std::size_t lo = blk * core::kArgminBlock;
+    const std::size_t hi = std::min(n, lo + core::kArgminBlock);
+    for (std::size_t h = lo; h < hi; ++h) {
+      x.include(snap, static_cast<HostId>(h));
+    }
+    if (!(extrema[blk] == x)) {
+      report(Rule::kFleetIndex, t,
+             msg("block %zu: index extrema (min Cc %.6f, min Cm %.6f, min "
+                 "conc %.6f, reliability [%.6f, %.6f]) != recomputed (%.6f, "
+                 "%.6f, %.6f, [%.6f, %.6f])",
+                 blk, extrema[blk].min_cc, extrema[blk].min_cm,
+                 extrema[blk].min_conc, extrema[blk].min_rel,
+                 extrema[blk].max_rel, x.min_cc, x.min_cm, x.min_conc,
+                 x.min_rel, x.max_rel));
+    }
+  }
 }
 
 void InvariantChecker::report(Rule rule, sim::SimTime t,

@@ -27,8 +27,8 @@
 //                      i.e. the dirty journal missed nothing, which also
 //                      implies a clean round's score matrix is byte-stable
 //   kFleetIndex        the capacity-bucket index (margins, per-block
-//                      maxima) is consistent with the snapshot it was
-//                      built from
+//                      maxima, per-block extrema of the placeable rows)
+//                      is consistent with the snapshot it was built from
 //   kNodeCounts        the Datacenter's maintained online / working /
 //                      booting / quarantined-On counts equal a full
 //                      recount of every host
@@ -109,7 +109,9 @@ class InvariantChecker : public sim::SimObserver {
   /// Fleet-state coherence (kFleetSnapshot + kFleetIndex): the cross-round
   /// snapshot against a fresh re-read of every host, and the bucket index
   /// against the snapshot. Called by the score policy right after each
-  /// incremental refresh, with `t` = the refresh's `now`.
+  /// incremental refresh, with `t` = the refresh's `now`, before the
+  /// round's model plans on the fleet (a planning model's rows differ
+  /// from the Datacenter until it restores them).
   void check_fleet(const core::FleetState& fleet,
                    const datacenter::Datacenter& dc, sim::SimTime t);
 

@@ -7,9 +7,11 @@
 //     that are quarantined or breaker-vetoed;
 //   - end-to-end run identity (incremental vs reference policy across the
 //     SB configurations and both solvers);
-//   - recycled model scratch: models that grow and shrink round to round
-//     over one FleetState match the reference, and a model keeps no
-//     per-cell state in the scratch it returns;
+//   - models that grow and shrink round to round over one FleetState
+//     match the reference;
+//   - copy-on-touch plan rows: random move sequences leave the fleet
+//     bitwise as it was once the model is gone, and one planner per fleet
+//     (death tests);
 //   - targeted dirty-journal behavior: maintenance flips, journal
 //     deduplication, clean rounds re-reading nothing, dirt the journal
 //     cannot see (clock-aged in-flight operations, breaker vetoes that
@@ -17,12 +19,13 @@
 //     reference model leaving the journal alone;
 //   - the power-off ranking memo: shedding several hosts in one power
 //     controller update, and a column change that must miss the memo;
-//   - HostBucketIndex unit checks (margins, block maxima);
+//   - HostBucketIndex unit checks (margins, block maxima, block extrema);
 //   - the kFleetSnapshot / kFleetIndex invariant rules: clean state passes,
 //     seeded corruptions trip them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -230,8 +233,8 @@ TEST_P(FleetDifferential, FreshFleetRoundMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
-// The model's plan buffers and margins are recycled across models through
-// the fleet's scratch. Swing the model size over one FleetState — a large
+// Successive models plan on the same fleet rows and restore them. Swing
+// the model size over one FleetState — a large
 // migration model, a small queue-only one, the large one again — and hold
 // every cell to a fresh reference model.
 TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
@@ -275,44 +278,211 @@ TEST(FleetScratch, ModelsThatShrinkAndGrowNeverReadStaleCells) {
   }
 }
 
-// Cells are evaluated on read, so what a model hands back to the fleet's
-// scratch is O(hosts), whatever its column count: a 1000-host x 100-column
-// model, every cell read and a few moves applied, leaves no vector in the
-// scratch with more capacity than hosts + 1.
-TEST(FleetScratch, ModelKeepsNoPerCellState) {
-  constexpr std::size_t kHosts = 1000;
-  constexpr int kCols = 100;
-  SmallDc f(kHosts);
-  std::vector<VmId> queue;
-  for (int i = 0; i < kCols; ++i) {
-    queue.push_back(f.dc.admit_job(make_job(50.0 + i, 128.0 + 4.0 * i)));
-  }
-  FleetState fleet;
-  fleet.refresh(f.dc);
-  {
-    ScoreModel m(fleet, f.dc, queue, ScoreParams{},
-                 /*migration_enabled=*/false);
-    ASSERT_EQ(m.rows(), static_cast<int>(kHosts) + 1);
-    ASSERT_EQ(m.cols(), kCols);
-    for (int r = 0; r < m.rows(); ++r) {
-      for (int c = 0; c < m.cols(); ++c) (void)m.cell(r, c);
+// ---- copy-on-touch plan rows ------------------------------------------------
+
+/// Bitwise equality of two vectors' elements.
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Bitwise equality of two RowExtrema, field by field (the struct has
+/// padding, so it cannot be compared with one memcmp).
+bool same_bits(const RowExtrema& a, const RowExtrema& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return a.any_placeable == b.any_placeable &&
+         bits(a.min_cc) == bits(b.min_cc) && bits(a.min_cm) == bits(b.min_cm) &&
+         bits(a.min_conc) == bits(b.min_conc) &&
+         bits(a.min_rel) == bits(b.min_rel) && bits(a.max_rel) == bits(b.max_rel);
+}
+
+/// Everything a planning model may write to, copied before the model.
+struct FleetCopy {
+  FleetSnapshot snap;
+  HostBucketIndex index;
+  std::vector<std::uint64_t> stamps;
+
+  explicit FleetCopy(const FleetState& fleet)
+      : snap(fleet.snapshot()), index(fleet.index()) {
+    for (HostId h = 0; h < snap.size(); ++h) {
+      stamps.push_back(fleet.read_stamp(h));
     }
-    for (int c = 0; c < 4; ++c) m.move(c, c);
-    for (int c = 0; c < m.cols(); ++c) (void)m.cell(0, c);
   }
-  const ModelScratch& scratch = fleet.model_scratch();
-  const std::size_t bound = kHosts + 1;
-  EXPECT_LE(scratch.cpu_res.capacity(), bound);
-  EXPECT_LE(scratch.mem_res.capacity(), bound);
-  EXPECT_LE(scratch.running.capacity(), bound);
-  EXPECT_LE(scratch.vm_count.capacity(), bound);
-  EXPECT_LE(scratch.margins.free_cpu_all().capacity(), bound);
-  EXPECT_LE(scratch.margins.free_mem_all().capacity(), bound);
-  EXPECT_LE(scratch.margins.block_free_cpu().capacity(), bound);
-  EXPECT_LE(scratch.margins.block_free_mem().capacity(), bound);
-  // The buffers did come back (the scratch is recycled, not dropped).
-  EXPECT_EQ(scratch.cpu_res.size(), kHosts);
-  EXPECT_EQ(scratch.margins.size(), kHosts);
+};
+
+/// Every snapshot field, margin, block maximum, block extremum and read
+/// stamp of `fleet` is bitwise what `before` copied.
+void expect_fleet_unchanged(const FleetCopy& before, const FleetState& fleet) {
+  const FleetSnapshot& a = before.snap;
+  const FleetSnapshot& b = fleet.snapshot();
+  EXPECT_TRUE(same_bits(a.placeable, b.placeable));
+  EXPECT_TRUE(same_bits(a.cpu_cap, b.cpu_cap));
+  EXPECT_TRUE(same_bits(a.mem_cap, b.mem_cap));
+  EXPECT_TRUE(same_bits(a.cpu_res, b.cpu_res));
+  EXPECT_TRUE(same_bits(a.mem_res, b.mem_res));
+  EXPECT_TRUE(same_bits(a.vm_count, b.vm_count));
+  EXPECT_TRUE(same_bits(a.running_demand, b.running_demand));
+  EXPECT_TRUE(same_bits(a.mgmt_demand, b.mgmt_demand));
+  EXPECT_TRUE(same_bits(a.conc_remaining_s, b.conc_remaining_s));
+  EXPECT_TRUE(same_bits(a.creation_cost, b.creation_cost));
+  EXPECT_TRUE(same_bits(a.migration_cost, b.migration_cost));
+  EXPECT_TRUE(same_bits(a.reliability, b.reliability));
+  EXPECT_TRUE(same_bits(a.arch, b.arch));
+  EXPECT_TRUE(same_bits(a.software, b.software));
+  const HostBucketIndex& ia = before.index;
+  const HostBucketIndex& ib = fleet.index();
+  EXPECT_TRUE(same_bits(ia.free_cpu_all(), ib.free_cpu_all()));
+  EXPECT_TRUE(same_bits(ia.free_mem_all(), ib.free_mem_all()));
+  EXPECT_TRUE(same_bits(ia.block_free_cpu(), ib.block_free_cpu()));
+  EXPECT_TRUE(same_bits(ia.block_free_mem(), ib.block_free_mem()));
+  ASSERT_EQ(ia.block_extrema().size(), ib.block_extrema().size());
+  for (std::size_t blk = 0; blk < ia.block_extrema().size(); ++blk) {
+    EXPECT_TRUE(same_bits(ia.block_extrema()[blk], ib.block_extrema()[blk]))
+        << "block " << blk;
+  }
+  std::vector<std::uint64_t> stamps;
+  for (HostId h = 0; h < b.size(); ++h) stamps.push_back(fleet.read_stamp(h));
+  EXPECT_EQ(before.stamps, stamps);
+}
+
+class FleetPlanRows : public ::testing::TestWithParam<std::uint64_t> {};
+
+// A model plans on the fleet's rows in place and writes back what it
+// touched when it is destroyed. Random move sequences over a 100-host
+// fleet (four argmin blocks) with running VMs, a host in maintenance and
+// queued VMs: evictions to the virtual row and back home, and one hot row
+// touched over and over. After each model every snapshot field, margin,
+// block maximum, block extremum and read stamp is bitwise what it was, and
+// the fleet rules report nothing. Six models in a row per fleet, with
+// churn and a refresh between them.
+TEST_P(FleetPlanRows, RandomMovesRestoreTheFleetBitwise) {
+  support::Rng rng{GetParam()};
+  constexpr std::size_t kHosts = 100;
+  datacenter::DatacenterConfig base;
+  const datacenter::HostSpec kinds[] = {
+      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
+      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    datacenter::HostSpec spec = kinds[rng.uniform_int(0, 3)];
+    spec.reliability = rng.uniform(0.8, 1.0);
+    base.hosts.push_back(spec);
+  }
+  SmallDc f(kHosts, base);
+  for (int i = 0; i < 60; ++i) {
+    const VmId v = f.dc.admit_job(random_job(rng, 0));
+    const auto h = static_cast<HostId>(rng.uniform_int(0, kHosts - 1));
+    if (f.dc.fits(h, v)) f.dc.place(v, h);
+  }
+  f.simulator.run_until(400.0);
+  f.dc.set_maintenance(static_cast<HostId>(rng.uniform_int(0, kHosts - 1)),
+                       true);
+  std::vector<VmId> queue;
+  for (int i = 0; i < 8; ++i) {
+    queue.push_back(f.dc.admit_job(random_job(rng, f.simulator.now())));
+  }
+
+  FleetState fleet;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE(::testing::Message() << "model " << round);
+    fleet.refresh(f.dc);
+    const FleetCopy before(fleet);
+    {
+      ScoreModel m(fleet, f.dc, queue, ScoreParams{},
+                   /*migration_enabled=*/true);
+      ASSERT_GT(m.cols(), static_cast<int>(queue.size()));  // running too
+      const auto hot = static_cast<int>(rng.uniform_int(0, kHosts - 1));
+      int moves = 0;
+      for (int step = 0; step < 300; ++step) {
+        const auto c = static_cast<int>(rng.uniform_int(0, m.cols() - 1));
+        const double u = rng.uniform01();
+        int r = static_cast<int>(rng.uniform_int(0, m.virtual_row() - 1));
+        if (u < 0.2) {
+          r = m.virtual_row();
+        } else if (u < 0.35) {
+          r = m.original_row(c);  // back home, from the virtual row too
+        } else if (u < 0.65) {
+          r = hot;
+        }
+        if (r == m.plan_row(c)) continue;
+        m.move(r, c);
+        ++moves;
+      }
+      EXPECT_GT(moves, 100);
+      EXPECT_TRUE(fleet.planning());
+    }
+    EXPECT_FALSE(fleet.planning());
+    expect_fleet_unchanged(before, fleet);
+    validate::InvariantChecker ck;
+    ck.check_fleet(fleet, f.dc, f.simulator.now());
+    EXPECT_TRUE(ck.ok());
+    if (::testing::Test::HasFailure()) return;
+    f.simulator.run_until(f.simulator.now() + 300.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FleetPlanRows, ::testing::Values(1u, 2u, 3u));
+
+/// One queued VM on a 3-host fleet, refreshed: the smallest fleet a model
+/// can plan on.
+struct PlanFixture {
+  SmallDc f{3};
+  std::vector<VmId> queue{f.dc.admit_job(make_job())};
+  FleetState fleet;
+  PlanFixture() { fleet.refresh(f.dc); }
+};
+
+// One planner per fleet: while a model has un-restored rows, the fleet
+// cannot be refreshed or re-read, no model can be built on it and no other
+// model may plan on it.
+TEST(FleetPlanRowsDeathTest, RefreshWhileAModelPlansAborts) {
+  PlanFixture p;
+  ScoreModel m(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+  m.move(0, 0);
+  EXPECT_DEATH(p.fleet.refresh(p.f.dc), "planning");
+}
+
+TEST(FleetPlanRowsDeathTest, ReadAllWhileAModelPlansAborts) {
+  PlanFixture p;
+  ScoreModel m(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+  m.move(1, 0);
+  EXPECT_DEATH(p.fleet.read_all(p.f.dc), "planning");
+}
+
+TEST(FleetPlanRowsDeathTest, SecondModelMovingAborts) {
+  PlanFixture p;
+  ScoreModel a(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+  ScoreModel b(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+  a.move(0, 0);
+  EXPECT_DEATH(b.move(1, 0), "planner_");
+}
+
+TEST(FleetPlanRowsDeathTest, NewModelWhileAModelPlansAborts) {
+  PlanFixture p;
+  ScoreModel a(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+  a.move(2, 0);
+  EXPECT_DEATH(ScoreModel(p.fleet, p.f.dc, p.queue, ScoreParams{}, false),
+               "planning");
+}
+
+// Models that never move are not planners: any number may be alive
+// together, and one that plans after its peers were built restores the
+// fleet for the next.
+TEST(FleetPlanRows, ModelsThatNeverMoveMayCoexist) {
+  PlanFixture p;
+  const FleetCopy before(p.fleet);
+  {
+    ScoreModel a(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+    ScoreModel b(p.fleet, p.f.dc, p.queue, ScoreParams{}, false);
+    EXPECT_FALSE(p.fleet.planning());
+    b.move(1, 0);
+    b.move(b.virtual_row(), 0);
+    b.move(1, 0);
+    EXPECT_TRUE(p.fleet.planning());
+  }
+  EXPECT_FALSE(p.fleet.planning());
+  expect_fleet_unchanged(before, p.fleet);
+  p.fleet.refresh(p.f.dc);  // legal again
 }
 
 // ---- dirty-journal behavior -------------------------------------------------
@@ -804,6 +974,56 @@ TEST(HostBucketIndex, MarginsAndBlocks) {
   EXPECT_EQ(index.block_free_cpu()[1], block1_cpu);
 }
 
+// The per-block extrema of the placeable rows reduce to exactly what one
+// scan of the fleet in host order gives — signed zeros and ties included,
+// since both keep the first of equal values — and set() (a plan move)
+// leaves them alone.
+TEST(HostBucketIndex, BlockExtremaReduceToAFleetScan) {
+  const std::size_t n = 70;
+  FleetSnapshot snap = uniform_snapshot(n, 400, 4096);
+  support::Rng rng{7};
+  const double values[] = {0.0, -0.0, 1.5, 3.0};
+  for (std::size_t h = 0; h < n; ++h) {
+    snap.placeable[h] = rng.uniform01() < 0.8 ? 1 : 0;
+    snap.creation_cost[h] = values[rng.uniform_int(0, 3)];
+    snap.migration_cost[h] = values[rng.uniform_int(0, 3)];
+    snap.conc_remaining_s[h] = values[rng.uniform_int(0, 3)];
+    snap.reliability[h] = rng.uniform01() < 0.5 ? 0.9 : rng.uniform(0.8, 1.0);
+  }
+  snap.placeable[40] = 1;
+  snap.placeable[69] = 0;  // the tail block keeps a non-placeable host
+  HostBucketIndex index;
+  index.reset(n);
+  for (std::size_t h = 0; h < n; ++h) index.update(static_cast<HostId>(h), snap);
+
+  const auto scan = [&] {
+    RowExtrema x;
+    for (std::size_t h = 0; h < n; ++h) x.include(snap, static_cast<HostId>(h));
+    return x;
+  };
+  EXPECT_TRUE(index.extrema().any_placeable);
+  EXPECT_TRUE(same_bits(index.extrema(), scan()));
+
+  snap.creation_cost[40] = -2.0;  // a new fleet minimum, in block 1
+  snap.reliability[40] = 0.5;
+  index.update(40, snap);
+  EXPECT_EQ(index.extrema().min_cc, -2.0);
+  EXPECT_EQ(index.extrema().min_rel, 0.5);
+  EXPECT_TRUE(same_bits(index.extrema(), scan()));
+
+  const RowExtrema block1 = index.block_extrema()[1];
+  index.set(40, 1e6, 2e6);
+  EXPECT_TRUE(same_bits(index.block_extrema()[1], block1));
+
+  // A block with no placeable host is the identity of the reduction.
+  for (std::size_t h = 32; h < 64; ++h) {
+    snap.placeable[h] = 0;
+    index.update(static_cast<HostId>(h), snap);
+  }
+  EXPECT_FALSE(index.block_extrema()[1].any_placeable);
+  EXPECT_TRUE(same_bits(index.extrema(), scan()));
+}
+
 // ---- invariant rules --------------------------------------------------------
 
 std::uint64_t other_rule_count(const validate::InvariantChecker& ck,
@@ -855,6 +1075,24 @@ TEST(FleetChecker, CatchesCorruptedIndex) {
   FleetState fleet;
   fleet.refresh(f.dc);
   fleet.debug_corrupt_index(2, 5.0);
+
+  validate::InvariantChecker ck;
+  ck.check_fleet(fleet, f.dc, f.simulator.now());
+  EXPECT_EQ(ck.count(validate::Rule::kFleetIndex), 1u);
+  EXPECT_EQ(other_rule_count(ck, validate::Rule::kFleetIndex), 0u);
+}
+
+// A stale block of extrema (the score floor's bounds) is an index
+// violation, whichever block it is.
+TEST(FleetChecker, CatchesStaleBlockExtrema) {
+  SmallDc f(40);  // a full kArgminBlock block and a partial tail block
+  f.admit_and_place(make_job(), 35);
+  f.simulator.run_until(400.0);
+  FleetState fleet;
+  fleet.refresh(f.dc);
+  ASSERT_EQ(fleet.index().block_extrema().size(), 2u);
+  ASSERT_TRUE(fleet.index().block_extrema()[1].any_placeable);
+  fleet.debug_corrupt_extrema(1, -5.0);
 
   validate::InvariantChecker ck;
   ck.check_fleet(fleet, f.dc, f.simulator.now());
