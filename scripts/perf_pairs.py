@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one perfbench workload with alternating runs.
+
+    python3 scripts/perf_pairs.py --base DIR --change DIR --workload W \\
+        [--pairs N] [--seconds S] [--seed N]
+
+Runs `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`
+from each checkout, alternating between them (the order flips every pair so
+neither side always runs first). Each checkout builds into its own
+CARGO_TARGET_DIR, `<checkout>/.bench_build`; one untimed warm-up run per
+checkout builds it first. For every end-to-end metric that the change's
+BENCHMARK.json lists, it prints the base's and the change's median
+[q1, q3] and how many pairs the change won (strictly better, in the
+metric's direction).
+
+Exits 1 when any run fails: a nonzero exit, no JSON result,
+`"correct": false` or a failed job. Python standard library only.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout, args):
+    env = dict(os.environ)
+    env["CARGO_TARGET_DIR"] = os.path.join(checkout, ".bench_build")
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}, no result")
+    result = json.loads(lines[-1])
+    if not result.get("correct") or result.get("failed", 1) != 0:
+        raise RuntimeError(f"{checkout}: correct={result.get('correct')} "
+                           f"failed={result.get('failed')}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, q1, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=4)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    base = os.path.abspath(args.base)
+    change = os.path.abspath(args.change)
+
+    with open(os.path.join(change, "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
+
+    runs = {base: [], change: []}
+    try:
+        for checkout in (base, change):  # warm-up: builds the checkout
+            run_once(checkout, args)
+        for i in range(args.pairs):
+            order = (base, change) if i % 2 == 0 else (change, base)
+            for checkout in order:
+                runs[checkout].append(run_once(checkout, args))
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    except (RuntimeError, ValueError, KeyError, OSError) as err:
+        print(f"perf_pairs: {err}", file=sys.stderr)
+        return 1
+
+    print(f"{args.workload}, seed {args.seed}, --seconds {args.seconds}, "
+          f"{args.pairs} pairs: base -> change, median [q1, q3]")
+    for metric in end_to_end:
+        name = metric["name"]
+        b = [r[name] for r in runs[base] if name in r]
+        c = [r[name] for r in runs[change] if name in r]
+        if len(b) != args.pairs or len(c) != args.pairs:
+            continue
+        lower = metric["better"] == "lower"
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        bm, bq1, bq3 = quartiles(b)
+        cm, cq1, cq3 = quartiles(c)
+        print(f"  {name:18s} {bm:.6g} [{bq1:.6g}, {bq3:.6g}] -> "
+              f"{cm:.6g} [{cq1:.6g}, {cq3:.6g}] {metric['unit']}, "
+              f"change wins {wins}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

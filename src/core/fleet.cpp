@@ -49,67 +49,44 @@ void RowExtrema::merge(const RowExtrema& o) {
   max_rel = std::max(max_rel, o.max_rel);
 }
 
-void HostBucketIndex::reset(std::size_t num_hosts) {
-  free_cpu_.assign(num_hosts, -1.0);
-  free_mem_.assign(num_hosts, -1.0);
-  const std::size_t nblocks =
-      (num_hosts + kArgminBlock - 1) / static_cast<std::size_t>(kArgminBlock);
-  block_free_cpu_.assign(nblocks, -1.0);
-  block_free_mem_.assign(nblocks, -1.0);
-  block_extrema_.assign(nblocks, RowExtrema{});
-}
-
-void HostBucketIndex::update(HostId h, const FleetSnapshot& snap) {
-  set(h, FleetState::expected_free_cpu(snap, h),
-      FleetState::expected_free_mem(snap, h));
-  const std::size_t blk = h / static_cast<std::size_t>(kArgminBlock);
+BlockSummary summarize_block(const FleetSnapshot& snap, std::size_t blk) {
   const std::size_t lo = blk * static_cast<std::size_t>(kArgminBlock);
-  const std::size_t hi = std::min(size(), lo + kArgminBlock);
-  RowExtrema x;
-  for (std::size_t i = lo; i < hi; ++i) x.include(snap, static_cast<HostId>(i));
-  block_extrema_[blk] = x;
+  const std::size_t hi =
+      std::min(snap.size(), lo + static_cast<std::size_t>(kArgminBlock));
+  BlockSummary s;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const auto h = static_cast<HostId>(i);
+    const bool placeable = snap.placeable[h] != 0;
+    s.max_free_cpu = std::max(
+        s.max_free_cpu,
+        free_margin(placeable, snap.cpu_cap[h], snap.cpu_res[h]));
+    s.max_free_mem = std::max(
+        s.max_free_mem,
+        free_margin(placeable, snap.mem_cap[h], snap.mem_res[h]));
+    s.extrema.include(snap, h);
+  }
+  return s;
 }
 
-RowExtrema HostBucketIndex::extrema() const {
+RowExtrema FleetState::extrema() const {
   RowExtrema x;
-  for (const RowExtrema& b : block_extrema_) x.merge(b);
+  for (const BlockSummary& b : blocks_) x.merge(b.extrema);
   return x;
 }
 
-void HostBucketIndex::set(HostId h, double free_cpu, double free_mem) {
-  free_cpu_[h] = free_cpu;
-  free_mem_[h] = free_mem;
-  rebuild_block(static_cast<int>(h) / kArgminBlock);
+void FleetState::mark_block(HostId h) {
+  const std::size_t blk = h / static_cast<std::size_t>(kArgminBlock);
+  if (block_marked_[blk] != 0) return;
+  block_marked_[blk] = 1;
+  marked_blocks_.push_back(blk);
 }
 
-void HostBucketIndex::rebuild_block(int blk) {
-  const int lo = blk * kArgminBlock;
-  const int hi =
-      std::min(static_cast<int>(free_cpu_.size()), lo + kArgminBlock);
-  double best_cpu = -1.0;
-  double best_mem = -1.0;
-  for (int h = lo; h < hi; ++h) {
-    best_cpu = std::max(best_cpu, free_cpu_[static_cast<std::size_t>(h)]);
-    best_mem = std::max(best_mem, free_mem_[static_cast<std::size_t>(h)]);
+void FleetState::summarize_marked() {
+  for (const std::size_t blk : marked_blocks_) {
+    blocks_[blk] = summarize_block(snap_, blk);
+    block_marked_[blk] = 0;
   }
-  block_free_cpu_[static_cast<std::size_t>(blk)] = best_cpu;
-  block_free_mem_[static_cast<std::size_t>(blk)] = best_mem;
-}
-
-void HostBucketIndex::debug_corrupt(HostId h, double delta) {
-  free_cpu_[h] += delta;
-}
-
-void HostBucketIndex::debug_corrupt_extrema(std::size_t blk, double delta) {
-  block_extrema_[blk].min_cc += delta;
-}
-
-double FleetState::expected_free_cpu(const FleetSnapshot& snap, HostId h) {
-  return free_margin(snap.placeable[h] != 0, snap.cpu_cap[h], snap.cpu_res[h]);
-}
-
-double FleetState::expected_free_mem(const FleetSnapshot& snap, HostId h) {
-  return free_margin(snap.placeable[h] != 0, snap.mem_cap[h], snap.mem_res[h]);
+  marked_blocks_.clear();
 }
 
 void FleetState::refresh(const Datacenter& dc) {
@@ -183,13 +160,11 @@ void FleetState::read_all(const Datacenter& dc) {
 
 void FleetState::read_dirty(const Datacenter& dc) {
   const sim::SimTime now = dc.simulator().now();
-  ++read_epoch_;
   busy_.clear();
   for (const HostId h : dirty_scratch_) {
     read_host(dc, h, now, snap_);
-    index_.update(h, snap_);
+    mark_block(h);
     dirty_flag_[h] = 0;
-    read_stamp_[h] = read_epoch_;
     // Every host that was busy at its last read is in this round's dirty
     // set, so rebuilding the busy set from the hosts read here is exact.
     if (!dc.host(h).ops.empty() || snap_.conc_remaining_s[h] != 0 ||
@@ -197,6 +172,7 @@ void FleetState::read_dirty(const Datacenter& dc) {
       busy_.push_back(h);
     }
   }
+  summarize_marked();
   veto_watch_.clear();
   if (const auto* rc = resilience::controller(dc.recorder())) {
     veto_watch_.assign(rc->not_healthy_hosts().begin(),
@@ -206,9 +182,10 @@ void FleetState::read_dirty(const Datacenter& dc) {
 
 void FleetState::reset(std::size_t n) {
   snap_.resize(n);
-  index_.reset(n);
+  blocks_.assign(num_blocks(n), BlockSummary{});
+  block_marked_.assign(blocks_.size(), 0);
+  marked_blocks_.clear();
   dirty_flag_.assign(n, 0);
-  read_stamp_.assign(n, 0);
   plan_touched_.assign(n, 0);
   busy_.clear();
   veto_watch_.clear();
@@ -249,14 +226,14 @@ void FleetState::plan_add(const ScoreModel* planner, HostId h, double cpu,
   if (plan_touched_[h] == 0) {
     plan_touched_[h] = 1;
     plan_log_.push_back({h, snap_.vm_count[h], snap_.cpu_res[h],
-                         snap_.mem_res[h], snap_.running_demand[h],
-                         index_.free_cpu(h), index_.free_mem(h)});
+                         snap_.mem_res[h], snap_.running_demand[h]});
   }
   snap_.cpu_res[h] += cpu;
   snap_.mem_res[h] += mem;
   snap_.running_demand[h] += cpu;
   snap_.vm_count[h] += count;
-  index_.set(h, expected_free_cpu(snap_, h), expected_free_mem(snap_, h));
+  const std::size_t blk = h / static_cast<std::size_t>(kArgminBlock);
+  blocks_[blk] = summarize_block(snap_, blk);
 }
 
 void FleetState::restore_plan(const ScoreModel* planner) {
@@ -267,9 +244,10 @@ void FleetState::restore_plan(const ScoreModel* planner) {
     snap_.mem_res[h] = it->mem_res;
     snap_.running_demand[h] = it->running;
     snap_.vm_count[h] = it->vm_count;
-    index_.set(h, it->free_cpu, it->free_mem);
     plan_touched_[h] = 0;
+    mark_block(h);
   }
+  summarize_marked();
   plan_log_.clear();
   planner_ = nullptr;
 }
@@ -277,17 +255,11 @@ void FleetState::restore_plan(const ScoreModel* planner) {
 void FleetState::debug_corrupt_snapshot(HostId h, double delta) {
   EA_EXPECTS(h < snap_.size());
   snap_.cpu_res[h] += delta;
-  read_stamp_[h] = ++read_epoch_;  // the entry changed under its stamp
 }
 
-void FleetState::debug_corrupt_index(HostId h, double delta) {
-  EA_EXPECTS(h < index_.size());
-  index_.debug_corrupt(h, delta);
-}
-
-void FleetState::debug_corrupt_extrema(std::size_t blk, double delta) {
-  EA_EXPECTS(blk < index_.block_extrema().size());
-  index_.debug_corrupt_extrema(blk, delta);
+void FleetState::debug_set_block(std::size_t blk, const BlockSummary& summary) {
+  EA_EXPECTS(blk < blocks_.size());
+  blocks_[blk] = summary;
 }
 
 }  // namespace easched::core

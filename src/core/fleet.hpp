@@ -12,37 +12,36 @@
 // between score models the snapshot is bitwise equal to a fresh full read
 // (the kFleetSnapshot invariant rule holds this).
 //
-// Two cooperating pieces live here:
+// Two pieces live here, one per-host copy of host state and one summary
+// of it:
 //
-//   FleetSnapshot   — SoA arrays over all HostIds (row index == HostId).
-//                     The ScoreModel points straight into these arrays
-//                     (zero copies) and plans on their plan-tracked fields
-//                     (reservations, counts, demand) in place, copy on
-//                     touch: see "Planning" below.
+//   FleetSnapshot — SoA arrays over all HostIds (row index == HostId).
+//                   The ScoreModel points straight into these arrays
+//                   (zero copies), derives each row's free margins from
+//                   them when it prunes (free_margin()), and plans on
+//                   their plan-tracked fields (reservations, counts,
+//                   demand) in place, copy on touch: see "Planning".
 //
-//   HostBucketIndex — capacity buckets over the snapshot: per-host free
-//                     CPU/memory margins (conservatively widened by
-//                     kFleetOverMargin, so "margin exceeded" provably
-//                     implies an infinite Pres cell), per-kArgminBlock
-//                     maxima of those margins (consulted block-for-block
-//                     by hill_climb's blocked argmin to skip whole blocks
-//                     of hosts that cannot accept a VM), and per-block
-//                     extrema of the placeable rows' plan-independent
-//                     attributes (what the model's score floor reduces).
-//                     Updated incrementally for dirty hosts only; a
-//                     planning model keeps the margins in step with its
-//                     plan and leaves the extrema alone.
+//   BlockSummary  — one per kArgminBlock block of hosts, computed by the
+//                   one function summarize_block() from the block's
+//                   snapshot rows: the maxima of its free margins
+//                   (consulted block-for-block by hill_climb's blocked
+//                   argmin to skip whole blocks of hosts that cannot
+//                   accept a VM) and the extrema of its placeable rows'
+//                   plan-independent attributes (what the model's score
+//                   floor reduces). A refresh re-summarizes each block
+//                   holding a re-read host once.
 //
 // Planning (copy on touch). A ScoreModel's move() changes the snapshot's
-// cpu_res, mem_res, running_demand and vm_count of the rows it touches,
-// and their index margins, through plan_add(). The first touch of a row
-// logs the row's prior values; restore_plan() (the model's destructor)
-// writes the log back in reverse, leaving the snapshot, the margins and
-// the block maxima bitwise what they were and every read stamp unchanged.
-// A model therefore costs the rows it moves, not the fleet. One planner
-// per fleet: while a model has un-restored rows, refresh(), read_all(), a
-// new incremental model and another model's move() are contract
-// violations.
+// cpu_res, mem_res, running_demand and vm_count of the rows it touches
+// through plan_add(), which re-summarizes the row's block. The first
+// touch of a row logs the row's prior values; restore_plan() (the model's
+// destructor) writes the log back in reverse and re-summarizes each
+// touched block once, leaving the snapshot and the block summaries
+// bitwise what they were. A model therefore costs the rows it moves, not
+// the fleet. One planner per fleet: while a model has un-restored rows,
+// refresh(), read_all(), a new incremental model and another model's
+// move() are contract violations.
 //
 // FleetState stores host state only: no scores and nothing per VM. Every
 // score is evaluated on read by the per-round ScoreModel.
@@ -79,10 +78,10 @@ class ScoreModel;
 /// possibly still over) are evaluated exactly.
 inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 
-/// The one margin formula, shared by the index (read and planned
-/// margins alike) and the kFleetIndex checker rule: a placeable
-/// host's free margin is cap * kFleetOverMargin - reserved, a
-/// non-placeable host's is -1 (any need exceeds it).
+/// The one margin formula, shared by the block summaries (read and
+/// planned rows alike) and the model's per-cell prune: a placeable host's
+/// free margin is cap * kFleetOverMargin - reserved, a non-placeable
+/// host's is -1 (any need exceeds it).
 [[nodiscard]] inline double free_margin(bool placeable, double cap,
                                         double reserved) {
   return placeable ? cap * kFleetOverMargin - reserved : -1.0;
@@ -92,7 +91,10 @@ inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 /// Every field is written by FleetState::read_host() (and the plan-tracked
 /// ones, until the planning model restores them, by
 /// FleetState::plan_add()); kFleetSnapshot asserts bitwise equality
-/// against a fresh re-read.
+/// against a fresh re-read. An idle host (no residents, no operations)
+/// has cpu_res, mem_res, vm_count, running_demand, mgmt_demand and
+/// conc_remaining_s all 0: its row is its immutable spec fields and its
+/// placeability.
 struct FleetSnapshot {
   std::vector<unsigned char> placeable;  ///< dc.placeable(h) at refresh
   std::vector<double> cpu_cap, mem_cap;
@@ -127,64 +129,26 @@ struct RowExtrema {
   [[nodiscard]] bool operator==(const RowExtrema& o) const = default;
 };
 
-/// Capacity-bucketed host index over the snapshot (see header comment).
-/// Both structures are maintained per host: set(h, ...) and update(h, ...)
-/// are O(kArgminBlock) for the block maxima.
-class HostBucketIndex {
- public:
-  void reset(std::size_t num_hosts);
-  /// Recomputes host `h`'s margins from the snapshot entry and maintains
-  /// the block maxima and the block extrema.
-  void update(datacenter::HostId h, const FleetSnapshot& snap);
-  /// Stores host `h`'s margins and maintains the block maxima (a planning
-  /// model feeds this from its planned reservations). The block extrema
-  /// are plan-independent and stay as they are.
-  void set(datacenter::HostId h, double free_cpu, double free_mem);
-
-  [[nodiscard]] std::size_t size() const { return free_cpu_.size(); }
-  /// Free margin of `h` (free_margin() of its reservation); -1 when the
-  /// host is not placeable, so any need > margin and it prunes away.
-  [[nodiscard]] double free_cpu(datacenter::HostId h) const {
-    return free_cpu_[h];
-  }
-  [[nodiscard]] double free_mem(datacenter::HostId h) const {
-    return free_mem_[h];
-  }
-  [[nodiscard]] const std::vector<double>& free_cpu_all() const {
-    return free_cpu_;
-  }
-  [[nodiscard]] const std::vector<double>& free_mem_all() const {
-    return free_mem_;
-  }
-  /// Per-kArgminBlock maxima of the margins (what hill_climb's block skip
-  /// consults through the ScoreModel).
-  [[nodiscard]] const std::vector<double>& block_free_cpu() const {
-    return block_free_cpu_;
-  }
-  [[nodiscard]] const std::vector<double>& block_free_mem() const {
-    return block_free_mem_;
-  }
-  /// Per-kArgminBlock RowExtrema of the placeable rows.
-  [[nodiscard]] const std::vector<RowExtrema>& block_extrema() const {
-    return block_extrema_;
-  }
-  /// The block extrema reduced over the whole fleet, O(blocks).
-  [[nodiscard]] RowExtrema extrema() const;
-
-  /// Test hooks: perturb host `h`'s stored free-CPU margin without
-  /// touching the blocks (a missed index update), or block `blk`'s
-  /// extrema minimum creation cost (a stale block); the kFleetIndex
-  /// mutation tests use these.
-  void debug_corrupt(datacenter::HostId h, double delta);
-  void debug_corrupt_extrema(std::size_t blk, double delta);
-
- private:
-  void rebuild_block(int blk);
-
-  std::vector<double> free_cpu_, free_mem_;
-  std::vector<double> block_free_cpu_, block_free_mem_;
-  std::vector<RowExtrema> block_extrema_;
+/// Summary of one kArgminBlock block of snapshot rows (see the header
+/// comment). Every field is a function of the block's rows alone.
+struct BlockSummary {
+  /// Maxima of the rows' free_margin()s, starting from -1: a VM needing
+  /// more than these fits no row of the block.
+  double max_free_cpu = -1.0, max_free_mem = -1.0;
+  RowExtrema extrema;  ///< of the block's placeable rows
+  /// Exact equality (the kFleetIndex rule compares with this).
+  [[nodiscard]] bool operator==(const BlockSummary& o) const = default;
 };
+
+/// Number of kArgminBlock blocks covering `num_hosts` hosts.
+[[nodiscard]] inline std::size_t num_blocks(std::size_t num_hosts) {
+  const auto b = static_cast<std::size_t>(kArgminBlock);
+  return (num_hosts + b - 1) / b;
+}
+
+/// The one summary formula: block `blk` of `snap`, rows in host order.
+[[nodiscard]] BlockSummary summarize_block(const FleetSnapshot& snap,
+                                           std::size_t blk);
 
 class FleetState {
  public:
@@ -198,8 +162,8 @@ class FleetState {
     std::uint64_t last_out_of_band = 0;
   };
 
-  /// Brings the snapshot and index up to date with `dc`. It re-reads the
-  /// union of three sources of dirt, never the whole fleet:
+  /// Brings the snapshot and block summaries up to date with `dc`. It
+  /// re-reads the union of three sources of dirt, never the whole fleet:
   ///   - the Datacenter's dirty journal (every host mutation);
   ///   - the busy set: hosts whose last read saw in-flight operations,
   ///     whose remaining time ages with the clock alone;
@@ -213,28 +177,22 @@ class FleetState {
   void refresh(const datacenter::Datacenter& dc);
 
   /// Full re-read of every host (the reference ScoreModel's snapshot):
-  /// (re)initializes the snapshot and index from `dc`. Leaves the
-  /// Datacenter's dirty journal alone — its single consumer is the
+  /// (re)initializes the snapshot and block summaries from `dc`. Leaves
+  /// the Datacenter's dirty journal alone — its single consumer is the
   /// policy's incremental FleetState, which must still see every host
   /// dirtied since its last refresh. Expects planning() to be false.
   void read_all(const datacenter::Datacenter& dc);
 
-  [[nodiscard]] bool initialized() const { return snap_.size() > 0; }
   [[nodiscard]] const FleetSnapshot& snapshot() const { return snap_; }
-  [[nodiscard]] const HostBucketIndex& index() const { return index_; }
-  [[nodiscard]] const RefreshStats& stats() const { return stats_; }
-  /// Stamp of host `h`'s last read (refresh, read_all or a debug
-  /// mutation); strictly increasing across reads, so an unchanged stamp
-  /// means snapshot entry `h` is unchanged.
-  [[nodiscard]] std::uint64_t read_stamp(datacenter::HostId h) const {
-    return read_stamp_[h];
+  /// One summary per kArgminBlock block, each summarize_block() of the
+  /// snapshot (of the planned rows while a model plans).
+  [[nodiscard]] const std::vector<BlockSummary>& blocks() const {
+    return blocks_;
   }
-
-  /// free_margin() of snapshot entry `h`'s CPU / memory.
-  [[nodiscard]] static double expected_free_cpu(const FleetSnapshot& snap,
-                                                datacenter::HostId h);
-  [[nodiscard]] static double expected_free_mem(const FleetSnapshot& snap,
-                                                datacenter::HostId h);
+  /// The blocks' extrema reduced over the whole fleet, O(blocks); bitwise
+  /// a scan of the placeable rows in host order.
+  [[nodiscard]] RowExtrema extrema() const;
+  [[nodiscard]] const RefreshStats& stats() const { return stats_; }
 
   /// Reads host `h`'s score-relevant fields from the Datacenter into
   /// `snap[h]`. The single read path shared by refresh(), read_all() and
@@ -246,40 +204,44 @@ class FleetState {
 
   /// Plans a VM onto host `h` (or, with negated arguments, off it): adds
   /// `cpu` % to the snapshot's cpu_res and running_demand of `h`, `mem` MB
-  /// to its mem_res and `count` to its vm_count, and re-derives its index
-  /// margins.
-  /// The first touch of `h` since the last restore_plan() logs its prior
-  /// values. Expects `planner` to be the fleet's only planner: no other
-  /// model may have un-restored rows.
+  /// to its mem_res and `count` to its vm_count, and re-summarizes its
+  /// block. The first touch of `h` since the last restore_plan() logs its
+  /// prior values. Expects `planner` to be the fleet's only planner: no
+  /// other model may have un-restored rows.
   void plan_add(const ScoreModel* planner, datacenter::HostId h, double cpu,
                 double mem, int count);
   /// Writes `planner`'s logged rows back in reverse order of first touch
-  /// (a no-op when `planner` touched nothing) and ends its planning.
+  /// and re-summarizes their blocks (a no-op when `planner` touched
+  /// nothing), and ends its planning.
   void restore_plan(const ScoreModel* planner);
   /// Whether some model has un-restored plan rows on this fleet.
   [[nodiscard]] bool planning() const { return planner_ != nullptr; }
 
   /// Test hooks for the kFleetSnapshot / kFleetIndex mutation tests:
-  /// perturb the stored snapshot reservation / index margin of host `h`,
-  /// or block `blk`'s extrema.
+  /// perturb the stored snapshot reservation of host `h`, or overwrite
+  /// block `blk`'s summary.
   void debug_corrupt_snapshot(datacenter::HostId h, double delta);
-  void debug_corrupt_index(datacenter::HostId h, double delta);
-  void debug_corrupt_extrema(std::size_t blk, double delta);
+  void debug_set_block(std::size_t blk, const BlockSummary& summary);
 
  private:
-  /// Sizes the snapshot, index and dirty flags to `n` hosts, all unread.
+  /// Sizes the snapshot, block summaries and flags to `n` hosts, all
+  /// unread.
   void reset(std::size_t n);
-  /// Reads every host of dirty_scratch_ and rebuilds the busy set and the
-  /// breaker watch list from that read.
+  /// Reads every host of dirty_scratch_, re-summarizes their blocks and
+  /// rebuilds the busy set and the breaker watch list from that read.
   void read_dirty(const datacenter::Datacenter& dc);
+  /// Queues host `h`'s block for summarize_marked(), once.
+  void mark_block(datacenter::HostId h);
+  /// Re-summarizes every queued block, once each.
+  void summarize_marked();
 
   FleetSnapshot snap_;
-  HostBucketIndex index_;
+  std::vector<BlockSummary> blocks_;
+  std::vector<unsigned char> block_marked_;
+  std::vector<std::size_t> marked_blocks_;
   std::vector<datacenter::HostId> dirty_scratch_;
   std::vector<datacenter::HostId> journal_scratch_;
   std::vector<unsigned char> dirty_flag_;
-  std::vector<std::uint64_t> read_stamp_;
-  std::uint64_t read_epoch_ = 0;  ///< last stamp handed out
   std::vector<datacenter::HostId> busy_;  ///< ops in flight at last read
   /// Hosts whose breaker was not Healthy at the last read_dirty().
   std::vector<datacenter::HostId> veto_watch_;
@@ -288,7 +250,6 @@ class FleetState {
     datacenter::HostId h = 0;
     int vm_count = 0;
     double cpu_res = 0, mem_res = 0, running = 0;
-    double free_cpu = 0, free_mem = 0;
   };
   const ScoreModel* planner_ = nullptr;  ///< model with un-restored rows
   std::vector<PlanPrior> plan_log_;      ///< first touches, in order

@@ -269,10 +269,9 @@ datacenter::HostId ScoreBasedPolicy::choose_power_off(
   if (config_.incremental) {
     model->column_key(memo.scratch);
     if (memo.scratch != memo.key ||
-        memo.stamp.size() != ctx.dc.num_hosts()) {
+        memo.aggregate.size() != ctx.dc.num_hosts()) {
       std::swap(memo.key, memo.scratch);
-      memo.aggregate.assign(ctx.dc.num_hosts(), 0.0);
-      memo.stamp.assign(ctx.dc.num_hosts(), 0);
+      memo.aggregate.assign(ctx.dc.num_hosts(), std::nullopt);
     }
   }
   // The power controller lists idle hosts in ascending HostId order, so
@@ -281,6 +280,7 @@ datacenter::HostId ScoreBasedPolicy::choose_power_off(
     datacenter::HostId best = idle_hosts.front();
     double best_score = -1;
     for (const datacenter::HostId h : idle_hosts) {
+      EA_EXPECTS(ctx.dc.host(h).is_idle_on());
       // A non-placeable host (quarantined, breaker-vetoed) has an all-kInf
       // row that would aggregate highest; it is not a candidate.
       if (!model->placeable(static_cast<int>(h))) continue;
@@ -306,12 +306,9 @@ datacenter::HostId ScoreBasedPolicy::choose_power_off(
     });
   }
   return pick([&](datacenter::HostId h) {
-    const std::uint64_t stamp = fleet_.read_stamp(h);
-    if (memo.stamp[h] != stamp) {
-      memo.aggregate[h] = model->row_aggregate(static_cast<int>(h));
-      memo.stamp[h] = stamp;
-    }
-    return memo.aggregate[h];
+    std::optional<double>& agg = memo.aggregate[h];
+    if (!agg) agg = model->row_aggregate(static_cast<int>(h));
+    return *agg;
   });
 }
 

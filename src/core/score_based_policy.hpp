@@ -80,7 +80,8 @@ class ScoreBasedPolicy final : public sched::Policy {
 
   /// Section III-C: idle nodes are switched off by their aggregated matrix
   /// row score (higher aggregate — more infinities, higher penalties —
-  /// goes first).
+  /// goes first). Expects every candidate to be idle and on
+  /// (Host::is_idle_on()), as the power controller's list is.
   datacenter::HostId choose_power_off(
       const sched::SchedContext& ctx,
       const std::vector<datacenter::HostId>& idle_hosts) override;
@@ -105,16 +106,16 @@ class ScoreBasedPolicy final : public sched::Policy {
   std::vector<sched::Action> first_fit(const sched::SchedContext& ctx) const;
 
   /// Incremental mode's power-off ranking memo. The power controller asks
-  /// for one pick per host it sheds, each on a freshly built model; between
-  /// picks only the shed host is journalled, so most idle rows aggregate to
-  /// the same value again. A stored aggregate is reused while the model's
-  /// column_key() equals `key` bitwise and the host's FleetState read
-  /// stamp equals the stored one (see ScoreModel::column_key).
+  /// for one pick per host it sheds, each on a freshly built model, and
+  /// most idle rows aggregate to the same value again. A stored aggregate
+  /// is reused while the model's column_key() equals `key` bitwise: a
+  /// candidate is idle, and a placeable idle host's row is a function of
+  /// its immutable spec alone (see ScoreModel::column_key); a
+  /// non-placeable one is never ranked.
   struct PowerOffMemo {
     std::vector<std::uint64_t> key;    ///< columns the aggregates belong to
     std::vector<std::uint64_t> scratch;  ///< the current model's key
-    std::vector<double> aggregate;     ///< by HostId
-    std::vector<std::uint64_t> stamp;  ///< read stamp at aggregation; 0: none
+    std::vector<std::optional<double>> aggregate;  ///< by HostId
   };
 
   ScoreBasedConfig config_;

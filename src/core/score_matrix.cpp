@@ -72,7 +72,6 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
   mem_res_ = snap.mem_res.data();
   running_ = snap.running_demand.data();
   vm_count_ = snap.vm_count.data();
-  margins_ = &fleet_->index();
 
   for (VmId v : queued) {
     EA_EXPECTS(dc.vm(v).state == VmState::kQueued);
@@ -101,34 +100,22 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
 
 ScoreModel::~ScoreModel() { fleet_->restore_plan(this); }
 
-bool ScoreModel::provably_inf(int r, int c) const {
-  if (reference()) return false;
-  const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  if (v.planned == r) return false;  // need is 0; the keep cell may be finite
-  if (placeable_[r] == 0) return true;      // compat folds placeability
-  if (arch_[r] != v.arch || (software_[r] & v.software) != v.software) {
-    return true;
-  }
-  const auto h = static_cast<HostId>(r);
-  return v.cpu > margins_->free_cpu(h) || v.mem > margins_->free_mem(h);
-}
-
 bool ScoreModel::skip_block(int c, int blk) const {
   if (reference()) return false;
-  const std::vector<double>& block_cpu = margins_->block_free_cpu();
-  if (blk < 0 || blk >= static_cast<int>(block_cpu.size())) {
+  const std::vector<BlockSummary>& blocks = fleet_->blocks();
+  if (blk < 0 || blk >= static_cast<int>(blocks.size())) {
     return false;  // the virtual row's tail block is never skippable
   }
   // The block maxima only prove capacity infeasibility, not compatibility
   // — but a skipped candidate would have delta >= 0 either way, and the
   // plan row is exempt because rescans skip it anyway.
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  const auto b = static_cast<std::size_t>(blk);
-  return v.cpu > block_cpu[b] || v.mem > margins_->block_free_mem()[b];
+  const BlockSummary& b = blocks[static_cast<std::size_t>(blk)];
+  return v.cpu > b.max_free_cpu || v.mem > b.max_free_mem;
 }
 
 const RowExtrema& ScoreModel::row_extrema() const {
-  if (!extrema_) extrema_ = margins_->extrema();
+  if (!extrema_) extrema_ = fleet_->extrema();
   return *extrema_;
 }
 

@@ -24,9 +24,9 @@
 // Row layout: one row per host, row index == HostId, plus the virtual host
 // as the last row. Every per-row attribute aliases a FleetSnapshot (zero
 // copies). The plan-tracked ones — reservations, VM counts, running
-// demand — and the index margins are planned in place, copy on touch:
-// move() logs a row's prior values the first time it touches the row
-// (FleetState::plan_add) and the destructor writes them back
+// demand — are planned in place, copy on touch: move() logs a row's prior
+// values the first time it touches the row (FleetState::plan_add, which
+// also re-summarizes the row's block) and the destructor writes them back
 // (FleetState::restore_plan), so a model costs the rows it moves, not the
 // fleet. Non-placeable hosts keep a row whose cells are constantly
 // kInfScore (placeability is folded into the Preq compatibility bit), so
@@ -36,12 +36,13 @@
 //
 //   Incremental — the FleetState constructor. The snapshot is the policy's
 //   cross-round FleetState, refreshed from the Datacenter's dirty journal.
-//   The fleet's HostBucketIndex, whose margins move() keeps in step with
-//   the plan, lets the solver skip provably infeasible cells and whole
-//   kArgminBlock row blocks (see provably_inf()/skip_block() below), and
-//   its block extrema give a per-column score floor that lets it retire
-//   columns whose best possible delta cannot reach the pick threshold
-//   (score_floor()).
+//   Each row's free margins, derived from the planned snapshot row on
+//   read, let the solver skip provably infeasible cells, and the fleet's
+//   block summaries, which move() keeps in step with the plan, let it
+//   skip whole kArgminBlock row blocks (see provably_inf()/skip_block()
+//   below). Their extrema give a per-column score floor that lets it
+//   retire columns whose best possible delta cannot reach the pick
+//   threshold (score_floor()).
 //
 //   Reference — the Datacenter constructor, the executable specification
 //   the incremental mode is differential-tested against. It reads every
@@ -105,7 +106,8 @@ class ScoreModel {
   ScoreModel& operator=(const ScoreModel&) = delete;
 
   /// Restores every row move() touched (FleetState::restore_plan): the
-  /// snapshot and index are then bitwise what they were before the model.
+  /// snapshot and block summaries are then bitwise what they were before
+  /// the model.
   ~ScoreModel();
 
   /// hosts + 1 (virtual host, last row)
@@ -136,18 +138,30 @@ class ScoreModel {
   /// Conservative infeasibility test for cell (r, c), O(1), no evaluation:
   /// true only when Score(r, c) is *provably* kInfScore under the current
   /// plan — incompatible hardware/software, a non-placeable row, or a VM
-  /// demand exceeding the row's conservatively-widened free margin (see
-  /// kFleetOverMargin). Never true for the column's planned row. Always
-  /// false in reference mode (the spec stays simple). The solver may skip
-  /// a provably-inf cell: its delta against any keep score is >= 0, so it
-  /// can never be selected by the argmin.
-  [[nodiscard]] bool provably_inf(int r, int c) const;
+  /// demand exceeding the row's conservatively-widened free margin
+  /// (free_margin() of the planned row; see kFleetOverMargin). Never true
+  /// for the column's planned row. Always false in reference mode (the
+  /// spec stays simple). The solver may skip a provably-inf cell: its
+  /// delta against any keep score is >= 0, so it can never be selected by
+  /// the argmin. Inline: it is the climb's hottest check.
+  [[nodiscard]] bool provably_inf(int r, int c) const {
+    if (reference()) return false;
+    const VmCol& v = vms_[static_cast<std::size_t>(c)];
+    if (v.planned == r) return false;  // need is 0; the keep cell may be finite
+    if (placeable_[r] == 0) return true;  // compat folds placeability
+    if (arch_[r] != v.arch || (software_[r] & v.software) != v.software) {
+      return true;
+    }
+    return v.cpu > free_margin(true, cap_cpu_[r], cpu_res_[r]) ||
+           v.mem > free_margin(true, cap_mem_[r], mem_res_[r]);
+  }
 
   /// Block-level variant: true when *every* host row of kArgminBlock block
-  /// `blk` is provably infeasible for column `c` (the block's maximum free
-  /// margin cannot fit the VM). The solver then skips the whole block.
-  /// False in reference mode and for any block index outside the real-host
-  /// range (the virtual row's tail block is never skippable).
+  /// `blk` is provably infeasible for column `c` (the block summary's
+  /// maximum free margin cannot fit the VM). The solver then skips the
+  /// whole block. False in reference mode and for any block index outside
+  /// the real-host range (the virtual row's tail block is never
+  /// skippable).
   [[nodiscard]] bool skip_block(int c, int blk) const;
 
   /// Conservative score floor of column `c`: a lower bound on cell(r, c)
@@ -160,17 +174,17 @@ class ScoreModel {
   /// are summed in the evaluation's order — rounded addition and
   /// multiplication are monotone, so the floor never exceeds a cell. It
   /// changes only when column `c` itself moves. The extrema are reduced
-  /// from the index's per-block extrema (HostBucketIndex::extrema(),
-  /// O(blocks)) once per model, on the first call. -infinity in reference
-  /// mode and for a negative Cf (the spec prunes nothing).
+  /// from the fleet's block summaries (FleetState::extrema(), O(blocks))
+  /// once per model, on the first call. -infinity in reference mode and
+  /// for a negative Cf (the spec prunes nothing).
   [[nodiscard]] double score_floor(int c) const;
 
   /// Applies a plan move of column `c` to row `r` and returns the dirty
   /// region: every cell of column `c`, plus every cell of the rows the VM
   /// left and entered (their occupation changed for all other columns).
   /// Moving to the virtual row (allowed only for undo by the exhaustive
-  /// reference solver) releases the column's reservations. Updates the
-  /// touched rows' pruning margins.
+  /// reference solver) releases the column's reservations. Re-summarizes
+  /// the touched rows' blocks.
   struct Dirty {
     int col = -1;
     int row_a = -1;  ///< previous row (-1 if it was the virtual row)
@@ -199,9 +213,10 @@ class ScoreModel {
   /// Replaces `out` with a bitwise encoding of every column
   /// field a cell reads. With the fixed params, real row `r`'s cells — and
   /// so row_aggregate(r) — are a function of snapshot entry `r` and this
-  /// key alone while the plan is the snapshot's (no move() yet): equal
-  /// keys and an unchanged FleetState::read_stamp(r) mean an equal
-  /// aggregate. The power-off ranking memo relies on this.
+  /// key alone while the plan is the snapshot's (no move() yet). An idle
+  /// host's entry is its immutable spec plus its placeability (see
+  /// FleetSnapshot), so for a placeable idle host equal keys mean an
+  /// equal aggregate. The power-off ranking memo relies on this.
   void column_key(std::vector<std::uint64_t>& out) const;
 
  private:
@@ -256,9 +271,6 @@ class ScoreModel {
   const double* mem_res_ = nullptr;
   const double* running_ = nullptr;
   const int* vm_count_ = nullptr;
-
-  // Pruning margins: the fleet's index, kept in step with the plan.
-  const HostBucketIndex* margins_ = nullptr;
 
   std::vector<VmCol> vms_;
 

@@ -28,8 +28,6 @@ class FailureModel {
   /// Draws a repair duration (exponential around MTTR).
   double draw_repair_time(support::Rng& rng) const;
 
-  [[nodiscard]] double mttr_s() const noexcept { return mttr_s_; }
-
  private:
   double mttr_s_;
 };

@@ -63,11 +63,6 @@ struct Vm {
     const double r = job.dedicated_seconds - work_done_s;
     return r > 0 ? r : 0;
   }
-  /// True while a creation or migration involving this VM is in flight
-  /// (the Pvirt penalty bars any further action on it).
-  [[nodiscard]] bool operation_in_progress() const {
-    return state == VmState::kCreating || state == VmState::kMigrating;
-  }
   [[nodiscard]] bool is_active() const {
     return state != VmState::kFinished;
   }

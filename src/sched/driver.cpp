@@ -168,26 +168,22 @@ void SchedulerDriver::on_arrival(const workload::Job& job, int defers) {
         return;
     }
   }
-  const VmId v = dc_.admit_job(job);
-  if (auto* tr = obs::tracer(dc_.recorder())) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kJobArrival);
-    e.vm = v;
-    e.arg("cpu_pct", job.cpu_pct).arg("mem_mb", job.mem_mb);
-  }
-  boosted_.resize(std::max<std::size_t>(boosted_.size(), v + 1), false);
-  queue_.push_back(v);
-  round();
+  enqueue_job(job);
 }
 
 VmId SchedulerDriver::submit_job_now(const workload::Job& job) {
   workload::Job stamped = job;
   stamped.submit = sim_.now();
   ++submitted_;
-  const VmId v = dc_.admit_job(stamped);
+  return enqueue_job(stamped);
+}
+
+VmId SchedulerDriver::enqueue_job(const workload::Job& job) {
+  const VmId v = dc_.admit_job(job);
   if (auto* tr = obs::tracer(dc_.recorder())) {
     auto& e = tr->emit(sim_.now(), obs::EventKind::kJobArrival);
     e.vm = v;
-    e.arg("cpu_pct", stamped.cpu_pct).arg("mem_mb", stamped.mem_mb);
+    e.arg("cpu_pct", job.cpu_pct).arg("mem_mb", job.mem_mb);
   }
   boosted_.resize(std::max<std::size_t>(boosted_.size(), v + 1), false);
   queue_.push_back(v);
@@ -405,13 +401,7 @@ void SchedulerDriver::progress_drains() {
     }
     // Evict what can be evicted now; creations/migrations in flight finish
     // first and are retried on a later round.
-    const std::vector<VmId> residents = host.residents;  // copy: mutation
-    for (VmId v : residents) {
-      if (dc_.vm(v).state != VmState::kRunning) continue;
-      if (in_backoff(v)) continue;  // its last migration just failed
-      const datacenter::HostId target = policies_best_fit(v);
-      if (target != datacenter::kNoHost) dc_.migrate(v, target);
-    }
+    evict_running(h);
     ++i;
   }
 }
@@ -424,16 +414,19 @@ void SchedulerDriver::evacuate_quarantined() {
   if (dc_.quarantined_on_count() == 0) return;
   for (datacenter::HostId h = 0; h < dc_.num_hosts(); ++h) {
     const auto& host = dc_.host(h);
-    if (!host.quarantined || host.state != datacenter::HostState::kOn) {
-      continue;
+    if (host.quarantined && host.state == datacenter::HostState::kOn) {
+      evict_running(h);
     }
-    const std::vector<VmId> residents = host.residents;  // copy: mutation
-    for (VmId v : residents) {
-      if (dc_.vm(v).state != VmState::kRunning) continue;
-      if (in_backoff(v)) continue;
-      const datacenter::HostId target = policies_best_fit(v);
-      if (target != datacenter::kNoHost) dc_.migrate(v, target);
-    }
+  }
+}
+
+void SchedulerDriver::evict_running(datacenter::HostId h) {
+  const std::vector<VmId> residents = dc_.host(h).residents;  // copy: mutation
+  for (VmId v : residents) {
+    if (dc_.vm(v).state != VmState::kRunning) continue;
+    if (in_backoff(v)) continue;  // its last migration just failed
+    const datacenter::HostId target = policies_best_fit(v);
+    if (target != datacenter::kNoHost) dc_.migrate(v, target);
   }
 }
 

@@ -142,6 +142,9 @@ class SchedulerDriver {
   /// Arrival entry point; `defers` counts how many times admission control
   /// already pushed this arrival back (resilience backpressure).
   void on_arrival(const workload::Job& job, int defers = 0);
+  /// Materialises an admitted job: admits it to the Datacenter, traces the
+  /// arrival, queues the VM and runs a round. Returns the new VM.
+  datacenter::VmId enqueue_job(const workload::Job& job);
   /// Applies the policy's actions (after defensive validation) and returns
   /// how many were actually executed.
   std::size_t apply(const std::vector<Action>& actions);
@@ -149,6 +152,9 @@ class SchedulerDriver {
   void adaptive_window();
   void progress_drains();
   void evacuate_quarantined();
+  /// Live-migrates host `h`'s running residents that are not backing off
+  /// to their best-fit host, where one fits.
+  void evict_running(datacenter::HostId h);
   datacenter::HostId policies_best_fit(datacenter::VmId v);
   void remove_from_queue(datacenter::VmId v);
   RetryState& retry_state(datacenter::VmId v);

@@ -78,9 +78,9 @@ void PowerController::update(const SchedContext& ctx, Datacenter& dc,
   };
   const auto power_on_one = [&](std::vector<HostId>& off) {
     const HostId h = policy.choose_power_on(ctx, off);
-    dc.power_on(h);
     const auto it = std::find(off.begin(), off.end(), h);
-    EA_ASSERT(it != off.end());
+    EA_ASSERT(it != off.end());  // a pick outside the list is a policy bug
+    dc.power_on(h);
     off.erase(it);
     ++online;
   };
@@ -103,8 +103,10 @@ void PowerController::update(const SchedContext& ctx, Datacenter& dc,
   auto idle = hosts_idle_on(dc);
   while (!idle.empty() && wants_off()) {
     const HostId h = policy.choose_power_off(ctx, idle);
+    const auto it = std::find(idle.begin(), idle.end(), h);
+    EA_ASSERT(it != idle.end());
     dc.power_off(h);
-    idle.erase(std::find(idle.begin(), idle.end(), h));
+    idle.erase(it);
     --online;
   }
 }

@@ -390,79 +390,29 @@ void InvariantChecker::check_fleet(const core::FleetState& fleet,
     }
   }
 
-  // kFleetIndex: margins and block maxima against the snapshot they were
-  // built from (not `fresh` — a stale snapshot is the other rule's
-  // violation; the index must mirror its own source).
-  const core::HostBucketIndex& index = fleet.index();
-  if (index.size() != n) {
+  // kFleetIndex: every block summary against summarize_block() of the
+  // snapshot it was built from (not `fresh` — a stale snapshot is the
+  // other rule's violation; the summaries must mirror their own source).
+  const std::vector<core::BlockSummary>& blocks = fleet.blocks();
+  const std::size_t nblocks = core::num_blocks(n);
+  if (blocks.size() != nblocks) {
     report(Rule::kFleetIndex, t,
-           msg("fleet index covers %zu hosts, snapshot has %zu",
-               index.size(), n));
-    return;
-  }
-  for (HostId h = 0; h < n; ++h) {
-    const double cpu = core::FleetState::expected_free_cpu(snap, h);
-    const double mem = core::FleetState::expected_free_mem(snap, h);
-    if (index.free_cpu(h) != cpu || index.free_mem(h) != mem) {
-      report(Rule::kFleetIndex, t,
-             msg("host %u: index margins (%.6f, %.6f) != snapshot-derived "
-                 "(%.6f, %.6f)",
-                 h, index.free_cpu(h), index.free_mem(h), cpu, mem));
-    }
-  }
-  const std::vector<double>& block_cpu = index.block_free_cpu();
-  const std::vector<double>& block_mem = index.block_free_mem();
-  const std::size_t nblocks =
-      (n + core::kArgminBlock - 1) /
-      static_cast<std::size_t>(core::kArgminBlock);
-  if (block_cpu.size() != nblocks || block_mem.size() != nblocks) {
-    report(Rule::kFleetIndex, t,
-           msg("fleet index has %zu blocks, expected %zu", block_cpu.size(),
+           msg("fleet has %zu block summaries, expected %zu", blocks.size(),
                nblocks));
     return;
   }
   for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    double best_cpu = -1.0;
-    double best_mem = -1.0;
-    const std::size_t lo = blk * core::kArgminBlock;
-    const std::size_t hi = std::min(n, lo + core::kArgminBlock);
-    for (std::size_t h = lo; h < hi; ++h) {
-      const auto id = static_cast<HostId>(h);
-      best_cpu = std::max(best_cpu, core::FleetState::expected_free_cpu(snap, id));
-      best_mem = std::max(best_mem, core::FleetState::expected_free_mem(snap, id));
-    }
-    if (block_cpu[blk] != best_cpu || block_mem[blk] != best_mem) {
+    const core::BlockSummary& b = blocks[blk];
+    const core::BlockSummary x = core::summarize_block(snap, blk);
+    if (!(b == x)) {
       report(Rule::kFleetIndex, t,
-             msg("block %zu: index maxima (%.6f, %.6f) != recomputed "
-                 "(%.6f, %.6f)",
-                 blk, block_cpu[blk], block_mem[blk], best_cpu, best_mem));
-    }
-  }
-  // The block extrema of the placeable rows (the score floor's bounds),
-  // recomputed from the snapshot.
-  const std::vector<core::RowExtrema>& extrema = index.block_extrema();
-  if (extrema.size() != nblocks) {
-    report(Rule::kFleetIndex, t,
-           msg("fleet index has %zu extrema blocks, expected %zu",
-               extrema.size(), nblocks));
-    return;
-  }
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    core::RowExtrema x;
-    const std::size_t lo = blk * core::kArgminBlock;
-    const std::size_t hi = std::min(n, lo + core::kArgminBlock);
-    for (std::size_t h = lo; h < hi; ++h) {
-      x.include(snap, static_cast<HostId>(h));
-    }
-    if (!(extrema[blk] == x)) {
-      report(Rule::kFleetIndex, t,
-             msg("block %zu: index extrema (min Cc %.6f, min Cm %.6f, min "
-                 "conc %.6f, reliability [%.6f, %.6f]) != recomputed (%.6f, "
-                 "%.6f, %.6f, [%.6f, %.6f])",
-                 blk, extrema[blk].min_cc, extrema[blk].min_cm,
-                 extrema[blk].min_conc, extrema[blk].min_rel,
-                 extrema[blk].max_rel, x.min_cc, x.min_cm, x.min_conc,
-                 x.min_rel, x.max_rel));
+             msg("block %zu: summary (free %g/%g, Cc %g, Cm %g, conc %g, "
+                 "rel [%g, %g]) != recomputed (%g/%g, %g, %g, %g, [%g, %g])",
+                 blk, b.max_free_cpu, b.max_free_mem, b.extrema.min_cc,
+                 b.extrema.min_cm, b.extrema.min_conc, b.extrema.min_rel,
+                 b.extrema.max_rel, x.max_free_cpu, x.max_free_mem,
+                 x.extrema.min_cc, x.extrema.min_cm, x.extrema.min_conc,
+                 x.extrema.min_rel, x.extrema.max_rel));
     }
   }
 }

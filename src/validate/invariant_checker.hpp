@@ -1,12 +1,13 @@
 // Run-time invariant checking for the simulated datacenter.
 //
-// After four PRs of aggressive optimisation (cached score matrices, pooled
-// event kernel, parallel sweeps) the paper's headline numbers rest on
-// simulation state staying physically coherent; the fuzz tests only catch
-// crashes, not silent drift. The InvariantChecker closes that gap: a set
-// of pluggable rules, each checking one conservation law of the model, run
-// against the live world at well-defined sync points (end of every
-// scheduler round, every host power transition, every dispatched event).
+// The paper's headline numbers rest on simulation state staying physically
+// coherent, and on the incremental scheduling core (a persistent fleet
+// snapshot, journal-driven refresh, pruning summaries) staying equal to a
+// full re-read; the fuzz tests only catch crashes, not silent drift. The
+// InvariantChecker closes that gap: a set of pluggable rules, each
+// checking one conservation law of the model, run against the live world
+// at well-defined sync points (end of every scheduler round, every host
+// power transition, every dispatched event, every fleet refresh).
 //
 // Rules:
 //   kVmConservation    every active VM exists exactly once — resident
@@ -26,9 +27,9 @@
 //                      bitwise equal to a fresh re-read of every host —
 //                      i.e. the dirty journal missed nothing, which also
 //                      implies a clean round's score matrix is byte-stable
-//   kFleetIndex        the capacity-bucket index (margins, per-block
-//                      maxima, per-block extrema of the placeable rows)
-//                      is consistent with the snapshot it was built from
+//   kFleetIndex        every per-block summary of the fleet (free-margin
+//                      maxima, extrema of the placeable rows) equals
+//                      summarize_block() of the snapshot it was built from
 //   kNodeCounts        the Datacenter's maintained online / working /
 //                      booting / quarantined-On counts equal a full
 //                      recount of every host
@@ -107,11 +108,11 @@ class InvariantChecker : public sim::SimObserver {
   void check_datacenter(const datacenter::Datacenter& dc);
 
   /// Fleet-state coherence (kFleetSnapshot + kFleetIndex): the cross-round
-  /// snapshot against a fresh re-read of every host, and the bucket index
-  /// against the snapshot. Called by the score policy right after each
-  /// incremental refresh, with `t` = the refresh's `now`, before the
-  /// round's model plans on the fleet (a planning model's rows differ
-  /// from the Datacenter until it restores them).
+  /// snapshot against a fresh re-read of every host, and the block
+  /// summaries against the snapshot. Called by the score policy right
+  /// after each incremental refresh, with `t` = the refresh's `now`,
+  /// before the round's model plans on the fleet (a planning model's rows
+  /// differ from the Datacenter until it restores them).
   void check_fleet(const core::FleetState& fleet,
                    const datacenter::Datacenter& dc, sim::SimTime t);
 

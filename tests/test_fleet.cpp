@@ -18,8 +18,11 @@
 //     flip with the clock or inside the resilience controller), and the
 //     reference model leaving the journal alone;
 //   - the power-off ranking memo: shedding several hosts in one power
-//     controller update, and a column change that must miss the memo;
-//   - HostBucketIndex unit checks (margins, block maxima, block extrema);
+//     controller update, a column change that must miss the memo, an idle
+//     candidate journalled between picks that must hit it, and the
+//     idle-candidate precondition (death test);
+//   - block summaries: margin maxima per block, and FleetState::extrema()
+//     against a scan of the fleet in host order;
 //   - the kFleetSnapshot / kFleetIndex invariant rules: clean state passes,
 //     seeded corruptions trip them.
 #include <gtest/gtest.h>
@@ -297,22 +300,34 @@ bool same_bits(const RowExtrema& a, const RowExtrema& b) {
          bits(a.min_rel) == bits(b.min_rel) && bits(a.max_rel) == bits(b.max_rel);
 }
 
+/// Bitwise equality of two BlockSummary values.
+bool same_bits(const BlockSummary& a, const BlockSummary& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return bits(a.max_free_cpu) == bits(b.max_free_cpu) &&
+         bits(a.max_free_mem) == bits(b.max_free_mem) &&
+         same_bits(a.extrema, b.extrema);
+}
+
+/// Bitwise equality of two fleets' block summaries.
+void expect_same_blocks(const std::vector<BlockSummary>& a,
+                        const std::vector<BlockSummary>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t blk = 0; blk < a.size(); ++blk) {
+    EXPECT_TRUE(same_bits(a[blk], b[blk])) << "block " << blk;
+  }
+}
+
 /// Everything a planning model may write to, copied before the model.
 struct FleetCopy {
   FleetSnapshot snap;
-  HostBucketIndex index;
-  std::vector<std::uint64_t> stamps;
+  std::vector<BlockSummary> blocks;
 
   explicit FleetCopy(const FleetState& fleet)
-      : snap(fleet.snapshot()), index(fleet.index()) {
-    for (HostId h = 0; h < snap.size(); ++h) {
-      stamps.push_back(fleet.read_stamp(h));
-    }
-  }
+      : snap(fleet.snapshot()), blocks(fleet.blocks()) {}
 };
 
-/// Every snapshot field, margin, block maximum, block extremum and read
-/// stamp of `fleet` is bitwise what `before` copied.
+/// Every snapshot field and block summary of `fleet` is bitwise what
+/// `before` copied.
 void expect_fleet_unchanged(const FleetCopy& before, const FleetState& fleet) {
   const FleetSnapshot& a = before.snap;
   const FleetSnapshot& b = fleet.snapshot();
@@ -330,20 +345,7 @@ void expect_fleet_unchanged(const FleetCopy& before, const FleetState& fleet) {
   EXPECT_TRUE(same_bits(a.reliability, b.reliability));
   EXPECT_TRUE(same_bits(a.arch, b.arch));
   EXPECT_TRUE(same_bits(a.software, b.software));
-  const HostBucketIndex& ia = before.index;
-  const HostBucketIndex& ib = fleet.index();
-  EXPECT_TRUE(same_bits(ia.free_cpu_all(), ib.free_cpu_all()));
-  EXPECT_TRUE(same_bits(ia.free_mem_all(), ib.free_mem_all()));
-  EXPECT_TRUE(same_bits(ia.block_free_cpu(), ib.block_free_cpu()));
-  EXPECT_TRUE(same_bits(ia.block_free_mem(), ib.block_free_mem()));
-  ASSERT_EQ(ia.block_extrema().size(), ib.block_extrema().size());
-  for (std::size_t blk = 0; blk < ia.block_extrema().size(); ++blk) {
-    EXPECT_TRUE(same_bits(ia.block_extrema()[blk], ib.block_extrema()[blk]))
-        << "block " << blk;
-  }
-  std::vector<std::uint64_t> stamps;
-  for (HostId h = 0; h < b.size(); ++h) stamps.push_back(fleet.read_stamp(h));
-  EXPECT_EQ(before.stamps, stamps);
+  expect_same_blocks(before.blocks, fleet.blocks());
 }
 
 class FleetPlanRows : public ::testing::TestWithParam<std::uint64_t> {};
@@ -352,10 +354,9 @@ class FleetPlanRows : public ::testing::TestWithParam<std::uint64_t> {};
 // touched when it is destroyed. Random move sequences over a 100-host
 // fleet (four argmin blocks) with running VMs, a host in maintenance and
 // queued VMs: evictions to the virtual row and back home, and one hot row
-// touched over and over. After each model every snapshot field, margin,
-// block maximum, block extremum and read stamp is bitwise what it was, and
-// the fleet rules report nothing. Six models in a row per fleet, with
-// churn and a refresh between them.
+// touched over and over. After each model every snapshot field and block
+// summary is bitwise what it was, and the fleet rules report nothing. Six
+// models in a row per fleet, with churn and a refresh between them.
 TEST_P(FleetPlanRows, RandomMovesRestoreTheFleetBitwise) {
   support::Rng rng{GetParam()};
   constexpr std::size_t kHosts = 100;
@@ -500,13 +501,15 @@ TEST(FleetDirty, RefreshPicksUpMaintenanceFlip) {
   EXPECT_GE(f.dc.fleet_dirty_count(), 1u);
   fleet.refresh(f.dc);
   EXPECT_EQ(fleet.snapshot().placeable[1], 0);
-  EXPECT_EQ(fleet.index().free_cpu(1), -1.0);  // prunes everything
+  EXPECT_TRUE(same_bits(fleet.blocks()[0],
+                        summarize_block(fleet.snapshot(), 0)));
   EXPECT_GE(fleet.stats().last_reread, 1u);
 
   f.dc.set_maintenance(1, false);
   fleet.refresh(f.dc);
   EXPECT_EQ(fleet.snapshot().placeable[1], 1);
-  EXPECT_GT(fleet.index().free_cpu(1), 0.0);
+  EXPECT_TRUE(same_bits(fleet.blocks()[0],
+                        summarize_block(fleet.snapshot(), 0)));
 }
 
 TEST(FleetDirty, JournalDeduplicates) {
@@ -599,8 +602,8 @@ TEST(FleetDirty, InFlightOperationAgesWithClock) {
   EXPECT_TRUE(ck.ok());
 }
 
-/// Bitwise equality of the refreshed snapshot and index with a fresh full
-/// read of `dc` (FleetState::read_all).
+/// Bitwise equality of the refreshed snapshot and block summaries with a
+/// fresh full read of `dc` (FleetState::read_all).
 void expect_matches_full_read(const FleetState& fleet,
                               const datacenter::Datacenter& dc) {
   FleetState fresh;
@@ -625,10 +628,7 @@ void expect_matches_full_read(const FleetState& fleet,
   EXPECT_TRUE(same(a.reliability, b.reliability));
   EXPECT_TRUE(same(a.arch, b.arch));
   EXPECT_TRUE(same(a.software, b.software));
-  EXPECT_TRUE(same(fleet.index().free_cpu_all(), fresh.index().free_cpu_all()));
-  EXPECT_TRUE(same(fleet.index().free_mem_all(), fresh.index().free_mem_all()));
-  EXPECT_TRUE(same(fleet.index().block_free_cpu(),
-                   fresh.index().block_free_cpu()));
+  expect_same_blocks(fleet.blocks(), fresh.blocks());
 }
 
 // Breaker vetoes change placeability without any Datacenter mutation: the
@@ -907,7 +907,63 @@ TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
   EXPECT_EQ(inc.choose_power_off(ctx, idle), after);
 }
 
-// ---- HostBucketIndex --------------------------------------------------------
+// A journalled idle candidate between two picks at one sim time: its
+// maintenance flips on and back off, so it is re-read, but its row is its
+// spec and its placeability again and the columns did not change, so the
+// memo keeps its aggregate. The picks must still be the reference's.
+TEST(FleetPowerOff, JournalledIdleCandidateBetweenPicksMatchesTheReference) {
+  datacenter::DatacenterConfig base;
+  const datacenter::HostSpec specs[] = {
+      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
+      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
+  for (int i = 0; i < 8; ++i) base.hosts.push_back(specs[(i * 3) % 4]);
+  SmallDc f(8, base);
+  f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.admit_and_place(make_job(200, 1024, 50000), 5);
+  f.simulator.run_until(400.0);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{11};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  std::vector<HostId> idle;
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+    if (f.dc.host(h).is_idle_on()) idle.push_back(h);
+  }
+  ASSERT_EQ(idle.size(), 6u);
+
+  const sim::SimTime t = f.simulator.now();
+  while (idle.size() > 1) {
+    const HostId r = ref.choose_power_off(ctx, idle);
+    ASSERT_EQ(inc.choose_power_off(ctx, idle), r);
+    f.dc.power_off(r);
+    idle.erase(std::find(idle.begin(), idle.end(), r));
+    for (const HostId h : idle) {
+      f.dc.set_maintenance(h, true);
+      f.dc.set_maintenance(h, false);
+    }
+    ASSERT_GT(f.dc.fleet_dirty_count(), 1u);
+  }
+  EXPECT_EQ(f.simulator.now(), t);
+}
+
+// The memo's exactness rests on every candidate being idle: a host with a
+// resident is a contract violation.
+TEST(FleetPowerOffDeathTest, CandidateWithAResidentAborts) {
+  SmallDc f(3);
+  f.admit_and_place(make_job(), 1);
+  f.simulator.run_until(400.0);
+  ScoreBasedPolicy policy(ScoreBasedConfig::sb());
+  support::Rng rng{1};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  EXPECT_DEATH(policy.choose_power_off(ctx, {0, 1, 2}), "is_idle_on");
+}
+
+// ---- block summaries --------------------------------------------------------
 
 FleetSnapshot uniform_snapshot(std::size_t n, double cap_cpu, double cap_mem) {
   FleetSnapshot snap;
@@ -920,7 +976,10 @@ FleetSnapshot uniform_snapshot(std::size_t n, double cap_cpu, double cap_mem) {
   return snap;
 }
 
-TEST(HostBucketIndex, MarginsAndBlocks) {
+// A block's margin maxima are the maxima of its rows' free_margin()s,
+// starting from -1 (a non-placeable row's margin); a changed row changes
+// only its own block's summary.
+TEST(FleetBlocks, MaximaAreTheRowMarginMaxima) {
   // 70 hosts = two full kArgminBlock blocks plus a partial tail.
   const std::size_t n = 70;
   FleetSnapshot snap = uniform_snapshot(n, 400, 4096);
@@ -929,99 +988,105 @@ TEST(HostBucketIndex, MarginsAndBlocks) {
     snap.mem_res[h] = static_cast<double>(h % 3) * 1000.0;
     if (h % 7 == 0) snap.placeable[h] = 0;
   }
-  HostBucketIndex index;
-  index.reset(n);
-  for (std::size_t h = 0; h < n; ++h) {
-    index.update(static_cast<HostId>(h), snap);
-  }
-
-  for (std::size_t h = 0; h < n; ++h) {
-    EXPECT_EQ(index.free_cpu(h),
-              FleetState::expected_free_cpu(snap, static_cast<HostId>(h)));
-    EXPECT_EQ(index.free_mem(h),
-              FleetState::expected_free_mem(snap, static_cast<HostId>(h)));
-    if (!snap.placeable[h]) EXPECT_EQ(index.free_cpu(h), -1.0);
-  }
-  const std::size_t nblocks = (n + kArgminBlock - 1) / kArgminBlock;
-  ASSERT_EQ(index.block_free_cpu().size(), nblocks);
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    double best_cpu = -1.0, best_mem = -1.0;
-    const std::size_t hi = std::min(n, (blk + 1) * kArgminBlock);
-    for (std::size_t h = blk * kArgminBlock; h < hi; ++h) {
-      best_cpu = std::max(best_cpu, index.free_cpu(h));
-      best_mem = std::max(best_mem, index.free_mem(h));
+  const std::size_t nblocks = num_blocks(n);
+  ASSERT_EQ(nblocks, 3u);
+  const auto expect_maxima = [&] {
+    for (std::size_t blk = 0; blk < nblocks; ++blk) {
+      double best_cpu = -1.0, best_mem = -1.0;
+      const std::size_t hi = std::min(n, (blk + 1) * kArgminBlock);
+      for (std::size_t h = blk * kArgminBlock; h < hi; ++h) {
+        best_cpu = std::max(best_cpu, free_margin(snap.placeable[h] != 0,
+                                                  snap.cpu_cap[h],
+                                                  snap.cpu_res[h]));
+        best_mem = std::max(best_mem, free_margin(snap.placeable[h] != 0,
+                                                  snap.mem_cap[h],
+                                                  snap.mem_res[h]));
+      }
+      const BlockSummary b = summarize_block(snap, blk);
+      EXPECT_EQ(b.max_free_cpu, best_cpu) << "block " << blk;
+      EXPECT_EQ(b.max_free_mem, best_mem) << "block " << blk;
     }
-    EXPECT_EQ(index.block_free_cpu()[blk], best_cpu);
-    EXPECT_EQ(index.block_free_mem()[blk], best_mem);
+  };
+  expect_maxima();
+
+  // Fill every row of block 1 but one and make that one non-placeable: the
+  // block then fits nothing, while blocks 0 and 2 are untouched.
+  const BlockSummary block0 = summarize_block(snap, 0);
+  const BlockSummary block2 = summarize_block(snap, 2);
+  for (std::size_t h = 32; h < 64; ++h) {
+    snap.cpu_res[h] = 400.0 * kFleetOverMargin + 1.0;
+    snap.mem_res[h] = 4096.0 * kFleetOverMargin + 1.0;
   }
-
-  // Incremental update keeps everything consistent.
-  snap.cpu_res[10] = 390.0;
-  snap.placeable[14] = 0;
-  index.update(10, snap);
-  index.update(14, snap);
-  EXPECT_EQ(index.free_cpu(10), FleetState::expected_free_cpu(snap, 10));
-  EXPECT_EQ(index.free_cpu(14), -1.0);
-
-  // set() (the score model's plan-tracked path) maintains the block
-  // maxima both ways: a wider margin raises its block's maximum, and
-  // narrowing it again restores the snapshot-derived one.
-  const double block1_cpu = index.block_free_cpu()[1];
-  index.set(40, 1e6, 2e6);
-  EXPECT_EQ(index.block_free_cpu()[1], 1e6);
-  EXPECT_EQ(index.block_free_mem()[1], 2e6);
-  index.update(40, snap);
-  EXPECT_EQ(index.block_free_cpu()[1], block1_cpu);
+  snap.placeable[40] = 0;
+  expect_maxima();
+  EXPECT_EQ(summarize_block(snap, 1).max_free_cpu, -1.0);
+  EXPECT_TRUE(same_bits(summarize_block(snap, 0), block0));
+  EXPECT_TRUE(same_bits(summarize_block(snap, 2), block2));
 }
 
-// The per-block extrema of the placeable rows reduce to exactly what one
-// scan of the fleet in host order gives — signed zeros and ties included,
-// since both keep the first of equal values — and set() (a plan move)
-// leaves them alone.
-TEST(HostBucketIndex, BlockExtremaReduceToAFleetScan) {
-  const std::size_t n = 70;
-  FleetSnapshot snap = uniform_snapshot(n, 400, 4096);
+// FleetState::extrema(), the blocks' extrema reduced, is bitwise one scan
+// of the fleet's placeable rows in host order — signed zeros and ties
+// included, since both keep the first of equal values. Placeability flips
+// through maintenance; a plan move leaves the extrema alone, and a block
+// with no placeable host is the identity of the reduction.
+TEST(FleetBlocks, ExtremaReduceToAFleetScan) {
+  constexpr std::size_t kHosts = 70;
+  constexpr HostId kLow = 40;  // the fleet's lowest Cc and reliability
   support::Rng rng{7};
   const double values[] = {0.0, -0.0, 1.5, 3.0};
-  for (std::size_t h = 0; h < n; ++h) {
-    snap.placeable[h] = rng.uniform01() < 0.8 ? 1 : 0;
-    snap.creation_cost[h] = values[rng.uniform_int(0, 3)];
-    snap.migration_cost[h] = values[rng.uniform_int(0, 3)];
-    snap.conc_remaining_s[h] = values[rng.uniform_int(0, 3)];
-    snap.reliability[h] = rng.uniform01() < 0.5 ? 0.9 : rng.uniform(0.8, 1.0);
+  datacenter::DatacenterConfig base;
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    datacenter::HostSpec spec = datacenter::HostSpec::medium();
+    spec.creation_cost_s = values[rng.uniform_int(0, 3)];
+    spec.migration_cost_s = values[rng.uniform_int(0, 3)];
+    spec.reliability = rng.uniform01() < 0.5 ? 0.9 : rng.uniform(0.8, 1.0);
+    base.hosts.push_back(spec);
   }
-  snap.placeable[40] = 1;
-  snap.placeable[69] = 0;  // the tail block keeps a non-placeable host
-  HostBucketIndex index;
-  index.reset(n);
-  for (std::size_t h = 0; h < n; ++h) index.update(static_cast<HostId>(h), snap);
-
-  const auto scan = [&] {
+  base.hosts[kLow].creation_cost_s = -2.0;
+  base.hosts[kLow].reliability = 0.5;
+  SmallDc f(kHosts, base);
+  for (HostId h = 0; h < kHosts; ++h) {
+    if (h == kLow || h == kHosts - 1 || rng.uniform01() < 0.2) {
+      f.dc.set_maintenance(h, true);  // not placeable
+    }
+  }
+  FleetState fleet;
+  const auto scan = [&fleet] {
     RowExtrema x;
-    for (std::size_t h = 0; h < n; ++h) x.include(snap, static_cast<HostId>(h));
+    for (HostId h = 0; h < fleet.snapshot().size(); ++h) {
+      x.include(fleet.snapshot(), h);
+    }
     return x;
   };
-  EXPECT_TRUE(index.extrema().any_placeable);
-  EXPECT_TRUE(same_bits(index.extrema(), scan()));
 
-  snap.creation_cost[40] = -2.0;  // a new fleet minimum, in block 1
-  snap.reliability[40] = 0.5;
-  index.update(40, snap);
-  EXPECT_EQ(index.extrema().min_cc, -2.0);
-  EXPECT_EQ(index.extrema().min_rel, 0.5);
-  EXPECT_TRUE(same_bits(index.extrema(), scan()));
+  fleet.refresh(f.dc);
+  ASSERT_EQ(fleet.blocks().size(), 3u);
+  EXPECT_TRUE(fleet.extrema().any_placeable);
+  EXPECT_GT(fleet.extrema().min_cc, -2.0);
+  EXPECT_TRUE(same_bits(fleet.extrema(), scan()));
 
-  const RowExtrema block1 = index.block_extrema()[1];
-  index.set(40, 1e6, 2e6);
-  EXPECT_TRUE(same_bits(index.block_extrema()[1], block1));
+  f.dc.set_maintenance(kLow, false);  // a new fleet minimum, in block 1
+  fleet.refresh(f.dc);
+  EXPECT_EQ(fleet.extrema().min_cc, -2.0);
+  EXPECT_EQ(fleet.extrema().min_rel, 0.5);
+  EXPECT_TRUE(same_bits(fleet.extrema(), scan()));
 
-  // A block with no placeable host is the identity of the reduction.
-  for (std::size_t h = 32; h < 64; ++h) {
-    snap.placeable[h] = 0;
-    index.update(static_cast<HostId>(h), snap);
+  const std::vector<VmId> queue = {f.dc.admit_job(make_job())};
+  const RowExtrema block1 = fleet.blocks()[1].extrema;
+  {
+    ScoreModel m(fleet, f.dc, queue, ScoreParams{}, false);
+    m.move(static_cast<int>(kLow), 0);
+    // The planned block is re-summarized on the spot.
+    EXPECT_TRUE(same_bits(fleet.blocks()[1],
+                          summarize_block(fleet.snapshot(), 1)));
+    EXPECT_TRUE(same_bits(fleet.blocks()[1].extrema, block1));
+    EXPECT_TRUE(same_bits(fleet.extrema(), scan()));
   }
-  EXPECT_FALSE(index.block_extrema()[1].any_placeable);
-  EXPECT_TRUE(same_bits(index.extrema(), scan()));
+
+  for (HostId h = 32; h < 64; ++h) f.dc.set_maintenance(h, true);
+  fleet.refresh(f.dc);
+  EXPECT_FALSE(fleet.blocks()[1].extrema.any_placeable);
+  EXPECT_TRUE(same_bits(fleet.extrema(), scan()));
 }
 
 // ---- invariant rules --------------------------------------------------------
@@ -1061,9 +1126,9 @@ TEST(FleetChecker, CatchesCorruptedSnapshot) {
 
   validate::InvariantChecker ck;
   ck.check_fleet(fleet, f.dc, f.simulator.now());
-  // The index mirrors the (now corrupted) snapshot it was NOT rebuilt
-  // from, so kFleetIndex legitimately co-fires; the snapshot rule is the
-  // one that names the root cause.
+  // The block summaries were not re-summarized from the (now corrupted)
+  // snapshot, so kFleetIndex may legitimately co-fire; the snapshot rule
+  // is the one that names the root cause.
   EXPECT_EQ(ck.count(validate::Rule::kFleetSnapshot), 1u);
   EXPECT_FALSE(ck.ok());
 }
@@ -1074,7 +1139,10 @@ TEST(FleetChecker, CatchesCorruptedIndex) {
   f.simulator.run_until(400.0);
   FleetState fleet;
   fleet.refresh(f.dc);
-  fleet.debug_corrupt_index(2, 5.0);
+  // A missed re-summary: block 0's free-CPU maximum is off.
+  BlockSummary stale = fleet.blocks()[0];
+  stale.max_free_cpu += 5.0;
+  fleet.debug_set_block(0, stale);
 
   validate::InvariantChecker ck;
   ck.check_fleet(fleet, f.dc, f.simulator.now());
@@ -1082,17 +1150,19 @@ TEST(FleetChecker, CatchesCorruptedIndex) {
   EXPECT_EQ(other_rule_count(ck, validate::Rule::kFleetIndex), 0u);
 }
 
-// A stale block of extrema (the score floor's bounds) is an index
-// violation, whichever block it is.
+// Stale block extrema (the score floor's bounds) are a kFleetIndex
+// violation, whichever block they are in.
 TEST(FleetChecker, CatchesStaleBlockExtrema) {
   SmallDc f(40);  // a full kArgminBlock block and a partial tail block
   f.admit_and_place(make_job(), 35);
   f.simulator.run_until(400.0);
   FleetState fleet;
   fleet.refresh(f.dc);
-  ASSERT_EQ(fleet.index().block_extrema().size(), 2u);
-  ASSERT_TRUE(fleet.index().block_extrema()[1].any_placeable);
-  fleet.debug_corrupt_extrema(1, -5.0);
+  ASSERT_EQ(fleet.blocks().size(), 2u);
+  ASSERT_TRUE(fleet.blocks()[1].extrema.any_placeable);
+  BlockSummary stale = fleet.blocks()[1];
+  stale.extrema.min_cc -= 5.0;
+  fleet.debug_set_block(1, stale);
 
   validate::InvariantChecker ck;
   ck.check_fleet(fleet, f.dc, f.simulator.now());

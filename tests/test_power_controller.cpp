@@ -185,5 +185,53 @@ TEST(PowerController, DefaultPolicyHooksPickSensibleNodes) {
   EXPECT_EQ(policy.choose_power_off(ctx, {0, 1, 2}), 0u);
 }
 
+/// Returns fixed hosts from both power hooks, whatever the candidates.
+struct FixedPickPolicy : policies::BackfillingPolicy {
+  HostId on_pick = 0;
+  HostId off_pick = 0;
+
+  HostId choose_power_on(const SchedContext&,
+                         const std::vector<HostId>&) override {
+    return on_pick;
+  }
+  HostId choose_power_off(const SchedContext&,
+                          const std::vector<HostId>&) override {
+    return off_pick;
+  }
+};
+
+// A power-off pick outside the idle list (here an idle host in
+// maintenance, which the controller never offers) is a policy bug: the
+// controller asserts before it acts on the pick.
+TEST(PowerControllerDeathTest, PowerOffPickOutsideTheIdleListAborts) {
+  SmallDc f(4);
+  f.admit_and_place(make_job(), 0);
+  f.dc.set_maintenance(3, true);
+  ASSERT_TRUE(f.dc.host(3).is_idle_on());
+  FixedPickPolicy policy;
+  policy.off_pick = 3;
+  support::Rng rng{1};
+  const std::vector<VmId> queue;
+  SchedContext ctx{f.dc, queue, rng};
+  PowerController controller({0.30, 0.90, 1, true});
+  EXPECT_DEATH(controller.update(ctx, f.dc, policy), "it != idle.end");
+}
+
+// Likewise a power-on pick outside the off list: the assertion fires
+// before the Datacenter is asked to boot the host.
+TEST(PowerControllerDeathTest, PowerOnPickOutsideTheOffListAborts) {
+  datacenter::DatacenterConfig base;
+  base.initially_on = 0;
+  SmallDc f(3, base);
+  f.dc.set_maintenance(2, true);  // off, but not a turn-on candidate
+  FixedPickPolicy policy;
+  policy.on_pick = 2;
+  support::Rng rng{1};
+  const std::vector<VmId> queue{f.dc.admit_job(make_job())};
+  SchedContext ctx{f.dc, queue, rng};
+  PowerController controller({0.30, 0.90, 1, true});
+  EXPECT_DEATH(controller.update(ctx, f.dc, policy), "it != off.end");
+}
+
 }  // namespace
 }  // namespace easched::sched
