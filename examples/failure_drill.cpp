@@ -10,10 +10,12 @@
 //
 // Operation-level chaos (fault-injection layer) is scripted with --faults:
 //   failure_drill --faults="migrate.fail=0.05,create.hang=0.01,lemon=3:8"
-// or --faults=<file> with one key=value pair per line. Add --fault-trace to
-// dump the deterministic fault event trace; --trace=<path> (with
-// --trace-format=, --metrics-out=, --profile) writes the structured
-// observability outputs instead.
+// or --faults=<file> with one key=value pair per line. Every injection and
+// recovery action is an event of the structured trace: write it with
+// --trace=run.jsonl (also --trace-format=, --metrics-out=, --profile) and
+// read the fault events back with
+//   trace_tool tail run.jsonl --kind=fault-injected   (or op-failed,
+//                                                       quarantine...)
 //
 // The resilience control plane (solver watchdog, degradation ladder,
 // admission control, per-host circuit breakers) is armed with --resilience:
@@ -74,7 +76,6 @@ int main(int argc, char** argv) {
     config.resilience =
         resilience::parse_resilience_spec(args.get("resilience", "on"));
   }
-  const bool dump_trace = args.get_bool("fault-trace", false);
   const obs::ObsOptions obs_opts = obs::options_from_cli(args);
   args.warn_unrecognized();
   obs::Observability observability;
@@ -96,11 +97,6 @@ int main(int argc, char** argv) {
   if (!robustness.empty()) std::printf("%s\n", robustness.c_str());
   const std::string resil = result.report.resilience_to_string();
   if (!resil.empty()) std::printf("%s\n", resil.c_str());
-  if (dump_trace) {
-    for (const auto& line : result.fault_trace) {
-      std::printf("%s\n", line.c_str());
-    }
-  }
   if (rung_energy && observability.ledger.total_j() > 0) {
     // Resilience x attribution: how many of the run's joules were burned
     // while the ladder had degraded the solver.

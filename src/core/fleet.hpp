@@ -181,6 +181,10 @@ class FleetState {
   /// the Datacenter's dirty journal alone — its single consumer is the
   /// policy's incremental FleetState, which must still see every host
   /// dirtied since its last refresh. Expects planning() to be false.
+  /// A reference model reads no block summary, but the summaries built
+  /// here are not dead: they are the full-read oracle that refresh()'s
+  /// blocks are held to bitwise (tests/test_fleet.cpp,
+  /// expect_matches_full_read), so skipping them would need a mode branch.
   void read_all(const datacenter::Datacenter& dc);
 
   [[nodiscard]] const FleetSnapshot& snapshot() const { return snap_; }

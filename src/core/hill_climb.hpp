@@ -198,8 +198,8 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   const int vrow = model.virtual_row();
   if (cols == 0 || rows <= 1) return stats;
 
-  // kArgminBlock (core/score.hpp) is shared with the fleet bucket index:
-  // its per-block free-capacity maxima are what skip_block() consults.
+  // kArgminBlock (core/score.hpp) is shared with FleetState::blocks():
+  // their per-block free-capacity maxima are what skip_block() consults.
   const int nblocks = (rows + kArgminBlock - 1) / kArgminBlock;
   struct Cand {
     double delta = 0;

@@ -15,10 +15,10 @@ inline constexpr double kInfScore = 1e15;
 }
 
 /// Row-block granularity shared by the solver's blocked argmin
-/// (hill_climb.hpp) and the fleet snapshot's capacity-bucket index
-/// (fleet.hpp): the per-block free-capacity maxima the index maintains are
-/// consulted block-for-block by the argmin, so both sides must agree on
-/// the block size.
+/// (hill_climb.hpp) and the fleet's per-block summaries
+/// (FleetState::blocks(), fleet.hpp): the free-capacity maxima each block
+/// summary carries are consulted block-for-block by the argmin, so both
+/// sides must agree on the block size.
 inline constexpr int kArgminBlock = 32;
 
 /// "Soft infinity" for the PSLA penalty: unacceptable fulfilment makes a

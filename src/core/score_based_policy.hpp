@@ -50,7 +50,8 @@ struct ScoreBasedConfig {
   /// Cross-round incremental scheduling core (core/fleet.hpp): keep a
   /// persistent fleet snapshot between rounds, re-read only the hosts the
   /// Datacenter's dirty journal names, and let the hill climber prune
-  /// provably infeasible candidates through the capacity-bucket index.
+  /// provably infeasible candidates through the snapshot's per-block
+  /// summaries (FleetState::blocks()).
   /// Every score model the policy builds — rounds under either solver and
   /// power-off ranking — uses it. Neither mode stores scores across
   /// rounds. Disable to run the reference core: each model reads every

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
 
 #include "datacenter/xen_scheduler.hpp"
@@ -21,16 +19,6 @@ namespace {
 constexpr double kEps = 1e-9;
 /// Slack tolerated when asserting a finish event hit zero remaining work.
 constexpr double kFinishSlack = 1e-3;
-
-const char* outcome_name(faults::FaultOutcome::Kind k) {
-  switch (k) {
-    case faults::FaultOutcome::Kind::kNone: return "none";
-    case faults::FaultOutcome::Kind::kFail: return "fail";
-    case faults::FaultOutcome::Kind::kHang: return "hang";
-    case faults::FaultOutcome::Kind::kSlow: return "slow";
-  }
-  return "?";
-}
 }  // namespace
 
 Datacenter::Datacenter(sim::Simulator& simulator, DatacenterConfig config,
@@ -722,14 +710,7 @@ void Datacenter::power_on(HostId h) {
   bool boot_hangs = false;
   if (config_.fault_injector != nullptr) {
     const faults::FaultOutcome out =
-        config_.fault_injector->decide(faults::FaultOp::kPowerOn, h, sim_.now());
-    if (out.kind != faults::FaultOutcome::Kind::kNone) {
-      if (auto* tr = obs::tracer(recorder_)) {
-        auto& e = tr->emit(sim_.now(), obs::EventKind::kFaultInjected);
-        e.host = h;
-        e.label = outcome_name(out.kind);
-      }
-    }
+        inject_fault(faults::FaultOp::kPowerOn, h, kNoVm);
     switch (out.kind) {
       case faults::FaultOutcome::Kind::kNone:
         break;
@@ -792,15 +773,8 @@ void Datacenter::power_off(HostId h) {
   double shutdown_s = host.spec.shutdown_time_s;
   bool off_fails = false;
   if (config_.fault_injector != nullptr) {
-    const faults::FaultOutcome out = config_.fault_injector->decide(
-        faults::FaultOp::kPowerOff, h, sim_.now());
-    if (out.kind != faults::FaultOutcome::Kind::kNone) {
-      if (auto* tr = obs::tracer(recorder_)) {
-        auto& e = tr->emit(sim_.now(), obs::EventKind::kFaultInjected);
-        e.host = h;
-        e.label = outcome_name(out.kind);
-      }
-    }
+    const faults::FaultOutcome out =
+        inject_fault(faults::FaultOp::kPowerOff, h, kNoVm);
     switch (out.kind) {
       case faults::FaultOutcome::Kind::kNone:
         break;
@@ -830,12 +804,10 @@ void Datacenter::power_off(HostId h) {
       set_host_state(hh, HostState::kOn);
       update_power(hh);
       ++recorder_.counts.op_failures;
-      record_fault_event("power-off-failed host=%u",
-                         static_cast<unsigned>(h));
       if (auto* tr = obs::tracer(recorder_)) {
         auto& e = tr->emit(sim_.now(), obs::EventKind::kOpFailed);
         e.host = h;
-        e.label = "power_off";
+        e.label = faults::to_string(faults::FaultOp::kPowerOff);
       }
       note_host_fault(h);
       if (config_.inject_failures) schedule_failure(h);
@@ -959,8 +931,6 @@ void Datacenter::fail_host(HostId h) {
   host.used_cpu_pct = 0;
   update_power(host);
   ++recorder_.counts.failures;
-  record_fault_event("host-crash host=%u lost=%zu", static_cast<unsigned>(h),
-                     lost.size());
   if (auto* tr = obs::tracer(recorder_)) {
     auto& e = tr->emit(sim_.now(), obs::EventKind::kHostFailed);
     e.host = h;
@@ -1044,19 +1014,30 @@ void Datacenter::drain_fleet_dirty(std::vector<HostId>& out) const {
 
 // ---- fault-injection & recovery internals ---------------------------------
 
+faults::FaultOutcome Datacenter::inject_fault(faults::FaultOp fop, HostId h,
+                                              VmId v) {
+  const faults::FaultOutcome out = config_.fault_injector->decide(fop, h);
+  if (!out.injected()) return out;
+  if (auto* tr = obs::tracer(recorder_)) {
+    auto& e = tr->emit(sim_.now(), obs::EventKind::kFaultInjected);
+    if (v != kNoVm) e.vm = v;
+    e.host = h;
+    // `<op>.<outcome>`, the fault plan's key grammar (`migrate.fail`).
+    e.label = std::string(faults::to_string(fop)) + '.' +
+              faults::to_string(out.kind);
+    if (out.kind == faults::FaultOutcome::Kind::kFail) {
+      e.arg("fail_fraction", out.fail_fraction);
+    } else if (out.kind == faults::FaultOutcome::Kind::kSlow) {
+      e.arg("slow_factor", out.slow_factor);
+    }
+  }
+  return out;
+}
+
 void Datacenter::apply_injection(Operation& op, faults::FaultOp fop,
                                  HostId h) {
   if (config_.fault_injector == nullptr) return;
-  const faults::FaultOutcome out =
-      config_.fault_injector->decide(fop, h, sim_.now());
-  if (out.kind != faults::FaultOutcome::Kind::kNone) {
-    if (auto* tr = obs::tracer(recorder_)) {
-      auto& e = tr->emit(sim_.now(), obs::EventKind::kFaultInjected);
-      e.vm = op.vm;
-      e.host = h;
-      e.label = outcome_name(out.kind);
-    }
-  }
+  const faults::FaultOutcome out = inject_fault(fop, h, op.vm);
   switch (out.kind) {
     case faults::FaultOutcome::Kind::kNone:
       break;
@@ -1100,43 +1081,32 @@ void Datacenter::op_deadline_expired(HostId h, Operation::Kind kind, VmId v) {
 
 void Datacenter::fail_operation(HostId h, Operation::Kind kind, VmId v,
                                 bool timed_out) {
+  // The passive migrate-out leg carries no injection flags.
+  EA_ASSERT(kind != Operation::Kind::kMigrateOut);
+  const faults::FaultOp fop =
+      kind == Operation::Kind::kCreate      ? faults::FaultOp::kCreate
+      : kind == Operation::Kind::kMigrateIn ? faults::FaultOp::kMigrate
+                                            : faults::FaultOp::kCheckpoint;
   ++recorder_.counts.op_failures;
   if (timed_out) ++recorder_.counts.op_timeouts;
   if (auto* tr = obs::tracer(recorder_)) {
     auto& e = tr->emit(sim_.now(), obs::EventKind::kOpFailed);
     e.vm = v;
     e.host = h;
-    switch (kind) {
-      case Operation::Kind::kCreate: e.label = "create"; break;
-      case Operation::Kind::kMigrateIn: e.label = "migrate"; break;
-      case Operation::Kind::kCheckpoint: e.label = "checkpoint"; break;
-      case Operation::Kind::kMigrateOut: e.label = "migrate_out"; break;
-    }
+    e.label = faults::to_string(fop);
     e.arg("timeout", timed_out ? 1.0 : 0.0);
   }
-  const char* why = timed_out ? "timeout" : "op-failed";
-  faults::FaultOp fop = faults::FaultOp::kCreate;
   switch (kind) {
     case Operation::Kind::kCreate:
-      fop = faults::FaultOp::kCreate;
-      record_fault_event("%s create vm=%u host=%u", why,
-                         static_cast<unsigned>(v), static_cast<unsigned>(h));
       fail_creation(h, v);
       break;
     case Operation::Kind::kMigrateIn:
-      fop = faults::FaultOp::kMigrate;
-      record_fault_event("%s migrate vm=%u dst=%u", why,
-                         static_cast<unsigned>(v), static_cast<unsigned>(h));
       rollback_migration(v);
       break;
     case Operation::Kind::kCheckpoint:
-      fop = faults::FaultOp::kCheckpoint;
-      record_fault_event("%s checkpoint vm=%u host=%u", why,
-                         static_cast<unsigned>(v), static_cast<unsigned>(h));
       fail_checkpoint(h, v);
       break;
     case Operation::Kind::kMigrateOut:
-      EA_ASSERT(false);  // passive leg carries no injection flags
       return;
   }
   if (auto* rc = resilience::controller(recorder_)) {
@@ -1211,7 +1181,6 @@ void Datacenter::boot_failed(HostId h) {
   host.used_cpu_pct = 0;
   update_power(host);
   ++recorder_.counts.boot_failures;
-  record_fault_event("boot-failed host=%u", static_cast<unsigned>(h));
   if (auto* tr = obs::tracer(recorder_)) {
     tr->emit(sim_.now(), obs::EventKind::kBootFailed).host = h;
   }
@@ -1244,8 +1213,6 @@ void Datacenter::note_host_fault(HostId h) {
   host.quarantined = true;
   mark_dirty(h);  // placeability flip
   ++recorder_.counts.quarantines;
-  record_fault_event("quarantine host=%u cooldown=%.0fs",
-                     static_cast<unsigned>(h), q.cooldown_s);
   if (auto* tr = obs::tracer(recorder_)) {
     auto& e = tr->emit(sim_.now(), obs::EventKind::kQuarantine);
     e.host = h;
@@ -1259,7 +1226,6 @@ void Datacenter::note_host_fault(HostId h) {
     hh.fault_count = 0;
     hh.fault_window_start = sim_.now();
     mark_dirty(h);  // placeability flip
-    record_fault_event("unquarantine host=%u", static_cast<unsigned>(h));
     if (auto* tr = obs::tracer(recorder_)) {
       tr->emit(sim_.now(), obs::EventKind::kUnquarantine).host = h;
     }
@@ -1272,16 +1238,6 @@ void Datacenter::note_host_fault(HostId h) {
     rc->note_host_quarantined(h, sim_.now());
   }
   if (on_host_quarantined) on_host_quarantined(h);
-}
-
-void Datacenter::record_fault_event(const char* fmt, ...) {
-  if (config_.fault_injector == nullptr) return;
-  char buf[160];
-  std::va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  config_.fault_injector->record(sim_.now(), buf);
 }
 
 }  // namespace easched::datacenter

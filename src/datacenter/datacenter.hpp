@@ -44,6 +44,7 @@
 
 namespace easched::faults {
 class FaultInjector;
+struct FaultOutcome;
 }  // namespace easched::faults
 
 namespace easched::datacenter {
@@ -301,6 +302,10 @@ class Datacenter {
   double draw_duration(double mean_s);
 
   // ---- fault-injection & recovery internals -------------------------------
+  /// The one injection point: draws the injector's outcome for `fop` on
+  /// host `h` and traces an injected one as a single `fault-injected`
+  /// event (VM-scoped unless `v` is kNoVm). Requires an injector.
+  faults::FaultOutcome inject_fault(faults::FaultOp fop, HostId h, VmId v);
   /// Consults the injector for `op` on host `h` and applies the outcome to
   /// a freshly drawn operation (shorten-and-flag for fail, hang flag,
   /// stretched work for slow). No-op without an injector.
@@ -319,8 +324,6 @@ class Datacenter {
   /// Charges one fault against `h`'s failure budget; quarantines the host
   /// when the budget is exceeded and schedules the cooldown.
   void note_host_fault(HostId h);
-  /// Appends a recovery event line to the injector trace (if attached).
-  void record_fault_event(const char* fmt, ...);
   Operation* find_op(Host& h, Operation::Kind kind, VmId v);
 
   sim::Simulator& sim_;

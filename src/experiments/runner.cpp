@@ -197,10 +197,7 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   if (telemetry != nullptr) {
     result.report.alerts = telemetry->alerts().log();
   }
-  if (injector) {
-    result.fault_trace = injector->trace();
-    result.faults_injected = injector->injected_count();
-  }
+  if (injector) result.faults_injected = injector->injected_count();
   if (checker) {
     result.violations = checker->violations();
     result.invariant_checks = checker->checks_run();

@@ -1,5 +1,7 @@
 // One-call experiment runner: wire simulator + datacenter + driver + policy,
-// run a workload to completion, return the table-row report.
+// run a workload to completion, return the table-row report. A fault-plan
+// run records its injections and recoveries as events of the attached
+// tracer (RunConfig::obs); the result keeps only the injected count.
 #pragma once
 
 #include <memory>
@@ -73,10 +75,11 @@ struct RunResult {
   sim::SimTime end_time_s = 0;
   bool hit_horizon = false;
 
-  /// Chronological fault-event trace (injections, aborts, quarantines…);
-  /// empty unless the run had an injector. Bit-identical for identical
+  /// Injected (non-kNone) fault decisions; zero unless the run had an
+  /// injector. The faults themselves, and every recovery action they set
+  /// off, are events in the run's tracer (RunConfig::obs): `fault-injected`,
+  /// `op-failed`, `boot-failed`, `quarantine`... Bit-identical for identical
   /// (plan, workload, config) — the determinism contract.
-  std::vector<std::string> fault_trace;
   std::uint64_t faults_injected = 0;
 
   /// Invariant-checker results (empty / zero when validation was off).

@@ -1,7 +1,6 @@
 #include "faults/fault_injector.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include <utility>
 
 namespace easched::faults {
 
@@ -22,8 +21,7 @@ const char* to_string(FaultOutcome::Kind kind) noexcept {
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed) {}
 
-FaultOutcome FaultInjector::decide(FaultOp op, datacenter::HostId h,
-                                   sim::SimTime now) {
+FaultOutcome FaultInjector::decide(FaultOp op, datacenter::HostId h) {
   // Fixed draw count: one categorical draw, one payload draw.
   const double u = rng_.uniform01();
   const double payload = rng_.uniform01();
@@ -54,22 +52,8 @@ FaultOutcome FaultInjector::decide(FaultOp op, datacenter::HostId h,
     out.slow_factor = 1.0 + (spec.slow_factor - 1.0) * (0.5 + payload);
   }
 
-  if (out.injected()) {
-    ++injected_;
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "inject %s host=%lu %s f=%.4f x=%.4f",
-                  faults::to_string(op), static_cast<unsigned long>(h),
-                  faults::to_string(out.kind), out.fail_fraction,
-                  out.slow_factor);
-    record(now, buf);
-  }
+  if (out.injected()) ++injected_;
   return out;
-}
-
-void FaultInjector::record(sim::SimTime now, const std::string& line) {
-  char prefix[32];
-  std::snprintf(prefix, sizeof prefix, "%.3f ", now);
-  trace_.push_back(prefix + line);
 }
 
 }  // namespace easched::faults

@@ -3,21 +3,20 @@
 // The Datacenter consults the injector at the start of every intercepted
 // actuator operation; the injector rolls its dedicated RNG stream against
 // the FaultPlan and returns an outcome (proceed / fail partway / hang /
-// run slow). Every decision and every recovery action taken afterwards
-// (abort, rollback, retry, quarantine) is appended to a formatted event
-// trace, which is what the determinism tests compare: the same plan seed
-// must yield the same trace across runs.
+// run slow). The injector keeps no event record of its own: the Datacenter
+// traces each injection (`fault-injected`) and each recovery action taken
+// afterwards (`op-failed`, `migrate-rollback`, `quarantine`...) through the
+// run's obs::Tracer, and the determinism tests compare that trace: the
+// same plan seed must yield the same events across runs.
 //
 // The injector performs exactly two RNG draws per decision regardless of
 // the outcome, so editing one operation's probabilities never shifts the
 // draws seen by later decisions of other kinds.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "faults/fault_plan.hpp"
-#include "sim/time.hpp"
 #include "support/rng.hpp"
 
 namespace easched::faults {
@@ -42,18 +41,10 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
 
-  /// Rolls the dice for one operation of kind `op` on host `h` at
-  /// simulation time `now`. Records non-kNone outcomes in the trace.
-  FaultOutcome decide(FaultOp op, datacenter::HostId h, sim::SimTime now);
-
-  /// Appends a recovery-side event (retry/abort/rollback/quarantine...)
-  /// to the trace; the caller formats the payload.
-  void record(sim::SimTime now, const std::string& line);
+  /// Rolls the dice for one operation of kind `op` on host `h`.
+  FaultOutcome decide(FaultOp op, datacenter::HostId h);
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] const std::vector<std::string>& trace() const noexcept {
-    return trace_;
-  }
   /// Number of injected (non-kNone) decisions so far.
   [[nodiscard]] std::uint64_t injected_count() const noexcept {
     return injected_;
@@ -62,7 +53,6 @@ class FaultInjector {
  private:
   FaultPlan plan_;
   support::Rng rng_;
-  std::vector<std::string> trace_;
   std::uint64_t injected_ = 0;
 };
 

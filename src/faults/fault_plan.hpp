@@ -14,8 +14,9 @@
 // stream (never from the datacenter's or driver's), and performs a fixed
 // number of draws per consulted operation, so enabling, disabling or
 // editing one probability never perturbs the draws seen elsewhere; the
-// same (plan, workload, config) triple reproduces a bit-identical fault
-// event trace.
+// same (plan, workload, config) triple reproduces a bit-identical run
+// trace (obs/trace.hpp), the fault layer's one record of what it injected
+// and how the datacenter recovered.
 #pragma once
 
 #include <cstdint>

@@ -53,8 +53,10 @@ enum class EventKind : std::uint8_t {
   kHostFailed,       ///< host; args: lost (#VMs requeued)
   kHostRepaired,     ///< host
   kBootFailed,       ///< host
-  kFaultInjected,    ///< host, vm (when VM-scoped); args: op, outcome
-  kOpFailed,         ///< vm, host; args: op, timeout
+  kFaultInjected,    ///< host, vm (when VM-scoped); label = `<op>.<outcome>`
+                     ///< (the fault-plan key grammar, e.g. migrate.fail);
+                     ///< args: fail_fraction (fail), slow_factor (slow)
+  kOpFailed,         ///< vm, host; label = op; args: timeout
   kQuarantine,       ///< host
   kUnquarantine,     ///< host
   kSlaAlarm,         ///< vm

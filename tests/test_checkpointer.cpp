@@ -15,6 +15,7 @@ namespace {
 using easched::testing::chaos_workload;
 using easched::testing::make_chaos_plan;
 using easched::testing::make_job;
+using easched::testing::run_traced;
 using easched::testing::SmallDc;
 using easched::testing::small_config;
 
@@ -111,7 +112,7 @@ TEST(Checkpointer, InjectedSnapshotFailuresDegradeToRecreate) {
 
 /// A fault-heavy checkpointed run through the full experiment stack: node
 /// failures, every actuator op (including checkpoints) injectable.
-experiments::RunResult checkpointed_chaos_run() {
+std::unique_ptr<easched::testing::TracedRun> checkpointed_chaos_run() {
   auto config = small_config("SB", 2, 3, 2);
   config.datacenter.inject_failures = true;
   config.datacenter.mean_repair_s = 400;
@@ -123,19 +124,21 @@ experiments::RunResult checkpointed_chaos_run() {
   config.datacenter.checkpoint.duration_s = 5;
   config.faults = make_chaos_plan(11);
   config.horizon_s = 60 * sim::kDay;
-  return experiments::run_experiment(chaos_workload(), std::move(config));
+  return run_traced(chaos_workload(), std::move(config));
 }
 
 TEST(Checkpointer, FaultHeavyCheckpointedRunIsByteDeterministic) {
-  const auto a = checkpointed_chaos_run();
-  const auto b = checkpointed_chaos_run();
+  const auto run_a = checkpointed_chaos_run();
+  const auto run_b = checkpointed_chaos_run();
+  const auto& a = run_a->result;
+  const auto& b = run_b->result;
   EXPECT_FALSE(a.hit_horizon);
   EXPECT_EQ(a.jobs_finished, a.jobs_submitted);
   EXPECT_GT(a.faults_injected, 0u);
   // Bit-identical replay on the pooled event queue: same event count, same
-  // fault trace, same energy integral to the last bit.
+  // trace, same energy integral to the last bit.
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.fault_trace, b.fault_trace);
+  EXPECT_EQ(run_a->jsonl(), run_b->jsonl());
   EXPECT_DOUBLE_EQ(a.report.energy_kwh, b.report.energy_kwh);
   EXPECT_DOUBLE_EQ(a.end_time_s, b.end_time_s);
 }

@@ -25,6 +25,8 @@ using easched::testing::chaos_experiment_plan;
 using easched::testing::chaos_workload;
 using easched::testing::InjectedDc;
 using easched::testing::make_job;
+using easched::testing::run_traced;
+using easched::testing::TracedRun;
 
 // ---- plan parsing -----------------------------------------------------------
 
@@ -156,15 +158,14 @@ TEST(FaultInjector, SamePlanYieldsIdenticalDecisionsAndTrace) {
   for (int i = 0; i < 300; ++i) {
     const FaultOp op = i % 2 == 0 ? FaultOp::kCreate : FaultOp::kMigrate;
     const datacenter::HostId h = static_cast<datacenter::HostId>(i % 3);
-    const FaultOutcome oa = a.decide(op, h, i * 10.0);
-    const FaultOutcome ob = b.decide(op, h, i * 10.0);
+    const FaultOutcome oa = a.decide(op, h);
+    const FaultOutcome ob = b.decide(op, h);
     ASSERT_EQ(oa.kind, ob.kind) << "decision " << i;
     ASSERT_DOUBLE_EQ(oa.fail_fraction, ob.fail_fraction);
     ASSERT_DOUBLE_EQ(oa.slow_factor, ob.slow_factor);
   }
   EXPECT_GT(a.injected_count(), 0u);
   EXPECT_EQ(a.injected_count(), b.injected_count());
-  EXPECT_EQ(a.trace(), b.trace());
 }
 
 TEST(FaultInjector, EditingOneOpNeverShiftsOtherDecisions) {
@@ -179,8 +180,8 @@ TEST(FaultInjector, EditingOneOpNeverShiftsOtherDecisions) {
   FaultInjector b(noisy);
   for (int i = 0; i < 300; ++i) {
     const FaultOp op = i % 2 == 0 ? FaultOp::kCreate : FaultOp::kMigrate;
-    const FaultOutcome oa = a.decide(op, 0, i * 10.0);
-    const FaultOutcome ob = b.decide(op, 0, i * 10.0);
+    const FaultOutcome oa = a.decide(op, 0);
+    const FaultOutcome ob = b.decide(op, 0);
     if (op == FaultOp::kCreate) {
       ASSERT_EQ(oa.kind, ob.kind) << "create decision " << i << " shifted";
       ASSERT_DOUBLE_EQ(oa.fail_fraction, ob.fail_fraction);
@@ -199,8 +200,8 @@ TEST(FaultInjector, LemonHostConcentratesFaults) {
   int lemon_faults = 0;
   int normal_faults = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (injector.decide(FaultOp::kMigrate, 5, i).injected()) ++lemon_faults;
-    if (injector.decide(FaultOp::kMigrate, 0, i).injected()) ++normal_faults;
+    if (injector.decide(FaultOp::kMigrate, 5).injected()) ++lemon_faults;
+    if (injector.decide(FaultOp::kMigrate, 0).injected()) ++normal_faults;
   }
   EXPECT_GT(normal_faults, 0);
   EXPECT_GT(lemon_faults, 3 * normal_faults);
@@ -216,7 +217,7 @@ TEST(FaultInjector, RenormalisesWhenLemonSpillsPastOne) {
   // categories keep their relative weight (roughly half/half).
   int fails = 0;
   for (int i = 0; i < 200; ++i) {
-    const FaultOutcome out = injector.decide(FaultOp::kCreate, 0, i);
+    const FaultOutcome out = injector.decide(FaultOp::kCreate, 0);
     ASSERT_TRUE(out.injected());
     if (out.kind == FaultOutcome::Kind::kFail) ++fails;
   }
@@ -227,10 +228,9 @@ TEST(FaultInjector, RenormalisesWhenLemonSpillsPastOne) {
 TEST(FaultInjector, InertPlanInjectsNothing) {
   FaultInjector injector(FaultPlan{});
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(injector.decide(FaultOp::kCreate, 0, i).injected());
+    EXPECT_FALSE(injector.decide(FaultOp::kCreate, 0).injected());
   }
   EXPECT_EQ(injector.injected_count(), 0u);
-  EXPECT_TRUE(injector.trace().empty());
 }
 
 // ---- datacenter recovery semantics ------------------------------------------
@@ -417,7 +417,7 @@ TEST(FaultedDatacenter, FaultStrictlyInsideWindowStillQuarantines) {
 
 // ---- end-to-end: fault-heavy experiments ------------------------------------
 
-experiments::RunResult run_chaos() {
+std::unique_ptr<TracedRun> run_chaos() {
   experiments::RunConfig config;
   config.datacenter = {};
   config.datacenter.hosts = experiments::evaluation_hosts(2, 3, 2);
@@ -426,15 +426,16 @@ experiments::RunResult run_chaos() {
       core::ScoreBasedConfig::sb());
   config.faults = chaos_experiment_plan();
   config.horizon_s = 30 * sim::kDay;
-  return experiments::run_experiment(chaos_workload(), std::move(config));
+  return run_traced(chaos_workload(), std::move(config));
 }
 
 TEST(FaultExperiment, FaultHeavyRunFinishesEveryJob) {
-  const auto result = run_chaos();
+  const auto run = run_chaos();
+  const auto& result = run->result;
   EXPECT_FALSE(result.hit_horizon);
   EXPECT_EQ(result.jobs_finished, result.jobs_submitted);
   EXPECT_GT(result.faults_injected, 0u);
-  EXPECT_FALSE(result.fault_trace.empty());
+  EXPECT_GT(run->count(obs::EventKind::kFaultInjected), 0u);
   EXPECT_GT(result.report.op_failures, 0u);
   EXPECT_GT(result.report.retries, 0u);
   // The formatted robustness line only appears on fault-heavy runs.
@@ -444,10 +445,10 @@ TEST(FaultExperiment, FaultHeavyRunFinishesEveryJob) {
 TEST(FaultExperiment, TraceIsDeterministicAcrossRuns) {
   const auto a = run_chaos();
   const auto b = run_chaos();
-  EXPECT_EQ(a.fault_trace, b.fault_trace);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_DOUBLE_EQ(a.report.energy_kwh, b.report.energy_kwh);
+  EXPECT_EQ(a->jsonl(), b->jsonl());
+  EXPECT_EQ(a->result.faults_injected, b->result.faults_injected);
+  EXPECT_EQ(a->result.events_dispatched, b->result.events_dispatched);
+  EXPECT_DOUBLE_EQ(a->result.report.energy_kwh, b->result.report.energy_kwh);
 }
 
 TEST(FaultExperiment, DisabledPlanIsBitIdenticalToNoPlan) {
@@ -457,15 +458,16 @@ TEST(FaultExperiment, DisabledPlanIsBitIdenticalToNoPlan) {
     config.datacenter.seed = 3;
     config.policy = "BF";
     if (with_inert_plan) config.faults = FaultPlan{};  // enabled == false
-    return experiments::run_experiment(chaos_workload(), std::move(config));
+    return run_traced(chaos_workload(), std::move(config));
   };
   const auto bare = run(false);
   const auto inert = run(true);
-  EXPECT_TRUE(inert.fault_trace.empty());
-  EXPECT_EQ(inert.faults_injected, 0u);
-  EXPECT_EQ(bare.events_dispatched, inert.events_dispatched);
-  EXPECT_DOUBLE_EQ(bare.report.energy_kwh, inert.report.energy_kwh);
-  EXPECT_EQ(bare.report.migrations, inert.report.migrations);
+  EXPECT_EQ(inert->result.faults_injected, 0u);
+  EXPECT_EQ(bare->jsonl(), inert->jsonl());
+  EXPECT_EQ(bare->result.events_dispatched, inert->result.events_dispatched);
+  EXPECT_DOUBLE_EQ(bare->result.report.energy_kwh,
+                   inert->result.report.energy_kwh);
+  EXPECT_EQ(bare->result.report.migrations, inert->result.report.migrations);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 // tests share instead of each growing its own copy.
 #pragma once
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -13,6 +16,7 @@
 #include "experiments/setup.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "workload/synthetic.hpp"
 
@@ -123,6 +127,36 @@ inline faults::FaultPlan make_chaos_plan(std::uint64_t seed) {
   plan.quarantine_window_s = 1200;
   plan.quarantine_cooldown_s = 600;
   return plan;
+}
+
+/// A run with its tracer on. The bundle must not move once the run starts
+/// (the recorder holds a pointer), so run_traced() returns it on the heap.
+struct TracedRun {
+  obs::Observability obs;
+  experiments::RunResult result;
+
+  /// The trace in its byte-deterministic form (`wall_` args dropped): what
+  /// repeat-run determinism tests compare.
+  [[nodiscard]] std::string jsonl() const {
+    std::ostringstream os;
+    obs.tracer.write_jsonl(os, /*include_wall=*/false);
+    return os.str();
+  }
+  [[nodiscard]] std::size_t count(obs::EventKind kind) const {
+    const auto& events = obs.tracer.events();
+    return static_cast<std::size_t>(std::count_if(
+        events.begin(), events.end(),
+        [kind](const obs::TraceEvent& e) { return e.kind == kind; }));
+  }
+};
+
+inline std::unique_ptr<TracedRun> run_traced(const workload::Workload& jobs,
+                                             experiments::RunConfig config) {
+  auto run = std::make_unique<TracedRun>();
+  run->obs.tracer.enable();
+  config.obs = &run->obs;
+  run->result = experiments::run_experiment(jobs, std::move(config));
+  return run;
 }
 
 /// SmallDc wired to a FaultInjector (and an optional quarantine override);

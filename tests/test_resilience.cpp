@@ -21,7 +21,9 @@ namespace easched::resilience {
 namespace {
 
 using easched::testing::make_job;
+using easched::testing::run_traced;
 using easched::testing::SmallDc;
+using easched::testing::TracedRun;
 
 // ---- spec parsing -----------------------------------------------------------
 
@@ -445,7 +447,7 @@ ResilienceConfig overload_resilience() {
   return c;
 }
 
-experiments::RunResult run_overload() {
+std::unique_ptr<TracedRun> run_overload() {
   experiments::RunConfig config;
   config.datacenter.hosts = experiments::evaluation_hosts(1, 3, 1);
   config.datacenter.seed = 5;
@@ -458,11 +460,12 @@ experiments::RunResult run_overload() {
   config.resilience = overload_resilience();
   config.validate.enabled = true;  // ladder/breaker invariants checked live
   config.horizon_s = 30 * sim::kDay;
-  return experiments::run_experiment(burst_workload(), std::move(config));
+  return run_traced(burst_workload(), std::move(config));
 }
 
 TEST(OverloadScenario, DownshiftsShedsRecoversAndFinishes) {
-  const auto result = run_overload();
+  const auto run = run_overload();
+  const auto& result = run->result;
   EXPECT_FALSE(result.hit_horizon);
   // Every submitted job is accounted for: finished or deliberately shed.
   EXPECT_EQ(result.jobs_finished + result.jobs_shed, result.jobs_submitted);
@@ -487,11 +490,13 @@ TEST(OverloadScenario, DownshiftsShedsRecoversAndFinishes) {
 TEST(OverloadScenario, DeterministicAcrossRepeats) {
   // The watchdog budget is counted in solver moves, never wall time, so an
   // actively-degrading run must replay bit for bit.
-  const auto a = run_overload();
-  const auto b = run_overload();
+  const auto run_a = run_overload();
+  const auto run_b = run_overload();
+  const auto& a = run_a->result;
+  const auto& b = run_b->result;
   ASSERT_GT(a.report.ladder_downshifts, 0u);  // ladder was active
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.fault_trace, b.fault_trace);
+  EXPECT_EQ(run_a->jsonl(), run_b->jsonl());
   EXPECT_DOUBLE_EQ(a.report.energy_kwh, b.report.energy_kwh);
   EXPECT_EQ(a.report.jobs_shed, b.report.jobs_shed);
   EXPECT_EQ(a.report.ladder_downshifts, b.report.ladder_downshifts);
