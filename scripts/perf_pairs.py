@@ -7,8 +7,12 @@
 Runs `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`
 from each checkout, alternating between them (the order flips every pair so
 neither side always runs first). Each checkout builds into its own
-CARGO_TARGET_DIR, `<checkout>/.bench_build`; one untimed warm-up run per
-checkout builds it first. For every end-to-end metric that the change's
+CARGO_TARGET_DIR; one untimed warm-up run per checkout builds it first.
+perfbench configures a build directory only once, so the directory is keyed
+on the CXXFLAGS environment variable: `<checkout>/.bench_build` when it is
+unset or empty, `<checkout>/.bench_build-<8 hex digits of its SHA-256>`
+otherwise. Setting, say, CXXFLAGS="-falign-functions=64 -falign-loops=64"
+therefore builds both checkouts afresh with that code alignment. For every end-to-end metric that the change's
 BENCHMARK.json lists, it prints the base's and the change's median
 [q1, q3] and how many pairs the change won (strictly better, in the
 metric's direction).
@@ -17,6 +21,7 @@ Exits 1 when any run fails: a nonzero exit, no JSON result,
 `"correct": false` or a failed job. Python standard library only.
 """
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -24,9 +29,17 @@ import subprocess
 import sys
 
 
+def build_dir(checkout):
+    flags = os.environ.get("CXXFLAGS", "")
+    if not flags:
+        return os.path.join(checkout, ".bench_build")
+    digest = hashlib.sha256(flags.encode()).hexdigest()[:8]
+    return os.path.join(checkout, f".bench_build-{digest}")
+
+
 def run_once(checkout, args):
     env = dict(os.environ)
-    env["CARGO_TARGET_DIR"] = os.path.join(checkout, ".bench_build")
+    env["CARGO_TARGET_DIR"] = build_dir(checkout)
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", "0"]
@@ -77,8 +90,10 @@ def main():
         print(f"perf_pairs: {err}", file=sys.stderr)
         return 1
 
+    flags = os.environ.get("CXXFLAGS", "") or "(unset)"
     print(f"{args.workload}, seed {args.seed}, --seconds {args.seconds}, "
-          f"{args.pairs} pairs: base -> change, median [q1, q3]")
+          f"{args.pairs} pairs, CXXFLAGS {flags}: base -> change, "
+          f"median [q1, q3]")
     for metric in end_to_end:
         name = metric["name"]
         b = [r[name] for r in runs[base] if name in r]

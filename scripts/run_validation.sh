@@ -5,7 +5,11 @@
 #   1. default build      — full test suite, then the validate-labelled
 #                           tests again with run-time checking forced on
 #                           for every experiment (EASCHED_VALIDATE=1)
-#   2. AddressSanitizer + UndefinedBehaviorSanitizer, with bounds-checked
+#   2. perfbench          — the frozen end-to-end benchmark builds against
+#                           the library, passes its self-test, and runs
+#                           each workload once with correct digests and no
+#                           failed job (tier-1 never builds it)
+#   3. AddressSanitizer + UndefinedBehaviorSanitizer, with bounds-checked
 #                           standard containers (_GLIBCXX_ASSERTIONS) —
 #                           validate + faults +
 #                           resilience + telemetry + sched + obs + fleet +
@@ -17,7 +21,7 @@
 #                           suite and the fleet refresh's maintained host
 #                           sets; solver: the penalty terms, the score
 #                           model's evaluator and the solvers' indexing)
-#   3. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
+#   4. ThreadSanitizer    — validate + solver + resilience + fleet + sweep
 #                           suites (sweep covers SweepRunner, the only
 #                           library code that starts threads; the other
 #                           suites stay as a wider net)
@@ -70,6 +74,25 @@ if [ "$fast" = "fast" ]; then
   echo "validation (fast) OK"
   exit 0
 fi
+
+echo "== perfbench: self-test + one run per workload =="
+# perfbench compiles against the library's API; run it from the repository
+# root, as its runner expects, with its build kept under build-validate.
+CARGO_TARGET_DIR="$repo/build-validate/perfbench-target"
+export CARGO_TARGET_DIR
+(cd "$repo" && python3 perfbench/run.py --self-test)
+for workload in coldstart_2k chaos_2d paper_sweep; do
+  out="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
+    --seed 1 --seconds 0.1 --trace 0)"
+  printf '%s\n' "$out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read().splitlines()[-1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' || {
+    echo "perfbench $workload: not correct or a failed job"
+    exit 1
+  }
+done
+unset CARGO_TARGET_DIR
 
 echo "== address+UB-sanitized build: validate + faults + resilience + telemetry + sched + obs + fleet + solver =="
 build "$repo/build-validate-asan" -DEASCHED_SANITIZE=address

@@ -176,8 +176,8 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   result.hit_horizon = config.horizon_s > 0 && !driver.all_done();
   // Feed the kernel counters through the recorder before the report is
   // built, so sim.events_* rows land in every registry snapshot.
-  recorder.events_dispatched = result.events_dispatched;
-  recorder.events_cancelled = result.events_cancelled;
+  recorder.counts.events_dispatched = result.events_dispatched;
+  recorder.counts.events_cancelled = result.events_cancelled;
   // Close the energy ledger's integration window at the same end time the
   // report integrates to, so the attributed joules and the aggregate
   // energy_kwh cover the identical interval.

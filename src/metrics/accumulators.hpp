@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -102,7 +104,9 @@ class JobLog {
   std::vector<JobRecord> records_;
 };
 
-/// Operation counters reported alongside the table metrics.
+/// Every per-run operation counter. A counter is declared here and named in
+/// kRunCounters below, and nowhere else: the metrics registry publishes the
+/// table, and RunReport inherits the fields.
 struct Counters {
   std::uint64_t creations = 0;
   std::uint64_t migrations = 0;
@@ -134,7 +138,45 @@ struct Counters {
   std::uint64_t breaker_closes = 0;    ///< breakers closed by a good probe
   std::uint64_t breaker_probes = 0;    ///< half-open probe ops dispatched
   std::uint64_t breaker_deaths = 0;    ///< hosts written off as dead
+
+  // ---- simulation kernel (filled by the runner from the event queue) ----
+  std::uint64_t events_dispatched = 0;
+  std::uint64_t events_cancelled = 0;
 };
+
+/// Registry name of every Counters field, one row per field.
+inline constexpr std::pair<std::uint64_t Counters::*, const char*>
+    kRunCounters[] = {
+        {&Counters::creations, "ops.creations"},
+        {&Counters::migrations, "ops.migrations"},
+        {&Counters::turn_ons, "power.turn_ons"},
+        {&Counters::turn_offs, "power.turn_offs"},
+        {&Counters::failures, "hosts.failures"},
+        {&Counters::sla_alarms, "sla.alarms"},
+        {&Counters::checkpoints, "ckpt.taken"},
+        {&Counters::checkpoint_recoveries, "ckpt.recoveries"},
+        {&Counters::recreates, "vm.recreates"},
+        {&Counters::op_failures, "robust.op_failures"},
+        {&Counters::op_timeouts, "robust.op_timeouts"},
+        {&Counters::retries, "robust.retries"},
+        {&Counters::rollbacks, "robust.rollbacks"},
+        {&Counters::quarantines, "robust.quarantines"},
+        {&Counters::boot_failures, "robust.boot_failures"},
+        {&Counters::solver_breaches, "resilience.solver_breaches"},
+        {&Counters::ladder_downshifts, "resilience.ladder_downshifts"},
+        {&Counters::ladder_upshifts, "resilience.ladder_upshifts"},
+        {&Counters::jobs_shed, "resilience.jobs_shed"},
+        {&Counters::jobs_deferred, "resilience.jobs_deferred"},
+        {&Counters::breaker_opens, "resilience.breaker_opens"},
+        {&Counters::breaker_closes, "resilience.breaker_closes"},
+        {&Counters::breaker_probes, "resilience.breaker_probes"},
+        {&Counters::breaker_deaths, "resilience.breaker_deaths"},
+        {&Counters::events_dispatched, "sim.events_dispatched"},
+        {&Counters::events_cancelled, "sim.events_cancelled"},
+};
+static_assert(std::size(kRunCounters) * sizeof(std::uint64_t) ==
+                  sizeof(Counters),
+              "every Counters field needs exactly one kRunCounters row");
 
 /// One bundle with every accumulator a run needs; the Datacenter feeds the
 /// meters, the SchedulerDriver feeds the job log and counters.
@@ -153,12 +195,6 @@ struct Recorder {
   /// creation) the delay until the affected VM was running again. The
   /// report aggregates these into p50/p95/max.
   std::vector<double> recovery_s;
-
-  /// Simulation-kernel throughput counters, filled by the runner after the
-  /// run (the recorder never touches the event queue itself); published as
-  /// sim.events_dispatched / sim.events_cancelled.
-  std::uint64_t events_dispatched = 0;
-  std::uint64_t events_cancelled = 0;
 
   /// Highest guest-demand/capacity ratio any host ever reached (1.0 =
   /// never oversubscribed; dom0 management overhead not counted).

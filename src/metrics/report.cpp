@@ -12,6 +12,7 @@ RunReport make_report(const Recorder& recorder, double end_s,
                       std::string policy_name, double lambda_min,
                       double lambda_max) {
   RunReport r;
+  static_cast<Counters&>(r) = recorder.counts;
   r.policy = std::move(policy_name);
   r.lambda_min = lambda_min;
   r.lambda_max = lambda_max;
@@ -22,42 +23,13 @@ RunReport make_report(const Recorder& recorder, double end_s,
   r.energy_kwh = recorder.energy_kwh(end_s);
   r.satisfaction = recorder.jobs.mean_satisfaction();
   r.delay_pct = recorder.jobs.mean_delay_pct();
-  r.migrations = recorder.counts.migrations;
-  r.creations = recorder.counts.creations;
-  r.turn_ons = recorder.counts.turn_ons;
-  r.turn_offs = recorder.counts.turn_offs;
-  r.failures = recorder.counts.failures;
   r.jobs_finished = recorder.jobs.count();
+  r.recoveries = recorder.recovery_s.size();
 
-  // Robustness counters route through the metrics registry: publish once,
-  // snapshot, then mirror the snapshot rows into the scalar fields.
   obs::MetricsRegistry registry;
   registry.set_sim_time(end_s);
   obs::publish_run_metrics(recorder, registry);
   r.metrics = registry.snapshot();
-  const auto count = [&r](const char* name) -> std::uint64_t {
-    const obs::SnapshotRow* row = r.metrics.find(name);
-    return row == nullptr ? 0 : static_cast<std::uint64_t>(row->value);
-  };
-  r.op_failures = count("robust.op_failures");
-  r.op_timeouts = count("robust.op_timeouts");
-  r.retries = count("robust.retries");
-  r.rollbacks = count("robust.rollbacks");
-  r.quarantines = count("robust.quarantines");
-  r.boot_failures = count("robust.boot_failures");
-  r.checkpoint_recoveries = count("ckpt.recoveries");
-  r.recreates = count("vm.recreates");
-  const obs::SnapshotRow* recovery = r.metrics.find("robust.recovery_s");
-  r.recoveries =
-      recovery == nullptr ? 0 : static_cast<std::size_t>(recovery->count);
-  r.solver_breaches = count("resilience.solver_breaches");
-  r.ladder_downshifts = count("resilience.ladder_downshifts");
-  r.ladder_upshifts = count("resilience.ladder_upshifts");
-  r.jobs_shed = count("resilience.jobs_shed");
-  r.jobs_deferred = count("resilience.jobs_deferred");
-  r.breaker_opens = count("resilience.breaker_opens");
-  r.breaker_closes = count("resilience.breaker_closes");
-  r.breaker_deaths = count("resilience.breaker_deaths");
   const obs::SnapshotRow* max_level =
       r.metrics.find("resilience.max_ladder_level");
   r.max_ladder_level =
@@ -86,28 +58,22 @@ std::string RunReport::robustness_to_string() const {
       boot_failures == 0 && recoveries == 0) {
     return {};
   }
-  // One label per registry instrument — extending publish_run_metrics and
-  // this table is all a new robustness counter needs to reach the report.
-  static constexpr struct {
-    const char* metric;
-    const char* label;
-  } kFields[] = {
-      {"robust.op_failures", "op-fail"},
-      {"robust.op_timeouts", "timeouts"},
-      {"robust.retries", "retries"},
-      {"robust.rollbacks", "rollbacks"},
-      {"robust.quarantines", "quarantines"},
-      {"robust.boot_failures", "boot-fail"},
-      {"ckpt.recoveries", "ckpt-restore"},
-      {"vm.recreates", "recreate"},
-  };
+  // The line's counters and their labels, in print order.
+  static constexpr std::pair<std::uint64_t Counters::*, const char*>
+      kFields[] = {
+          {&Counters::op_failures, "op-fail"},
+          {&Counters::op_timeouts, "timeouts"},
+          {&Counters::retries, "retries"},
+          {&Counters::rollbacks, "rollbacks"},
+          {&Counters::quarantines, "quarantines"},
+          {&Counters::boot_failures, "boot-fail"},
+          {&Counters::checkpoint_recoveries, "ckpt-restore"},
+          {&Counters::recreates, "recreate"},
+      };
   std::ostringstream os;
   os << "faults:";
-  for (const auto& f : kFields) {
-    const obs::SnapshotRow* row = metrics.find(f.metric);
-    const auto v =
-        row == nullptr ? 0ULL : static_cast<unsigned long long>(row->value);
-    os << "  " << f.label << ' ' << v;
+  for (const auto& [field, label] : kFields) {
+    os << "  " << label << ' ' << this->*field;
   }
   char buf[96];
   std::snprintf(buf, sizeof buf,

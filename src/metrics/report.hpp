@@ -13,7 +13,10 @@
 
 namespace easched::metrics {
 
-struct RunReport {
+/// The run's operation counts are the inherited Counters fields, copied
+/// from the recorder: migrations, creations, turn_ons and turn_offs are the
+/// paper's columns, the rest the fault and resilience layers' counts.
+struct RunReport : Counters {
   std::string policy;
   double lambda_min = 0;
   double lambda_max = 0;
@@ -25,46 +28,18 @@ struct RunReport {
   double energy_kwh = 0;       ///< "Pwr (kW)" column
   double satisfaction = 0;     ///< "S (%)" column
   double delay_pct = 0;        ///< "delay (%)" column
-  std::uint64_t migrations = 0;
-  std::uint64_t creations = 0;
-  std::uint64_t turn_ons = 0;
-  std::uint64_t turn_offs = 0;
-  std::uint64_t failures = 0;
   std::size_t jobs_finished = 0;
 
-  // ---- robustness (fault-injection & recovery layer) ---------------------
-  // Derived from `metrics` (the registry snapshot below) in make_report;
-  // kept as scalars for ergonomic test/bench access.
-  std::uint64_t op_failures = 0;
-  std::uint64_t op_timeouts = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t boot_failures = 0;
-  std::uint64_t checkpoint_recoveries = 0;
-  std::uint64_t recreates = 0;
   std::size_t recoveries = 0;     ///< time-to-recover samples
   double recovery_p50_s = 0;
   double recovery_p95_s = 0;
   double recovery_max_s = 0;
-
-  // ---- resilience (control plane: watchdog / ladder / admission /
-  // breakers; see src/resilience/) ----------------------------------------
-  std::uint64_t solver_breaches = 0;
-  std::uint64_t ladder_downshifts = 0;
-  std::uint64_t ladder_upshifts = 0;
-  std::uint64_t jobs_shed = 0;
-  std::uint64_t jobs_deferred = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_closes = 0;
-  std::uint64_t breaker_deaths = 0;
   /// Deepest degradation rung the run visited (0 = stayed at full quality).
   int max_ladder_level = 0;
 
-  /// Every run counter as named instruments (see obs::publish_run_metrics
-  /// for the catalogue) — the single formatting/export path: CSV via
-  /// metrics.to_csv(), JSON via metrics.to_json(), and the robustness line
-  /// below, which reads these rows rather than dedicated fields.
+  /// Every run counter as named instruments (see obs::publish_run_metrics)
+  /// — the export path: CSV via metrics.to_csv(), JSON via
+  /// metrics.to_json().
   obs::MetricsSnapshot metrics;
 
   /// Telemetry alert firing log (empty unless the run carried an enabled

@@ -1,12 +1,10 @@
 // Named-instrument metrics registry: counters, gauges and fixed-bucket
 // histograms, snapshotted into one CSV/JSON document per run.
 //
-// This is the single home for the run counters that previously grew ad hoc
-// (`metrics::Counters` table counters, the PR 2 robustness counters): each
-// instrument is declared once, by name (optionally with a `{key=value}`
-// label suffix), and every consumer — the RunReport robustness line, the
-// `--metrics-out=` CLI snapshot, tests — reads the same snapshot rows
-// instead of hand-rolled struct fields.
+// Each instrument is named once (optionally with a `{key=value}` label
+// suffix). The run counters arrive through obs::publish_run_metrics, which
+// takes their names from `metrics::kRunCounters`; the `--metrics-out=` CLI
+// snapshot, RunReport::metrics and tests read the same snapshot rows.
 //
 // Instruments are plain in-memory values mutated from the simulation
 // thread; no locks, no atomics. Snapshot rows are sorted by name so the

@@ -6,34 +6,10 @@ namespace easched::obs {
 
 void publish_run_metrics(const metrics::Recorder& rec,
                          MetricsRegistry& registry) {
-  const metrics::Counters& c = rec.counts;
-  registry.counter("ops.creations").set(c.creations);
-  registry.counter("ops.migrations").set(c.migrations);
-  registry.counter("power.turn_ons").set(c.turn_ons);
-  registry.counter("power.turn_offs").set(c.turn_offs);
-  registry.counter("hosts.failures").set(c.failures);
-  registry.counter("sla.alarms").set(c.sla_alarms);
-  registry.counter("ckpt.taken").set(c.checkpoints);
-  registry.counter("ckpt.recoveries").set(c.checkpoint_recoveries);
-  registry.counter("vm.recreates").set(c.recreates);
-  registry.counter("robust.op_failures").set(c.op_failures);
-  registry.counter("robust.op_timeouts").set(c.op_timeouts);
-  registry.counter("robust.retries").set(c.retries);
-  registry.counter("robust.rollbacks").set(c.rollbacks);
-  registry.counter("robust.quarantines").set(c.quarantines);
-  registry.counter("robust.boot_failures").set(c.boot_failures);
-  registry.counter("sim.events_dispatched").set(rec.events_dispatched);
-  registry.counter("sim.events_cancelled").set(rec.events_cancelled);
+  for (const auto& [field, name] : metrics::kRunCounters) {
+    registry.counter(name).set(rec.counts.*field);
+  }
   registry.gauge("run.max_oversubscription").set(rec.max_oversubscription);
-  registry.counter("resilience.solver_breaches").set(c.solver_breaches);
-  registry.counter("resilience.ladder_downshifts").set(c.ladder_downshifts);
-  registry.counter("resilience.ladder_upshifts").set(c.ladder_upshifts);
-  registry.counter("resilience.jobs_shed").set(c.jobs_shed);
-  registry.counter("resilience.jobs_deferred").set(c.jobs_deferred);
-  registry.counter("resilience.breaker_opens").set(c.breaker_opens);
-  registry.counter("resilience.breaker_closes").set(c.breaker_closes);
-  registry.counter("resilience.breaker_probes").set(c.breaker_probes);
-  registry.counter("resilience.breaker_deaths").set(c.breaker_deaths);
   if (const auto* rc = resilience::controller(rec)) {
     registry.gauge("resilience.ladder_level")
         .set(static_cast<double>(static_cast<int>(rc->ladder())));

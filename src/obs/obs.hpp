@@ -74,12 +74,11 @@ struct Observability {
   return (o != nullptr && o->telemetry.enabled()) ? &o->telemetry : nullptr;
 }
 
-/// Publishes the recorder's run counters — the table counters and the PR 2
-/// robustness counters — into `registry` as named instruments, plus the
-/// recovery-time histogram and the oversubscription gauge. This is the one
-/// place those counters are mapped to metric names; the RunReport
-/// robustness line, `--metrics-out=` snapshots and the obs tests all read
-/// the resulting snapshot.
+/// Publishes every run counter into `registry` under its
+/// metrics::kRunCounters name, plus the oversubscription gauge, the
+/// resilience gauges, the recovery-time histogram and, when enabled, the
+/// energy ledger and decision-log blocks. `--metrics-out=` snapshots,
+/// RunReport::metrics and the obs tests all read the resulting snapshot.
 void publish_run_metrics(const metrics::Recorder& rec,
                          MetricsRegistry& registry);
 

@@ -433,42 +433,61 @@ TEST(MetricsRegistry, PublishGoldenKeySet) {
 }
 
 TEST(MetricsRegistry, PublishedRunMetricsMatchRecorderCounters) {
+  // Every kRunCounters row gets a distinct value (its 1-based position in
+  // the table, which the pinned report lines below spell out), so a row
+  // published under another row's field, or a report field copied from the
+  // wrong counter, shows up as a mismatch.
+  const auto& table = metrics::kRunCounters;
+  for (std::size_t i = 0; i < std::size(table); ++i) {
+    for (std::size_t j = i + 1; j < std::size(table); ++j) {
+      EXPECT_NE(table[i].first, table[j].first) << table[j].second;
+      EXPECT_STRNE(table[i].second, table[j].second);
+    }
+  }
   metrics::Recorder recorder(2);
-  recorder.counts.migrations = 7;
-  recorder.counts.op_failures = 3;
-  recorder.counts.retries = 4;
+  std::uint64_t next = 1;
+  for (const auto& [field, name] : table) recorder.counts.*field = next++;
   recorder.recovery_s = {2, 120, 9000};
   recorder.max_oversubscription = 1.25;
-  recorder.events_dispatched = 1234;
-  recorder.events_cancelled = 56;
 
   obs::MetricsRegistry registry;
   obs::publish_run_metrics(recorder, registry);
   const auto snap = registry.snapshot();
+  const auto report = metrics::make_report(recorder, 1000, "SB", 0.2, 0.8);
+  for (const auto& [field, name] : table) {
+    const auto* row = snap.find(name);
+    ASSERT_NE(row, nullptr) << name;
+    EXPECT_EQ(row->kind, obs::InstrumentKind::kCounter) << name;
+    EXPECT_DOUBLE_EQ(row->value, recorder.counts.*field) << name;
+    EXPECT_EQ(report.*field, recorder.counts.*field) << name;
+  }
   const auto value = [&snap](const char* name) {
     const auto* row = snap.find(name);
     return row == nullptr ? -1.0 : row->value;
   };
-  EXPECT_DOUBLE_EQ(value("ops.migrations"), 7);
-  EXPECT_DOUBLE_EQ(value("robust.op_failures"), 3);
-  EXPECT_DOUBLE_EQ(value("robust.retries"), 4);
+  // Spot checks by external name: a row naming the wrong field reads
+  // another field's distinct value.
+  EXPECT_DOUBLE_EQ(value("ops.migrations"), report.migrations);
+  EXPECT_DOUBLE_EQ(value("robust.op_failures"), report.op_failures);
+  EXPECT_DOUBLE_EQ(value("robust.retries"), report.retries);
+  EXPECT_DOUBLE_EQ(value("sim.events_dispatched"), report.events_dispatched);
+  EXPECT_DOUBLE_EQ(value("sim.events_cancelled"), report.events_cancelled);
   EXPECT_DOUBLE_EQ(value("run.max_oversubscription"), 1.25);
-  EXPECT_DOUBLE_EQ(value("sim.events_dispatched"), 1234);
-  EXPECT_DOUBLE_EQ(value("sim.events_cancelled"), 56);
   const auto* recovery = snap.find("robust.recovery_s");
   ASSERT_NE(recovery, nullptr);
   EXPECT_EQ(recovery->count, 3u);
   // 9000 s exceeds the last 7200 s bound — overflow bucket.
   EXPECT_EQ(recovery->buckets.back(), 1u);
-
-  // The RunReport robustness line reads these same rows.
-  const auto report = metrics::make_report(recorder, 1000, "SB", 0.2, 0.8);
-  EXPECT_EQ(report.op_failures, 3u);
-  EXPECT_EQ(report.retries, 4u);
   EXPECT_EQ(report.recoveries, 3u);
-  const std::string line = report.robustness_to_string();
-  EXPECT_NE(line.find("op-fail 3"), std::string::npos);
-  EXPECT_NE(line.find("retries 4"), std::string::npos);
+
+  // The report lines keep their labels and order.
+  EXPECT_EQ(report.robustness_to_string(),
+            "faults:  op-fail 10  timeouts 11  retries 12  rollbacks 13  "
+            "quarantines 14  boot-fail 15  ckpt-restore 8  recreate 9  "
+            "recover p50/p95/max 120/8112/9000 s (n=3)");
+  EXPECT_EQ(report.resilience_to_string(),
+            "resilience:  breaches 16  ladder down/up 17/18 (max rung 0)  "
+            "shed 19  deferred 20  breaker open/close/dead 21/22/24");
 }
 
 // ---- phase profiler --------------------------------------------------------
