@@ -862,6 +862,21 @@ void Datacenter::cancel_failure(HostId h) {
   failure_events_[h] = sim::kNoEvent;
 }
 
+void Datacenter::requeue_lost(Vm& m) {
+  if (m.work_checkpointed_s > 0) {
+    ++recorder_.counts.checkpoint_recoveries;
+  } else {
+    ++recorder_.counts.recreates;
+  }
+  m.work_done_s = m.work_checkpointed_s;
+  m.state = VmState::kQueued;
+  m.host = kNoHost;
+  m.migration_source = kNoHost;
+  m.progress_rate = 0;
+  m.cpu_demand_pct = m.job.cpu_pct;
+  ++m.restarts;
+}
+
 void Datacenter::fail_host(HostId h) {
   Host& host = host_mut(h);
   EA_ASSERT(host.state == HostState::kOn);
@@ -881,18 +896,7 @@ void Datacenter::fail_host(HostId h) {
       remove_op(host_mut(m.migration_source), Operation::Kind::kMigrateOut, v);
       reallocate(m.migration_source);
     }
-    if (m.work_checkpointed_s > 0) {
-      ++recorder_.counts.checkpoint_recoveries;
-    } else {
-      ++recorder_.counts.recreates;
-    }
-    m.work_done_s = m.work_checkpointed_s;
-    m.state = VmState::kQueued;
-    m.host = kNoHost;
-    m.migration_source = kNoHost;
-    m.progress_rate = 0;
-    m.cpu_demand_pct = m.job.cpu_pct;
-    ++m.restarts;
+    requeue_lost(m);
   }
   host.residents.clear();
 
@@ -910,17 +914,7 @@ void Datacenter::fail_host(HostId h) {
         const HostId dest = m.host;
         remove_op(host_mut(dest), Operation::Kind::kMigrateIn, op.vm);
         remove_resident(host_mut(dest), op.vm);
-        if (m.work_checkpointed_s > 0) {
-          ++recorder_.counts.checkpoint_recoveries;
-        } else {
-          ++recorder_.counts.recreates;
-        }
-        m.work_done_s = m.work_checkpointed_s;
-        m.state = VmState::kQueued;
-        m.host = kNoHost;
-        m.migration_source = kNoHost;
-        m.progress_rate = 0;
-        ++m.restarts;
+        requeue_lost(m);
         lost.push_back(op.vm);
         reallocate(dest);
       }

@@ -193,8 +193,9 @@ class Datacenter {
   /// or incoming migrations (fits()/fits_memory() return false).
   void set_maintenance(HostId h, bool on);
 
-  /// Raises a running VM's CPU demand (dynamic SLA enforcement). Clamped to
-  /// the host capacity; no-op for non-running VMs.
+  /// Raises a running VM's CPU demand. Clamped to the host capacity; no-op
+  /// for non-running VMs. A test hook: dynamic SLA enforcement uses
+  /// boost_weight.
   void boost_demand(VmId v, double new_demand_pct);
 
   /// Multiplies a VM's Xen credit weight (dynamic SLA enforcement): under
@@ -298,6 +299,9 @@ class Datacenter {
   void schedule_failure(HostId h);
   void cancel_failure(HostId h);
   void fail_host(HostId h);
+  /// Returns a VM lost with a failed host to the queue: progress rolls back
+  /// to its last checkpoint and demand to the job's nominal CPU.
+  void requeue_lost(Vm& m);
   void maybe_checkpoint(Vm& v);
   double draw_duration(double mean_s);
 

@@ -36,8 +36,9 @@ struct Vm {
   /// Source host while migrating, kNoHost otherwise.
   HostId migration_source = kNoHost;
 
-  /// CPU demand [%]; starts at job.cpu_pct, may be raised by dynamic SLA
-  /// enforcement (section III-A.5) up to the host capacity.
+  /// CPU demand [%]; starts at job.cpu_pct. Only Datacenter::boost_demand
+  /// raises it (up to the host capacity), and no production path calls
+  /// that: dynamic SLA enforcement boosts the Xen weight instead.
   double cpu_demand_pct = 0;
 
   /// Dedicated-machine-equivalent seconds of work completed / checkpointed.

@@ -185,8 +185,7 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
     el->finish(simulator.now());
   }
   // Close the telemetry stream at the same end time: one final sample (when
-  // the cadence missed the endpoint) and a sink flush, then absorb the
-  // alert firing log into the report below.
+  // the cadence missed the endpoint) and a sink flush.
   if (telemetry != nullptr) {
     telemetry->finish(simulator.now(), telemetry_src);
   }
@@ -194,9 +193,6 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
       make_report(recorder, simulator.now(), policy->name(),
                   config.driver.power.lambda_min,
                   config.driver.power.lambda_max);
-  if (telemetry != nullptr) {
-    result.report.alerts = telemetry->alerts().log();
-  }
   if (injector) result.faults_injected = injector->injected_count();
   if (checker) {
     result.violations = checker->violations();

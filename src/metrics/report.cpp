@@ -104,22 +104,4 @@ std::string RunReport::resilience_to_string() const {
   return buf;
 }
 
-std::string RunReport::alerts_to_string() const {
-  if (alerts.empty()) return {};
-  std::ostringstream os;
-  os << "alerts:";
-  char buf[96];
-  for (const auto& f : alerts) {
-    os << "  " << f.rule;
-    if (f.resolved_t >= 0) {
-      std::snprintf(buf, sizeof buf, " fired@%.9g resolved@%.9g", f.fired_t,
-                    f.resolved_t);
-    } else {
-      std::snprintf(buf, sizeof buf, " fired@%.9g (unresolved)", f.fired_t);
-    }
-    os << buf;
-  }
-  return os.str();
-}
-
 }  // namespace easched::metrics

@@ -5,11 +5,8 @@
 
 #include <string>
 
-#include <vector>
-
 #include "metrics/accumulators.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/telemetry/alerts.hpp"
 
 namespace easched::metrics {
 
@@ -42,10 +39,6 @@ struct RunReport : Counters {
   /// metrics.to_json().
   obs::MetricsSnapshot metrics;
 
-  /// Telemetry alert firing log (empty unless the run carried an enabled
-  /// AlertEngine; filled by the experiment runner after make_report).
-  std::vector<obs::AlertFiring> alerts;
-
   /// One line in the style of the paper's tables.
   [[nodiscard]] std::string to_string() const;
 
@@ -57,9 +50,6 @@ struct RunReport : Counters {
   /// controller never acted: no breaches, shed/deferred jobs or breaker
   /// trips).
   [[nodiscard]] std::string resilience_to_string() const;
-
-  /// One line per alert firing episode (empty when no rule ever fired).
-  [[nodiscard]] std::string alerts_to_string() const;
 };
 
 /// Builds the report from a recorder at measurement end time `end_s`.

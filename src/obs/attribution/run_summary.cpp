@@ -179,14 +179,15 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
   // Emitted only when the run carried an enabled alert engine, so
   // summaries from alert-free runs stay byte-identical to older baselines.
   if (obs != nullptr && obs->telemetry.alerts().enabled()) {
+    const AlertEngine& alerts = obs->telemetry.alerts();
     bool first = true;
     os << "\"alerts\":{";
-    write_count(os, "rules", obs->telemetry.alerts().rules().size(), first);
-    write_count(os, "episodes", report.alerts.size(), first);
+    write_count(os, "rules", alerts.rules().size(), first);
+    write_count(os, "episodes", alerts.log().size(), first);
     write_key(os, "log", first);
     os << '[';
-    for (std::size_t i = 0; i < report.alerts.size(); ++i) {
-      const auto& f = report.alerts[i];
+    for (std::size_t i = 0; i < alerts.log().size(); ++i) {
+      const AlertFiring& f = alerts.log()[i];
       if (i > 0) os << ',';
       os << "{\"rule\":";
       write_json_string(os, f.rule);

@@ -13,56 +13,6 @@
 
 namespace easched::obs {
 
-const char* series_name(AlertSeries series) noexcept {
-  switch (series) {
-    case AlertSeries::kPowerW:          return "power_w";
-    case AlertSeries::kEnergyKwh:       return "energy_kwh";
-    case AlertSeries::kSlaSatisfaction: return "sla_satisfaction";
-    case AlertSeries::kQueueDepth:      return "queue_depth";
-    case AlertSeries::kBackoff:         return "backoff";
-    case AlertSeries::kJobsRunning:     return "jobs_running";
-    case AlertSeries::kJobsDeferred:    return "jobs_deferred";
-    case AlertSeries::kJobsShed:        return "jobs_shed";
-    case AlertSeries::kWorkingRatio:    return "working_ratio";
-    case AlertSeries::kHostsOnline:     return "hosts_online";
-    case AlertSeries::kHostsWorking:    return "hosts_working";
-    case AlertSeries::kHostsFailed:     return "hosts_failed";
-    case AlertSeries::kLadderRung:      return "ladder_rung";
-    case AlertSeries::kBreakerOpenRate: return "breaker_open_rate";
-  }
-  return "?";
-}
-
-double series_value(const TelemetrySnapshot& snap,
-                    AlertSeries series) noexcept {
-  switch (series) {
-    case AlertSeries::kPowerW:          return snap.power_w;
-    case AlertSeries::kEnergyKwh:       return snap.energy_kwh;
-    case AlertSeries::kSlaSatisfaction: return snap.sla;
-    case AlertSeries::kQueueDepth:
-      return static_cast<double>(snap.queue);
-    case AlertSeries::kBackoff:
-      return static_cast<double>(snap.backoff);
-    case AlertSeries::kJobsRunning:
-      return static_cast<double>(snap.running);
-    case AlertSeries::kJobsDeferred:
-      return static_cast<double>(snap.deferred);
-    case AlertSeries::kJobsShed:
-      return static_cast<double>(snap.shed);
-    case AlertSeries::kWorkingRatio:    return snap.ratio;
-    case AlertSeries::kHostsOnline:     return snap.online;
-    case AlertSeries::kHostsWorking:    return snap.working;
-    case AlertSeries::kHostsFailed:     return snap.hosts_failed;
-    case AlertSeries::kLadderRung:      return snap.rung;
-    case AlertSeries::kBreakerOpenRate:
-      return snap.hosts.empty()
-                 ? 0.0
-                 : static_cast<double>(snap.breakers_open) /
-                       static_cast<double>(snap.hosts.size());
-  }
-  return 0;
-}
-
 namespace {
 
 std::string trim(const std::string& s) {
@@ -73,15 +23,14 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-bool parse_series(const std::string& name, AlertSeries* out) {
-  for (int i = 0; i <= static_cast<int>(AlertSeries::kBreakerOpenRate); ++i) {
-    const auto s = static_cast<AlertSeries>(i);
-    if (name == series_name(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
+/// The alert series `field` at `snap`: the row's value, or for a per-host
+/// row that value over the fleet size.
+double series_at(const TelemetrySnapshot& snap, std::size_t field) {
+  const SnapshotField& f = kSnapshotFields[field];
+  const double v = f.value(snap);
+  if (!f.alert_per_host) return v;
+  return snap.hosts.empty() ? 0.0
+                            : v / static_cast<double>(snap.hosts.size());
 }
 
 double parse_value(const std::string& text, const std::string& rule) {
@@ -115,10 +64,16 @@ AlertRule parse_one_rule(const std::string& text) {
   std::string series_tok;
   std::string kind_tok;
   lhs >> series_tok >> kind_tok;
-  if (!parse_series(series_tok, &out.series)) {
+  const auto row = std::find_if(
+      std::begin(kSnapshotFields), std::end(kSnapshotFields),
+      [&](const SnapshotField& f) {
+        return f.alert != nullptr && series_tok == f.alert;
+      });
+  if (row == std::end(kSnapshotFields)) {
     throw std::invalid_argument("alert rule '" + rule +
                                 "': unknown series '" + series_tok + "'");
   }
+  out.series = static_cast<std::size_t>(row - std::begin(kSnapshotFields));
   if (kind_tok == "rate") {
     out.kind = AlertKind::kRate;
   } else if (kind_tok == "burn") {
@@ -216,7 +171,7 @@ double AlertEngine::signal(const AlertRule& rule,
                            const SnapshotRing& history) const {
   switch (rule.kind) {
     case AlertKind::kThreshold:
-      return series_value(snap, rule.series);
+      return series_at(snap, rule.series);
     case AlertKind::kRate: {
       // Slope over the trailing window: newest sample vs the oldest
       // retained one inside it. One sample (or an evicted window) → 0.
@@ -226,8 +181,8 @@ double AlertEngine::signal(const AlertRule& rule,
         if (old.t < cutoff) continue;
         const double dt = snap.t - old.t;
         if (dt <= 0) return 0;
-        return (series_value(snap, rule.series) -
-                series_value(old, rule.series)) /
+        return (series_at(snap, rule.series) -
+                series_at(old, rule.series)) /
                dt;
       }
       return 0;
@@ -242,10 +197,10 @@ double AlertEngine::signal(const AlertRule& rule,
       for (std::size_t i = 0; i < history.size(); ++i) {
         const TelemetrySnapshot& old = history.at(i);
         if (old.t < cutoff) continue;
-        shortfall += std::max(0.0, rule.slo - series_value(old, rule.series));
+        shortfall += std::max(0.0, rule.slo - series_at(old, rule.series));
         ++n;
       }
-      shortfall += std::max(0.0, rule.slo - series_value(snap, rule.series));
+      shortfall += std::max(0.0, rule.slo - series_at(snap, rule.series));
       ++n;
       return shortfall / static_cast<double>(n) / rule.budget;
     }

@@ -27,12 +27,14 @@
 //                  the sustainable rate".
 //
 // Firing and resolving emit kAlertFire / kAlertResolve trace instants and
-// bump the `alerts.*` metric family; the per-rule firing log is absorbed
-// into the RunReport and run_summary.json. Every input is simulation
-// state, so the firing log is byte-identical across repeats and solver/
-// sweep thread counts — the property the telemetry ctest gate asserts.
+// bump the `alerts.*` metric family; run_summary.json and the CLI's
+// "alerts:" line read the per-rule firing log off the engine. Every input
+// is simulation state, so the firing log is byte-identical across repeats
+// and solver/sweep thread counts — the property the telemetry ctest gate
+// asserts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,31 +50,6 @@ namespace easched::obs {
 struct TelemetrySnapshot;
 class SnapshotRing;
 
-/// Sampled series an alert rule can watch. Names (series_name) are the
-/// spec-grammar identifiers; append, don't renumber.
-enum class AlertSeries : std::uint8_t {
-  kPowerW,            ///< fleet electrical draw [W]
-  kEnergyKwh,         ///< cumulative energy [kWh]
-  kSlaSatisfaction,   ///< mean satisfaction of finished jobs [%]
-  kQueueDepth,        ///< pending (unallocated) VMs
-  kBackoff,           ///< VMs serving a post-failure backoff
-  kJobsRunning,       ///< VMs currently placed
-  kJobsDeferred,      ///< cumulative admission deferrals
-  kJobsShed,          ///< cumulative admission sheds
-  kWorkingRatio,      ///< working/online hosts (the λ control signal)
-  kHostsOnline,       ///< on + booting hosts
-  kHostsWorking,      ///< hosts executing >= 1 VM or operation
-  kHostsFailed,       ///< hosts currently failed
-  kLadderRung,        ///< degradation-ladder level (0 = full)
-  kBreakerOpenRate,   ///< breakers not Healthy / fleet size
-};
-
-[[nodiscard]] const char* series_name(AlertSeries series) noexcept;
-
-/// Reads one series out of a snapshot.
-[[nodiscard]] double series_value(const TelemetrySnapshot& snap,
-                                  AlertSeries series) noexcept;
-
 enum class AlertKind : std::uint8_t {
   kThreshold,  ///< compare the raw series against the bound
   kRate,       ///< compare the trailing-window slope against the bound
@@ -81,7 +58,9 @@ enum class AlertKind : std::uint8_t {
 
 struct AlertRule {
   std::string name;     ///< label in logs/traces (defaults to the spec text)
-  AlertSeries series = AlertSeries::kPowerW;
+  /// The watched series: an index into kSnapshotFields (telemetry.hpp),
+  /// whose row carries the series' spec-grammar name.
+  std::size_t series = 0;
   AlertKind kind = AlertKind::kThreshold;
   bool above = true;    ///< '>' rule (false = '<')
   double bound = 0;     ///< threshold / slope bound / burn multiplier

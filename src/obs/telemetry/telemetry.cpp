@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <ostream>
+#include <string_view>
 #include <type_traits>
 
 #include "datacenter/datacenter.hpp"
@@ -17,27 +18,22 @@
 namespace easched::obs {
 
 void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
-  os << "{\"seq\":" << snap.seq << ",\"t\":";
-  write_json_number(os, snap.t);
-  os << ",\"on\":" << snap.hosts_on << ",\"booting\":" << snap.hosts_booting
-     << ",\"off\":" << snap.hosts_off << ",\"failed\":" << snap.hosts_failed
-     << ",\"working\":" << snap.working << ",\"online\":" << snap.online
-     << ",\"ratio\":";
-  write_json_number(os, snap.ratio);
-  os << ",\"lmin\":";
-  write_json_number(os, snap.lambda_min);
-  os << ",\"lmax\":";
-  write_json_number(os, snap.lambda_max);
-  os << ",\"power_w\":";
-  write_json_number(os, snap.power_w);
-  os << ",\"kwh\":";
-  write_json_number(os, snap.energy_kwh);
-  os << ",\"queue\":" << snap.queue << ",\"backoff\":" << snap.backoff
-     << ",\"running\":" << snap.running << ",\"deferred\":" << snap.deferred
-     << ",\"shed\":" << snap.shed << ",\"sla\":";
-  write_json_number(os, snap.sla);
-  os << ",\"rung\":" << snap.rung
-     << ",\"breakers_open\":" << snap.breakers_open << ",\"alerts\":[";
+  char sep = '{';
+  for (const SnapshotField& f : kSnapshotFields) {
+    os << sep << '"' << f.key << "\":";
+    sep = ',';
+    std::visit(
+        [&](auto m) {
+          if constexpr (std::is_same_v<decltype(m),
+                                       double TelemetrySnapshot::*>) {
+            write_json_number(os, snap.*m);
+          } else {
+            os << snap.*m;
+          }
+        },
+        f.member);
+  }
+  os << ",\"alerts\":[";
   for (std::size_t i = 0; i < snap.active_alerts.size(); ++i) {
     if (i > 0) os << ',';
     write_json_string(os, snap.active_alerts[i]);
@@ -107,22 +103,13 @@ bool parse_snapshot_jsonl(const std::string& line, TelemetrySnapshot* out) {
   });
   if (!ok || !alerts || !hosts) return false;
 
-  const auto take = [&fields](const char* key, auto& field) {
-    const auto it = fields.find(key);
-    return it != fields.end() && store(field, it->second);
-  };
-  if (!take("seq", snap.seq) || !take("t", snap.t) ||
-      !take("on", snap.hosts_on) || !take("booting", snap.hosts_booting) ||
-      !take("off", snap.hosts_off) || !take("failed", snap.hosts_failed) ||
-      !take("working", snap.working) || !take("online", snap.online) ||
-      !take("ratio", snap.ratio) || !take("lmin", snap.lambda_min) ||
-      !take("lmax", snap.lambda_max) || !take("power_w", snap.power_w) ||
-      !take("kwh", snap.energy_kwh) || !take("queue", snap.queue) ||
-      !take("backoff", snap.backoff) || !take("running", snap.running) ||
-      !take("deferred", snap.deferred) || !take("shed", snap.shed) ||
-      !take("sla", snap.sla) || !take("rung", snap.rung) ||
-      !take("breakers_open", snap.breakers_open)) {
-    return false;
+  for (const SnapshotField& f : kSnapshotFields) {
+    const auto it = fields.find(f.key);
+    if (it == fields.end() ||
+        !std::visit([&](auto m) { return store(snap.*m, it->second); },
+                    f.member)) {
+      return false;
+    }
   }
   *out = std::move(snap);
   return true;
@@ -148,65 +135,12 @@ void prom_value(std::ostream& os, const char* name, double v,
 }  // namespace
 
 void write_snapshot_prom(std::ostream& os, const TelemetrySnapshot& snap) {
-  prom_family(os, "easched_sample_seq", "Telemetry sample sequence number",
-              "counter");
-  prom_value(os, "easched_sample_seq", static_cast<double>(snap.seq));
-  prom_family(os, "easched_sim_time_seconds", "Simulation clock", "gauge");
-  prom_value(os, "easched_sim_time_seconds", snap.t);
-
-  prom_family(os, "easched_hosts", "Hosts by power state", "gauge");
-  prom_value(os, "easched_hosts", snap.hosts_on, "state=\"on\"");
-  prom_value(os, "easched_hosts", snap.hosts_booting, "state=\"booting\"");
-  prom_value(os, "easched_hosts", snap.hosts_off, "state=\"off\"");
-  prom_value(os, "easched_hosts", snap.hosts_failed, "state=\"failed\"");
-  prom_family(os, "easched_hosts_working",
-              "Hosts executing at least one VM or operation", "gauge");
-  prom_value(os, "easched_hosts_working", snap.working);
-  prom_family(os, "easched_hosts_online", "Hosts on or booting", "gauge");
-  prom_value(os, "easched_hosts_online", snap.online);
-  prom_family(os, "easched_working_ratio",
-              "Working/online host ratio (the paper's control signal)",
-              "gauge");
-  prom_value(os, "easched_working_ratio", snap.ratio);
-  prom_family(os, "easched_lambda_min", "Power controller lower threshold",
-              "gauge");
-  prom_value(os, "easched_lambda_min", snap.lambda_min);
-  prom_family(os, "easched_lambda_max", "Power controller upper threshold",
-              "gauge");
-  prom_value(os, "easched_lambda_max", snap.lambda_max);
-
-  prom_family(os, "easched_power_watts", "Fleet electrical draw", "gauge");
-  prom_value(os, "easched_power_watts", snap.power_w);
-  prom_family(os, "easched_energy_kwh_total",
-              "Cumulative energy since simulation start", "counter");
-  prom_value(os, "easched_energy_kwh_total", snap.energy_kwh);
-
-  prom_family(os, "easched_queue_depth", "Pending (unallocated) VMs",
-              "gauge");
-  prom_value(os, "easched_queue_depth", static_cast<double>(snap.queue));
-  prom_family(os, "easched_backoff", "VMs serving a post-failure backoff",
-              "gauge");
-  prom_value(os, "easched_backoff", static_cast<double>(snap.backoff));
-  prom_family(os, "easched_jobs_running", "VMs currently placed", "gauge");
-  prom_value(os, "easched_jobs_running", static_cast<double>(snap.running));
-  prom_family(os, "easched_jobs_deferred_total",
-              "Arrivals deferred by admission control", "counter");
-  prom_value(os, "easched_jobs_deferred_total",
-             static_cast<double>(snap.deferred));
-  prom_family(os, "easched_jobs_shed_total",
-              "Arrivals shed by admission control", "counter");
-  prom_value(os, "easched_jobs_shed_total", static_cast<double>(snap.shed));
-  prom_family(os, "easched_sla_satisfaction",
-              "Mean satisfaction of finished jobs", "gauge");
-  prom_value(os, "easched_sla_satisfaction", snap.sla);
-
-  prom_family(os, "easched_degradation_rung",
-              "Resilience degradation-ladder level (0 = full)", "gauge");
-  prom_value(os, "easched_degradation_rung", snap.rung);
-  prom_family(os, "easched_breakers_open",
-              "Host circuit breakers currently not healthy", "gauge");
-  prom_value(os, "easched_breakers_open",
-             static_cast<double>(snap.breakers_open));
+  std::string_view family;
+  for (const SnapshotField& f : kSnapshotFields) {
+    if (f.family != family) prom_family(os, f.family, f.help, f.type);
+    family = f.family;
+    prom_value(os, f.family, f.value(snap), f.label);
+  }
 
   prom_family(os, "easched_alert_active", "Alert rules currently firing",
               "gauge");

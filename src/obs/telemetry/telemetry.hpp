@@ -38,6 +38,8 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "obs/telemetry/alerts.hpp"
@@ -64,9 +66,10 @@ struct HostSample {
   float power_w = 0;        ///< current electrical draw [W]
 };
 
-/// The fixed-schema telemetry record. Field order here is the JSONL field
-/// order; append new fields at the end, never reorder (docs/telemetry.md
-/// documents the schema for external consumers).
+/// The fixed-schema telemetry record. Each scalar field is named in
+/// kSnapshotFields below and nowhere else; the table's order is the JSONL
+/// and Prometheus order (docs/telemetry.md documents the schema for
+/// external consumers).
 struct TelemetrySnapshot {
   std::uint64_t seq = 0;   ///< monotonic sample number (never reset)
   sim::SimTime t = 0;      ///< sim-time stamp [s]
@@ -101,6 +104,93 @@ struct TelemetrySnapshot {
   std::vector<std::string> active_alerts;
 
   std::vector<HostSample> hosts;
+};
+
+/// A pointer to one scalar TelemetrySnapshot field, of any field type.
+/// (On LP64 targets std::size_t is std::uint64_t, and a variant may not
+/// repeat a type.)
+using SnapshotMember = std::conditional_t<
+    std::is_same_v<std::size_t, std::uint64_t>,
+    std::variant<std::uint64_t TelemetrySnapshot::*,
+                 double TelemetrySnapshot::*, int TelemetrySnapshot::*>,
+    std::variant<std::uint64_t TelemetrySnapshot::*,
+                 double TelemetrySnapshot::*, int TelemetrySnapshot::*,
+                 std::size_t TelemetrySnapshot::*>>;
+
+/// One scalar of the snapshot schema: its JSONL key, its Prometheus
+/// sample and, when alert rules may watch it, its alert-series name.
+struct SnapshotField {
+  const char* key;         ///< JSONL key
+  SnapshotMember member;
+  const char* family;      ///< Prometheus metric family
+  const char* label;       ///< Prometheus label pair, or ""
+  const char* help;        ///< Prometheus HELP text
+  const char* type;        ///< Prometheus TYPE ("gauge" or "counter")
+  const char* alert = nullptr;  ///< alert-series name, or nullptr
+  /// The alert series is the field divided by the fleet size (0 for an
+  /// empty fleet) rather than the field itself.
+  bool alert_per_host = false;
+
+  /// The field's value in `snap`, as a double.
+  [[nodiscard]] double value(const TelemetrySnapshot& snap) const {
+    return std::visit(
+        [&snap](auto m) { return static_cast<double>(snap.*m); }, member);
+  }
+};
+
+/// Every scalar of the snapshot, in JSONL order (append new rows at the
+/// end, never reorder). Rows sharing a Prometheus family are adjacent and
+/// share its HELP and TYPE.
+inline constexpr SnapshotField kSnapshotFields[] = {
+    {"seq", &TelemetrySnapshot::seq, "easched_sample_seq", "",
+     "Telemetry sample sequence number", "counter"},
+    {"t", &TelemetrySnapshot::t, "easched_sim_time_seconds", "",
+     "Simulation clock", "gauge"},
+    {"on", &TelemetrySnapshot::hosts_on, "easched_hosts", R"(state="on")",
+     "Hosts by power state", "gauge"},
+    {"booting", &TelemetrySnapshot::hosts_booting, "easched_hosts",
+     R"(state="booting")", "Hosts by power state", "gauge"},
+    {"off", &TelemetrySnapshot::hosts_off, "easched_hosts", R"(state="off")",
+     "Hosts by power state", "gauge"},
+    {"failed", &TelemetrySnapshot::hosts_failed, "easched_hosts",
+     R"(state="failed")", "Hosts by power state", "gauge", "hosts_failed"},
+    {"working", &TelemetrySnapshot::working, "easched_hosts_working", "",
+     "Hosts executing at least one VM or operation", "gauge",
+     "hosts_working"},
+    {"online", &TelemetrySnapshot::online, "easched_hosts_online", "",
+     "Hosts on or booting", "gauge", "hosts_online"},
+    {"ratio", &TelemetrySnapshot::ratio, "easched_working_ratio", "",
+     "Working/online host ratio (the paper's control signal)", "gauge",
+     "working_ratio"},
+    {"lmin", &TelemetrySnapshot::lambda_min, "easched_lambda_min", "",
+     "Power controller lower threshold", "gauge"},
+    {"lmax", &TelemetrySnapshot::lambda_max, "easched_lambda_max", "",
+     "Power controller upper threshold", "gauge"},
+    {"power_w", &TelemetrySnapshot::power_w, "easched_power_watts", "",
+     "Fleet electrical draw", "gauge", "power_w"},
+    {"kwh", &TelemetrySnapshot::energy_kwh, "easched_energy_kwh_total",
+     "", "Cumulative energy since simulation start", "counter",
+     "energy_kwh"},
+    {"queue", &TelemetrySnapshot::queue, "easched_queue_depth", "",
+     "Pending (unallocated) VMs", "gauge", "queue_depth"},
+    {"backoff", &TelemetrySnapshot::backoff, "easched_backoff", "",
+     "VMs serving a post-failure backoff", "gauge", "backoff"},
+    {"running", &TelemetrySnapshot::running, "easched_jobs_running", "",
+     "VMs currently placed", "gauge", "jobs_running"},
+    {"deferred", &TelemetrySnapshot::deferred, "easched_jobs_deferred_total",
+     "", "Arrivals deferred by admission control", "counter",
+     "jobs_deferred"},
+    {"shed", &TelemetrySnapshot::shed, "easched_jobs_shed_total", "",
+     "Arrivals shed by admission control", "counter", "jobs_shed"},
+    {"sla", &TelemetrySnapshot::sla, "easched_sla_satisfaction", "",
+     "Mean satisfaction of finished jobs", "gauge", "sla_satisfaction"},
+    {"rung", &TelemetrySnapshot::rung, "easched_degradation_rung", "",
+     "Resilience degradation-ladder level (0 = full)", "gauge",
+     "ladder_rung"},
+    {"breakers_open", &TelemetrySnapshot::breakers_open,
+     "easched_breakers_open", "",
+     "Host circuit breakers currently not healthy", "gauge",
+     "breaker_open_rate", true},
 };
 
 /// Serialises one snapshot as a single JSON line (no trailing newline).

@@ -24,7 +24,7 @@ HostId best_fit_host(const Datacenter& dc, VmId v) {
   HostId best = datacenter::kNoHost;
   double best_occ = -1;
   for (HostId h = 0; h < dc.num_hosts(); ++h) {
-    if (!dc.fits(h, v)) continue;
+    if (h == dc.vm(v).host || !dc.fits(h, v)) continue;
     const double occ = dc.occupation_if(h, v);
     if (occ > best_occ) {
       best_occ = occ;

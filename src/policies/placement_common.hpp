@@ -13,7 +13,9 @@ std::vector<datacenter::HostId> on_hosts(const datacenter::Datacenter& dc);
 
 /// Best-fit choice: among On hosts where `v` fully fits (occupation <= 1),
 /// the one whose occupation after placing `v` is highest — i.e. the
-/// tightest fill, which is what consolidates. Returns kNoHost if none fits.
+/// tightest fill, which is what consolidates. A placed VM's current host is
+/// skipped, so the choice is a migration target. Returns kNoHost if none
+/// fits.
 datacenter::HostId best_fit_host(const datacenter::Datacenter& dc,
                                  datacenter::VmId v);
 

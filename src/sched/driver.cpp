@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "obs/obs.hpp"
+#include "policies/placement_common.hpp"
 #include "resilience/resilience.hpp"
 #include "support/contracts.hpp"
 #include "validate/validate.hpp"
@@ -425,24 +426,9 @@ void SchedulerDriver::evict_running(datacenter::HostId h) {
   for (VmId v : residents) {
     if (dc_.vm(v).state != VmState::kRunning) continue;
     if (in_backoff(v)) continue;  // its last migration just failed
-    const datacenter::HostId target = policies_best_fit(v);
+    const datacenter::HostId target = policies::best_fit_host(dc_, v);
     if (target != datacenter::kNoHost) dc_.migrate(v, target);
   }
-}
-
-datacenter::HostId SchedulerDriver::policies_best_fit(datacenter::VmId v) {
-  datacenter::HostId best = datacenter::kNoHost;
-  double best_occ = -1;
-  for (datacenter::HostId h = 0; h < dc_.num_hosts(); ++h) {
-    if (h == dc_.vm(v).host) continue;
-    if (!dc_.fits(h, v)) continue;
-    const double occ = dc_.occupation_if(h, v);
-    if (occ > best_occ) {
-      best_occ = occ;
-      best = h;
-    }
-  }
-  return best;
 }
 
 void SchedulerDriver::sla_scan() {

@@ -6,7 +6,7 @@
 // is not simulated", section IV). It owns the virtual-host queue of
 // unallocated VMs, fires a scheduling round on every system change, applies
 // the policy's decisions through the Datacenter actuators, runs the SLA
-// monitor that raises violation alarms (and optionally boosts demands —
+// monitor that raises violation alarms (and optionally boosts Xen weights —
 // the dynamic SLA enforcement extension), and invokes the power controller.
 #pragma once
 
@@ -56,7 +56,8 @@ struct DriverConfig {
   /// Raise scheduling rounds when a VM is projected to miss its deadline.
   bool sla_alarms = false;
   /// Dynamic SLA enforcement (section III-A.5 extension): multiply an
-  /// at-risk VM's CPU demand by `boost_factor` (once per violation episode).
+  /// at-risk VM's Xen credit weight by 4 x `boost_factor` (once per VM), so
+  /// its share on a contended host grows toward its nominal demand.
   bool dynamic_sla_boost = false;
   double boost_factor = 1.5;
 
@@ -155,7 +156,6 @@ class SchedulerDriver {
   /// Live-migrates host `h`'s running residents that are not backing off
   /// to their best-fit host, where one fits.
   void evict_running(datacenter::HostId h);
-  datacenter::HostId policies_best_fit(datacenter::VmId v);
   void remove_from_queue(datacenter::VmId v);
   RetryState& retry_state(datacenter::VmId v);
   [[nodiscard]] bool in_backoff(datacenter::VmId v) const;
@@ -186,7 +186,7 @@ class SchedulerDriver {
   /// backoff_count() prunes it, so it stays O(VMs in backoff).
   mutable std::vector<datacenter::VmId> backoff_;
   std::vector<datacenter::HostId> draining_;
-  std::vector<bool> boosted_;  ///< per-VM: demand already boosted
+  std::vector<bool> boosted_;  ///< per-VM: weight already boosted
   std::size_t submitted_ = 0;
   std::size_t finished_ = 0;
   std::size_t shed_ = 0;  ///< arrivals rejected by admission control

@@ -295,6 +295,20 @@ TEST(Boost, NoopOnQueuedVm) {
   EXPECT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, 100.0);
 }
 
+TEST(Boost, HostFailureMidMigrationRequeuesAtNominalDemand) {
+  // The source dies mid-transfer: the VM is requeued from the migrate-out
+  // leg, and must come back with the job's demand, as a resident would.
+  SmallDc f;
+  const auto v = f.admit_and_place(make_job(100, 512, 5000), 0);
+  f.simulator.run_until(100.0);
+  f.dc.boost_demand(v, 300.0);
+  ASSERT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, 300.0);
+  f.dc.migrate(v, 1);
+  f.dc.inject_host_failure(0);
+  EXPECT_EQ(f.dc.vm(v).state, VmState::kQueued);
+  EXPECT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, f.dc.vm(v).job.cpu_pct);
+}
+
 // ---- checkpointing ----------------------------------------------------------
 
 TEST(Checkpointing, PeriodicSnapshotsRecordProgress) {

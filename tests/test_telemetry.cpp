@@ -3,13 +3,20 @@
 // and the byte-identity of the stream across same-seed runs.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "experiments/runner.hpp"
+#include "obs/attribution/run_summary.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry/dashboard.hpp"
 #include "obs/telemetry/telemetry.hpp"
@@ -91,34 +98,28 @@ TelemetrySnapshot sample_snapshot() {
 }
 
 TEST(TelemetryJsonl, RoundTripsEveryField) {
+  // Every scalar row gets a value no other row has (its 1-based position,
+  // plus a quarter for doubles), so a reader that swapped two fields fails.
+  TelemetrySnapshot snap = sample_snapshot();
+  for (std::size_t i = 0; i < std::size(kSnapshotFields); ++i) {
+    std::visit(
+        [&](auto m) {
+          using T = std::remove_reference_t<decltype(snap.*m)>;
+          snap.*m = static_cast<T>(static_cast<double>(i + 1) +
+                                   (std::is_floating_point_v<T> ? 0.25 : 0));
+        },
+        kSnapshotFields[i].member);
+  }
   std::ostringstream os;
-  write_snapshot_jsonl(os, sample_snapshot());
+  write_snapshot_jsonl(os, snap);
   const std::string line = os.str();
   EXPECT_EQ(line.find('\n'), std::string::npos);  // single line
 
   TelemetrySnapshot back;
   ASSERT_TRUE(parse_snapshot_jsonl(line, &back));
-  EXPECT_EQ(back.seq, 7u);
-  EXPECT_DOUBLE_EQ(back.t, 420);
-  EXPECT_EQ(back.hosts_on, 3);
-  EXPECT_EQ(back.hosts_booting, 1);
-  EXPECT_EQ(back.hosts_off, 2);
-  EXPECT_EQ(back.hosts_failed, 1);
-  EXPECT_EQ(back.working, 2);
-  EXPECT_EQ(back.online, 4);
-  EXPECT_DOUBLE_EQ(back.ratio, 0.5);
-  EXPECT_DOUBLE_EQ(back.lambda_min, 0.3);
-  EXPECT_DOUBLE_EQ(back.lambda_max, 0.9);
-  EXPECT_DOUBLE_EQ(back.power_w, 1234.5);
-  EXPECT_DOUBLE_EQ(back.energy_kwh, 0.125);
-  EXPECT_EQ(back.queue, 5u);
-  EXPECT_EQ(back.backoff, 2u);
-  EXPECT_EQ(back.running, 9u);
-  EXPECT_EQ(back.deferred, 3u);
-  EXPECT_EQ(back.shed, 1u);
-  EXPECT_DOUBLE_EQ(back.sla, 98.75);
-  EXPECT_EQ(back.rung, 2);
-  EXPECT_EQ(back.breakers_open, 1u);
+  for (const SnapshotField& f : kSnapshotFields) {
+    EXPECT_EQ(f.value(back), f.value(snap)) << f.key;
+  }
   ASSERT_EQ(back.active_alerts.size(), 1u);
   EXPECT_EQ(back.active_alerts[0], "high-power");
   ASSERT_EQ(back.hosts.size(), 2u);
@@ -126,6 +127,39 @@ TEST(TelemetryJsonl, RoundTripsEveryField) {
   EXPECT_EQ(back.hosts[1].health, 1);
   EXPECT_FLOAT_EQ(back.hosts[0].util_pct, 75.5F);
   EXPECT_FLOAT_EQ(back.hosts[1].power_w, 230.0F);
+}
+
+TEST(TelemetrySchema, NamesAreUnique) {
+  // One row per scalar: a JSONL key, a Prometheus sample (family + label)
+  // and an alert-series name each name exactly one field.
+  std::set<std::string> keys;
+  std::set<std::pair<std::string, std::string>> samples;
+  std::set<std::string> alerts;
+  for (const SnapshotField& f : kSnapshotFields) {
+    EXPECT_TRUE(keys.insert(f.key).second) << f.key;
+    EXPECT_TRUE(samples.emplace(f.family, f.label).second) << f.family;
+    if (f.alert != nullptr) {
+      EXPECT_TRUE(alerts.insert(f.alert).second) << f.alert;
+    }
+  }
+  EXPECT_FALSE(alerts.empty());
+}
+
+TEST(TelemetrySchema, RowsFollowTheStructOrder) {
+  // The table lists the members in declaration order, each once, so a row
+  // wired to a neighbour's member fails here even though it round-trips.
+  const TelemetrySnapshot snap;
+  std::ptrdiff_t prev = -1;
+  for (const SnapshotField& f : kSnapshotFields) {
+    const std::ptrdiff_t offset = std::visit(
+        [&snap](auto m) {
+          return reinterpret_cast<const char*>(&(snap.*m)) -
+                 reinterpret_cast<const char*>(&snap);
+        },
+        f.member);
+    EXPECT_GT(offset, prev) << f.key;
+    prev = offset;
+  }
 }
 
 TEST(TelemetryJsonl, RejectsNonSnapshotLines) {
@@ -186,7 +220,7 @@ TEST(AlertParse, ThresholdWithOptions) {
   const auto rules =
       parse_alert_rules("power_w>25000 for=300 resolve=24000 name=hot");
   ASSERT_EQ(rules.size(), 1u);
-  EXPECT_EQ(rules[0].series, AlertSeries::kPowerW);
+  EXPECT_STREQ(kSnapshotFields[rules[0].series].alert, "power_w");
   EXPECT_EQ(rules[0].kind, AlertKind::kThreshold);
   EXPECT_TRUE(rules[0].above);
   EXPECT_DOUBLE_EQ(rules[0].bound, 25000);
@@ -202,7 +236,7 @@ TEST(AlertParse, RateBurnAndCommaList) {
       "sla_satisfaction burn>2x window=1800 slo=100 budget=5");
   ASSERT_EQ(rules.size(), 2u);
   EXPECT_EQ(rules[0].kind, AlertKind::kRate);
-  EXPECT_EQ(rules[0].series, AlertSeries::kQueueDepth);
+  EXPECT_STREQ(kSnapshotFields[rules[0].series].alert, "queue_depth");
   EXPECT_DOUBLE_EQ(rules[0].window_s, 600);
   EXPECT_EQ(rules[1].kind, AlertKind::kBurn);
   EXPECT_DOUBLE_EQ(rules[1].bound, 2);  // "2x" multiplier
@@ -387,17 +421,22 @@ TEST(TelemetryPlane, AlertLogReachesRunReport) {
   tc.period_s = 600;
   obs.telemetry.enable(tc);
   // hosts_online >= 1 holds from t=0 on: guaranteed to fire and never
-  // resolve, so the report must carry exactly one open episode.
+  // resolve, so the engine's log must carry exactly one open episode, and
+  // the run summary reads it from there.
   obs.telemetry.set_alert_rules(
       parse_alert_rules("hosts_online>0.5 name=fleet-up"));
   auto config = testing::small_config("SB");
   config.obs = &obs;
   const auto result =
       experiments::run_experiment(testing::small_week(), std::move(config));
-  ASSERT_EQ(result.report.alerts.size(), 1u);
-  EXPECT_EQ(result.report.alerts[0].rule, "fleet-up");
-  EXPECT_DOUBLE_EQ(result.report.alerts[0].resolved_t, -1);
-  EXPECT_NE(result.report.alerts_to_string().find("fleet-up"),
+  const AlertEngine& engine = obs.telemetry.alerts();
+  ASSERT_EQ(engine.log().size(), 1u);
+  EXPECT_EQ(engine.log()[0].rule, "fleet-up");
+  EXPECT_DOUBLE_EQ(engine.log()[0].resolved_t, -1);
+  EXPECT_NE(engine.log_to_string().find("fleet-up"), std::string::npos);
+  std::ostringstream summary;
+  write_run_summary(summary, result.report, &obs);
+  EXPECT_NE(summary.str().find(R"("episodes":1,"log":[{"rule":"fleet-up",)"),
             std::string::npos);
   // The fire transition also lands in the alerts.* metric family.
   const auto snap = obs.registry.snapshot();
