@@ -250,13 +250,16 @@ void Datacenter::integrate_progress(Vm& v) {
 }
 
 void Datacenter::reschedule_finish(Vm& v) {
-  sim_.cancel(v.finish_event);
-  v.finish_event = sim::kNoEvent;
-  if (v.state != VmState::kRunning || v.progress_rate <= 0) return;
-  const double remaining = v.remaining_work_s();
+  if (v.state != VmState::kRunning || v.progress_rate <= 0) {
+    sim_.cancel(v.finish_event);
+    v.finish_event = sim::kNoEvent;
+    return;
+  }
+  const sim::SimTime posted = v.finish_at;
+  v.finish_at = sim_.now() + v.remaining_work_s() / v.progress_rate;
   const VmId id = v.id;
-  v.finish_event =
-      sim_.after(remaining / v.progress_rate, [this, id] { finish_vm(id); });
+  v.finish_event = sim_.repost(v.finish_event, posted, v.finish_at,
+                               [this, id] { finish_vm(id); });
 }
 
 void Datacenter::reallocate_io(HostId h) {
@@ -292,13 +295,13 @@ void Datacenter::reallocate_io(HostId h) {
       continue;  // `ends` stays at the abort deadline set when armed
     }
     op.rate = rate;
-    sim_.cancel(op.event);
-    const double eta = op.remaining_s() / rate;
-    op.ends = t + eta;
+    const sim::SimTime posted = op.ends;
+    op.ends = t + op.remaining_s() / rate;
     const Operation::Kind kind = op.kind;
     const VmId v = op.vm;
-    op.event =
-        sim_.after(eta, [this, h, kind, v] { complete_operation(h, kind, v); });
+    op.event = sim_.repost(op.event, posted, op.ends, [this, h, kind, v] {
+      complete_operation(h, kind, v);
+    });
   }
 }
 

@@ -55,6 +55,7 @@ struct Vm {
   double progress_rate = 0;
   sim::SimTime last_progress_update = 0;
   sim::EventId finish_event = sim::kNoEvent;
+  sim::SimTime finish_at = 0;  ///< time finish_event was posted at
 
   sim::SimTime finished_at = -1;
   int restarts = 0;            ///< times requeued after a host failure

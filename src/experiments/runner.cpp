@@ -178,6 +178,7 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   // built, so sim.events_* rows land in every registry snapshot.
   recorder.counts.events_dispatched = result.events_dispatched;
   recorder.counts.events_cancelled = result.events_cancelled;
+  recorder.counts.events_kept = simulator.kept();
   // Close the energy ledger's integration window at the same end time the
   // report integrates to, so the attributed joules and the aggregate
   // energy_kwh cover the identical interval.

@@ -124,16 +124,15 @@ GeoResult run_geo(const workload::Workload& jobs, const GeoConfig& config) {
   });
 
   // Arrival events: route each job at its submit instant.
+  workload::Workload arrivals = jobs;
   std::size_t cursor = 0;
-  for (const auto& job : jobs) {
-    simulator.at(job.submit, [&, job] {
-      const std::size_t target =
-          pick_site(sites, config.dispatch, simulator.now(), cursor);
-      ++cursor;
-      sites[target]->driver->submit_job_now(job);
-      ++sites[target]->dispatched;
-    });
-  }
+  simulator.stream(workload::sort_by_submit(arrivals), [&](std::size_t i) {
+    const std::size_t target =
+        pick_site(sites, config.dispatch, simulator.now(), cursor);
+    ++cursor;
+    sites[target]->driver->submit_job_now(arrivals[i]);
+    ++sites[target]->dispatched;
+  });
 
   if (config.horizon_s > 0) {
     simulator.run_until(config.horizon_s);

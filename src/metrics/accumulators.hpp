@@ -139,9 +139,10 @@ struct Counters {
   std::uint64_t breaker_probes = 0;    ///< half-open probe ops dispatched
   std::uint64_t breaker_deaths = 0;    ///< hosts written off as dead
 
-  // ---- simulation kernel (filled by the runner from the event queue) ----
+  // ---- simulation kernel (filled by the runner from the simulator) ----
   std::uint64_t events_dispatched = 0;
   std::uint64_t events_cancelled = 0;
+  std::uint64_t events_kept = 0;  ///< re-posts that kept the pending event
 };
 
 /// Registry name of every Counters field, one row per field.
@@ -173,6 +174,7 @@ inline constexpr std::pair<std::uint64_t Counters::*, const char*>
         {&Counters::breaker_deaths, "resilience.breaker_deaths"},
         {&Counters::events_dispatched, "sim.events_dispatched"},
         {&Counters::events_cancelled, "sim.events_cancelled"},
+        {&Counters::events_kept, "sim.events_kept"},
 };
 static_assert(std::size(kRunCounters) * sizeof(std::uint64_t) ==
                   sizeof(Counters),

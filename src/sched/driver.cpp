@@ -146,9 +146,13 @@ void SchedulerDriver::adaptive_window() {
 }
 
 void SchedulerDriver::submit_workload(const workload::Workload& jobs) {
-  for (const auto& job : jobs) {
-    sim_.at(job.submit, [this, job] { on_arrival(job); });
-  }
+  // One presorted stream owns the arrivals; the event heap holds none.
+  workload::Workload arrivals = jobs;
+  std::vector<sim::SimTime> times = workload::sort_by_submit(arrivals);
+  sim_.stream(std::move(times),
+              [this, arrivals = std::move(arrivals)](std::size_t i) {
+                on_arrival(arrivals[i]);
+              });
   submitted_ += jobs.size();
 }
 

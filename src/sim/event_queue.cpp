@@ -50,12 +50,16 @@ void PooledEventQueue::free_slot(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-void PooledEventQueue::cancel(EventId id) {
-  if (id == kNoEvent) return;
+bool PooledEventQueue::live(EventId id) const noexcept {
+  if (id == kNoEvent) return false;
   const std::uint32_t slot = id_slot(id);
-  if (slot >= slots_.size()) return;
-  if (slots_[slot].gen != id_gen(id)) return;  // fired, cancelled, or stale
-  free_slot(slot);
+  // A fired, cancelled or recycled slot carries a different generation.
+  return slot < slots_.size() && slots_[slot].gen == id_gen(id);
+}
+
+void PooledEventQueue::cancel(EventId id) {
+  if (!live(id)) return;
+  free_slot(id_slot(id));
   EA_ASSERT(live_ > 0);
   --live_;
   ++cancelled_total_;
@@ -122,11 +126,11 @@ void PooledEventQueue::compact() {
   }
 }
 
-SimTime PooledEventQueue::next_time() {
+PooledEventQueue::Key PooledEventQueue::next_key() {
   EA_EXPECTS(!empty());
   // A cancel may have hit the current heap top since the last pop.
   prune_top();
-  return heap_[0].time;
+  return Key{heap_[0].time, heap_[0].seq};
 }
 
 PooledEventQueue::Fired PooledEventQueue::pop() {

@@ -14,16 +14,26 @@
 //     shallower than a binary heap and with all four children in one cache
 //     line of 24-byte entries. The sequence number makes simultaneous
 //     events pop in scheduling order — the reproducibility contract.
-//   * Cancellation is lazy (the heap entry stays parked until it surfaces),
-//     which matters because the simulator cancels and reschedules a
-//     VM-finish event on every CPU reallocation. When parked-dead entries
-//     exceed half the heap it is compacted in place, so lazy cancellation
-//     cannot grow the heap unboundedly.
+//   * Cancellation is lazy (the heap entry stays parked until it surfaces):
+//     a CPU or I/O reallocation that moves a VM-finish or operation-
+//     completion event cancels it and posts a new one. When parked-dead
+//     entries exceed half the heap it is compacted in place, so lazy
+//     cancellation cannot grow the heap unboundedly.
+//   * The heap holds only events that can move. Workload arrivals are
+//     presorted streams outside it (`Simulator::stream`), which take a
+//     block of sequence numbers through `reserve_seq`; the simulator
+//     merges stream heads with the heap top by (time, seq).
 //
 // Pop order is exactly (time, seq) — identical to `ReferenceEventQueue`
 // (the pre-pool seed implementation, kept as the executable spec);
 // `tests/test_event_queue_differential.cpp` holds the two to the same pop
 // sequence under randomized push/cancel/reschedule scripts.
+//
+// A re-post that would land at the time the event already holds keeps the
+// pending event instead (`Simulator::repost`). The kept event keeps its
+// older sequence number, so among events at that time it fires where it
+// was first posted, not after every event posted since. A cancel plus push
+// would have moved it behind them.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +65,19 @@ class PooledEventQueue {
   /// ignored.
   void cancel(EventId id);
 
+  /// Reserves `n` consecutive sequence numbers and returns the first. A
+  /// caller that dispatches events under them orders those events against
+  /// the heap exactly as `n` pushes made now would be ordered.
+  std::uint64_t reserve_seq(std::size_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// True while `id` names a pushed event that has neither fired nor been
+  /// cancelled.
+  [[nodiscard]] bool live(EventId id) const noexcept;
+
   /// True when no live (non-cancelled) event remains.
   [[nodiscard]] bool empty() const { return live_ == 0; }
 
@@ -68,7 +91,15 @@ class PooledEventQueue {
 
   /// Time of the earliest live event. Requires !empty(). Non-const because
   /// it prunes cancelled entries off the heap top.
-  [[nodiscard]] SimTime next_time();
+  [[nodiscard]] SimTime next_time() { return next_key().time; }
+
+  /// (time, seq) of the earliest live event. Requires !empty(); prunes
+  /// like next_time().
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+  };
+  [[nodiscard]] Key next_key();
 
   /// Pops and returns the earliest live event's action together with its
   /// timestamp. Requires !empty().
@@ -118,7 +149,7 @@ class PooledEventQueue {
   /// Removes the heap root (sift-down of the last entry).
   void pop_root();
   /// Drops stale entries off the heap top; the single home of lazy-cancel
-  /// pruning (both next_time() and pop() route through it).
+  /// pruning (both next_key() and pop() route through it).
   void prune_top();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/contracts.hpp"
@@ -39,25 +40,75 @@ void Simulator::cancel_periodic(PeriodicHandle handle) {
   periodics_.erase(it);
 }
 
-void Simulator::step() {
-  auto fired = queue_.pop();
-  EA_ASSERT(fired.time >= now_);
-  if (observer_ != nullptr) observer_->on_event_dispatched(fired.time);
-  now_ = fired.time;
+void Simulator::stream(std::vector<SimTime> times,
+                       std::function<void(std::size_t)> fire) {
+  if (times.empty()) return;
+  EA_EXPECTS(times.front() >= now_);
+  EA_EXPECTS(std::is_sorted(times.begin(), times.end()));
+  auto s = std::make_unique<Stream>();
+  s->first_seq = queue_.reserve_seq(times.size());
+  s->times = std::move(times);
+  s->fire = std::move(fire);
+  streams_.push_back(std::move(s));
+}
+
+std::size_t Simulator::pending() const {
+  std::size_t n = queue_.size();
+  for (const auto& s : streams_) n += s->times.size() - s->next;
+  return n;
+}
+
+bool Simulator::next_event(Next& next) {
+  bool found = false;
+  if (!queue_.empty()) {
+    const auto top = queue_.next_key();
+    next = Next{top.time, top.seq, nullptr};
+    found = true;
+  }
+  for (auto it = streams_.begin(); it != streams_.end();) {
+    Stream& s = **it;
+    if (s.next == s.times.size()) {
+      it = streams_.erase(it);
+      continue;
+    }
+    const SimTime t = s.times[s.next];
+    const std::uint64_t seq = s.first_seq + s.next;
+    if (!found || t < next.time || (t == next.time && seq < next.seq)) {
+      next = Next{t, seq, &s};
+      found = true;
+    }
+    ++it;
+  }
+  return found;
+}
+
+void Simulator::dispatch(const Next& next) {
+  EA_ASSERT(next.time >= now_);
+  if (observer_ != nullptr) observer_->on_event_dispatched(next.time);
+  now_ = next.time;
   ++dispatched_;
-  fired.action();
+  if (next.stream == nullptr) {
+    queue_.pop().action();
+  } else {
+    // Advance the head first: the callback may post, stop or query
+    // pending(), and must see its own event as fired.
+    const std::size_t i = next.stream->next++;
+    next.stream->fire(i);
+  }
 }
 
 void Simulator::run() {
   stopping_ = false;
-  while (!stopping_ && !queue_.empty()) step();
+  Next next;
+  while (!stopping_ && next_event(next)) dispatch(next);
 }
 
 void Simulator::run_until(SimTime horizon) {
   EA_EXPECTS(horizon >= now_);
   stopping_ = false;
-  while (!stopping_ && !queue_.empty() && queue_.next_time() <= horizon) {
-    step();
+  Next next;
+  while (!stopping_ && next_event(next) && next.time <= horizon) {
+    dispatch(next);
   }
   // When stopped early the clock stays at the stop point; only a run that
   // exhausted the horizon advances to it.

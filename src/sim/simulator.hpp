@@ -13,6 +13,7 @@
 #include <memory>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -49,6 +50,31 @@ class Simulator {
     return queue_.push(now_ + dt, std::forward<F>(fn));
   }
 
+  /// Posts a presorted batch of events: event i calls `fire(i)` at
+  /// `times[i]`. Requires non-decreasing times, the first >= now(). The
+  /// batch takes one contiguous block of sequence numbers from the queue,
+  /// so it dispatches exactly as `times.size()` at() calls in index order
+  /// would, ties included, while the heap holds none of it. Stream events
+  /// cannot be cancelled.
+  void stream(std::vector<SimTime> times,
+              std::function<void(std::size_t)> fire);
+
+  /// Moves the event `id`, last posted at `posted`, to fire `fn` at `t`.
+  /// When `id` is still pending and `t == posted`, the event is kept as it
+  /// is, with its place among same-time events (see event_queue.hpp), and
+  /// counted in kept(). Otherwise `id` is cancelled (a no-op once fired)
+  /// and `fn` posted at `t`. `fn` must do what the pending event does.
+  /// Returns the id of the pending event.
+  template <typename F>
+  EventId repost(EventId id, SimTime posted, SimTime t, F&& fn) {
+    if (t == posted && queue_.live(id)) {
+      ++kept_;
+      return id;
+    }
+    queue_.cancel(id);
+    return at(t, std::forward<F>(fn));
+  }
+
   /// Schedules `fn` every `period` seconds, first firing at now() + period,
   /// until the returned handle is cancelled via `cancel_periodic()` or the
   /// run ends. Requires period > 0.
@@ -83,8 +109,11 @@ class Simulator {
     return queue_.cancelled();
   }
 
-  /// Live events still pending.
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  /// Number of events repost() kept in place.
+  [[nodiscard]] std::uint64_t kept() const noexcept { return kept_; }
+
+  /// Live events still pending, stream events included.
+  [[nodiscard]] std::size_t pending() const;
 
   /// Attaches (or detaches, with nullptr) the validation observer. Not
   /// owned; the caller keeps it alive for the duration of the run.
@@ -99,14 +128,37 @@ class Simulator {
     EventId next = kNoEvent;  ///< pending occurrence, for cancel_periodic
   };
 
-  void step();
+  /// A batch posted by stream(); `next` indexes its earliest unfired event,
+  /// whose sequence number is `first_seq + next`.
+  struct Stream {
+    std::vector<SimTime> times;
+    std::function<void(std::size_t)> fire;
+    std::uint64_t first_seq = 0;
+    std::size_t next = 0;
+  };
+
+  /// The earliest pending event by (time, seq): a stream head, or the heap
+  /// top when `stream` is null.
+  struct Next {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    Stream* stream = nullptr;
+  };
+
+  /// Finds the earliest pending event; false when none is left. Drops
+  /// drained streams, so it is called only between dispatches.
+  bool next_event(Next& next);
+  void dispatch(const Next& next);
   void fire_periodic(std::uint64_t key);
 
   EventQueue queue_;
+  /// Held by pointer: a stream callback may post another stream.
+  std::vector<std::unique_ptr<Stream>> streams_;
   SimObserver* observer_ = nullptr;
   SimTime now_ = 0;
   bool stopping_ = false;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t kept_ = 0;
   std::uint64_t next_periodic_key_ = 1;
   std::unordered_map<std::uint64_t, std::shared_ptr<Periodic>> periodics_;
 };

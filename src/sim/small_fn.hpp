@@ -5,8 +5,8 @@
 // and drags in RTTI it never uses. `SmallFn` stores any callable whose
 // captures fit `kInlineBytes` directly inside the event-pool slot (no
 // allocation on the push/pop hot path) and falls back to the heap only for
-// oversized closures (e.g. the per-job arrival lambda that carries a whole
-// `workload::Job` by value — cold, once per job).
+// oversized closures (e.g. a deferred admission, which carries a whole
+// `workload::Job` by value — cold, only under backpressure).
 #pragma once
 
 #include <cstddef>

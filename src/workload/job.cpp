@@ -49,4 +49,14 @@ std::string describe(const WorkloadStats& s) {
   return buf;
 }
 
+std::vector<sim::SimTime> sort_by_submit(Workload& jobs) {
+  std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.submit < b.submit;
+  });
+  std::vector<sim::SimTime> times(jobs.size());
+  std::transform(jobs.begin(), jobs.end(), times.begin(),
+                 [](const Job& j) { return j.submit; });
+  return times;
+}
+
 }  // namespace easched::workload

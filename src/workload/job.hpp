@@ -47,6 +47,11 @@ struct Job {
 /// A workload is simply the arrival-ordered job list.
 using Workload = std::vector<Job>;
 
+/// Sorts `jobs` stably by submit time and returns the sorted submit times:
+/// jobs submitted at the same instant keep their input order, the order in
+/// which one arrival event per job, posted in input order, would fire.
+std::vector<sim::SimTime> sort_by_submit(Workload& jobs);
+
 /// Aggregate statistics used to sanity-check synthetic traces against the
 /// published characteristics of the Grid5000 week.
 struct WorkloadStats {

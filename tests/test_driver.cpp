@@ -183,6 +183,25 @@ TEST(Driver, ManualRoundIsIdempotentOnQuietSystem) {
   EXPECT_EQ(f.dc.online_count(), online);
 }
 
+// Arrivals are one presorted stream: an unsorted workload still arrives in
+// (submit, index) order, the order of one arrival event per job.
+TEST(Driver, UnsortedWorkloadArrivesInSubmitThenIndexOrder) {
+  DriverHarness f(3);
+  workload::Workload jobs;
+  for (const double submit : {30.0, 10.0, 30.0, 10.0, 20.0}) {
+    workload::Job j = make_job(100, 512, 500);
+    j.submit = submit;
+    j.id = static_cast<std::uint32_t>(jobs.size());
+    jobs.push_back(j);
+  }
+  f.driver->submit_workload(jobs);
+  f.simulator.run_until(30.0);
+  ASSERT_EQ(f.dc.num_vms(), 5u);
+  std::vector<std::uint32_t> arrived;
+  for (VmId v = 0; v < 5; ++v) arrived.push_back(f.dc.vm(v).job.id);
+  EXPECT_EQ(arrived, (std::vector<std::uint32_t>{1, 3, 4, 0, 2}));
+}
+
 // The backoff gate is strict (not_before > now): at the very instant a
 // backoff expires the VM is eligible again and no longer counted.
 TEST(Driver, BackoffEndsExactlyAtNotBefore) {
