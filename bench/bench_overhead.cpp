@@ -198,7 +198,7 @@ std::vector<Component> components() {
            config.resilience.enabled = true;
            config.resilience.solver_budget_moves = 0;  // watchdog off
            config.resilience.max_pending = 0;          // admission off
-           config.resilience.breaker_threshold = 0;    // breakers off
+           config.resilience.breakers.threshold = 0;    // breakers off
          }}},
        [](const std::vector<Timed>& v, const Require& require) {
          const experiments::RunResult& idle = v[1].result;

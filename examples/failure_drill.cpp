@@ -10,7 +10,7 @@
 //
 // Operation-level chaos (fault-injection layer) is scripted with --faults:
 //   failure_drill --faults="migrate.fail=0.05,create.hang=0.01,lemon=3:8"
-// or --faults=<file> with one key=value pair per line. Every injection and
+// or --faults=<file> holding the same pairs. Every injection and
 // recovery action is an event of the structured trace: write it with
 // --trace=run.jsonl (also --trace-format=, --metrics-out=, --profile) and
 // read the fault events back with

@@ -1,4 +1,4 @@
-// Delta-minimises a failing scenario repro bundle (see validate/repro.hpp).
+// Delta-minimises a failing scenario repro bundle (see experiments/repro.hpp).
 //
 // A bundle is written by the experiment runner when the invariant checker
 // trips mid-run (RunConfig.validate.repro_path, or EASCHED_VALIDATE=1 via
@@ -13,36 +13,10 @@
 #include <cstdio>
 #include <string>
 
+#include "experiments/repro.hpp"
 #include "experiments/runner.hpp"
-#include "faults/fault_plan.hpp"
 #include "support/cli.hpp"
-#include "validate/repro.hpp"
 #include "validate/shrink.hpp"
-
-namespace {
-
-/// Rebuilds the bundled run configuration. Fresh per replay: run_experiment
-/// consumes the config (policy instance, injector wiring).
-easched::experiments::RunConfig config_for(
-    const easched::validate::ReproBundle& bundle) {
-  easched::experiments::RunConfig config;
-  config.policy = bundle.policy;
-  config.datacenter.hosts = easched::validate::specs_for(bundle.host_classes);
-  config.datacenter.seed = bundle.dc_seed;
-  config.datacenter.inject_failures = bundle.inject_failures;
-  config.datacenter.checkpoint.enabled = bundle.checkpoint_enabled;
-  config.datacenter.checkpoint.period_s = bundle.checkpoint_period_s;
-  config.driver.power.lambda_min = bundle.lambda_min;
-  config.driver.power.lambda_max = bundle.lambda_max;
-  config.horizon_s = bundle.horizon_s;
-  if (!bundle.fault_spec.empty()) {
-    config.faults = easched::faults::parse_fault_plan(bundle.fault_spec);
-  }
-  config.validate.enabled = true;
-  return config;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace easched;
@@ -60,18 +34,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  validate::ReproBundle bundle =
-      validate::read_repro_bundle_file(bundle_path);
+  const experiments::ReproBundle bundle =
+      experiments::read_repro_bundle_file(bundle_path);
   std::printf("bundle: %s — %zu jobs, violation \"%s\" at t=%.3f\n",
               bundle_path.c_str(), bundle.jobs.size(),
-              bundle.violation.c_str(), bundle.violation_t);
+              bundle.violation.what.c_str(), bundle.violation.t);
 
   std::size_t replays = 0;
   const auto still_fails = [&](const workload::Workload& jobs) {
     if (jobs.empty()) return false;  // run_experiment requires jobs
     ++replays;
-    const auto result = experiments::run_experiment(jobs, config_for(bundle));
-    return !result.violations.empty();
+    // Fresh per replay: run_experiment consumes its config.
+    return !experiments::run_experiment(
+                jobs, experiments::read_repro_bundle_file(bundle_path).config)
+                .violations.empty();
   };
 
   const validate::ShrinkResult result =
@@ -85,8 +61,8 @@ int main(int argc, char** argv) {
 
   std::printf("shrunk %zu -> %zu jobs in %zu replays\n", bundle.jobs.size(),
               result.jobs.size(), replays);
-  bundle.jobs = result.jobs;
-  validate::write_repro_bundle_file(out_path, bundle);
+  experiments::write_repro_bundle_file(out_path, bundle.config,
+                                       bundle.violation, result.jobs);
   std::printf("minimised bundle written to %s\n", out_path.c_str());
   return 0;
 }

@@ -20,9 +20,13 @@
 # under the bands they carry, the run summary at a 5% threshold — so drift
 # is surfaced here instead of silently baked into the baseline.
 #
-# Usage: scripts/refresh_bench.sh [fast]
-#   fast — skip the whole-run week section of BENCH_sim.json; the
-#          committed file should be produced WITHOUT fast.
+# Usage: scripts/refresh_bench.sh [fast] [fleet] [sim] [summary]
+#   fast    — skip the whole-run week section of BENCH_sim.json; the
+#             committed file should be produced WITHOUT fast.
+#   fleet | sim | summary — refresh only the named baselines
+#             (BENCH_fleet.json, BENCH_sim.json, the run summary); with no
+#             name all three are refreshed. A change refreshes the files it
+#             owns, so box noise is not baked into the others.
 #
 # Run on an otherwise idle machine; the context blocks record the thread
 # count so numbers are interpretable later. bench_micro (google-benchmark)
@@ -31,10 +35,26 @@ set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-bench"
-fast="${1:-}"
 week_flag=""
-if [ "$fast" = "fast" ]; then
-  week_flag="--skip-week"
+fleet=0
+sim=0
+summary=0
+for arg in "$@"; do
+  case "$arg" in
+    fast) week_flag="--skip-week" ;;
+    fleet) fleet=1 ;;
+    sim) sim=1 ;;
+    summary) summary=1 ;;
+    *)
+      echo "usage: scripts/refresh_bench.sh [fast] [fleet] [sim] [summary]" >&2
+      exit 2
+      ;;
+  esac
+done
+if [ $((fleet + sim + summary)) -eq 0 ]; then
+  fleet=1
+  sim=1
+  summary=1
 fi
 
 echo "== Release build =="
@@ -59,21 +79,31 @@ replace() {
   mv "$fresh" "$committed"
 }
 
-echo "== BENCH_fleet.json (bench_fleet) =="
-# No google-benchmark dependency: the binary times its own rounds and
-# fails unless both variants emitted identical action streams.
-"$build/bench/bench_fleet" --json > "$build/BENCH_fleet.json"
-replace "$repo/BENCH_fleet.json" "$build/BENCH_fleet.json"
+written=""
+if [ "$fleet" = 1 ]; then
+  echo "== BENCH_fleet.json (bench_fleet) =="
+  # No google-benchmark dependency: the binary times its own rounds and
+  # fails unless both variants emitted identical action streams.
+  "$build/bench/bench_fleet" --json > "$build/BENCH_fleet.json"
+  replace "$repo/BENCH_fleet.json" "$build/BENCH_fleet.json"
+  written="$written $repo/BENCH_fleet.json"
+fi
 
-echo "== BENCH_sim.json (bench_event_queue) =="
-# shellcheck disable=SC2086
-"$build/bench/bench_event_queue" --json $week_flag > "$build/BENCH_sim.json"
-replace "$repo/BENCH_sim.json" "$build/BENCH_sim.json"
+if [ "$sim" = 1 ]; then
+  echo "== BENCH_sim.json (bench_event_queue) =="
+  # shellcheck disable=SC2086
+  "$build/bench/bench_event_queue" --json $week_flag > "$build/BENCH_sim.json"
+  replace "$repo/BENCH_sim.json" "$build/BENCH_sim.json"
+  written="$written $repo/BENCH_sim.json"
+fi
 
-echo "== run_summary_baseline.json (attribution artifact) =="
-"$build/examples/quickstart" --attribution \
-  --summary-out="$build/run_summary.json" >/dev/null
-replace "$repo/tests/data/run_summary_baseline.json" \
-  "$build/run_summary.json" --threshold=0.05
+if [ "$summary" = 1 ]; then
+  echo "== run_summary_baseline.json (attribution artifact) =="
+  "$build/examples/quickstart" --attribution \
+    --summary-out="$build/run_summary.json" >/dev/null
+  replace "$repo/tests/data/run_summary_baseline.json" \
+    "$build/run_summary.json" --threshold=0.05
+  written="$written $repo/tests/data/run_summary_baseline.json"
+fi
 
-echo "wrote $repo/BENCH_fleet.json, $repo/BENCH_sim.json and $repo/tests/data/run_summary_baseline.json"
+echo "wrote$written"

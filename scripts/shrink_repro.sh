@@ -1,7 +1,7 @@
 #!/bin/sh
 # Delta-minimises a failing scenario repro bundle with the shrink_tool
 # example (see validate/shrink.hpp for the ddmin algorithm and
-# validate/repro.hpp for the bundle format).
+# experiments/repro.hpp for the bundle format).
 #
 # Usage: scripts/shrink_repro.sh <bundle> [<out>] [<max-tests>]
 #   bundle    — repro file written by a validated run (the runner writes it
@@ -23,7 +23,9 @@ bundle="$1"
 out="${2:-$bundle.min}"
 max_tests="${3:-2000}"
 
-build_dir="$repo/build-validate"
+# Its own build directory: run_validation.sh builds build-validate with
+# tests on, and a shared cache would carry one script's options into the other.
+build_dir="$repo/build-shrink"
 cmake -S "$repo" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
   -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_BENCH=OFF \
   >/dev/null

@@ -1190,8 +1190,7 @@ void Datacenter::boot_failed(HostId h) {
 }
 
 void Datacenter::note_host_fault(HostId h) {
-  const QuarantinePolicy& q = config_.quarantine;
-  if (!q.enabled) return;
+  const faults::QuarantinePolicy& q = config_.quarantine;
   Host& host = host_mut(h);
   if (host.quarantined) return;
   const sim::SimTime now = sim_.now();

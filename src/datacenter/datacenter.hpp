@@ -49,17 +49,6 @@ struct FaultOutcome;
 
 namespace easched::datacenter {
 
-/// Quarantine (degraded-mode) policy: a host accumulating
-/// `failure_budget` faults — crashes, failed/timed-out operations, missed
-/// boot deadlines — within `window_s` is exiled from placement and
-/// power-on choices for `cooldown_s`, then readmitted with a clean slate.
-struct QuarantinePolicy {
-  bool enabled = true;
-  int failure_budget = 3;
-  double window_s = 3600;
-  double cooldown_s = 1800;
-};
-
 struct DatacenterConfig {
   std::vector<HostSpec> hosts;
 
@@ -88,7 +77,7 @@ struct DatacenterConfig {
   /// deadline events, bit-identical traces to a build without the layer.
   faults::FaultInjector* fault_injector = nullptr;
 
-  QuarantinePolicy quarantine;
+  faults::QuarantinePolicy quarantine;
 
   std::uint64_t seed = 1;
 };

@@ -3,30 +3,14 @@
 #include <cstdlib>
 #include <optional>
 
+#include "experiments/repro.hpp"
 #include "experiments/setup.hpp"
 #include "faults/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "support/contracts.hpp"
-#include "validate/repro.hpp"
 #include "validate/validate.hpp"
 
 namespace easched::experiments {
-
-namespace {
-
-/// FaultPlan::to_string() emits newline-separated key=value lines; the
-/// comma-joined form is what parse_fault_plan() accepts inline, which is
-/// what a repro bundle needs.
-std::string inline_fault_spec(const faults::FaultPlan& plan) {
-  std::string spec = plan.to_string();
-  for (char& c : spec) {
-    if (c == '\n') c = ',';
-  }
-  while (!spec.empty() && spec.back() == ',') spec.pop_back();
-  return spec;
-}
-
-}  // namespace
 
 RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   EA_EXPECTS(!jobs.empty());
@@ -49,23 +33,14 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
     injector.emplace(config.faults);
     config.datacenter.fault_injector = &*injector;
     // The plan is the single source of truth for the recovery knobs.
-    config.datacenter.quarantine.failure_budget =
-        config.faults.quarantine_budget;
-    config.datacenter.quarantine.window_s = config.faults.quarantine_window_s;
-    config.datacenter.quarantine.cooldown_s =
-        config.faults.quarantine_cooldown_s;
-    config.driver.retry.base_s = config.faults.retry_base_s;
-    config.driver.retry.cap_s = config.faults.retry_cap_s;
-    config.driver.retry.jitter = config.faults.retry_jitter;
+    config.datacenter.quarantine = config.faults.quarantine;
+    config.driver.retry = config.faults.retry;
     // An armed breaker in the fault plan switches the resilience control
     // plane on for its circuit-breaker half even without a --resilience=
     // spec (watchdog and admission stay at their inert defaults).
-    if (config.faults.breaker_threshold > 0) {
+    if (config.faults.breakers.threshold > 0) {
       config.resilience.enabled = true;
-      config.resilience.breaker_threshold = config.faults.breaker_threshold;
-      config.resilience.breaker_probe_after_s =
-          config.faults.breaker_probe_after_s;
-      config.resilience.breaker_dead_after = config.faults.breaker_dead_after;
+      config.resilience.breakers = config.faults.breakers;
     }
   }
 
@@ -99,29 +74,11 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
       if (config.validate.repro_path.empty() || !repro_written.empty()) {
         return;
       }
-      // First violation: capture the run's deterministic inputs plus the
-      // workload slice submitted so far into a repro bundle.
-      validate::ReproBundle bundle;
-      bundle.policy = policy->name();
-      bundle.dc_seed = config.datacenter.seed;
-      for (const auto& spec : config.datacenter.hosts) {
-        bundle.host_classes.push_back(spec.klass);
-      }
-      bundle.inject_failures = config.datacenter.inject_failures;
-      bundle.checkpoint_enabled = config.datacenter.checkpoint.enabled;
-      bundle.checkpoint_period_s = config.datacenter.checkpoint.period_s;
-      bundle.lambda_min = config.driver.power.lambda_min;
-      bundle.lambda_max = config.driver.power.lambda_max;
-      bundle.horizon_s = config.horizon_s;
-      if (config.faults.enabled) {
-        bundle.fault_spec = inline_fault_spec(config.faults);
-      }
-      bundle.violation = what;
-      bundle.violation_t = v.t;
-      for (const auto& job : jobs) {
-        if (job.submit <= v.t) bundle.jobs.push_back(job);
-      }
-      validate::write_repro_bundle_file(config.validate.repro_path, bundle);
+      // First violation: the run's config (under the name of the policy
+      // actually run) plus the workload slice submitted so far.
+      config.policy = policy->name();
+      write_repro_bundle_file(config.validate.repro_path, config, {what, v.t},
+                              jobs);
       repro_written = config.validate.repro_path;
     };
   }

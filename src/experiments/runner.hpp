@@ -41,15 +41,15 @@ struct RunConfig {
 
   /// Deterministic operation-fault injection (see faults/). When enabled
   /// the runner owns a FaultInjector for the run's duration and copies the
-  /// plan's timeout/retry/quarantine knobs into the datacenter and driver
+  /// plan's retry and quarantine policies into the driver and datacenter
   /// configs. Parse from a CLI `--faults=` spec with parse_fault_plan().
   faults::FaultPlan faults;
 
   /// Resilience control plane (see resilience/): solver deadline watchdog
   /// with the degradation ladder, admission control, and per-host circuit
   /// breakers. Inert by default; parse from a CLI `--resilience=` spec with
-  /// parse_resilience_spec(). A fault plan with breaker_threshold > 0 arms
-  /// the breakers even when this is otherwise disabled.
+  /// parse_resilience_spec(). A fault plan whose breakers.threshold > 0
+  /// arms the breakers with its policy even when this is disabled.
   resilience::ResilienceConfig resilience;
 
   /// Hard simulation-time cap as a safety net against pathological stalls;

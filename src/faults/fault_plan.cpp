@@ -1,150 +1,59 @@
 #include "faults/fault_plan.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
+
+#include "support/key_table.hpp"
 
 namespace easched::faults {
 
 namespace {
 
+using support::at;
+
+constexpr const char* kSpec = "faults";
+constexpr std::string_view kLemon = "lemon";  // <host>:<multiplier>, repeats
+
 const char* kOpNames[kNumFaultOps] = {"create", "migrate", "power_on",
                                       "power_off", "checkpoint"};
 
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("faults: bad numeric value for '" + key +
-                                "': '" + value + "'");
-  }
-}
+/// `<op>.<key>` for every operation.
+constexpr support::KeyRow<OpFaultSpec> kOpKeys[] = {
+    {"fail", at<&OpFaultSpec::fail_prob>},
+    {"hang", at<&OpFaultSpec::hang_prob>},
+    {"slow", at<&OpFaultSpec::slow_prob>},
+    {"slow_factor", at<&OpFaultSpec::slow_factor>},
+};
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("faults: bad integer value for '" + key +
-                                "': '" + value + "'");
-  }
-}
+using Q = QuarantinePolicy;
+using B = BreakerPolicy;
+constexpr support::KeyRow<FaultPlan> kPlanKeys[] = {
+    {"seed", at<&FaultPlan::seed>},
+    {"timeout_factor", at<&FaultPlan::op_timeout_factor>},
+    {"retry_base", at<&FaultPlan::retry, &RetryPolicy::base_s>},
+    {"retry_cap", at<&FaultPlan::retry, &RetryPolicy::cap_s>},
+    {"retry_jitter", at<&FaultPlan::retry, &RetryPolicy::jitter>},
+    {"quarantine_budget", at<&FaultPlan::quarantine, &Q::failure_budget>},
+    {"quarantine_window", at<&FaultPlan::quarantine, &Q::window_s>},
+    {"quarantine_cooldown", at<&FaultPlan::quarantine, &Q::cooldown_s>},
+    {"breaker_threshold", at<&FaultPlan::breakers, &B::threshold>},
+    {"breaker_probe_after", at<&FaultPlan::breakers, &B::probe_after_s>},
+    {"breaker_dead_after", at<&FaultPlan::breakers, &B::dead_after>},
+};
 
-/// `lemon=<host>:<multiplier>`.
-LemonHost parse_lemon(const std::string& value) {
+std::string op_prefix(std::size_t i) { return std::string(kOpNames[i]) + '.'; }
+
+LemonHost parse_lemon(std::string_view value) {
   const auto colon = value.find(':');
-  if (colon == std::string::npos) {
-    throw std::invalid_argument("faults: lemon wants <host>:<multiplier>, got '" +
-                                value + "'");
-  }
   LemonHost lemon;
-  lemon.host = static_cast<datacenter::HostId>(
-      parse_u64("lemon", value.substr(0, colon)));
-  lemon.multiplier = parse_double("lemon", value.substr(colon + 1));
-  if (lemon.multiplier < 0) {
-    throw std::invalid_argument("faults: lemon multiplier must be >= 0");
+  if (colon == std::string_view::npos ||
+      !support::parse_value(value.substr(0, colon), lemon.host) ||
+      !support::parse_value(value.substr(colon + 1), lemon.multiplier) ||
+      lemon.multiplier < 0) {
+    support::bad_value(kSpec, kLemon, value);
   }
   return lemon;
-}
-
-void apply_pair(FaultPlan& plan, const std::string& key,
-                const std::string& value) {
-  if (key == "seed") {
-    plan.seed = parse_u64(key, value);
-    return;
-  }
-  if (key == "timeout_factor") {
-    plan.op_timeout_factor = parse_double(key, value);
-    return;
-  }
-  if (key == "retry_base") {
-    plan.retry_base_s = parse_double(key, value);
-    return;
-  }
-  if (key == "retry_cap") {
-    plan.retry_cap_s = parse_double(key, value);
-    return;
-  }
-  if (key == "retry_jitter") {
-    plan.retry_jitter = parse_double(key, value);
-    return;
-  }
-  if (key == "quarantine_budget") {
-    plan.quarantine_budget = static_cast<int>(parse_u64(key, value));
-    return;
-  }
-  if (key == "quarantine_window") {
-    plan.quarantine_window_s = parse_double(key, value);
-    return;
-  }
-  if (key == "quarantine_cooldown") {
-    plan.quarantine_cooldown_s = parse_double(key, value);
-    return;
-  }
-  if (key == "breaker_threshold") {
-    plan.breaker_threshold = static_cast<int>(parse_u64(key, value));
-    return;
-  }
-  if (key == "breaker_probe_after") {
-    plan.breaker_probe_after_s = parse_double(key, value);
-    return;
-  }
-  if (key == "breaker_dead_after") {
-    plan.breaker_dead_after = static_cast<int>(parse_u64(key, value));
-    return;
-  }
-  if (key == "lemon") {
-    plan.lemons.push_back(parse_lemon(value));
-    return;
-  }
-  // <op>.<field>
-  const auto dot = key.find('.');
-  if (dot != std::string::npos) {
-    const std::string op_name = key.substr(0, dot);
-    const std::string field = key.substr(dot + 1);
-    for (std::size_t i = 0; i < kNumFaultOps; ++i) {
-      if (op_name != kOpNames[i]) continue;
-      OpFaultSpec& spec = plan.ops[i];
-      const double v = parse_double(key, value);
-      if (field == "fail") {
-        spec.fail_prob = v;
-      } else if (field == "hang") {
-        spec.hang_prob = v;
-      } else if (field == "slow") {
-        spec.slow_prob = v;
-      } else if (field == "slow_factor") {
-        spec.slow_factor = v;
-      } else {
-        throw std::invalid_argument("faults: unknown field '" + field +
-                                    "' for operation '" + op_name + "'");
-      }
-      return;
-    }
-  }
-  throw std::invalid_argument("faults: unknown key '" + key + "'");
-}
-
-void apply_line(FaultPlan& plan, std::string line) {
-  const auto hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  // Trim.
-  const auto first = line.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return;
-  const auto last = line.find_last_not_of(" \t\r\n");
-  line = line.substr(first, last - first + 1);
-  const auto eq = line.find('=');
-  if (eq == std::string::npos) {
-    throw std::invalid_argument("faults: expected key=value, got '" + line +
-                                "'");
-  }
-  apply_pair(plan, line.substr(0, eq), line.substr(eq + 1));
 }
 
 }  // namespace
@@ -163,56 +72,47 @@ double FaultPlan::lemon_multiplier(datacenter::HostId h) const {
 }
 
 std::string FaultPlan::to_string() const {
-  std::ostringstream out;
-  out << "seed=" << seed << '\n';
-  out << "timeout_factor=" << op_timeout_factor << '\n';
+  std::string out;
+  support::write_keys(out, kPlanKeys, *this, ',');
   for (std::size_t i = 0; i < kNumFaultOps; ++i) {
-    const OpFaultSpec& spec = ops[i];
-    if (spec.fail_prob > 0) {
-      out << kOpNames[i] << ".fail=" << spec.fail_prob << '\n';
-    }
-    if (spec.hang_prob > 0) {
-      out << kOpNames[i] << ".hang=" << spec.hang_prob << '\n';
-    }
-    if (spec.slow_prob > 0) {
-      out << kOpNames[i] << ".slow=" << spec.slow_prob << '\n';
-      out << kOpNames[i] << ".slow_factor=" << spec.slow_factor << '\n';
-    }
+    support::write_keys(out, kOpKeys, ops[i], ',', op_prefix(i));
   }
   for (const LemonHost& lemon : lemons) {
-    out << "lemon=" << lemon.host << ':' << lemon.multiplier << '\n';
+    support::append_pair(out, kLemon,
+                         support::format_value(lemon.host) + ':' +
+                             support::format_value(lemon.multiplier),
+                         ',');
   }
-  out << "retry_base=" << retry_base_s << '\n';
-  out << "retry_cap=" << retry_cap_s << '\n';
-  out << "retry_jitter=" << retry_jitter << '\n';
-  out << "quarantine_budget=" << quarantine_budget << '\n';
-  out << "quarantine_window=" << quarantine_window_s << '\n';
-  out << "quarantine_cooldown=" << quarantine_cooldown_s << '\n';
-  // Breakers are off by default; emitting the keys only when armed keeps
-  // the textual form of pre-breaker plans unchanged.
-  if (breaker_threshold > 0) {
-    out << "breaker_threshold=" << breaker_threshold << '\n';
-    out << "breaker_probe_after=" << breaker_probe_after_s << '\n';
-    out << "breaker_dead_after=" << breaker_dead_after << '\n';
-  }
-  return out.str();
+  return out;
 }
 
 FaultPlan parse_fault_plan(const std::string& spec) {
-  FaultPlan plan;
-  plan.enabled = true;
-  if (spec.find('=') == std::string::npos) {
-    // Treat as a file of key=value lines.
+  std::string text = spec;
+  if (!spec.empty() && spec.find('=') == std::string::npos) {
     std::ifstream in(spec);
     if (!in.is_open()) {
       throw std::invalid_argument("faults: cannot open plan file '" + spec +
                                   "'");
     }
-    for (std::string line; std::getline(in, line);) apply_line(plan, line);
-    return plan;
+    text.assign(std::istreambuf_iterator<char>(in), {});
   }
-  std::stringstream ss(spec);
-  for (std::string item; std::getline(ss, item, ',');) apply_line(plan, item);
+  FaultPlan plan;
+  plan.enabled = true;
+  support::for_each_pair(text, kSpec, [&plan](std::string_view key,
+                                              std::string_view value) {
+    if (key == kLemon) {
+      plan.lemons.push_back(parse_lemon(value));
+      return;
+    }
+    if (support::read_key(kPlanKeys, plan, key, value, kSpec)) return;
+    for (std::size_t i = 0; i < kNumFaultOps; ++i) {
+      if (support::read_key(kOpKeys, plan.ops[i], key, value, kSpec,
+                            op_prefix(i))) {
+        return;
+      }
+    }
+    support::unknown_key(kSpec, key);
+  });
   return plan;
 }
 

@@ -5,9 +5,11 @@
 // the recovery layer's deadline aborts them) or running slower than drawn,
 // plus per-host "lemon" multipliers that concentrate trouble on specific
 // machines. The plan also carries the knobs of the recovery half — the
-// operation-timeout factor, the retry/backoff policy and the quarantine
-// budget — so one `--faults=<spec|file>` argument configures a whole
-// chaos-plus-recovery experiment.
+// operation-timeout factor and the retry, quarantine and breaker policies,
+// each declared once here and held by value by its owner's config too —
+// so one `--faults=<spec|file>` argument configures a whole
+// chaos-plus-recovery experiment. Each spec key is one row of a
+// support::KeyRow table in fault_plan.cpp; only `lemon=` is read by hand.
 //
 // Determinism contract: a FaultPlan plus its seed fully determines every
 // injection decision. The FaultInjector draws from its own dedicated RNG
@@ -57,6 +59,31 @@ struct LemonHost {
   double multiplier = 1.0;
 };
 
+/// Capped exponential backoff with jitter for re-attempting failed
+/// operations: attempt n waits min(cap, base * 2^(n-1)) * (1 + jitter*U).
+struct RetryPolicy {
+  double base_s = 5;
+  double cap_s = 300;
+  double jitter = 0.5;
+};
+
+/// Quarantine (degraded-mode) policy: a host accumulating
+/// `failure_budget` faults — crashes, failed/timed-out operations, missed
+/// boot deadlines — within `window_s` is exiled from placement and
+/// power-on choices for `cooldown_s`, then readmitted with a clean slate.
+struct QuarantinePolicy {
+  int failure_budget = 3;
+  double window_s = 3600;
+  double cooldown_s = 1800;
+};
+
+/// Per-host circuit breakers (resilience/resilience.hpp).
+struct BreakerPolicy {
+  int threshold = 3;           ///< consecutive failures to open; 0 = off
+  double probe_after_s = 600;  ///< open -> half-open probe delay
+  int dead_after = 0;          ///< re-opens before Dead; 0 = never
+};
+
 struct FaultPlan {
   /// Master switch; parse_fault_plan() sets it, and a default-constructed
   /// plan is inert so existing configurations stay bit-identical.
@@ -74,22 +101,10 @@ struct FaultPlan {
   /// duration of their kind (boot deadline: timeout_factor x boot_time_s).
   double op_timeout_factor = 4.0;
 
-  // ---- recovery knobs (copied into the driver / datacenter configs by the
-  // experiment runner so one spec scripts the whole scenario) -------------
-  double retry_base_s = 5.0;     ///< first retry delay
-  double retry_cap_s = 300.0;    ///< exponential backoff ceiling
-  double retry_jitter = 0.5;     ///< delay *= 1 + jitter * U[0,1)
-  int quarantine_budget = 3;     ///< faults within the window before exile
-  double quarantine_window_s = 3600.0;
-  double quarantine_cooldown_s = 1800.0;
-
-  // ---- circuit-breaker knobs (resilience control plane) ------------------
-  // When breaker_threshold > 0 the experiment runner enables the resilience
-  // controller's per-host breakers with these settings, so a single
-  // `--faults=` spec scripts chaos, recovery and breaker policy together.
-  int breaker_threshold = 0;          ///< consecutive failures to open; 0 = off
-  double breaker_probe_after_s = 600; ///< half-open probe delay after opening
-  int breaker_dead_after = 0;         ///< re-opens before host is dead; 0 = never
+  // ---- recovery knobs, copied by the experiment runner ----------------
+  RetryPolicy retry;
+  QuarantinePolicy quarantine;
+  BreakerPolicy breakers{.threshold = 0};
 
   [[nodiscard]] const OpFaultSpec& spec(FaultOp op) const {
     return ops[static_cast<std::size_t>(op)];
@@ -100,23 +115,18 @@ struct FaultPlan {
   /// Combined lemon multiplier for a host (1 when not a lemon).
   [[nodiscard]] double lemon_multiplier(datacenter::HostId h) const;
 
-  /// Round-trippable textual form (one key=value per line).
+  /// The inline spec parse_fault_plan() reads back into an equal plan
+  /// (keys at their default left out).
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Parses a plan from either an inline spec or a file.
-///
-/// An inline spec is a comma-separated list of key=value pairs:
-///   seed=42,migrate.fail=0.05,create.hang=0.01,lemon=3:8,timeout_factor=4
-/// Operation keys: create | migrate | power_on | power_off | checkpoint,
-/// each with .fail / .hang / .slow / .slow_factor. Recovery keys:
-/// timeout_factor, retry_base, retry_cap, retry_jitter, quarantine_budget,
-/// quarantine_window, quarantine_cooldown, breaker_threshold,
-/// breaker_probe_after, breaker_dead_after. `lemon=<host>:<multiplier>` may
-/// repeat. A spec containing no '=' is treated as a path to a file holding
-/// the same pairs, one per line ('#' starts a comment).
-///
-/// Throws std::invalid_argument on unknown keys or malformed values.
+/// Parses a plan from an inline spec — comma-separated key=value pairs
+/// over the keys of the tables in fault_plan.cpp, e.g.
+/// `seed=42,migrate.fail=0.05,lemon=3:8` (`lemon=<host>:<multiplier>` may
+/// repeat) — or, when a non-empty spec has no '=', from the file it names
+/// (pairs by line or by comma, '#' comments). An empty spec is the default
+/// plan, enabled. Throws std::invalid_argument on unknown keys or
+/// malformed values (integers must be whole and non-negative).
 FaultPlan parse_fault_plan(const std::string& spec);
 
 }  // namespace easched::faults

@@ -1,27 +1,20 @@
 #include "obs/telemetry/alerts.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "obs/telemetry/telemetry.hpp"
+#include "support/key_table.hpp"
 
 namespace easched::obs {
 
 namespace {
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
 
 /// The alert series `field` at `snap`: the row's value, or for a per-host
 /// row that value over the fleet size.
@@ -36,7 +29,7 @@ double series_at(const TelemetrySnapshot& snap, std::size_t field) {
 double parse_value(const std::string& text, const std::string& rule) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  std::string rest = end != nullptr ? trim(end) : "";
+  std::string rest = end;
   // Burn multipliers read naturally as "2x".
   if (rest == "x") rest.clear();
   if (end == text.c_str() || !rest.empty()) {
@@ -46,8 +39,7 @@ double parse_value(const std::string& text, const std::string& rule) {
   return v;
 }
 
-AlertRule parse_one_rule(const std::string& text) {
-  const std::string rule = trim(text);
+AlertRule parse_one_rule(const std::string& rule) {
   const std::size_t cmp = rule.find_first_of("<>");
   if (cmp == std::string::npos || cmp == 0) {
     throw std::invalid_argument("alert rule '" + rule +
@@ -122,39 +114,20 @@ AlertRule parse_one_rule(const std::string& text) {
 }  // namespace
 
 std::vector<AlertRule> parse_alert_rules(const std::string& spec) {
-  std::vector<std::string> rule_texts;
+  std::string text = spec;
   if (spec.find_first_of("<>") == std::string::npos) {
-    // No comparator anywhere: a file path, one rule per line.
+    // No comparator anywhere: a file path, rules by line or by comma.
     std::ifstream in(spec);
     if (!in.is_open()) {
       throw std::invalid_argument("alerts: cannot open spec file '" + spec +
                                   "'");
     }
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      line = trim(line);
-      if (!line.empty()) rule_texts.push_back(line);
-    }
-  } else {
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-      const std::size_t comma = spec.find(',', start);
-      const std::string piece = trim(
-          spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start));
-      if (!piece.empty()) rule_texts.push_back(piece);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
+    text.assign(std::istreambuf_iterator<char>(in), {});
   }
-
   std::vector<AlertRule> rules;
-  rules.reserve(rule_texts.size());
-  for (const std::string& text : rule_texts) {
-    rules.push_back(parse_one_rule(text));
-  }
+  support::for_each_item(text, [&rules](std::string_view rule) {
+    rules.push_back(parse_one_rule(std::string(rule)));
+  });
   return rules;
 }
 

@@ -86,9 +86,9 @@ struct AlertFiring {
 /// Parses an alert spec: comma-separated rules, each `series[ rate|burn]`
 /// + comparator + options (`for=`, `window=`, `resolve=`, `slo=`,
 /// `budget=`, `name=`). A spec containing neither '>' nor '<' is treated
-/// as a path to a file holding one rule per line ('#' starts a comment).
-/// Throws std::invalid_argument on unknown series/keys or malformed
-/// values.
+/// as a path to a file holding the rules by line or by comma ('#' starts a
+/// comment). Throws std::invalid_argument on unknown series/keys or
+/// malformed values.
 std::vector<AlertRule> parse_alert_rules(const std::string& spec);
 
 class AlertEngine {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "support/key_table.hpp"
 #include "validate/validate.hpp"
 
 namespace easched::resilience {
@@ -39,90 +40,54 @@ const char* to_string(Admission admission) noexcept {
 
 namespace {
 
+using support::at;
+using B = faults::BreakerPolicy;
+
+constexpr const char* kSpec = "resilience spec";
+
+constexpr support::KeyRow<ResilienceConfig> kSpecKeys[] = {
+    {"budget", at<&ResilienceConfig::solver_budget_moves>},
+    {"degraded_budget", at<&ResilienceConfig::degraded_budget_moves>},
+    {"recovery_rounds", at<&ResilienceConfig::recovery_rounds>},
+    {"max_pending", at<&ResilienceConfig::max_pending>},
+    {"defer_fill", at<&ResilienceConfig::defer_fill>},
+    {"shed_fill", at<&ResilienceConfig::shed_fill>},
+    {"defer_delay", at<&ResilienceConfig::defer_delay_s>},
+    {"max_defers", at<&ResilienceConfig::max_defers_per_job>},
+    {"effort_alpha", at<&ResilienceConfig::effort_alpha>},
+    {"effort_watermark", at<&ResilienceConfig::effort_defer_watermark>},
+    {"breaker_threshold", at<&ResilienceConfig::breakers, &B::threshold>},
+    {"probe_after", at<&ResilienceConfig::breakers, &B::probe_after_s>},
+    {"dead_after", at<&ResilienceConfig::breakers, &B::dead_after>},
+};
+
 [[noreturn]] void bad_spec(const std::string& why) {
-  throw std::invalid_argument("resilience spec: " + why);
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) bad_spec("trailing junk in " + key + "=" + value);
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_spec("malformed number in " + key + "=" + value);
-  } catch (const std::out_of_range&) {
-    bad_spec("out-of-range number in " + key + "=" + value);
-  }
-}
-
-int parse_int(const std::string& key, const std::string& value) {
-  const double v = parse_double(key, value);
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v || i < 0)
-    bad_spec(key + " must be a non-negative integer, got " + value);
-  return i;
+  throw std::invalid_argument(std::string(kSpec) + ": " + why);
 }
 
 }  // namespace
 
 ResilienceConfig parse_resilience_spec(const std::string& spec) {
   ResilienceConfig c;
-  c.enabled = true;
-  if (spec.empty() || spec == "on") return c;
-  if (spec == "off") {
-    c.enabled = false;
-    return c;
-  }
-
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t end = spec.find(',', pos);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) bad_spec("expected key=value, got '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-
-    if (key == "budget") {
-      c.solver_budget_moves = parse_int(key, value);
-    } else if (key == "degraded_budget") {
-      c.degraded_budget_moves = parse_int(key, value);
-    } else if (key == "recovery_rounds") {
-      c.recovery_rounds = parse_int(key, value);
-    } else if (key == "max_pending") {
-      c.max_pending = static_cast<std::size_t>(parse_int(key, value));
-    } else if (key == "defer_fill") {
-      c.defer_fill = parse_double(key, value);
-    } else if (key == "shed_fill") {
-      c.shed_fill = parse_double(key, value);
-    } else if (key == "defer_delay") {
-      c.defer_delay_s = parse_double(key, value);
-    } else if (key == "max_defers") {
-      c.max_defers_per_job = parse_int(key, value);
-    } else if (key == "effort_alpha") {
-      c.effort_alpha = parse_double(key, value);
-    } else if (key == "effort_watermark") {
-      c.effort_defer_watermark = parse_double(key, value);
-    } else if (key == "breaker_threshold") {
-      c.breaker_threshold = parse_int(key, value);
-    } else if (key == "probe_after") {
-      c.breaker_probe_after_s = parse_double(key, value);
-    } else if (key == "dead_after") {
-      c.breaker_dead_after = parse_int(key, value);
-    } else {
-      bad_spec("unknown key '" + key + "'");
+  c.enabled = spec != "off";
+  if (spec == "on" || spec == "off") return c;
+  support::for_each_pair(spec, kSpec, [&c](std::string_view key,
+                                           std::string_view value) {
+    if (!support::read_key(kSpecKeys, c, key, value, kSpec)) {
+      support::unknown_key(kSpec, key);
     }
-  }
-
+  });
   if (c.recovery_rounds < 1) bad_spec("recovery_rounds must be >= 1");
   if (c.defer_fill > c.shed_fill) bad_spec("defer_fill must be <= shed_fill");
   if (c.effort_alpha <= 0 || c.effort_alpha > 1)
     bad_spec("effort_alpha must be in (0, 1]");
   return c;
+}
+
+std::string to_string(const ResilienceConfig& config) {
+  std::string out;
+  support::write_keys(out, kSpecKeys, config, ',');
+  return out;
 }
 
 ResilienceController::ResilienceController(ResilienceConfig config,
@@ -290,13 +255,13 @@ void ResilienceController::open_breaker(sim::SimTime now, datacenter::HostId h,
 
 void ResilienceController::note_op_start(datacenter::HostId h,
                                          sim::SimTime now) {
-  if (!config_.enabled || config_.breaker_threshold == 0 ||
+  if (!config_.enabled || config_.breakers.threshold == 0 ||
       h >= breakers_.size()) {
     return;
   }
   Breaker& b = breakers_[h];
   if (b.state == HostHealth::kSuspect && !b.probe_inflight &&
-      now - b.opened_at >= config_.breaker_probe_after_s) {
+      now - b.opened_at >= config_.breakers.probe_after_s) {
     b.probe_inflight = true;
     ++recorder_.counts.breaker_probes;
     if (auto* tr = obs::tracer(recorder_)) {
@@ -307,7 +272,7 @@ void ResilienceController::note_op_start(datacenter::HostId h,
 
 void ResilienceController::note_op_success(datacenter::HostId h,
                                            sim::SimTime now) {
-  if (!config_.enabled || config_.breaker_threshold == 0 ||
+  if (!config_.enabled || config_.breakers.threshold == 0 ||
       h >= breakers_.size()) {
     return;
   }
@@ -328,7 +293,7 @@ void ResilienceController::note_op_success(datacenter::HostId h,
 
 void ResilienceController::note_op_failure(datacenter::HostId h,
                                            sim::SimTime now) {
-  if (!config_.enabled || config_.breaker_threshold == 0 ||
+  if (!config_.enabled || config_.breakers.threshold == 0 ||
       h >= breakers_.size()) {
     return;
   }
@@ -346,8 +311,8 @@ void ResilienceController::note_op_failure(datacenter::HostId h,
         ev.host = h;
         ev.arg("failures", b.consecutive_failures + 1).arg("reopen", 1);
       }
-      if (config_.breaker_dead_after > 0 &&
-          b.open_streak >= config_.breaker_dead_after) {
+      if (config_.breakers.dead_after > 0 &&
+          b.open_streak >= config_.breakers.dead_after) {
         set_health(now, h, HostHealth::kDead);
         ++recorder_.counts.breaker_deaths;
         if (auto* tr = obs::tracer(recorder_)) {
@@ -359,14 +324,14 @@ void ResilienceController::note_op_failure(datacenter::HostId h,
   }
   ++b.consecutive_failures;
   if (b.state == HostHealth::kHealthy &&
-      b.consecutive_failures >= config_.breaker_threshold) {
+      b.consecutive_failures >= config_.breakers.threshold) {
     open_breaker(now, h, b);
   }
 }
 
 void ResilienceController::note_host_crashed(datacenter::HostId h,
                                              sim::SimTime now) {
-  if (!config_.enabled || config_.breaker_threshold == 0 ||
+  if (!config_.enabled || config_.breakers.threshold == 0 ||
       h >= breakers_.size()) {
     return;
   }
@@ -416,7 +381,7 @@ void ResilienceController::note_host_repaired(datacenter::HostId h,
 
 bool ResilienceController::allows_placement(datacenter::HostId h,
                                             sim::SimTime now) const {
-  if (!config_.enabled || config_.breaker_threshold == 0 ||
+  if (!config_.enabled || config_.breakers.threshold == 0 ||
       h >= breakers_.size()) {
     return true;
   }
@@ -427,7 +392,7 @@ bool ResilienceController::allows_placement(datacenter::HostId h,
     case HostHealth::kSuspect:
       // One half-open probe at a time, and only after the probe delay.
       return !b.probe_inflight &&
-             now - b.opened_at >= config_.breaker_probe_after_s;
+             now - b.opened_at >= config_.breakers.probe_after_s;
     case HostHealth::kQuarantined:
     case HostHealth::kDead:
       return false;
@@ -436,7 +401,7 @@ bool ResilienceController::allows_placement(datacenter::HostId h,
 }
 
 bool ResilienceController::allows_power_on(datacenter::HostId h) const {
-  if (!config_.enabled || config_.breaker_threshold == 0 ||
+  if (!config_.enabled || config_.breakers.threshold == 0 ||
       h >= breakers_.size()) {
     return true;
   }

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "datacenter/ids.hpp"
+#include "faults/fault_plan.hpp"
 #include "metrics/accumulators.hpp"
 #include "resilience/health.hpp"
 #include "sim/time.hpp"
@@ -92,25 +93,19 @@ struct ResilienceConfig {
   /// value (0 disables the effort tier).
   double effort_defer_watermark = 0;
 
-  // ---- per-host circuit breakers ----------------------------------------
-  /// Consecutive operation failures on one host that open its breaker.
-  /// 0 disables the breakers.
-  int breaker_threshold = 3;
-  /// Open -> half-open delay: after this long a single probe placement is
-  /// allowed through.
-  double breaker_probe_after_s = 600;
-  /// Consecutive re-opens (probe failures without an intervening close)
-  /// before the host is declared Dead. 0 = never.
-  int breaker_dead_after = 0;
+  /// Per-host circuit breakers (0 threshold disables them).
+  faults::BreakerPolicy breakers;
 };
 
-/// Parses "on" (defaults, enabled) or a comma-separated key=value spec:
-///   budget, degraded_budget, recovery_rounds, max_pending, defer_fill,
-///   shed_fill, defer_delay, max_defers, effort_alpha, effort_watermark,
-///   breaker_threshold, probe_after, dead_after
-/// e.g. "budget=128,max_pending=64,breaker_threshold=2,probe_after=300".
+/// Parses "on" (defaults, enabled), "off", or a comma-separated key=value
+/// spec over the keys of the table in resilience.cpp, e.g.
+/// "budget=128,max_pending=64,breaker_threshold=2,probe_after=300".
 /// Throws std::invalid_argument on unknown keys or malformed values.
 ResilienceConfig parse_resilience_spec(const std::string& spec);
+
+/// The spec parse_resilience_spec() reads back into an equal, enabled
+/// config (keys at their default left out).
+std::string to_string(const ResilienceConfig& config);
 
 class ResilienceController {
  public:

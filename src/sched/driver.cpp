@@ -344,7 +344,7 @@ void SchedulerDriver::schedule_retry(VmId v, bool track_recovery) {
   RetryState& r = retry_state(v);
   ++r.attempts;
   if (track_recovery && r.failed_at < 0) r.failed_at = sim_.now();
-  const RetryPolicy& rp = config_.retry;
+  const faults::RetryPolicy& rp = config_.retry;
   const double exponential =
       rp.base_s * std::pow(2.0, static_cast<double>(r.attempts - 1));
   const double delay = std::min(rp.cap_s, exponential) *

@@ -33,18 +33,10 @@ enum class QueueOrder : std::uint8_t {
 
 const char* to_string(QueueOrder order) noexcept;
 
-/// Capped exponential backoff with jitter for re-attempting failed
-/// operations: attempt n waits min(cap, base * 2^(n-1)) * (1 + jitter*U).
-struct RetryPolicy {
-  double base_s = 5;
-  double cap_s = 300;
-  double jitter = 0.5;
-};
-
 struct DriverConfig {
   PowerControllerConfig power;
 
-  RetryPolicy retry;
+  faults::RetryPolicy retry;
 
   QueueOrder queue_order = QueueOrder::kFifo;
 

@@ -46,12 +46,12 @@ TEST(FaultPlanParse, InlineSpec) {
   EXPECT_EQ(plan.lemons[0].host, 3u);
   EXPECT_DOUBLE_EQ(plan.lemons[0].multiplier, 8.0);
   EXPECT_DOUBLE_EQ(plan.op_timeout_factor, 5.0);
-  EXPECT_DOUBLE_EQ(plan.retry_base_s, 2.0);
-  EXPECT_DOUBLE_EQ(plan.retry_cap_s, 60.0);
-  EXPECT_DOUBLE_EQ(plan.retry_jitter, 0.25);
-  EXPECT_EQ(plan.quarantine_budget, 2);
-  EXPECT_DOUBLE_EQ(plan.quarantine_window_s, 600.0);
-  EXPECT_DOUBLE_EQ(plan.quarantine_cooldown_s, 300.0);
+  EXPECT_DOUBLE_EQ(plan.retry.base_s, 2.0);
+  EXPECT_DOUBLE_EQ(plan.retry.cap_s, 60.0);
+  EXPECT_DOUBLE_EQ(plan.retry.jitter, 0.25);
+  EXPECT_EQ(plan.quarantine.failure_budget, 2);
+  EXPECT_DOUBLE_EQ(plan.quarantine.window_s, 600.0);
+  EXPECT_DOUBLE_EQ(plan.quarantine.cooldown_s, 300.0);
 }
 
 TEST(FaultPlanParse, FileSpecWithCommentsAndBlankLines) {
@@ -81,8 +81,8 @@ TEST(FaultPlanParse, RoundTripsThroughToString) {
   plan.spec(FaultOp::kCheckpoint).fail_prob = 0.3;
   plan.lemons.push_back({4, 6.0});
   plan.op_timeout_factor = 6;
-  plan.retry_base_s = 3;
-  plan.quarantine_budget = 5;
+  plan.retry.base_s = 3;
+  plan.quarantine.failure_budget = 5;
 
   const std::string path = ::testing::TempDir() + "fault_plan_roundtrip.txt";
   {
@@ -100,16 +100,16 @@ TEST(FaultPlanParse, RoundTripsThroughToString) {
   ASSERT_EQ(back.lemons.size(), 1u);
   EXPECT_DOUBLE_EQ(back.lemon_multiplier(4), 6.0);
   EXPECT_DOUBLE_EQ(back.op_timeout_factor, 6.0);
-  EXPECT_DOUBLE_EQ(back.retry_base_s, 3.0);
-  EXPECT_EQ(back.quarantine_budget, 5);
+  EXPECT_DOUBLE_EQ(back.retry.base_s, 3.0);
+  EXPECT_EQ(back.quarantine.failure_budget, 5);
 }
 
 TEST(FaultPlanParse, BreakerKeysParseAndRoundTrip) {
   const FaultPlan plan = parse_fault_plan(
       "breaker_threshold=2,breaker_probe_after=300,breaker_dead_after=4");
-  EXPECT_EQ(plan.breaker_threshold, 2);
-  EXPECT_DOUBLE_EQ(plan.breaker_probe_after_s, 300.0);
-  EXPECT_EQ(plan.breaker_dead_after, 4);
+  EXPECT_EQ(plan.breakers.threshold, 2);
+  EXPECT_DOUBLE_EQ(plan.breakers.probe_after_s, 300.0);
+  EXPECT_EQ(plan.breakers.dead_after, 4);
   // Armed breakers survive the textual round trip; a default plan keeps
   // emitting the pre-breaker key set.
   std::string inline_spec = plan.to_string();
@@ -117,14 +117,63 @@ TEST(FaultPlanParse, BreakerKeysParseAndRoundTrip) {
     if (c == '\n') c = ',';
   }
   const FaultPlan back = parse_fault_plan(inline_spec);
-  EXPECT_EQ(back.breaker_threshold, 2);
-  EXPECT_DOUBLE_EQ(back.breaker_probe_after_s, 300.0);
-  EXPECT_EQ(back.breaker_dead_after, 4);
+  EXPECT_EQ(back.breakers.threshold, 2);
+  EXPECT_DOUBLE_EQ(back.breakers.probe_after_s, 300.0);
+  EXPECT_EQ(back.breakers.dead_after, 4);
   EXPECT_EQ(FaultPlan{}.to_string().find("breaker"), std::string::npos);
+}
+
+TEST(FaultPlanParse, RoundTripIsBitExact) {
+  // Values that need more than six significant digits, on every kind of
+  // row: plan-wide, nested recovery knob, per-operation and lemon.
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 18446744073709551615u;
+  plan.spec(FaultOp::kMigrate).fail_prob = 0.0123456789;
+  plan.spec(FaultOp::kPowerOn).slow_factor = 2.718281828459045;
+  plan.lemons.push_back({7, 1.0000001});
+  plan.op_timeout_factor = 4.000000001;
+  plan.retry.base_s = 1.23456789;
+  plan.retry.jitter = 0.1 + 0.2;  // 0.30000000000000004
+  plan.quarantine.window_s = 3600.5;
+  plan.breakers.threshold = 2;
+  plan.breakers.probe_after_s = 1e-9;
+
+  const std::string text = plan.to_string();
+  const FaultPlan back = parse_fault_plan(text);
+  EXPECT_EQ(back.to_string(), text);
+  EXPECT_EQ(back.seed, plan.seed);
+  EXPECT_EQ(back.spec(FaultOp::kMigrate).fail_prob, 0.0123456789);
+  EXPECT_EQ(back.spec(FaultOp::kPowerOn).slow_factor, 2.718281828459045);
+  ASSERT_EQ(back.lemons.size(), 1u);
+  EXPECT_EQ(back.lemons[0].host, 7u);
+  EXPECT_EQ(back.lemons[0].multiplier, 1.0000001);
+  EXPECT_EQ(back.op_timeout_factor, 4.000000001);
+  EXPECT_EQ(back.retry.base_s, 1.23456789);
+  EXPECT_EQ(back.retry.jitter, 0.1 + 0.2);
+  EXPECT_EQ(back.quarantine.window_s, 3600.5);
+  EXPECT_EQ(back.breakers.threshold, 2);
+  EXPECT_EQ(back.breakers.probe_after_s, 1e-9);
+  // Short values print as written; keys at their default are left out.
+  EXPECT_EQ(parse_fault_plan("migrate.fail=0.3,retry_cap=5,retry_jitter=0.5")
+                .to_string(),
+            "retry_cap=5,migrate.fail=0.3");
+  EXPECT_EQ(parse_fault_plan("").to_string(), "");
+  EXPECT_TRUE(parse_fault_plan("").enabled);
 }
 
 TEST(FaultPlanParse, RejectsBadInput) {
   EXPECT_THROW(parse_fault_plan("bogus_key=1"), std::invalid_argument);
+  // Integers are whole and non-negative; numbers are whole tokens.
+  EXPECT_THROW(parse_fault_plan("quarantine_budget=-1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("breaker_threshold=2.5"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("seed=-7"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("retry_base=5s"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("migrate.fail="), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("lemon=3:8x"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("migrate.fail=0.1,seed"),
+               std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("create.explode=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("migrate.fail=lots"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("lemon=3"), std::invalid_argument);
@@ -341,7 +390,7 @@ TEST(FaultedDatacenter, QuarantineAfterBudgetThenCooldownRelease) {
   FaultPlan plan;
   plan.enabled = true;
   plan.spec(FaultOp::kCreate).fail_prob = 1.0;
-  datacenter::QuarantinePolicy quarantine;
+  QuarantinePolicy quarantine;
   quarantine.failure_budget = 2;
   quarantine.window_s = 3600;
   quarantine.cooldown_s = 100;
@@ -376,7 +425,7 @@ TEST(FaultedDatacenter, FaultExactlyOnWindowBoundaryOpensFreshWindow) {
   FaultPlan plan;
   plan.enabled = true;
   plan.spec(FaultOp::kCreate).hang_prob = 1.0;  // abort at exactly 4 x 40 s
-  datacenter::QuarantinePolicy quarantine;
+  QuarantinePolicy quarantine;
   quarantine.failure_budget = 2;
   quarantine.window_s = 320;  // second abort lands exactly on the boundary
   quarantine.cooldown_s = 100;
@@ -400,7 +449,7 @@ TEST(FaultedDatacenter, FaultStrictlyInsideWindowStillQuarantines) {
   FaultPlan plan;
   plan.enabled = true;
   plan.spec(FaultOp::kCreate).hang_prob = 1.0;
-  datacenter::QuarantinePolicy quarantine;
+  QuarantinePolicy quarantine;
   quarantine.failure_budget = 2;
   quarantine.window_s = 321;
   quarantine.cooldown_s = 100;

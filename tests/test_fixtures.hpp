@@ -124,8 +124,8 @@ inline faults::FaultPlan make_chaos_plan(std::uint64_t seed) {
   plan.spec(faults::FaultOp::kPowerOff) = {0.08, 0.04, 0.0, 1.0};
   plan.spec(faults::FaultOp::kCheckpoint) = {0.15, 0.05, 0.0, 1.0};
   plan.lemons.push_back({2, 5.0});
-  plan.quarantine_window_s = 1200;
-  plan.quarantine_cooldown_s = 600;
+  plan.quarantine.window_s = 1200;
+  plan.quarantine.cooldown_s = 600;
   return plan;
 }
 
@@ -166,7 +166,7 @@ struct InjectedDc {
   SmallDc f;
 
   explicit InjectedDc(const faults::FaultPlan& plan, std::size_t hosts = 2,
-                      datacenter::QuarantinePolicy quarantine = {})
+                      faults::QuarantinePolicy quarantine = {})
       : injector(plan), f(hosts, [&] {
           datacenter::DatacenterConfig config;
           config.fault_injector = &injector;

@@ -642,8 +642,8 @@ TEST(FleetDirty, BreakerVetoesFlipWithoutTheJournal) {
   SmallDc f(4);
   resilience::ResilienceConfig rcfg;
   rcfg.enabled = true;
-  rcfg.breaker_threshold = 1;
-  rcfg.breaker_probe_after_s = kProbeAfter;
+  rcfg.breakers.threshold = 1;
+  rcfg.breakers.probe_after_s = kProbeAfter;
   resilience::ResilienceController rc(rcfg, f.recorder, f.dc.num_hosts());
   f.recorder.resilience = &rc;
 
@@ -740,8 +740,8 @@ TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
 
   resilience::ResilienceConfig rcfg;
   rcfg.enabled = true;
-  rcfg.breaker_threshold = 1;
-  rcfg.breaker_probe_after_s = 1e9;
+  rcfg.breakers.threshold = 1;
+  rcfg.breakers.probe_after_s = 1e9;
   resilience::ResilienceController rc(rcfg, f.recorder, f.dc.num_hosts());
   f.recorder.resilience = &rc;
 

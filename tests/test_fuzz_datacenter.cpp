@@ -40,9 +40,7 @@ class Fuzzer {
     if (plan != nullptr && plan->enabled) {
       injector_ = std::make_unique<faults::FaultInjector>(*plan);
       config.fault_injector = injector_.get();
-      config.quarantine.failure_budget = plan->quarantine_budget;
-      config.quarantine.window_s = plan->quarantine_window_s;
-      config.quarantine.cooldown_s = plan->quarantine_cooldown_s;
+      config.quarantine = plan->quarantine;
     }
     dc_ = std::make_unique<Datacenter>(simulator_, config, recorder_);
     dc_->on_host_failed = [this](HostId, std::vector<VmId> lost) {
@@ -296,9 +294,7 @@ class SchedulingFuzzer {
     if (plan != nullptr && plan->enabled) {
       injector_ = std::make_unique<faults::FaultInjector>(*plan);
       config.fault_injector = injector_.get();
-      config.quarantine.failure_budget = plan->quarantine_budget;
-      config.quarantine.window_s = plan->quarantine_window_s;
-      config.quarantine.cooldown_s = plan->quarantine_cooldown_s;
+      config.quarantine = plan->quarantine;
     }
     dc_ = std::make_unique<Datacenter>(simulator_, config, recorder_);
     dc_->on_host_failed = [this](HostId, std::vector<VmId> lost) {

@@ -34,7 +34,7 @@ TEST(ResilienceSpec, OnOffAndDefaults) {
   const ResilienceConfig c = parse_resilience_spec("on");
   EXPECT_EQ(c.solver_budget_moves, 256);
   EXPECT_EQ(c.max_pending, 0u);  // admission off unless bounded explicitly
-  EXPECT_EQ(c.breaker_threshold, 3);
+  EXPECT_EQ(c.breakers.threshold, 3);
   EXPECT_FALSE(ResilienceConfig{}.enabled);  // default-constructed is inert
 }
 
@@ -55,12 +55,50 @@ TEST(ResilienceSpec, KeyValuePairs) {
   EXPECT_EQ(c.max_defers_per_job, 4);
   EXPECT_DOUBLE_EQ(c.effort_alpha, 0.5);
   EXPECT_DOUBLE_EQ(c.effort_defer_watermark, 100.0);
-  EXPECT_EQ(c.breaker_threshold, 2);
-  EXPECT_DOUBLE_EQ(c.breaker_probe_after_s, 120.0);
-  EXPECT_EQ(c.breaker_dead_after, 3);
+  EXPECT_EQ(c.breakers.threshold, 2);
+  EXPECT_DOUBLE_EQ(c.breakers.probe_after_s, 120.0);
+  EXPECT_EQ(c.breakers.dead_after, 3);
+}
+
+TEST(ResilienceSpec, RoundTripsThroughToString) {
+  ResilienceConfig c;
+  c.solver_budget_moves = 100;
+  c.recovery_rounds = 7;
+  c.max_pending = 4096;
+  c.defer_fill = 0.123456789;
+  c.shed_fill = 0.987654321;
+  c.defer_delay_s = 61.5;
+  c.effort_alpha = 0.1 + 0.2;  // 0.30000000000000004
+  c.effort_defer_watermark = 1234.56789;
+  c.breakers.threshold = 0;
+  c.breakers.probe_after_s = 123.456789;
+  c.breakers.dead_after = 5;
+
+  const std::string text = to_string(c);
+  const ResilienceConfig back = parse_resilience_spec(text);
+  EXPECT_TRUE(back.enabled);
+  EXPECT_EQ(to_string(back), text);
+  EXPECT_EQ(back.solver_budget_moves, 100);
+  EXPECT_EQ(back.degraded_budget_moves, c.degraded_budget_moves);
+  EXPECT_EQ(back.recovery_rounds, 7);
+  EXPECT_EQ(back.max_pending, 4096u);
+  EXPECT_EQ(back.defer_fill, 0.123456789);
+  EXPECT_EQ(back.shed_fill, 0.987654321);
+  EXPECT_EQ(back.defer_delay_s, 61.5);
+  EXPECT_EQ(back.max_defers_per_job, c.max_defers_per_job);
+  EXPECT_EQ(back.effort_alpha, 0.1 + 0.2);
+  EXPECT_EQ(back.effort_defer_watermark, 1234.56789);
+  EXPECT_EQ(back.breakers.threshold, 0);
+  EXPECT_EQ(back.breakers.probe_after_s, 123.456789);
+  EXPECT_EQ(back.breakers.dead_after, 5);
+  // A default config prints no keys, and "" reads back as "on".
+  EXPECT_EQ(to_string(ResilienceConfig{}), "");
 }
 
 TEST(ResilienceSpec, RejectsBadInput) {
+  EXPECT_THROW(parse_resilience_spec("budget=4.5"), std::invalid_argument);
+  EXPECT_THROW(parse_resilience_spec("max_pending=-1"), std::invalid_argument);
+  EXPECT_THROW(parse_resilience_spec("shed_fill=0.9x"), std::invalid_argument);
   EXPECT_THROW(parse_resilience_spec("bogus=1"), std::invalid_argument);
   EXPECT_THROW(parse_resilience_spec("budget"), std::invalid_argument);
   EXPECT_THROW(parse_resilience_spec("budget=lots"), std::invalid_argument);
@@ -97,7 +135,7 @@ ResilienceConfig watchdog_config() {
   c.solver_budget_moves = 10;
   c.degraded_budget_moves = 5;
   c.recovery_rounds = 2;
-  c.breaker_threshold = 0;  // ladder-only
+  c.breakers.threshold = 0;  // ladder-only
   return c;
 }
 
@@ -196,7 +234,7 @@ TEST(Ladder, EffortEwmaTracksRoundMoves) {
 ResilienceConfig admission_config() {
   ResilienceConfig c;
   c.solver_budget_moves = 0;  // watchdog off
-  c.breaker_threshold = 0;
+  c.breakers.threshold = 0;
   c.max_pending = 10;
   c.defer_fill = 0.75;
   c.shed_fill = 1.0;
@@ -249,9 +287,9 @@ ResilienceConfig breaker_config() {
   ResilienceConfig c;
   c.solver_budget_moves = 0;
   c.max_pending = 0;
-  c.breaker_threshold = 2;
-  c.breaker_probe_after_s = 100;
-  c.breaker_dead_after = 2;
+  c.breakers.threshold = 2;
+  c.breakers.probe_after_s = 100;
+  c.breakers.dead_after = 2;
   return c;
 }
 
@@ -340,7 +378,7 @@ TEST(CircuitBreaker, CrashOpensImmediately) {
 
 TEST(CircuitBreaker, DisabledThresholdIsInert) {
   ResilienceConfig c = breaker_config();
-  c.breaker_threshold = 0;
+  c.breakers.threshold = 0;
   ControllerFixture f(c);
   for (int i = 0; i < 10; ++i) f.rc->note_op_failure(0, i);
   EXPECT_EQ(f.rc->health(0), HostHealth::kHealthy);
@@ -442,8 +480,8 @@ ResilienceConfig overload_resilience() {
   c.shed_fill = 1.0;
   c.defer_delay_s = 120;
   c.max_defers_per_job = 6;
-  c.breaker_threshold = 2;
-  c.breaker_probe_after_s = 300;
+  c.breakers.threshold = 2;
+  c.breakers.probe_after_s = 300;
   return c;
 }
 
@@ -533,7 +571,7 @@ TEST(RunnerIdentity, InertControllerIsBitIdenticalToNoController) {
       c.enabled = true;
       c.solver_budget_moves = 0;
       c.max_pending = 0;
-      c.breaker_threshold = 0;
+      c.breakers.threshold = 0;
       config.resilience = c;
     }
     config.horizon_s = 30 * sim::kDay;

@@ -10,10 +10,10 @@
 #include <sstream>
 #include <vector>
 
+#include "experiments/repro.hpp"
 #include "experiments/runner.hpp"
 #include "test_random_instances.hpp"
 #include "validate/invariant_checker.hpp"
-#include "validate/repro.hpp"
 #include "validate/validate.hpp"
 
 namespace easched::validate {
@@ -193,19 +193,30 @@ TEST(InvariantChecker, MaxViolationsCapsRecordingNotCounting) {
 // ---- repro bundles ----------------------------------------------------------
 
 TEST(ReproBundle, RoundTripsLosslessly) {
-  ReproBundle bundle;
-  bundle.policy = "SB-full";
-  bundle.dc_seed = 987654321;
-  bundle.host_classes = {"fast", "medium", "slow", "low-power"};
-  bundle.inject_failures = true;
-  bundle.checkpoint_enabled = true;
-  bundle.checkpoint_period_s = 456.75;
-  bundle.lambda_min = 0.317;
-  bundle.lambda_max = 0.912;
-  bundle.horizon_s = 1234567.25;
-  bundle.fault_spec = "seed=42,create.fail=0.2,lemon=1:4";
-  bundle.violation = "capacity: host 1 memory oversubscribed: x of y";
-  bundle.violation_t = 4321.0625;
+  experiments::RunConfig config;
+  config.policy = "SB-full";
+  config.datacenter.seed = 987654321;
+  config.datacenter.hosts = experiments::specs_for(
+      {"fast", "medium", "slow", "low-power"});
+  config.datacenter.initially_on = 3;
+  config.datacenter.inject_failures = true;
+  config.datacenter.mean_repair_s = 5432.125;
+  config.datacenter.checkpoint.enabled = true;
+  config.datacenter.checkpoint.period_s = 456.75;
+  config.driver.power.lambda_min = 0.317;
+  config.driver.power.lambda_max = 0.912;
+  config.driver.seed = 18446744073709551557u;
+  config.horizon_s = 1234567.25;
+  config.faults = faults::parse_fault_plan(
+      "seed=42,create.fail=0.0123456789,retry_base=1.23456789,lemon=1:4");
+  config.resilience = resilience::parse_resilience_spec(
+      "budget=64,defer_fill=0.123456789,probe_after=123.456789");
+  config.validate.enabled = true;
+  config.validate.checker.abort_on_violation = true;
+  config.validate.checker.allow_cpu_oversubscription = false;
+  config.validate.checker.max_violations = 7;
+  const experiments::ReproViolation violation{
+      "capacity: host 1 memory oversubscribed: x of y", 4321.0625};
 
   workload::Job job;
   job.id = 17;
@@ -218,28 +229,52 @@ TEST(ReproBundle, RoundTripsLosslessly) {
   job.software = workload::kSwXen | workload::kSwKvm;
   job.fault_tolerance = 0.123456789;
   job.weight = 512;
-  bundle.jobs.push_back(job);
-  bundle.jobs.push_back(easched::testing::make_job(200, 1024, 5000, 1.9, 60));
+  const workload::Workload jobs = {
+      job, easched::testing::make_job(200, 1024, 5000, 1.9, 60),
+      easched::testing::make_job(200, 1024, 5000, 1.9, 5000)};
 
   std::stringstream buffer;
-  write_repro_bundle(buffer, bundle);
-  const ReproBundle back = read_repro_bundle(buffer);
+  experiments::write_repro_bundle(buffer, config, violation, jobs);
+  const experiments::ReproBundle back = experiments::read_repro_bundle(buffer);
 
-  EXPECT_EQ(back.policy, bundle.policy);
-  EXPECT_EQ(back.dc_seed, bundle.dc_seed);
-  EXPECT_EQ(back.host_classes, bundle.host_classes);
-  EXPECT_EQ(back.inject_failures, bundle.inject_failures);
-  EXPECT_EQ(back.checkpoint_enabled, bundle.checkpoint_enabled);
-  EXPECT_DOUBLE_EQ(back.checkpoint_period_s, bundle.checkpoint_period_s);
-  EXPECT_DOUBLE_EQ(back.lambda_min, bundle.lambda_min);
-  EXPECT_DOUBLE_EQ(back.lambda_max, bundle.lambda_max);
-  EXPECT_DOUBLE_EQ(back.horizon_s, bundle.horizon_s);
-  EXPECT_EQ(back.fault_spec, bundle.fault_spec);
-  EXPECT_EQ(back.violation, bundle.violation);
-  EXPECT_DOUBLE_EQ(back.violation_t, bundle.violation_t);
-  ASSERT_EQ(back.jobs.size(), bundle.jobs.size());
-  for (std::size_t i = 0; i < bundle.jobs.size(); ++i) {
-    const workload::Job& a = bundle.jobs[i];
+  const experiments::RunConfig& c = back.config;
+  EXPECT_EQ(c.policy, config.policy);
+  EXPECT_EQ(c.datacenter.seed, config.datacenter.seed);
+  ASSERT_EQ(c.datacenter.hosts.size(), config.datacenter.hosts.size());
+  for (std::size_t i = 0; i < c.datacenter.hosts.size(); ++i) {
+    EXPECT_EQ(c.datacenter.hosts[i].klass, config.datacenter.hosts[i].klass);
+  }
+  EXPECT_EQ(c.datacenter.initially_on, 3u);
+  EXPECT_EQ(c.datacenter.inject_failures, config.datacenter.inject_failures);
+  EXPECT_EQ(c.datacenter.mean_repair_s, 5432.125);
+  EXPECT_EQ(c.datacenter.checkpoint.enabled,
+            config.datacenter.checkpoint.enabled);
+  EXPECT_EQ(c.datacenter.checkpoint.period_s,
+            config.datacenter.checkpoint.period_s);
+  EXPECT_EQ(c.driver.power.lambda_min, config.driver.power.lambda_min);
+  EXPECT_EQ(c.driver.power.lambda_max, config.driver.power.lambda_max);
+  EXPECT_EQ(c.driver.seed, config.driver.seed);
+  EXPECT_EQ(c.horizon_s, config.horizon_s);
+  // The fault plan and the resilience config come back bit-equal.
+  EXPECT_EQ(c.faults.to_string(), config.faults.to_string());
+  EXPECT_TRUE(c.faults.enabled);
+  EXPECT_EQ(c.faults.spec(faults::FaultOp::kCreate).fail_prob, 0.0123456789);
+  EXPECT_EQ(c.faults.retry.base_s, 1.23456789);
+  EXPECT_TRUE(c.resilience.enabled);
+  EXPECT_EQ(resilience::to_string(c.resilience),
+            resilience::to_string(config.resilience));
+  EXPECT_EQ(c.resilience.defer_fill, 0.123456789);
+  EXPECT_EQ(c.resilience.breakers.probe_after_s, 123.456789);
+  EXPECT_TRUE(c.validate.enabled);
+  EXPECT_TRUE(c.validate.checker.abort_on_violation);
+  EXPECT_FALSE(c.validate.checker.allow_cpu_oversubscription);
+  EXPECT_EQ(c.validate.checker.max_violations, 7u);
+  EXPECT_EQ(back.violation.what, violation.what);
+  EXPECT_EQ(back.violation.t, violation.t);
+  // The job submitted after the violation is not part of the bundle.
+  ASSERT_EQ(back.jobs.size(), 2u);
+  for (std::size_t i = 0; i < back.jobs.size(); ++i) {
+    const workload::Job& a = jobs[i];
     const workload::Job& b = back.jobs[i];
     EXPECT_EQ(b.id, a.id);
     EXPECT_DOUBLE_EQ(b.submit, a.submit);
@@ -255,7 +290,7 @@ TEST(ReproBundle, RoundTripsLosslessly) {
 }
 
 TEST(ReproBundle, SpecsForMapsClassTokens) {
-  const auto specs = specs_for({"fast", "low-power", "slow", "bogus"});
+  const auto specs = experiments::specs_for({"fast", "low-power", "slow", "bogus"});
   ASSERT_EQ(specs.size(), 4u);
   EXPECT_EQ(specs[0].klass, "fast");
   EXPECT_EQ(specs[1].klass, "low-power");
@@ -264,9 +299,25 @@ TEST(ReproBundle, SpecsForMapsClassTokens) {
 }
 
 TEST(ReproBundle, RejectsMalformedInput) {
+  using experiments::read_repro_bundle;
   std::stringstream not_a_bundle("just some text\n");
   EXPECT_THROW(read_repro_bundle(not_a_bundle), std::runtime_error);
-  EXPECT_THROW(read_repro_bundle_file("/no/such/bundle"), std::runtime_error);
+  EXPECT_THROW(experiments::read_repro_bundle_file("/no/such/bundle"),
+               std::runtime_error);
+  // Every header value is one whole token of its field's type.
+  for (const char* header :
+       {"lambda_min=abc", "lambda_min=0.3junk", "dc_seed=-1", "dc_seed=5.5",
+        "inject_failures=yes", "faults=seed=-1", "faults=migrate.fail=lots",
+        "resilience=budget=1.5", "checker.max_violations=-3",
+        "no_such_key=1"}) {
+    std::stringstream in(std::string(header) + "\n--- jobs ---\n");
+    EXPECT_THROW(read_repro_bundle(in), std::runtime_error) << header;
+  }
+  std::stringstream junk_job(
+      "policy=RD\n--- jobs ---\n1 0 60 100 512 2 0 1 0 256 junk\n");
+  EXPECT_THROW(read_repro_bundle(junk_job), std::runtime_error);
+  std::stringstream no_jobs("policy=RD\n");
+  EXPECT_THROW(read_repro_bundle(no_jobs), std::runtime_error);
 }
 
 // ---- end-to-end: validated runs stay clean ----------------------------------
@@ -320,18 +371,46 @@ TEST(ValidatedRun, ViolationEmitsResultAndReproBundle) {
   EXPECT_EQ(res.violations[0].rule, Rule::kCapacity);
   EXPECT_EQ(res.repro_path, path);
 
-  const ReproBundle bundle = read_repro_bundle_file(path);
-  EXPECT_EQ(bundle.policy, "RD");
-  EXPECT_EQ(bundle.host_classes.size(), 20u);
-  EXPECT_FALSE(bundle.violation.empty());
-  EXPECT_EQ(bundle.violation_t, res.violations[0].t);
+  const experiments::ReproBundle bundle =
+      experiments::read_repro_bundle_file(path);
+  EXPECT_EQ(bundle.config.policy, "RD");
+  EXPECT_EQ(bundle.config.datacenter.hosts.size(), 20u);
+  EXPECT_FALSE(bundle.violation.what.empty());
+  EXPECT_EQ(bundle.violation.t, res.violations[0].t);
   // The bundle holds the workload slice submitted up to the violation.
   ASSERT_FALSE(bundle.jobs.empty());
   EXPECT_LE(bundle.jobs.size(), jobs.size());
   for (const auto& job : bundle.jobs) {
-    EXPECT_LE(job.submit, bundle.violation_t);
+    EXPECT_LE(job.submit, bundle.violation.t);
   }
   std::remove(path.c_str());
+}
+
+TEST(ValidatedRun, ReproBundleReplaysTheFirstViolation) {
+  // The bundle of ViolationEmitsResultAndReproBundle's run, read back into
+  // a RunConfig and rerun, trips the same rule at the same instant: the
+  // bundle carries the checker config the violation depends on.
+  const auto jobs = small_week();
+  auto config = small_config("RD");
+  config.validate.enabled = true;
+  config.validate.checker.allow_cpu_oversubscription = false;
+  const std::string path = ::testing::TempDir() + "easched_replay.txt";
+  std::remove(path.c_str());
+  config.validate.repro_path = path;
+  const auto res = experiments::run_experiment(jobs, std::move(config));
+  ASSERT_FALSE(res.violations.empty());
+
+  experiments::ReproBundle bundle = experiments::read_repro_bundle_file(path);
+  std::remove(path.c_str());
+  const auto replay =
+      experiments::run_experiment(bundle.jobs, std::move(bundle.config));
+  ASSERT_FALSE(replay.violations.empty());
+  EXPECT_EQ(replay.violations[0].rule, res.violations[0].rule);
+  EXPECT_EQ(replay.violations[0].t, res.violations[0].t);
+  EXPECT_EQ(replay.violations[0].message, res.violations[0].message);
+  EXPECT_EQ(std::string(to_string(replay.violations[0].rule)) + ": " +
+                replay.violations[0].message,
+            bundle.violation.what);
 }
 
 TEST(ValidatedRun, EnvVarSwitchesCheckingOn) {
