@@ -25,12 +25,14 @@
 // [1] minus the baseline of the same repeat, which cancels slow drift a
 // min-vs-min comparison cannot) stays within 2 % of the median baseline
 // time plus 5 ms of absolute slack for timer jitter on loaded machines,
-// and (c) every check the component adds holds. Without `--component`
-// every component runs.
+// and (c) every check the component adds holds. Runs are timed in CPU
+// time of the (single) run thread, so time the core spends on other
+// processes is not billed to whichever variant was running. Without
+// `--component` every component runs.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <functional>
 #include <memory>
 #include <string>
@@ -60,7 +62,7 @@ struct Variant {
 
 /// What the repeats of one variant left behind.
 struct Timed {
-  std::vector<double> ms;  ///< one wall-clock sample per repeat
+  std::vector<double> ms;  ///< one thread-CPU-time sample per repeat
   experiments::RunResult result;               ///< last repeat's
   std::unique_ptr<obs::Observability> bundle;  ///< last repeat's
 };
@@ -230,16 +232,24 @@ std::vector<Component> components() {
   return all;
 }
 
+/// CPU time of the calling thread [ms]. A run is single-threaded, so this
+/// is its cost; unlike wall time it does not grow while other processes
+/// hold the core.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return 1e3 * static_cast<double>(ts.tv_sec) +
+         1e-6 * static_cast<double>(ts.tv_nsec);
+}
+
 void run_once(Timed& out, const Variant& variant, const Component& component,
               const workload::Workload& jobs) {
   experiments::RunConfig config = component.config();
   auto bundle = std::make_unique<obs::Observability>();
   if (variant.setup) variant.setup(config, *bundle);
-  const auto begin = std::chrono::steady_clock::now();
+  const double begin = thread_cpu_ms();
   out.result = experiments::run_experiment(jobs, std::move(config));
-  const auto end = std::chrono::steady_clock::now();
-  out.ms.push_back(
-      std::chrono::duration<double, std::milli>(end - begin).count());
+  out.ms.push_back(thread_cpu_ms() - begin);
   out.bundle = std::move(bundle);
 }
 

@@ -98,27 +98,30 @@ int summarize_trace(const std::string& path) {
   std::map<std::string, PolicyTally> tallies;
   std::string policy = "(no run-begin)";
   std::uint64_t lines = 0;
+  using easched::obs::EventKind;
+  const auto is = [&e](EventKind kind) {
+    return e.kind == easched::obs::to_string(kind);
+  };
   while (e.next()) {
     ++lines;
-    const std::string& kind = e.kind;
-    if (kind == "run-begin") {
+    if (is(EventKind::kRunBegin)) {
       policy = e.label.empty() ? "(unnamed)" : e.label;
     }
     PolicyTally& t = tallies[policy];
     ++t.events;
-    if (kind == "decision") {
+    if (is(EventKind::kDecision)) {
       if (e.label == "migrate") {
         ++t.migration_decisions;
       } else {
         ++t.placements;
       }
-    } else if (kind == "migrate-done") {
+    } else if (is(EventKind::kMigrateDone)) {
       ++t.migrations_done;
-    } else if (kind == "migrate-rollback") {
+    } else if (is(EventKind::kMigrateRollback)) {
       ++t.rollbacks;
-    } else if (kind == "power-on") {
+    } else if (is(EventKind::kPowerOn)) {
       ++t.power_ons;
-    } else if (kind == "power-off") {
+    } else if (is(EventKind::kPowerOff)) {
       ++t.power_offs;
     }
   }

@@ -18,20 +18,19 @@ namespace {
 /// be off. First-fit records carry no score terms, so their event has no
 /// args; the runner-up args appear only when the record has a runner-up,
 /// which only a decision-log-enabled run computes.
-void emit_decision(const metrics::Recorder& recorder, obs::DecisionRecord rec) {
-  if (obs::Tracer* tr = obs::tracer(recorder)) {
-    auto& e = tr->emit(rec.t, obs::EventKind::kDecision);
-    e.vm = rec.vm;
-    e.host = rec.host;
-    e.host2 = rec.from_host;
-    e.label = obs::to_string(rec.kind);
+void emit_decision(metrics::Recorder& recorder, obs::DecisionRecord rec) {
+  if (auto* e = obs::record(recorder, rec.t, obs::EventKind::kDecision)) {
+    e->vm = rec.vm;
+    e->host = rec.host;
+    e->host2 = rec.from_host;
+    e->label = obs::to_string(rec.kind);
     if (rec.kind != obs::DecisionRecord::Kind::kFirstFit) {
       for (std::size_t i = 0; i < obs::kDecisionTermCount; ++i) {
-        e.arg(obs::decision_term_name(i), rec.terms[i]);
+        e->arg(obs::decision_term_name(i), rec.terms[i]);
       }
-      e.arg("total", rec.total);
+      e->arg("total", rec.total);
       if (rec.runner_up >= 0) {
-        e.arg("runner_up", static_cast<double>(rec.runner_up))
+        e->arg("runner_up", static_cast<double>(rec.runner_up))
             .arg("delta", rec.delta);
       }
     }

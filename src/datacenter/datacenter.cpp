@@ -15,6 +15,8 @@
 
 namespace easched::datacenter {
 
+using obs::EventKind;
+
 namespace {
 constexpr double kEps = 1e-9;
 /// Slack tolerated when asserting a finish event hit zero remaining work.
@@ -484,14 +486,12 @@ void Datacenter::place(VmId v, HostId h) {
   apply_injection(op, faults::FaultOp::kCreate, h);
   host.ops.push_back(op);
   arm_op_deadline(h, host.spec.creation_cost_s);
-  ++recorder_.counts.creations;
   if (auto* rc = resilience::controller(recorder_)) {
     rc->note_op_start(h, sim_.now());
   }
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kCreateStart);
-    e.vm = v;
-    e.host = h;
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kCreateStart)) {
+    e->vm = v;
+    e->host = h;
   }
 
   reallocate_io(h);
@@ -503,14 +503,12 @@ void Datacenter::complete_creation(HostId h, VmId v) {
   Vm& m = vm_mut(v);
   Host& host = host_mut(h);
   EA_ASSERT(m.state == VmState::kCreating && m.host == h);
-  if (auto* tr = obs::tracer(recorder_)) {
-    sim::SimTime started = sim_.now();
-    if (const Operation* op = find_op(host, Operation::Kind::kCreate, v)) {
-      started = op->started;
-    }
-    auto& e = tr->span(started, sim_.now(), obs::EventKind::kVmReady);
-    e.vm = v;
-    e.host = h;
+  const Operation* op = find_op(host, Operation::Kind::kCreate, v);
+  if (auto* e = obs::record_span(recorder_,
+                                 op != nullptr ? op->started : sim_.now(),
+                                 sim_.now(), EventKind::kVmReady)) {
+    e->vm = v;
+    e->host = h;
   }
   // Do not cancel our own (already fired) event: remove_op cancels a
   // kNoEvent-safe handle because cancel() ignores fired events.
@@ -568,16 +566,14 @@ void Datacenter::migrate(VmId v, HostId to) {
   dst.ops.push_back(in_op);
   arm_op_deadline(to, dst.spec.migration_cost_s);
 
-  ++recorder_.counts.migrations;
   ++m.migrations;
   if (auto* rc = resilience::controller(recorder_)) {
     rc->note_op_start(to, sim_.now());
   }
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kMigrateStart);
-    e.vm = v;
-    e.host = to;
-    e.host2 = from;
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kMigrateStart)) {
+    e->vm = v;
+    e->host = to;
+    e->host2 = from;
   }
 
   reallocate_io(to);
@@ -590,16 +586,13 @@ void Datacenter::complete_migration(HostId from, HostId to, VmId v) {
   Vm& m = vm_mut(v);
   EA_ASSERT(m.state == VmState::kMigrating && m.host == to &&
             m.migration_source == from);
-  if (auto* tr = obs::tracer(recorder_)) {
-    sim::SimTime started = sim_.now();
-    if (const Operation* op =
-            find_op(host_mut(to), Operation::Kind::kMigrateIn, v)) {
-      started = op->started;
-    }
-    auto& e = tr->span(started, sim_.now(), obs::EventKind::kMigrateDone);
-    e.vm = v;
-    e.host = to;
-    e.host2 = from;
+  const Operation* op = find_op(host_mut(to), Operation::Kind::kMigrateIn, v);
+  if (auto* e = obs::record_span(recorder_,
+                                 op != nullptr ? op->started : sim_.now(),
+                                 sim_.now(), EventKind::kMigrateDone)) {
+    e->vm = v;
+    e->host = to;
+    e->host2 = from;
   }
   remove_op(host_mut(from), Operation::Kind::kMigrateOut, v);
   remove_op(host_mut(to), Operation::Kind::kMigrateIn, v);
@@ -638,11 +631,10 @@ void Datacenter::finish_vm(VmId v) {
   rec.delay_pct = workload::delay_pct(exec, rec.dedicated_seconds);
   rec.cpu_pct = m.job.cpu_pct;
   recorder_.jobs.add(rec);
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kJobFinished);
-    e.vm = v;
-    e.host = m.host;
-    e.arg("satisfaction", rec.satisfaction).arg("delay_pct", rec.delay_pct);
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kJobFinished)) {
+    e->vm = v;
+    e->host = m.host;
+    e->arg("satisfaction", rec.satisfaction).arg("delay_pct", rec.delay_pct);
   }
 
   const HostId h = m.host;
@@ -702,10 +694,9 @@ void Datacenter::power_on(HostId h) {
   EA_EXPECTS(host.state == HostState::kOff);
   set_host_state(host, HostState::kBooting);
   update_power(host);
-  ++recorder_.counts.turn_ons;
   const sim::SimTime boot_began = sim_.now();
-  if (auto* tr = obs::tracer(recorder_)) {
-    tr->emit(boot_began, obs::EventKind::kPowerOn).host = h;
+  if (auto* e = obs::record(recorder_, boot_began, EventKind::kPowerOn)) {
+    e->host = h;
   }
 
   double boot_s = host.spec.boot_time_s;
@@ -750,8 +741,9 @@ void Datacenter::power_on(HostId h) {
       hh.boot_deadline_event = sim::kNoEvent;
       set_host_state(hh, HostState::kOn);
       update_power(hh);
-      if (auto* tr = obs::tracer(recorder_)) {
-        tr->span(boot_began, sim_.now(), obs::EventKind::kHostOnline).host = h;
+      if (auto* e = obs::record_span(recorder_, boot_began, sim_.now(),
+                                     EventKind::kHostOnline)) {
+        e->host = h;
       }
       if (config_.inject_failures) schedule_failure(h);
       update_node_counters();
@@ -767,10 +759,9 @@ void Datacenter::power_off(HostId h) {
   cancel_failure(h);
   set_host_state(host, HostState::kShuttingDown);
   update_power(host);
-  ++recorder_.counts.turn_offs;
   const sim::SimTime shutdown_began = sim_.now();
-  if (auto* tr = obs::tracer(recorder_)) {
-    tr->emit(shutdown_began, obs::EventKind::kPowerOff).host = h;
+  if (auto* e = obs::record(recorder_, shutdown_began, EventKind::kPowerOff)) {
+    e->host = h;
   }
 
   double shutdown_s = host.spec.shutdown_time_s;
@@ -806,11 +797,9 @@ void Datacenter::power_off(HostId h) {
       // online so the power controller can fold it into future decisions.
       set_host_state(hh, HostState::kOn);
       update_power(hh);
-      ++recorder_.counts.op_failures;
-      if (auto* tr = obs::tracer(recorder_)) {
-        auto& e = tr->emit(sim_.now(), obs::EventKind::kOpFailed);
-        e.host = h;
-        e.label = faults::to_string(faults::FaultOp::kPowerOff);
+      if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kOpFailed)) {
+        e->host = h;
+        e->label = faults::to_string(faults::FaultOp::kPowerOff);
       }
       note_host_fault(h);
       if (config_.inject_failures) schedule_failure(h);
@@ -823,8 +812,9 @@ void Datacenter::power_off(HostId h) {
     }
     set_host_state(hh, HostState::kOff);
     update_power(hh);
-    if (auto* tr = obs::tracer(recorder_)) {
-      tr->span(shutdown_began, sim_.now(), obs::EventKind::kHostOff).host = h;
+    if (auto* e = obs::record_span(recorder_, shutdown_began, sim_.now(),
+                                   EventKind::kHostOff)) {
+      e->host = h;
     }
     update_node_counters();
     if (on_host_off) on_host_off(h);
@@ -927,11 +917,9 @@ void Datacenter::fail_host(HostId h) {
   set_host_state(host, HostState::kFailed);
   host.used_cpu_pct = 0;
   update_power(host);
-  ++recorder_.counts.failures;
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kHostFailed);
-    e.host = h;
-    e.arg("lost", static_cast<double>(lost.size()));
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kHostFailed)) {
+    e->host = h;
+    e->arg("lost", static_cast<double>(lost.size()));
   }
   if (auto* rc = resilience::controller(recorder_)) {
     rc->note_host_crashed(h, sim_.now());
@@ -944,8 +932,9 @@ void Datacenter::fail_host(HostId h) {
     set_host_state(hh, HostState::kOff);
     hh.transition_event = sim::kNoEvent;
     update_power(hh);
-    if (auto* tr = obs::tracer(recorder_)) {
-      tr->emit(sim_.now(), obs::EventKind::kHostRepaired).host = h;
+    if (auto* e = obs::record(recorder_, sim_.now(),
+                              EventKind::kHostRepaired)) {
+      e->host = h;
     }
     if (auto* rc = resilience::controller(recorder_)) {
       rc->note_host_repaired(h, sim_.now());
@@ -1015,17 +1004,16 @@ faults::FaultOutcome Datacenter::inject_fault(faults::FaultOp fop, HostId h,
                                               VmId v) {
   const faults::FaultOutcome out = config_.fault_injector->decide(fop, h);
   if (!out.injected()) return out;
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kFaultInjected);
-    if (v != kNoVm) e.vm = v;
-    e.host = h;
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kFaultInjected)) {
+    if (v != kNoVm) e->vm = v;
+    e->host = h;
     // `<op>.<outcome>`, the fault plan's key grammar (`migrate.fail`).
-    e.label = std::string(faults::to_string(fop)) + '.' +
-              faults::to_string(out.kind);
+    e->label = std::string(faults::to_string(fop)) + '.' +
+               faults::to_string(out.kind);
     if (out.kind == faults::FaultOutcome::Kind::kFail) {
-      e.arg("fail_fraction", out.fail_fraction);
+      e->arg("fail_fraction", out.fail_fraction);
     } else if (out.kind == faults::FaultOutcome::Kind::kSlow) {
-      e.arg("slow_factor", out.slow_factor);
+      e->arg("slow_factor", out.slow_factor);
     }
   }
   return out;
@@ -1084,14 +1072,12 @@ void Datacenter::fail_operation(HostId h, Operation::Kind kind, VmId v,
       kind == Operation::Kind::kCreate      ? faults::FaultOp::kCreate
       : kind == Operation::Kind::kMigrateIn ? faults::FaultOp::kMigrate
                                             : faults::FaultOp::kCheckpoint;
-  ++recorder_.counts.op_failures;
   if (timed_out) ++recorder_.counts.op_timeouts;
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kOpFailed);
-    e.vm = v;
-    e.host = h;
-    e.label = faults::to_string(fop);
-    e.arg("timeout", timed_out ? 1.0 : 0.0);
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kOpFailed)) {
+    e->vm = v;
+    e->host = h;
+    e->label = faults::to_string(fop);
+    e->arg("timeout", timed_out ? 1.0 : 0.0);
   }
   switch (kind) {
     case Operation::Kind::kCreate:
@@ -1145,12 +1131,11 @@ void Datacenter::rollback_migration(VmId v) {
   m.migration_source = kNoHost;
   m.state = VmState::kRunning;
   m.last_progress_update = sim_.now();
-  ++recorder_.counts.rollbacks;
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kMigrateRollback);
-    e.vm = v;
-    e.host = dst;
-    e.host2 = src;
+  if (auto* e = obs::record(recorder_, sim_.now(),
+                            EventKind::kMigrateRollback)) {
+    e->vm = v;
+    e->host = dst;
+    e->host2 = src;
   }
   reallocate_io(dst);
   reallocate_io(src);
@@ -1177,9 +1162,8 @@ void Datacenter::boot_failed(HostId h) {
   set_host_state(host, HostState::kOff);
   host.used_cpu_pct = 0;
   update_power(host);
-  ++recorder_.counts.boot_failures;
-  if (auto* tr = obs::tracer(recorder_)) {
-    tr->emit(sim_.now(), obs::EventKind::kBootFailed).host = h;
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kBootFailed)) {
+    e->host = h;
   }
   if (auto* rc = resilience::controller(recorder_)) {
     rc->note_op_failure(h, sim_.now());
@@ -1208,11 +1192,9 @@ void Datacenter::note_host_fault(HostId h) {
 
   host.quarantined = true;
   mark_dirty(h);  // placeability flip
-  ++recorder_.counts.quarantines;
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kQuarantine);
-    e.host = h;
-    e.arg("cooldown_s", q.cooldown_s);
+  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kQuarantine)) {
+    e->host = h;
+    e->arg("cooldown_s", q.cooldown_s);
   }
   sim_.cancel(host.unquarantine_event);
   host.unquarantine_event = sim_.after(q.cooldown_s, [this, h] {
@@ -1222,8 +1204,9 @@ void Datacenter::note_host_fault(HostId h) {
     hh.fault_count = 0;
     hh.fault_window_start = sim_.now();
     mark_dirty(h);  // placeability flip
-    if (auto* tr = obs::tracer(recorder_)) {
-      tr->emit(sim_.now(), obs::EventKind::kUnquarantine).host = h;
+    if (auto* e = obs::record(recorder_, sim_.now(),
+                              EventKind::kUnquarantine)) {
+      e->host = h;
     }
     if (auto* rc = resilience::controller(recorder_)) {
       rc->note_host_unquarantined(h, sim_.now());

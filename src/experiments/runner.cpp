@@ -66,10 +66,10 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
                              &repro_written](const validate::Violation& v) {
       const std::string what =
           std::string(validate::to_string(v.rule)) + ": " + v.message;
-      if (auto* tr = obs::tracer(recorder)) {
-        auto& e = tr->emit(v.t, obs::EventKind::kInvariantViolation);
-        e.label = what;
-        e.arg("rule", static_cast<double>(static_cast<int>(v.rule)));
+      if (auto* e = obs::record(recorder, v.t,
+                                obs::EventKind::kInvariantViolation)) {
+        e->label = what;
+        e->arg("rule", static_cast<double>(static_cast<int>(v.rule)));
       }
       if (config.validate.repro_path.empty() || !repro_written.empty()) {
         return;
@@ -84,10 +84,10 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   }
 
   sched::SchedulerDriver driver(simulator, dc, *policy, config.driver);
-  if (auto* tr = obs::tracer(recorder)) {
-    auto& e = tr->emit(simulator.now(), obs::EventKind::kRunBegin);
-    e.label = policy->name();
-    e.arg("hosts", static_cast<double>(config.datacenter.hosts.size()))
+  if (auto* e = obs::record(recorder, simulator.now(),
+                            obs::EventKind::kRunBegin)) {
+    e->label = policy->name();
+    e->arg("hosts", static_cast<double>(config.datacenter.hosts.size()))
         .arg("jobs", static_cast<double>(jobs.size()));
   }
   driver.submit_workload(jobs);

@@ -6,6 +6,7 @@
 
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "resilience/health.hpp"
 
 namespace easched::obs {
 namespace {
@@ -25,18 +26,6 @@ void write_count(std::ostream& os, const char* key, std::uint64_t v,
                  bool& first) {
   write_key(os, key, first);
   os << v;
-}
-
-// Degradation-ladder rung names (resilience::LadderLevel order); kept local
-// so the artifact writer does not depend on the resilience headers.
-const char* rung_name(std::size_t rung) {
-  switch (rung) {
-    case 0: return "full";
-    case 1: return "cached-climb";
-    case 2: return "first-fit";
-    case 3: return "frozen";
-    default: return "beyond";
-  }
 }
 
 void write_energy(std::ostream& os, const EnergyLedger& ledger) {
@@ -83,7 +72,7 @@ void write_energy(std::ostream& os, const EnergyLedger& ledger) {
   const auto& rungs = ledger.rung_j();
   for (std::size_t r = 0; r < rungs.size(); ++r) {
     if (r > 0) os << ',';
-    os << '"' << rung_name(r) << "\":";
+    os << '"' << resilience::rung_name(r) << "\":";
     write_json_number(os, rungs[r]);
   }
   os << '}';

@@ -44,13 +44,9 @@ void publish_run_metrics(const metrics::Recorder& rec,
     }
     const auto& rungs = ledger.rung_j();
     for (std::size_t r = 0; r < rungs.size(); ++r) {
-      const char* name =
-          r < static_cast<std::size_t>(resilience::kNumLadderLevels)
-              ? resilience::to_string(
-                    static_cast<resilience::LadderLevel>(r))
-              : "beyond";
-      registry.gauge("energy.rung.j", std::string("rung=") + name)
-          .set(rungs[r]);
+      const std::string label =
+          std::string("rung=") + resilience::rung_name(r);
+      registry.gauge("energy.rung.j", label).set(rungs[r]);
     }
   }
   if (rec.obs != nullptr && rec.obs->decisions.enabled()) {

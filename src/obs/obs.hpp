@@ -7,10 +7,11 @@
 // ScoreBasedPolicy via the datacenter) can reach it without new plumbing.
 //
 // Instrumentation call sites never touch the bundle directly; they go
-// through the accessors below:
+// through the accessors below. A run event goes through obs::record(),
+// which bumps the kind's run counter (its kEventKinds row) and traces it:
 //
-//   if (auto* tr = obs::tracer(recorder)) {
-//     tr->emit(now, EventKind::kPowerOn).host = h;
+//   if (auto* e = obs::record(recorder, now, EventKind::kPowerOn)) {
+//     e->host = h;
 //   }
 //
 // An instrument that is absent or not enabled is a null sink: the
@@ -44,6 +45,23 @@ struct Observability {
 [[nodiscard]] inline Tracer* tracer(const metrics::Recorder& rec) noexcept {
   Observability* o = rec.obs;
   return (o != nullptr && o->tracer.enabled()) ? &o->tracer : nullptr;
+}
+
+/// Records one `kind` event spanning [start, end]: bumps the kind's run
+/// counter, if its kEventKinds row names one, and appends the event to the
+/// run's tracer. Returns the event for the caller to fill in (valid until
+/// the next emission), or nullptr when no tracer is enabled.
+inline TraceEvent* record_span(metrics::Recorder& rec, sim::SimTime start,
+                               sim::SimTime end, EventKind kind) {
+  if (auto field = row(kind).counter) ++(rec.counts.*field);
+  Tracer* tr = tracer(rec);
+  return tr != nullptr ? &tr->span(start, end, kind) : nullptr;
+}
+
+/// record_span() for an instant event at `t` (a span of length zero).
+inline TraceEvent* record(metrics::Recorder& rec, sim::SimTime t,
+                          EventKind kind) {
+  return record_span(rec, t, t, kind);
 }
 
 /// The run's phase profiler, or nullptr when absent or not enabled.

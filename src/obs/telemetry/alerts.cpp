@@ -183,7 +183,7 @@ double AlertEngine::signal(const AlertRule& rule,
 
 std::vector<std::string> AlertEngine::evaluate(
     const TelemetrySnapshot& snap, const SnapshotRing& history,
-    const metrics::Recorder* recorder) {
+    metrics::Recorder* recorder) {
   std::vector<std::string> active;
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     const AlertRule& rule = rules_[i];
@@ -203,11 +203,10 @@ std::vector<std::string> AlertEngine::evaluate(
           st.open_log_index = log_.size();
           log_.push_back(AlertFiring{rule.name, snap.t, -1});
           if (recorder != nullptr) {
-            if (auto* tr = obs::tracer(*recorder)) {
-              tr->emit(snap.t, EventKind::kAlertFire)
-                  .arg("value", value)
-                  .arg("bound", rule.bound)
-                  .label = rule.name;
+            if (auto* e =
+                    obs::record(*recorder, snap.t, EventKind::kAlertFire)) {
+              e->arg("value", value).arg("bound", rule.bound).label =
+                  rule.name;
             }
             if (recorder->obs != nullptr) {
               recorder->obs->registry.counter("alerts.fired").inc();
@@ -227,9 +226,9 @@ std::vector<std::string> AlertEngine::evaluate(
         st.breaching = false;
         log_[st.open_log_index].resolved_t = snap.t;
         if (recorder != nullptr) {
-          if (auto* tr = obs::tracer(*recorder)) {
-            tr->emit(snap.t, EventKind::kAlertResolve)
-                .arg("value", value)
+          if (auto* e =
+                  obs::record(*recorder, snap.t, EventKind::kAlertResolve)) {
+            e->arg("value", value)
                 .arg("fired_t", log_[st.open_log_index].fired_t)
                 .label = rule.name;
           }

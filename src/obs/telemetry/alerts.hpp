@@ -106,7 +106,7 @@ class AlertEngine {
   /// rules, in rule order.
   std::vector<std::string> evaluate(const TelemetrySnapshot& snap,
                                     const SnapshotRing& history,
-                                    const metrics::Recorder* recorder);
+                                    metrics::Recorder* recorder);
 
   [[nodiscard]] std::size_t active_count() const noexcept;
   [[nodiscard]] bool is_active(std::size_t rule_index) const;

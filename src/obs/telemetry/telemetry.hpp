@@ -307,7 +307,7 @@ class TelemetryPlane {
   struct Sources {
     const datacenter::Datacenter* dc = nullptr;
     const sched::SchedulerDriver* driver = nullptr;
-    const metrics::Recorder* recorder = nullptr;
+    metrics::Recorder* recorder = nullptr;
     double lambda_min = 0;
     double lambda_max = 0;
   };

@@ -8,85 +8,7 @@
 
 namespace easched::obs {
 
-const char* to_string(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kRunBegin:        return "run-begin";
-    case EventKind::kJobArrival:      return "job-arrival";
-    case EventKind::kRound:           return "round";
-    case EventKind::kDecision:        return "decision";
-    case EventKind::kCreateStart:     return "create-start";
-    case EventKind::kVmReady:         return "vm-ready";
-    case EventKind::kJobFinished:     return "job-finished";
-    case EventKind::kMigrateStart:    return "migrate-start";
-    case EventKind::kMigrateDone:     return "migrate-done";
-    case EventKind::kMigrateRollback: return "migrate-rollback";
-    case EventKind::kPowerOn:         return "power-on";
-    case EventKind::kHostOnline:      return "host-online";
-    case EventKind::kPowerOff:        return "power-off";
-    case EventKind::kHostOff:         return "host-off";
-    case EventKind::kHostFailed:      return "host-failed";
-    case EventKind::kHostRepaired:    return "host-repaired";
-    case EventKind::kBootFailed:      return "boot-failed";
-    case EventKind::kFaultInjected:   return "fault-injected";
-    case EventKind::kOpFailed:        return "op-failed";
-    case EventKind::kQuarantine:      return "quarantine";
-    case EventKind::kUnquarantine:    return "unquarantine";
-    case EventKind::kSlaAlarm:        return "sla-alarm";
-    case EventKind::kRetry:           return "retry";
-    case EventKind::kInvariantViolation:
-      return "invariant-violation";
-    case EventKind::kLadderShift:     return "ladder-shift";
-    case EventKind::kJobShed:         return "job-shed";
-    case EventKind::kJobDeferred:     return "job-deferred";
-    case EventKind::kBreakerOpen:     return "breaker-open";
-    case EventKind::kBreakerProbe:    return "breaker-probe";
-    case EventKind::kBreakerClose:    return "breaker-close";
-    case EventKind::kHostDead:        return "host-dead";
-    case EventKind::kAlertFire:       return "alert-fire";
-    case EventKind::kAlertResolve:    return "alert-resolve";
-  }
-  return "?";
-}
-
 namespace {
-
-/// Category shown in the Chrome trace: where in the stack the event lives.
-const char* category(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kRunBegin:
-    case EventKind::kJobArrival:
-    case EventKind::kRound:
-    case EventKind::kDecision:
-    case EventKind::kSlaAlarm:
-    case EventKind::kRetry:
-      return "sched";
-    case EventKind::kCreateStart:
-    case EventKind::kVmReady:
-    case EventKind::kJobFinished:
-    case EventKind::kMigrateStart:
-    case EventKind::kMigrateDone:
-    case EventKind::kMigrateRollback:
-      return "vm";
-    case EventKind::kFaultInjected:
-    case EventKind::kOpFailed:
-      return "faults";
-    case EventKind::kInvariantViolation:
-      return "validate";
-    case EventKind::kLadderShift:
-    case EventKind::kJobShed:
-    case EventKind::kJobDeferred:
-    case EventKind::kBreakerOpen:
-    case EventKind::kBreakerProbe:
-    case EventKind::kBreakerClose:
-    case EventKind::kHostDead:
-      return "resilience";
-    case EventKind::kAlertFire:
-    case EventKind::kAlertResolve:
-      return "telemetry";
-    default:
-      return "host";
-  }
-}
 
 bool is_wall_arg(const std::string& key) {
   return key.rfind("wall_", 0) == 0;
@@ -162,7 +84,7 @@ void Tracer::write_chrome(std::ostream& os) const {
   for (std::size_t i : sorted_order()) {
     const TraceEvent& e = events_[i];
     os << ",\n{\"name\":\"" << to_string(e.kind) << "\",\"cat\":\""
-       << category(e.kind) << "\",\"ph\":\"" << (e.dur > 0 ? 'X' : 'i')
+       << row(e.kind).category << "\",\"ph\":\"" << (e.dur > 0 ? 'X' : 'i')
        << "\",\"ts\":";
     // trace_event timestamps are microseconds.
     write_json_number(os, e.t * 1e6);

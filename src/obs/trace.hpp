@@ -20,18 +20,21 @@
 // so a run without --trace= pays one predicted branch per would-be event.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "metrics/accumulators.hpp"
 #include "sim/time.hpp"
 
 namespace easched::obs {
 
-/// The event taxonomy. Names (to_string) are stable identifiers used by the
-/// JSONL format and `trace_tool summarize`; append, don't renumber.
+/// The event taxonomy. Each kind has one kEventKinds row below; append a
+/// kind (before kCount) together with its row, don't renumber.
 enum class EventKind : std::uint8_t {
   kRunBegin,         ///< label = policy name; args: hosts, jobs
   kJobArrival,       ///< vm; args: cpu_pct, mem_mb
@@ -74,9 +77,89 @@ enum class EventKind : std::uint8_t {
                      ///< name; args: value, bound
   kAlertResolve,     ///< alert rule resolved; label = rule name; args:
                      ///< value, fired_t
+  kCount,            ///< not a kind: the number of kinds
 };
 
-[[nodiscard]] const char* to_string(EventKind kind) noexcept;
+/// One row of the event catalogue.
+struct EventKindRow {
+  EventKind kind;
+  /// Stable identifier used by the JSONL format and `trace_tool summarize`.
+  const char* name;
+  /// Chrome trace category: where in the stack the event lives.
+  const char* category;
+  /// The run counter each event of this kind bumps (obs::record in
+  /// obs.hpp), or nullptr when the kind counts nothing.
+  std::uint64_t metrics::Counters::*counter;
+};
+
+/// Every event kind, declared once, in EventKind order.
+inline constexpr EventKindRow kEventKinds[] = {
+    {EventKind::kRunBegin, "run-begin", "sched", nullptr},
+    {EventKind::kJobArrival, "job-arrival", "sched", nullptr},
+    {EventKind::kRound, "round", "sched", nullptr},
+    {EventKind::kDecision, "decision", "sched", nullptr},
+    {EventKind::kCreateStart, "create-start", "vm",
+     &metrics::Counters::creations},
+    {EventKind::kVmReady, "vm-ready", "vm", nullptr},
+    {EventKind::kJobFinished, "job-finished", "vm", nullptr},
+    {EventKind::kMigrateStart, "migrate-start", "vm",
+     &metrics::Counters::migrations},
+    {EventKind::kMigrateDone, "migrate-done", "vm", nullptr},
+    {EventKind::kMigrateRollback, "migrate-rollback", "vm",
+     &metrics::Counters::rollbacks},
+    {EventKind::kPowerOn, "power-on", "host", &metrics::Counters::turn_ons},
+    {EventKind::kHostOnline, "host-online", "host", nullptr},
+    {EventKind::kPowerOff, "power-off", "host", &metrics::Counters::turn_offs},
+    {EventKind::kHostOff, "host-off", "host", nullptr},
+    {EventKind::kHostFailed, "host-failed", "host",
+     &metrics::Counters::failures},
+    {EventKind::kHostRepaired, "host-repaired", "host", nullptr},
+    {EventKind::kBootFailed, "boot-failed", "host",
+     &metrics::Counters::boot_failures},
+    {EventKind::kFaultInjected, "fault-injected", "faults", nullptr},
+    {EventKind::kOpFailed, "op-failed", "faults",
+     &metrics::Counters::op_failures},
+    {EventKind::kQuarantine, "quarantine", "host",
+     &metrics::Counters::quarantines},
+    {EventKind::kUnquarantine, "unquarantine", "host", nullptr},
+    {EventKind::kSlaAlarm, "sla-alarm", "sched", &metrics::Counters::sla_alarms},
+    {EventKind::kRetry, "retry", "sched", &metrics::Counters::retries},
+    {EventKind::kInvariantViolation, "invariant-violation", "validate",
+     nullptr},
+    {EventKind::kLadderShift, "ladder-shift", "resilience", nullptr},
+    {EventKind::kJobShed, "job-shed", "resilience",
+     &metrics::Counters::jobs_shed},
+    {EventKind::kJobDeferred, "job-deferred", "resilience",
+     &metrics::Counters::jobs_deferred},
+    {EventKind::kBreakerOpen, "breaker-open", "resilience",
+     &metrics::Counters::breaker_opens},
+    {EventKind::kBreakerProbe, "breaker-probe", "resilience",
+     &metrics::Counters::breaker_probes},
+    {EventKind::kBreakerClose, "breaker-close", "resilience",
+     &metrics::Counters::breaker_closes},
+    {EventKind::kHostDead, "host-dead", "resilience",
+     &metrics::Counters::breaker_deaths},
+    {EventKind::kAlertFire, "alert-fire", "telemetry", nullptr},
+    {EventKind::kAlertResolve, "alert-resolve", "telemetry", nullptr},
+};
+static_assert(std::size(kEventKinds) ==
+                  static_cast<std::size_t>(EventKind::kCount),
+              "every EventKind needs exactly one kEventKinds row");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kEventKinds); ++i) {
+        if (static_cast<std::size_t>(kEventKinds[i].kind) != i) return false;
+      }
+      return true;
+    }(),
+    "kEventKinds rows must be in EventKind order");
+
+[[nodiscard]] constexpr const EventKindRow& row(EventKind kind) noexcept {
+  return kEventKinds[static_cast<std::size_t>(kind)];
+}
+[[nodiscard]] constexpr const char* to_string(EventKind kind) noexcept {
+  return row(kind).name;
+}
 
 struct TraceEvent {
   sim::SimTime t = 0;    ///< sim-time stamp (span start when dur > 0)

@@ -6,6 +6,7 @@
 // neither should pull in the whole controller.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace easched::resilience {
@@ -24,6 +25,9 @@ enum class LadderLevel : std::uint8_t {
 inline constexpr int kNumLadderLevels = 4;
 
 const char* to_string(LadderLevel level) noexcept;
+/// Name of ladder rung `rung` (a LadderLevel index), or "beyond" past the
+/// last rung: the key of the energy ledger's per-rung split.
+const char* rung_name(std::size_t rung) noexcept;
 
 /// Per-host health as seen by the circuit breakers. Orthogonal to the
 /// power state: a Suspect host keeps running its residents; it only stops

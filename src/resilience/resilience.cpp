@@ -9,6 +9,8 @@
 
 namespace easched::resilience {
 
+using obs::EventKind;
+
 const char* to_string(LadderLevel level) noexcept {
   switch (level) {
     case LadderLevel::kFull:        return "full";
@@ -17,6 +19,12 @@ const char* to_string(LadderLevel level) noexcept {
     case LadderLevel::kFrozen:      return "frozen";
   }
   return "?";
+}
+
+const char* rung_name(std::size_t rung) noexcept {
+  return rung < static_cast<std::size_t>(kNumLadderLevels)
+             ? to_string(static_cast<LadderLevel>(rung))
+             : "beyond";
 }
 
 const char* to_string(HostHealth health) noexcept {
@@ -161,10 +169,9 @@ void ResilienceController::shift_ladder(sim::SimTime now, LadderLevel to,
   if (auto* ck = validate::checker(recorder_)) {
     ck->check_ladder_shift(now, level_, to, breach);
   }
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& ev = tr->emit(now, obs::EventKind::kLadderShift);
-    ev.label = std::string(to_string(level_)) + "->" + to_string(to);
-    ev.arg("from", static_cast<int>(level_))
+  if (auto* ev = obs::record(recorder_, now, EventKind::kLadderShift)) {
+    ev->label = std::string(to_string(level_)) + "->" + to_string(to);
+    ev->arg("from", static_cast<int>(level_))
         .arg("to", static_cast<int>(to))
         .arg("breach", breach ? 1 : 0);
   }
@@ -201,18 +208,14 @@ Admission ResilienceController::admit(sim::SimTime now,
   }
 
   if (verdict == Admission::kShed) {
-    ++recorder_.counts.jobs_shed;
-    if (auto* tr = obs::tracer(recorder_)) {
-      auto& ev = tr->emit(now, obs::EventKind::kJobShed);
-      ev.vm = vm;
-      ev.arg("queue", depth);
+    if (auto* ev = obs::record(recorder_, now, EventKind::kJobShed)) {
+      ev->vm = vm;
+      ev->arg("queue", depth);
     }
   } else if (verdict == Admission::kDefer) {
-    ++recorder_.counts.jobs_deferred;
-    if (auto* tr = obs::tracer(recorder_)) {
-      auto& ev = tr->emit(now, obs::EventKind::kJobDeferred);
-      ev.vm = vm;
-      ev.arg("queue", depth).arg("defers", defers_so_far + 1);
+    if (auto* ev = obs::record(recorder_, now, EventKind::kJobDeferred)) {
+      ev->vm = vm;
+      ev->arg("queue", depth).arg("defers", defers_so_far + 1);
     }
   }
   return verdict;
@@ -245,11 +248,9 @@ void ResilienceController::open_breaker(sim::SimTime now, datacenter::HostId h,
   b.opened_at = now;
   b.open_streak = 1;
   b.probe_inflight = false;
-  ++recorder_.counts.breaker_opens;
-  if (auto* tr = obs::tracer(recorder_)) {
-    auto& ev = tr->emit(now, obs::EventKind::kBreakerOpen);
-    ev.host = h;
-    ev.arg("failures", b.consecutive_failures);
+  if (auto* ev = obs::record(recorder_, now, EventKind::kBreakerOpen)) {
+    ev->host = h;
+    ev->arg("failures", b.consecutive_failures);
   }
 }
 
@@ -263,9 +264,8 @@ void ResilienceController::note_op_start(datacenter::HostId h,
   if (b.state == HostHealth::kSuspect && !b.probe_inflight &&
       now - b.opened_at >= config_.breakers.probe_after_s) {
     b.probe_inflight = true;
-    ++recorder_.counts.breaker_probes;
-    if (auto* tr = obs::tracer(recorder_)) {
-      tr->emit(now, obs::EventKind::kBreakerProbe).host = h;
+    if (auto* ev = obs::record(recorder_, now, EventKind::kBreakerProbe)) {
+      ev->host = h;
     }
   }
 }
@@ -283,9 +283,8 @@ void ResilienceController::note_op_success(datacenter::HostId h,
     if (b.state == HostHealth::kSuspect) {
       set_health(now, h, HostHealth::kHealthy);
       b.open_streak = 0;
-      ++recorder_.counts.breaker_closes;
-      if (auto* tr = obs::tracer(recorder_)) {
-        tr->emit(now, obs::EventKind::kBreakerClose).host = h;
+      if (auto* ev = obs::record(recorder_, now, EventKind::kBreakerClose)) {
+        ev->host = h;
       }
     }
   }
@@ -305,18 +304,15 @@ void ResilienceController::note_op_failure(datacenter::HostId h,
     if (b.state == HostHealth::kSuspect) {
       b.opened_at = now;
       ++b.open_streak;
-      ++recorder_.counts.breaker_opens;
-      if (auto* tr = obs::tracer(recorder_)) {
-        auto& ev = tr->emit(now, obs::EventKind::kBreakerOpen);
-        ev.host = h;
-        ev.arg("failures", b.consecutive_failures + 1).arg("reopen", 1);
+      if (auto* ev = obs::record(recorder_, now, EventKind::kBreakerOpen)) {
+        ev->host = h;
+        ev->arg("failures", b.consecutive_failures + 1).arg("reopen", 1);
       }
       if (config_.breakers.dead_after > 0 &&
           b.open_streak >= config_.breakers.dead_after) {
         set_health(now, h, HostHealth::kDead);
-        ++recorder_.counts.breaker_deaths;
-        if (auto* tr = obs::tracer(recorder_)) {
-          tr->emit(now, obs::EventKind::kHostDead).host = h;
+        if (auto* ev = obs::record(recorder_, now, EventKind::kHostDead)) {
+          ev->host = h;
         }
       }
       return;

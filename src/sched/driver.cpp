@@ -16,6 +16,7 @@ namespace easched::sched {
 using datacenter::HostId;
 using datacenter::VmId;
 using datacenter::VmState;
+using obs::EventKind;
 
 // ---- Policy default power hooks -------------------------------------------
 
@@ -185,10 +186,10 @@ VmId SchedulerDriver::submit_job_now(const workload::Job& job) {
 
 VmId SchedulerDriver::enqueue_job(const workload::Job& job) {
   const VmId v = dc_.admit_job(job);
-  if (auto* tr = obs::tracer(dc_.recorder())) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kJobArrival);
-    e.vm = v;
-    e.arg("cpu_pct", job.cpu_pct).arg("mem_mb", job.mem_mb);
+  if (auto* e = obs::record(dc_.recorder(), sim_.now(),
+                            EventKind::kJobArrival)) {
+    e->vm = v;
+    e->arg("cpu_pct", job.cpu_pct).arg("mem_mb", job.mem_mb);
   }
   boosted_.resize(std::max<std::size_t>(boosted_.size(), v + 1), false);
   queue_.push_back(v);
@@ -304,12 +305,11 @@ void SchedulerDriver::round() {
     obs::PhaseProfiler::Scope scope(prof, obs::Phase::kPower);
     power_.update(ctx, dc_, policy_);
   }
-  if (auto* tr = obs::tracer(dc_.recorder())) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kRound);
-    e.arg("queue", static_cast<double>(queue_.size()))
+  if (auto* e = obs::record(dc_.recorder(), sim_.now(), EventKind::kRound)) {
+    e->arg("queue", static_cast<double>(queue_.size()))
         .arg("eligible", static_cast<double>(view->size()))
         .arg("actions", static_cast<double>(applied));
-    if (prof != nullptr) e.arg("wall_round_ms", round_scope.elapsed_ms());
+    if (prof != nullptr) e->arg("wall_round_ms", round_scope.elapsed_ms());
   }
   // Close the watchdog window: the controller judges this round's solver
   // effort and walks the degradation ladder before the next round begins.
@@ -353,11 +353,9 @@ void SchedulerDriver::schedule_retry(VmId v, bool track_recovery) {
   if (std::find(backoff_.begin(), backoff_.end(), v) == backoff_.end()) {
     backoff_.push_back(v);
   }
-  ++dc_.recorder().counts.retries;
-  if (auto* tr = obs::tracer(dc_.recorder())) {
-    auto& e = tr->emit(sim_.now(), obs::EventKind::kRetry);
-    e.vm = v;
-    e.arg("attempt", static_cast<double>(r.attempts)).arg("delay_s", delay);
+  if (auto* e = obs::record(dc_.recorder(), sim_.now(), EventKind::kRetry)) {
+    e->vm = v;
+    e->arg("attempt", static_cast<double>(r.attempts)).arg("delay_s", delay);
   }
   sim_.after(delay, [this] { round(); });
 }
@@ -446,9 +444,9 @@ void SchedulerDriver::sla_scan() {
     if (projected_exec <= vm.job.deadline_seconds()) continue;
 
     at_risk_found = true;
-    ++dc_.recorder().counts.sla_alarms;
-    if (auto* tr = obs::tracer(dc_.recorder())) {
-      tr->emit(sim_.now(), obs::EventKind::kSlaAlarm).vm = v;
+    if (auto* e = obs::record(dc_.recorder(), sim_.now(),
+                              EventKind::kSlaAlarm)) {
+      e->vm = v;
     }
     if (config_.dynamic_sla_boost && !boosted_[v]) {
       // Give the VM the priority it needs to catch up (III-A.5): a higher
