@@ -226,5 +226,36 @@ TEST(FaultTrace, EveryFaultIsTracedOnce) {
   }
 }
 
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The chaos run's byte-deterministic trace, pinned. It injects both a
+/// failure and a hang on each of the five ops, so the pin covers every
+/// actuator's failure and deadline path: a change to how an operation
+/// starts, completes, fails or times out moves it. Move the pin only in a
+/// change that says why.
+TEST(FaultTrace, ChaosTraceIsPinned) {
+  const auto run = run_chaos();
+  std::set<std::string> injected;
+  for (const obs::TraceEvent& e : run->obs.tracer.events()) {
+    if (e.kind == EventKind::kFaultInjected) injected.insert(e.label);
+  }
+  for (std::size_t i = 0; i < kNumFaultOps; ++i) {
+    const std::string op = to_string(static_cast<FaultOp>(i));
+    EXPECT_EQ(injected.count(op + ".fail"), 1u) << op;
+    EXPECT_EQ(injected.count(op + ".hang"), 1u) << op;
+  }
+  const std::string jsonl = run->jsonl();
+  EXPECT_EQ(run->obs.tracer.size(), 36165u);
+  EXPECT_EQ(fnv1a(jsonl), 0x858726d31426b7c5ULL);
+}
+
 }  // namespace
 }  // namespace easched::faults
