@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "datacenter/op_lifecycle.hpp"
 #include "datacenter/xen_scheduler.hpp"
 #include "faults/fault_injector.hpp"
 #include "obs/obs.hpp"
@@ -21,6 +22,21 @@ namespace {
 constexpr double kEps = 1e-9;
 /// Slack tolerated when asserting a finish event hit zero remaining work.
 constexpr double kFinishSlack = 1e-3;
+
+/// Records an operation's `kind` event spanning [began, now] (unless it is
+/// kUntraced) on host `h`, scoped to `v` and the migration source `src`
+/// when they are set.
+obs::TraceEvent* record_op(metrics::Recorder& rec, EventKind kind,
+                           sim::SimTime began, sim::SimTime now, HostId h,
+                           VmId v, HostId src = kNoHost) {
+  if (kind == kUntraced) return nullptr;
+  obs::TraceEvent* e = obs::record_span(rec, began, now, kind);
+  if (e == nullptr) return nullptr;
+  if (v != kNoVm) e->vm = v;
+  e->host = h;
+  if (src != kNoHost) e->host2 = src;
+  return e;
+}
 }  // namespace
 
 Datacenter::Datacenter(sim::Simulator& simulator, DatacenterConfig config,
@@ -302,33 +318,8 @@ void Datacenter::reallocate_io(HostId h) {
     const Operation::Kind kind = op.kind;
     const VmId v = op.vm;
     op.event = sim_.repost(op.event, posted, op.ends, [this, h, kind, v] {
-      complete_operation(h, kind, v);
+      end_op(h, kind, v, /*deadline=*/false);
     });
-  }
-}
-
-void Datacenter::complete_operation(HostId h, Operation::Kind kind, VmId v) {
-  // An operation with an injected failure runs its (shortened) course and
-  // then takes the failure path — a migration that dies at switchover, a
-  // creation that fails its health check.
-  if (const Operation* op = find_op(hosts_[h], kind, v);
-      op != nullptr && op->injected_fail) {
-    fail_operation(h, kind, v, /*timed_out=*/false);
-    return;
-  }
-  switch (kind) {
-    case Operation::Kind::kCreate:
-      complete_creation(h, v);
-      break;
-    case Operation::Kind::kMigrateIn:
-      complete_migration(vm(v).migration_source, h, v);
-      break;
-    case Operation::Kind::kCheckpoint:
-      complete_checkpoint(h, v);
-      break;
-    case Operation::Kind::kMigrateOut:
-      EA_ASSERT(false);  // passive leg never schedules an event
-      break;
   }
 }
 
@@ -456,14 +447,6 @@ void Datacenter::remove_op(Host& h, Operation::Kind kind, VmId v) {
   h.ops.erase(it);
 }
 
-Operation* Datacenter::find_op(Host& h, Operation::Kind kind, VmId v) {
-  const auto it =
-      std::find_if(h.ops.begin(), h.ops.end(), [&](const Operation& op) {
-        return op.kind == kind && op.vm == v;
-      });
-  return it == h.ops.end() ? nullptr : &*it;
-}
-
 void Datacenter::place(VmId v, HostId h) {
   Vm& m = vm_mut(v);
   Host& host = host_mut(h);
@@ -475,53 +458,8 @@ void Datacenter::place(VmId v, HostId h) {
   m.host = h;
   m.cpu_demand_pct = m.job.cpu_pct;
   host.residents.push_back(v);
-
-  Operation op;
-  op.kind = Operation::Kind::kCreate;
-  op.vm = v;
-  op.overhead_cpu_pct = config_.creation_overhead_cpu_pct;
-  op.started = sim_.now();
-  op.last_update = sim_.now();
-  op.work_s = draw_duration(host.spec.creation_cost_s);
-  apply_injection(op, faults::FaultOp::kCreate, h);
-  host.ops.push_back(op);
-  arm_op_deadline(h, host.spec.creation_cost_s);
-  if (auto* rc = resilience::controller(recorder_)) {
-    rc->note_op_start(h, sim_.now());
-  }
-  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kCreateStart)) {
-    e->vm = v;
-    e->host = h;
-  }
-
-  reallocate_io(h);
-  reallocate(h);
-  update_node_counters();
-}
-
-void Datacenter::complete_creation(HostId h, VmId v) {
-  Vm& m = vm_mut(v);
-  Host& host = host_mut(h);
-  EA_ASSERT(m.state == VmState::kCreating && m.host == h);
-  const Operation* op = find_op(host, Operation::Kind::kCreate, v);
-  if (auto* e = obs::record_span(recorder_,
-                                 op != nullptr ? op->started : sim_.now(),
-                                 sim_.now(), EventKind::kVmReady)) {
-    e->vm = v;
-    e->host = h;
-  }
-  // Do not cancel our own (already fired) event: remove_op cancels a
-  // kNoEvent-safe handle because cancel() ignores fired events.
-  remove_op(host, Operation::Kind::kCreate, v);
-  m.state = VmState::kRunning;
-  m.last_progress_update = sim_.now();
-  if (auto* rc = resilience::controller(recorder_)) {
-    rc->note_op_success(h, sim_.now());
-  }
-  reallocate_io(h);
-  reallocate(h);
-  update_node_counters();
-  if (on_vm_ready) on_vm_ready(v);
+  start_op(op_row(faults::FaultOp::kCreate), v, h,
+           config_.creation_overhead_cpu_pct);
 }
 
 void Datacenter::migrate(VmId v, HostId to) {
@@ -532,81 +470,21 @@ void Datacenter::migrate(VmId v, HostId to) {
   EA_EXPECTS(m.host != to);
   EA_EXPECTS(fits_memory(to, v));
   const HostId from = m.host;
-  Host& src = host_mut(from);
 
   // Freeze execution on the source for the duration of the transfer.
   integrate_progress(m);
   m.progress_rate = 0;
   sim_.cancel(m.finish_event);
   m.finish_event = sim::kNoEvent;
-  remove_resident(src, v);
+  remove_resident(host_mut(from), v);
 
   m.state = VmState::kMigrating;
   m.migration_source = from;
   m.host = to;
-  dst.residents.push_back(v);
-
-  const double duration = draw_duration(dst.spec.migration_cost_s);
-  Operation out_op;
-  out_op.kind = Operation::Kind::kMigrateOut;
-  out_op.vm = v;
-  out_op.overhead_cpu_pct = config_.migration_overhead_cpu_pct;
-  out_op.started = sim_.now();
-  out_op.last_update = sim_.now();
-  out_op.work_s = duration;
-  out_op.ends = sim_.now() + duration;  // paced by the receiver in reality
-  src.ops.push_back(out_op);
-
-  Operation in_op = out_op;
-  in_op.kind = Operation::Kind::kMigrateIn;
-  // Injection is attributed to the destination: it paces the transfer, so
-  // a lemon destination makes migrations into it flaky. Only the active
-  // (in) leg carries the flags; the passive out leg just burns dom0 CPU.
-  apply_injection(in_op, faults::FaultOp::kMigrate, to);
-  dst.ops.push_back(in_op);
-  arm_op_deadline(to, dst.spec.migration_cost_s);
-
   ++m.migrations;
-  if (auto* rc = resilience::controller(recorder_)) {
-    rc->note_op_start(to, sim_.now());
-  }
-  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kMigrateStart)) {
-    e->vm = v;
-    e->host = to;
-    e->host2 = from;
-  }
-
-  reallocate_io(to);
-  reallocate(from);
-  reallocate(to);
-  update_node_counters();
-}
-
-void Datacenter::complete_migration(HostId from, HostId to, VmId v) {
-  Vm& m = vm_mut(v);
-  EA_ASSERT(m.state == VmState::kMigrating && m.host == to &&
-            m.migration_source == from);
-  const Operation* op = find_op(host_mut(to), Operation::Kind::kMigrateIn, v);
-  if (auto* e = obs::record_span(recorder_,
-                                 op != nullptr ? op->started : sim_.now(),
-                                 sim_.now(), EventKind::kMigrateDone)) {
-    e->vm = v;
-    e->host = to;
-    e->host2 = from;
-  }
-  remove_op(host_mut(from), Operation::Kind::kMigrateOut, v);
-  remove_op(host_mut(to), Operation::Kind::kMigrateIn, v);
-  m.state = VmState::kRunning;
-  m.migration_source = kNoHost;
-  m.last_progress_update = sim_.now();
-  if (auto* rc = resilience::controller(recorder_)) {
-    rc->note_op_success(to, sim_.now());
-  }
-  reallocate_io(to);
-  reallocate(from);
-  reallocate(to);
-  update_node_counters();
-  if (on_migration_done) on_migration_done(v);
+  dst.residents.push_back(v);
+  start_op(op_row(faults::FaultOp::kMigrate), v, to,
+           config_.migration_overhead_cpu_pct, from);
 }
 
 void Datacenter::finish_vm(VmId v) {
@@ -651,37 +529,12 @@ void Datacenter::maybe_checkpoint(Vm& v) {
     integrate_progress(v);
     if (!config_.checkpoint.due(v.work_done_s, v.work_checkpointed_s)) return;
   }
-  Host& host = host_mut(v.host);
   // Skip when a checkpoint of this VM is already in flight.
-  for (const auto& op : host.ops) {
+  for (const auto& op : hosts_[v.host].ops) {
     if (op.kind == Operation::Kind::kCheckpoint && op.vm == v.id) return;
   }
-  Operation op;
-  op.kind = Operation::Kind::kCheckpoint;
-  op.vm = v.id;
-  op.overhead_cpu_pct = config_.checkpoint.overhead_cpu_pct;
-  op.started = sim_.now();
-  op.last_update = sim_.now();
-  op.work_s = config_.checkpoint.duration_s;
-  apply_injection(op, faults::FaultOp::kCheckpoint, v.host);
-  host.ops.push_back(op);
-  arm_op_deadline(v.host, config_.checkpoint.duration_s);
-  reallocate_io(v.host);
-  reallocate(v.host);
-  update_node_counters();
-}
-
-void Datacenter::complete_checkpoint(HostId h, VmId v) {
-  Vm& m = vm_mut(v);
-  remove_op(host_mut(h), Operation::Kind::kCheckpoint, v);
-  if (m.state == VmState::kRunning && m.host == h) {
-    integrate_progress(m);
-    m.work_checkpointed_s = m.work_done_s;
-    ++recorder_.counts.checkpoints;
-  }
-  reallocate_io(h);
-  reallocate(h);
-  update_node_counters();
+  start_op(op_row(faults::FaultOp::kCheckpoint), v.id, v.host,
+           config_.checkpoint.overhead_cpu_pct);
 }
 
 void Datacenter::set_maintenance(HostId h, bool on) {
@@ -694,62 +547,22 @@ void Datacenter::power_on(HostId h) {
   EA_EXPECTS(host.state == HostState::kOff);
   set_host_state(host, HostState::kBooting);
   update_power(host);
-  const sim::SimTime boot_began = sim_.now();
-  if (auto* e = obs::record(recorder_, boot_began, EventKind::kPowerOn)) {
-    e->host = h;
-  }
-
-  double boot_s = host.spec.boot_time_s;
-  bool boot_will_fail = false;
-  bool boot_hangs = false;
+  const OpRow& row = op_row(faults::FaultOp::kPowerOn);
+  begin_op(row, h, kNoVm);
+  const double mean_s = host.spec.*row.mean_s;
+  const Injected in = inject(row.op, h, kNoVm, mean_s);
   if (config_.fault_injector != nullptr) {
-    const faults::FaultOutcome out =
-        inject_fault(faults::FaultOp::kPowerOn, h, kNoVm);
-    switch (out.kind) {
-      case faults::FaultOutcome::Kind::kNone:
-        break;
-      case faults::FaultOutcome::Kind::kFail:
-        // Boot runs part way and dies (kernel panic, POST failure).
-        boot_s = std::max(1.0, boot_s * out.fail_fraction);
-        boot_will_fail = true;
-        break;
-      case faults::FaultOutcome::Kind::kHang:
-        boot_hangs = true;  // only the boot deadline ends this
-        break;
-      case faults::FaultOutcome::Kind::kSlow:
-        boot_s *= out.slow_factor;
-        break;
-    }
     // Failed-to-start watchdog: a host not On by the deadline is declared
     // boot-failed and returned to Off.
     const double deadline_s =
-        config_.fault_injector->plan().op_timeout_factor *
-        host.spec.boot_time_s;
-    host.boot_deadline_event =
-        sim_.after(deadline_s, [this, h] { boot_failed(h); });
-  }
-  if (!boot_hangs) {
-    host.transition_event =
-        sim_.after(boot_s, [this, h, boot_will_fail, boot_began] {
-      Host& hh = host_mut(h);
-      hh.transition_event = sim::kNoEvent;
-      if (boot_will_fail) {
-        boot_failed(h);
-        return;
-      }
-      sim_.cancel(hh.boot_deadline_event);
-      hh.boot_deadline_event = sim::kNoEvent;
-      set_host_state(hh, HostState::kOn);
-      update_power(hh);
-      if (auto* e = obs::record_span(recorder_, boot_began, sim_.now(),
-                                     EventKind::kHostOnline)) {
-        e->host = h;
-      }
-      if (config_.inject_failures) schedule_failure(h);
-      update_node_counters();
-      if (on_host_online) on_host_online(h);
+        config_.fault_injector->plan().op_timeout_factor * mean_s;
+    host.boot_deadline_event = sim_.after(deadline_s, [this, h] {
+      fail_op(op_row(faults::FaultOp::kPowerOn), h, kNoVm,
+              /*timed_out=*/false);
     });
   }
+  // Only the boot deadline ends a hung boot.
+  if (!in.hangs) end_transition_after(row, h, in.duration_s, in.fails);
   update_node_counters();
 }
 
@@ -759,66 +572,17 @@ void Datacenter::power_off(HostId h) {
   cancel_failure(h);
   set_host_state(host, HostState::kShuttingDown);
   update_power(host);
-  const sim::SimTime shutdown_began = sim_.now();
-  if (auto* e = obs::record(recorder_, shutdown_began, EventKind::kPowerOff)) {
-    e->host = h;
+  const OpRow& row = op_row(faults::FaultOp::kPowerOff);
+  begin_op(row, h, kNoVm);
+  const double mean_s = host.spec.*row.mean_s;
+  Injected in = inject(row.op, h, kNoVm, mean_s);
+  if (in.hangs) {
+    // A wedged shutdown lingers until the timeout, then is abandoned with
+    // the host still up.
+    in.fails = true;
+    in.duration_s = config_.fault_injector->plan().op_timeout_factor * mean_s;
   }
-
-  double shutdown_s = host.spec.shutdown_time_s;
-  bool off_fails = false;
-  if (config_.fault_injector != nullptr) {
-    const faults::FaultOutcome out =
-        inject_fault(faults::FaultOp::kPowerOff, h, kNoVm);
-    switch (out.kind) {
-      case faults::FaultOutcome::Kind::kNone:
-        break;
-      case faults::FaultOutcome::Kind::kFail:
-        shutdown_s = std::max(1.0, shutdown_s * out.fail_fraction);
-        off_fails = true;
-        break;
-      case faults::FaultOutcome::Kind::kHang:
-        // A wedged shutdown lingers until the timeout, then is abandoned
-        // with the host still up.
-        off_fails = true;
-        shutdown_s =
-            config_.fault_injector->plan().op_timeout_factor * shutdown_s;
-        break;
-      case faults::FaultOutcome::Kind::kSlow:
-        shutdown_s *= out.slow_factor;
-        break;
-    }
-  }
-  host.transition_event =
-      sim_.after(shutdown_s, [this, h, off_fails, shutdown_began] {
-    Host& hh = host_mut(h);
-    hh.transition_event = sim::kNoEvent;
-    if (off_fails) {
-      // Shutdown failed: the host is still drawing power and reports back
-      // online so the power controller can fold it into future decisions.
-      set_host_state(hh, HostState::kOn);
-      update_power(hh);
-      if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kOpFailed)) {
-        e->host = h;
-        e->label = faults::to_string(faults::FaultOp::kPowerOff);
-      }
-      note_host_fault(h);
-      if (config_.inject_failures) schedule_failure(h);
-      update_node_counters();
-      if (on_operation_failed)
-        on_operation_failed(faults::FaultOp::kPowerOff, kNoVm, h,
-                            /*timed_out=*/false);
-      if (on_host_online) on_host_online(h);
-      return;
-    }
-    set_host_state(hh, HostState::kOff);
-    update_power(hh);
-    if (auto* e = obs::record_span(recorder_, shutdown_began, sim_.now(),
-                                   EventKind::kHostOff)) {
-      e->host = h;
-    }
-    update_node_counters();
-    if (on_host_off) on_host_off(h);
-  });
+  end_transition_after(row, h, in.duration_s, in.fails);
   update_node_counters();
 }
 
@@ -1000,10 +764,12 @@ void Datacenter::drain_fleet_dirty(std::vector<HostId>& out) const {
 
 // ---- fault-injection & recovery internals ---------------------------------
 
-faults::FaultOutcome Datacenter::inject_fault(faults::FaultOp fop, HostId h,
-                                              VmId v) {
+Datacenter::Injected Datacenter::inject(faults::FaultOp fop, HostId h, VmId v,
+                                        double duration_s) {
+  Injected in{duration_s};
+  if (config_.fault_injector == nullptr) return in;
   const faults::FaultOutcome out = config_.fault_injector->decide(fop, h);
-  if (!out.injected()) return out;
+  if (!out.injected()) return in;
   if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kFaultInjected)) {
     if (v != kNoVm) e->vm = v;
     e->host = h;
@@ -1016,161 +782,249 @@ faults::FaultOutcome Datacenter::inject_fault(faults::FaultOp fop, HostId h,
       e->arg("slow_factor", out.slow_factor);
     }
   }
-  return out;
-}
-
-void Datacenter::apply_injection(Operation& op, faults::FaultOp fop,
-                                 HostId h) {
-  if (config_.fault_injector == nullptr) return;
-  const faults::FaultOutcome out = inject_fault(fop, h, op.vm);
   switch (out.kind) {
     case faults::FaultOutcome::Kind::kNone:
       break;
     case faults::FaultOutcome::Kind::kFail:
       // The operation runs part of its course and then dies (a migration
-      // failing at switchover, a creation flunking its health check):
-      // shorten the work and take the failure path at completion.
-      op.work_s = std::max(1.0, op.work_s * out.fail_fraction);
-      op.injected_fail = true;
+      // failing at switchover, a creation flunking its health check, a
+      // kernel panic mid-boot) and takes the failure path at its end.
+      in.duration_s = std::max(1.0, duration_s * out.fail_fraction);
+      in.fails = true;
       break;
     case faults::FaultOutcome::Kind::kHang:
-      op.hung = true;
+      in.hangs = true;
       break;
     case faults::FaultOutcome::Kind::kSlow:
-      op.work_s *= out.slow_factor;
+      in.duration_s *= out.slow_factor;
       break;
   }
+  return in;
 }
 
-void Datacenter::arm_op_deadline(HostId h, double mean_s) {
-  if (config_.fault_injector == nullptr) return;
+void Datacenter::begin_op(const OpRow& row, HostId h, VmId v, HostId src) {
+  if (auto* rc = resilience::controller(recorder_);
+      rc != nullptr && row.breaker.start) {
+    rc->note_op_start(h, sim_.now());
+  }
+  record_op(recorder_, row.start, sim_.now(), sim_.now(), h, v, src);
+}
+
+void Datacenter::start_op(const OpRow& row, VmId v, HostId h,
+                          double overhead_cpu_pct, HostId src) {
   Host& host = hosts_[h];
-  Operation& op = host.ops.back();
-  const double deadline_s =
-      config_.fault_injector->plan().op_timeout_factor * mean_s;
-  const Operation::Kind kind = op.kind;
-  const VmId v = op.vm;
-  op.deadline_event = sim_.after(
-      deadline_s, [this, h, kind, v] { op_deadline_expired(h, kind, v); });
-  // A hung operation never completes; its projected end — which feeds the
-  // Pconc concurrency penalty — is the abort deadline.
-  if (op.hung) op.ends = sim_.now() + deadline_s;
+  const double mean_s = row.mean_s != nullptr ? host.spec.*row.mean_s
+                                              : config_.checkpoint.duration_s;
+  Operation op;
+  op.kind = *row.leg;
+  op.vm = v;
+  op.overhead_cpu_pct = overhead_cpu_pct;
+  op.started = sim_.now();
+  op.last_update = sim_.now();
+  op.work_s = row.drawn ? draw_duration(mean_s) : mean_s;
+  if (src != kNoHost) {
+    // The passive out-leg burns dom0 CPU on the source until the transfer
+    // ends (paced by the receiver in reality). Injection is attributed to
+    // the destination: a lemon destination makes migrations into it flaky.
+    Operation out = op;
+    out.kind = Operation::Kind::kMigrateOut;
+    out.ends = sim_.now() + op.work_s;
+    hosts_[src].ops.push_back(out);
+  }
+  const Injected in = inject(row.op, h, v, op.work_s);
+  op.work_s = in.duration_s;
+  op.injected_fail = in.fails;
+  op.hung = in.hangs;
+  if (config_.fault_injector != nullptr) {
+    // Abort-at-timeout watchdog.
+    const double deadline_s =
+        config_.fault_injector->plan().op_timeout_factor * mean_s;
+    const Operation::Kind leg = op.kind;
+    op.deadline_event = sim_.after(deadline_s, [this, h, leg, v] {
+      end_op(h, leg, v, /*deadline=*/true);
+    });
+    // A hung operation never completes; its projected end — which feeds
+    // the Pconc concurrency penalty — is the abort deadline.
+    if (op.hung) op.ends = sim_.now() + deadline_s;
+  }
+  host.ops.push_back(op);
+  begin_op(row, h, v, src);
+  reallocate_io(h);
+  if (src != kNoHost) reallocate(src);
+  reallocate(h);
+  update_node_counters();
 }
 
-void Datacenter::op_deadline_expired(HostId h, Operation::Kind kind, VmId v) {
-  Operation* op = find_op(hosts_[h], kind, v);
-  if (op == nullptr) return;  // completed in the same timestamp
-  op->deadline_event = sim::kNoEvent;
-  fail_operation(h, kind, v, /*timed_out=*/true);
+void Datacenter::end_op(HostId h, Operation::Kind leg, VmId v,
+                        bool deadline) {
+  std::vector<Operation>& ops = hosts_[h].ops;
+  const auto it = std::find_if(ops.begin(), ops.end(), [&](const Operation& op) {
+    return op.kind == leg && op.vm == v;
+  });
+  EA_ASSERT(it != ops.end());
+  const sim::SimTime started = it->started;
+  const bool fails = deadline || it->injected_fail;
+  sim_.cancel(it->event);
+  sim_.cancel(it->deadline_event);
+  ops.erase(it);
+  if (fails) {
+    fail_op(op_row(leg), h, v, /*timed_out=*/deadline);
+  } else {
+    finish_op(op_row(leg), h, v, started);
+  }
 }
 
-void Datacenter::fail_operation(HostId h, Operation::Kind kind, VmId v,
-                                bool timed_out) {
-  // The passive migrate-out leg carries no injection flags.
-  EA_ASSERT(kind != Operation::Kind::kMigrateOut);
-  const faults::FaultOp fop =
-      kind == Operation::Kind::kCreate      ? faults::FaultOp::kCreate
-      : kind == Operation::Kind::kMigrateIn ? faults::FaultOp::kMigrate
-                                            : faults::FaultOp::kCheckpoint;
+void Datacenter::end_transition_after(const OpRow& row, HostId h,
+                                      double duration_s, bool fails) {
+  const sim::SimTime began = sim_.now();
+  hosts_[h].transition_event =
+      sim_.after(duration_s, [this, &row, h, fails, began] {
+        hosts_[h].transition_event = sim::kNoEvent;
+        if (fails) {
+          fail_op(row, h, kNoVm, /*timed_out=*/false);
+        } else {
+          finish_op(row, h, kNoVm, began);
+        }
+      });
+}
+
+void Datacenter::finish_op(const OpRow& row, HostId h, VmId v,
+                           sim::SimTime started) {
+  const HostId src = v != kNoVm ? vms_[v].migration_source : kNoHost;
+  record_op(recorder_, row.done, started, sim_.now(), h, v, src);
+  Host& host = hosts_[h];
+  switch (row.op) {
+    case faults::FaultOp::kCreate:
+    case faults::FaultOp::kMigrate: {
+      Vm& m = vms_[v];
+      EA_ASSERT(m.host == h && m.state == (src != kNoHost
+                                               ? VmState::kMigrating
+                                               : VmState::kCreating));
+      if (src != kNoHost) {
+        remove_op(hosts_[src], Operation::Kind::kMigrateOut, v);
+      }
+      m.state = VmState::kRunning;
+      m.migration_source = kNoHost;
+      m.last_progress_update = sim_.now();
+      reallocate_io(h);
+      if (src != kNoHost) reallocate(src);
+      reallocate(h);
+      break;
+    }
+    case faults::FaultOp::kCheckpoint: {
+      Vm& m = vms_[v];
+      if (m.state == VmState::kRunning && m.host == h) {
+        integrate_progress(m);
+        m.work_checkpointed_s = m.work_done_s;
+        ++recorder_.counts.checkpoints;
+      }
+      reallocate_io(h);
+      reallocate(h);
+      break;
+    }
+    case faults::FaultOp::kPowerOn:
+      sim_.cancel(host.boot_deadline_event);
+      host.boot_deadline_event = sim::kNoEvent;
+      set_host_state(host, HostState::kOn);
+      update_power(host);
+      if (config_.inject_failures) schedule_failure(h);
+      break;
+    case faults::FaultOp::kPowerOff:
+      set_host_state(host, HostState::kOff);
+      update_power(host);
+      break;
+  }
+  if (auto* rc = resilience::controller(recorder_);
+      rc != nullptr && row.breaker.success) {
+    rc->note_op_success(h, sim_.now());
+  }
+  update_node_counters();
+  if (row.on_done != nullptr) {
+    if (const auto& on_done = this->*row.on_done) on_done(v != kNoVm ? v : h);
+  }
+}
+
+void Datacenter::fail_op(const OpRow& row, HostId h, VmId v, bool timed_out) {
   if (timed_out) ++recorder_.counts.op_timeouts;
-  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kOpFailed)) {
-    e->vm = v;
-    e->host = h;
-    e->label = faults::to_string(fop);
-    e->arg("timeout", timed_out ? 1.0 : 0.0);
+  if (auto* e = record_op(recorder_, row.failed, sim_.now(), sim_.now(), h, v);
+      e != nullptr && row.failed == EventKind::kOpFailed) {
+    e->label = faults::to_string(row.op);
+    if (v != kNoVm) e->arg("timeout", timed_out ? 1.0 : 0.0);
   }
-  switch (kind) {
-    case Operation::Kind::kCreate:
-      fail_creation(h, v);
+  Host& host = hosts_[h];
+  switch (row.op) {
+    case faults::FaultOp::kCreate: {
+      Vm& m = vms_[v];
+      EA_ASSERT(m.state == VmState::kCreating && m.host == h);
+      remove_resident(host, v);
+      m.state = VmState::kQueued;
+      m.host = kNoHost;
+      m.progress_rate = 0;
+      m.cpu_demand_pct = m.job.cpu_pct;
+      ++m.restarts;
+      reallocate_io(h);
+      reallocate(h);
       break;
-    case Operation::Kind::kMigrateIn:
-      rollback_migration(v);
+    }
+    case faults::FaultOp::kMigrate: {
+      // The source still pins the VM's memory (via its migrate-out leg), so
+      // rollback is not a placement decision and needs no fits() check: the
+      // VM simply resumes where it was.
+      Vm& m = vms_[v];
+      const HostId src = m.migration_source;
+      EA_ASSERT(m.state == VmState::kMigrating && src != kNoHost);
+      remove_op(hosts_[src], Operation::Kind::kMigrateOut, v);
+      remove_resident(host, v);
+      hosts_[src].residents.push_back(v);
+      m.host = src;
+      m.migration_source = kNoHost;
+      m.state = VmState::kRunning;
+      m.last_progress_update = sim_.now();
+      record_op(recorder_, EventKind::kMigrateRollback, sim_.now(), sim_.now(),
+                h, v, src);
+      reallocate_io(h);
+      reallocate_io(src);
+      reallocate(h);
+      reallocate(src);
       break;
-    case Operation::Kind::kCheckpoint:
-      fail_checkpoint(h, v);
+    }
+    case faults::FaultOp::kCheckpoint:
+      // No snapshot is recorded; the previous checkpoint (if any) stays.
+      reallocate_io(h);
+      reallocate(h);
       break;
-    case Operation::Kind::kMigrateOut:
-      return;
+    case faults::FaultOp::kPowerOn:
+      EA_ASSERT(host.state == HostState::kBooting);
+      sim_.cancel(host.transition_event);
+      host.transition_event = sim::kNoEvent;
+      sim_.cancel(host.boot_deadline_event);
+      host.boot_deadline_event = sim::kNoEvent;
+      set_host_state(host, HostState::kOff);
+      host.used_cpu_pct = 0;
+      update_power(host);
+      break;
+    case faults::FaultOp::kPowerOff:
+      // The host is still drawing power and reports back online so the
+      // power controller can fold it into future decisions.
+      set_host_state(host, HostState::kOn);
+      update_power(host);
+      break;
   }
-  if (auto* rc = resilience::controller(recorder_)) {
+  if (auto* rc = resilience::controller(recorder_);
+      rc != nullptr && row.breaker.failure) {
     rc->note_op_failure(h, sim_.now());
   }
   note_host_fault(h);
-  if (on_operation_failed) on_operation_failed(fop, v, h, timed_out);
-}
-
-void Datacenter::fail_creation(HostId h, VmId v) {
-  Vm& m = vm_mut(v);
-  Host& host = host_mut(h);
-  EA_ASSERT(m.state == VmState::kCreating && m.host == h);
-  remove_op(host, Operation::Kind::kCreate, v);
-  remove_resident(host, v);
-  m.state = VmState::kQueued;
-  m.host = kNoHost;
-  m.progress_rate = 0;
-  m.cpu_demand_pct = m.job.cpu_pct;
-  ++m.restarts;
-  reallocate_io(h);
-  reallocate(h);
-  update_node_counters();
-}
-
-void Datacenter::rollback_migration(VmId v) {
-  Vm& m = vm_mut(v);
-  EA_ASSERT(m.state == VmState::kMigrating && m.migration_source != kNoHost);
-  const HostId dst = m.host;
-  const HostId src = m.migration_source;
-  remove_op(host_mut(dst), Operation::Kind::kMigrateIn, v);
-  remove_op(host_mut(src), Operation::Kind::kMigrateOut, v);
-  remove_resident(host_mut(dst), v);
-  // The source still pins the VM's memory (via its migrate-out leg), so
-  // rollback is not a placement decision and needs no fits() check: the VM
-  // simply resumes where it was.
-  host_mut(src).residents.push_back(v);
-  m.host = src;
-  m.migration_source = kNoHost;
-  m.state = VmState::kRunning;
-  m.last_progress_update = sim_.now();
-  if (auto* e = obs::record(recorder_, sim_.now(),
-                            EventKind::kMigrateRollback)) {
-    e->vm = v;
-    e->host = dst;
-    e->host2 = src;
+  if (row.op == faults::FaultOp::kPowerOff && config_.inject_failures) {
+    schedule_failure(h);
   }
-  reallocate_io(dst);
-  reallocate_io(src);
-  reallocate(dst);
-  reallocate(src);
   update_node_counters();
-}
-
-void Datacenter::fail_checkpoint(HostId h, VmId v) {
-  // No snapshot is recorded; the previous checkpoint (if any) stays valid.
-  remove_op(host_mut(h), Operation::Kind::kCheckpoint, v);
-  reallocate_io(h);
-  reallocate(h);
-  update_node_counters();
-}
-
-void Datacenter::boot_failed(HostId h) {
-  Host& host = host_mut(h);
-  EA_ASSERT(host.state == HostState::kBooting);
-  sim_.cancel(host.transition_event);
-  host.transition_event = sim::kNoEvent;
-  sim_.cancel(host.boot_deadline_event);
-  host.boot_deadline_event = sim::kNoEvent;
-  set_host_state(host, HostState::kOff);
-  host.used_cpu_pct = 0;
-  update_power(host);
-  if (auto* e = obs::record(recorder_, sim_.now(), EventKind::kBootFailed)) {
-    e->host = h;
+  if (row.failed == EventKind::kOpFailed && on_operation_failed) {
+    on_operation_failed(row.op, v, h, timed_out);
   }
-  if (auto* rc = resilience::controller(recorder_)) {
-    rc->note_op_failure(h, sim_.now());
+  if (row.on_failed != nullptr) {
+    if (const auto& on_failed = this->*row.on_failed) on_failed(h);
   }
-  note_host_fault(h);
-  update_node_counters();
-  if (on_host_boot_failed) on_host_boot_failed(h);
 }
 
 void Datacenter::note_host_fault(HostId h) {

@@ -49,6 +49,8 @@ struct FaultOutcome;
 
 namespace easched::datacenter {
 
+struct OpRow;
+
 struct DatacenterConfig {
   std::vector<HostSpec> hosts;
 
@@ -217,18 +219,20 @@ class Datacenter {
   std::function<void(VmId)> on_vm_ready;     ///< creation completed
   std::function<void(VmId)> on_vm_finished;  ///< job completed
   std::function<void(VmId)> on_migration_done;
-  std::function<void(HostId)> on_host_online;     ///< boot completed
+  /// Boot completed, or a shutdown failed and left the host On.
+  std::function<void(HostId)> on_host_online;
   std::function<void(HostId)> on_host_off;        ///< shutdown completed
   std::function<void(HostId, std::vector<VmId>)> on_host_failed;
   std::function<void(HostId)> on_host_repaired;
 
-  /// A create/migrate/checkpoint operation failed or was aborted by its
-  /// deadline (`timed_out`). For creations the VM is back in Queued; for
+  /// An operation failed or was aborted by its deadline (`timed_out`):
+  /// every op whose kOpRows row traces `op-failed` (all but boots; `v` is
+  /// kNoVm for a shutdown). For creations the VM is back in Queued; for
   /// migrations it has been rolled back to its source host. The driver
   /// schedules the backoff-delayed retry.
   std::function<void(faults::FaultOp, VmId, HostId, bool timed_out)>
       on_operation_failed;
-  std::function<void(HostId)> on_host_boot_failed;  ///< missed boot deadline
+  std::function<void(HostId)> on_host_boot_failed;  ///< boot failed
   std::function<void(HostId)> on_host_quarantined;
   std::function<void(HostId)> on_host_unquarantined;
 
@@ -274,13 +278,9 @@ class Datacenter {
   /// Integrates operation progress and recomputes the dom0 I/O-channel
   /// shares; reschedules the operations' completion events.
   void reallocate_io(HostId h);
-  void complete_operation(HostId h, Operation::Kind kind, VmId v);
   void integrate_progress(Vm& v);
   void reschedule_finish(Vm& v);
   void finish_vm(VmId v);
-  void complete_creation(HostId h, VmId v);
-  void complete_migration(HostId from, HostId to, VmId v);
-  void complete_checkpoint(HostId h, VmId v);
   void remove_resident(Host& h, VmId v);
   void remove_op(Host& h, Operation::Kind kind, VmId v);
   void update_power(Host& h);
@@ -294,30 +294,40 @@ class Datacenter {
   void maybe_checkpoint(Vm& v);
   double draw_duration(double mean_s);
 
-  // ---- fault-injection & recovery internals -------------------------------
-  /// The one injection point: draws the injector's outcome for `fop` on
-  /// host `h` and traces an injected one as a single `fault-injected`
-  /// event (VM-scoped unless `v` is kNoVm). Requires an injector.
-  faults::FaultOutcome inject_fault(faults::FaultOp fop, HostId h, VmId v);
-  /// Consults the injector for `op` on host `h` and applies the outcome to
-  /// a freshly drawn operation (shorten-and-flag for fail, hang flag,
-  /// stretched work for slow). No-op without an injector.
-  void apply_injection(Operation& op, faults::FaultOp fop, HostId h);
-  /// Arms the abort-at-timeout watchdog on the just-pushed operation
-  /// (deadline = plan.op_timeout_factor x `mean_s`). Injector-gated.
-  void arm_op_deadline(HostId h, double mean_s);
-  void op_deadline_expired(HostId h, Operation::Kind kind, VmId v);
-  /// Common failure path for create/migrate/checkpoint operations
-  /// (`timed_out` distinguishes deadline aborts from injected failures).
-  void fail_operation(HostId h, Operation::Kind kind, VmId v, bool timed_out);
-  void fail_creation(HostId h, VmId v);
-  void rollback_migration(VmId v);
-  void fail_checkpoint(HostId h, VmId v);
-  void boot_failed(HostId h);
+  // ---- the operation lifecycle (op_lifecycle.hpp) -------------------------
+  /// A fault outcome applied to an operation of a given duration.
+  struct Injected {
+    double duration_s;
+    bool fails = false;  ///< takes the failure path at its (shortened) end
+    bool hangs = false;  ///< only its deadline ends it
+  };
+  /// The one injection point: draws the injector's outcome for `op` on
+  /// host `h`, traces an injected one as a single `fault-injected` event
+  /// (VM-scoped unless `v` is kNoVm) and applies it to `duration_s`.
+  /// Without an injector the operation proceeds as drawn.
+  Injected inject(faults::FaultOp op, HostId h, VmId v, double duration_s);
+  /// The breaker's start note and the start trace, as `row` says.
+  void begin_op(const OpRow& row, HostId h, VmId v, HostId src = kNoHost);
+  /// The one start path of a VM operation on `h` (a migration's
+  /// destination; `src` is its source): draws, injects, arms the deadline,
+  /// pushes the operation and re-shares the dom0 I/O channel.
+  void start_op(const OpRow& row, VmId v, HostId h, double overhead_cpu_pct,
+                HostId src = kNoHost);
+  /// A VM operation's completion or deadline event: removes the operation
+  /// and finishes or fails it.
+  void end_op(HostId h, Operation::Kind leg, VmId v, bool deadline);
+  /// Posts a power operation's end `duration_s` from now.
+  void end_transition_after(const OpRow& row, HostId h, double duration_s,
+                            bool fails);
+  /// The one finish path: settles the operation's state, traces its span,
+  /// notes the breaker and fires the driver callback, as `row` says.
+  void finish_op(const OpRow& row, HostId h, VmId v, sim::SimTime started);
+  /// The one fail path (`timed_out`: aborted by its deadline): rolls the
+  /// operation back and charges the failure to the host.
+  void fail_op(const OpRow& row, HostId h, VmId v, bool timed_out);
   /// Charges one fault against `h`'s failure budget; quarantines the host
   /// when the budget is exceeded and schedules the cooldown.
   void note_host_fault(HostId h);
-  Operation* find_op(Host& h, Operation::Kind kind, VmId v);
 
   sim::Simulator& sim_;
   DatacenterConfig config_;

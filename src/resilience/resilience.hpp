@@ -149,16 +149,15 @@ class ResilienceController {
 
   // ---- circuit breakers -------------------------------------------------
 
-  /// A creation or migration started on `h`; consumes the half-open probe
-  /// slot when the breaker is probing. Boots, shutdowns and checkpoints do
-  /// not report their start.
+  // Which actuator operations report which outcome is each operation's
+  // `breaker` field in datacenter::kOpRows (datacenter/op_lifecycle.hpp).
+
+  /// An operation started on `h`; consumes the half-open probe slot when
+  /// the breaker is probing.
   void note_op_start(datacenter::HostId h, sim::SimTime now);
-  /// A creation or migration on `h` completed. A completed boot,
-  /// shutdown or checkpoint reports nothing.
+  /// An operation on `h` completed.
   void note_op_success(datacenter::HostId h, sim::SimTime now);
-  /// A creation, migration, checkpoint or boot on `h` failed. A failed
-  /// shutdown reports nothing here; it counts only against the
-  /// Datacenter's quarantine budget.
+  /// An operation on `h` failed or was aborted by its deadline.
   void note_op_failure(datacenter::HostId h, sim::SimTime now);
   /// Host crashed under the failure model: opens the breaker immediately.
   void note_host_crashed(datacenter::HostId h, sim::SimTime now);

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "core/score_based_policy.hpp"
+#include "datacenter/op_lifecycle.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/setup.hpp"
 #include "faults/fault_injector.hpp"
@@ -19,7 +20,11 @@
 namespace easched::faults {
 namespace {
 
+using datacenter::BreakerNotes;
+using datacenter::Datacenter;
+using datacenter::HostSpec;
 using datacenter::HostState;
+using datacenter::Operation;
 using datacenter::VmState;
 using easched::testing::chaos_experiment_plan;
 using easched::testing::chaos_workload;
@@ -280,6 +285,60 @@ TEST(FaultInjector, InertPlanInjectsNothing) {
     EXPECT_FALSE(injector.decide(FaultOp::kCreate, 0).injected());
   }
   EXPECT_EQ(injector.injected_count(), 0u);
+}
+
+// ---- the operation lifecycle table -----------------------------------------
+
+/// Each kOpRows row as the Datacenter performs that operation: its cost
+/// source, trace kinds, breaker notes and driver callbacks. A boot and a
+/// checkpoint report only their failures to the breaker, and a shutdown
+/// reports nothing; a change that fills these gaps moves the chaos_2d
+/// digest (power_on.fail with breakers) and flips them here with it.
+TEST(OpLifecycle, EveryRowKeepsItsSteps) {
+  using obs::EventKind;
+  constexpr BreakerNotes kEvery{.start = true, .success = true,
+                                .failure = true};
+  constexpr BreakerNotes kBootGap{.start = false, .success = false,
+                                  .failure = true};
+  constexpr BreakerNotes kShutdownGap{.start = false, .success = false,
+                                      .failure = false};
+  constexpr BreakerNotes kCheckpointGap{.start = false, .success = false,
+                                        .failure = true};
+  const datacenter::OpRow pinned[] = {
+      {FaultOp::kCreate, Operation::Kind::kCreate, &HostSpec::creation_cost_s,
+       true, EventKind::kCreateStart, EventKind::kVmReady,
+       EventKind::kOpFailed, kEvery, &Datacenter::on_vm_ready, nullptr},
+      {FaultOp::kMigrate, Operation::Kind::kMigrateIn,
+       &HostSpec::migration_cost_s, true, EventKind::kMigrateStart,
+       EventKind::kMigrateDone, EventKind::kOpFailed, kEvery,
+       &Datacenter::on_migration_done, nullptr},
+      {FaultOp::kPowerOn, std::nullopt, &HostSpec::boot_time_s, false,
+       EventKind::kPowerOn, EventKind::kHostOnline, EventKind::kBootFailed,
+       kBootGap, &Datacenter::on_host_online,
+       &Datacenter::on_host_boot_failed},
+      {FaultOp::kPowerOff, std::nullopt, &HostSpec::shutdown_time_s, false,
+       EventKind::kPowerOff, EventKind::kHostOff, EventKind::kOpFailed,
+       kShutdownGap, &Datacenter::on_host_off, &Datacenter::on_host_online},
+      {FaultOp::kCheckpoint, Operation::Kind::kCheckpoint, nullptr, false,
+       datacenter::kUntraced, datacenter::kUntraced, EventKind::kOpFailed,
+       kCheckpointGap, nullptr, nullptr},
+  };
+  ASSERT_EQ(std::size(datacenter::kOpRows), std::size(pinned));
+  for (const datacenter::OpRow& want : pinned) {
+    const datacenter::OpRow& row = datacenter::op_row(want.op);
+    SCOPED_TRACE(to_string(want.op));
+    EXPECT_EQ(row.op, want.op);
+    EXPECT_EQ(row.leg, want.leg);
+    EXPECT_EQ(row.mean_s, want.mean_s);
+    EXPECT_EQ(row.drawn, want.drawn);
+    EXPECT_EQ(row.start, want.start);
+    EXPECT_EQ(row.done, want.done);
+    EXPECT_EQ(row.failed, want.failed);
+    EXPECT_EQ(row.breaker, want.breaker);
+    EXPECT_EQ(row.on_done, want.on_done);
+    EXPECT_EQ(row.on_failed, want.on_failed);
+    if (want.leg) EXPECT_EQ(&datacenter::op_row(*want.leg), &row);
+  }
 }
 
 // ---- datacenter recovery semantics ------------------------------------------
