@@ -558,11 +558,11 @@ void Datacenter::power_on(HostId h) {
         config_.fault_injector->plan().op_timeout_factor * mean_s;
     host.boot_deadline_event = sim_.after(deadline_s, [this, h] {
       fail_op(op_row(faults::FaultOp::kPowerOn), h, kNoVm,
-              /*timed_out=*/false);
+              /*timed_out=*/true);
     });
   }
   // Only the boot deadline ends a hung boot.
-  if (!in.hangs) end_transition_after(row, h, in.duration_s, in.fails);
+  if (!in.hangs) end_transition_after(row, h, in);
   update_node_counters();
 }
 
@@ -578,11 +578,11 @@ void Datacenter::power_off(HostId h) {
   Injected in = inject(row.op, h, kNoVm, mean_s);
   if (in.hangs) {
     // A wedged shutdown lingers until the timeout, then is abandoned with
-    // the host still up.
+    // the host still up: a timeout.
     in.fails = true;
     in.duration_s = config_.fault_injector->plan().op_timeout_factor * mean_s;
   }
-  end_transition_after(row, h, in.duration_s, in.fails);
+  end_transition_after(row, h, in);
   update_node_counters();
 }
 
@@ -875,13 +875,13 @@ void Datacenter::end_op(HostId h, Operation::Kind leg, VmId v,
 }
 
 void Datacenter::end_transition_after(const OpRow& row, HostId h,
-                                      double duration_s, bool fails) {
+                                      const Injected& in) {
   const sim::SimTime began = sim_.now();
   hosts_[h].transition_event =
-      sim_.after(duration_s, [this, &row, h, fails, began] {
+      sim_.after(in.duration_s, [this, &row, h, in, began] {
         hosts_[h].transition_event = sim::kNoEvent;
-        if (fails) {
-          fail_op(row, h, kNoVm, /*timed_out=*/false);
+        if (in.fails) {
+          fail_op(row, h, kNoVm, /*timed_out=*/in.hangs);
         } else {
           finish_op(row, h, kNoVm, began);
         }
@@ -949,7 +949,7 @@ void Datacenter::fail_op(const OpRow& row, HostId h, VmId v, bool timed_out) {
   if (auto* e = record_op(recorder_, row.failed, sim_.now(), sim_.now(), h, v);
       e != nullptr && row.failed == EventKind::kOpFailed) {
     e->label = faults::to_string(row.op);
-    if (v != kNoVm) e->arg("timeout", timed_out ? 1.0 : 0.0);
+    e->arg("timeout", timed_out ? 1.0 : 0.0);
   }
   Host& host = hosts_[h];
   switch (row.op) {

@@ -316,9 +316,9 @@ class Datacenter {
   /// A VM operation's completion or deadline event: removes the operation
   /// and finishes or fails it.
   void end_op(HostId h, Operation::Kind leg, VmId v, bool deadline);
-  /// Posts a power operation's end `duration_s` from now.
-  void end_transition_after(const OpRow& row, HostId h, double duration_s,
-                            bool fails);
+  /// Posts a power operation's end `in.duration_s` from now; it fails
+  /// when `in.fails`, as a timeout when it hung.
+  void end_transition_after(const OpRow& row, HostId h, const Injected& in);
   /// The one finish path: settles the operation's state, traces its span,
   /// notes the breaker and fires the driver callback, as `row` says.
   void finish_op(const OpRow& row, HostId h, VmId v, sim::SimTime started);

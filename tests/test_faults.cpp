@@ -445,6 +445,54 @@ TEST(FaultedDatacenter, BootFaultMarksHostFailedToStart) {
   EXPECT_TRUE(boot_failed);
 }
 
+TEST(FaultedDatacenter, HungBootAndShutdownCountAsTimeouts) {
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.spec(FaultOp::kPowerOff).hang_prob = 1.0;
+  InjectedDc t(plan);
+  obs::Observability bundle;
+  bundle.tracer.enable();
+  t.f.recorder.obs = &bundle;
+  bool shutdown_timed_out = false;
+  t.f.dc.on_operation_failed = [&](FaultOp op, datacenter::VmId,
+                                   datacenter::HostId, bool timed_out) {
+    shutdown_timed_out = op == FaultOp::kPowerOff && timed_out;
+  };
+
+  // A wedged shutdown is abandoned at 4 x 10 s with the host still up.
+  t.f.dc.power_off(0);
+  t.f.simulator.run_until(50.0);
+  ASSERT_EQ(t.f.dc.host(0).state, HostState::kOn);
+  EXPECT_EQ(t.f.recorder.counts.op_failures, 1u);
+  EXPECT_EQ(t.f.recorder.counts.op_timeouts, 1u);
+  EXPECT_TRUE(shutdown_timed_out);
+  std::size_t failed_events = 0;
+  for (const obs::TraceEvent& e : bundle.tracer.events()) {
+    if (e.kind != obs::EventKind::kOpFailed) continue;
+    ++failed_events;
+    EXPECT_EQ(e.label, "power_off");
+    ASSERT_EQ(e.args.size(), 1u);
+    EXPECT_EQ(e.args[0].first, "timeout");
+    EXPECT_EQ(e.args[0].second, 1.0);
+  }
+  EXPECT_EQ(failed_events, 1u);
+
+  // A hung boot is declared failed at its deadline, 4 x 300 s.
+  plan.spec(FaultOp::kPowerOff).hang_prob = 0.0;
+  plan.spec(FaultOp::kPowerOn).hang_prob = 1.0;
+  InjectedDc boot(plan);
+  boot.f.dc.power_off(0);
+  boot.f.simulator.run_until(20.0);
+  ASSERT_EQ(boot.f.dc.host(0).state, HostState::kOff);
+  boot.f.dc.power_on(0);
+  boot.f.simulator.run_until(1000.0);
+  EXPECT_EQ(boot.f.dc.host(0).state, HostState::kBooting);
+  boot.f.simulator.run_until(1300.0);
+  EXPECT_EQ(boot.f.dc.host(0).state, HostState::kOff);
+  EXPECT_EQ(boot.f.recorder.counts.boot_failures, 1u);
+  EXPECT_EQ(boot.f.recorder.counts.op_timeouts, 1u);
+}
+
 TEST(FaultedDatacenter, QuarantineAfterBudgetThenCooldownRelease) {
   FaultPlan plan;
   plan.enabled = true;
