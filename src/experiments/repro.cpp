@@ -12,6 +12,7 @@ namespace easched::experiments {
 namespace {
 
 using support::at;
+using datacenter::HostSpec;
 using Dc = datacenter::DatacenterConfig;
 using Ckpt = datacenter::CheckpointPolicy;
 using Driver = sched::DriverConfig;
@@ -22,6 +23,7 @@ using Checker = validate::CheckerConfig;
 constexpr const char* kSpec = "repro bundle";
 constexpr const char* kHeader = "# easched repro bundle v2";
 constexpr const char* kJobsSeparator = "--- jobs ---";
+constexpr std::string_view kHostPrefix = "host.";
 
 bool read_hosts(RunConfig& c, std::string_view value) {
   std::vector<std::string> classes;
@@ -31,7 +33,8 @@ bool read_hosts(RunConfig& c, std::string_view value) {
   return true;
 }
 
-std::optional<std::string> write_hosts(const RunConfig& c) {
+std::optional<std::string> write_hosts(const RunConfig& c,
+                                       const RunConfig&) {
   if (c.datacenter.hosts.empty()) return std::nullopt;
   std::string out;
   for (const auto& spec : c.datacenter.hosts) out += "," + spec.klass;
@@ -43,7 +46,8 @@ bool read_faults(RunConfig& c, std::string_view value) {
   return true;
 }
 
-std::optional<std::string> write_faults(const RunConfig& c) {
+std::optional<std::string> write_faults(const RunConfig& c,
+                                        const RunConfig&) {
   if (!c.faults.enabled) return std::nullopt;
   return c.faults.to_string();
 }
@@ -53,7 +57,8 @@ bool read_resilience(RunConfig& c, std::string_view value) {
   return true;
 }
 
-std::optional<std::string> write_resilience(const RunConfig& c) {
+std::optional<std::string> write_resilience(const RunConfig& c,
+                                            const RunConfig&) {
   if (!c.resilience.enabled) return std::nullopt;
   return resilience::to_string(c.resilience);
 }
@@ -84,6 +89,42 @@ constexpr support::KeyRow<RunConfig> kRunKeys[] = {
     {"checker.max_violations",
      at<&RunConfig::validate, &V::checker, &Checker::max_violations>},
 };
+
+/// `host.<index>.<key>`, for each scalar field of a host's spec that
+/// differs from its class's nominal spec (its PowerModel is not carried).
+constexpr support::KeyRow<HostSpec> kHostKeys[] = {
+    {"cpu_capacity_pct", at<&HostSpec::cpu_capacity_pct>},
+    {"mem_mb", at<&HostSpec::mem_mb>},
+    {"creation_cost_s", at<&HostSpec::creation_cost_s>},
+    {"migration_cost_s", at<&HostSpec::migration_cost_s>},
+    {"boot_time_s", at<&HostSpec::boot_time_s>},
+    {"shutdown_time_s", at<&HostSpec::shutdown_time_s>},
+    {"dom0_io_channels", at<&HostSpec::dom0_io_channels>},
+    {"reliability", at<&HostSpec::reliability>},
+    {"arch", at<&HostSpec::arch>},
+    {"software", at<&HostSpec::software>},
+};
+
+std::string host_prefix(std::size_t i) {
+  return std::string(kHostPrefix) + support::format_value(i) + '.';
+}
+
+/// Reads a `host.<index>.<key>` key into that host's spec (after `hosts=`
+/// has sized the list); false when `key` names no such field.
+bool read_host_key(RunConfig& c, std::string_view key,
+                   std::string_view value) {
+  if (key.substr(0, kHostPrefix.size()) != kHostPrefix) return false;
+  const std::size_t dot = key.find('.', kHostPrefix.size());
+  std::size_t i = 0;
+  if (dot == std::string_view::npos ||
+      !support::parse_value(
+          key.substr(kHostPrefix.size(), dot - kHostPrefix.size()), i) ||
+      i >= c.datacenter.hosts.size()) {
+    return false;
+  }
+  return support::read_key(kHostKeys, c.datacenter.hosts[i], key, value,
+                           kSpec, key.substr(0, dot + 1));
+}
 
 constexpr support::KeyRow<ReproViolation> kViolationKeys[] = {
     {"violation", at<&ReproViolation::what>},
@@ -124,6 +165,11 @@ void write_repro_bundle(std::ostream& out, const RunConfig& config,
                         const workload::Workload& jobs) {
   std::string keys;
   support::write_keys(keys, kRunKeys, config, '\n');
+  const auto& hosts = config.datacenter.hosts;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    support::write_keys(keys, kHostKeys, hosts[i], '\n', host_prefix(i),
+                        specs_for({hosts[i].klass}).front());
+  }
   support::write_keys(keys, kViolationKeys, violation, '\n');
   out << kHeader << '\n' << keys << '\n' << kJobsSeparator << '\n';
   out.precision(std::numeric_limits<double>::max_digits10);
@@ -163,6 +209,7 @@ ReproBundle read_repro_bundle(std::istream& in) {
       const std::string_view value = std::string_view(line).substr(eq + 1);
       try {
         if (!support::read_key(kRunKeys, bundle.config, key, value, kSpec) &&
+            !read_host_key(bundle.config, key, value) &&
             !support::read_key(kViolationKeys, bundle.violation, key, value,
                                kSpec)) {
           support::unknown_key(kSpec, key);

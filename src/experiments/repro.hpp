@@ -13,10 +13,13 @@
 // Format: a `# easched repro bundle v2` line, key=value headers (one
 // support::KeyRow table over RunConfig, keys at their default left out;
 // the fault plan and resilience config as their inline specs, e.g.
-// `faults=seed=42,create.fail=0.2`), `--- jobs ---`, then one line per
-// job: <id> <submit> <dedicated_s> <cpu_pct> <mem_mb> <deadline_factor>
-// <arch> <software> <fault_tolerance> <weight>. Not carried: host specs
-// beyond their class token, the queue order, adaptive thresholds and a
+// `faults=seed=42,create.fail=0.2`; `hosts=` lists each host's class
+// token, and one KeyRow table over HostSpec adds `host.<index>.<field>`
+// for each scalar field that differs from the class's nominal spec, e.g.
+// `host.3.reliability=0.95`), `--- jobs ---`, then one line per job:
+// <id> <submit> <dedicated_s> <cpu_pct> <mem_mb> <deadline_factor> <arch>
+// <software> <fault_tolerance> <weight>. Not carried: a host's PowerModel
+// (its class's curve is used), the queue order, adaptive thresholds and a
 // custom policy instance (only its name).
 //
 // Jobs are serialised field-by-field with full precision rather than as

@@ -2,9 +2,10 @@
 // `--resilience=`, the repro bundle): a KeyRow holds a key and the field
 // it sets, through nested structs where needed. read_key() and
 // write_keys() are the one parser and printer: a value is one whole token
-// (std::from_chars; integers whole and non-negative, flags 0 or 1),
-// numbers print in shortest round-trip form (std::to_chars), so every
-// double reads back bit-equal, and a row at its default is not printed.
+// (std::from_chars; integers whole and non-negative, flags 0 or 1, enums
+// as their underlying integer), numbers print in shortest round-trip form
+// (std::to_chars), so every double reads back bit-equal, and a row at its
+// default (or at a given base object's value) is not printed.
 #pragma once
 
 #include <charconv>
@@ -24,6 +25,10 @@ template <class T>
   } else if constexpr (std::is_same_v<T, bool>) {
     if (text != "0" && text != "1") return false;
     out = text == "1";
+  } else if constexpr (std::is_enum_v<T>) {
+    std::underlying_type_t<T> v{};
+    if (!parse_value(text, v)) return false;
+    out = static_cast<T>(v);
   } else {
     T v{};
     const char* end = text.data() + text.size();
@@ -44,6 +49,8 @@ template <class T>
     return v;
   } else if constexpr (std::is_same_v<T, bool>) {
     return v ? "1" : "0";
+  } else if constexpr (std::is_enum_v<T>) {
+    return format_value(static_cast<std::underlying_type_t<T>>(v));
   } else {
     char buf[32];
     return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
@@ -66,10 +73,9 @@ struct Field {
   static bool read(C& c, std::string_view text) {
     return parse_value(text, follow<C, First, Rest...>(c));
   }
-  static std::optional<std::string> write(const C& c) {
-    static const C defaults{};
+  static std::optional<std::string> write(const C& c, const C& base) {
     const auto& v = follow<const C, First, Rest...>(c);
-    if (v == follow<const C, First, Rest...>(defaults)) return std::nullopt;
+    if (v == follow<const C, First, Rest...>(base)) return std::nullopt;
     return format_value(v);
   }
 };
@@ -81,12 +87,13 @@ template <auto... Path>
 inline constexpr detail::Field<Path...> at{};
 
 /// One key of a spec: `read` sets its field from a value (false when the
-/// value is malformed), `write` prints it (nullopt leaves the key out).
+/// value is malformed), `write` prints it (nullopt leaves the key out; a
+/// field row leaves it out when it equals `base`'s).
 template <class C>
 struct KeyRow {
   const char* key;
   bool (*read)(C&, std::string_view value);
-  std::optional<std::string> (*write)(const C&);
+  std::optional<std::string> (*write)(const C&, const C& base);
 
   template <auto... Path>
   constexpr KeyRow(const char* k, detail::Field<Path...>)
@@ -96,7 +103,7 @@ struct KeyRow {
   /// A field whose text is not one number, flag or string (a host list, a
   /// whole nested spec).
   constexpr KeyRow(const char* k, bool (*r)(C&, std::string_view),
-                   std::optional<std::string> (*w)(const C&))
+                   std::optional<std::string> (*w)(const C&, const C&))
       : key(k), read(r), write(w) {}
 };
 
@@ -136,12 +143,13 @@ bool read_key(const KeyRow<C> (&rows)[N], C& c, std::string_view key,
 }
 
 /// Appends `prefix` + key `=value`, separated by `sep`, for each row that
-/// prints (a field row: when it differs from a default-constructed `C`'s).
+/// prints (a field row: when it differs from `base`'s, by default a
+/// default-constructed `C`'s).
 template <class C, std::size_t N>
 void write_keys(std::string& out, const KeyRow<C> (&rows)[N], const C& c,
-                char sep, std::string_view prefix = {}) {
+                char sep, std::string_view prefix = {}, const C& base = C{}) {
   for (const KeyRow<C>& row : rows) {
-    if (const auto text = row.write(c)) {
+    if (const auto text = row.write(c, base)) {
       append_pair(out, std::string(prefix) + row.key, *text, sep);
     }
   }

@@ -198,6 +198,11 @@ TEST(ReproBundle, RoundTripsLosslessly) {
   config.datacenter.seed = 987654321;
   config.datacenter.hosts = experiments::specs_for(
       {"fast", "medium", "slow", "low-power"});
+  // Edited specs: a field at another class's nominal value (medium's
+  // creation cost on a fast host) must still be carried.
+  config.datacenter.hosts[0].creation_cost_s = 40;
+  config.datacenter.hosts[1].reliability = 0.95;
+  config.datacenter.hosts[3].arch = workload::Arch::kPpc64;
   config.datacenter.initially_on = 3;
   config.datacenter.inject_failures = true;
   config.datacenter.mean_repair_s = 5432.125;
@@ -242,7 +247,19 @@ TEST(ReproBundle, RoundTripsLosslessly) {
   EXPECT_EQ(c.datacenter.seed, config.datacenter.seed);
   ASSERT_EQ(c.datacenter.hosts.size(), config.datacenter.hosts.size());
   for (std::size_t i = 0; i < c.datacenter.hosts.size(); ++i) {
-    EXPECT_EQ(c.datacenter.hosts[i].klass, config.datacenter.hosts[i].klass);
+    const datacenter::HostSpec& a = config.datacenter.hosts[i];
+    const datacenter::HostSpec& b = c.datacenter.hosts[i];
+    EXPECT_EQ(b.klass, a.klass);
+    EXPECT_EQ(b.cpu_capacity_pct, a.cpu_capacity_pct);
+    EXPECT_EQ(b.mem_mb, a.mem_mb);
+    EXPECT_EQ(b.creation_cost_s, a.creation_cost_s);
+    EXPECT_EQ(b.migration_cost_s, a.migration_cost_s);
+    EXPECT_EQ(b.boot_time_s, a.boot_time_s);
+    EXPECT_EQ(b.shutdown_time_s, a.shutdown_time_s);
+    EXPECT_EQ(b.dom0_io_channels, a.dom0_io_channels);
+    EXPECT_EQ(b.reliability, a.reliability);
+    EXPECT_EQ(b.arch, a.arch);
+    EXPECT_EQ(b.software, a.software);
   }
   EXPECT_EQ(c.datacenter.initially_on, 3u);
   EXPECT_EQ(c.datacenter.inject_failures, config.datacenter.inject_failures);
@@ -309,7 +326,9 @@ TEST(ReproBundle, RejectsMalformedInput) {
        {"lambda_min=abc", "lambda_min=0.3junk", "dc_seed=-1", "dc_seed=5.5",
         "inject_failures=yes", "faults=seed=-1", "faults=migrate.fail=lots",
         "resilience=budget=1.5", "checker.max_violations=-3",
-        "no_such_key=1"}) {
+        "no_such_key=1", "hosts=fast\nhost.0.reliability=high",
+        "hosts=fast\nhost.1.reliability=0.9",
+        "hosts=fast\nhost.0.power=1", "host.0.reliability=0.9"}) {
     std::stringstream in(std::string(header) + "\n--- jobs ---\n");
     EXPECT_THROW(read_repro_bundle(in), std::runtime_error) << header;
   }
