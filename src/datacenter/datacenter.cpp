@@ -762,7 +762,7 @@ void Datacenter::drain_fleet_dirty(std::vector<HostId>& out) const {
   fleet_dirty_.clear();
 }
 
-// ---- fault-injection & recovery internals ---------------------------------
+// ---- the operation lifecycle (op_lifecycle.hpp) ---------------------------
 
 Datacenter::Injected Datacenter::inject(faults::FaultOp fop, HostId h, VmId v,
                                         double duration_s) {
@@ -858,9 +858,10 @@ void Datacenter::start_op(const OpRow& row, VmId v, HostId h,
 void Datacenter::end_op(HostId h, Operation::Kind leg, VmId v,
                         bool deadline) {
   std::vector<Operation>& ops = hosts_[h].ops;
-  const auto it = std::find_if(ops.begin(), ops.end(), [&](const Operation& op) {
-    return op.kind == leg && op.vm == v;
-  });
+  const auto it =
+      std::find_if(ops.begin(), ops.end(), [&](const Operation& op) {
+        return op.kind == leg && op.vm == v;
+      });
   EA_ASSERT(it != ops.end());
   const sim::SimTime started = it->started;
   const bool fails = deadline || it->injected_fail;

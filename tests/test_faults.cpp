@@ -337,7 +337,9 @@ TEST(OpLifecycle, EveryRowKeepsItsSteps) {
     EXPECT_EQ(row.breaker, want.breaker);
     EXPECT_EQ(row.on_done, want.on_done);
     EXPECT_EQ(row.on_failed, want.on_failed);
-    if (want.leg) EXPECT_EQ(&datacenter::op_row(*want.leg), &row);
+    if (want.leg) {
+      EXPECT_EQ(&datacenter::op_row(*want.leg), &row);
+    }
   }
 }
 
