@@ -9,8 +9,7 @@
 // does, gaps included: a boot and a checkpoint report only their failures
 // to the breaker, and a shutdown reports nothing.
 //
-// Internal to the Datacenter (and its tests): the rows name its private
-// lifecycle steps and its public driver callbacks.
+// Included only by the Datacenter's implementation and its tests.
 #pragma once
 
 #include <algorithm>
