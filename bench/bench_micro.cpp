@@ -162,7 +162,7 @@ core::HillClimbLimits policy_limits() {
   const core::ScoreBasedConfig config = core::ScoreBasedConfig::sb();
   core::HillClimbLimits limits;
   limits.max_moves = config.max_moves;
-  limits.max_migration_moves = config.max_migrations_per_round;
+  limits.max_migration_moves = core::kMaxMigrationsPerRound;
   limits.min_migration_gain = config.min_migration_gain;
   return limits;
 }

@@ -207,7 +207,7 @@ void FleetState::read_host(const Datacenter& dc, HostId h, sim::SimTime now,
   double running = 0;
   for (const VmId v : host.residents) {
     if (dc.vm(v).state == VmState::kRunning) {
-      running += dc.vm(v).cpu_demand_pct;
+      running += dc.vm(v).job.cpu_pct;
     }
   }
   snap.running_demand[h] = running;

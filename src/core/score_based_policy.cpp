@@ -133,7 +133,7 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       if (ctx.solver_budget > 0) {
         limits.max_moves = std::min(limits.max_moves, ctx.solver_budget);
       }
-      limits.max_migration_moves = config_.max_migrations_per_round;
+      limits.max_migration_moves = kMaxMigrationsPerRound;
       limits.min_migration_gain = config_.min_migration_gain;
       last_stats_ = hill_climb(model, limits);
       if (auto* rc = resilience::controller(ctx.dc.recorder())) {
@@ -154,7 +154,7 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
     if (original == model.virtual_row()) {
       actions.push_back(sched::Action::place(v, h));
       emitted = true;
-    } else if (migrations_emitted < config_.max_migrations_per_round) {
+    } else if (migrations_emitted < kMaxMigrationsPerRound) {
       // The hill climber enforces the migration budget internally; the
       // annealing plan is capped here.
       actions.push_back(sched::Action::migrate(v, h));

@@ -29,6 +29,9 @@ namespace easched::core {
 /// escape local optima; see bench_ablation_solver / bench_ablation_anneal).
 enum class MatrixSolver : std::uint8_t { kHillClimb, kAnnealing };
 
+/// Migration budget of one consolidation sweep.
+inline constexpr int kMaxMigrationsPerRound = 8;
+
 struct ScoreBasedConfig {
   ScoreParams params;
   bool migration = false;
@@ -40,7 +43,6 @@ struct ScoreBasedConfig {
   /// happen in every round.
   sim::SimTime migration_period_s = 1800;
   int max_moves = 256;            ///< Algorithm 1 iteration limit
-  int max_migrations_per_round = 8;  ///< migration budget per sweep
   /// Minimum matrix improvement a migration must bring; keeps marginal
   /// reshuffles (whose cost the matrix only approximates) from happening.
   double min_migration_gain = 35;

@@ -17,7 +17,7 @@ using datacenter::VmState;
 void ScoreModel::fill_column_common(VmCol& c, const datacenter::Vm& vm,
                                     bool is_new, sim::SimTime now) {
   c.id = vm.id;
-  c.cpu = vm.cpu_demand_pct;
+  c.cpu = vm.job.cpu_pct;
   c.mem = vm.job.mem_mb;
   c.is_new = is_new;
   c.can_move = true;

@@ -22,6 +22,9 @@ namespace {
 constexpr double kEps = 1e-9;
 /// Slack tolerated when asserting a finish event hit zero remaining work.
 constexpr double kFinishSlack = 1e-3;
+/// dom0 CPU consumed while creating a VM / per migration leg.
+constexpr double kCreationOverheadCpuPct = 100;
+constexpr double kMigrationOverheadCpuPct = 60;
 
 /// Records an operation's `kind` event spanning [began, now] (unless it is
 /// kUntraced) on host `h`, scoped to `v` and the migration source `src`
@@ -141,7 +144,7 @@ int Datacenter::quarantined_on_count() const {
 double Datacenter::reserved_cpu_pct(HostId h) const {
   const Host& host = hosts_[h];
   double cpu = 0;
-  for (VmId v : host.residents) cpu += vms_[v].cpu_demand_pct;
+  for (VmId v : host.residents) cpu += vms_[v].job.cpu_pct;
   return cpu;
 }
 
@@ -168,7 +171,7 @@ double Datacenter::occupation_if(HostId h, VmId v) const {
   double cpu = reserved_cpu_pct(h);
   double mem = reserved_mem_mb(h);
   if (m.host != h) {
-    cpu += m.state == VmState::kRunning ? m.cpu_demand_pct : m.job.cpu_pct;
+    cpu += m.job.cpu_pct;
     mem += m.job.mem_mb;
   }
   return std::max(cpu / host.spec.cpu_capacity_pct, mem / host.spec.mem_mb);
@@ -209,27 +212,6 @@ bool Datacenter::fits_memory(HostId h, VmId v) const {
   return mem <= host.spec.mem_mb + kEps;
 }
 
-double Datacenter::projected_rate(HostId h, VmId v) const {
-  const Host& host = hosts_[h];
-  const Vm& m = vms_[v];
-  const double demand_v =
-      m.state == VmState::kRunning ? m.cpu_demand_pct : m.job.cpu_pct;
-  double total = host.mgmt_demand_pct();
-  bool counted = false;
-  for (VmId r : host.residents) {
-    const Vm& rv = vms_[r];
-    if (rv.state != VmState::kRunning) continue;
-    total += rv.cpu_demand_pct;
-    if (r == v) counted = true;
-  }
-  if (!counted) total += demand_v;
-  if (total <= host.spec.cpu_capacity_pct || total <= 0) return 1.0;
-  const double over = total / host.spec.cpu_capacity_pct;
-  const double share = host.spec.cpu_capacity_pct / total;
-  const double eff = 1.0 / (1.0 + config_.contention_penalty * (over - 1.0));
-  return share * eff;
-}
-
 std::vector<VmId> Datacenter::active_vms() const {
   std::vector<VmId> out;
   out.reserve(vms_.size());
@@ -244,7 +226,6 @@ VmId Datacenter::admit_job(const workload::Job& job) {
   v.id = static_cast<VmId>(vms_.size());
   v.job = job;
   v.state = VmState::kQueued;
-  v.cpu_demand_pct = job.cpu_pct;
   v.last_progress_update = sim_.now();
   if (auto* el = obs::ledger(recorder_)) {
     el->note_vm(v.id, job.cpu_pct);
@@ -343,7 +324,7 @@ void Datacenter::reallocate(HostId h) {
   for (VmId r : host.residents) {
     const Vm& rv = vms_[r];
     if (rv.state != VmState::kRunning) continue;
-    demands.push_back({rv.cpu_demand_pct,
+    demands.push_back({rv.job.cpu_pct,
                        static_cast<double>(rv.job.weight), 0.0});
     running.push_back(r);
   }
@@ -361,7 +342,7 @@ void Datacenter::reallocate(HostId h) {
   // 3. Update rates and projected finish events.
   for (std::size_t i = 0; i < running.size(); ++i) {
     Vm& rv = vms_[running[i]];
-    const double demand = std::max(rv.cpu_demand_pct, kEps);
+    const double demand = std::max(rv.job.cpu_pct, kEps);
     rv.alloc_cpu_pct = alloc.vm_alloc_pct[i];
     rv.progress_rate = alloc.vm_alloc_pct[i] / demand * eff;
     reschedule_finish(rv);
@@ -456,10 +437,8 @@ void Datacenter::place(VmId v, HostId h) {
 
   m.state = VmState::kCreating;
   m.host = h;
-  m.cpu_demand_pct = m.job.cpu_pct;
   host.residents.push_back(v);
-  start_op(op_row(faults::FaultOp::kCreate), v, h,
-           config_.creation_overhead_cpu_pct);
+  start_op(op_row(faults::FaultOp::kCreate), v, h, kCreationOverheadCpuPct);
 }
 
 void Datacenter::migrate(VmId v, HostId to) {
@@ -483,8 +462,8 @@ void Datacenter::migrate(VmId v, HostId to) {
   m.host = to;
   ++m.migrations;
   dst.residents.push_back(v);
-  start_op(op_row(faults::FaultOp::kMigrate), v, to,
-           config_.migration_overhead_cpu_pct, from);
+  start_op(op_row(faults::FaultOp::kMigrate), v, to, kMigrationOverheadCpuPct,
+           from);
 }
 
 void Datacenter::finish_vm(VmId v) {
@@ -586,17 +565,6 @@ void Datacenter::power_off(HostId h) {
   update_node_counters();
 }
 
-void Datacenter::boost_demand(VmId v, double new_demand_pct) {
-  Vm& m = vm_mut(v);
-  if (m.state != VmState::kRunning) return;
-  Host& host = host_mut(m.host);
-  const double clamped =
-      std::clamp(new_demand_pct, m.job.cpu_pct, host.spec.cpu_capacity_pct);
-  if (clamped == m.cpu_demand_pct) return;
-  m.cpu_demand_pct = clamped;
-  reallocate(m.host);
-}
-
 void Datacenter::boost_weight(VmId v, double factor) {
   EA_EXPECTS(factor >= 1.0);
   Vm& m = vm_mut(v);
@@ -630,7 +598,6 @@ void Datacenter::requeue_lost(Vm& m) {
   m.host = kNoHost;
   m.migration_source = kNoHost;
   m.progress_rate = 0;
-  m.cpu_demand_pct = m.job.cpu_pct;
   ++m.restarts;
 }
 
@@ -961,7 +928,6 @@ void Datacenter::fail_op(const OpRow& row, HostId h, VmId v, bool timed_out) {
       m.state = VmState::kQueued;
       m.host = kNoHost;
       m.progress_rate = 0;
-      m.cpu_demand_pct = m.job.cpu_pct;
       ++m.restarts;
       reallocate_io(h);
       reallocate(h);
@@ -1029,7 +995,10 @@ void Datacenter::fail_op(const OpRow& row, HostId h, VmId v, bool timed_out) {
 }
 
 void Datacenter::note_host_fault(HostId h) {
-  const faults::QuarantinePolicy& q = config_.quarantine;
+  const faults::QuarantinePolicy q =
+      config_.fault_injector != nullptr
+          ? config_.fault_injector->plan().quarantine
+          : faults::QuarantinePolicy{};
   Host& host = host_mut(h);
   if (host.quarantined) return;
   const sim::SimTime now = sim_.now();

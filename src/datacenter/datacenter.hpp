@@ -11,11 +11,11 @@
 // running VM accrues work at
 //     rate = (allocated / demanded) * efficiency(host)
 // dedicated-seconds per second. Whenever anything on a host changes (VM
-// arrives/leaves/finishes, an operation starts/ends, a demand is boosted)
-// the host is *reallocated*: progress since the last change is integrated,
-// new CPU shares are computed via allocate_cpu(), each resident's projected
-// finish event is rescheduled, and the host's power draw is re-derived from
-// its new total CPU usage.
+// arrives/leaves/finishes, an operation starts/ends, a Xen weight is
+// boosted) the host is *reallocated*: progress since the last change is
+// integrated, new CPU shares are computed via allocate_cpu(), each
+// resident's projected finish event is rescheduled, and the host's power
+// draw is re-derived from its new total CPU usage.
 //
 // Contention. When a host is CPU-oversubscribed (only the Random and
 // Round-Robin baselines create this state; the consolidating policies
@@ -56,9 +56,6 @@ struct DatacenterConfig {
 
   /// Contention-efficiency penalty factor k (see header comment).
   double contention_penalty = 2.0;
-  /// dom0 CPU consumed while creating a VM / per migration leg.
-  double creation_overhead_cpu_pct = 100;
-  double migration_overhead_cpu_pct = 60;
   /// Operation durations are N(mean, mean * sigma_ratio) truncated at 1 s;
   /// the paper observed N(40, 2.5) for creations on the medium nodes.
   double duration_sigma_ratio = 2.5 / 40.0;
@@ -78,8 +75,6 @@ struct DatacenterConfig {
   /// owned; null disables injection entirely — no extra RNG draws, no
   /// deadline events, bit-identical traces to a build without the layer.
   faults::FaultInjector* fault_injector = nullptr;
-
-  faults::QuarantinePolicy quarantine;
 
   std::uint64_t seed = 1;
 };
@@ -138,18 +133,13 @@ class Datacenter {
   [[nodiscard]] double reserved_cpu_pct(HostId h) const;
   [[nodiscard]] double reserved_mem_mb(HostId h) const;
 
-  /// Current progress rate estimate a VM would enjoy on host `h`, assuming
-  /// its demand is added to the present residents (1.0 = full speed). Used
-  /// by the dynamic-SLA penalty to project fulfilment.
-  [[nodiscard]] double projected_rate(HostId h, VmId v) const;
-
   /// All active (non-finished) VM ids.
   [[nodiscard]] std::vector<VmId> active_vms() const;
 
   /// Cross-round dirty journal for the incremental scheduling core
   /// (core/fleet.hpp). Every mutation that can change a host's
   /// score-relevant state — a reallocation (residents, reservations,
-  /// demand, in-flight operations), a power transition, a maintenance /
+  /// in-flight operations), a power transition, a maintenance /
   /// quarantine flip, a debug mutation hook — marks the host dirty.
   /// FleetState::refresh() drains the set once per round and re-reads only
   /// those hosts instead of snapshotting the whole fleet. Marking is
@@ -183,11 +173,6 @@ class Datacenter {
   /// Maintenance (drain) mode: while set, the host accepts no placements
   /// or incoming migrations (fits()/fits_memory() return false).
   void set_maintenance(HostId h, bool on);
-
-  /// Raises a running VM's CPU demand. Clamped to the host capacity; no-op
-  /// for non-running VMs. A test hook: dynamic SLA enforcement uses
-  /// boost_weight.
-  void boost_demand(VmId v, double new_demand_pct);
 
   /// Multiplies a VM's Xen credit weight (dynamic SLA enforcement): under
   /// contention the VM's share grows toward its nominal demand without
@@ -289,7 +274,7 @@ class Datacenter {
   void cancel_failure(HostId h);
   void fail_host(HostId h);
   /// Returns a VM lost with a failed host to the queue: progress rolls back
-  /// to its last checkpoint and demand to the job's nominal CPU.
+  /// to its last checkpoint.
   void requeue_lost(Vm& m);
   void maybe_checkpoint(Vm& v);
   double draw_duration(double mean_s);

@@ -36,11 +36,6 @@ struct Vm {
   /// Source host while migrating, kNoHost otherwise.
   HostId migration_source = kNoHost;
 
-  /// CPU demand [%]; starts at job.cpu_pct. Only Datacenter::boost_demand
-  /// raises it (up to the host capacity), and no production path calls
-  /// that: dynamic SLA enforcement boosts the Xen weight instead.
-  double cpu_demand_pct = 0;
-
   /// Dedicated-machine-equivalent seconds of work completed / checkpointed.
   double work_done_s = 0;
   double work_checkpointed_s = 0;

@@ -32,9 +32,6 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   if (config.faults.enabled) {
     injector.emplace(config.faults);
     config.datacenter.fault_injector = &*injector;
-    // The plan is the single source of truth for the recovery knobs.
-    config.datacenter.quarantine = config.faults.quarantine;
-    config.driver.retry = config.faults.retry;
     // An armed breaker in the fault plan switches the resilience control
     // plane on for its circuit-breaker half even without a --resilience=
     // spec (watchdog and admission stay at their inert defaults).

@@ -40,9 +40,10 @@ struct RunConfig {
   std::unique_ptr<sched::Policy> policy_instance;
 
   /// Deterministic operation-fault injection (see faults/). When enabled
-  /// the runner owns a FaultInjector for the run's duration and copies the
-  /// plan's retry and quarantine policies into the driver and datacenter
-  /// configs. Parse from a CLI `--faults=` spec with parse_fault_plan().
+  /// the runner owns a FaultInjector for the run's duration and attaches it
+  /// to the datacenter; the datacenter and the driver read the plan's
+  /// quarantine and retry policies from it, nothing is copied. Parse from a
+  /// CLI `--faults=` spec with parse_fault_plan().
   faults::FaultPlan faults;
 
   /// Resilience control plane (see resilience/): solver deadline watchdog

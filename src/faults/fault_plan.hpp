@@ -6,7 +6,9 @@
 // plus per-host "lemon" multipliers that concentrate trouble on specific
 // machines. The plan also carries the knobs of the recovery half — the
 // operation-timeout factor and the retry, quarantine and breaker policies,
-// each declared once here and held by value by its owner's config too —
+// each declared once here. The Datacenter and the scheduler driver read
+// the quarantine and retry policies from the attached injector's plan, and
+// the experiment runner copies the breakers into the resilience config —
 // so one `--faults=<spec|file>` argument configures a whole
 // chaos-plus-recovery experiment. Each spec key is one row of a
 // support::KeyRow table in fault_plan.cpp; only `lemon=` is read by hand.
@@ -101,9 +103,13 @@ struct FaultPlan {
   /// duration of their kind (boot deadline: timeout_factor x boot_time_s).
   double op_timeout_factor = 4.0;
 
-  // ---- recovery knobs, copied by the experiment runner ----------------
+  // ---- recovery knobs -------------------------------------------------
+  /// Read by the scheduler driver after each injected failure.
   RetryPolicy retry;
+  /// Read by the Datacenter on each host fault while this plan's injector
+  /// is attached (without one, a default QuarantinePolicy applies).
   QuarantinePolicy quarantine;
+  /// Copied by the experiment runner into the resilience config.
   BreakerPolicy breakers{.threshold = 0};
 
   [[nodiscard]] const OpFaultSpec& spec(FaultOp op) const {

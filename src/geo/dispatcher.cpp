@@ -23,6 +23,10 @@ const char* to_string(DispatchPolicy policy) noexcept {
 
 namespace {
 
+/// Cadence at which watts x price are accumulated (tariffs move hourly,
+/// so minutes-scale sampling integrates them accurately).
+constexpr sim::SimTime kCostSamplePeriodS = 300;
+
 /// One fully wired site.
 struct Site {
   SiteConfig config;
@@ -113,11 +117,11 @@ GeoResult run_geo(const workload::Workload& jobs, const GeoConfig& config) {
 
   // Tariff-weighted cost integration (piecewise-constant sampling of the
   // slowly varying price/carbon curves).
-  simulator.every(config.cost_sample_period_s, [&] {
+  simulator.every(kCostSamplePeriodS, [&] {
     const sim::SimTime now = simulator.now();
     for (auto& site : sites) {
       const double kwh = site->recorder->watts.total_current() *
-                         config.cost_sample_period_s / sim::kHour / 1000.0;
+                         kCostSamplePeriodS / sim::kHour / 1000.0;
       site->cost_eur += kwh * site->config.energy.price_eur_kwh(now);
       site->carbon_g += kwh * site->config.energy.carbon_g_kwh(now);
     }

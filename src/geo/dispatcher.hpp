@@ -44,9 +44,6 @@ struct SiteConfig {
 struct GeoConfig {
   std::vector<SiteConfig> sites;
   DispatchPolicy dispatch = DispatchPolicy::kCheapestEnergy;
-  /// Cadence at which watts x price are accumulated (tariffs move hourly,
-  /// so minutes-scale sampling integrates them accurately).
-  sim::SimTime cost_sample_period_s = 300;
   sim::SimTime horizon_s = 0;  ///< safety cap; 0 = none
 };
 

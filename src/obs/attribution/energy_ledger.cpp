@@ -1,6 +1,6 @@
 #include "obs/attribution/energy_ledger.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "support/contracts.hpp"
 
@@ -138,21 +138,6 @@ std::map<std::string, double> EnergyLedger::vm_class_j() const {
     by_class[vm_class_of(vm_cpu_pct_[v])] += vm_j_[v];
   }
   return by_class;
-}
-
-std::vector<std::pair<std::size_t, double>> EnergyLedger::top_hosts(
-    std::size_t n) const {
-  std::vector<std::pair<std::size_t, double>> ranked;
-  ranked.reserve(hosts_.size());
-  for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    ranked.emplace_back(h, hosts_[h].total_j());
-  }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  if (ranked.size() > n) ranked.resize(n);
-  return ranked;
 }
 
 }  // namespace easched::obs

@@ -122,11 +122,6 @@ class EnergyLedger {
     return rung_j_;
   }
 
-  /// Hosts with the largest total joules, descending (ties by lower host
-  /// id), at most `n` entries. Pairs are (host id, joules).
-  [[nodiscard]] std::vector<std::pair<std::size_t, double>> top_hosts(
-      std::size_t n) const;
-
  private:
   struct HostSlot {
     EnergySample sample;

@@ -63,8 +63,7 @@ std::vector<sched::Action> DynamicBackfillingPolicy::schedule(
       const HostId h = working[i];
       if (!dc.hw_sw_ok(h, v)) continue;
       const auto& spec = dc.host(h).spec;
-      const double cpu = dc.reserved_cpu_pct(h) + extra_cpu[h] +
-                         dc.vm(v).cpu_demand_pct;
+      const double cpu = dc.reserved_cpu_pct(h) + extra_cpu[h] + job.cpu_pct;
       const double mem = dc.reserved_mem_mb(h) + extra_mem[h] + job.mem_mb;
       const double occ =
           std::max(cpu / spec.cpu_capacity_pct, mem / spec.mem_mb);
@@ -75,7 +74,7 @@ std::vector<sched::Action> DynamicBackfillingPolicy::schedule(
       }
     }
     if (best == datacenter::kNoHost) return actions;  // donor can't empty
-    extra_cpu[best] += dc.vm(v).cpu_demand_pct;
+    extra_cpu[best] += job.cpu_pct;
     extra_mem[best] += job.mem_mb;
     moves.push_back(sched::Action::migrate(v, best));
   }

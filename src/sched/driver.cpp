@@ -4,6 +4,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "faults/fault_injector.hpp"
 #include "obs/obs.hpp"
 #include "policies/placement_common.hpp"
 #include "resilience/resilience.hpp"
@@ -17,6 +18,13 @@ using datacenter::HostId;
 using datacenter::VmId;
 using datacenter::VmState;
 using obs::EventKind;
+
+namespace {
+/// Period of the power-controller tick (also re-runs stuck rounds).
+constexpr sim::SimTime kControllerPeriodS = 60;
+/// Dynamic SLA enforcement multiplies an at-risk VM's weight by 4 x this.
+constexpr double kBoostFactor = 1.5;
+}  // namespace
 
 // ---- Policy default power hooks -------------------------------------------
 
@@ -119,9 +127,7 @@ SchedulerDriver::SchedulerDriver(sim::Simulator& simulator,
   dc_.on_host_quarantined = [this](HostId) { round(); };  // start evacuating
   dc_.on_host_unquarantined = [this](HostId) { round(); };
 
-  if (config_.controller_period_s > 0) {
-    sim_.every(config_.controller_period_s, [this] { round(); });
-  }
+  sim_.every(kControllerPeriodS, [this] { round(); });
   if (config_.sla_check_period_s > 0 &&
       (config_.sla_alarms || config_.dynamic_sla_boost)) {
     sim_.every(config_.sla_check_period_s, [this] { sla_scan(); });
@@ -344,7 +350,8 @@ void SchedulerDriver::schedule_retry(VmId v, bool track_recovery) {
   RetryState& r = retry_state(v);
   ++r.attempts;
   if (track_recovery && r.failed_at < 0) r.failed_at = sim_.now();
-  const faults::RetryPolicy& rp = config_.retry;
+  EA_ASSERT(dc_.fault_injector() != nullptr);
+  const faults::RetryPolicy& rp = dc_.fault_injector()->plan().retry;
   const double exponential =
       rp.base_s * std::pow(2.0, static_cast<double>(r.attempts - 1));
   const double delay = std::min(rp.cap_s, exponential) *
@@ -452,7 +459,7 @@ void SchedulerDriver::sla_scan() {
       // Give the VM the priority it needs to catch up (III-A.5): a higher
       // credit weight pulls its share toward its nominal demand on
       // contended hosts; the PSLA term reconsiders its placement.
-      dc_.boost_weight(v, 4.0 * config_.boost_factor);
+      dc_.boost_weight(v, 4.0 * kBoostFactor);
       boosted_[v] = true;
     }
   }

@@ -36,22 +36,16 @@ const char* to_string(QueueOrder order) noexcept;
 struct DriverConfig {
   PowerControllerConfig power;
 
-  faults::RetryPolicy retry;
-
   QueueOrder queue_order = QueueOrder::kFifo;
-
-  /// Period of the power-controller tick (also re-runs stuck rounds).
-  sim::SimTime controller_period_s = 60;
 
   /// SLA monitor: period of the projection scan; 0 disables it entirely.
   sim::SimTime sla_check_period_s = 120;
   /// Raise scheduling rounds when a VM is projected to miss its deadline.
   bool sla_alarms = false;
   /// Dynamic SLA enforcement (section III-A.5 extension): multiply an
-  /// at-risk VM's Xen credit weight by 4 x `boost_factor` (once per VM), so
-  /// its share on a contended host grows toward its nominal demand.
+  /// at-risk VM's Xen credit weight by 4 x 1.5 (once per VM), so its share
+  /// on a contended host grows toward its nominal demand.
   bool dynamic_sla_boost = false;
-  double boost_factor = 1.5;
 
   /// Dynamic-threshold extension (section V-A future work): adapt the
   /// power controller's lambdas to the observed satisfaction.

@@ -140,23 +140,6 @@ TEST(EnergyLedger, AttributesJoulesToTheActiveRung) {
   EXPECT_DOUBLE_EQ(ledger.rung_j()[2], 1000.0);
 }
 
-TEST(EnergyLedger, TopHostsRanksDescendingWithStableTies) {
-  obs::EnergyLedger ledger;
-  ledger.enable();
-  for (std::size_t h = 0; h < 4; ++h) {
-    obs::EnergySample s;
-    s.idle_w = (h == 2) ? 100.0 : 10.0;  // host 2 burns the most
-    ledger.set_host_power(0, h, s);
-  }
-  ledger.finish(10);
-
-  const auto top = ledger.top_hosts(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].first, 2u);
-  EXPECT_DOUBLE_EQ(top[0].second, 1000.0);
-  EXPECT_EQ(top[1].first, 0u);  // tie between 0/1/3 broken by lower id
-}
-
 TEST(EnergyLedger, VmClassMapping) {
   EXPECT_STREQ(obs::vm_class_of(50), "1core");
   EXPECT_STREQ(obs::vm_class_of(100), "1core");

@@ -263,17 +263,7 @@ TEST(PowerStates, WorkingAndOnlineCounters) {
   EXPECT_EQ(f.dc.working_count(), 1);
 }
 
-// ---- demand boost -----------------------------------------------------------
-
-TEST(Boost, DemandBoostClampedToCapacity) {
-  SmallDc f(1);
-  const auto v = f.admit_and_place(make_job(300, 512, 10000), 0);
-  f.simulator.run_until(100.0);
-  f.dc.boost_demand(v, 9999.0);
-  EXPECT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, 400.0);
-  f.dc.boost_demand(v, 100.0);  // cannot go below the job requirement
-  EXPECT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, 300.0);
-}
+// ---- weight boost -----------------------------------------------------------
 
 TEST(Boost, WeightBoostShiftsShares) {
   DatacenterConfig config;
@@ -288,25 +278,16 @@ TEST(Boost, WeightBoostShiftsShares) {
   EXPECT_GT(f.dc.vm(a).progress_rate, f.dc.vm(b).progress_rate);
 }
 
-TEST(Boost, NoopOnQueuedVm) {
-  SmallDc f;
-  const auto v = f.dc.admit_job(make_job());
-  f.dc.boost_demand(v, 400.0);
-  EXPECT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, 100.0);
-}
-
 TEST(Boost, HostFailureMidMigrationRequeuesAtNominalDemand) {
   // The source dies mid-transfer: the VM is requeued from the migrate-out
-  // leg, and must come back with the job's demand, as a resident would.
+  // leg, as a resident would be. Its demand is its job's, so it needs no
+  // reset.
   SmallDc f;
   const auto v = f.admit_and_place(make_job(100, 512, 5000), 0);
   f.simulator.run_until(100.0);
-  f.dc.boost_demand(v, 300.0);
-  ASSERT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, 300.0);
   f.dc.migrate(v, 1);
   f.dc.inject_host_failure(0);
   EXPECT_EQ(f.dc.vm(v).state, VmState::kQueued);
-  EXPECT_DOUBLE_EQ(f.dc.vm(v).cpu_demand_pct, f.dc.vm(v).job.cpu_pct);
 }
 
 // ---- checkpointing ----------------------------------------------------------
@@ -332,24 +313,6 @@ TEST(Checkpointing, DisabledByDefault) {
   f.simulator.run();
   EXPECT_DOUBLE_EQ(f.dc.vm(v).work_checkpointed_s, 0.0);
   EXPECT_EQ(f.recorder.counts.checkpoints, 0u);
-}
-
-// ---- projected rate ---------------------------------------------------------
-
-TEST(ProjectedRate, FullSpeedWhenRoomy) {
-  SmallDc f;
-  const auto v = f.dc.admit_job(make_job(200));
-  EXPECT_DOUBLE_EQ(f.dc.projected_rate(0, v), 1.0);
-}
-
-TEST(ProjectedRate, DegradesUnderOversubscription) {
-  SmallDc f;
-  f.admit_and_place(make_job(400, 512, 10000), 0);
-  f.simulator.run_until(100.0);
-  const auto v = f.dc.admit_job(make_job(400));
-  const double rate = f.dc.projected_rate(0, v);
-  EXPECT_LT(rate, 0.5);  // share 0.5 x efficiency < 1
-  EXPECT_GT(rate, 0.0);
 }
 
 }  // namespace

@@ -208,11 +208,10 @@ TEST(Driver, BackoffEndsExactlyAtNotBefore) {
   faults::FaultPlan plan;
   plan.enabled = true;
   plan.spec(faults::FaultOp::kCreate).hang_prob = 1.0;
+  plan.retry = {/*base_s=*/5, /*cap_s=*/300, /*jitter=*/0};
   easched::testing::InjectedDc t(plan);
-  DriverConfig config;
-  config.retry = {/*base_s=*/5, /*cap_s=*/300, /*jitter=*/0};
   policies::BackfillingPolicy policy;
-  SchedulerDriver driver(t.f.simulator, t.f.dc, policy, config);
+  SchedulerDriver driver(t.f.simulator, t.f.dc, policy, DriverConfig{});
   driver.submit_workload(one_job(100, 500, /*submit=*/10));
   // Placed at t=10, the hung creation is aborted at its deadline 4 x 40 s
   // later, and the retry is gated until 170 + 5 = 175.

@@ -6,6 +6,7 @@
 // across runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "core/score_based_policy.hpp"
@@ -499,11 +500,10 @@ TEST(FaultedDatacenter, QuarantineAfterBudgetThenCooldownRelease) {
   FaultPlan plan;
   plan.enabled = true;
   plan.spec(FaultOp::kCreate).fail_prob = 1.0;
-  QuarantinePolicy quarantine;
-  quarantine.failure_budget = 2;
-  quarantine.window_s = 3600;
-  quarantine.cooldown_s = 100;
-  InjectedDc t(plan, 1, quarantine);
+  plan.quarantine.failure_budget = 2;
+  plan.quarantine.window_s = 3600;
+  plan.quarantine.cooldown_s = 100;
+  InjectedDc t(plan, 1);
 
   const auto v = t.f.admit_and_place(make_job(), 0);
   t.f.simulator.run_until(50.0);  // first injected creation failure
@@ -534,11 +534,10 @@ TEST(FaultedDatacenter, FaultExactlyOnWindowBoundaryOpensFreshWindow) {
   FaultPlan plan;
   plan.enabled = true;
   plan.spec(FaultOp::kCreate).hang_prob = 1.0;  // abort at exactly 4 x 40 s
-  QuarantinePolicy quarantine;
-  quarantine.failure_budget = 2;
-  quarantine.window_s = 320;  // second abort lands exactly on the boundary
-  quarantine.cooldown_s = 100;
-  InjectedDc t(plan, 1, quarantine);
+  plan.quarantine.failure_budget = 2;
+  plan.quarantine.window_s = 320;  // second abort lands exactly on the boundary
+  plan.quarantine.cooldown_s = 100;
+  InjectedDc t(plan, 1);
 
   const auto v = t.f.admit_and_place(make_job(), 0);
   t.f.simulator.run_until(160.0);  // first deadline abort, in-window fault
@@ -558,11 +557,10 @@ TEST(FaultedDatacenter, FaultStrictlyInsideWindowStillQuarantines) {
   FaultPlan plan;
   plan.enabled = true;
   plan.spec(FaultOp::kCreate).hang_prob = 1.0;
-  QuarantinePolicy quarantine;
-  quarantine.failure_budget = 2;
-  quarantine.window_s = 321;
-  quarantine.cooldown_s = 100;
-  InjectedDc t(plan, 1, quarantine);
+  plan.quarantine.failure_budget = 2;
+  plan.quarantine.window_s = 321;
+  plan.quarantine.cooldown_s = 100;
+  InjectedDc t(plan, 1);
 
   const auto v = t.f.admit_and_place(make_job(), 0);
   t.f.simulator.run_until(160.0);
@@ -626,6 +624,59 @@ TEST(FaultExperiment, DisabledPlanIsBitIdenticalToNoPlan) {
   EXPECT_DOUBLE_EQ(bare->result.report.energy_kwh,
                    inert->result.report.energy_kwh);
   EXPECT_EQ(bare->result.report.migrations, inert->result.report.migrations);
+}
+
+// The plan is the only home of the recovery knobs: the driver's backoff
+// and the Datacenter's quarantine read them from the run's injector.
+// Each knob is set off its default to a value whose effect the defaults
+// cannot produce.
+TEST(FaultExperiment, PlanRecoveryKnobsReachTheRun) {
+  constexpr double kBase = 11;
+  constexpr double kJitter = 0.1;
+  constexpr int kBudget = 2;
+  experiments::RunConfig config;
+  config.datacenter.hosts = experiments::evaluation_hosts(2, 3, 2);
+  config.datacenter.seed = 5;
+  config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(
+      core::ScoreBasedConfig::sb());
+  config.faults = chaos_experiment_plan();
+  config.faults.retry.base_s = kBase;
+  config.faults.retry.jitter = kJitter;
+  config.faults.quarantine.failure_budget = kBudget;
+  config.faults.quarantine.window_s = 30 * sim::kDay;
+  ASSERT_NE(kBase, RetryPolicy{}.base_s);
+  ASSERT_NE(kJitter, RetryPolicy{}.jitter);
+  ASSERT_NE(kBudget, QuarantinePolicy{}.failure_budget);
+  config.horizon_s = 30 * sim::kDay;
+  const auto run = run_traced(chaos_workload(), std::move(config));
+  const auto& events = run->obs.tracer.events();
+
+  const auto retry =
+      std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return e.kind == obs::EventKind::kRetry;
+      });
+  ASSERT_NE(retry, events.end());
+  double delay_s = -1;
+  for (const auto& [key, value] : retry->args) {
+    if (key == "delay_s") delay_s = value;
+  }
+  EXPECT_GE(delay_s, kBase);
+  EXPECT_LE(delay_s, kBase * (1 + kJitter));
+
+  // Every fault charged to a host traces one of these kinds on it first.
+  const auto quarantine =
+      std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return e.kind == obs::EventKind::kQuarantine;
+      });
+  ASSERT_NE(quarantine, events.end());
+  const std::int64_t host = quarantine->host;
+  const auto faults = std::count_if(
+      events.begin(), quarantine, [host](const obs::TraceEvent& e) {
+        return e.host == host && (e.kind == obs::EventKind::kOpFailed ||
+                                  e.kind == obs::EventKind::kBootFailed ||
+                                  e.kind == obs::EventKind::kHostFailed);
+      });
+  EXPECT_EQ(faults, kBudget);
 }
 
 }  // namespace

@@ -159,18 +159,16 @@ inline std::unique_ptr<TracedRun> run_traced(const workload::Workload& jobs,
   return run;
 }
 
-/// SmallDc wired to a FaultInjector (and an optional quarantine override);
-/// medium hosts: creation 40 s, migration 60 s, boot 300 s, deterministic.
+/// SmallDc wired to a FaultInjector; medium hosts: creation 40 s,
+/// migration 60 s, boot 300 s, deterministic.
 struct InjectedDc {
   faults::FaultInjector injector;
   SmallDc f;
 
-  explicit InjectedDc(const faults::FaultPlan& plan, std::size_t hosts = 2,
-                      faults::QuarantinePolicy quarantine = {})
+  explicit InjectedDc(const faults::FaultPlan& plan, std::size_t hosts = 2)
       : injector(plan), f(hosts, [&] {
           datacenter::DatacenterConfig config;
           config.fault_injector = &injector;
-          config.quarantine = quarantine;
           return config;
         }()) {}
 };

@@ -731,11 +731,11 @@ TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
   plan.enabled = true;
   plan.spec(faults::FaultOp::kCreate).fail_prob = 1e-9;
   plan.lemons.push_back({kLemon, 1e12});  // capped: every creation fails
+  plan.quarantine.failure_budget = 1;
+  plan.quarantine.cooldown_s = 1e9;
   faults::FaultInjector injector(plan);
   datacenter::DatacenterConfig base;
   base.fault_injector = &injector;
-  base.quarantine.failure_budget = 1;
-  base.quarantine.cooldown_s = 1e9;
   SmallDc f(8, base);
 
   resilience::ResilienceConfig rcfg;
@@ -870,10 +870,11 @@ TEST(FleetPowerOff, ShedsSeveralHostsInOneUpdateLikeTheReference) {
   EXPECT_EQ(inc, ref);
 }
 
-// A running VM's demand grows between two picks at the same sim time. The
-// idle hosts are not re-read (only the VM's host is journalled), but the
-// VM's column changed, so the memo must miss: the grown VM no longer fits
-// the smaller idle host, whose row turns infinite and now ranks first.
+// The columns change between two picks at the same sim time: the second
+// pick's queue holds a VM that fits only the bigger idle host. The idle
+// hosts are not re-read (nothing was journalled), but the model's columns
+// changed, so the memo must miss: the smaller idle host's row turns
+// infinite and now ranks first.
 TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
   constexpr HostId kBig = 1;    // idle, 800 % CPU
   constexpr HostId kSmall = 2;  // idle, 400 % CPU
@@ -882,7 +883,7 @@ TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
   big.cpu_capacity_pct = 800;
   base.hosts = {big, big, datacenter::HostSpec::medium()};
   SmallDc f(3, base);
-  const VmId v = f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.admit_and_place(make_job(100, 512, 50000), 0);
   f.simulator.run_until(400.0);
 
   ScoreBasedConfig cfg = ScoreBasedConfig::sb();
@@ -900,11 +901,13 @@ TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
   EXPECT_EQ(inc.choose_power_off(ctx, idle), before);
 
   const sim::SimTime t = f.simulator.now();
-  f.dc.boost_demand(v, 500);  // no longer fits kSmall
+  const std::vector<VmId> queued = {f.dc.admit_job(make_job(500))};
+  const sched::SchedContext grown{f.dc, queued, rng};
   ASSERT_EQ(f.simulator.now(), t);
-  const HostId after = ref.choose_power_off(ctx, idle);
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 0u);
+  const HostId after = ref.choose_power_off(grown, idle);
   EXPECT_EQ(after, kSmall);
-  EXPECT_EQ(inc.choose_power_off(ctx, idle), after);
+  EXPECT_EQ(inc.choose_power_off(grown, idle), after);
 }
 
 // A journalled idle candidate between two picks at one sim time: its

@@ -40,7 +40,6 @@ class Fuzzer {
     if (plan != nullptr && plan->enabled) {
       injector_ = std::make_unique<faults::FaultInjector>(*plan);
       config.fault_injector = injector_.get();
-      config.quarantine = plan->quarantine;
     }
     dc_ = std::make_unique<Datacenter>(simulator_, config, recorder_);
     dc_->on_host_failed = [this](HostId, std::vector<VmId> lost) {
@@ -144,11 +143,7 @@ class Fuzzer {
   void maybe_boost() {
     for (VmId v : dc_->active_vms()) {
       if (dc_->vm(v).state == VmState::kRunning && rng_.uniform01() < 0.3) {
-        if (rng_.uniform01() < 0.5) {
-          dc_->boost_demand(v, dc_->vm(v).cpu_demand_pct * 1.5);
-        } else {
-          dc_->boost_weight(v, 2.0);
-        }
+        dc_->boost_weight(v, 2.0);
         return;
       }
     }
@@ -294,7 +289,6 @@ class SchedulingFuzzer {
     if (plan != nullptr && plan->enabled) {
       injector_ = std::make_unique<faults::FaultInjector>(*plan);
       config.fault_injector = injector_.get();
-      config.quarantine = plan->quarantine;
     }
     dc_ = std::make_unique<Datacenter>(simulator_, config, recorder_);
     dc_->on_host_failed = [this](HostId, std::vector<VmId> lost) {

@@ -104,7 +104,7 @@ HillClimbLimits policy_limits() {
   const ScoreBasedConfig config;
   HillClimbLimits limits;
   limits.max_moves = config.max_moves;
-  limits.max_migration_moves = config.max_migrations_per_round;
+  limits.max_migration_moves = kMaxMigrationsPerRound;
   limits.min_migration_gain = config.min_migration_gain;
   return limits;
 }
