@@ -526,22 +526,7 @@ void Datacenter::power_on(HostId h) {
   EA_EXPECTS(host.state == HostState::kOff);
   set_host_state(host, HostState::kBooting);
   update_power(host);
-  const OpRow& row = op_row(faults::FaultOp::kPowerOn);
-  begin_op(row, h, kNoVm);
-  const double mean_s = host.spec.*row.mean_s;
-  const Injected in = inject(row.op, h, kNoVm, mean_s);
-  if (config_.fault_injector != nullptr) {
-    // Failed-to-start watchdog: a host not On by the deadline is declared
-    // boot-failed and returned to Off.
-    const double deadline_s =
-        config_.fault_injector->plan().op_timeout_factor * mean_s;
-    host.boot_deadline_event = sim_.after(deadline_s, [this, h] {
-      fail_op(op_row(faults::FaultOp::kPowerOn), h, kNoVm,
-              /*timed_out=*/true);
-    });
-  }
-  // Only the boot deadline ends a hung boot.
-  if (!in.hangs) end_transition_after(row, h, in);
+  start_transition(op_row(faults::FaultOp::kPowerOn), h);
   update_node_counters();
 }
 
@@ -551,17 +536,7 @@ void Datacenter::power_off(HostId h) {
   cancel_failure(h);
   set_host_state(host, HostState::kShuttingDown);
   update_power(host);
-  const OpRow& row = op_row(faults::FaultOp::kPowerOff);
-  begin_op(row, h, kNoVm);
-  const double mean_s = host.spec.*row.mean_s;
-  Injected in = inject(row.op, h, kNoVm, mean_s);
-  if (in.hangs) {
-    // A wedged shutdown lingers until the timeout, then is abandoned with
-    // the host still up: a timeout.
-    in.fails = true;
-    in.duration_s = config_.fault_injector->plan().op_timeout_factor * mean_s;
-  }
-  end_transition_after(row, h, in);
+  start_transition(op_row(faults::FaultOp::kPowerOff), h);
   update_node_counters();
 }
 
@@ -842,14 +817,31 @@ void Datacenter::end_op(HostId h, Operation::Kind leg, VmId v,
   }
 }
 
-void Datacenter::end_transition_after(const OpRow& row, HostId h,
-                                      const Injected& in) {
+void Datacenter::start_transition(const OpRow& row, HostId h) {
+  begin_op(row, h, kNoVm);
+  const double mean_s = hosts_[h].spec.*row.mean_s;
+  Injected in = inject(row.op, h, kNoVm, mean_s);
+  bool timed_out = false;
+  if (config_.fault_injector != nullptr) {
+    // The watchdog: a transition still running at its deadline, or hung,
+    // is abandoned there as a timeout. A boot that ends exactly at its
+    // deadline times out too.
+    const double deadline_s =
+        config_.fault_injector->plan().op_timeout_factor * mean_s;
+    // A shutdown that did not hang runs to its end, however late.
+    const bool watched = row.op == faults::FaultOp::kPowerOn || in.hangs;
+    if (watched && (in.hangs || in.duration_s >= deadline_s)) {
+      in.duration_s = deadline_s;
+      timed_out = true;
+    }
+  }
+  const bool fails = in.fails || timed_out;
   const sim::SimTime began = sim_.now();
-  hosts_[h].transition_event =
-      sim_.after(in.duration_s, [this, &row, h, in, began] {
+  hosts_[h].transition_event = sim_.after(
+      in.duration_s, [this, &row, h, fails, timed_out, began] {
         hosts_[h].transition_event = sim::kNoEvent;
-        if (in.fails) {
-          fail_op(row, h, kNoVm, /*timed_out=*/in.hangs);
+        if (fails) {
+          fail_op(row, h, kNoVm, timed_out);
         } else {
           finish_op(row, h, kNoVm, began);
         }
@@ -891,8 +883,6 @@ void Datacenter::finish_op(const OpRow& row, HostId h, VmId v,
       break;
     }
     case faults::FaultOp::kPowerOn:
-      sim_.cancel(host.boot_deadline_event);
-      host.boot_deadline_event = sim::kNoEvent;
       set_host_state(host, HostState::kOn);
       update_power(host);
       if (config_.inject_failures) schedule_failure(h);
@@ -962,10 +952,6 @@ void Datacenter::fail_op(const OpRow& row, HostId h, VmId v, bool timed_out) {
       break;
     case faults::FaultOp::kPowerOn:
       EA_ASSERT(host.state == HostState::kBooting);
-      sim_.cancel(host.transition_event);
-      host.transition_event = sim::kNoEvent;
-      sim_.cancel(host.boot_deadline_event);
-      host.boot_deadline_event = sim::kNoEvent;
       set_host_state(host, HostState::kOff);
       host.used_cpu_pct = 0;
       update_power(host);

@@ -301,9 +301,12 @@ class Datacenter {
   /// A VM operation's completion or deadline event: removes the operation
   /// and finishes or fails it.
   void end_op(HostId h, Operation::Kind leg, VmId v, bool deadline);
-  /// Posts a power operation's end `in.duration_s` from now; it fails
-  /// when `in.fails`, as a timeout when it hung.
-  void end_transition_after(const OpRow& row, HostId h, const Injected& in);
+  /// The one start path of a power operation on `h`: begins it, injects,
+  /// and posts its end as the host's transition_event. With an injector
+  /// attached the end comes at the deadline, `op_timeout_factor` x its
+  /// mean, if the operation hung or would run that long: it then fails as
+  /// a timeout.
+  void start_transition(const OpRow& row, HostId h);
   /// The one finish path: settles the operation's state, traces its span,
   /// notes the breaker and fires the driver callback, as `row` says.
   void finish_op(const OpRow& row, HostId h, VmId v, sim::SimTime started);

@@ -94,7 +94,6 @@ struct Host {
 
   double used_cpu_pct = 0;  ///< current allocation total (drives power)
   sim::EventId transition_event = sim::kNoEvent;  ///< boot/shutdown end
-  sim::EventId boot_deadline_event = sim::kNoEvent;  ///< failed-to-start watchdog
 
   // Failure-budget bookkeeping for the quarantine state machine: faults
   // attributed to this host within the sliding window, and the pending

@@ -496,6 +496,36 @@ TEST(FaultedDatacenter, HungBootAndShutdownCountAsTimeouts) {
   EXPECT_EQ(boot.f.recorder.counts.op_timeouts, 1u);
 }
 
+// A boot slowed past its deadline (4 x 300 s) ends there as a timeout; one
+// slowed less comes online late.
+TEST(FaultedDatacenter, SlowBootPastItsDeadlineTimesOut) {
+  // slow_factor 9 draws a factor in [5, 13): the boot would take 1500 s or
+  // more.
+  InjectedDc late(parse_fault_plan("power_on.slow=1,power_on.slow_factor=9"));
+  late.f.dc.power_off(0);
+  late.f.simulator.run_until(20.0);
+  ASSERT_EQ(late.f.dc.host(0).state, HostState::kOff);
+  late.f.dc.power_on(0);
+  late.f.simulator.run_until(1219.0);
+  EXPECT_EQ(late.f.dc.host(0).state, HostState::kBooting);
+  late.f.simulator.run_until(1220.0);
+  EXPECT_EQ(late.f.dc.host(0).state, HostState::kOff);
+  EXPECT_EQ(late.f.recorder.counts.boot_failures, 1u);
+  EXPECT_EQ(late.f.recorder.counts.op_timeouts, 1u);
+
+  // slow_factor 2 draws a factor in [1.5, 2.5): the boot takes 450-750 s.
+  InjectedDc slow(parse_fault_plan("power_on.slow=1,power_on.slow_factor=2"));
+  slow.f.dc.power_off(0);
+  slow.f.simulator.run_until(20.0);
+  slow.f.dc.power_on(0);
+  slow.f.simulator.run_until(469.0);
+  EXPECT_EQ(slow.f.dc.host(0).state, HostState::kBooting);
+  slow.f.simulator.run_until(1300.0);
+  EXPECT_EQ(slow.f.dc.host(0).state, HostState::kOn);
+  EXPECT_EQ(slow.f.recorder.counts.boot_failures, 0u);
+  EXPECT_EQ(slow.f.recorder.counts.op_timeouts, 0u);
+}
+
 TEST(FaultedDatacenter, QuarantineAfterBudgetThenCooldownRelease) {
   FaultPlan plan;
   plan.enabled = true;
