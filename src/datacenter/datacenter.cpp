@@ -824,13 +824,11 @@ void Datacenter::start_transition(const OpRow& row, HostId h) {
   bool timed_out = false;
   if (config_.fault_injector != nullptr) {
     // The watchdog: a transition still running at its deadline, or hung,
-    // is abandoned there as a timeout. A boot that ends exactly at its
+    // is abandoned there as a timeout. One that would end exactly at its
     // deadline times out too.
     const double deadline_s =
         config_.fault_injector->plan().op_timeout_factor * mean_s;
-    // A shutdown that did not hang runs to its end, however late.
-    const bool watched = row.op == faults::FaultOp::kPowerOn || in.hangs;
-    if (watched && (in.hangs || in.duration_s >= deadline_s)) {
+    if (in.hangs || in.duration_s >= deadline_s) {
       in.duration_s = deadline_s;
       timed_out = true;
     }

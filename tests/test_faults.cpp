@@ -526,6 +526,42 @@ TEST(FaultedDatacenter, SlowBootPastItsDeadlineTimesOut) {
   EXPECT_EQ(slow.f.recorder.counts.op_timeouts, 0u);
 }
 
+// A shutdown slowed past its deadline (4 x 10 s) is abandoned there as a
+// timeout with the host still On, as a hung one is; one slowed less
+// completes late.
+TEST(FaultedDatacenter, SlowShutdownPastItsDeadlineTimesOut) {
+  // slow_factor 9 draws a factor in [5, 13): the shutdown would take 50 s
+  // or more.
+  InjectedDc late(
+      parse_fault_plan("power_off.slow=1,power_off.slow_factor=9"));
+  bool timed_out = false;
+  late.f.dc.on_operation_failed = [&](FaultOp op, datacenter::VmId,
+                                      datacenter::HostId, bool timeout) {
+    timed_out = op == FaultOp::kPowerOff && timeout;
+  };
+  late.f.dc.power_off(0);
+  late.f.simulator.run_until(39.0);
+  EXPECT_EQ(late.f.dc.host(0).state, HostState::kShuttingDown);
+  late.f.simulator.run_until(40.0);
+  EXPECT_EQ(late.f.dc.host(0).state, HostState::kOn);
+  EXPECT_EQ(late.f.recorder.counts.op_failures, 1u);
+  EXPECT_EQ(late.f.recorder.counts.op_timeouts, 1u);
+  EXPECT_TRUE(timed_out);
+  late.f.simulator.run_until(200.0);
+  EXPECT_EQ(late.f.dc.host(0).state, HostState::kOn);
+
+  // slow_factor 2 draws a factor in [1.5, 2.5): the shutdown takes 15-25 s.
+  InjectedDc slow(
+      parse_fault_plan("power_off.slow=1,power_off.slow_factor=2"));
+  slow.f.dc.power_off(0);
+  slow.f.simulator.run_until(14.0);
+  EXPECT_EQ(slow.f.dc.host(0).state, HostState::kShuttingDown);
+  slow.f.simulator.run_until(40.0);
+  EXPECT_EQ(slow.f.dc.host(0).state, HostState::kOff);
+  EXPECT_EQ(slow.f.recorder.counts.op_failures, 0u);
+  EXPECT_EQ(slow.f.recorder.counts.op_timeouts, 0u);
+}
+
 TEST(FaultedDatacenter, QuarantineAfterBudgetThenCooldownRelease) {
   FaultPlan plan;
   plan.enabled = true;
