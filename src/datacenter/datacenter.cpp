@@ -823,9 +823,8 @@ void Datacenter::start_transition(const OpRow& row, HostId h) {
   Injected in = inject(row.op, h, kNoVm, mean_s);
   bool timed_out = false;
   if (config_.fault_injector != nullptr) {
-    // The watchdog: a transition still running at its deadline, or hung,
-    // is abandoned there as a timeout. One that would end exactly at its
-    // deadline times out too.
+    // The watchdog: a transition that hung, or would end at or after its
+    // deadline, is abandoned there as a timeout.
     const double deadline_s =
         config_.fault_injector->plan().op_timeout_factor * mean_s;
     if (in.hangs || in.duration_s >= deadline_s) {

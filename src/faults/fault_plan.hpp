@@ -100,7 +100,8 @@ struct FaultPlan {
   std::vector<LemonHost> lemons;
 
   /// In-flight operations are aborted after timeout_factor x the mean
-  /// duration of their kind (boot deadline: timeout_factor x boot_time_s).
+  /// duration of their kind (a boot's deadline: timeout_factor x
+  /// boot_time_s, a shutdown's: timeout_factor x shutdown_time_s).
   double op_timeout_factor = 4.0;
 
   // ---- recovery knobs -------------------------------------------------

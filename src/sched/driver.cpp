@@ -350,6 +350,7 @@ void SchedulerDriver::schedule_retry(VmId v, bool track_recovery) {
   RetryState& r = retry_state(v);
   ++r.attempts;
   if (track_recovery && r.failed_at < 0) r.failed_at = sim_.now();
+  // Only an injected failure, or the deadline an injector arms, gets here.
   EA_ASSERT(dc_.fault_injector() != nullptr);
   const faults::RetryPolicy& rp = dc_.fault_injector()->plan().retry;
   const double exponential =
