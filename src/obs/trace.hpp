@@ -38,8 +38,9 @@ namespace easched::obs {
 enum class EventKind : std::uint8_t {
   kRunBegin,         ///< label = policy name; args: hosts, jobs
   kJobArrival,       ///< vm; args: cpu_pct, mem_mb
-  kRound,            ///< one scheduling round; args: queue, eligible,
-                     ///< actions (+ wall_* profiling fields)
+  kRound,            ///< one scheduling round; args: queue (after the
+                     ///< round), eligible (queued VMs the policy saw),
+                     ///< actions applied (+ wall_* profiling fields)
   kDecision,         ///< solver decision for one VM; vm, host; args: the
                      ///< score breakdown req/res/virt/conc/pwr/sla/fault
                      ///< plus total (their left-to-right sum)

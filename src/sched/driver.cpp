@@ -299,6 +299,8 @@ void SchedulerDriver::round() {
     // Attribute joules from here on to the rung this round runs at.
     el->set_rung(sim_.now(), static_cast<int>(ctx.ladder));
   }
+  // Read before the round runs: apply() shrinks queue_, which view may be.
+  const std::size_t eligible = view->size();
   const std::vector<Action> actions = policy_.schedule(ctx);
   std::size_t applied = 0;
   {
@@ -313,7 +315,7 @@ void SchedulerDriver::round() {
   }
   if (auto* e = obs::record(dc_.recorder(), sim_.now(), EventKind::kRound)) {
     e->arg("queue", static_cast<double>(queue_.size()))
-        .arg("eligible", static_cast<double>(view->size()))
+        .arg("eligible", static_cast<double>(eligible))
         .arg("actions", static_cast<double>(applied));
     if (prof != nullptr) e->arg("wall_round_ms", round_scope.elapsed_ms());
   }

@@ -254,7 +254,7 @@ TEST(FaultTrace, ChaosTraceIsPinned) {
   }
   const std::string jsonl = run->jsonl();
   EXPECT_EQ(run->obs.tracer.size(), 36165u);
-  EXPECT_EQ(fnv1a(jsonl), 0x2ee72424ab03c6ccULL);
+  EXPECT_EQ(fnv1a(jsonl), 0xa705d7dd77c59208ULL);
 }
 
 }  // namespace
