@@ -139,6 +139,11 @@ struct Counters {
   std::uint64_t breaker_probes = 0;    ///< half-open probe ops dispatched
   std::uint64_t breaker_deaths = 0;    ///< hosts written off as dead
 
+  // ---- scheduling rounds (counted by SchedulerDriver::round) ----------
+  std::uint64_t rounds = 0;
+  /// Rounds whose policy saw an empty queue and which applied no action.
+  std::uint64_t rounds_idle = 0;
+
   // ---- simulation kernel (filled by the runner from the simulator) ----
   std::uint64_t events_dispatched = 0;
   std::uint64_t events_cancelled = 0;
@@ -172,6 +177,8 @@ inline constexpr std::pair<std::uint64_t Counters::*, const char*>
         {&Counters::breaker_closes, "resilience.breaker_closes"},
         {&Counters::breaker_probes, "resilience.breaker_probes"},
         {&Counters::breaker_deaths, "resilience.breaker_deaths"},
+        {&Counters::rounds, "sched.rounds"},
+        {&Counters::rounds_idle, "sched.rounds_idle"},
         {&Counters::events_dispatched, "sim.events_dispatched"},
         {&Counters::events_cancelled, "sim.events_cancelled"},
         {&Counters::events_kept, "sim.events_kept"},

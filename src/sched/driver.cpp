@@ -307,6 +307,8 @@ void SchedulerDriver::round() {
     obs::PhaseProfiler::Scope scope(prof, obs::Phase::kActuate);
     applied = apply(actions);
   }
+  ++dc_.recorder().counts.rounds;
+  if (eligible == 0 && applied == 0) ++dc_.recorder().counts.rounds_idle;
   progress_drains();
   evacuate_quarantined();
   {

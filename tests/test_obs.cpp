@@ -426,6 +426,7 @@ TEST(MetricsRegistry, PublishGoldenKeySet) {
       "robust.quarantines", "robust.recovery_s", "robust.retries",
       "robust.rollbacks",
       "run.max_oversubscription",
+      "sched.rounds", "sched.rounds_idle",
       "sim.events_cancelled", "sim.events_dispatched", "sim.events_kept",
       "sla.alarms", "vm.recreates",
   };
