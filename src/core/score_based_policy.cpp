@@ -102,6 +102,13 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       config_.migration && ctx.ladder == resilience::LadderLevel::kFull &&
       now - last_consolidation_ >= config_.migration_period_s;
   if (consolidate) last_consolidation_ = now;
+  // Nothing to place and no sweep due: the model would have no columns
+  // and the climb no move, so skip both. The fleet refresh waits for the
+  // next model; meanwhile the dirty journal holds each host at most once.
+  if (ctx.queue.empty() && !consolidate) {
+    last_stats_ = {};
+    return {};
+  }
 
   obs::PhaseProfiler* prof = obs::profiler(ctx.dc.recorder());
   std::optional<ScoreModel> model_storage;

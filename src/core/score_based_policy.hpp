@@ -1,6 +1,7 @@
 // The paper's contribution: the score-based scheduling policy (SB).
 //
-// Every round it snapshots the system into a ScoreModel, optimizes the
+// Every round with something to decide (a queued VM, or a consolidation
+// sweep due) it snapshots the system into a ScoreModel, optimizes the
 // (M+1) x N matrix with hill climbing (Algorithm 1) and turns the resulting
 // plan into actions: queued VMs whose plan landed on a real host are
 // created there; running VMs whose plan moved are migrated (only when the
@@ -79,6 +80,9 @@ class ScoreBasedPolicy final : public sched::Policy {
     return config_.migration;
   }
 
+  /// One round. A round with an empty queue and no consolidation sweep due
+  /// is idle: it returns no action and builds no model, so it refreshes
+  /// no fleet snapshot and runs no solver.
   std::vector<sched::Action> schedule(const sched::SchedContext& ctx) override;
 
   /// Section III-C: idle nodes are switched off by their aggregated matrix
@@ -92,6 +96,9 @@ class ScoreBasedPolicy final : public sched::Policy {
   [[nodiscard]] const ScoreBasedConfig& config() const noexcept {
     return config_;
   }
+  /// The hill climber's stats of the last round that ran it; zero after
+  /// an idle round or an annealing round. The first-fit and frozen rungs
+  /// leave them as they were.
   [[nodiscard]] const HillClimbStats& last_stats() const noexcept {
     return last_stats_;
   }

@@ -37,6 +37,7 @@ HostId best_fit_host(const Datacenter& dc, VmId v) {
 std::vector<sched::Action> BackfillingPolicy::schedule(
     const sched::SchedContext& ctx) {
   std::vector<sched::Action> actions;
+  if (ctx.queue.empty()) return actions;
   // Hypothetical reservations made this round must be visible to later
   // queue entries; track them locally.
   std::vector<double> extra_cpu(ctx.dc.num_hosts(), 0.0);

@@ -7,6 +7,7 @@ namespace easched::policies {
 std::vector<sched::Action> RoundRobinPolicy::schedule(
     const sched::SchedContext& ctx) {
   std::vector<sched::Action> actions;
+  if (ctx.queue.empty()) return actions;
   const auto hosts = on_hosts(ctx.dc);
   if (hosts.empty()) return actions;
 

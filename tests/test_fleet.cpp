@@ -32,6 +32,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -41,6 +42,7 @@
 #include "experiments/runner.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
+#include "obs/obs.hpp"
 #include "resilience/resilience.hpp"
 #include "sched/power_controller.hpp"
 #include "test_random_instances.hpp"
@@ -814,24 +816,40 @@ TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
   EXPECT_GE(placeable_picks, 2);
 }
 
-/// Forwards to a ScoreBasedPolicy and records every power-off pick, so two
-/// power controller runs can be compared pick by pick.
+/// Every decision of one policy: each action a round returned, with its
+/// time, and each power-off pick.
+struct PolicyLog {
+  std::vector<std::tuple<double, sched::Action::Kind, VmId, HostId>> actions;
+  std::vector<HostId> picks;
+};
+
+/// Forwards to a ScoreBasedPolicy and records its decisions in a PolicyLog,
+/// so two runs can be compared decision by decision.
 class RecordingPolicy final : public sched::Policy {
  public:
-  explicit RecordingPolicy(ScoreBasedConfig cfg) : inner_(std::move(cfg)) {}
+  RecordingPolicy(ScoreBasedConfig cfg, PolicyLog& log)
+      : inner_(std::move(cfg)), log_(log) {}
   [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] bool uses_migration() const override {
+    return inner_.uses_migration();
+  }
   std::vector<sched::Action> schedule(const sched::SchedContext& ctx) override {
-    return inner_.schedule(ctx);
+    std::vector<sched::Action> actions = inner_.schedule(ctx);
+    for (const sched::Action& a : actions) {
+      log_.actions.emplace_back(ctx.dc.simulator().now(), a.kind, a.vm,
+                                a.host);
+    }
+    return actions;
   }
   HostId choose_power_off(const sched::SchedContext& ctx,
                           const std::vector<HostId>& idle) override {
-    picks.push_back(inner_.choose_power_off(ctx, idle));
-    return picks.back();
+    log_.picks.push_back(inner_.choose_power_off(ctx, idle));
+    return log_.picks.back();
   }
-  std::vector<HostId> picks;
 
  private:
   ScoreBasedPolicy inner_;
+  PolicyLog& log_;
 };
 
 /// Picks of one power controller update on a fleet of mixed node classes
@@ -850,14 +868,15 @@ std::vector<HostId> shed_in_one_update(bool incremental) {
 
   ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
   cfg.incremental = incremental;
-  RecordingPolicy policy(cfg);
+  PolicyLog log;
+  RecordingPolicy policy(cfg, log);
   sched::PowerControllerConfig pcfg;
   pcfg.lambda_min = 0.9;  // shed until working / online >= 0.9
   support::Rng rng{5};
   const std::vector<VmId> empty;
   const sched::SchedContext ctx{f.dc, empty, rng};
   sched::PowerController(pcfg).update(ctx, f.dc, policy);
-  return policy.picks;
+  return log.picks;
 }
 
 // The power controller sheds one choose_power_off pick at a time, all at
@@ -1279,6 +1298,61 @@ TEST(FleetEndToEnd, ValidatedIncrementalRunIsViolationFree) {
       << (result.violations.empty() ? std::string()
                                     : result.violations.front().message);
   EXPECT_GT(result.invariant_checks, 0u);
+}
+
+// A sparse trace leaves most rounds with an empty queue and no sweep due,
+// and such a round builds no model. The two modes must still decide alike,
+// and the validator must still check the fleet of every model a round
+// builds.
+TEST(FleetEndToEnd, IdleRoundsBuildNoModelAndDecideAlike) {
+  workload::SyntheticConfig wl;
+  wl.seed = 91;
+  wl.span_seconds = 3 * sim::kDay;
+  wl.mean_jobs_per_hour = 1;
+  const workload::Workload jobs = workload::generate(wl);
+  struct Run {
+    PolicyLog log;
+    obs::Observability obs;
+    experiments::RunResult result;
+  };
+  const auto run = [&jobs](bool incremental) {
+    auto r = std::make_unique<Run>();  // the recorder holds &r->obs
+    r->obs.profiler.enable();
+    ScoreBasedConfig cfg = ScoreBasedConfig::sb();
+    cfg.incremental = incremental;
+    experiments::RunConfig config = easched::testing::small_config("SB");
+    config.policy_instance = std::make_unique<RecordingPolicy>(cfg, r->log);
+    config.validate.enabled = true;
+    config.obs = &r->obs;
+    r->result = experiments::run_experiment(jobs, std::move(config));
+    return r;
+  };
+  const auto ref = run(false);
+  const auto inc = run(true);
+  ASSERT_FALSE(ref->log.actions.empty());
+  EXPECT_EQ(inc->log.actions, ref->log.actions);
+  EXPECT_EQ(inc->log.picks, ref->log.picks);
+  expect_same_run(inc->result, ref->result);
+  EXPECT_EQ(inc->result.report.to_string(), ref->result.report.to_string());
+  EXPECT_EQ(inc->result.report.metrics.to_csv(),
+            ref->result.report.metrics.to_csv());
+  EXPECT_TRUE(inc->result.violations.empty());
+  EXPECT_TRUE(ref->result.violations.empty());
+
+  const metrics::RunReport& rep = inc->result.report;
+  EXPECT_GT(2 * rep.rounds_idle, rep.rounds);  // mostly idle
+  const std::size_t models =
+      inc->obs.profiler.samples(obs::Phase::kRebuild).size();
+  EXPECT_EQ(ref->obs.profiler.samples(obs::Phase::kRebuild).size(), models);
+  EXPECT_GT(models, 0u);
+  // A model per round that was not idle, plus at most one per sweep.
+  const double sweeps = inc->result.end_time_s / ScoreBasedConfig::sb().migration_period_s + 1;
+  EXPECT_LE(static_cast<double>(models),
+            static_cast<double>(rep.rounds - rep.rounds_idle) + sweeps);
+  // Only the incremental mode runs check_fleet, once per model a round
+  // builds; every other check sees the same run in both modes.
+  EXPECT_EQ(inc->result.invariant_checks - ref->result.invariant_checks,
+            models);
 }
 
 }  // namespace

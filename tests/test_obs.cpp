@@ -285,10 +285,29 @@ TEST(RunTrace, ProfilerCoversEveryRoundPhase) {
     EXPECT_GE(r.max_ms, r.p99_ms);
     if (r.phase == obs::Phase::kRound) rounds = r.n;
   }
-  // One kRound sample per scheduling round; the rebuild/climb/actuate
-  // scopes live inside it.
+  // One kRound sample per scheduling round. The climb runs only in a round
+  // that builds a model: one whose policy saw a non-empty queue, or one
+  // due a consolidation sweep (SB's every migration_period_s, replayed
+  // here from the kRound events' times).
   EXPECT_GT(rounds, 0u);
-  EXPECT_EQ(run->obs.profiler.samples(obs::Phase::kClimb).size(), rounds);
+  const double period = core::ScoreBasedConfig::sb().migration_period_s;
+  double last_sweep = -1e18;
+  std::size_t model_rounds = 0;
+  std::size_t round_events = 0;
+  for (const auto& e : run->obs.tracer.events()) {
+    if (e.kind != obs::EventKind::kRound) continue;
+    ++round_events;
+    const bool sweep = e.t - last_sweep >= period;
+    if (sweep) last_sweep = e.t;
+    const std::map<std::string, double> args(e.args.begin(), e.args.end());
+    ASSERT_EQ(args.count("eligible"), 1u);
+    if (sweep || args.at("eligible") > 0) ++model_rounds;
+  }
+  EXPECT_EQ(round_events, rounds);
+  EXPECT_EQ(run->result.report.rounds, rounds);
+  EXPECT_LT(model_rounds, rounds);  // the run has idle rounds
+  EXPECT_EQ(run->obs.profiler.samples(obs::Phase::kClimb).size(),
+            model_rounds);
   const std::string table = run->obs.profiler.to_string();
   EXPECT_NE(table.find("round"), std::string::npos);
   EXPECT_NE(table.find("climb"), std::string::npos);
