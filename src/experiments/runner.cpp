@@ -2,15 +2,27 @@
 
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 
 #include "experiments/repro.hpp"
 #include "experiments/setup.hpp"
 #include "faults/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "support/contracts.hpp"
+#include "support/key_table.hpp"
 #include "validate/validate.hpp"
 
 namespace easched::experiments {
+
+namespace {
+
+std::string breaker_text(const faults::BreakerPolicy& b) {
+  return "threshold=" + support::format_value(b.threshold) +
+         ",probe_after=" + support::format_value(b.probe_after_s) +
+         ",dead_after=" + support::format_value(b.dead_after);
+}
+
+}  // namespace
 
 RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
   EA_EXPECTS(!jobs.empty());
@@ -34,8 +46,17 @@ RunResult run_experiment(const workload::Workload& jobs, RunConfig config) {
     config.datacenter.fault_injector = &*injector;
     // An armed breaker in the fault plan switches the resilience control
     // plane on for its circuit-breaker half even without a --resilience=
-    // spec (watchdog and admission stay at their inert defaults).
+    // spec (watchdog and admission stay at their inert defaults). Two
+    // different armed policies have no winner, so the run refuses them.
     if (config.faults.breakers.threshold > 0) {
+      const faults::BreakerPolicy& own = config.resilience.breakers;
+      if (config.resilience.enabled && own.threshold > 0 &&
+          own != config.faults.breakers) {
+        throw std::invalid_argument(
+            "breaker policy set twice: fault plan " +
+            breaker_text(config.faults.breakers) + ", resilience config " +
+            breaker_text(own));
+      }
       config.resilience.enabled = true;
       config.resilience.breakers = config.faults.breakers;
     }

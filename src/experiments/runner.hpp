@@ -50,7 +50,9 @@ struct RunConfig {
   /// with the degradation ladder, admission control, and per-host circuit
   /// breakers. Inert by default; parse from a CLI `--resilience=` spec with
   /// parse_resilience_spec(). A fault plan whose breakers.threshold > 0
-  /// arms the breakers with its policy even when this is disabled.
+  /// arms the breakers with its policy even when this is disabled; when
+  /// this is enabled and arms a different policy, run_experiment() throws
+  /// std::invalid_argument.
   resilience::ResilienceConfig resilience;
 
   /// Hard simulation-time cap as a safety net against pathological stalls;

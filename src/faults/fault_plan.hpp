@@ -84,6 +84,8 @@ struct BreakerPolicy {
   int threshold = 3;           ///< consecutive failures to open; 0 = off
   double probe_after_s = 600;  ///< open -> half-open probe delay
   int dead_after = 0;          ///< re-opens before Dead; 0 = never
+
+  bool operator==(const BreakerPolicy&) const = default;
 };
 
 struct FaultPlan {
@@ -110,7 +112,8 @@ struct FaultPlan {
   /// Read by the Datacenter on each host fault while this plan's injector
   /// is attached (without one, a default QuarantinePolicy applies).
   QuarantinePolicy quarantine;
-  /// Copied by the experiment runner into the resilience config.
+  /// Copied by the experiment runner into the resilience config, which
+  /// must not arm a different policy of its own.
   BreakerPolicy breakers{.threshold = 0};
 
   [[nodiscard]] const OpFaultSpec& spec(FaultOp op) const {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/score_based_policy.hpp"
 #include "experiments/runner.hpp"
@@ -556,6 +558,62 @@ TEST(OverloadScenario, FaultPlanBreakerKeysArmTheBreakers) {
   EXPECT_FALSE(result.hit_horizon);
   EXPECT_EQ(result.jobs_finished, result.jobs_submitted);
   EXPECT_GT(result.report.breaker_opens, 0u);
+}
+
+// ---- breaker policy: fault plan vs resilience config --------------------
+
+/// The burst scenario with a failing create path, breakers armed by the
+/// fault plan (`plan_breakers`, empty for none) and/or by an enabled,
+/// otherwise inert resilience config (`own`, threshold 0 for none).
+experiments::RunResult run_breakers(const std::string& plan_breakers,
+                                    const faults::BreakerPolicy& own) {
+  experiments::RunConfig config;
+  config.datacenter.hosts = experiments::evaluation_hosts(1, 3, 1);
+  config.datacenter.seed = 5;
+  config.policy = "SB";
+  config.faults =
+      faults::parse_fault_plan("seed=42,create.fail=0.5,lemon=1:2" +
+                               plan_breakers);
+  if (own.threshold > 0) {
+    config.resilience.enabled = true;
+    config.resilience.breakers = own;
+  }
+  config.horizon_s = 30 * sim::kDay;
+  return experiments::run_experiment(burst_workload(), std::move(config));
+}
+
+constexpr faults::BreakerPolicy kPolicy{.threshold = 2,
+                                        .probe_after_s = 120};
+constexpr const char* kPolicyKeys =
+    ",breaker_threshold=2,breaker_probe_after=120";
+
+// Whichever side arms the one policy, the run is the same: the plan alone,
+// the resilience config alone, or both with equal policies.
+TEST(RunnerBreakers, EitherSideAloneArmsTheSamePolicy) {
+  const auto plan_only = run_breakers(kPolicyKeys, {.threshold = 0});
+  const auto config_only = run_breakers("", kPolicy);
+  const auto both_equal = run_breakers(kPolicyKeys, kPolicy);
+  ASSERT_GT(plan_only.report.breaker_opens, 0u);
+  for (const auto* other : {&config_only, &both_equal}) {
+    EXPECT_EQ(other->events_dispatched, plan_only.events_dispatched);
+    EXPECT_EQ(other->report.energy_kwh, plan_only.report.energy_kwh);
+    EXPECT_EQ(other->report.metrics.to_csv(), plan_only.report.metrics.to_csv());
+  }
+}
+
+// Two different armed policies have no winner: the run refuses them and
+// names both.
+TEST(RunnerBreakers, ClashingPoliciesThrowNamingBoth) {
+  try {
+    run_breakers(kPolicyKeys, {.threshold = 5, .dead_after = 3});
+    FAIL() << "clashing breaker policies were accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("threshold=2,probe_after=120,dead_after=0"),
+              std::string::npos) << what;
+    EXPECT_NE(what.find("threshold=5,probe_after=600,dead_after=3"),
+              std::string::npos) << what;
+  }
 }
 
 TEST(RunnerIdentity, InertControllerIsBitIdenticalToNoController) {
