@@ -17,10 +17,13 @@
 //
 //   hill_climb() — the production solver: it exploits the Dirty contract
 //     (a move changes cells only in the moved column and the two touched
-//     rows) to maintain a per-column blocked argmin incrementally, so an
-//     iteration costs O(cols x (block + rows/block)) instead of
-//     O(rows x cols), and it skips the columns the pick can never choose
-//     (retired by the model's score floor, or out of migration budget).
+//     rows) to maintain a per-column blocked argmin incrementally, over
+//     the live blocks only (those holding a row that can be a candidate;
+//     a consolidated fleet's powered-off blocks are not). An iteration
+//     costs O(cols x (block + live blocks)) instead of O(rows x cols), the
+//     cold build O(cols x live blocks x block), and it skips the columns
+//     the pick can never choose (retired by the model's score floor, or
+//     out of migration budget).
 //     At 1600 hosts, one SB consolidation round under the policy's limits
 //     takes 0.11 s against the reference's 5.2 s (bench_micro
 //     solver_scaling, Release, one core of a 4-vCPU Xeon container).
@@ -40,9 +43,14 @@
 // Optionally (candidate pruning; each must be *conservative*, so the
 // argmin provably never misses a cell it would select and the move trace
 // stays identical):
+//   bool block_live(int blk);             // drop a kArgminBlock for good
 //   bool provably_inf(int r, int c);      // skip one candidate cell
 //   bool skip_block(int c, int blk);      // skip a whole kArgminBlock
 //   double score_floor(int c);            // retire a whole column
+// block_live is read once per block at the start of a climb; it may be
+// false only for a block none of whose cells has a delta < 0 under any
+// plan and where no column starts but at the virtual row (which a move
+// off it does not dirty). A model without it has every block live.
 // provably_inf and skip_block may be true only for cells whose delta
 // against any keep score is >= 0. score_floor(c) must be <= cell(r, c)
 // for every real row r != plan_row(c) under any plan of the other
@@ -56,6 +64,7 @@
 #include <vector>
 
 #include "core/score.hpp"
+#include "support/contracts.hpp"
 
 namespace easched::core {
 
@@ -84,6 +93,9 @@ struct HillClimbStats {
   std::int64_t cells_read_cold = 0;    ///< first recompute of every column
   std::int64_t cells_read_update = 0;  ///< everything after the cold build
   int cols_retired = 0;  ///< column recomputes that ended retired
+  std::int64_t blocks_skipped = 0;    ///< block scans skip_block() cut short
+  std::int64_t blocks_rescanned = 0;  ///< block scans that read the rows
+  std::int64_t col_reductions = 0;    ///< per-column reductions over blocks
 };
 
 struct HillClimbLimits {
@@ -172,12 +184,15 @@ HillClimbStats hill_climb_reference(Model& model,
 ///
 /// Per-column argmin structure: rows are grouped into fixed blocks of
 /// kArgminBlock; each column keeps the lexicographic (delta, row) minimum
-/// of every block, plus the reduction over blocks. A move dirties two rows
-/// (the Dirty contract), so per column only the touched rows' blocks are
-/// rescanned and the block minima re-reduced — O(kArgminBlock + rows /
-/// kArgminBlock) instead of O(rows) — and nothing is ever stale. Deltas
-/// are compared post-rounding in (delta, row) order, which is exactly the
-/// reference scan's first-minimum behaviour, so traces match bit for bit.
+/// of every live block (block_live()), plus the reduction over them. A
+/// dead block holds only cells the argmin can never select, under any
+/// plan, so it is neither scanned nor stored. A move dirties two rows (the
+/// Dirty contract), both in live blocks, so per column only the touched
+/// rows' blocks are rescanned and the block minima re-reduced —
+/// O(kArgminBlock + live blocks) instead of O(rows) — and nothing is ever
+/// stale. Deltas are compared post-rounding in (delta, row) order, which
+/// is exactly the reference scan's first-minimum behaviour, so traces
+/// match bit for bit.
 ///
 /// Columns the pick can never choose are not scanned at all:
 ///  - a *retired* column, whose score_floor() minus its keep score already
@@ -201,6 +216,27 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   // kArgminBlock (core/score.hpp) is shared with FleetState::blocks():
   // their per-block free-capacity maxima are what skip_block() consults.
   const int nblocks = (rows + kArgminBlock - 1) / kArgminBlock;
+  // The live blocks, ascending, and each block's slot among them (-1:
+  // dead). Liveness is plan-independent, so the list holds for the whole
+  // climb; a dead block holds no candidate of any column under any plan
+  // and is never scanned, reduced or stored.
+  std::vector<int> live;
+  std::vector<int> slot_of(static_cast<std::size_t>(nblocks), -1);
+  for (int blk = 0; blk < nblocks; ++blk) {
+    if constexpr (requires { model.block_live(blk); }) {
+      if (!model.block_live(blk)) continue;
+    }
+    slot_of[static_cast<std::size_t>(blk)] = static_cast<int>(live.size());
+    live.push_back(blk);
+  }
+  const auto nlive = live.size();
+  // The slot of a touched row's block: a move touches only plan rows and
+  // candidates, which lie in live blocks by the block_live contract.
+  const auto slot_of_row = [&](int r) {
+    const int slot = slot_of[static_cast<std::size_t>(r / kArgminBlock)];
+    EA_ASSERT(slot >= 0);
+    return static_cast<std::size_t>(slot);
+  };
   struct Cand {
     double delta = 0;
     int row = -1;  ///< -1: no candidate
@@ -210,8 +246,8 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   const auto better = [](double d, int r, const Cand& b) {
     return b.row < 0 || d < b.delta || (d == b.delta && r < b.row);
   };
-  std::vector<Cand> block_best(static_cast<std::size_t>(cols) *
-                               static_cast<std::size_t>(nblocks));
+  // Per column, the best candidate of each live block, by slot.
+  std::vector<Cand> block_best(static_cast<std::size_t>(cols) * nlive);
   std::vector<Cand> best(static_cast<std::size_t>(cols));
   // Score of keeping each column where it is planned. It changes only when
   // the column or its plan row is dirtied, and exactly then the column is
@@ -233,7 +269,22 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
     return is_migration(c) ? -limits.min_migration_gain : -limits.min_gain;
   };
 
-  const auto rescan_block = [&](int c, int blk) {
+  // Scans live block `slot` of column `c` into its block_best entry.
+  // When the model proves that no host in the block can fit the column's
+  // VM (skip_block), every cell in it is infeasible (delta >= 0) and the
+  // entry is *cleared* — a stale pre-move candidate must not survive a
+  // skip.
+  const auto scan_block = [&](int c, std::size_t slot) {
+    const int blk = live[slot];
+    Cand& out = block_best[static_cast<std::size_t>(c) * nlive + slot];
+    if constexpr (requires { model.skip_block(c, blk); }) {
+      if (model.skip_block(c, blk)) {
+        out = Cand{};
+        ++stats.blocks_skipped;
+        return;
+      }
+    }
+    ++stats.blocks_rescanned;
     const int plan = model.plan_row(c);
     const double keep = keep_score[static_cast<std::size_t>(c)];
     Cand b;
@@ -252,31 +303,14 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
       if (better(delta, r, b)) b = {delta, r};
     }
     *cells_read += read;
-    block_best[static_cast<std::size_t>(c) *
-                   static_cast<std::size_t>(nblocks) +
-               static_cast<std::size_t>(blk)] = b;
-  };
-  // rescan_block with the block-level capacity prune in front: when the
-  // model proves that no host in the block can fit the column's VM, every
-  // cell in it is infeasible (delta >= 0) and the block's candidate slot
-  // is *cleared* — a stale pre-move candidate must not survive a skip.
-  const auto scan_block = [&](int c, int blk) {
-    if constexpr (requires { model.skip_block(c, blk); }) {
-      if (model.skip_block(c, blk)) {
-        block_best[static_cast<std::size_t>(c) *
-                       static_cast<std::size_t>(nblocks) +
-                   static_cast<std::size_t>(blk)] = Cand{};
-        return;
-      }
-    }
-    rescan_block(c, blk);
+    out = b;
   };
   const auto reduce_col = [&](int c) {
+    ++stats.col_reductions;
     Cand b;
-    const std::size_t base = static_cast<std::size_t>(c) *
-                             static_cast<std::size_t>(nblocks);
-    for (int blk = 0; blk < nblocks; ++blk) {
-      const Cand& bb = block_best[base + static_cast<std::size_t>(blk)];
+    const std::size_t base = static_cast<std::size_t>(c) * nlive;
+    for (std::size_t slot = 0; slot < nlive; ++slot) {
+      const Cand& bb = block_best[base + slot];
       if (bb.row >= 0 && better(bb.delta, bb.row, b)) b = bb;
     }
     best[static_cast<std::size_t>(c)] = b;
@@ -296,7 +330,7 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
       ++stats.cols_retired;
       return;
     }
-    for (int blk = 0; blk < nblocks; ++blk) scan_block(c, blk);
+    for (std::size_t slot = 0; slot < nlive; ++slot) scan_block(c, slot);
     reduce_col(c);
   };
 
@@ -342,6 +376,8 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
     //    rescanning their blocks and re-reducing is exact.
     const int ra = dirty.row_a;
     const int rb = dirty.row_b;
+    const std::size_t slot_a = ra >= 0 ? slot_of_row(ra) : 0;
+    const std::size_t slot_b = rb >= 0 ? slot_of_row(rb) : 0;
     for (int c = 0; c < cols; ++c) {
       if (budget_spent(c)) continue;
       const int plan = model.plan_row(c);
@@ -350,10 +386,8 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
         continue;
       }
       if (retired[static_cast<std::size_t>(c)] != 0) continue;
-      if (ra >= 0) scan_block(c, ra / kArgminBlock);
-      if (rb >= 0 && (ra < 0 || rb / kArgminBlock != ra / kArgminBlock)) {
-        scan_block(c, rb / kArgminBlock);
-      }
+      if (ra >= 0) scan_block(c, slot_a);
+      if (rb >= 0 && (ra < 0 || slot_b != slot_a)) scan_block(c, slot_b);
       reduce_col(c);
     }
   }

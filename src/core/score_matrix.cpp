@@ -100,12 +100,21 @@ void ScoreModel::init(const datacenter::Datacenter& dc,
 
 ScoreModel::~ScoreModel() { fleet_->restore_plan(this); }
 
+bool ScoreModel::block_live(int blk) const {
+  if (reference()) return true;
+  const std::vector<BlockSummary>& blocks = fleet_->blocks();
+  if (blk >= static_cast<int>(blocks.size())) {
+    return false;  // the virtual row alone: kInfScore
+  }
+  return blocks[static_cast<std::size_t>(blk)].extrema.any_placeable;
+}
+
 bool ScoreModel::skip_block(int c, int blk) const {
   if (reference()) return false;
   const std::vector<BlockSummary>& blocks = fleet_->blocks();
-  if (blk < 0 || blk >= static_cast<int>(blocks.size())) {
-    return false;  // the virtual row's tail block is never skippable
-  }
+  // A tail block holding only the virtual row is dead (block_live), so
+  // the climb never asks about it.
+  EA_EXPECTS(blk >= 0 && blk < static_cast<int>(blocks.size()));
   // The block maxima only prove capacity infeasibility, not compatibility
   // — but a skipped candidate would have delta >= 0 either way, and the
   // plan row is exempt because rescans skip it anyway.

@@ -39,10 +39,11 @@
 //   Each row's free margins, derived from the planned snapshot row on
 //   read, let the solver skip provably infeasible cells, and the fleet's
 //   block summaries, which move() keeps in step with the plan, let it
-//   skip whole kArgminBlock row blocks (see provably_inf()/skip_block()
-//   below). Their extrema give a per-column score floor that lets it
-//   retire columns whose best possible delta cannot reach the pick
-//   threshold (score_floor()).
+//   skip whole kArgminBlock row blocks, and drop for the whole climb the
+//   blocks without a placeable host (see provably_inf()/skip_block()/
+//   block_live() below). Their extrema give a per-column score floor that
+//   lets it retire columns whose best possible delta cannot reach the
+//   pick threshold (score_floor()).
 //
 //   Reference — the Datacenter constructor, the executable specification
 //   the incremental mode is differential-tested against. It reads every
@@ -156,12 +157,20 @@ class ScoreModel {
            v.mem > free_margin(true, cap_mem_[r], mem_res_[r]);
   }
 
+  /// Whether kArgminBlock block `blk` holds a placeable host, i.e. a row
+  /// whose cells can be finite (the block summary's any_placeable).
+  /// Placeability is fixed while the model lives, so this does not depend
+  /// on the plan; a dead block's cells are kInfScore under every plan, and
+  /// no column starts there but at the virtual row (running VMs are
+  /// columns only on placeable hosts). False for a tail block that holds
+  /// only the virtual row; true for every block in reference mode.
+  [[nodiscard]] bool block_live(int blk) const;
+
   /// Block-level variant: true when *every* host row of kArgminBlock block
   /// `blk` is provably infeasible for column `c` (the block summary's
   /// maximum free margin cannot fit the VM). The solver then skips the
-  /// whole block. False in reference mode and for any block index outside
-  /// the real-host range (the virtual row's tail block is never
-  /// skippable).
+  /// whole block. False in reference mode. Expects a block holding a real
+  /// host: a tail block of the virtual row alone is dead (block_live()).
   [[nodiscard]] bool skip_block(int c, int blk) const;
 
   /// Conservative score floor of column `c`: a lower bound on cell(r, c)

@@ -1300,6 +1300,36 @@ TEST(FleetEndToEnd, ValidatedIncrementalRunIsViolationFree) {
   EXPECT_GT(result.invariant_checks, 0u);
 }
 
+// A 100-host fleet under the small week's load keeps most hosts powered
+// off, so most argmin blocks hold no placeable host and the incremental
+// climb never scans them. It must still decide exactly as the reference
+// run, with the invariant checker on in both.
+TEST(FleetEndToEnd, MostlyPoweredOffFleetMatchesReferenceRun) {
+  constexpr std::size_t kHosts = 100;
+  const auto jobs = easched::testing::small_week();
+  const auto run = [&jobs](bool incremental) {
+    ScoreBasedConfig cfg = ScoreBasedConfig::sb();
+    cfg.incremental = incremental;
+    experiments::RunConfig config =
+        easched::testing::small_config("SB", 20, 50, 30);
+    config.policy_instance = std::make_unique<ScoreBasedPolicy>(cfg);
+    config.validate.enabled = true;
+    return experiments::run_experiment(jobs, std::move(config));
+  };
+  const auto reference = run(false);
+  const auto incremental = run(true);
+  ASSERT_GT(incremental.report.creations, 0u);
+  EXPECT_LT(incremental.report.avg_online, 0.25 * kHosts);
+  EXPECT_GT(incremental.report.migrations, 0u);
+  expect_same_run(incremental, reference);
+  EXPECT_EQ(incremental.report.to_string(), reference.report.to_string());
+  EXPECT_EQ(incremental.report.metrics.to_csv(),
+            reference.report.metrics.to_csv());
+  EXPECT_TRUE(incremental.violations.empty());
+  EXPECT_TRUE(reference.violations.empty());
+  EXPECT_GT(incremental.invariant_checks, 0u);
+}
+
 // A sparse trace leaves most rounds with an empty queue and no sweep due,
 // and such a round builds no model. The two modes must still decide alike,
 // and the validator must still check the fleet of every model a round

@@ -5,14 +5,16 @@
 // small instances selected seeds must reach the exhaustive optimum.
 //
 // The production path — hill_climb() over a FleetState-backed model, whose
-// provably_inf / skip_block / score_floor prune — is held to
+// block_live / provably_inf / skip_block / score_floor prune — is held to
 // hill_climb_reference() over a reference-mode model, which prunes
 // nothing: on random fleets of up to 130 hosts (several kArgminBlock
-// blocks and a partial tail block) and on a table of adversarial cases
-// for the score floor. The climb counters are checked on a fixed
-// consolidation round.
+// blocks and a partial tail block), on a table of adversarial cases for
+// the score floor and on a table of fleets with dead blocks (no
+// placeable host). The climb counters are checked on fixed consolidation
+// rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -23,6 +25,7 @@
 #include "core/hill_climb.hpp"
 #include "core/score_based_policy.hpp"
 #include "core/score_matrix.hpp"
+#include "resilience/resilience.hpp"
 #include "test_random_instances.hpp"
 
 namespace easched::core {
@@ -168,17 +171,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverEquivalence,
 /// One scheduling round, ready to build models from.
 struct Round {
   std::unique_ptr<SmallDc> fixture;
+  /// Circuit breakers riding on the fixture's recorder, when a case needs
+  /// a vetoed host (declared after the fixture: the recorder outlives it).
+  std::unique_ptr<resilience::ResilienceController> breakers;
   std::vector<VmId> queue;
   ScoreParams params = ScoreBasedConfig::sb_full().params;
   HillClimbLimits limits = policy_limits();
 };
 
-/// A consolidation round over `hosts` hosts cycling fast / medium / slow
-/// with reliabilities 0.90..0.99: a host carries 3 (most), 1 (every
-/// fifth) or 0 (every seventh) 100 % VMs, so fairly full hosts hold
-/// columns the floor retires and near-empty ones hold columns worth
-/// migrating. `queued` fresh VMs wait in the queue.
-Round consolidation_round(int hosts, int queued) {
+/// A round over `hosts` hosts cycling fast / medium / slow with
+/// reliabilities 0.90..0.99, where host h carries vms(h) 100 % VMs, or is
+/// powered off when vms(h) < 0. `adjust` may edit the host specs first.
+/// `queued` fresh VMs wait in the queue.
+Round fleet_round(int hosts, int queued, const std::function<int(int)>& vms,
+                  const std::function<void(std::vector<HostSpec>&)>& adjust =
+                      nullptr) {
   datacenter::DatacenterConfig config;
   for (int h = 0; h < hosts; ++h) {
     HostSpec spec = h % 3 == 0   ? HostSpec::fast()
@@ -187,19 +194,21 @@ Round consolidation_round(int hosts, int queued) {
     spec.reliability = 0.90 + 0.01 * (h % 10);
     config.hosts.push_back(spec);
   }
+  if (adjust) adjust(config.hosts);
   Round round;
   round.fixture = std::make_unique<SmallDc>(config.hosts.size(),
                                             std::move(config));
   SmallDc& f = *round.fixture;
   for (int h = 0; h < hosts; ++h) {
-    const int vms = h % 7 == 6 ? 0 : h % 5 == 4 ? 1 : 3;
-    for (int k = 0; k < vms; ++k) {
+    const int n = vms(h);
+    if (n < 0) f.dc.power_off(static_cast<HostId>(h));
+    for (int k = 0; k < n; ++k) {
       workload::Job job = make_job(100, 512, 36000);
       job.fault_tolerance = 0.02 * ((h + k) % 3);
       f.admit_and_place(job, static_cast<HostId>(h));
     }
   }
-  f.simulator.run_until(600);  // creations settle into Running
+  f.simulator.run_until(600);  // creations and shutdowns settle
   for (int i = 0; i < queued; ++i) {
     round.queue.push_back(f.dc.admit_job(
         make_job(100.0 * (i % 2 + 1), 512, 7200, 1.5, f.simulator.now())));
@@ -207,33 +216,85 @@ Round consolidation_round(int hosts, int queued) {
   return round;
 }
 
+/// The consolidation mix: a host carries 3 (most), 1 (every fifth) or 0
+/// (every seventh) 100 % VMs, so fairly full hosts hold columns the floor
+/// retires and near-empty ones hold columns worth migrating.
+int consolidation_mix(int h) { return h % 7 == 6 ? 0 : h % 5 == 4 ? 1 : 3; }
+
+/// A consolidation round over `hosts` hosts, all on (see fleet_round).
+Round consolidation_round(int hosts, int queued) {
+  return fleet_round(hosts, queued, consolidation_mix);
+}
+
 // ---- climb counters ---------------------------------------------------------
 
 /// Forwards the solver's model concept, pruning included, to a ScoreModel
-/// and logs every cell read: the rows each column was read at, in order.
+/// and logs every cell read (the rows each column was read at, in order)
+/// and the block work the solver asked the model about.
 struct CellLog {
   ScoreModel& model;
   std::vector<std::vector<int>> reads;  ///< per column
   std::int64_t total = 0;
+  std::vector<int> live;  ///< block_live() answers by block; -1: not asked
+  std::int64_t skips = 0;  ///< skip_block() calls that returned true
+  std::int64_t scans = 0;  ///< skip_block() calls that returned false
+  /// Runs of consecutive skip_block() calls on one column, a move ending
+  /// a run: each is one column's scan, followed by one reduction.
+  std::int64_t col_runs = 0;
+  /// skip_block() calls on, and cell reads of real rows in, a block it
+  /// called dead (a queued column's keep score is its virtual-row cell).
+  std::int64_t dead_visits = 0;
+  int run_col = -1;
 
   explicit CellLog(ScoreModel& m)
-      : model(m), reads(static_cast<std::size_t>(m.cols())) {}
+      : model(m),
+        reads(static_cast<std::size_t>(m.cols())),
+        live(static_cast<std::size_t>((m.rows() + kArgminBlock - 1) /
+                                      kArgminBlock),
+             -1) {}
+  bool dead(int blk) const { return live[static_cast<std::size_t>(blk)] == 0; }
   int rows() const { return model.rows(); }
   int cols() const { return model.cols(); }
   int virtual_row() const { return model.virtual_row(); }
   double cell(int r, int c) {
     reads[static_cast<std::size_t>(c)].push_back(r);
     ++total;
+    if (r != virtual_row() && dead(r / kArgminBlock)) ++dead_visits;
     return model.cell(r, c);
   }
   int plan_row(int c) const { return model.plan_row(c); }
   int original_row(int c) const { return model.original_row(c); }
   bool movable(int c) const { return model.movable(c); }
+  bool block_live(int blk) {
+    const bool l = model.block_live(blk);
+    live[static_cast<std::size_t>(blk)] = l ? 1 : 0;
+    return l;
+  }
   bool provably_inf(int r, int c) const { return model.provably_inf(r, c); }
-  bool skip_block(int c, int blk) const { return model.skip_block(c, blk); }
+  bool skip_block(int c, int blk) {
+    if (c != run_col) ++col_runs;
+    run_col = c;
+    if (dead(blk)) ++dead_visits;
+    const bool skip = model.skip_block(c, blk);
+    ++(skip ? skips : scans);
+    return skip;
+  }
   double score_floor(int c) const { return model.score_floor(c); }
-  ScoreModel::Dirty move(int r, int c) { return model.move(r, c); }
+  ScoreModel::Dirty move(int r, int c) {
+    run_col = -1;
+    return model.move(r, c);
+  }
 };
+
+/// The block counters of `s` are the calls `log` saw, and no dead block
+/// was visited.
+void expect_block_work_logged(const HillClimbStats& s, const CellLog& log) {
+  EXPECT_EQ(s.blocks_skipped, log.skips);
+  EXPECT_EQ(s.blocks_rescanned, log.scans);
+  EXPECT_EQ(s.col_reductions, log.col_runs);
+  EXPECT_EQ(log.dead_visits, 0);
+  for (const int l : log.live) EXPECT_NE(l, -1) << "a block was never asked";
+}
 
 // On a fixed consolidation round (4 argmin blocks, the policy's limits),
 // the counters report exactly the cells the solver read; a column retired
@@ -270,6 +331,9 @@ TEST(ClimbCounters, RetiredColumnsReadOnlyTheirKeepScore) {
   EXPECT_EQ(s_inc.cells_read_cold + s_inc.cells_read_update, log_inc.total);
   EXPECT_EQ(s_ref.cells_read_cold + s_ref.cells_read_update, log_ref.total);
   EXPECT_EQ(s_ref.cols_retired, 0);  // reference mode prunes nothing
+  expect_block_work_logged(s_inc, log_inc);
+  expect_block_work_logged(s_ref, log_ref);
+  EXPECT_EQ(s_ref.blocks_skipped, 0);
 
   std::vector<bool> touched(static_cast<std::size_t>(m_inc.rows()), false);
   std::vector<bool> moved(static_cast<std::size_t>(m_inc.cols()), false);
@@ -292,6 +356,52 @@ TEST(ClimbCounters, RetiredColumnsReadOnlyTheirKeepScore) {
   EXPECT_GT(quiet_retired, 0);
   EXPECT_GE(s_inc.cols_retired, quiet_retired);
   EXPECT_LT(log_inc.total, log_ref.total);
+}
+
+/// Whether kArgminBlock block `blk` of `f`'s fleet holds a placeable host,
+/// read from the Datacenter (the oracle for ScoreModel::block_live).
+bool block_has_placeable_host(const SmallDc& f, int blk) {
+  const auto lo = static_cast<HostId>(blk * kArgminBlock);
+  const auto hi = std::min<HostId>(f.dc.num_hosts(), lo + kArgminBlock);
+  for (HostId h = lo; h < hi; ++h) {
+    if (f.dc.placeable(h)) return true;
+  }
+  return false;
+}
+
+// On a round whose middle two blocks are powered off and whose virtual row
+// sits alone in the tail block, the production climb asks the model once
+// per block whether it is live, never visits a dead block (no skip_block
+// call, no cell read), and its block counters are the calls the model
+// saw; the spec visits every block and so does more block work.
+TEST(ClimbCounters, DeadBlocksAreNeverVisited) {
+  Round round = fleet_round(/*hosts=*/128, /*queued=*/4, [](int h) {
+    return h >= 32 && h < 96 ? -1 : consolidation_mix(h);
+  });
+  SmallDc& f = *round.fixture;
+  FleetState fleet;
+  fleet.refresh(f.dc);
+  ScoreModel m_inc(fleet, f.dc, round.queue, round.params, true);
+  ScoreModel m_ref(f.dc, round.queue, round.params, true);
+  CellLog log_inc(m_inc);
+  CellLog log_ref(m_ref);
+  const HillClimbStats s_inc = hill_climb(log_inc, round.limits);
+  const HillClimbStats s_ref = hill_climb(log_ref, round.limits);
+  expect_same_outcome(s_ref, s_inc, m_ref, m_inc);
+  ASSERT_GT(s_inc.moves, 0);
+
+  const std::vector<int> expected_live{1, 0, 0, 1, 0};
+  ASSERT_EQ(log_inc.live, expected_live);
+  for (int blk = 0; blk < 4; ++blk) {
+    EXPECT_EQ(log_inc.live[static_cast<std::size_t>(blk)] != 0,
+              block_has_placeable_host(f, blk))
+        << "block " << blk;
+  }
+  EXPECT_EQ(log_ref.live, std::vector<int>(5, 1));  // the spec prunes nothing
+  expect_block_work_logged(s_inc, log_inc);
+  expect_block_work_logged(s_ref, log_ref);
+  EXPECT_LT(s_inc.blocks_skipped + s_inc.blocks_rescanned,
+            s_ref.blocks_rescanned);
 }
 
 // ---- adversarial cases for the score floor ----------------------------------
@@ -588,6 +698,172 @@ TEST_P(ScoreFloorCase, MatchesReferenceMoveForMove) {
 INSTANTIATE_TEST_SUITE_P(
     Adversarial, ScoreFloorCase, ::testing::ValuesIn(floor_cases()),
     [](const ::testing::TestParamInfo<FloorCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---- dead blocks ------------------------------------------------------------
+
+/// Liveness of every kArgminBlock block on a fresh incremental model of
+/// the round, as the production climb reads it (1 live, 0 dead).
+std::vector<int> live_blocks(const Round& r) {
+  FleetState fleet;
+  fleet.refresh(r.fixture->dc);
+  ScoreModel m(fleet, r.fixture->dc, r.queue, r.params, true);
+  std::vector<int> live;
+  for (int blk = 0; blk * kArgminBlock < m.rows(); ++blk) {
+    live.push_back(m.block_live(blk) ? 1 : 0);
+  }
+  return live;
+}
+
+struct DeadBlockCase {
+  const char* name;
+  std::function<Round()> build;
+  /// The liveness of each block the round must have.
+  std::vector<int> live;
+  /// Further checks on the round and the spec's move trace; nullptr for
+  /// none.
+  std::function<void(const Round&, const HillClimbStats&)> check_trace;
+};
+
+/// Powers off every host of blocks `off` (by block index), the rest carry
+/// the consolidation mix.
+std::function<int(int)> blocks_off(std::vector<int> off) {
+  return [off = std::move(off)](int h) {
+    const int blk = h / kArgminBlock;
+    return std::find(off.begin(), off.end(), blk) != off.end()
+               ? -1
+               : consolidation_mix(h);
+  };
+}
+
+/// The row of some move of `s` into block `blk`, or -1.
+int move_into_block(const HillClimbStats& s, int blk) {
+  for (const HillClimbMove& mv : s.trace) {
+    if (mv.to_row / kArgminBlock == blk) return mv.to_row;
+  }
+  return -1;
+}
+
+std::vector<DeadBlockCase> dead_block_cases() {
+  std::vector<DeadBlockCase> cases;
+  // 64 hosts: the virtual row is alone in the tail block, which holds no
+  // placeable host.
+  cases.push_back({"VirtualRowAloneInTheTailBlock",
+                   [] { return consolidation_round(64, 4); },
+                   {1, 1, 0},
+                   nullptr});
+  // Whole blocks powered off between live ones, and a partial tail block
+  // shared by live hosts and the virtual row.
+  cases.push_back({"PoweredOffBlocksBetweenLiveBlocks",
+                   [] { return fleet_round(150, 5, blocks_off({1, 3})); },
+                   {1, 0, 1, 0, 1},
+                   [](const Round&, const HillClimbStats& s) {
+                     EXPECT_GE(move_into_block(s, 4), 0);
+                   }});
+  // Block 1's only powered host is vetoed by an open circuit breaker: on
+  // but not placeable, so the block is dead. Its running VMs are pinned.
+  cases.push_back({"OnlyHostOfABlockBreakerVetoed",
+                   [] {
+                     constexpr HostId kVetoed = 40;
+                     Round r = fleet_round(96, 4, [](int h) {
+                       if (h == kVetoed) return 2;
+                       return h / kArgminBlock == 1 ? -1 : consolidation_mix(h);
+                     });
+                     SmallDc& f = *r.fixture;
+                     resilience::ResilienceConfig rcfg;
+                     rcfg.enabled = true;
+                     rcfg.breakers.threshold = 1;
+                     rcfg.breakers.probe_after_s = 1e9;
+                     r.breakers = std::make_unique<
+                         resilience::ResilienceController>(
+                         rcfg, f.recorder, f.dc.num_hosts());
+                     f.recorder.resilience = r.breakers.get();
+                     r.breakers->note_op_failure(kVetoed, f.simulator.now());
+                     return r;
+                   },
+                   {1, 0, 1, 0},
+                   [](const Round& r, const HillClimbStats&) {
+                     const datacenter::Datacenter& dc = r.fixture->dc;
+                     EXPECT_EQ(dc.host(40).state, datacenter::HostState::kOn);
+                     EXPECT_EQ(dc.host(40).residents.size(), 2u);
+                     EXPECT_FALSE(dc.placeable(40));
+                   }});
+  // One live block: the climb's argmin is a single block per column.
+  cases.push_back({"SingleLiveBlock",
+                   [] { return fleet_round(96, 4, blocks_off({0, 2})); },
+                   {0, 1, 0, 0},
+                   [](const Round&, const HillClimbStats& s) {
+                     EXPECT_GT(s.moves, 0);
+                   }});
+  // Block 0's only powered host is full, so every column skips it when
+  // the climb starts, and it offers the only software a queued VM needs.
+  // Its residents tolerate no failure on a host of reliability 0.5, so a
+  // migration soon moves one out; the queued VM then moves into block 0.
+  // A climb that called block 0 dead because every column skipped it at
+  // the start would never place that VM.
+  cases.push_back(
+      {"FullBlockOpenedByAMigration",
+       [] {
+         Round r = fleet_round(
+             48, 0,
+             [](int h) {
+               if (h == 0) return 4;
+               return h < kArgminBlock ? -1 : consolidation_mix(h);
+             },
+             [](std::vector<HostSpec>& hosts) {
+               hosts[0].reliability = 0.5;
+               hosts[0].software |= workload::kSwGpuRuntime;
+             });
+         SmallDc& f = *r.fixture;
+         workload::Job gpu = make_job(100, 512, 7200, 1.5, f.simulator.now());
+         gpu.software |= workload::kSwGpuRuntime;
+         r.queue.push_back(f.dc.admit_job(gpu));
+         r.params = ScoreBasedConfig::sb_full().params;
+         return r;
+       },
+       {1, 1},
+       [](const Round& r, const HillClimbStats& s) {
+         FleetState fleet;
+         fleet.refresh(r.fixture->dc);
+         ScoreModel m(fleet, r.fixture->dc, r.queue, r.params, true);
+         for (int c = 0; c < m.cols(); ++c) {
+           EXPECT_TRUE(m.skip_block(c, 0)) << "column " << c;
+         }
+         EXPECT_EQ(move_into_block(s, 0), 0);
+       }});
+  return cases;
+}
+
+void PrintTo(const DeadBlockCase& dc, std::ostream* os) { *os << dc.name; }
+
+class DeadBlock : public ::testing::TestWithParam<DeadBlockCase> {};
+
+// Each case has the dead blocks it names, and the production climb, which
+// never visits them, replays the spec move for move.
+TEST_P(DeadBlock, MatchesReferenceMoveForMove) {
+  const DeadBlockCase& dc = GetParam();
+  Round round = dc.build();
+  SmallDc& f = *round.fixture;
+  ASSERT_EQ(live_blocks(round), dc.live);
+  for (std::size_t blk = 0; blk < dc.live.size(); ++blk) {
+    const bool in_range = static_cast<int>(blk) * kArgminBlock <
+                          static_cast<int>(f.dc.num_hosts());
+    EXPECT_EQ(dc.live[blk] != 0,
+              in_range && block_has_placeable_host(f, static_cast<int>(blk)))
+        << "block " << blk;
+  }
+  expect_production_matches_spec(f, round.queue, round.params, true,
+                                 round.limits);
+  if (dc.check_trace) {
+    ScoreModel m_ref(f.dc, round.queue, round.params, true);
+    dc.check_trace(round, hill_climb_reference(m_ref, round.limits));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, DeadBlock, ::testing::ValuesIn(dead_block_cases()),
+    [](const ::testing::TestParamInfo<DeadBlockCase>& info) {
       return std::string(info.param.name);
     });
 
