@@ -25,7 +25,9 @@
 #include "workload/swf.hpp"
 #include "workload/synthetic.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace easched;
   support::CliArgs args(argc, argv);
 
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
   }
   obs::finish(observability, obs_opts, &result.report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return easched::support::run_guarded(argc, argv, run);
 }

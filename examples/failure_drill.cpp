@@ -39,7 +39,9 @@
 #include "support/cli.hpp"
 #include "workload/synthetic.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace easched;
   support::CliArgs args(argc, argv);
   const std::uint64_t seed =
@@ -114,4 +116,10 @@ int main(int argc, char** argv) {
   }
   obs::finish(observability, obs_opts, &result.report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return easched::support::run_guarded(argc, argv, run);
 }

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "obs/attribution/run_summary.hpp"
 #include "obs/telemetry/dashboard.hpp"
@@ -30,29 +31,24 @@ ObsOptions options_from_cli(const support::CliArgs& args) {
       static_cast<std::size_t>(args.get_int("telemetry-ring", 4096));
   for (const char* flag : {"telemetry-out", "prom-out", "alerts"}) {
     if (args.get(flag, "") == "true") {  // bare flag with no value
-      std::fprintf(stderr, "easched: --%s requires a value\n", flag);
-      std::exit(2);
+      throw std::invalid_argument(std::string("--") + flag +
+                                  " requires a value");
     }
   }
   if (opts.telemetry_period_s <= 0) {
-    std::fprintf(stderr, "easched: --telemetry-period must be > 0\n");
-    std::exit(2);
+    throw std::invalid_argument("--telemetry-period must be > 0");
   }
   if (opts.summary_path == "true") {  // bare `--summary-out` with no path
-    std::fprintf(
-        stderr,
-        "easched: --summary-out requires a path (--summary-out=run.json)\n");
-    std::exit(2);
+    throw std::invalid_argument(
+        "--summary-out requires a path (--summary-out=run.json)");
   }
   if (opts.trace_path == "true") {  // bare `--trace` with no path
-    std::fprintf(stderr, "easched: --trace requires a path (--trace=out.jsonl)\n");
-    std::exit(2);
+    throw std::invalid_argument("--trace requires a path (--trace=out.jsonl)");
   }
   if (!opts.trace_path.empty() && opts.trace_format != "jsonl" &&
       opts.trace_format != "chrome") {
-    std::fprintf(stderr, "easched: unknown --trace-format '%s' (jsonl|chrome)\n",
-                 opts.trace_format.c_str());
-    std::exit(2);
+    throw std::invalid_argument("unknown --trace-format '" +
+                                opts.trace_format + "' (jsonl|chrome)");
   }
   return opts;
 }
@@ -102,12 +98,7 @@ void configure(Observability& o, const ObsOptions& opts) {
       o.telemetry.add_sink(std::make_unique<DashboardSink>(std::cout));
     }
     if (!opts.alerts_spec.empty()) {
-      try {
-        o.telemetry.set_alert_rules(parse_alert_rules(opts.alerts_spec));
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "easched: %s\n", e.what());
-        std::exit(2);
-      }
+      o.telemetry.set_alert_rules(parse_alert_rules(opts.alerts_spec));
     }
   }
 }

@@ -40,14 +40,18 @@ struct ObsOptions {
   std::size_t telemetry_ring = 4096;  ///< --telemetry-ring= snapshots
 };
 
-/// Reads the observability flags from parsed CLI args. Exits with an error
-/// on a bare `--trace` (a path is required) or an unknown trace format.
+/// Reads the observability flags from parsed CLI args. Throws
+/// std::invalid_argument on a bare `--trace` (a path is required), an
+/// unknown trace format or another malformed flag (the examples turn it
+/// into a usage error with support::run_guarded).
 ObsOptions options_from_cli(const support::CliArgs& args);
 
 /// True when any output was requested, i.e. the run needs a bundle.
 [[nodiscard]] bool wants_observability(const ObsOptions& opts);
 
-/// Enables the bundle components the options ask for.
+/// Enables the bundle components the options ask for. Throws
+/// std::invalid_argument on a malformed --alerts= spec (the examples turn
+/// it into a usage error with support::run_guarded).
 void configure(Observability& o, const ObsOptions& opts);
 
 /// Writes the requested outputs: the trace file in the chosen format, the

@@ -112,4 +112,13 @@ std::size_t CliArgs::warn_unrecognized() const {
   return unknown;
 }
 
+int run_guarded(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+}
+
 }  // namespace easched::support

@@ -53,4 +53,13 @@ class CliArgs {
   mutable std::set<std::string> seen_;
 };
 
+/// Runs a command-line program's `body` and turns a rejected argument into
+/// a usage error: a std::invalid_argument that escapes it (a malformed
+/// --faults=, --resilience= or --alerts= spec, an observability flag
+/// obs::options_from_cli rejects, or a run config that run_experiment
+/// refuses, such as two different breaker policies) prints `error: <what>`
+/// on stderr and returns exit status 2. Anything else propagates. Use it as `int main(int argc, char** argv) { return
+/// run_guarded(argc, argv, run); }`.
+int run_guarded(int argc, char** argv, int (*body)(int argc, char** argv));
+
 }  // namespace easched::support
