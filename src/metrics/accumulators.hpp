@@ -144,6 +144,10 @@ struct Counters {
   /// Rounds whose policy saw an empty queue and which applied no action.
   std::uint64_t rounds_idle = 0;
 
+  // ---- power control (counted by PowerController::update) -------------
+  /// Updates whose turn-off side shed at least one host.
+  std::uint64_t power_off_passes = 0;
+
   // ---- simulation kernel (filled by the runner from the simulator) ----
   std::uint64_t events_dispatched = 0;
   std::uint64_t events_cancelled = 0;
@@ -179,6 +183,7 @@ inline constexpr std::pair<std::uint64_t Counters::*, const char*>
         {&Counters::breaker_deaths, "resilience.breaker_deaths"},
         {&Counters::rounds, "sched.rounds"},
         {&Counters::rounds_idle, "sched.rounds_idle"},
+        {&Counters::power_off_passes, "sched.power_off_passes"},
         {&Counters::events_dispatched, "sim.events_dispatched"},
         {&Counters::events_cancelled, "sim.events_cancelled"},
         {&Counters::events_kept, "sim.events_kept"},

@@ -101,6 +101,8 @@ void PowerController::update(const SchedContext& ctx, Datacenter& dc,
   };
   if (!wants_off()) return;
   auto idle = hosts_idle_on(dc);
+  if (idle.empty()) return;
+  ++dc.recorder().counts.power_off_passes;  // the loop picks at least once
   while (!idle.empty() && wants_off()) {
     const HostId h = policy.choose_power_off(ctx, idle);
     const auto it = std::find(idle.begin(), idle.end(), h);
