@@ -1,7 +1,9 @@
 #include "core/score_based_policy.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <utility>
 
 #include "core/hill_climb.hpp"
 #include "obs/obs.hpp"
@@ -259,29 +261,41 @@ void ScoreBasedPolicy::emplace_model(const sched::SchedContext& ctx,
     model.emplace(ctx.dc, ctx.queue, config_.params, migration);
     return;
   }
+  // The refresh drains the journal the power-off pass is checked against.
+  power_off_ranking_.valid = false;
   fleet_.refresh(ctx.dc);
   model.emplace(fleet_, ctx.dc, ctx.queue, config_.params, migration);
 }
+
+namespace {
+
+/// Overhead key of a candidate when the matrix has no column.
+double overhead_score(const datacenter::Datacenter& dc, datacenter::HostId h) {
+  return dc.host(h).spec.creation_cost_s + dc.host(h).spec.migration_cost_s;
+}
+
+}  // namespace
 
 datacenter::HostId ScoreBasedPolicy::choose_power_off(
     const sched::SchedContext& ctx,
     const std::vector<datacenter::HostId>& idle_hosts) {
   EA_EXPECTS(!idle_hosts.empty());
-  // Rank by the aggregated matrix row of each idle candidate (row ==
-  // HostId), on the same model the rounds use.
+  if (config_.incremental) {
+    if (!continues_pass(ctx, idle_hosts)) rank_power_off(ctx, idle_hosts);
+    PowerOffRanking& r = power_off_ranking_;
+    const datacenter::HostId h =
+        r.served < r.order.size() ? r.order[r.served] : idle_hosts.front();
+    EA_EXPECTS(ctx.dc.host(h).is_idle_on());
+    ++r.served;
+    r.last = h;
+    return h;
+  }
+  // Reference: rank by the aggregated matrix row of each idle candidate
+  // (row == HostId) on a fresh model of the same layout the rounds use.
   std::optional<ScoreModel> model;
   emplace_model(ctx, config_.migration, model);
-  PowerOffMemo& memo = power_off_memo_;
-  if (config_.incremental) {
-    model->column_key(memo.scratch);
-    if (memo.scratch != memo.key ||
-        memo.aggregate.size() != ctx.dc.num_hosts()) {
-      std::swap(memo.key, memo.scratch);
-      memo.aggregate.assign(ctx.dc.num_hosts(), std::nullopt);
-    }
-  }
-  // The power controller lists idle hosts in ascending HostId order, so
-  // the strict > below gives ties to the lowest HostId.
+  // The strict > gives ties to the earlier list entry; a candidate must
+  // score above -1 to be picked at all.
   const auto pick = [&](const auto& score) {
     datacenter::HostId best = idle_hosts.front();
     double best_score = -1;
@@ -301,21 +315,65 @@ datacenter::HostId ScoreBasedPolicy::choose_power_off(
   if (model->cols() == 0) {
     // Empty matrix: fall back to overhead-based ranking so the choice
     // stays deterministic and sensible.
-    return pick([&](datacenter::HostId h) {
-      return ctx.dc.host(h).spec.creation_cost_s +
-             ctx.dc.host(h).spec.migration_cost_s;
-    });
-  }
-  if (!config_.incremental) {
-    return pick([&](datacenter::HostId h) {
-      return model->row_aggregate(static_cast<int>(h));
-    });
+    return pick(
+        [&](datacenter::HostId h) { return overhead_score(ctx.dc, h); });
   }
   return pick([&](datacenter::HostId h) {
-    std::optional<double>& agg = memo.aggregate[h];
-    if (!agg) agg = model->row_aggregate(static_cast<int>(h));
-    return *agg;
+    return model->row_aggregate(static_cast<int>(h));
   });
+}
+
+bool ScoreBasedPolicy::continues_pass(
+    const sched::SchedContext& ctx,
+    const std::vector<datacenter::HostId>& idle_hosts) const {
+  const PowerOffRanking& r = power_off_ranking_;
+  return r.valid && ctx.dc.simulator().now() == r.now &&
+         ctx.dc.simulator().dispatched() == r.dispatched &&
+         ctx.queue == r.queue && ctx.dc.fleet_dirty_count() == r.served &&
+         idle_hosts.size() + r.served == r.idle_count &&
+         !ctx.dc.host(r.last).is_idle_on();
+}
+
+void ScoreBasedPolicy::rank_power_off(
+    const sched::SchedContext& ctx,
+    const std::vector<datacenter::HostId>& idle_hosts) {
+  std::optional<ScoreModel> model;
+  emplace_model(ctx, config_.migration, model);
+  ++power_off_stats_.rankings;
+  // Each candidate's score, in list order; the stable sort below then
+  // gives ties to the earlier entry, as the reference scan does.
+  std::vector<std::pair<double, datacenter::HostId>> scored;
+  std::map<ScoreModel::IdleRowKey, double> by_key;
+  for (const datacenter::HostId h : idle_hosts) {
+    EA_EXPECTS(ctx.dc.host(h).is_idle_on());
+    const int row = static_cast<int>(h);
+    if (!model->placeable(row)) continue;  // see the reference scan
+    double score = 0;
+    if (model->cols() == 0) {
+      score = overhead_score(ctx.dc, h);
+    } else {
+      const auto [it, fresh] = by_key.try_emplace(model->idle_row_key(row));
+      if (fresh) {
+        it->second = model->row_aggregate(row);
+        ++power_off_stats_.aggregates;
+      }
+      score = it->second;
+    }
+    if (score > -1) scored.emplace_back(score, h);
+  }
+  std::stable_sort(
+      scored.begin(), scored.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
+
+  PowerOffRanking& r = power_off_ranking_;
+  r.order.clear();
+  for (const auto& [score, h] : scored) r.order.push_back(h);
+  r.valid = true;
+  r.now = ctx.dc.simulator().now();
+  r.dispatched = ctx.dc.simulator().dispatched();
+  r.queue = ctx.queue;
+  r.idle_count = idle_hosts.size();
+  r.served = 0;
 }
 
 }  // namespace easched::core

@@ -13,8 +13,10 @@
 //   SB-full = SB + PSLA + Pfault              (extensions, A2/A3 benches)
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/annealing.hpp"
 #include "core/fleet.hpp"
@@ -87,11 +89,30 @@ class ScoreBasedPolicy final : public sched::Policy {
 
   /// Section III-C: idle nodes are switched off by their aggregated matrix
   /// row score (higher aggregate — more infinities, higher penalties —
-  /// goes first). Expects every candidate to be idle and on
+  /// goes first; ties to the earlier list entry). Only placeable
+  /// candidates whose score exceeds -1 are ranked; when none is left, the
+  /// pick is idle_hosts.front(). Expects every candidate to be idle and on
   /// (Host::is_idle_on()), as the power controller's list is.
+  ///
+  /// Reference mode scans every candidate on a fresh model per call.
+  /// Incremental mode ranks once per controller pass: a call that does
+  /// not continue the pass (see PowerOffRanking) builds the ranking on
+  /// one model, and every call serves the next pick from it in O(1).
+  /// Both modes pick alike.
   datacenter::HostId choose_power_off(
       const sched::SchedContext& ctx,
       const std::vector<datacenter::HostId>& idle_hosts) override;
+
+  /// Work of incremental mode's power-off ranking, cumulative over the
+  /// policy's life; zero in reference mode. It depends on the core mode,
+  /// so it stays out of metrics::Counters.
+  struct PowerOffStats {
+    std::uint64_t rankings = 0;    ///< rankings built
+    std::uint64_t aggregates = 0;  ///< row_aggregate() calls
+  };
+  [[nodiscard]] const PowerOffStats& power_off_stats() const noexcept {
+    return power_off_stats_;
+  }
 
   [[nodiscard]] const ScoreBasedConfig& config() const noexcept {
     return config_;
@@ -115,23 +136,42 @@ class ScoreBasedPolicy final : public sched::Policy {
   /// the watchdog can always afford.
   std::vector<sched::Action> first_fit(const sched::SchedContext& ctx) const;
 
-  /// Incremental mode's power-off ranking memo. The power controller asks
-  /// for one pick per host it sheds, each on a freshly built model, and
-  /// most idle rows aggregate to the same value again. A stored aggregate
-  /// is reused while the model's column_key() equals `key` bitwise: a
-  /// candidate is idle, and a placeable idle host's row is a function of
-  /// its immutable spec alone (see ScoreModel::column_key); a
-  /// non-placeable one is never ranked.
-  struct PowerOffMemo {
-    std::vector<std::uint64_t> key;    ///< columns the aggregates belong to
-    std::vector<std::uint64_t> scratch;  ///< the current model's key
-    std::vector<std::optional<double>> aggregate;  ///< by HostId
+  /// Incremental mode's power-off ranking of one controller pass. The
+  /// controller sheds hosts one call at a time at one instant, with only
+  /// dc.power_off(pick) in between, which changes no column and no other
+  /// row. A call continues the pass when all of these hold:
+  ///   - the sim time, Simulator::dispatched() and ctx.queue are the
+  ///     build's, so the columns and every row but the picks' are;
+  ///   - the fleet journal holds exactly `served` hosts, no model was
+  ///     built since (emplace_model() drops the ranking), and the idle
+  ///     list is `served` shorter: each pick was journalled, and nothing
+  ///     else was;
+  ///   - the last pick is no longer idle-on (the caller shed it).
+  /// Any other call builds a new ranking.
+  struct PowerOffRanking {
+    bool valid = false;
+    sim::SimTime now = 0;
+    std::uint64_t dispatched = 0;
+    std::vector<datacenter::VmId> queue;
+    std::size_t idle_count = 0;  ///< length of the build's idle list
+    /// Placeable candidates scoring above -1, best first.
+    std::vector<datacenter::HostId> order;
+    std::size_t served = 0;  ///< picks served, from `order` or front()
+    datacenter::HostId last = 0;
   };
+
+  /// Whether a choose_power_off call continues the ranked pass.
+  bool continues_pass(const sched::SchedContext& ctx,
+                      const std::vector<datacenter::HostId>& idle_hosts) const;
+  /// Builds power_off_ranking_ over `idle_hosts` on one fresh model.
+  void rank_power_off(const sched::SchedContext& ctx,
+                      const std::vector<datacenter::HostId>& idle_hosts);
 
   ScoreBasedConfig config_;
   HillClimbStats last_stats_;
   FleetState fleet_;  ///< cross-round state of the incremental core
-  PowerOffMemo power_off_memo_;
+  PowerOffRanking power_off_ranking_;
+  PowerOffStats power_off_stats_;
   sim::SimTime last_consolidation_ = -1e18;  ///< time of last migration round
 };
 

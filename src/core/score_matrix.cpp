@@ -250,6 +250,19 @@ ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
   return b;
 }
 
+ScoreModel::IdleRowKey ScoreModel::idle_row_key(int r) const {
+  EA_EXPECTS(r >= 0 && r < virtual_row());
+  EA_EXPECTS(!fleet_->planning());
+  EA_EXPECTS(placeable_[r] != 0);
+  const auto i = static_cast<std::size_t>(r);
+  EA_EXPECTS(cpu_res_[i] == 0 && mem_res_[i] == 0 && vm_count_[i] == 0);
+  EA_EXPECTS(running_[i] == 0 && mgmt_[r] == 0 && conc_[r] == 0);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return {bits(cap_cpu_[r]), bits(cap_mem_[r]), bits(cost_create_[r]),
+          bits(cost_migrate_[r]), bits(reliability_[r]),
+          static_cast<std::uint64_t>(arch_[r]), software_[r]};
+}
+
 ScoreModel::Dirty ScoreModel::move(int r, int c) {
   // Hill climbing only plans moves onto real hosts; the exhaustive
   // reference solver additionally undoes placements by moving a queued
@@ -275,22 +288,6 @@ ScoreModel::Dirty ScoreModel::move(int r, int c) {
   }
   v.planned = r;
   return dirty;
-}
-
-void ScoreModel::column_key(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  out.reserve(vms_.size() * 12);
-  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  for (const VmCol& v : vms_) {
-    out.insert(out.end(),
-               {bits(v.cpu), bits(v.mem), bits(v.elapsed_s),
-                bits(v.remaining_user_s), bits(v.remaining_work_s),
-                bits(v.deadline_s), bits(v.fault_tolerance),
-                static_cast<std::uint64_t>(v.is_new),
-                static_cast<std::uint64_t>(v.original),
-                static_cast<std::uint64_t>(v.planned),
-                static_cast<std::uint64_t>(v.arch), v.software});
-  }
 }
 
 double ScoreModel::row_aggregate(int r) const {

@@ -52,6 +52,8 @@
 //   nothing.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -127,6 +129,19 @@ class ScoreModel {
   /// the one evaluator, and the score-attribution payload of kDecision
   /// trace events.
   [[nodiscard]] ScoreBreakdown breakdown(int r, int c) const;
+
+  /// Everything of real row `r`'s snapshot entry that its cells read,
+  /// as bit patterns, for a placeable idle row: cpu_cap, mem_cap,
+  /// creation_cost, migration_cost, reliability, arch and software. While
+  /// the plan is the snapshot's (no move() yet), such a row has no column
+  /// planned or at home on it, and its reservations, VM count, running
+  /// and management demand and remaining operation time are zero — the
+  /// EA_EXPECTS hold this. Its cells, and so row_aggregate(r), are then a
+  /// function of this key, the columns and the fixed params alone: two
+  /// rows with equal keys aggregate equally in one model. The power-off
+  /// ranking computes one aggregate per distinct key.
+  using IdleRowKey = std::array<std::uint64_t, 7>;
+  [[nodiscard]] IdleRowKey idle_row_key(int r) const;
 
   /// Row where column `c` is currently planned.
   [[nodiscard]] int plan_row(int c) const { return col(c).planned; }
@@ -218,15 +233,6 @@ class ScoreModel {
   /// section III-C): sum of the finite scores plus 1e9 per infinite one,
   /// folded into one comparable number.
   [[nodiscard]] double row_aggregate(int r) const;
-
-  /// Replaces `out` with a bitwise encoding of every column
-  /// field a cell reads. With the fixed params, real row `r`'s cells — and
-  /// so row_aggregate(r) — are a function of snapshot entry `r` and this
-  /// key alone while the plan is the snapshot's (no move() yet). An idle
-  /// host's entry is its immutable spec plus its placeability (see
-  /// FleetSnapshot), so for a placeable idle host equal keys mean an
-  /// equal aggregate. The power-off ranking memo relies on this.
-  void column_key(std::vector<std::uint64_t>& out) const;
 
  private:
   struct VmCol {

@@ -17,9 +17,14 @@
 //     cannot see (clock-aged in-flight operations, breaker vetoes that
 //     flip with the clock or inside the resilience controller), and the
 //     reference model leaving the journal alone;
-//   - the power-off ranking memo: shedding several hosts in one power
-//     controller update, a column change that must miss the memo, an idle
-//     candidate journalled between picks that must hit it, and the
+//   - the power-off ranking of one controller pass: picks equal to the
+//     reference's when hosts are shed in one power controller update (on
+//     a 1,000-host mixed fleet too, and under SB-full with aggregates on
+//     both sides of the -1 floor), and when the pass is broken by a queue
+//     change, a dispatched event, a clock move, a round in between, a
+//     journalled non-pick host or a caller that sheds another host (each
+//     forces a new ranking); one ranking
+//     and at most one aggregate per distinct idle spec per pass; the
 //     idle-candidate precondition (death test);
 //   - block summaries: margin maxima per block, and FleetState::extrema()
 //     against a scan of the fleet in host order;
@@ -821,6 +826,7 @@ TEST(FleetPowerOff, RankingMatchesReferenceAndSkipsNonPlaceableHosts) {
 struct PolicyLog {
   std::vector<std::tuple<double, sched::Action::Kind, VmId, HostId>> actions;
   std::vector<HostId> picks;
+  ScoreBasedPolicy::PowerOffStats power_off;  ///< as of the last pick
 };
 
 /// Forwards to a ScoreBasedPolicy and records its decisions in a PolicyLog,
@@ -844,6 +850,7 @@ class RecordingPolicy final : public sched::Policy {
   HostId choose_power_off(const sched::SchedContext& ctx,
                           const std::vector<HostId>& idle) override {
     log_.picks.push_back(inner_.choose_power_off(ctx, idle));
+    log_.power_off = inner_.power_off_stats();
     return log_.picks.back();
   }
 
@@ -852,56 +859,206 @@ class RecordingPolicy final : public sched::Policy {
   PolicyLog& log_;
 };
 
-/// Picks of one power controller update on a fleet of mixed node classes
-/// with a few running VMs and a lambda_min that sheds every idle host.
-std::vector<HostId> shed_in_one_update(bool incremental) {
-  datacenter::DatacenterConfig base;
-  const datacenter::HostSpec specs[] = {
-      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
-      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
-  for (int i = 0; i < 10; ++i) base.hosts.push_back(specs[(i * 3) % 4]);
-  SmallDc f(10, base);
-  f.admit_and_place(make_job(100, 512, 50000), 0);
-  f.admit_and_place(make_job(200, 1024, 50000), 3);
-  f.admit_and_place(make_job(150, 768, 50000), 7);
-  f.simulator.run_until(400.0);
-
-  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
-  cfg.incremental = incremental;
+/// One power controller update that sheds every idle host it may.
+struct ShedPass {
   PolicyLog log;
-  RecordingPolicy policy(cfg, log);
+  std::uint64_t passes = 0;  ///< the run counter sched.power_off_passes
+};
+
+/// Sheds in one power controller update on a fleet of `base.hosts`, with
+/// `vms` placed first (a job and its host each) and lambda_min = 0.9, so
+/// every idle host but the last few goes off. `prepare` runs on the
+/// fixture before the update (to open breakers, say).
+template <typename Prepare>
+ShedPass shed_in_one_update(
+    ScoreBasedConfig cfg, bool incremental,
+    datacenter::DatacenterConfig base,
+    const std::vector<std::pair<workload::Job, HostId>>& vms,
+    Prepare prepare) {
+  const std::size_t n = base.hosts.size();
+  SmallDc f(n, std::move(base));
+  for (const auto& [job, h] : vms) f.admit_and_place(job, h);
+  f.simulator.run_until(400.0);
+  prepare(f);
+
+  cfg.incremental = incremental;
+  ShedPass out;
+  RecordingPolicy policy(cfg, out.log);
   sched::PowerControllerConfig pcfg;
   pcfg.lambda_min = 0.9;  // shed until working / online >= 0.9
   support::Rng rng{5};
   const std::vector<VmId> empty;
   const sched::SchedContext ctx{f.dc, empty, rng};
   sched::PowerController(pcfg).update(ctx, f.dc, policy);
-  return log.picks;
+  out.passes = f.recorder.counts.power_off_passes;
+  return out;
 }
+
+datacenter::DatacenterConfig mixed_classes(int n) {
+  datacenter::DatacenterConfig base;
+  const datacenter::HostSpec specs[] = {
+      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
+      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
+  for (int i = 0; i < n; ++i) base.hosts.push_back(specs[(i * 3) % 4]);
+  return base;
+}
+
+/// Number of distinct ScoreModel::IdleRowKey fields among `hosts`.
+std::size_t distinct_specs(const std::vector<datacenter::HostSpec>& hosts) {
+  std::vector<std::tuple<double, double, double, double, double,
+                         workload::Arch, std::uint32_t>>
+      keys;
+  for (const datacenter::HostSpec& h : hosts) {
+    keys.emplace_back(h.cpu_capacity_pct, h.mem_mb, h.creation_cost_s,
+                      h.migration_cost_s, h.reliability, h.arch, h.software);
+  }
+  std::sort(keys.begin(), keys.end());
+  return static_cast<std::size_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+}
+
+const auto kNoPrepare = [](SmallDc&) {};
 
 // The power controller sheds one choose_power_off pick at a time, all at
-// one sim time; the incremental policy reuses its row aggregates across
-// those picks. Its picks must be the reference policy's.
+// one sim time; the incremental policy ranks once for the pass and serves
+// each pick from the ranking. Its picks must be the reference's.
 TEST(FleetPowerOff, ShedsSeveralHostsInOneUpdateLikeTheReference) {
-  const std::vector<HostId> ref = shed_in_one_update(false);
-  const std::vector<HostId> inc = shed_in_one_update(true);
-  ASSERT_GE(ref.size(), 5u);
-  EXPECT_EQ(inc, ref);
+  const std::vector<std::pair<workload::Job, HostId>> vms = {
+      {make_job(100, 512, 50000), 0},
+      {make_job(200, 1024, 50000), 3},
+      {make_job(150, 768, 50000), 7}};
+  const ShedPass ref = shed_in_one_update(ScoreBasedConfig::sb(), false,
+                                          mixed_classes(10), vms, kNoPrepare);
+  const ShedPass inc = shed_in_one_update(ScoreBasedConfig::sb(), true,
+                                          mixed_classes(10), vms, kNoPrepare);
+  ASSERT_GE(ref.log.picks.size(), 5u);
+  EXPECT_EQ(inc.log.picks, ref.log.picks);
+  EXPECT_EQ(inc.passes, 1u);
+  EXPECT_EQ(ref.passes, 1u);
+  EXPECT_EQ(inc.log.power_off.rankings, 1u);
+  EXPECT_EQ(ref.log.power_off.rankings, 0u);  // the reference scans
 }
 
-// The columns change between two picks at the same sim time: the second
-// pick's queue holds a VM that fits only the bigger idle host. The idle
-// hosts are not re-read (nothing was journalled), but the model's columns
-// changed, so the memo must miss: the smaller idle host's row turns
-// infinite and now ranks first.
-TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
+// A fleet of 1,000 hosts of the evaluation classes, every other one with
+// its own reliability as in the chaos_2d benchmark workload, sheds almost
+// every idle host in one pass. The picks must be the reference's, pick
+// for pick, from one ranking that computes at most one aggregate per
+// distinct idle spec.
+TEST(FleetPowerOff, ThousandHostMixedSpecPassMatchesTheReference) {
+  datacenter::DatacenterConfig base;
+  base.hosts = experiments::evaluation_hosts(300, 400, 300);
+  for (std::size_t i = 1; i < base.hosts.size(); i += 2) {
+    base.hosts[i].reliability = 0.95 + 0.04 * static_cast<double>(i % 3) / 2.0;
+  }
+  const std::size_t specs = distinct_specs(base.hosts);
+  ASSERT_GE(specs, 6u);
+  std::vector<std::pair<workload::Job, HostId>> vms;
+  for (HostId h = 0; h < 1000; h += 211) {
+    workload::Job job = make_job(100, 512, 50000);
+    job.fault_tolerance = 0.01 * static_cast<double>(h % 7);
+    vms.emplace_back(job, h);
+  }
+  const ShedPass ref = shed_in_one_update(ScoreBasedConfig::sb_full(), false,
+                                          base, vms, kNoPrepare);
+  const ShedPass inc = shed_in_one_update(ScoreBasedConfig::sb_full(), true,
+                                          base, vms, kNoPrepare);
+  ASSERT_GE(ref.log.picks.size(), 900u);
+  ASSERT_EQ(inc.log.picks.size(), ref.log.picks.size());
+  for (std::size_t i = 0; i < ref.log.picks.size(); ++i) {
+    ASSERT_EQ(inc.log.picks[i], ref.log.picks[i]) << "pick " << i;
+  }
+  EXPECT_EQ(inc.passes, 1u);
+  EXPECT_EQ(inc.log.power_off.rankings, 1u);
+  EXPECT_GT(inc.log.power_off.aggregates, 0u);
+  EXPECT_LE(inc.log.power_off.aggregates, specs);
+}
+
+// SB-full with a running VM that tolerates faults: the fault term makes
+// the idle rows of reliable hosts aggregate at or below -1, which no pick
+// takes, while the unreliable ones score above it. The lowest idle host is
+// on but breaker-vetoed. Once the candidates above -1 are shed, each pick
+// falls back to the list's front — first onto that non-placeable host,
+// while placeable idle hosts are left. The incremental picks must be the
+// reference's, pick for pick, fallbacks included.
+TEST(FleetPowerOff, FloorAndFrontFallbackMatchTheReference) {
+  constexpr HostId kVetoed = 0;
+  constexpr HostId kBusy = 9;
+  datacenter::DatacenterConfig base;
+  const double reliability[] = {0.5,  0.99, 0.6,  0.95, 0.7,
+                                0.9,  0.55, 0.8,  0.65, 0.99};
+  for (const double rel : reliability) {
+    datacenter::HostSpec spec = datacenter::HostSpec::medium();
+    spec.reliability = rel;
+    base.hosts.push_back(spec);
+  }
+  workload::Job job = make_job(100, 512, 50000);
+  job.fault_tolerance = 0.3;
+  const std::vector<std::pair<workload::Job, HostId>> vms = {{job, kBusy}};
+
+  resilience::ResilienceConfig rcfg;
+  rcfg.enabled = true;
+  rcfg.breakers.threshold = 1;
+  rcfg.breakers.probe_after_s = 1e9;
+  std::vector<double> aggregates;  // reference aggregates by HostId
+  const auto run = [&](bool incremental) {
+    std::unique_ptr<resilience::ResilienceController> rc;
+    return shed_in_one_update(
+        ScoreBasedConfig::sb_full(), incremental, base, vms,
+        [&](SmallDc& f) {
+          rc = std::make_unique<resilience::ResilienceController>(
+              rcfg, f.recorder, f.dc.num_hosts());
+          f.recorder.resilience = rc.get();
+          rc->note_op_failure(kVetoed, f.simulator.now());
+          ASSERT_TRUE(f.dc.host(kVetoed).is_idle_on());
+          ASSERT_FALSE(f.dc.placeable(kVetoed));
+          const ScoreModel model(f.dc, {}, ScoreBasedConfig::sb_full().params,
+                                 /*migration_enabled=*/true);
+          ASSERT_EQ(model.cols(), 1);
+          aggregates.clear();
+          for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+            aggregates.push_back(model.row_aggregate(static_cast<int>(h)));
+          }
+        });
+  };
+  const ShedPass ref = run(false);
+  const ShedPass inc = run(true);
+
+  int above = 0;
+  int at_or_below = 0;
+  for (HostId h = 1; h < kBusy; ++h) {
+    (aggregates[h] > -1 ? above : at_or_below) += 1;
+  }
+  ASSERT_GE(above, 2);
+  ASSERT_GE(at_or_below, 2);
+  ASSERT_EQ(ref.log.picks.size(), 9u);  // every idle host
+  // The ranked picks, then the fallback onto the vetoed front host.
+  const auto vetoed_at =
+      std::find(ref.log.picks.begin(), ref.log.picks.end(), kVetoed);
+  ASSERT_EQ(vetoed_at - ref.log.picks.begin(), above);
+  for (auto it = ref.log.picks.begin(); it != vetoed_at; ++it) {
+    EXPECT_GT(aggregates[*it], -1) << "host " << *it;
+  }
+  // The rest go in list order, lowest HostId first.
+  EXPECT_TRUE(std::is_sorted(vetoed_at, ref.log.picks.end()));
+  EXPECT_EQ(inc.log.picks, ref.log.picks);
+  EXPECT_EQ(inc.log.power_off.rankings, 1u);
+}
+
+// The queue changes between two picks at one instant: the second call's
+// queue holds a VM that fits only the big idle hosts. Nothing was
+// journalled but the first pick, and no event ran, so only the queue
+// tells the call apart from the pass: it must rank afresh. The small idle
+// host's row turns infinite and now ranks first, where the first ranking
+// had the second big host.
+TEST(FleetPowerOff, QueueChangeAtOneInstantReranks) {
   constexpr HostId kBig = 1;    // idle, 800 % CPU
-  constexpr HostId kSmall = 2;  // idle, 400 % CPU
+  constexpr HostId kBig2 = 2;   // idle, 800 % CPU
+  constexpr HostId kSmall = 3;  // idle, 400 % CPU
   datacenter::DatacenterConfig base;
   datacenter::HostSpec big = datacenter::HostSpec::medium();
   big.cpu_capacity_pct = 800;
-  base.hosts = {big, big, datacenter::HostSpec::medium()};
-  SmallDc f(3, base);
+  base.hosts = {big, big, big, datacenter::HostSpec::medium()};
+  SmallDc f(4, base);
   f.admit_and_place(make_job(100, 512, 50000), 0);
   f.simulator.run_until(400.0);
 
@@ -912,34 +1069,224 @@ TEST(FleetPowerOff, ColumnChangeMissesTheMemo) {
   support::Rng rng{7};
   const std::vector<VmId> empty;
   const sched::SchedContext ctx{f.dc, empty, rng};
-  const std::vector<HostId> idle = {kBig, kSmall};
+  std::vector<HostId> idle = {kBig, kBig2, kSmall};
 
-  // Both rows are finite; the emptier (bigger) host aggregates higher.
-  const HostId before = ref.choose_power_off(ctx, idle);
-  EXPECT_EQ(before, kBig);
-  EXPECT_EQ(inc.choose_power_off(ctx, idle), before);
+  // Every row is finite; the emptier (bigger) hosts aggregate higher.
+  const HostId first = ref.choose_power_off(ctx, idle);
+  EXPECT_EQ(first, kBig);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), first);
+  f.dc.power_off(first);
+  idle.erase(std::find(idle.begin(), idle.end(), first));
+  EXPECT_EQ(ref.choose_power_off(ctx, idle), kBig2);  // the pass goes on
 
   const sim::SimTime t = f.simulator.now();
+  const std::uint64_t dispatched = f.simulator.dispatched();
   const std::vector<VmId> queued = {f.dc.admit_job(make_job(500))};
   const sched::SchedContext grown{f.dc, queued, rng};
   ASSERT_EQ(f.simulator.now(), t);
-  ASSERT_EQ(f.dc.fleet_dirty_count(), 0u);
+  ASSERT_EQ(f.simulator.dispatched(), dispatched);
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);  // the first pick alone
   const HostId after = ref.choose_power_off(grown, idle);
   EXPECT_EQ(after, kSmall);
   EXPECT_EQ(inc.choose_power_off(grown, idle), after);
+  EXPECT_EQ(inc.power_off_stats().rankings, 2u);
 }
 
-// A journalled idle candidate between two picks at one sim time: its
-// maintenance flips on and back off, so it is re-read, but its row is its
-// spec and its placeability again and the columns did not change, so the
-// memo keeps its aggregate. The picks must still be the reference's.
-TEST(FleetPowerOff, JournalledIdleCandidateBetweenPicksMatchesTheReference) {
+// An event runs between two picks at one instant and opens the breaker of
+// the host the ranking holds next. A breaker veto is not journalled and
+// the queue is unchanged, so only the dispatch count tells the call apart
+// from the pass: it must rank afresh and skip the vetoed host.
+TEST(FleetPowerOff, EventDispatchedBetweenPicksReranks) {
+  SmallDc f(8, mixed_classes(8));
+  resilience::ResilienceConfig rcfg;
+  rcfg.enabled = true;
+  rcfg.breakers.threshold = 1;
+  rcfg.breakers.probe_after_s = 1e9;
+  resilience::ResilienceController rc(rcfg, f.recorder, f.dc.num_hosts());
+  f.recorder.resilience = &rc;
+  f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.admit_and_place(make_job(200, 1024, 50000), 5);
+  f.simulator.run_until(400.0);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{13};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  std::vector<HostId> idle;
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+    if (f.dc.host(h).is_idle_on()) idle.push_back(h);
+  }
+  ASSERT_EQ(idle.size(), 6u);
+
+  const HostId first = ref.choose_power_off(ctx, idle);
+  ASSERT_EQ(inc.choose_power_off(ctx, idle), first);
+  f.dc.power_off(first);
+  idle.erase(std::find(idle.begin(), idle.end(), first));
+  const HostId next = ref.choose_power_off(ctx, idle);  // the ranking's next
+
+  const sim::SimTime t = f.simulator.now();
+  f.simulator.at(t, [&] { rc.note_op_failure(next, t); });
+  f.simulator.run_until(t);
+  ASSERT_EQ(f.simulator.now(), t);
+  ASSERT_FALSE(f.dc.placeable(next));
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);  // the first pick alone
+
+  const HostId r = ref.choose_power_off(ctx, idle);
+  EXPECT_NE(r, next);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), r);
+  EXPECT_EQ(inc.power_off_stats().rankings, 2u);
+}
+
+// The clock moves between two picks with no event dispatched (run_until
+// past an empty stretch). A running VM's remaining time drops below one
+// idle host's migration cost, which quadruples that host's Pvirt and lifts
+// it from below the -1 floor to the top of the ranking. Nothing was
+// journalled but the first pick, so only the clock tells the call apart
+// from the pass: it must rank afresh.
+TEST(FleetPowerOff, ClockMovedBetweenPicksReranks) {
+  constexpr HostId kFirst = 1;  // huge migration cost: always ranks first
+  constexpr HostId kRoomy = 2;  // nearly empty with the VM, cheap to move to
+  constexpr HostId kTight = 3;  // full with the VM, Cm = 20 s
   datacenter::DatacenterConfig base;
-  const datacenter::HostSpec specs[] = {
-      datacenter::HostSpec::fast(), datacenter::HostSpec::medium(),
-      datacenter::HostSpec::slow(), datacenter::HostSpec::low_power()};
-  for (int i = 0; i < 8; ++i) base.hosts.push_back(specs[(i * 3) % 4]);
-  SmallDc f(8, base);
+  datacenter::HostSpec first = datacenter::HostSpec::medium();
+  first.migration_cost_s = 1000;
+  datacenter::HostSpec roomy = datacenter::HostSpec::medium();
+  roomy.cpu_capacity_pct = 1600;
+  roomy.migration_cost_s = 2;
+  datacenter::HostSpec tight = datacenter::HostSpec::medium();
+  tight.cpu_capacity_pct = 100;
+  tight.migration_cost_s = 20;
+  base.hosts = {datacenter::HostSpec::medium(), first, roomy, tight};
+  SmallDc f(4, base);
+  constexpr double kDedicated = 5000;
+  f.admit_and_place(make_job(100, 512, kDedicated), 0);
+  // The VM's remaining user-estimated time is 21 s, just above kTight's Cm.
+  f.simulator.run_until(kDedicated - 21);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // migration: cols() > 0
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{19};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  std::vector<HostId> idle = {kFirst, kRoomy, kTight};
+
+  ASSERT_EQ(ref.choose_power_off(ctx, idle), kFirst);
+  ASSERT_EQ(inc.choose_power_off(ctx, idle), kFirst);
+  f.dc.power_off(kFirst);
+  idle.erase(idle.begin());
+  ASSERT_EQ(ref.choose_power_off(ctx, idle), kRoomy);  // the pass goes on
+
+  const std::uint64_t dispatched = f.simulator.dispatched();
+  f.simulator.run_until(f.simulator.now() + 2);  // remaining time: 19 s
+  ASSERT_EQ(f.simulator.dispatched(), dispatched);
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);  // the first pick alone
+  const HostId r = ref.choose_power_off(ctx, idle);
+  EXPECT_EQ(r, kTight);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), r);
+  EXPECT_EQ(inc.power_off_stats().rankings, 2u);
+}
+
+// A consolidation round runs between two picks. Before it, the host the
+// ranking holds next enters maintenance; the round's fleet refresh drains
+// the journal, and one idle host is journalled after it. The journal then
+// holds one host, as after one pick, but the ranking predates the drained
+// change: building the round's model must drop the ranking, so the call
+// ranks afresh and skips the host in maintenance.
+TEST(FleetPowerOff, RoundBetweenPicksReranks) {
+  SmallDc f(8, mixed_classes(8));
+  f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.admit_and_place(make_job(200, 1024, 50000), 5);
+  f.simulator.run_until(400.0);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();  // sweeps in its first round
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{23};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  std::vector<HostId> idle;
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+    if (f.dc.host(h).is_idle_on()) idle.push_back(h);
+  }
+  ASSERT_EQ(idle.size(), 6u);
+
+  const HostId first = ref.choose_power_off(ctx, idle);
+  ASSERT_EQ(inc.choose_power_off(ctx, idle), first);
+  f.dc.power_off(first);
+  idle.erase(std::find(idle.begin(), idle.end(), first));
+  const HostId next = ref.choose_power_off(ctx, idle);  // the ranking's next
+  f.dc.set_maintenance(next, true);
+  inc.schedule(ctx);  // a consolidation sweep: builds a model
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 0u);
+  const HostId other = idle.front() == next ? idle.back() : idle.front();
+  f.dc.set_maintenance(other, true);
+  f.dc.set_maintenance(other, false);
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);
+
+  const HostId r = ref.choose_power_off(ctx, idle);
+  EXPECT_NE(r, next);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), r);
+  EXPECT_EQ(inc.power_off_stats().rankings, 2u);
+}
+
+// The caller sheds a host other than the pick, and drops that host from
+// its list instead: the journal and the list each changed by one host, as
+// in a pass, but the pick is still idle. The call must rank afresh and
+// pick the reference's host (the same one again). Then the caller sheds
+// the pick but drops one more host from its list: the list is shorter
+// than the pass allows, so the call ranks afresh again.
+TEST(FleetPowerOff, CallerShedsAnotherHostReranks) {
+  SmallDc f(8, mixed_classes(8));
+  f.admit_and_place(make_job(100, 512, 50000), 0);
+  f.admit_and_place(make_job(200, 1024, 50000), 5);
+  f.simulator.run_until(400.0);
+
+  ScoreBasedConfig cfg = ScoreBasedConfig::sb();
+  ScoreBasedPolicy inc(cfg);
+  cfg.incremental = false;
+  ScoreBasedPolicy ref(cfg);
+  support::Rng rng{17};
+  const std::vector<VmId> empty;
+  const sched::SchedContext ctx{f.dc, empty, rng};
+  std::vector<HostId> idle;
+  for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+    if (f.dc.host(h).is_idle_on()) idle.push_back(h);
+  }
+  ASSERT_EQ(idle.size(), 6u);
+
+  const HostId first = ref.choose_power_off(ctx, idle);
+  ASSERT_EQ(inc.choose_power_off(ctx, idle), first);
+  const HostId other = first == idle.back() ? idle.front() : idle.back();
+  f.dc.power_off(other);
+  idle.erase(std::find(idle.begin(), idle.end(), other));
+  ASSERT_EQ(f.dc.fleet_dirty_count(), 1u);
+
+  const HostId r = ref.choose_power_off(ctx, idle);
+  EXPECT_EQ(r, first);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), r);
+  EXPECT_EQ(inc.power_off_stats().rankings, 2u);
+
+  f.dc.power_off(r);
+  idle.erase(std::find(idle.begin(), idle.end(), r));
+  const HostId next = ref.choose_power_off(ctx, idle);  // the ranking's next
+  idle.erase(std::find(idle.begin(), idle.end(), next));
+  const HostId r2 = ref.choose_power_off(ctx, idle);
+  EXPECT_EQ(inc.choose_power_off(ctx, idle), r2);
+  EXPECT_EQ(inc.power_off_stats().rankings, 3u);
+}
+
+// Idle hosts are journalled between two picks at one sim time: each one's
+// maintenance flips on and back off. The journal then holds more hosts
+// than the picks, so every call ranks afresh; the picks must still be the
+// reference's.
+TEST(FleetPowerOff, JournalledNonPickHostForcesARebuild) {
+  SmallDc f(8, mixed_classes(8));
   f.admit_and_place(make_job(100, 512, 50000), 0);
   f.admit_and_place(make_job(200, 1024, 50000), 5);
   f.simulator.run_until(400.0);
@@ -958,9 +1305,12 @@ TEST(FleetPowerOff, JournalledIdleCandidateBetweenPicksMatchesTheReference) {
   ASSERT_EQ(idle.size(), 6u);
 
   const sim::SimTime t = f.simulator.now();
+  std::uint64_t picks = 0;
   while (idle.size() > 1) {
     const HostId r = ref.choose_power_off(ctx, idle);
     ASSERT_EQ(inc.choose_power_off(ctx, idle), r);
+    ++picks;
+    EXPECT_EQ(inc.power_off_stats().rankings, picks);
     f.dc.power_off(r);
     idle.erase(std::find(idle.begin(), idle.end(), r));
     for (const HostId h : idle) {
@@ -972,8 +1322,36 @@ TEST(FleetPowerOff, JournalledIdleCandidateBetweenPicksMatchesTheReference) {
   EXPECT_EQ(f.simulator.now(), t);
 }
 
-// The memo's exactness rests on every candidate being idle: a host with a
-// resident is a contract violation.
+// A whole run: the incremental policy builds one ranking per power
+// controller pass, and each ranking computes at most one aggregate per
+// distinct idle spec. The reference builds none and picks alike.
+TEST(FleetPowerOff, OneRankingPerControllerPass) {
+  const workload::Workload jobs = easched::testing::small_week();
+  const auto run = [&jobs](bool incremental, PolicyLog& log) {
+    ScoreBasedConfig cfg = ScoreBasedConfig::sb();
+    cfg.incremental = incremental;
+    experiments::RunConfig config = easched::testing::small_config("SB");
+    config.policy_instance = std::make_unique<RecordingPolicy>(cfg, log);
+    return experiments::run_experiment(jobs, std::move(config));
+  };
+  PolicyLog ref_log;
+  PolicyLog inc_log;
+  const experiments::RunResult ref = run(false, ref_log);
+  const experiments::RunResult inc = run(true, inc_log);
+  EXPECT_EQ(inc_log.picks, ref_log.picks);
+  const std::uint64_t passes = inc.report.power_off_passes;
+  EXPECT_EQ(ref.report.power_off_passes, passes);
+  EXPECT_GT(passes, 2u);
+  EXPECT_GT(inc_log.picks.size(), passes);  // some pass sheds several
+  EXPECT_EQ(inc_log.power_off.rankings, passes);
+  EXPECT_EQ(ref_log.power_off.rankings, 0u);
+  const std::size_t specs = distinct_specs(
+      easched::testing::small_config("SB").datacenter.hosts);
+  EXPECT_LE(inc_log.power_off.aggregates, specs * passes);
+}
+
+// The ranking's exactness rests on every candidate being idle: a host with
+// a resident is a contract violation.
 TEST(FleetPowerOffDeathTest, CandidateWithAResidentAborts) {
   SmallDc f(3);
   f.admit_and_place(make_job(), 1);
