@@ -7,8 +7,11 @@
 #                           for every experiment (EASCHED_VALIDATE=1)
 #   2. perfbench          — the frozen end-to-end benchmark builds against
 #                           the library, passes its self-test, and runs
-#                           each workload once with correct digests and no
-#                           failed job (tier-1 never builds it)
+#                           each workload twice with correct digests and no
+#                           failed job: at seed 1, the seed digests.txt
+#                           pins, and traced at the held-out seed 9001,
+#                           where the incremental, reference and pool
+#                           variants must agree (tier-1 never builds it)
 #   3. AddressSanitizer + UndefinedBehaviorSanitizer, with bounds-checked
 #                           standard containers (_GLIBCXX_ASSERTIONS) —
 #                           validate + faults +
@@ -77,22 +80,25 @@ if [ "$fast" = "fast" ]; then
   exit 0
 fi
 
-echo "== perfbench: self-test + one run per workload =="
+echo "== perfbench: self-test + two runs per workload =="
 # perfbench compiles against the library's API; run it from the repository
 # root, as its runner expects, with its build kept under build-validate.
 CARGO_TARGET_DIR="$repo/build-validate/perfbench-target"
 export CARGO_TARGET_DIR
 (cd "$repo" && python3 perfbench/run.py --self-test)
 for workload in coldstart_2k chaos_2d paper_sweep; do
-  out="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
-    --seed 1 --seconds 0.1 --trace 0)"
-  printf '%s\n' "$out" | python3 -c '
+  for seed_trace in "1 0" "9001 1"; do
+    set -- $seed_trace
+    out="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
+      --seed "$1" --seconds 0.1 --trace "$2")"
+    printf '%s\n' "$out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read().splitlines()[-1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' || {
-    echo "perfbench $workload: not correct or a failed job"
-    exit 1
-  }
+      echo "perfbench $workload --seed $1 --trace $2: not correct or a failed job"
+      exit 1
+    }
+  done
 done
 unset CARGO_TARGET_DIR
 
